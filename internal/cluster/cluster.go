@@ -551,6 +551,7 @@ func (cl *Cluster) Metrics() core.Metrics {
 		m.FastPathDowngrades += rm.FastPathDowngrades
 		m.ExecFallbacks += rm.ExecFallbacks
 		m.ViewRejoins += rm.ViewRejoins
+		m.BadShares += rm.BadShares
 		m.ReadsServed += rm.ReadsServed
 		m.ReadsBehind += rm.ReadsBehind
 		m.ReadsUnavailable += rm.ReadsUnavailable

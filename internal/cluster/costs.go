@@ -13,19 +13,17 @@ import (
 // aggregation and single combined signatures in SBFT (§I, §IX). Values
 // model 2018-era crypto on the paper's 32-vCPU machines: one signature or
 // share verification ≈ 120µs effective (BLS with batch verification), one
-// signature ≈ 100µs, one threshold combination ≈ 500µs.
+// signature ≈ 100µs, one interpolation of a quorum in the exponent ≈ 50µs.
 type CostModel struct {
-	Base    time.Duration // per-message handling floor
-	Send    time.Duration // per-message serialization at the sender
-	Sign    time.Duration // producing a signature or share
-	Verify  time.Duration // verifying a signature or share
-	Combine time.Duration // combining unverified threshold shares (verify + interpolate)
-	// CombineVerified is combination of shares already verified on
-	// arrival: collectors check each share once in onSignShare and then
-	// interpolate with zero pairings (threshsig.Scheme.CombineVerified),
-	// so only the Lagrange interpolation in the exponent is charged.
-	// Measured ~15× cheaper than Combine on the threshbls benchmarks;
-	// modeled conservatively at 10×.
+	Base   time.Duration // per-message handling floor
+	Send   time.Duration // per-message serialization at the sender
+	Sign   time.Duration // producing a signature or share
+	Verify time.Duration // verifying a signature or share
+	// CombineVerified is the Lagrange interpolation in the exponent alone
+	// (threshsig.Scheme.CombineVerified, zero pairings). A collector's
+	// combine (threshsig.Scheme.Combine) is this plus ONE Verify of the
+	// combined signature, whatever the quorum size: shares are not checked
+	// on arrival, and one by one only after that Verify failed.
 	CombineVerified time.Duration
 	PerOp           time.Duration // per-operation work in a block (request auth)
 
@@ -35,12 +33,13 @@ type CostModel struct {
 	n          int
 	collectors int
 	// offload, set by cluster.New when Options.CryptoPool > 0, moves
-	// share verification and combination off the event loop: the loop
-	// pays only the handling floor for share-carrying messages, and the
-	// modeled worker pool (poolSink) pays ShareVerifyCost /
-	// CombineVerified on its own busy horizons. workers is the pool
-	// width, used to spread request-authentication cost (verified by the
-	// pool in a real deployment, but not routed through the sink here).
+	// certificate combination off the event loop: the modeled worker
+	// pool (poolSink) pays CombineVerified + Verify per combine, Verify
+	// per share job, and ShareVerifyCost on top when either has to blame
+	// shares, on its own busy horizons.
+	// workers is the pool width, used to spread request-authentication
+	// cost (verified by the pool in a real deployment, but not routed
+	// through the sink here).
 	offload bool
 	workers int
 }
@@ -52,7 +51,6 @@ func DefaultCosts() CostModel {
 		Send:            2 * time.Microsecond,
 		Sign:            100 * time.Microsecond,
 		Verify:          120 * time.Microsecond,
-		Combine:         500 * time.Microsecond,
 		CombineVerified: 50 * time.Microsecond,
 		PerOp:           20 * time.Microsecond,
 	}
@@ -66,27 +64,15 @@ func DefaultCosts() CostModel {
 func (cm CostModel) ScaledCrypto(k int) CostModel {
 	cm.Sign *= time.Duration(k)
 	cm.Verify *= time.Duration(k)
-	cm.Combine *= time.Duration(k)
 	cm.CombineVerified *= time.Duration(k)
 	return cm
 }
 
-// ShareVerifyCost models verifying one staged batch of k shares over a
-// single digest on a crypto worker. One share pays the full pairing
-// check; a larger batch rides the randomized-linear-combination path —
-// one combined pairing check (≈ Verify/4 for the two pairings) plus a
-// cheap per-share scalar multiply (≈ Verify/8 each). This is the unit
-// the per-slot staging in internal/core aggregates towards: the deeper
-// the queue while a worker is busy, the cheaper each share gets.
+// ShareVerifyCost models verifying k shares one by one: what finding the
+// bad shares of a failed combine or of a failed batched check costs, and
+// (k = 1) what checking a suspect signer's share on arrival costs.
 func (cm CostModel) ShareVerifyCost(k int) time.Duration {
-	switch {
-	case k <= 0:
-		return 0
-	case k == 1:
-		return cm.Verify
-	default:
-		return cm.Verify/4 + time.Duration(k)*cm.Verify/8
-	}
+	return time.Duration(k) * cm.Verify
 }
 
 // RecvCost implements sim.Config.RecvCost for both engines' messages.
@@ -107,39 +93,31 @@ func (cm CostModel) RecvCost(msg any, size int) time.Duration {
 		}
 	case core.PrePrepareMsg:
 		d += cm.Verify + time.Duration(len(m.Reqs))*cm.PerOp
-	case core.SignShareMsg:
-		// BLS share batch verification (§III): "multiple signature shares
-		// ... validated at nearly the same cost of validating only one" —
-		// modeled as a 1/8 effective per-share cost. When the pool is on,
-		// the event loop only stages the shares (handling floor); the
-		// pool pays ShareVerifyCost on its own horizon.
+	case core.SignShareMsg, core.CommitMsg, core.SignStateMsg:
+		// Collectors only de-duplicate arriving shares (handling floor);
+		// the check is one Verify of the combined signature, charged where
+		// the combine runs (§III: "multiple signature shares ... validated
+		// at nearly the same cost of validating only one").
+	case core.CheckpointShareMsg:
+		// Once per checkpoint every replica checks a quorum of these as
+		// one batched job and combines it, spread here over the n shares
+		// it receives. With the pool on, a worker pays (poolSink).
 		if !cm.offload {
-			d += 2 * cm.Verify / 8
+			d += amortized(cm.Verify+cm.CombineVerified+cm.Verify, cm.n)
 		}
 	case core.FullCommitProofMsg:
 		d += cm.Verify
 	case core.PrepareMsg:
 		d += cm.Verify
-	case core.CommitMsg:
-		if !cm.offload {
-			d += cm.Verify / 8 // batch-verified τ shares at the collector
-		}
 	case core.FullCommitProofSlowMsg:
-		d += 2 * cm.Verify
-	case core.SignStateMsg:
-		if !cm.offload {
-			d += cm.Verify / 8 // batch-verified π shares at the E-collector
-		}
+		d += cm.Verify // τ(τ(h)); τ(h) was verified with the prepare
 	case core.FullExecuteProofMsg:
-		d += cm.Verify
+		// Kept unverified: π(d) is checked only if execFallback or a
+		// redundant E-collector comes to need it.
 	case core.ExecuteAckMsg:
 		d += cm.Verify + cm.PerOp // π signature + Merkle proof at the client
 	case core.ReplyMsg:
 		d += cm.Verify // signed reply at the client
-	case core.CheckpointShareMsg:
-		if !cm.offload {
-			d += cm.Verify / 8
-		}
 	case core.CheckpointCertMsg:
 		d += cm.Verify
 	case core.ViewChangeMsg:
@@ -201,12 +179,12 @@ func (cm CostModel) SendCost(msg any, size int) time.Duration {
 		d += amortized(cm.Sign, n)
 	case core.FullCommitProofMsg, core.PrepareMsg, core.FullCommitProofSlowMsg,
 		core.FullExecuteProofMsg, core.CheckpointCertMsg:
-		// Collectors verified every share on arrival, so the combine is
-		// interpolation-only (CombineVerified in internal/core), once per
-		// n-wide broadcast. With the pool on, the combination itself runs
-		// on a worker (poolSink.Combine charges it there).
+		// The combine that produced the certificate: interpolation plus
+		// the one check of the combined signature, once per n-wide
+		// broadcast. With the pool on it runs on a worker
+		// (poolSink.Combine charges it there).
 		if !cm.offload {
-			d += amortized(cm.CombineVerified, n)
+			d += amortized(cm.CombineVerified+cm.Verify, n)
 		}
 	case core.ExecuteAckMsg:
 		d += cm.PerOp // per-client Merkle proof; π(d) was already combined

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"time"
 
 	"sbft/internal/core"
@@ -14,8 +15,8 @@ import (
 // deterministic event loop when that worker finishes. There are no real
 // threads — determinism is exactly the point: the seeded chaos sweeps
 // must reproduce bit-for-bit with the pool enabled, while the model
-// still captures what a real pool buys (verification overlaps the event
-// loop, and per-slot batches ride the cheap RLC path).
+// still captures what a real pool buys (combining and checking
+// certificates overlaps the event loop).
 //
 // The sink is scheduled through the replica's env, so a restart (dead
 // env) suppresses in-flight completions the same way it suppresses the
@@ -55,27 +56,37 @@ func (p *poolSink) schedule(cost time.Duration, fn func()) {
 	p.env.After(end-now, fn)
 }
 
-// VerifyShares implements core.CryptoSink.
+// VerifyShares implements core.CryptoSink. A job's shares are checked as
+// one batch at about the price of one signature check (§III: "validated
+// at nearly the same cost of validating only one"); only a batch that
+// fails goes through its shares one by one. Like Combine, the result is
+// computed at hand-over so the worker is booked for what it costs.
 func (p *poolSink) VerifyShares(jobs []core.VerifyJob, done func(ok [][]threshsig.Share)) {
 	var cost time.Duration
-	for _, j := range jobs {
-		cost += p.costs.ShareVerifyCost(len(j.Shares))
-	}
-	p.schedule(cost, func() {
-		ok := make([][]threshsig.Share, len(jobs))
-		for i, j := range jobs {
-			ok[i] = core.VerifyJobShares(p.suite, j)
+	ok := make([][]threshsig.Share, len(jobs))
+	for i, j := range jobs {
+		ok[i] = core.VerifyJobShares(p.suite, j)
+		cost += p.costs.Verify
+		if len(j.Shares) > 1 && len(ok[i]) < len(j.Shares) {
+			cost += p.costs.ShareVerifyCost(len(j.Shares))
 		}
-		done(ok)
-	})
+	}
+	p.schedule(cost, func() { done(ok) })
 }
 
-// Combine implements core.CryptoSink.
+// Combine implements core.CryptoSink. The worker pays the interpolation
+// and the one check of the combined signature, plus a verification of
+// every share only when that check fails and shares must be blamed. The
+// result is computed at hand-over (inputs are immutable) so its cost is
+// known when the worker is booked.
 func (p *poolSink) Combine(kind core.ShareKind, digest []byte, shares []threshsig.Share, done func(threshsig.Signature, error)) {
-	p.schedule(p.costs.CombineVerified, func() {
-		sig, err := core.SchemeFor(p.suite, kind).CombineVerified(digest, shares)
-		done(sig, err)
-	})
+	sig, err := core.SchemeFor(p.suite, kind).Combine(digest, shares)
+	cost := p.costs.CombineVerified + p.costs.Verify
+	var blamed *threshsig.BadSharesError
+	if errors.As(err, &blamed) {
+		cost += p.costs.ShareVerifyCost(len(shares))
+	}
+	p.schedule(cost, func() { done(sig, err) })
 }
 
 // installCryptoPool arms the modeled verification pool on an SBFT

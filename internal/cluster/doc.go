@@ -34,6 +34,7 @@
 // RestartReplica rebuilds a replica from disk mid-run.
 //
 // The cost model (costs.go) charges per-message CPU mirroring the real
-// crypto structure (share verify on arrival, interpolation-only combine
-// at collectors); see DESIGN.md substitution #3.
+// crypto structure (shares filed unchecked, one interpolation plus one
+// signature check per certificate where the combine runs); see DESIGN.md
+// substitution #3.
 package cluster

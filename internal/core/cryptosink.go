@@ -1,18 +1,35 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 
 	"sbft/internal/crypto/threshsig"
 )
 
-// This file moves the threshold-crypto heavy lifting — share verification
-// and signature combination — behind a sans-io sink, the same shape as
-// SnapshotSink: the replica hands work over with a completion callback
-// and the runtime decides where it runs. On one event loop, share
-// verification dominates the collector cost (§V-E: a C-collector pays
-// 3f+c+1 pairing checks per block) and caps throughput; a worker-pool
-// sink parallelizes it without the replica itself growing threads.
+// This file is the collectors' threshold-crypto policy and the sans-io
+// sink it runs behind (the same shape as SnapshotSink: the replica hands
+// work over with a completion callback and the runtime decides where it
+// runs). DESIGN.md "Optimistic certificate assembly" has the reasoning.
+//
+// Collectors are optimistic, as the scheme's robustness property allows
+// (§III): an arriving share is only de-duplicated — one per signer per
+// table — and a quorum goes to CryptoSink.Combine, which interpolates and
+// checks the COMBINED signature once, however many shares it holds. Only
+// a failed combine verifies shares one by one: its error names the bad
+// signers, the collector drops their shares, counts Metrics.BadShares,
+// marks the signers suspect and combines again once a clean quorum exists.
+// For the rest of the view a suspect's shares are verified on arrival, so
+// a collector suffers at most f failed combines per view plus any already
+// in flight. Suspicion ends with the view because a σ/τ share is checked
+// against the collector's own block hash: an equivocating primary makes
+// honest shares fail there, and the view change that removes it clears
+// their names.
+//
+// The stable-checkpoint certificate is the exception: every replica
+// assembles it, once per checkpoint interval, and verifies its quorum as
+// one batched VerifyShares job before combining — about one signature
+// check per replica per interval, which keeps the batched share check,
+// otherwise reached only under attack, running in every deployment.
 
 // ShareKind names the threshold scheme a verification or combination
 // belongs to: σ (3f+c+1), τ (2f+c+1) or π (f+1).
@@ -24,10 +41,8 @@ const (
 	SharePi
 )
 
-// VerifyJob is one batch of shares claimed to sign one digest under one
-// scheme. Batching per (slot, kind, digest) is what lets the RLC
-// BatchVerifyShares path amortize pairings: k shares cost ~2 pairings
-// instead of 2k when the batch is clean.
+// VerifyJob is a set of shares claimed to sign one digest under one
+// scheme.
 type VerifyJob struct {
 	Kind   ShareKind
 	Digest []byte
@@ -44,8 +59,12 @@ type VerifyJob struct {
 // fallback used when no sink is installed does exactly that. Inputs are
 // immutable once handed over and safe to read off-loop.
 //
-// VerifyShares reports, per job, the subset of shares that verified
-// (order-preserving). Combine combines already-verified shares.
+// Combine is threshsig.Scheme.Combine over unverified shares: a
+// signature that verifies, or an error that is a
+// *threshsig.BadSharesError when shares were at fault. VerifyShares checks
+// shares without combining them — a suspect's share on arrival, a
+// checkpoint quorum — and reports, per job, the subset that verified
+// (order-preserving).
 type CryptoSink interface {
 	VerifyShares(jobs []VerifyJob, done func(ok [][]threshsig.Share))
 	Combine(kind ShareKind, digest []byte, shares []threshsig.Share, done func(sig threshsig.Signature, err error))
@@ -74,10 +93,9 @@ func SchemeFor(suite CryptoSuite, kind ShareKind) threshsig.Scheme {
 
 // VerifyJobShares runs one job synchronously and returns the verified
 // subset. Shared by the inline fallback and the worker-pool sinks so the
-// verification policy cannot diverge: multi-share jobs go through the
-// scheme's randomized-linear-combination batch check when it offers one,
-// falling back to per-share verification to blame the culprits only when
-// the batch fails (§III robustness).
+// policy cannot diverge: a multi-share job goes through the scheme's
+// randomized-linear-combination batch check when it offers one, and only a
+// failed batch verifies share by share to find the culprits.
 func VerifyJobShares(suite CryptoSuite, job VerifyJob) []threshsig.Share {
 	scheme := SchemeFor(suite, job.Kind)
 	if len(job.Shares) > 1 {
@@ -98,8 +116,7 @@ func VerifyJobShares(suite CryptoSuite, job VerifyJob) []threshsig.Share {
 }
 
 // syncSink is the inline fallback installed when no CryptoSink is set:
-// everything runs synchronously on the event loop, preserving the
-// original single-threaded semantics exactly.
+// everything runs synchronously on the event loop.
 type syncSink struct{ suite CryptoSuite }
 
 func (s syncSink) VerifyShares(jobs []VerifyJob, done func([][]threshsig.Share)) {
@@ -111,99 +128,59 @@ func (s syncSink) VerifyShares(jobs []VerifyJob, done func([][]threshsig.Share))
 }
 
 func (s syncSink) Combine(kind ShareKind, digest []byte, shares []threshsig.Share, done func(threshsig.Signature, error)) {
-	sig, err := SchemeFor(s.suite, kind).CombineVerified(digest, shares)
-	done(sig, err)
+	done(SchemeFor(s.suite, kind).Combine(digest, shares))
 }
 
-// ---------------------------------------------------------------------------
-// Per-slot share staging.
-
-// pendingVerify is one share staged for off-loop verification, with the
-// continuation to run on the event loop if it verifies.
-type pendingVerify struct {
-	kind   ShareKind
-	digest []byte
-	share  threshsig.Share
-	apply  func()
+// signedBy reports whether share names the replica that sent it as its
+// signer; filed unverified under another name it would take that signer's
+// place in a table.
+func (r *Replica) signedBy(sender int, share threshsig.Share) bool {
+	return share.Signer == sender && sender >= 1 && sender <= r.cfg.N()
 }
 
-// enqueueShare stages one share of a slot for verification WITHOUT
-// flushing, so a handler can stage several shares of one message into
-// the same batch. apply runs on the event loop after the share verifies;
-// it must re-check its own preconditions (view, duplicates) because the
-// replica may have moved on while the batch was in flight.
-func (r *Replica) enqueueShare(s *slot, kind ShareKind, digest []byte, share threshsig.Share, apply func()) {
-	s.verifyQ = append(s.verifyQ, pendingVerify{kind: kind, digest: digest, share: share, apply: apply})
-}
-
-// stageShare enqueues one share and flushes immediately.
-func (r *Replica) stageShare(s *slot, kind ShareKind, digest []byte, share threshsig.Share, apply func()) {
-	r.enqueueShare(s, kind, digest, share, apply)
-	r.flushVerifyQ(s)
-}
-
-// flushVerifyQ hands the slot's staged shares to the sink as one batch.
-// At most one batch per slot is in flight: while workers verify it,
-// newly arriving shares pile into the next batch — under load this is
-// what aggregates shares for the RLC path without adding any latency
-// when the slot is idle. The continuation is guarded by slot identity
-// and verifyEpoch (bumped by resetCollector), so work verified for a
-// dead collector round is dropped, never applied.
-func (r *Replica) flushVerifyQ(s *slot) {
-	if s.verifying || len(s.verifyQ) == 0 {
+// admitShare runs count for an arriving share that may go into a
+// collector's table: at once for a signer in good standing (the combine
+// will check the share together with the rest of its quorum), after an
+// individual check through the sink for a signer blamed before. count may
+// run after a sink round-trip and must re-check whatever it relies on.
+func (r *Replica) admitShare(signer int, kind ShareKind, digest []byte, share threshsig.Share, count func()) {
+	if !r.signedBy(signer, share) {
 		return
 	}
-	batch := s.verifyQ
-	s.verifyQ = nil
-	s.verifying = true
-	epoch := s.verifyEpoch
-	seq := s.seq
-
-	// Group entries into (kind, digest) jobs, preserving arrival order.
-	var jobs []VerifyJob
-	var members [][]int // job index → batch entry indexes
-	pos := make(map[string]int, 2)
-	for i, pv := range batch {
-		key := fmt.Sprintf("%d/%s", pv.kind, pv.digest)
-		j, ok := pos[key]
-		if !ok {
-			j = len(jobs)
-			pos[key] = j
-			jobs = append(jobs, VerifyJob{Kind: pv.kind, Digest: pv.digest})
-			members = append(members, nil)
-		}
-		jobs[j].Shares = append(jobs[j].Shares, pv.share)
-		members[j] = append(members[j], i)
+	if !r.suspect(signer) {
+		count()
+		return
 	}
-
-	r.csink.VerifyShares(jobs, func(ok [][]threshsig.Share) {
-		cur, live := r.slots[seq]
-		if !live || cur != s || s.verifyEpoch != epoch {
-			return // slot reset for a new view, or GC'd past a checkpoint
+	job := VerifyJob{Kind: kind, Digest: append([]byte(nil), digest...), Shares: []threshsig.Share{share}}
+	r.csink.VerifyShares([]VerifyJob{job}, func(ok [][]threshsig.Share) {
+		if len(ok[0]) == 0 {
+			r.Metrics.BadShares++
+			return
 		}
-		s.verifying = false
-		for j := range jobs {
-			passed := make(map[int]bool, len(ok[j]))
-			for _, sh := range ok[j] {
-				passed[sh.Signer] = true
-			}
-			for _, i := range members[j] {
-				pv := batch[i]
-				if passed[pv.share.Signer] {
-					pv.apply()
-				} else {
-					r.Metrics.BadShares++
-				}
-			}
-		}
-		r.flushVerifyQ(s)
+		count()
 	})
 }
 
-// resetVerifyQ invalidates all staged and in-flight verification of a
-// slot (called when the collector state resets for a new view).
-func (s *slot) resetVerifyQ() {
-	s.verifyEpoch++
-	s.verifyQ = nil
-	s.verifying = false
+// suspect reports whether signer was blamed in the current view.
+func (r *Replica) suspect(signer int) bool {
+	view, blamed := r.suspects[signer]
+	return blamed && view == r.view
+}
+
+// blame applies the verdict of a failed combine to the table its shares
+// came from: the named signers' shares are dropped and counted, and the
+// signers become suspects for the rest of the view. It reports whether err
+// was such a verdict, in which case the caller combines again if a quorum
+// is left.
+func (r *Replica) blame(table map[int]threshsig.Share, err error) bool {
+	var bad *threshsig.BadSharesError
+	if !errors.As(err, &bad) {
+		return false
+	}
+	for _, id := range bad.Signers {
+		delete(table, id)
+		r.suspects[id] = r.view
+		r.Metrics.BadShares++
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"sbft/internal/crypto/threshbls"
@@ -8,11 +10,13 @@ import (
 )
 
 // deferredSink queues every sink call so tests control exactly when the
-// off-loop work "completes", exercising the staging pipeline's guards.
+// off-loop work "completes", exercising the collectors' completion guards.
 type deferredSink struct {
 	suite    CryptoSuite
 	verifies []deferredVerify
 	combines []deferredCombine
+	// failed counts released combines that came back with a blame verdict.
+	failed int
 }
 
 type deferredVerify struct {
@@ -46,133 +50,529 @@ func (d *deferredSink) releaseVerify() {
 	v.done(ok)
 }
 
-// releaseCombine completes the oldest queued combination.
-func (d *deferredSink) releaseCombine() {
-	c := d.combines[0]
-	d.combines = d.combines[1:]
-	sig, err := SchemeFor(d.suite, c.kind).CombineVerified(c.digest, c.shares)
+// releaseCombine completes the i-th queued combination.
+func (d *deferredSink) releaseCombine(i int) {
+	c := d.combines[i]
+	d.combines = append(d.combines[:i:i], d.combines[i+1:]...)
+	sig, err := SchemeFor(d.suite, c.kind).Combine(c.digest, c.shares)
+	var bad *threshsig.BadSharesError
+	if errors.As(err, &bad) {
+		d.failed++
+	}
 	c.done(sig, err)
 }
 
-func TestCryptoSinkBatchesPerSlot(t *testing.T) {
-	seq := collectorSeqFor(DefaultConfig(1, 0), 2, 0)
+// releaseCombineOver completes the queued combination over digest.
+func (d *deferredSink) releaseCombineOver(t *testing.T, digest []byte) {
+	t.Helper()
+	for i, c := range d.combines {
+		if bytes.Equal(c.digest, digest) {
+			d.releaseCombine(i)
+			return
+		}
+	}
+	t.Fatalf("no combine over %x in flight", digest)
+}
+
+// countingScheme counts the checks a replica makes on its own event loop.
+type countingScheme struct {
+	threshsig.Scheme
+	verifies, shareVerifies *int
+}
+
+func (c countingScheme) Verify(digest []byte, sig threshsig.Signature) error {
+	*c.verifies++
+	return c.Scheme.Verify(digest, sig)
+}
+
+func (c countingScheme) VerifyShare(digest []byte, sh threshsig.Share) error {
+	*c.shareVerifies++
+	return c.Scheme.VerifyShare(digest, sh)
+}
+
+// collectorSeqs returns the first k sequences replica collects for in view.
+func collectorSeqs(cfg Config, replica int, view uint64, k int) []uint64 {
+	var out []uint64
+	for s := uint64(1); len(out) < k; s++ {
+		if cfg.CCollectors(s, view)[0] == replica {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func isFastProof(m Message) bool { _, ok := m.(FullCommitProofMsg); return ok }
+func isPrepare(m Message) bool   { _, ok := m.(PrepareMsg); return ok }
+
+var oneReq = []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}}
+
+func TestCollectorCombinesUncheckedShares(t *testing.T) {
+	seq := collectorSeqs(DefaultConfig(1, 0), 2, 0, 1)[0]
 	rg := newRig(t, 2, nil)
 	sink := &deferredSink{suite: rg.suite}
 	rg.r.SetCryptoSink(sink)
+	var verifies, shareVerifies int
+	rg.r.suite.Sigma = countingScheme{rg.suite.Sigma, &verifies, &shareVerifies}
+	rg.r.suite.Tau = countingScheme{rg.suite.Tau, &verifies, &shareVerifies}
 
-	reqs := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}}
-	// The pre-prepare stages this collector's OWN σ+τ shares: one
-	// in-flight batch.
-	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs})
-	if len(sink.verifies) != 1 {
-		t.Fatalf("%d verify batches in flight, want 1", len(sink.verifies))
-	}
-	// While that batch is held, the peers' shares pile into the next
-	// batch instead of going to the sink one by one.
-	for i := 1; i <= rg.cfg.QuorumFast(); i++ {
-		if i == 2 {
-			continue
-		}
-		rg.r.Deliver(i, rg.signShare(i, seq, 0, reqs, true))
-	}
-	if len(sink.verifies) != 1 {
-		t.Fatalf("shares bypassed the per-slot queue: %d batches", len(sink.verifies))
-	}
-	sink.releaseVerify() // own shares apply; queued shares flush as batch #2
-	if len(sink.verifies) != 1 {
-		t.Fatalf("queued shares did not flush: %d batches", len(sink.verifies))
-	}
-	// Batch #2 must aggregate the three waiting messages into per-kind
-	// jobs of three shares each — the RLC amortization unit.
-	for _, job := range sink.verifies[0].jobs {
-		if len(job.Shares) != 3 {
-			t.Fatalf("job kind=%d has %d shares, want 3 (not batched)", job.Kind, len(job.Shares))
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	for i := 1; i <= rg.cfg.N(); i++ {
+		if i != 2 {
+			rg.r.Deliver(i, rg.signShare(i, seq, 0, oneReq, true))
 		}
 	}
-	sink.releaseVerify()
-	// σ quorum reached → the combine is staged, not run inline.
-	if len(sink.combines) != 1 || sink.combines[0].kind != ShareSigma {
+	// Arriving shares are filed, not verified: nothing went to the sink's
+	// share-verification side, and the σ quorum is one staged combine.
+	if len(sink.verifies) != 0 || shareVerifies != 0 {
+		t.Fatalf("shares were verified on arrival: %d sink jobs, %d inline checks", len(sink.verifies), shareVerifies)
+	}
+	if len(sink.combines) != 1 || sink.combines[0].kind != ShareSigma || len(sink.combines[0].shares) != rg.cfg.QuorumFast() {
 		t.Fatalf("combines = %+v", sink.combines)
 	}
-	if rg.sentOfType(func(m Message) bool { _, ok := m.(FullCommitProofMsg); return ok }) != 0 {
+	if rg.sentOfType(isFastProof) != 0 {
 		t.Fatal("proof sent before the combine completed")
 	}
-	sink.releaseCombine()
-	if rg.sentOfType(func(m Message) bool { _, ok := m.(FullCommitProofMsg); return ok }) == 0 {
+	sink.releaseCombine(0)
+	if rg.sentOfType(isFastProof) == 0 {
 		t.Fatal("no full-commit-proof after the async combine")
+	}
+	// The collector commits on the σ it combined without verifying it a
+	// second time: the combine checked it.
+	if !rg.r.slots[seq].committed || verifies != 0 {
+		t.Fatalf("committed=%v after %d event-loop verifies, want true after 0", rg.r.slots[seq].committed, verifies)
 	}
 }
 
-func TestCryptoSinkBlamesBadShare(t *testing.T) {
-	seq := collectorSeqFor(DefaultConfig(1, 0), 2, 0)
+func TestBadShareSignerCostsOneCombine(t *testing.T) {
+	// A single bad-share signer causes at most one failed combine on a
+	// collector, and the slot it spoiled still commits (via τ: σ needs all
+	// n shares at c = 0, exactly as when a share is missing).
+	seqs := collectorSeqs(DefaultConfig(1, 0), 2, 0, 2)
 	rg := newRig(t, 2, nil)
 	sink := &deferredSink{suite: rg.suite}
 	rg.r.SetCryptoSink(sink)
 
-	reqs := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}}
-	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs})
-	sink.releaseVerify() // own shares
-
-	// Replica 3 sends a valid τ share but a garbage σ share.
-	m := rg.signShare(3, seq, 0, reqs, false)
-	m.SigmaSig = threshsig.Share{Signer: 3, Data: []byte("garbage")}
-	rg.r.Deliver(3, m)
-	sink.releaseVerify()
-
+	garbageSigma := func(seq uint64) SignShareMsg {
+		m := rg.signShare(3, seq, 0, oneReq, false)
+		m.SigmaSig = threshsig.Share{Signer: 3, Data: []byte("garbage")}
+		return m
+	}
+	seq := seqs[0]
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	rg.r.Deliver(1, rg.signShare(1, seq, 0, oneReq, true))
+	rg.r.Deliver(3, garbageSigma(seq))
+	rg.r.Deliver(4, rg.signShare(4, seq, 0, oneReq, true))
+	if len(sink.combines) != 1 {
+		t.Fatalf("%d combines staged, want the σ quorum's one", len(sink.combines))
+	}
+	sink.releaseCombine(0)
 	s := rg.r.slots[seq]
-	if _, ok := s.tauShares[3]; !ok {
-		t.Fatal("valid τ share not counted")
+	if sink.failed != 1 || rg.r.Metrics.BadShares != 1 || !rg.r.suspect(3) {
+		t.Fatalf("failed combines=%d BadShares=%d suspect=%v, want 1, 1, true", sink.failed, rg.r.Metrics.BadShares, rg.r.suspect(3))
 	}
+	if _, ok := s.sigmaShares[3]; ok || len(s.tauShares) != 4 || s.committed {
+		t.Fatalf("after blame: σ[3] kept=%v τ=%d committed=%v", ok, len(s.tauShares), s.committed)
+	}
+	// The fast timer runs out: τ(h) → prepare → commit shares → τ(τ(h)).
+	rg.env.advance(rg.cfg.FastPathTimeout)
+	sink.releaseCombine(0)
+	if rg.sentOfType(isPrepare) == 0 || !s.hasPrepare {
+		t.Fatal("no prepare after the fast timer")
+	}
+	for _, i := range []int{1, 3} {
+		share, err := rg.keys[i-1].Tau.Sign(tauTauDigest(s.prepareTau))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg.r.Deliver(i, CommitMsg{Seq: seq, View: 0, Replica: i, TauTau: share})
+	}
+	// Replica 3's τ(τ(h)) share is valid but 3 is a suspect: it is
+	// verified on arrival before it counts.
+	if len(sink.verifies) != 1 {
+		t.Fatalf("%d share verifications staged for the suspect, want 1", len(sink.verifies))
+	}
+	sink.releaseVerify()
+	sink.releaseCombine(0)
+	if !s.committed || rg.r.Metrics.SlowCommits != 1 {
+		t.Fatalf("slot not committed via τ: committed=%v slow=%d", s.committed, rg.r.Metrics.SlowCommits)
+	}
+
+	// Next slot, same view, same bad signer: the garbage is rejected on
+	// arrival and never reaches a combine.
+	seq = seqs[1]
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	rg.r.Deliver(3, garbageSigma(seq))
+	for len(sink.verifies) > 0 {
+		sink.releaseVerify()
+	}
+	s = rg.r.slots[seq]
 	if _, ok := s.sigmaShares[3]; ok {
-		t.Fatal("garbage σ share counted")
+		t.Fatal("suspect's garbage σ share counted")
 	}
-	if rg.r.Metrics.BadShares != 1 {
-		t.Fatalf("BadShares = %d, want 1", rg.r.Metrics.BadShares)
+	if _, ok := s.tauShares[3]; !ok {
+		t.Fatal("suspect's valid τ share not counted")
+	}
+	if sink.failed != 1 || rg.r.Metrics.BadShares != 2 {
+		t.Fatalf("failed combines=%d BadShares=%d, want still 1 and 2", sink.failed, rg.r.Metrics.BadShares)
+	}
+}
+
+func TestEquivocatingPrimaryFramesSignersOnlyForItsView(t *testing.T) {
+	// A σ/τ share is checked against the collector's own block hash, so a
+	// primary that shows the collector one block and everyone else another
+	// makes honest shares fail there. They are dropped — useless to this
+	// collector — and their signers verified on arrival for the rest of
+	// the view, but the view change that removes the primary clears them.
+	cfg := DefaultConfig(1, 0)
+	seqs := collectorSeqs(cfg, 2, 0, 2)
+	rg := newRig(t, 2, func(c *Config) { c.FastPath = false })
+	sink := &deferredSink{suite: rg.suite}
+	rg.r.SetCryptoSink(sink)
+	otherReq := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("y")}}
+
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seqs[0], View: 0, Reqs: oneReq})
+	rg.r.Deliver(1, rg.signShare(1, seqs[0], 0, otherReq, false))
+	rg.r.Deliver(3, rg.signShare(3, seqs[0], 0, otherReq, false))
+	sink.releaseCombine(0)
+	if sink.failed != 1 || rg.r.Metrics.BadShares != 2 || !rg.r.suspect(1) || !rg.r.suspect(3) {
+		t.Fatalf("failed combines=%d BadShares=%d suspects 1:%v 3:%v, want 1, 2, true, true",
+			sink.failed, rg.r.Metrics.BadShares, rg.r.suspect(1), rg.r.suspect(3))
+	}
+	// Same view, next slot, no equivocation: the framed signers' shares
+	// are checked one by one before they count — the price per share this
+	// collector paid for everyone before — and no second combine fails.
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seqs[1], View: 0, Reqs: oneReq})
+	rg.r.Deliver(1, rg.signShare(1, seqs[1], 0, oneReq, false))
+	rg.r.Deliver(3, rg.signShare(3, seqs[1], 0, oneReq, false))
+	if len(sink.verifies) != 2 || len(sink.combines) != 0 {
+		t.Fatalf("%d share checks and %d combines staged, want 2 and 0", len(sink.verifies), len(sink.combines))
+	}
+	sink.releaseVerify()
+	sink.releaseVerify()
+	sink.releaseCombine(0)
+	if sink.failed != 1 || rg.sentOfType(isPrepare) == 0 {
+		t.Fatalf("failed combines=%d prepares=%d after the clean slot", sink.failed, rg.sentOfType(isPrepare))
+	}
+
+	// The view changes: nobody is a suspect any more, and shares are filed
+	// unchecked again.
+	rg.r.startViewChange(2) // primary 3; view 1 would make replica 2 the primary
+	rg.r.inViewChange = false
+	if rg.r.suspect(1) || rg.r.suspect(3) {
+		t.Fatal("suspicion outlived the view it arose in")
+	}
+	seq := collectorSeqs(cfg, 2, 2, 1)[0]
+	rg.r.Deliver(cfg.Primary(2), PrePrepareMsg{Seq: seq, View: 2, Reqs: oneReq})
+	for _, i := range []int{1, 3} {
+		rg.r.Deliver(i, rg.signShare(i, seq, 2, oneReq, false))
+	}
+	if len(sink.verifies) != 0 || len(sink.combines) != 1 {
+		t.Fatalf("view 2: %d share checks and %d combines staged, want 0 and 1", len(sink.verifies), len(sink.combines))
+	}
+}
+
+func TestDeadRoundsVerdictMarksNobody(t *testing.T) {
+	// A verdict is reached against the digest of the round that asked for
+	// it. Arriving after that round died — a new view, a reset collector —
+	// it must not make suspects in the round that replaced it.
+	seq := collectorSeqs(DefaultConfig(1, 0), 2, 0, 1)[0]
+	rg := newRig(t, 2, func(c *Config) { c.FastPath = false })
+	sink := &deferredSink{suite: rg.suite}
+	rg.r.SetCryptoSink(sink)
+	otherReq := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("y")}}
+
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	rg.r.Deliver(1, rg.signShare(1, seq, 0, otherReq, false))
+	rg.r.Deliver(3, rg.signShare(3, seq, 0, otherReq, false))
+	rg.r.slots[seq].resetCollector(0)
+	sink.releaseCombine(0)
+	if sink.failed != 1 || rg.r.Metrics.BadShares != 0 || rg.r.suspect(1) || rg.r.suspect(3) {
+		t.Fatalf("failed combines=%d BadShares=%d suspects 1:%v 3:%v after a dead round's verdict, want 1, 0, false, false",
+			sink.failed, rg.r.Metrics.BadShares, rg.r.suspect(1), rg.r.suspect(3))
+	}
+}
+
+func TestCommitSharesNeedThisViewsPrepare(t *testing.T) {
+	// Commit shares sign τ(h) of the current view's prepare. Against a
+	// prepare certificate left over from an earlier view every honest
+	// share would fail and frame its signer, so the collector does not
+	// take them until it holds this view's certificate.
+	seq := collectorSeqs(DefaultConfig(1, 0), 2, 2, 1)[0]
+	rg := newRig(t, 2, func(c *Config) { c.FastPath = false })
+	rg.r.view = 2
+	s := rg.r.getSlot(seq)
+	s.hasPrepare, s.prepareView = true, 0
+	s.prepareTau = threshsig.Signature{Data: []byte("view-0 certificate")}
+	s.resetCollector(2)
+	share, err := rg.keys[0].Tau.Sign(tauTauDigest(threshsig.Signature{Data: []byte("view-2 certificate")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.r.Deliver(1, CommitMsg{Seq: seq, View: 2, Replica: 1, TauTau: share})
+	if len(s.tautauShares) != 0 {
+		t.Fatal("commit share filed against a stale prepare certificate")
+	}
+}
+
+func TestCheckpointQuorumVerifiedAsOneJob(t *testing.T) {
+	// The stable-checkpoint certificate is the one place shares are
+	// checked before they are combined: a quorum goes to the sink as one
+	// verify job, a bad share in it is dropped and counted, and the rest
+	// is tried again as soon as it is a quorum.
+	const ckpt = 2
+	rg := newRig(t, 1, func(c *Config) { c.CheckpointInterval = ckpt; c.Win = 8 })
+	sink := &deferredSink{suite: rg.suite}
+	rg.r.SetCryptoSink(sink)
+	root := []byte("root")
+	share := func(from int) CheckpointShareMsg {
+		sh, err := rg.keys[from-1].Pi.Sign(CheckpointSigDigest(ckpt, root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CheckpointShareMsg{Seq: ckpt, Replica: from, Digest: root, PiSig: sh}
+	}
+	bad := share(2)
+	bad.PiSig.Data = []byte("garbage")
+	rg.r.Deliver(2, bad)
+	rg.r.Deliver(3, share(3))
+	if len(sink.verifies) != 1 || len(sink.verifies[0].jobs[0].Shares) != rg.cfg.QuorumExec() || len(sink.combines) != 0 {
+		t.Fatalf("quorum not staged as one verify job: %d jobs, %d combines", len(sink.verifies), len(sink.combines))
+	}
+	// A third share arrives while the check is in flight: no second job.
+	rg.r.Deliver(4, share(4))
+	if len(sink.verifies) != 1 {
+		t.Fatalf("%d verify jobs in flight, want 1", len(sink.verifies))
+	}
+	sink.releaseVerify()
+	if rg.r.Metrics.BadShares != 1 || len(sink.verifies) != 1 || len(sink.verifies[0].jobs[0].Shares) != 2 {
+		t.Fatalf("BadShares=%d, retry jobs=%d", rg.r.Metrics.BadShares, len(sink.verifies))
+	}
+	sink.releaseVerify()
+	sink.releaseCombine(0)
+	if rg.r.LastStable() != ckpt {
+		t.Fatalf("checkpoint not stable: ls=%d", rg.r.LastStable())
+	}
+}
+
+func TestGarbageTauShareDroppedRestCombines(t *testing.T) {
+	seq := collectorSeqs(DefaultConfig(1, 0), 2, 0, 1)[0]
+	rg := newRig(t, 2, func(c *Config) { c.FastPath = false })
+	sink := &deferredSink{suite: rg.suite}
+	rg.r.SetCryptoSink(sink)
+
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	bad := rg.signShare(3, seq, 0, oneReq, false)
+	bad.TauSig.Data = []byte("garbage")
+	rg.r.Deliver(3, bad)
+	rg.r.Deliver(1, rg.signShare(1, seq, 0, oneReq, false))
+	// τ quorum of 3 (own share included), one of them garbage. The fourth
+	// share arrives while the combine is in flight.
+	if len(sink.combines) != 1 {
+		t.Fatalf("%d combines staged, want 1", len(sink.combines))
+	}
+	rg.r.Deliver(4, rg.signShare(4, seq, 0, oneReq, false))
+	sink.releaseCombine(0)
+	if rg.r.Metrics.BadShares != 1 || rg.sentOfType(isPrepare) != 0 {
+		t.Fatalf("BadShares=%d prepares=%d after the failed combine", rg.r.Metrics.BadShares, rg.sentOfType(isPrepare))
+	}
+	// The three clean shares are a quorum: combined again at once.
+	if len(sink.combines) != 1 || len(sink.combines[0].shares) != 3 {
+		t.Fatalf("retry = %+v", sink.combines)
+	}
+	sink.releaseCombine(0)
+	if rg.sentOfType(isPrepare) == 0 {
+		t.Fatal("no prepare from the remaining three shares")
+	}
+}
+
+func TestExecCertRecombinesWithoutBadShare(t *testing.T) {
+	cfg := DefaultConfig(1, 0)
+	const seq = 1
+	id := cfg.ECollectors(seq, 0)[0]
+	rg := newRig(t, id, nil)
+	others := make([]int, 0, 3)
+	for i := 1; i <= cfg.N(); i++ {
+		if i != id {
+			others = append(others, i)
+		}
+	}
+	digest := []byte{1}
+	signState := func(from int) SignStateMsg {
+		sh, err := rg.keys[from-1].Pi.Sign(stateSigDigest(seq, digest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SignStateMsg{Seq: seq, Replica: from, Digest: digest, PiSig: sh}
+	}
+	isExecProof := func(m Message) bool { _, ok := m.(FullExecuteProofMsg); return ok }
+
+	bad := signState(others[0])
+	bad.PiSig.Data = []byte("garbage")
+	rg.r.Deliver(others[0], bad)
+	rg.r.Deliver(others[1], signState(others[1]))
+	// f+1 = 2 shares, one garbage: the combine fails and blames it.
+	if rg.r.Metrics.BadShares != 1 || rg.sentOfType(isExecProof) != 0 {
+		t.Fatalf("BadShares=%d proofs=%d", rg.r.Metrics.BadShares, rg.sentOfType(isExecProof))
+	}
+	rg.r.Deliver(others[2], signState(others[2]))
+	if rg.sentOfType(isExecProof) == 0 {
+		t.Fatal("π(d) not combined from the two clean shares")
 	}
 }
 
 func TestCryptoSinkEpochInvalidation(t *testing.T) {
-	seq := collectorSeqFor(DefaultConfig(1, 0), 2, 0)
+	seq := collectorSeqs(DefaultConfig(1, 0), 2, 0, 1)[0]
 	rg := newRig(t, 2, nil)
 	sink := &deferredSink{suite: rg.suite}
 	rg.r.SetCryptoSink(sink)
 
-	reqs := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}}
-	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs})
-	rg.r.Deliver(1, rg.signShare(1, seq, 0, reqs, true))
-
-	// The collector state resets (as a new view would) while the batch is
-	// in flight: the completion must be dropped, not applied to the fresh
-	// maps.
+	deliverShares := func() {
+		for _, i := range []int{1, 3, 4} {
+			rg.r.Deliver(i, rg.signShare(i, seq, 0, oneReq, true))
+		}
+	}
+	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
+	deliverShares()
+	if len(sink.combines) != 1 {
+		t.Fatalf("%d combines in flight, want 1", len(sink.combines))
+	}
+	// The collector state resets (as a new view would) while the combine
+	// is in flight: the completion must be dropped, not acted on.
 	s := rg.r.slots[seq]
 	s.resetCollector(0)
-	for len(sink.verifies) > 0 {
-		sink.releaseVerify()
+	sink.releaseCombine(0)
+	if rg.sentOfType(isFastProof) != 0 || s.committed || s.sentFastProof {
+		t.Fatalf("stale combine applied after reset: proofs=%d committed=%v", rg.sentOfType(isFastProof), s.committed)
 	}
-	if len(s.tauShares) != 0 || len(s.sigmaShares) != 0 {
-		t.Fatalf("stale verification applied after reset: τ=%d σ=%d", len(s.tauShares), len(s.sigmaShares))
+	if rg.r.Metrics.BadShares != 0 || rg.r.suspect(3) {
+		t.Fatal("clean stale combine blamed somebody")
 	}
-	// The pipeline must not be wedged: fresh shares still verify.
-	rg.r.Deliver(3, rg.signShare(3, seq, 0, reqs, true))
-	if len(sink.verifies) != 1 {
-		t.Fatal("verify pipeline wedged after epoch bump")
+	// The collector must not be wedged: a fresh round still certifies.
+	s.sentSignShare = false
+	rg.r.sendSignShare(s)
+	deliverShares()
+	if len(sink.combines) != 1 {
+		t.Fatal("collector wedged after epoch bump")
 	}
-	sink.releaseVerify()
-	if _, ok := s.tauShares[3]; !ok {
-		t.Fatal("fresh share not applied after reset")
+	sink.releaseCombine(0)
+	if !s.committed {
+		t.Fatal("fresh round did not commit after reset")
 	}
 }
 
-func TestVerifyJobSharesRLCBlame(t *testing.T) {
-	// Against the real BLS scheme: a clean batch passes through the RLC
-	// check whole; a poisoned batch falls back to per-share verification
-	// and blames exactly the culprit.
+// gcApp drops proof material below the stable point, as kvstore does.
+type gcApp struct {
+	fakeApp
+	keepFrom uint64
+}
+
+func (a *gcApp) GarbageCollect(keepFrom uint64) { a.keepFrom = keepFrom }
+
+func (a *gcApp) ProveOperation(seq uint64, l int) ([]byte, error) {
+	if seq < a.keepFrom {
+		return nil, errors.New("block not retained")
+	}
+	return a.fakeApp.ProveOperation(seq, l)
+}
+
+func TestExecAcksSurviveCheckpointGC(t *testing.T) {
+	// Benchmark finding 1: with a sink installed, a checkpoint can
+	// stabilize — collecting the slots and the application's proof
+	// material below it — while an E-collector's π(d) combine for one of
+	// those blocks is still in flight. Its clients must get their
+	// execute-acks all the same.
+	cfg := DefaultConfig(1, 0)
+	const seq, ckpt = 1, 2
+	id := cfg.ECollectors(seq, 0)[0]
+	rg := newRig(t, id, func(c *Config) { c.CheckpointInterval = ckpt; c.Win = 8 })
+	app := &gcApp{}
+	rg.r.app = app
+	sink := &deferredSink{suite: rg.suite}
+	rg.r.SetCryptoSink(sink)
+	peer := id%cfg.N() + 1
+
+	blocks := [][]Request{
+		{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}, {Client: ClientBase + 1, Timestamp: 1, Op: []byte("y")}},
+		{{Client: ClientBase + 2, Timestamp: 1, Op: []byte("z")}},
+	}
+	for i, reqs := range blocks {
+		n := uint64(i + 1)
+		h := BlockHash(n, 0, reqs)
+		var shares []threshsig.Share
+		for _, k := range rg.keys {
+			sh, err := k.Sigma.Sign(h[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares = append(shares, sh)
+		}
+		sigma, err := rg.suite.Sigma.Combine(h[:], shares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg.r.Deliver(1, PrePrepareMsg{Seq: n, View: 0, Reqs: reqs})
+		rg.r.Deliver(1, FullCommitProofMsg{Seq: n, View: 0, Sigma: sigma})
+	}
+	if rg.r.LastExecuted() != ckpt {
+		t.Fatalf("blocks not executed: le=%d", rg.r.LastExecuted())
+	}
+
+	// One peer's sign-state and checkpoint shares complete both f+1 quorums.
+	var root []byte
+	for _, s := range rg.env.sent {
+		if m, ok := s.msg.(CheckpointShareMsg); ok {
+			root = m.Digest
+		}
+	}
+	piDigest, ckptDigest := stateSigDigest(seq, []byte{1}), CheckpointSigDigest(ckpt, root)
+	pi, err := rg.keys[peer-1].Pi.Sign(piDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.r.Deliver(peer, SignStateMsg{Seq: seq, Replica: peer, Digest: []byte{1}, PiSig: pi})
+	ck, err := rg.keys[peer-1].Pi.Sign(ckptDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.r.Deliver(peer, CheckpointShareMsg{Seq: ckpt, Replica: peer, Digest: root, PiSig: ck})
+
+	// The checkpoint completes first — its shares checked as one job, then
+	// combined — and collects slot and proofs.
+	if len(sink.verifies) != 1 || len(sink.verifies[0].jobs[0].Shares) != cfg.QuorumExec() {
+		t.Fatalf("checkpoint quorum not staged as one verify job: %+v", sink.verifies)
+	}
+	sink.releaseVerify()
+	sink.releaseCombineOver(t, ckptDigest)
+	if rg.r.LastStable() != ckpt || app.keepFrom != ckpt {
+		t.Fatalf("checkpoint not stable: ls=%d keepFrom=%d", rg.r.LastStable(), app.keepFrom)
+	}
+	if _, live := rg.r.slots[seq]; live {
+		t.Fatal("slot survived the checkpoint: the test does not cover the race")
+	}
+	sink.releaseCombineOver(t, piDigest)
+	acked := map[int]bool{}
+	for _, s := range rg.env.sent {
+		if m, ok := s.msg.(ExecuteAckMsg); ok && m.Seq == seq && len(m.Proof) > 0 {
+			acked[m.Client] = true
+		}
+	}
+	if len(acked) != len(blocks[0]) {
+		t.Fatalf("execute-acks reached %d of %d clients after the block was collected", len(acked), len(blocks[0]))
+	}
+}
+
+func TestCombineBlameOverBLS(t *testing.T) {
+	// Against the real BLS scheme through the shared sink policy: a clean
+	// quorum combines with zero share verifications; a poisoned one fails
+	// once and blames exactly the culprit.
 	cfg := DefaultConfig(1, 0)
 	suite, keys, err := DealSuite(cfg, threshbls.Dealer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := []byte("batch-digest")
+	var verifies, shareVerifies int
+	suite.Tau = countingScheme{suite.Tau, &verifies, &shareVerifies}
+	digest := []byte("combine-digest")
 	var shares []threshsig.Share
 	for i := 0; i < 3; i++ {
 		sh, err := keys[i].Tau.Sign(digest)
@@ -181,26 +581,30 @@ func TestVerifyJobSharesRLCBlame(t *testing.T) {
 		}
 		shares = append(shares, sh)
 	}
-	ok := VerifyJobShares(suite, VerifyJob{Kind: ShareTau, Digest: digest, Shares: shares})
-	if len(ok) != 3 {
-		t.Fatalf("clean batch verified %d/3", len(ok))
+	sink := syncSink{suite}
+	sink.Combine(ShareTau, digest, shares, func(sig threshsig.Signature, err error) {
+		if err != nil || suite.Tau.Verify(digest, sig) != nil {
+			t.Fatalf("clean quorum: err=%v", err)
+		}
+	})
+	if shareVerifies != 0 {
+		t.Fatalf("clean combine verified %d shares through the suite", shareVerifies)
 	}
-	// Corrupt the middle share: the batch check fails, the fallback must
-	// keep the two honest shares and drop the culprit.
+
 	poisoned := append([]threshsig.Share(nil), shares...)
 	bad, err := keys[1].Tau.Sign([]byte("some-other-digest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Signer = shares[1].Signer
 	poisoned[1] = bad
-	ok = VerifyJobShares(suite, VerifyJob{Kind: ShareTau, Digest: digest, Shares: poisoned})
-	if len(ok) != 2 {
-		t.Fatalf("poisoned batch verified %d shares, want 2", len(ok))
-	}
-	for _, sh := range ok {
-		if sh.Signer == shares[1].Signer {
-			t.Fatal("culprit share survived the blame fallback")
+	sink.Combine(ShareTau, digest, poisoned, func(_ threshsig.Signature, err error) {
+		var blame *threshsig.BadSharesError
+		if !errors.As(err, &blame) || len(blame.Signers) != 1 || blame.Signers[0] != bad.Signer {
+			t.Fatalf("poisoned quorum: err=%v, want blame on signer %d", err, bad.Signer)
 		}
+	})
+	ok := VerifyJobShares(suite, VerifyJob{Kind: ShareTau, Digest: digest, Shares: poisoned})
+	if len(ok) != 2 || ok[0].Signer == bad.Signer || ok[1].Signer == bad.Signer {
+		t.Fatalf("suspect-path verification kept %v", ok)
 	}
 }

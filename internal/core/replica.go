@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -49,7 +50,9 @@ type slot struct {
 	sentSignShare   bool
 	sentCommitShare bool
 
-	// C-collector state (when this replica collects for this slot).
+	// C-collector state (when this replica collects for this slot). The
+	// share tables hold one UNVERIFIED share per signer; the combine checks
+	// them together (cryptosink.go).
 	sigmaShares  map[int]threshsig.Share
 	tauShares    map[int]threshsig.Share
 	tautauShares map[int]threshsig.Share
@@ -74,12 +77,10 @@ type slot struct {
 	fastTimer     func() // cancel
 	staggerTimer  func() // cancel
 
-	// Crypto-sink staging (cryptosink.go): shares queued for off-loop
-	// verification, the in-flight-batch flag, and the epoch guard that
-	// invalidates continuations when the collector state resets.
-	verifyQ     []pendingVerify
-	verifying   bool
-	verifyEpoch uint64
+	// collectorEpoch is bumped whenever the collector state resets, so
+	// sink completions of a dead collector round are dropped, not applied
+	// to the fresh tables.
+	collectorEpoch uint64
 
 	// E-collector state. π shares are grouped by the digest they sign: a
 	// Byzantine replica may send correctly-signed shares over a garbage
@@ -92,6 +93,14 @@ type slot struct {
 	execPi       threshsig.Signature
 	sentExecCert bool
 	execAcked    bool
+	// ackProofs are the clients' Merkle proofs for this block. The first
+	// E-collector takes them when it executes the block (a checkpoint may
+	// drop the proof material before its certificate completes), a
+	// redundant one when it comes to send acks, which is rare.
+	ackProofs [][]byte
+	// execProofs holds the full-execute-proofs received for this slot, one
+	// place per E-collector, UNVERIFIED until execCertified has to know.
+	execProofs   []FullExecuteProofMsg
 	execCertSeen bool
 }
 
@@ -111,7 +120,7 @@ func (s *slot) resetCollector(view uint64) {
 		s.staggerTimer()
 		s.staggerTimer = nil
 	}
-	s.resetVerifyQ()
+	s.collectorEpoch++
 }
 
 // watchEntry records the highest pending timestamp of a client and when
@@ -183,8 +192,8 @@ type Metrics struct {
 	// BusyMsg retry hint instead of a queue slot.
 	AdmissionRejects uint64
 	// BadShares counts threshold-signature shares that failed
-	// verification (individually, or blamed by the batch-verification
-	// fallback after an RLC batch check failed).
+	// verification: blamed after a combine over them failed, rejected on
+	// arrival from a signer blamed before, or in a checkpoint quorum's check.
 	BadShares uint64
 	// SnapshotTransferRestarts counts mid-transfer supersessions that
 	// DISCARDED verified chunk progress. A supersession whose delta
@@ -300,6 +309,10 @@ type Replica struct {
 	// default or on a worker pool when SetCryptoSink installs one (see
 	// cryptosink.go). Never nil.
 	csink CryptoSink
+	// suspects maps a signer a failed combine has blamed to the view it
+	// was blamed in; for the rest of that view its shares are verified on
+	// arrival.
+	suspects map[int]uint64
 
 	// Primary state.
 	pending []Request
@@ -389,6 +402,7 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		ppBuffer:       make(map[uint64][]PrePrepareMsg),
 		pendingSnap:    make(map[uint64]*CertifiedSnapshot),
 		snapshotBlames: make(map[int]int),
+		suspects:       make(map[int]uint64),
 	}
 	r.csink = syncSink{suite}
 	return r, nil
@@ -885,7 +899,7 @@ func (r *Replica) collectorIndex(seq, view uint64) int {
 }
 
 func (r *Replica) onSignShare(from int, m SignShareMsg) {
-	if m.View != r.view || r.inViewChange {
+	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
 	idx := r.collectorIndex(m.Seq, m.View)
@@ -899,10 +913,7 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 	if s.sentFastProof && s.sentSlowProof {
 		return
 	}
-	if _, dup := s.tauShares[m.Replica]; dup {
-		return
-	}
-	// Shares arriving before our pre-prepare cannot be verified yet:
+	// Shares arriving before our pre-prepare have no block hash to sign:
 	// buffer and replay (bounded by one share per replica).
 	if !s.hasPrePrepare || s.prePrepareView != m.View {
 		if len(s.pendingShares) < r.cfg.N() {
@@ -910,34 +921,44 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 		}
 		return
 	}
-	// Robustness: verify shares before counting them (§III). Verification
-	// is staged through the crypto sink — inline when none is installed,
-	// batched per slot onto workers when one is — so the apply
-	// continuations re-check view and duplicate state.
-	digest := append([]byte(nil), s.hash[:]...)
-	r.enqueueShare(s, ShareTau, digest, m.TauSig, func() {
-		if m.View != r.view || r.inViewChange {
-			return
-		}
-		if _, dup := s.tauShares[m.Replica]; dup {
-			return
-		}
-		s.tauShares[m.Replica] = m.TauSig
-		r.collectorTryProgress(s, m.View, idx)
-	})
-	if len(m.SigmaSig.Data) > 0 {
-		r.enqueueShare(s, ShareSigma, digest, m.SigmaSig, func() {
-			if m.View != r.view || r.inViewChange {
+	epoch := s.collectorEpoch
+	file := func(table map[int]threshsig.Share, share threshsig.Share) func() {
+		return func() {
+			if _, dup := table[m.Replica]; dup || !r.collecting(s, epoch, m.View) {
 				return
 			}
-			if _, dup := s.sigmaShares[m.Replica]; dup {
-				return
-			}
-			s.sigmaShares[m.Replica] = m.SigmaSig
+			table[m.Replica] = share
 			r.collectorTryProgress(s, m.View, idx)
-		})
+		}
 	}
-	r.flushVerifyQ(s)
+	r.admitShare(m.Replica, ShareTau, s.hash[:], m.TauSig, file(s.tauShares, m.TauSig))
+	if len(m.SigmaSig.Data) > 0 {
+		r.admitShare(m.Replica, ShareSigma, s.hash[:], m.SigmaSig, file(s.sigmaShares, m.SigmaSig))
+	}
+}
+
+// collecting reports whether a collector round of s started at epoch in
+// view is still the live one — the guard of every sink completion.
+func (r *Replica) collecting(s *slot, epoch, view uint64) bool {
+	return r.slots[s.seq] == s && s.collectorEpoch == epoch && r.view == view && !r.inViewChange
+}
+
+// collectorCombine combines the C-collector table of s over digest and
+// hands the certificate to send, unless the round died or the slot
+// committed meanwhile (a dead round's verdict is dropped with it: it was
+// reached against that round's digest). After a verdict on the shares,
+// retry rolls the caller's in-flight flag back and tries what is left.
+func (r *Replica) collectorCombine(s *slot, view uint64, digest []byte, table map[int]threshsig.Share, kind ShareKind, retry func(), send func(threshsig.Signature)) {
+	epoch := s.collectorEpoch
+	r.csink.Combine(kind, append([]byte(nil), digest...), sharesList(table), func(sig threshsig.Signature, err error) {
+		switch {
+		case !r.collecting(s, epoch, view) || s.committed:
+		case err == nil:
+			send(sig)
+		case r.blame(table, err):
+			retry()
+		}
+	})
 }
 
 // observeFastSpread feeds the adaptive fast-path timer: collectors learn
@@ -981,34 +1002,23 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 		r.observeFastSpread(r.env.Now() - s.tauQuorumAt)
 	}
 	// Fast path: combine σ(h) once 3f+c+1 shares arrive. The flag is set
-	// before the (possibly asynchronous) combination so re-entrant
-	// progress calls cannot double-combine; shares in sigmaShares were
-	// pairing-checked on arrival, so CombineVerified only fails on
-	// internal errors, where the flag rolls back.
+	// before the (staggered, possibly asynchronous) combination so
+	// re-entrant progress calls cannot double-combine; a combine that
+	// blames a share rolls it back.
 	if r.cfg.FastPath && !s.sentFastProof && len(s.sigmaShares) >= r.cfg.QuorumFast() {
-		shares := sharesList(s.sigmaShares)
 		s.sentFastProof = true
 		if s.fastTimer != nil {
 			s.fastTimer()
 			s.fastTimer = nil
 		}
-		epoch := s.verifyEpoch
-		r.csink.Combine(ShareSigma, append([]byte(nil), s.hash[:]...), shares, func(sig threshsig.Signature, err error) {
-			cur, live := r.slots[s.seq]
-			if !live || cur != s || s.verifyEpoch != epoch {
-				return
-			}
-			if err != nil {
+		r.staggered(s, idx, func() {
+			r.collectorCombine(s, view, s.hash[:], s.sigmaShares, ShareSigma, func() {
 				s.sentFastProof = false
-				return
-			}
-			if r.view != view || r.inViewChange {
-				return
-			}
-			r.sendStaggered(s, idx, func() {
+				r.collectorTryProgress(s, view, idx)
+			}, func(sig threshsig.Signature) {
 				msg := FullCommitProofMsg{Seq: s.seq, View: view, Sigma: sig}
 				r.broadcast(msg)
-				r.onFullCommitProof(r.id, msg)
+				r.acceptFastProof(s, msg)
 			})
 		})
 		return
@@ -1018,7 +1028,8 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 	// staggered so redundant collectors only act if earlier ones stall
 	// (§V-E; the primary activates last).
 	if !s.sentPrepare && len(s.tauShares) >= r.cfg.QuorumSlow() {
-		fire := func() {
+		var fire func()
+		fire = func() {
 			// A prepare already seen from another collector makes ours
 			// redundant — but only a CURRENT-view prepare counts: stale
 			// prepare evidence from an earlier view must not stop the slot
@@ -1030,27 +1041,19 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 			if s.hasPrepare && s.prepareView >= view {
 				return
 			}
-			shares := sharesList(s.tauShares)
-			s.sentPrepare = true // optimistic; rolled back on combine error
-			epoch := s.verifyEpoch
-			r.csink.Combine(ShareTau, append([]byte(nil), s.hash[:]...), shares, func(sig threshsig.Signature, err error) {
-				cur, live := r.slots[s.seq]
-				if !live || cur != s || s.verifyEpoch != epoch {
-					return
+			s.sentPrepare = true // rolled back when the combine blames a share
+			r.collectorCombine(s, view, s.hash[:], s.tauShares, ShareTau, func() {
+				s.sentPrepare = false
+				if len(s.tauShares) >= r.cfg.QuorumSlow() {
+					fire() // the timer has run out already: retry at once
 				}
-				if err != nil {
-					s.sentPrepare = false
-					return
-				}
-				if r.view != view || r.inViewChange || s.committed {
-					return
-				}
+			}, func(sig threshsig.Signature) {
 				if r.cfg.FastPath {
 					r.Metrics.FastPathDowngrades++
 				}
 				msg := PrepareMsg{Seq: s.seq, View: view, Tau: sig}
 				r.broadcast(msg)
-				r.onPrepare(r.id, msg)
+				r.acceptPrepare(s, msg)
 			})
 		}
 		delay := time.Duration(idx) * r.cfg.CollectorStagger
@@ -1073,19 +1076,21 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 	}
 }
 
-// sendStaggered runs send immediately for the first collector and after
+// staggered runs act immediately for the first collector and after
 // idx*CollectorStagger for redundant collectors, cancelling if the slot
-// commits meanwhile (§V: staggered collectors monitor in idle).
-func (r *Replica) sendStaggered(s *slot, idx int, send func()) {
+// commits meanwhile (§V: staggered collectors monitor in idle). act is the
+// combine itself, not just the send, so a redundant collector whose turn
+// never comes does no crypto at all.
+func (r *Replica) staggered(s *slot, idx int, act func()) {
 	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
-		send()
+		act()
 		return
 	}
 	delay := time.Duration(idx) * r.cfg.CollectorStagger
 	s.staggerTimer = r.env.After(delay, func() {
 		s.staggerTimer = nil
 		if !s.committed {
-			send()
+			act()
 		}
 	})
 }
@@ -1114,6 +1119,13 @@ func (r *Replica) onFullCommitProof(_ int, m FullCommitProofMsg) {
 	if r.suite.Sigma.Verify(s.hash[:], m.Sigma) != nil {
 		return
 	}
+	r.acceptFastProof(s, m)
+}
+
+// acceptFastProof commits s on a σ(h) known to be valid: verified on
+// receipt, or combined — and checked inside the combine — by this very
+// collector, which therefore does not verify it a second time.
+func (r *Replica) acceptFastProof(s *slot, m FullCommitProofMsg) {
 	if r.inViewChange && m.View < r.view {
 		r.rejoinView(m.View)
 	}
@@ -1140,13 +1152,19 @@ func (r *Replica) onPrepare(_ int, m PrepareMsg) {
 	if !s.hasPrePrepare || s.prePrepareView != m.View {
 		return
 	}
-	if s.hasPrepare && s.prepareView >= m.View {
-		// Already have an equal-or-higher prepare; still allowed to send
-		// the commit share once.
-	} else {
-		if r.suite.Tau.Verify(s.hash[:], m.Tau) != nil {
-			return
-		}
+	// With an equal-or-higher prepare already held there is nothing to
+	// verify; the commit share may still go out once.
+	if !(s.hasPrepare && s.prepareView >= m.View) && r.suite.Tau.Verify(s.hash[:], m.Tau) != nil {
+		return
+	}
+	r.acceptPrepare(s, m)
+}
+
+// acceptPrepare records a τ(h) known to be valid — verified on receipt, or
+// combined and checked by this very collector — and answers it with this
+// replica's commit share.
+func (r *Replica) acceptPrepare(s *slot, m PrepareMsg) {
+	if !s.hasPrepare || s.prepareView < m.View {
 		s.hasPrepare = true
 		s.prepareView = m.View
 		s.prepareTau = m.Tau
@@ -1176,34 +1194,22 @@ func (r *Replica) onPrepare(_ int, m PrepareMsg) {
 	}
 }
 
-func (r *Replica) onCommit(_ int, m CommitMsg) {
-	if m.View != r.view || r.inViewChange {
+func (r *Replica) onCommit(from int, m CommitMsg) {
+	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	idx := r.collectorIndex(m.Seq, m.View)
-	if idx < 0 {
+	if r.collectorIndex(m.Seq, m.View) < 0 {
 		return
 	}
 	s := r.getSlot(m.Seq)
-	if s.collectorView != m.View || s.sentSlowProof || !s.hasPrepare {
-		if !s.hasPrepare {
-			return
-		}
-		if s.collectorView != m.View {
-			return
-		}
-		if s.sentSlowProof {
-			return
-		}
-	}
-	if _, dup := s.tautauShares[m.Replica]; dup {
+	// Only this view's prepare certificate names the digest commit shares
+	// sign; against a stale one every honest share would look bad.
+	if s.collectorView != m.View || s.sentSlowProof || !s.hasPrepare || s.prepareView != m.View {
 		return
 	}
-	r.stageShare(s, ShareTau, tauTauDigest(s.prepareTau), m.TauTau, func() {
-		if m.View != r.view || r.inViewChange {
-			return
-		}
-		if _, dup := s.tautauShares[m.Replica]; dup {
+	epoch := s.collectorEpoch
+	r.admitShare(m.Replica, ShareTau, tauTauDigest(s.prepareTau), m.TauTau, func() {
+		if _, dup := s.tautauShares[m.Replica]; dup || !r.collecting(s, epoch, m.View) {
 			return
 		}
 		s.tautauShares[m.Replica] = m.TauTau
@@ -1219,22 +1225,21 @@ func (r *Replica) trySlowProof(s *slot, view uint64) {
 		return
 	}
 	s.sentSlowProof = true
+	epoch := s.collectorEpoch
 	fire := func() {
-		if s.committed || s.commitSlow != nil {
-			return // another collector's proof already landed
+		if !r.collecting(s, epoch, view) || s.committed || s.commitSlow != nil {
+			return // superseded, or another collector's proof already landed
 		}
-		epoch := s.verifyEpoch
-		r.csink.Combine(ShareTau, tauTauDigest(s.prepareTau), sharesList(s.tautauShares), func(sig threshsig.Signature, err error) {
-			cur, live := r.slots[s.seq]
-			if !live || cur != s || s.verifyEpoch != epoch || err != nil {
-				return
-			}
-			if s.committed || s.commitSlow != nil || r.view != view || r.inViewChange {
+		r.collectorCombine(s, view, tauTauDigest(s.prepareTau), s.tautauShares, ShareTau, func() {
+			s.sentSlowProof = false
+			r.trySlowProof(s, view)
+		}, func(sig threshsig.Signature) {
+			if s.commitSlow != nil {
 				return
 			}
 			msg := FullCommitProofSlowMsg{Seq: s.seq, View: view, Tau: s.prepareTau, TauTau: sig}
 			r.broadcast(msg)
-			r.onFullCommitProofSlow(r.id, msg)
+			r.acceptSlowProof(s, msg)
 		})
 	}
 	idx := r.collectorIndex(s.seq, view)
@@ -1257,13 +1262,22 @@ func (r *Replica) onFullCommitProofSlow(_ int, m FullCommitProofSlowMsg) {
 		}
 		return
 	}
-	// Verify the chain: τ(h) over our block hash, then τ(τ(h)).
-	if r.suite.Tau.Verify(s.hash[:], m.Tau) != nil {
+	// Verify the chain: τ(h) over our block hash — unless it is the very
+	// prepare certificate onPrepare accepted for this block — then τ(τ(h)).
+	held := s.hasPrepare && s.prepareView == m.View && s.prepareHash == s.hash &&
+		bytes.Equal(s.prepareTau.Data, m.Tau.Data)
+	if !held && r.suite.Tau.Verify(s.hash[:], m.Tau) != nil {
 		return
 	}
 	if r.suite.Tau.Verify(tauTauDigest(m.Tau), m.TauTau) != nil {
 		return
 	}
+	r.acceptSlowProof(s, m)
+}
+
+// acceptSlowProof commits s on a τ(τ(h)) chain known to be valid (see
+// acceptFastProof).
+func (r *Replica) acceptSlowProof(s *slot, m FullCommitProofSlowMsg) {
 	if r.inViewChange && m.View < r.view {
 		r.rejoinView(m.View)
 	}
@@ -1509,6 +1523,9 @@ func (r *Replica) executeReady() {
 		// Sign-state phase (§V-D) — only useful when exec collectors are
 		// enabled.
 		if r.cfg.ExecCollectors {
+			if r.cfg.ECollectors(next, 0)[0] == r.id {
+				s.ackProofs = r.proveBlock(s)
+			}
 			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
 			if err == nil {
 				msg := SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share}
@@ -1522,7 +1539,7 @@ func (r *Replica) executeReady() {
 			}
 			// If this replica is an E-collector that combined the π
 			// certificate before executing locally, release the acks now.
-			r.sendExecuteAcks(next)
+			r.sendExecuteAcks(s)
 			// Fallback: if every E-collector of this sequence is crashed,
 			// serve clients directly after a timeout so the single
 			// correct-collector liveness assumption degrades gracefully.
@@ -1566,78 +1583,81 @@ func (r *Replica) isECollector(seq uint64) bool {
 	return false
 }
 
-func (r *Replica) onSignState(_ int, m SignStateMsg) {
-	if !r.isECollector(m.Seq) {
+func (r *Replica) onSignState(from int, m SignStateMsg) {
+	if from != m.Replica || !r.isECollector(m.Seq) {
 		return
 	}
 	s := r.getSlot(m.Seq)
-	if s.sentExecCert {
+	if len(s.execPi.Data) > 0 {
 		return
 	}
-	// Group shares by signed digest: only a digest f+1 distinct replicas
-	// vouch for (at least one honest) can be certified, so a Byzantine
-	// replica's signed-garbage digest can never block or hijack the cert.
-	// One share slot per replica per sequence ACROSS groups — checked
-	// before the expensive share verification — bounds the table at n
-	// entries and keeps duplicate deliveries cheap; a Byzantine
-	// double-voter merely wastes its slot on its first digest.
-	if s.piShares == nil {
-		s.piShares = make(map[string]map[int]threshsig.Share)
-	}
-	for _, g := range s.piShares {
-		if _, dup := g[m.Replica]; dup {
+	r.admitShare(m.Replica, SharePi, stateSigDigest(m.Seq, m.Digest), m.PiSig, func() {
+		if len(s.execPi.Data) > 0 {
 			return
 		}
-	}
-	r.stageShare(s, SharePi, stateSigDigest(m.Seq, m.Digest), m.PiSig, func() {
-		if s.sentExecCert {
-			return
+		if s.piShares == nil {
+			s.piShares = make(map[string]map[int]threshsig.Share)
 		}
-		for _, g := range s.piShares {
-			if _, dup := g[m.Replica]; dup {
-				return
-			}
-		}
-		group := s.piShares[string(m.Digest)]
-		if group == nil {
-			group = make(map[int]threshsig.Share)
-			s.piShares[string(m.Digest)] = group
-		}
-		group[m.Replica] = m.PiSig
-		if len(group) >= r.cfg.QuorumExec() {
-			r.tryExecCert(s, m.Seq, m.Digest, sharesList(group))
+		if fileByDigest(s.piShares, m.Digest, m.PiSig) != nil {
+			r.tryExecCert(s, m.Digest)
 		}
 	})
 }
 
+// fileByDigest files a π share under the digest it signs and returns that
+// digest's table, or nil for a signer already on file. Grouping by digest
+// means only a digest f+1 distinct replicas vouch for (at least one
+// honest) can be certified, so a Byzantine replica's signed-garbage digest
+// can never block or hijack the certificate. One share per replica ACROSS
+// the groups bounds them at n entries and keeps duplicate deliveries
+// cheap; a Byzantine double-voter merely wastes its place on its first
+// digest.
+func fileByDigest(groups map[string]map[int]threshsig.Share, digest []byte, share threshsig.Share) map[int]threshsig.Share {
+	for _, g := range groups {
+		if _, dup := g[share.Signer]; dup {
+			return nil
+		}
+	}
+	group := groups[string(digest)]
+	if group == nil {
+		group = make(map[int]threshsig.Share)
+		groups[string(digest)] = group
+	}
+	group[share.Signer] = share
+	return group
+}
+
 // tryExecCert combines and broadcasts the f+1 execution certificate π(d)
 // for an executed sequence (§V-D), staggered across redundant
-// E-collectors.
-func (r *Replica) tryExecCert(s *slot, seq uint64, digest []byte, quorum []threshsig.Share) {
+// E-collectors. Its completion works on the slot it was started for: a
+// checkpoint may collect the slot while the combine is in flight, and the
+// clients of that block still get their execute-acks.
+func (r *Replica) tryExecCert(s *slot, digest []byte) {
+	group := s.piShares[string(digest)]
+	if s.sentExecCert || len(group) < r.cfg.QuorumExec() {
+		return
+	}
 	s.sentExecCert = true
 	s.execDigest = digest
 	fire := func() {
-		if s.execCertSeen {
+		if r.execCertified(s) {
 			return // another E-collector already certified this sequence
 		}
-		r.csink.Combine(SharePi, stateSigDigest(seq, digest), quorum, func(pi threshsig.Signature, err error) {
-			cur, live := r.slots[seq]
-			if !live || cur != s || err != nil || s.execCertSeen {
+		r.csink.Combine(SharePi, stateSigDigest(s.seq, digest), sharesList(group), func(pi threshsig.Signature, err error) {
+			if r.blame(group, err) {
+				s.sentExecCert = false
+				r.tryExecCert(s, digest)
+			}
+			if err != nil {
 				return
 			}
 			s.execPi = pi
-			r.broadcast(FullExecuteProofMsg{Seq: seq, Digest: digest, Pi: pi})
-			r.sendExecuteAcks(seq)
+			r.broadcast(FullExecuteProofMsg{Seq: s.seq, Digest: digest, Pi: pi})
+			r.sendExecuteAcks(s)
 		})
 	}
 	// Stagger redundant E-collectors like C-collectors (§V).
-	idx := -1
-	for i, c := range r.cfg.ECollectors(seq, 0) {
-		if c == r.id {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(r.cfg.ECollectors(s.seq, 0), r.id)
 	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
 		fire()
 		return
@@ -1645,43 +1665,54 @@ func (r *Replica) tryExecCert(s *slot, seq uint64, digest []byte, quorum []thres
 	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
 }
 
-// sendExecuteAcks sends each client of block seq its single execute-ack
+// sendExecuteAcks sends each client of block s its single execute-ack
 // with a Merkle proof (§V-D). It requires both the combined π certificate
-// and local execution of seq; whichever happens last triggers the acks
-// (executeReady re-invokes it after executing).
-func (r *Replica) sendExecuteAcks(seq uint64) {
-	s, ok := r.slots[seq]
-	if !ok || s.execAcked || len(s.execPi.Data) == 0 || r.lastExecuted < seq {
+// and local execution of the block; whichever happens last triggers the
+// acks (executeReady re-invokes it after executing).
+func (r *Replica) sendExecuteAcks(s *slot) {
+	if s.execAcked || len(s.execPi.Data) == 0 || !s.executed {
 		return
 	}
 	s.execAcked = true
-	digest, pi := s.execDigest, s.execPi
+	if s.ackProofs == nil {
+		s.ackProofs = r.proveBlock(s)
+	}
+	for i, proof := range s.ackProofs {
+		req := s.execReqs[i]
+		ent, ok := r.replyCache[req.Client]
+		if proof == nil || !ok || ent.seq != s.seq {
+			continue
+		}
+		r.env.Send(req.Client, ExecuteAckMsg{
+			Seq: s.seq, L: i, Val: ent.val,
+			Client: req.Client, Timestamp: req.Timestamp, View: r.view,
+			Digest: s.execDigest, Pi: s.execPi, Proof: proof,
+		})
+	}
+}
+
+// proveBlock returns the Merkle proof of each client operation in the
+// executed block s, nil where there is none to send.
+func (r *Replica) proveBlock(s *slot) [][]byte {
+	proofs := make([][]byte, len(s.execReqs))
 	for i, req := range s.execReqs {
 		if req.Direct {
 			continue // direct requests already got PBFT-style replies
 		}
-		proof, err := r.app.ProveOperation(seq, i)
+		proof, err := r.app.ProveOperation(s.seq, i)
 		if err != nil {
-			r.tracef("prove op %d/%d: %v", seq, i, err)
-			continue
+			r.tracef("prove op %d/%d: %v", s.seq, i, err)
 		}
-		ent, ok := r.replyCache[req.Client]
-		if !ok || ent.seq != seq {
-			continue
-		}
-		r.env.Send(req.Client, ExecuteAckMsg{
-			Seq: seq, L: i, Val: ent.val,
-			Client: req.Client, Timestamp: req.Timestamp, View: r.view,
-			Digest: digest, Pi: pi, Proof: proof,
-		})
+		proofs[i] = proof
 	}
+	return proofs
 }
 
 // execFallback sends direct replies to the clients of block seq when no
 // full-execute-proof arrived in time (crashed E-collectors).
 func (r *Replica) execFallback(seq uint64) {
 	s, ok := r.slots[seq]
-	if !ok || !s.executed || s.execCertSeen {
+	if !ok || !s.executed || r.execCertified(s) {
 		return
 	}
 	r.Metrics.ExecFallbacks++
@@ -1697,18 +1728,51 @@ func (r *Replica) execFallback(seq uint64) {
 	}
 }
 
-func (r *Replica) onFullExecuteProof(_ int, m FullExecuteProofMsg) {
-	if r.suite.Pi.Verify(stateSigDigest(m.Seq, m.Digest), m.Pi) != nil {
+// onFullExecuteProof keeps an E-collector's proof for execCertified; it
+// is not verified here because in the common case nothing ever asks.
+func (r *Replica) onFullExecuteProof(from int, m FullExecuteProofMsg) {
+	s, ok := r.slots[m.Seq]
+	if !ok || s.execCertSeen {
 		return
 	}
-	if s, ok := r.slots[m.Seq]; ok {
-		s.execCertSeen = true
+	ecs := r.cfg.ECollectors(m.Seq, 0)
+	if i := slices.Index(ecs, from); i >= 0 {
+		if s.execProofs == nil {
+			s.execProofs = make([]FullExecuteProofMsg, len(ecs))
+		}
+		s.execProofs[i] = m
 	}
 	// Execution certificates cover only the application digest; checkpoint
 	// stability now requires the certified execution-state root (which
 	// also commits the last-reply table), carried by checkpoint shares —
 	// the two certificate families are domain-separated and cannot stand
 	// in for each other.
+}
+
+// execCertified reports whether a valid π(d) for s is known to exist. The
+// proofs received are verified only here, where the answer decides
+// something — and not even here once every client of the block has been
+// served: with nobody left to answer, a held proof is taken at its word.
+func (r *Replica) execCertified(s *slot) bool {
+	if s.execCertSeen || len(s.execProofs) == 0 {
+		return s.execCertSeen
+	}
+	waiting := false
+	for _, req := range s.execReqs {
+		ent, ok := r.replyCache[req.Client]
+		waiting = waiting || ok && ent.seq == s.seq && ent.timestamp == req.Timestamp
+	}
+	if !waiting {
+		return true
+	}
+	for _, m := range s.execProofs {
+		if len(m.Pi.Data) > 0 && r.suite.Pi.Verify(stateSigDigest(m.Seq, m.Digest), m.Pi) == nil {
+			s.execCertSeen = true
+			break
+		}
+	}
+	s.execProofs = nil
+	return s.execCertSeen
 }
 
 // ---------------------------------------------------------------------------
@@ -1729,61 +1793,47 @@ func (r *Replica) initiateCheckpoint(seq uint64, root []byte) {
 	r.onCheckpointShare(r.id, msg)
 }
 
-func (r *Replica) onCheckpointShare(_ int, m CheckpointShareMsg) {
-	if m.Seq <= r.lastStable {
+func (r *Replica) onCheckpointShare(from int, m CheckpointShareMsg) {
+	if m.Seq <= r.lastStable || from != m.Replica || !r.signedBy(from, m.PiSig) {
 		return
 	}
-	byDigest := r.ckptShares[m.Seq]
-	if byDigest == nil {
-		byDigest = make(map[string]map[int]threshsig.Share)
-		r.ckptShares[m.Seq] = byDigest
+	if r.ckptShares[m.Seq] == nil {
+		r.ckptShares[m.Seq] = make(map[string]map[int]threshsig.Share)
 	}
-	// One share slot per replica per sequence across digest groups (see
-	// onSignState): bounds the table at n entries and rejects duplicate
-	// deliveries before the expensive share verification.
-	for _, g := range byDigest {
-		if _, dup := g[m.Replica]; dup {
-			return
-		}
+	// Exactly at the quorum, so shares arriving while its check is in flight
+	// do not start a second one.
+	if group := fileByDigest(r.ckptShares[m.Seq], m.Digest, m.PiSig); len(group) == r.cfg.QuorumExec() {
+		r.certifyCheckpoint(m.Seq, m.Digest, group)
 	}
-	// Checkpoint shares are replica-level state (slots may already be
-	// GC'd at the checkpoint sequence), so they stage one message at a
-	// time through the sink rather than the per-slot batch queue; at one
-	// checkpoint per win/2 blocks the volume is negligible.
-	job := VerifyJob{Kind: SharePi, Digest: CheckpointSigDigest(m.Seq, m.Digest), Shares: []threshsig.Share{m.PiSig}}
+}
+
+// certifyCheckpoint assembles the stable-checkpoint certificate from a
+// quorum of checkpoint shares: verified as one batched job, then combined
+// (cryptosink.go says why these shares are checked first). Shares that
+// fail are dropped, and what is left is tried again while it is a quorum.
+func (r *Replica) certifyCheckpoint(seq uint64, digest []byte, group map[int]threshsig.Share) {
+	job := VerifyJob{Kind: SharePi, Digest: CheckpointSigDigest(seq, digest), Shares: sharesList(group)}
 	r.csink.VerifyShares([]VerifyJob{job}, func(ok [][]threshsig.Share) {
-		if len(ok[0]) == 0 {
-			r.Metrics.BadShares++
-			return
-		}
-		if m.Seq <= r.lastStable {
-			return // stabilized while the share was in flight
-		}
-		byDigest := r.ckptShares[m.Seq]
-		if byDigest == nil {
-			byDigest = make(map[string]map[int]threshsig.Share)
-			r.ckptShares[m.Seq] = byDigest
-		}
-		for _, g := range byDigest {
-			if _, dup := g[m.Replica]; dup {
-				return
+		switch good := ok[0]; {
+		case seq <= r.lastStable: // stabilized while the shares were in flight
+		case len(good) == len(job.Shares):
+			r.csink.Combine(SharePi, job.Digest, good, func(pi threshsig.Signature, err error) {
+				if err == nil && seq > r.lastStable {
+					r.recordStable(seq, digest, pi)
+				}
+			})
+		default:
+			r.Metrics.BadShares += uint64(len(job.Shares) - len(good))
+			for _, sh := range job.Shares {
+				delete(group, sh.Signer)
+			}
+			for _, sh := range good {
+				group[sh.Signer] = sh
+			}
+			if len(group) >= r.cfg.QuorumExec() {
+				r.certifyCheckpoint(seq, digest, group)
 			}
 		}
-		group := byDigest[string(m.Digest)]
-		if group == nil {
-			group = make(map[int]threshsig.Share)
-			byDigest[string(m.Digest)] = group
-		}
-		group[m.Replica] = m.PiSig
-		if len(group) < r.cfg.QuorumExec() {
-			return
-		}
-		r.csink.Combine(SharePi, CheckpointSigDigest(m.Seq, m.Digest), sharesList(group), func(pi threshsig.Signature, err error) {
-			if err != nil || m.Seq <= r.lastStable {
-				return
-			}
-			r.recordStable(m.Seq, m.Digest, pi)
-		})
 	})
 }
 

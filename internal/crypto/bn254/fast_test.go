@@ -229,10 +229,11 @@ func TestFinalExpMatchesReference(t *testing.T) {
 	xP := fpFromBig(p.X.v)
 	yP := fpFromBig(p.Y.v)
 	qa := g2AffineFromPoint(g2)
-	f, ok := millerLoopFast(&qa, &xP, &yP)
+	lines, ok := prepareLines(&qa)
 	if !ok {
 		t.Fatal("miller loop hit degenerate line")
 	}
+	f := millerLoopLines([][]lineCoeff{lines}, []g1Arg{{xP, yP}})
 	fast := finalExpFast(&f)
 	ref := f.toFQP().Pow(finalExponent)
 	if !fast.toFQP().Equal(ref) {
@@ -330,5 +331,90 @@ func TestPairFastBilinearity(t *testing.T) {
 	}
 	if PairingCheck([]G1Point{p, g1.Neg()}, []G2Point{g2, g2.ScalarMul(big.NewInt(42))}) {
 		t.Fatal("fast PairingCheck accepted a false statement")
+	}
+}
+
+// pairingCheckAgrees runs one statement through the single-loop check, the
+// prepared-lines check and the math/big reference, and fails on any
+// disagreement.
+func pairingCheckAgrees(t *testing.T, ps []G1Point, qs []G2Point) bool {
+	t.Helper()
+	want := pairingCheckReference(ps, qs)
+	if got := PairingCheck(ps, qs); got != want {
+		t.Fatalf("PairingCheck = %v, reference = %v", got, want)
+	}
+	prepared := make([]*G2Prepared, len(qs))
+	for i, q := range qs {
+		prepared[i] = PrepareG2(q)
+	}
+	// Prepared lines are reusable: check twice with the same preparation.
+	for range 2 {
+		if got := PairingCheckPrepared(ps, prepared); got != want {
+			t.Fatalf("PairingCheckPrepared = %v, reference = %v", got, want)
+		}
+	}
+	return want
+}
+
+func TestPairingCheckMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reference pairing is expensive")
+	}
+	r := testRand()
+	g1, g2 := G1Generator(), G2Generator()
+	// Random true and false statements over two and three pairs.
+	{
+		a, b := randBig(r), randBig(r)
+		ab := new(big.Int).Mul(a, b)
+		// e(a·g1, b·g2) · e(−ab·g1, g2) == 1
+		if !pairingCheckAgrees(t,
+			[]G1Point{g1.ScalarMul(a), g1.ScalarMul(ab).Neg()},
+			[]G2Point{g2.ScalarMul(b), g2}) {
+			t.Fatal("true statement rejected")
+		}
+		if pairingCheckAgrees(t,
+			[]G1Point{g1.ScalarMul(a), g1.ScalarMul(b).Neg()},
+			[]G2Point{g2.ScalarMul(b), g2}) {
+			t.Fatal("false statement accepted")
+		}
+	}
+	a, b, c := randBig(r), randBig(r), randBig(r)
+	sum := new(big.Int).Add(new(big.Int).Mul(a, b), c)
+	// e(a·g1, b·g2) · e(c·g1, g2) · e(−(ab+c)·g1, g2) == 1
+	if !pairingCheckAgrees(t,
+		[]G1Point{g1.ScalarMul(a), g1.ScalarMul(c), g1.ScalarMul(sum).Neg()},
+		[]G2Point{g2.ScalarMul(b), g2, g2}) {
+		t.Fatal("three-pair true statement rejected")
+	}
+
+	// Degenerate inputs: infinities on either side, the empty product, a
+	// lone non-trivial pairing, a pair and its double negation.
+	p, q := g1.ScalarMul(big.NewInt(7)), g2.ScalarMul(big.NewInt(11))
+	for i, c := range []struct {
+		ps   []G1Point
+		qs   []G2Point
+		want bool
+	}{
+		{nil, nil, true},
+		{[]G1Point{G1Infinity()}, []G2Point{q}, true},
+		{[]G1Point{p}, []G2Point{G2Infinity()}, true},
+		{[]G1Point{p, G1Infinity(), p.Neg()}, []G2Point{q, g2, q}, true},
+		{[]G1Point{p}, []G2Point{q}, false},
+		{[]G1Point{p, p.Neg()}, []G2Point{q, q.Neg()}, false},
+	} {
+		if got := pairingCheckAgrees(t, c.ps, c.qs); got != c.want {
+			t.Fatalf("degenerate case %d: %v, want %v", i, got, c.want)
+		}
+	}
+	if PairingCheckPrepared([]G1Point{p}, nil) {
+		t.Fatal("mismatched lengths accepted")
+	}
+}
+
+func TestPreparedLineCount(t *testing.T) {
+	qa := g2AffineFromPoint(G2Generator())
+	lines, ok := prepareLines(&qa)
+	if !ok || len(lines) != ateLines {
+		t.Fatalf("prepared %d lines (ok=%v), want %d", len(lines), ok, ateLines)
 	}
 }

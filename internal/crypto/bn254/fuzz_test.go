@@ -62,3 +62,31 @@ func FuzzUnmarshalG2(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPairingCheck drives the single-loop product check — on the fly and
+// over prepared lines — against the bilinear identity it must decide:
+// e(a·g₁, b·g₂) · e(−c·g₁, g₂) == 1 exactly when ab ≡ c (mod r). The
+// math/big reference is too slow to sit inside a fuzz loop; the
+// differential tests in fast_test.go pin the two to each other.
+func FuzzPairingCheck(f *testing.F) {
+	f.Add(uint64(3), uint64(5), uint64(15))
+	f.Add(uint64(3), uint64(5), uint64(16))
+	f.Add(uint64(0), uint64(7), uint64(0))
+	f.Add(uint64(1), uint64(0), uint64(1))
+	f.Add(^uint64(0), ^uint64(0), uint64(1))
+	g1, g2 := G1Generator(), G2Generator()
+	g2Lines := PrepareG2(g2)
+	f.Fuzz(func(t *testing.T, a, b, c uint64) {
+		ba, bb, bc := new(big.Int).SetUint64(a), new(big.Int).SetUint64(b), new(big.Int).SetUint64(c)
+		ab := new(big.Int).Mul(ba, bb)
+		want := ab.Mod(ab, R).Cmp(bc) == 0
+		ps := []G1Point{g1.ScalarMul(ba), g1.ScalarMul(bc).Neg()}
+		q := g2.ScalarMul(bb)
+		if got := PairingCheck(ps, []G2Point{q, g2}); got != want {
+			t.Fatalf("PairingCheck(%d·g1, %d·g2; −%d·g1, g2) = %v, want %v", a, b, c, got, want)
+		}
+		if got := PairingCheckPrepared(ps, []*G2Prepared{PrepareG2(q), g2Lines}); got != want {
+			t.Fatalf("PairingCheckPrepared(%d, %d, %d) = %v, want %v", a, b, c, got, want)
+		}
+	})
+}

@@ -57,13 +57,15 @@ var finalExponent = func() *big.Int {
 // fixed-limb projective path (pairing_fast.go); pairReference retains the
 // auditable affine implementation as the oracle.
 func Pair(p G1Point, q G2Point) FQP {
-	f, skip, ok := millerLoopPoints(p, q)
-	if skip {
+	if p.Inf || q.Inf {
 		return Fq12One()
 	}
+	qa := g2AffineFromPoint(q)
+	lines, ok := prepareLines(&qa)
 	if !ok {
 		return pairReference(p, q)
 	}
+	f := millerLoopLines([][]lineCoeff{lines}, []g1Arg{{fpFromBig(p.X.v), fpFromBig(p.Y.v)}})
 	e := finalExpFast(&f)
 	return e.toFQP()
 }
@@ -79,26 +81,19 @@ func pairReference(p G1Point, q G2Point) FQP {
 }
 
 // PairingCheck reports whether Π e(Pᵢ, Qᵢ) == 1, the form signature
-// verification uses: e(H(m), pk) · e(−sig, g₂) == 1. The product of
-// Miller loops shares a single final exponentiation.
+// verification uses: e(H(m), pk) · e(−sig, g₂) == 1. All pairs run through
+// a single Miller loop and share a single final exponentiation; callers
+// whose G2 arguments are fixed skip the line computation too by preparing
+// them once (PrepareG2, PairingCheckPrepared).
 func PairingCheck(ps []G1Point, qs []G2Point) bool {
 	if len(ps) != len(qs) {
 		return false
 	}
-	var acc fp12
-	acc.setOne()
-	for i := range ps {
-		f, skip, ok := millerLoopPoints(ps[i], qs[i])
-		if skip {
-			continue
-		}
-		if !ok {
-			return pairingCheckReference(ps, qs)
-		}
-		fp12Mul(&acc, &acc, &f)
+	prepared := make([]*G2Prepared, len(qs))
+	for i, q := range qs {
+		prepared[i] = PrepareG2(q)
 	}
-	e := finalExpFast(&acc)
-	return e.isOne()
+	return PairingCheckPrepared(ps, prepared)
 }
 
 // pairingCheckReference is the retained math/big product-of-pairings

@@ -21,14 +21,20 @@ type g2Proj struct{ x, y, z fp2 }
 // lineEval is ℓ(P) = r0 + r1·w + r2·v·w with rᵢ ∈ Fq².
 type lineEval struct{ r0, r1, r2 fp2 }
 
-// doubleStep sets T = 2T and evaluates the tangent line at P = (xP, yP):
+// lineCoeff is a Miller-loop line with its G1 argument still open:
+// ℓ(P) = a·yP + b·xP·w + c·v·w for P = (xP, yP). The coefficients depend
+// on the G2 argument alone, so they can be computed once for a Q that many
+// pairings share (G2Prepared).
+type lineCoeff struct{ a, b, c fp2 }
+
+// doubleStep sets T = 2T and l to the tangent line at T:
 //
 //	ℓ(P) = −2YZ·yP + 3X²·xP·w + (3b′Z² − Y²)·v·w
 //
 // (scaled by 2YZ²/Z relative to the affine tangent; Fq² scalars vanish
 // under the final exponentiation).
-func doubleStep(t *g2Proj, l *lineEval, xP, yP *fp) {
-	var a, b, c, e, f, g, h, i, j, ee, u fp2
+func doubleStep(t *g2Proj, l *lineCoeff) {
+	var a, b, c, e, f, g, h, j, ee, u fp2
 	fp2Mul(&a, &t.x, &t.y)
 	fp2Halve(&a, &a) // A = XY/2
 	fp2Square(&b, &t.y)
@@ -44,9 +50,14 @@ func doubleStep(t *g2Proj, l *lineEval, xP, yP *fp) {
 	fp2Square(&h, &h)
 	fp2Add(&u, &b, &c)
 	fp2Sub(&h, &h, &u) // H = (Y+Z)² − B − C = 2YZ
-	fp2Sub(&i, &e, &b) // I = E − B
 	fp2Square(&j, &t.x)
 	fp2Square(&ee, &e)
+
+	// Line coefficients (before T moves).
+	fp2Neg(&l.a, &h) // −H
+	fp2Double(&l.b, &j)
+	fp2Add(&l.b, &l.b, &j) // 3X²
+	fp2Sub(&l.c, &e, &b)   // E − B
 
 	// T = 2T.
 	fp2Sub(&u, &b, &f)
@@ -56,24 +67,16 @@ func doubleStep(t *g2Proj, l *lineEval, xP, yP *fp) {
 	fp2Add(&u, &u, &ee)
 	fp2Sub(&t.y, &t.y, &u) // Y' = G² − 3E²
 	fp2Mul(&t.z, &b, &h)   // Z' = BH
-
-	// Line coefficients.
-	fp2MulByFp(&l.r0, &h, yP)
-	fp2Neg(&l.r0, &l.r0) // −H·yP
-	fp2Double(&u, &j)
-	fp2Add(&u, &u, &j)
-	fp2MulByFp(&l.r1, &u, xP) // 3X²·xP
-	l.r2 = i
 }
 
-// addStep sets T = T + Q (Q affine) and evaluates the chord line at P:
+// addStep sets T = T + Q (Q affine) and l to the chord through them:
 //
 //	ℓ(P) = −λ·yP + θ·xP·w + (λ·yQ − θ·xQ)·v·w
 //
 // with θ = Y − yQ·Z, λ = X − xQ·Z. Returns false on the degenerate
 // vertical-line case (callers fall back to the reference pairing; it
 // cannot occur for r-torsion inputs).
-func addStep(t *g2Proj, l *lineEval, q *g2Affine, xP, yP *fp) bool {
+func addStep(t *g2Proj, l *lineCoeff, q *g2Affine) bool {
 	var theta, lambda, c, d, e, f, g, h, u fp2
 	fp2Mul(&u, &q.y, &t.z)
 	fp2Sub(&theta, &t.y, &u) // θ = Y − yQ·Z
@@ -91,14 +94,13 @@ func addStep(t *g2Proj, l *lineEval, q *g2Affine, xP, yP *fp) bool {
 	fp2Add(&h, &e, &f)
 	fp2Sub(&h, &h, &u) // H = E + F − 2G
 
-	// Line first (θ, λ still pristine; uses Q, not T).
-	fp2MulByFp(&l.r0, &lambda, yP)
-	fp2Neg(&l.r0, &l.r0) // −λ·yP
-	fp2MulByFp(&l.r1, &theta, xP)
+	// Line coefficients (use Q, not T).
+	fp2Neg(&l.a, &lambda)
+	l.b = theta
 	var t0, t1 fp2
 	fp2Mul(&t0, &lambda, &q.y)
 	fp2Mul(&t1, &theta, &q.x)
-	fp2Sub(&l.r2, &t0, &t1) // λ·yQ − θ·xQ
+	fp2Sub(&l.c, &t0, &t1) // λ·yQ − θ·xQ
 
 	// T = T + Q.
 	fp2Mul(&u, &t.y, &e)
@@ -149,39 +151,126 @@ func psi2(q *g2Affine) g2Affine {
 	return r
 }
 
-// millerLoopFast computes f_{6u+2,Q}(P) with the two optimal-ate
-// correction steps. The bool reports success (false = degenerate line;
-// impossible for r-torsion inputs, handled by falling back to the
-// reference loop).
-func millerLoopFast(q *g2Affine, xP, yP *fp) (fp12, bool) {
+// ateLines is the number of lines in one optimal-ate Miller loop: a
+// doubling per bit of 6u+2 below the top one, an addition per set bit among
+// them, and the two Frobenius correction steps.
+var ateLines = func() int {
+	n := ateLoopCount.BitLen() - 1 + 2
+	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+		n += int(ateLoopCount.Bit(i))
+	}
+	return n
+}()
+
+// prepareLines walks the Miller loop of Q alone and records every line's
+// coefficients in loop order. ok=false means a degenerate line (impossible
+// for r-torsion inputs; callers fall back to the reference loop).
+func prepareLines(q *g2Affine) (lines []lineCoeff, ok bool) {
+	lines = make([]lineCoeff, 0, ateLines)
 	t := g2Proj{x: q.x, y: q.y}
 	t.z.setOne()
-	var f fp12
-	f.setOne()
-	var l lineEval
+	var l lineCoeff
+	add := func(q *g2Affine) bool {
+		if !addStep(&t, &l, q) {
+			return false
+		}
+		lines = append(lines, l)
+		return true
+	}
 	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		fp12Square(&f, &f)
-		doubleStep(&t, &l, xP, yP)
-		mulByLine(&f, &l)
-		if ateLoopCount.Bit(i) == 1 {
-			if !addStep(&t, &l, q, xP, yP) {
-				return fp12{}, false
-			}
-			mulByLine(&f, &l)
+		doubleStep(&t, &l)
+		lines = append(lines, l)
+		if ateLoopCount.Bit(i) == 1 && !add(q) {
+			return nil, false
 		}
 	}
 	q1 := psi(q)
 	nq2 := psi2(q)
 	fp2Neg(&nq2.y, &nq2.y)
-	if !addStep(&t, &l, &q1, xP, yP) {
-		return fp12{}, false
+	if !add(&q1) || !add(&nq2) {
+		return nil, false
 	}
-	mulByLine(&f, &l)
-	if !addStep(&t, &l, &nq2, xP, yP) {
-		return fp12{}, false
+	return lines, true
+}
+
+// g1Arg is the G1 argument of one pairing in a product.
+type g1Arg struct{ x, y fp }
+
+// millerLoopLines computes Π_j f_{6u+2,Q_j}(P_j) in ONE pass over the loop
+// (lines[j] are Q_j's prepared lines): the pairs share every squaring of f,
+// and each step only evaluates the prepared lines at P_j.
+func millerLoopLines(lines [][]lineCoeff, ps []g1Arg) fp12 {
+	var f fp12
+	f.setOne()
+	k := 0
+	step := func() {
+		var l lineEval
+		for j := range lines {
+			c := &lines[j][k]
+			fp2MulByFp(&l.r0, &c.a, &ps[j].y)
+			fp2MulByFp(&l.r1, &c.b, &ps[j].x)
+			l.r2 = c.c
+			mulByLine(&f, &l)
+		}
+		k++
 	}
-	mulByLine(&f, &l)
-	return f, true
+	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+		fp12Square(&f, &f)
+		step()
+		if ateLoopCount.Bit(i) == 1 {
+			step()
+		}
+	}
+	step()
+	step()
+	return f
+}
+
+// G2Prepared is a G2 point with the lines of its Miller loop computed
+// ahead of time. A pairing check whose G2 arguments are fixed — a
+// signature scheme's generator and public key — prepares them once and
+// then pays, per check, only the evaluation of those lines at the G1
+// arguments (PairingCheckPrepared).
+type G2Prepared struct {
+	q     G2Point
+	lines []lineCoeff // nil when q is infinity or hit a degenerate line
+}
+
+// PrepareG2 precomputes q's Miller-loop lines.
+func PrepareG2(q G2Point) *G2Prepared {
+	p := &G2Prepared{q: q}
+	if !q.Inf {
+		qa := g2AffineFromPoint(q)
+		p.lines, _ = prepareLines(&qa)
+	}
+	return p
+}
+
+// PairingCheckPrepared reports whether Π e(Pᵢ, Qᵢ) == 1: one Miller loop
+// over all pairs, one final exponentiation.
+func PairingCheckPrepared(ps []G1Point, qs []*G2Prepared) bool {
+	if len(ps) != len(qs) {
+		return false
+	}
+	lines := make([][]lineCoeff, 0, len(ps))
+	args := make([]g1Arg, 0, len(ps))
+	for i, p := range ps {
+		if p.Inf || qs[i].q.Inf {
+			continue // contributes 1
+		}
+		if qs[i].lines == nil {
+			plain := make([]G2Point, len(qs))
+			for j := range qs {
+				plain[j] = qs[j].q
+			}
+			return pairingCheckReference(ps, plain)
+		}
+		lines = append(lines, qs[i].lines)
+		args = append(args, g1Arg{fpFromBig(p.X.v), fpFromBig(p.Y.v)})
+	}
+	f := millerLoopLines(lines, args)
+	e := finalExpFast(&f)
+	return e.isOne()
 }
 
 // expByU sets z = x^u using cyclotomic squarings (x must lie in the
@@ -251,20 +340,4 @@ func finalExpFast(f *fp12) fp12 {
 	fp12CyclotomicSquare(&t0, &t0)
 	fp12Mul(&t0, &t0, &t1)
 	return t0
-}
-
-// millerLoopPoints runs the fast Miller loop for public points. Infinity
-// inputs (contribution 1) are reported via skip=true; ok=false means the
-// fast loop hit a degenerate line and the caller must fall back to the
-// reference pairing.
-func millerLoopPoints(p G1Point, q G2Point) (f fp12, skip, ok bool) {
-	if p.Inf || q.Inf {
-		f.setOne()
-		return f, true, true
-	}
-	xP := fpFromBig(p.X.v)
-	yP := fpFromBig(p.Y.v)
-	qa := g2AffineFromPoint(q)
-	f, ok = millerLoopFast(&qa, &xP, &yP)
-	return f, false, ok
 }

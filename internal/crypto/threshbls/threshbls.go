@@ -2,8 +2,9 @@
 // from-scratch BN254 pairing — the scheme the SBFT paper deploys (§III,
 // [22][23]): 33-byte-class signatures in G1, public keys in G2, share
 // combination by Lagrange interpolation in the exponent with no extra
-// rounds, and robustness via per-share pairing verification against
-// per-signer public keys.
+// rounds, and robustness via pairing verification of a share against its
+// signer's public key — which a collector needs only to find the culprit
+// after a combined signature failed to verify.
 //
 // A trusted dealer Shamir-shares the secret key over the scalar field
 // (matching SBFT's permissioned PKI setup). Signature shares are
@@ -14,14 +15,19 @@
 // (§III: "multiple signature shares ... validated at nearly the same cost
 // of validating only one"):
 //
-//   - H(m) is memoized per digest, so the n share verifications and the
-//     combination for one slot hash to the curve once.
-//   - CombineVerified skips the per-share pairing checks when the caller
-//     (the collector) already verified each share on arrival.
-//   - Combine and BatchVerifyShares check k unverified shares with a
-//     single two-pairing product over a random linear combination,
-//     falling back to per-share checks only on failure to identify the
-//     bad signer.
+//   - H(m) is memoized per digest, so the combination, its check and any
+//     share verification for one slot hash to the curve once.
+//   - Combine interpolates k unverified shares first and checks the
+//     combined signature with one two-pairing product; shares are verified
+//     one by one only when that check fails, to name the bad signers.
+//   - The two G2 arguments of every signature check, g₂ and the group
+//     public key, are fixed per scheme, so their Miller-loop line
+//     coefficients are computed once at dealing time.
+//
+// CombineVerified (no check) and BatchVerifyShares (one two-pairing
+// product over a random linear combination of the shares) remain for
+// callers that hold verified shares or want shares checked without
+// combining them.
 //
 // The group signature mode the paper mentions (n-of-n, §VIII) falls out
 // of the same algebra: Aggregate simply adds shares.
@@ -56,6 +62,9 @@ type Scheme struct {
 	k, n   int
 	pk     bn254.G2Point   // group public key s·g₂
 	shares []bn254.G2Point // shares[i-1] = s_i·g₂, per-signer keys
+	// Miller-loop lines of the two G2 arguments every signature check
+	// uses, computed once at dealing time.
+	pkLines, g2Lines *bn254.G2Prepared
 
 	mu        sync.Mutex
 	hashCache map[string]bn254.G1Point
@@ -92,7 +101,9 @@ func (d Dealer) Deal(k, n int) (threshsig.Scheme, []threshsig.Signer, error) {
 		pk:        g2.ScalarMul(coeffs[0]),
 		shares:    make([]bn254.G2Point, n),
 		hashCache: make(map[string]bn254.G1Point),
+		g2Lines:   bn254.PrepareG2(g2),
 	}
+	sch.pkLines = bn254.PrepareG2(sch.pk)
 	signers := make([]threshsig.Signer, n)
 	for i := 1; i <= n; i++ {
 		si := evalPoly(coeffs, big.NewInt(int64(i)))
@@ -164,9 +175,9 @@ func (s *Scheme) VerifyShare(digest []byte, share threshsig.Share) error {
 		return fmt.Errorf("%w: not a G1 point", threshsig.ErrInvalidShare)
 	}
 	h := s.hashToG1(digest)
-	if !bn254.PairingCheck(
+	if !bn254.PairingCheckPrepared(
 		[]bn254.G1Point{h, sig.Neg()},
-		[]bn254.G2Point{s.shares[share.Signer-1], bn254.G2Generator()},
+		[]*bn254.G2Prepared{bn254.PrepareG2(s.shares[share.Signer-1]), s.g2Lines},
 	) {
 		return fmt.Errorf("%w: signer %d", threshsig.ErrInvalidShare, share.Signer)
 	}
@@ -216,9 +227,9 @@ func (s *Scheme) batchVerifyParsed(digest []byte, shares []threshsig.Share, ids 
 		pkSum = pkSum.Add(s.shares[ids[i]-1].ScalarMul(r))
 	}
 	h := s.hashToG1(digest)
-	if bn254.PairingCheck(
+	if bn254.PairingCheckPrepared(
 		[]bn254.G1Point{h, sigSum.Neg()},
-		[]bn254.G2Point{pkSum, bn254.G2Generator()},
+		[]*bn254.G2Prepared{bn254.PrepareG2(pkSum), s.g2Lines},
 	) {
 		return nil
 	}
@@ -273,29 +284,25 @@ func interpolate(ids []int, points []bn254.G1Point) threshsig.Signature {
 	return threshsig.Signature{Data: acc.Marshal()}
 }
 
-// Combine implements threshsig.Scheme: interpolate k shares in the
-// exponent. Shares are batch-verified first (robustness, §III), so the
-// combined signature always verifies.
+// Combine implements threshsig.Scheme: interpolate the k lowest-id shares
+// in the exponent, then check the combined signature — two pairings for
+// the whole quorum. Only when that check fails (or a share is not even a
+// curve point) are the shares verified one by one, all of them, so the
+// error names every bad signer the caller holds (robustness, §III).
 func (s *Scheme) Combine(digest []byte, shares []threshsig.Share) (threshsig.Signature, error) {
 	sorted, err := threshsig.CheckShares(s.k, s.n, shares)
 	if err != nil {
 		return threshsig.Signature{}, err
 	}
-	sorted = sorted[:s.k]
-	ids, points, err := parsePoints(sorted)
-	if err != nil {
-		return threshsig.Signature{}, err
+	if sig, err := s.CombineVerified(digest, sorted); err == nil && s.Verify(digest, sig) == nil {
+		return sig, nil
 	}
-	if err := s.batchVerifyParsed(digest, sorted, ids, points); err != nil {
-		return threshsig.Signature{}, err
-	}
-	return interpolate(ids, points), nil
+	return threshsig.Signature{}, threshsig.Blame(s, digest, sorted)
 }
 
 // CombineVerified implements threshsig.Scheme: like Combine but with no
-// share verification at all — zero pairings. The caller attests that every
-// share passed VerifyShare for this digest (the collector flow in
-// internal/core verifies each share on arrival before counting it).
+// check at all — zero pairings. The caller attests that every share passes
+// VerifyShare for this digest.
 func (s *Scheme) CombineVerified(digest []byte, shares []threshsig.Share) (threshsig.Signature, error) {
 	sorted, err := threshsig.CheckShares(s.k, s.n, shares)
 	if err != nil {
@@ -317,9 +324,9 @@ func (s *Scheme) Verify(digest []byte, sig threshsig.Signature) error {
 		return threshsig.ErrInvalidSignature
 	}
 	h := s.hashToG1(digest)
-	if !bn254.PairingCheck(
+	if !bn254.PairingCheckPrepared(
 		[]bn254.G1Point{h, p.Neg()},
-		[]bn254.G2Point{s.pk, bn254.G2Generator()},
+		[]*bn254.G2Prepared{s.pkLines, s.g2Lines},
 	) {
 		return threshsig.ErrInvalidSignature
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sbft/internal/crypto/threshsig"
+	"sbft/internal/crypto/threshsig/sigtest"
 )
 
 // Pairing operations cost ~1s each with auditable big.Int arithmetic, so
@@ -245,4 +246,12 @@ func TestAggregateGroupMode(t *testing.T) {
 	if _, err := blsScheme.Aggregate(d, shares[:2]); err == nil {
 		t.Fatal("group mode accepted missing shares")
 	}
+}
+
+func TestCombineRobust(t *testing.T) {
+	sch, signers, err := Dealer{}.Deal(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigtest.CombineRobust(t, sch, signers, 12)
 }

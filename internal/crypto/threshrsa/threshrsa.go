@@ -300,9 +300,19 @@ func (s *Scheme) VerifyShare(digest []byte, share threshsig.Share) error {
 	return nil
 }
 
-// Combine implements threshsig.Scheme.
+// Combine implements threshsig.Scheme: interpolate, self-check the RSA
+// signature once, and verify the shares' Chaum–Pedersen proofs only when
+// that check fails, to name the bad signers.
 func (s *Scheme) Combine(digest []byte, shares []threshsig.Share) (threshsig.Signature, error) {
-	return s.combine(digest, shares, true)
+	sorted, err := threshsig.CheckShares(s.k, s.n, shares)
+	if err != nil {
+		return threshsig.Signature{}, err
+	}
+	sig, err := s.CombineVerified(digest, sorted)
+	if err != nil {
+		return threshsig.Signature{}, threshsig.Blame(s, digest, sorted)
+	}
+	return sig, nil
 }
 
 // CombineVerified implements threshsig.Scheme: the caller attests the
@@ -310,10 +320,6 @@ func (s *Scheme) Combine(digest []byte, shares []threshsig.Share) (threshsig.Sig
 // interpolation runs (the combined signature is still self-checked, which
 // costs one RSA verification rather than k proof verifications).
 func (s *Scheme) CombineVerified(digest []byte, shares []threshsig.Share) (threshsig.Signature, error) {
-	return s.combine(digest, shares, false)
-}
-
-func (s *Scheme) combine(digest []byte, shares []threshsig.Share, verify bool) (threshsig.Signature, error) {
 	sorted, err := threshsig.CheckShares(s.k, s.n, shares)
 	if err != nil {
 		return threshsig.Signature{}, err
@@ -322,11 +328,6 @@ func (s *Scheme) combine(digest []byte, shares []threshsig.Share, verify bool) (
 	ids := make([]int, s.k)
 	xis := make([]*big.Int, s.k)
 	for i, sh := range sorted {
-		if verify {
-			if err := s.VerifyShare(digest, sh); err != nil {
-				return threshsig.Signature{}, err
-			}
-		}
 		xi, _, _, err := decodeShare(sh.Data)
 		if err != nil {
 			return threshsig.Signature{}, fmt.Errorf("%w: %v", threshsig.ErrInvalidShare, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sbft/internal/crypto/threshsig"
+	"sbft/internal/crypto/threshsig/sigtest"
 )
 
 // testBits keeps safe-prime generation fast in tests while exercising the
@@ -282,4 +283,9 @@ func TestShareEncodingRoundTrip(t *testing.T) {
 	if _, _, _, err := decodeShare([]byte{0, 0}); err == nil {
 		t.Fatal("decodeShare accepted short input")
 	}
+}
+
+func TestCombineRobust(t *testing.T) {
+	scheme, signers := sharedInstance(t)
+	sigtest.CombineRobust(t, scheme, signers, 12)
 }

@@ -6,7 +6,9 @@
 // threshold k out of n signers, any k valid signature shares on the same
 // digest combine into a single constant-size signature verifiable with one
 // public key. Schemes must be robust: invalid shares from malicious signers
-// are detectable before combination.
+// are detectable. Combine uses that optimistically — it checks the combined
+// signature once and verifies shares one by one only when that check fails,
+// naming the culprits in a *BadSharesError.
 //
 // Two production implementations exist in sibling packages:
 //
@@ -39,6 +41,36 @@ var (
 	ErrDuplicateShare   = errors.New("threshsig: duplicate share from same signer")
 )
 
+// BadSharesError is the blame verdict of a failed Combine: the combined
+// signature did not verify, and Signers lists exactly the signers among
+// the shares passed in whose share fails VerifyShare, in ascending order.
+// It matches ErrInvalidShare under errors.Is.
+type BadSharesError struct {
+	Signers []int
+}
+
+func (e *BadSharesError) Error() string {
+	return fmt.Sprintf("%v from signers %v", ErrInvalidShare, e.Signers)
+}
+
+func (e *BadSharesError) Unwrap() error { return ErrInvalidShare }
+
+// Blame is the fallback every Combine runs after its one check of the
+// combined signature failed: it verifies shares (sorted by signer, as
+// CheckShares returns them) individually and names those that fail.
+func Blame(s Scheme, digest []byte, shares []Share) error {
+	var bad []int
+	for _, sh := range shares {
+		if s.VerifyShare(digest, sh) != nil {
+			bad = append(bad, sh.Signer)
+		}
+	}
+	if len(bad) == 0 {
+		return fmt.Errorf("%w: every share verifies but their combination does not", ErrInvalidSignature)
+	}
+	return &BadSharesError{Signers: bad}
+}
+
 // Share is a signature share produced by one signer over a digest. Signer
 // ids are 1-based, matching the replica identifiers in the paper (§V-B).
 type Share struct {
@@ -70,16 +102,18 @@ type Scheme interface {
 	// claimed signer. Robustness: a share passing VerifyShare always
 	// contributes to a valid combined signature.
 	VerifyShare(digest []byte, share Share) error
-	// Combine merges at least Threshold() distinct valid shares over the
-	// same digest into a single signature, verifying them first
-	// (robustness: a bad share is reported, not combined).
+	// Combine merges at least Threshold() distinct UNVERIFIED shares over
+	// the same digest into a single signature. This is the collector path
+	// (§III): it combines first, checks the result once with Verify, and
+	// only if that fails verifies every share passed in and returns a
+	// *BadSharesError naming the bad signers — so a returned signature
+	// always verifies, and a failure-free quorum costs one signature
+	// check however many shares it holds.
 	Combine(digest []byte, shares []Share) (Signature, error)
-	// CombineVerified merges at least Threshold() distinct shares that the
-	// caller has already checked with VerifyShare against this digest,
-	// skipping re-verification. This is the collector fast path (§III):
-	// shares are verified once on arrival and must not pay a second
-	// pairing/proof check at combination time. Passing unverified shares
-	// may yield a signature that fails Verify.
+	// CombineVerified merges at least Threshold() distinct shares with no
+	// check at all, for callers that already know every share passes
+	// VerifyShare against this digest. Passing unverified shares may
+	// yield a signature that fails Verify.
 	CombineVerified(digest []byte, shares []Share) (Signature, error)
 	// Verify checks a combined signature over digest.
 	Verify(digest []byte, sig Signature) error
@@ -193,15 +227,17 @@ func (s *InsecureScheme) VerifyShare(digest []byte, share Share) error {
 	return nil
 }
 
-// Combine implements Scheme.
+// Combine implements Scheme. The combined value does not depend on the
+// shares, so there is nothing to check optimistically: threshold
+// semantics need every share looked at, which costs two HMACs each.
 func (s *InsecureScheme) Combine(digest []byte, shares []Share) (Signature, error) {
 	sorted, err := CheckShares(s.k, s.n, shares)
 	if err != nil {
 		return Signature{}, err
 	}
 	for _, sh := range sorted {
-		if err := s.VerifyShare(digest, sh); err != nil {
-			return Signature{}, err
+		if s.VerifyShare(digest, sh) != nil {
+			return Signature{}, Blame(s, digest, sorted)
 		}
 	}
 	return Signature{Data: s.combined(digest)}, nil

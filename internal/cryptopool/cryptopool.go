@@ -1,11 +1,12 @@
 // Package cryptopool provides the deployment-side core.CryptoSink: a
-// bounded pool of worker goroutines that verifies threshold-signature
-// shares and combines certificates off the replica's event loop. This is
-// the real-threads counterpart of the simulated cluster's deterministic
-// virtual-time pool — same sink contract, same VerifyJobShares policy
-// (RLC batch verification with per-share blame fallback), so behavior
-// proven under the seeded chaos sweeps carries over to the TCP
-// deployment unchanged.
+// bounded pool of worker goroutines that combines certificates — the
+// scheme's Combine: interpolate, check the combined signature once, blame
+// shares only if that fails — and verifies the shares of suspect signers
+// and of checkpoint quorums off the replica's event loop. This is the
+// real-threads counterpart of the simulated cluster's deterministic
+// virtual-time pool — same sink contract, same scheme calls and the same
+// core.VerifyJobShares policy, so behavior proven under the seeded chaos
+// sweeps carries over to the TCP deployment unchanged.
 package cryptopool
 
 import (
@@ -86,15 +87,16 @@ func (p *Pool) VerifyShares(jobs []core.VerifyJob, done func(ok [][]threshsig.Sh
 	}
 }
 
-// Combine implements core.CryptoSink, with the same inline fallback.
+// Combine implements core.CryptoSink, with the same inline fallback. The
+// check of the combined signature happens inside the scheme's Combine, on
+// the worker.
 func (p *Pool) Combine(kind core.ShareKind, digest []byte, shares []threshsig.Share, done func(sig threshsig.Signature, err error)) {
 	scheme := core.SchemeFor(p.suite, kind)
 	if !p.submit(func() {
-		sig, err := scheme.CombineVerified(digest, shares)
+		sig, err := scheme.Combine(digest, shares)
 		p.do(func() { done(sig, err) })
 	}) {
-		sig, err := scheme.CombineVerified(digest, shares)
-		done(sig, err)
+		done(scheme.Combine(digest, shares))
 	}
 }
 

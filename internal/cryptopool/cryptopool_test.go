@@ -1,6 +1,7 @@
 package cryptopool
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func testSuite(t *testing.T) (core.CryptoSuite, []core.ReplicaKeys, core.Config)
 	return suite, keys, cfg
 }
 
-func TestPoolVerifiesCombinesAndBlames(t *testing.T) {
+func TestPoolCombinesBlamesAndVerifies(t *testing.T) {
 	suite, keys, cfg := testSuite(t)
 	lb := newLoopback()
 	p := New(suite, 4, lb.do)
@@ -59,6 +60,28 @@ func TestPoolVerifiesCombinesAndBlames(t *testing.T) {
 	poisoned := append([]threshsig.Share(nil), shares...)
 	poisoned[1] = threshsig.Share{Signer: shares[1].Signer, Data: []byte("junk")}
 
+	// Unverified shares go straight to Combine: a clean quorum comes back
+	// as a signature that verifies, a poisoned one as a blame verdict
+	// naming the culprit.
+	var sig threshsig.Signature
+	var cleanErr, poisonedErr error
+	p.Combine(core.ShareTau, digest, shares, func(s threshsig.Signature, err error) { sig, cleanErr = s, err })
+	p.Combine(core.ShareTau, digest, poisoned, func(_ threshsig.Signature, err error) { poisonedErr = err })
+	lb.drain(2)
+	if cleanErr != nil {
+		t.Fatal(cleanErr)
+	}
+	if err := suite.Tau.Verify(digest, sig); err != nil {
+		t.Fatalf("combined signature does not verify: %v", err)
+	}
+	var blame *threshsig.BadSharesError
+	if !errors.As(poisonedErr, &blame) || len(blame.Signers) != 1 || blame.Signers[0] != shares[1].Signer {
+		t.Fatalf("poisoned combine: err=%v, want blame on signer %d", poisonedErr, shares[1].Signer)
+	}
+
+	// Share verification (suspects, checkpoint quorums): the clean job
+	// passes as one batch, the poisoned one falls back to per-share checks
+	// and keeps the valid subset.
 	var verified [][]threshsig.Share
 	p.VerifyShares([]core.VerifyJob{
 		{Kind: core.ShareTau, Digest: digest, Shares: shares},
@@ -66,20 +89,7 @@ func TestPoolVerifiesCombinesAndBlames(t *testing.T) {
 	}, func(ok [][]threshsig.Share) { verified = ok })
 	lb.drain(1)
 	if len(verified) != 2 || len(verified[0]) != len(shares) || len(verified[1]) != len(shares)-1 {
-		t.Fatalf("verified = %v jobs, want clean %d and blamed %d", len(verified), len(shares), len(shares)-1)
-	}
-
-	var sig threshsig.Signature
-	var combineErr error
-	p.Combine(core.ShareTau, digest, verified[0], func(s threshsig.Signature, err error) {
-		sig, combineErr = s, err
-	})
-	lb.drain(1)
-	if combineErr != nil {
-		t.Fatal(combineErr)
-	}
-	if err := suite.Tau.Verify(digest, sig); err != nil {
-		t.Fatalf("combined signature does not verify: %v", err)
+		t.Fatalf("verified = %v jobs, want clean %d and filtered %d", len(verified), len(shares), len(shares)-1)
 	}
 }
 

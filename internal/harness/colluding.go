@@ -57,7 +57,7 @@ func ColludingGen(seed int64) Scenario {
 		Seed:          seed,
 		ClientTimeout: 2 * time.Second,
 		Costs:         &cm,
-		CryptoPool:    1, // forged-share blame goes through the sink's fallback
+		CryptoPool:    1, // certificates are combined and checked on the modeled pool worker
 		Tune: func(cc *core.Config) {
 			// A short fast timer keeps the 8× fast-path straggle well under
 			// the view-change timeout: the attack forces the linear
