@@ -202,14 +202,14 @@ func (l *Ledger) trackWrite(key string, val []byte, deleted bool) {
 }
 
 func stateDigest(seq uint64, kvRoot, execRoot merkle.Digest) []byte {
-	h := sha256.New()
-	h.Write([]byte("sbft:evm-state"))
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], seq)
-	h.Write(sb[:])
-	h.Write(kvRoot[:])
-	h.Write(execRoot[:])
-	return h.Sum(nil)
+	const tag = "sbft:evm-state"
+	var buf [len(tag) + 8 + 2*merkle.DigestSize]byte
+	b := append(buf[:0], tag...)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = append(b, kvRoot[:]...)
+	b = append(b, execRoot[:]...)
+	d := sha256.Sum256(b)
+	return d[:]
 }
 
 func execLeaf(l int, op, val []byte) []byte {

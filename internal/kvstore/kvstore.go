@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"sbft/internal/merkle"
 	"sbft/internal/snapcodec"
@@ -218,14 +219,14 @@ func NewWithBuckets(buckets int) *Store {
 // execution tree root of the block that produced this state (paper §IV:
 // d = digest(D_s)).
 func stateDigest(seq uint64, kvRoot, execRoot merkle.Digest) []byte {
-	h := sha256.New()
-	h.Write([]byte("sbft:kv-state"))
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], seq)
-	h.Write(sb[:])
-	h.Write(kvRoot[:])
-	h.Write(execRoot[:])
-	return h.Sum(nil)
+	const tag = "sbft:kv-state"
+	var buf [len(tag) + 8 + 2*merkle.DigestSize]byte
+	b := append(buf[:0], tag...)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = append(b, kvRoot[:]...)
+	b = append(b, execRoot[:]...)
+	d := sha256.Sum256(b)
+	return d[:]
 }
 
 func execLeaf(l int, op, val []byte) []byte {
@@ -277,7 +278,7 @@ func (s *Store) apply(op Op) []byte {
 			s.apply(sub)
 			applied++
 		}
-		return []byte(fmt.Sprintf("OK:%d", applied))
+		return strconv.AppendInt([]byte("OK:"), int64(applied), 10)
 	case OpTxPrepare:
 		return s.applyTxPrepare(op)
 	case OpTxCommit:

@@ -7,25 +7,39 @@ import (
 	"sort"
 )
 
-// Map is an authenticated key-value map with incrementally-maintained
-// digests: internally a treap (tree + heap) whose node priorities derive
-// from the key hash, giving every replica the identical canonical shape
-// regardless of insertion order. Node hashes commit to (key, value, left
-// subtree, right subtree), so Digest is the root hash and mutations cost
-// O(log n) re-hashing — the property that keeps per-block state digests
-// cheap for SBFT's execution phase (§IV, §V-D).
+// Map is an authenticated key-value map: internally a treap (tree + heap)
+// whose node priorities derive from the key hash, giving every replica the
+// identical canonical shape regardless of insertion order. Node hashes
+// commit to (key, value, left subtree, right subtree) and Digest is the
+// root hash.
+//
+// Hashing is mark-then-settle. Set and Delete only restructure the treap
+// and mark the nodes on the path they walked dirty; Digest and ProveKey
+// first settle the tree, re-hashing every dirty node once, children before
+// parents. A block of k writes therefore hashes the levels its writes
+// share once, not k times, and the digest is still a pure function of the
+// contents — the property that keeps per-block state digests cheap for
+// SBFT's execution phase (§IV, §V-D).
+//
+// Because Digest and ProveKey write to the tree, a Map has no concurrent
+// readers either: one goroutine owns it (the replica event loop).
 type Map struct {
 	root  *mapNode
 	count int
 }
 
+// mapNode is 96 bytes, exactly an allocator size class: a dirty flag or a
+// cached payload digest would push it into the 112- or 128-byte one.
 type mapNode struct {
 	key   string
 	val   []byte
 	prio  uint64
 	left  *mapNode
 	right *mapNode
-	hash  Digest
+	// hash is the node hash, or the zero Digest while the node is dirty
+	// (no SHA-256 output is all zero in practice). Every ancestor of a
+	// dirty node is dirty: mutations mark the whole path they walk.
+	hash Digest
 }
 
 // NewMap returns an empty authenticated map.
@@ -35,24 +49,39 @@ var emptyRoot = LeafHash([]byte("merkle:empty"))
 
 // nodePrio derives the deterministic treap priority of a key.
 func nodePrio(key string) uint64 {
-	h := sha256.Sum256(append([]byte("merkle:prio:"), key...))
+	var buf [128]byte
+	b := append(buf[:0], "merkle:prio:"...)
+	h := sha256.Sum256(append(b, key...))
 	return binary.BigEndian.Uint64(h[:8])
 }
 
-// kvDigest hashes a node's own (key, value) payload.
+// kvDigest hashes a node's own (key, value) payload:
+// H(0x02 ‖ len(key) ‖ key ‖ val). Payloads that outgrow the stack buffer
+// (contract code) spill to the heap.
 func kvDigest(key string, val []byte) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x02})
-	var lb [8]byte
-	binary.BigEndian.PutUint64(lb[:], uint64(len(key)))
-	h.Write(lb[:])
-	h.Write([]byte(key))
-	h.Write(val)
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var buf [192]byte
+	b := append(buf[:0], 0x02)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(key)))
+	b = append(b, key...)
+	b = append(b, val...)
+	return sha256.Sum256(b)
 }
 
+// nodeHash combines a node's payload digest with its children:
+// H(0x03 ‖ kv ‖ left ‖ right).
+func nodeHash(kv, left, right Digest) Digest {
+	var buf [1 + 3*DigestSize]byte
+	buf[0] = 0x03
+	copy(buf[1:], kv[:])
+	copy(buf[1+DigestSize:], left[:])
+	copy(buf[1+2*DigestSize:], right[:])
+	return sha256.Sum256(buf[:])
+}
+
+func (n *mapNode) markDirty()  { n.hash = Digest{} }
+func (n *mapNode) dirty() bool { return n.hash == Digest{} }
+
+// childHash reads the hash of a settled subtree.
 func childHash(n *mapNode) Digest {
 	if n == nil {
 		return emptyRoot
@@ -60,29 +89,26 @@ func childHash(n *mapNode) Digest {
 	return n.hash
 }
 
-// nodeHash combines a node's payload digest with its children.
-func nodeHash(kv, left, right Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x03})
-	h.Write(kv[:])
-	h.Write(left[:])
-	h.Write(right[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+// settle re-hashes the dirty nodes under n, children before parents, and
+// returns n's hash. It never descends into a clean subtree.
+func settle(n *mapNode) Digest {
+	if n == nil {
+		return emptyRoot
+	}
+	if n.dirty() {
+		n.hash = nodeHash(kvDigest(n.key, n.val), settle(n.left), settle(n.right))
+	}
+	return n.hash
 }
 
-func (n *mapNode) rehash() {
-	n.hash = nodeHash(kvDigest(n.key, n.val), childHash(n.left), childHash(n.right))
-}
-
-// rotateRight lifts n.left; rotateLeft lifts n.right.
+// rotateRight lifts n.left; rotateLeft lifts n.right. Both nodes are on
+// the path of the mutation that rotates them, so both end up dirty.
 func rotateRight(n *mapNode) *mapNode {
 	l := n.left
 	n.left = l.right
 	l.right = n
-	n.rehash()
-	l.rehash()
+	n.markDirty()
+	l.markDirty()
 	return l
 }
 
@@ -90,38 +116,38 @@ func rotateLeft(n *mapNode) *mapNode {
 	r := n.right
 	n.right = r.left
 	r.left = n
-	n.rehash()
-	r.rehash()
+	n.markDirty()
+	r.markDirty()
 	return r
 }
 
+// insert stores a copy of val under key and marks the path dirty.
 func insert(n *mapNode, key string, val []byte, created *bool) *mapNode {
 	if n == nil {
 		*created = true
-		nn := &mapNode{key: key, val: val, prio: nodePrio(key)}
-		nn.rehash()
-		return nn
+		return &mapNode{key: key, val: append([]byte(nil), val...), prio: nodePrio(key)}
 	}
+	n.markDirty()
 	switch {
 	case key == n.key:
-		n.val = val
-		n.rehash()
+		// Nothing outside the map aliases n.val (Get, Snapshot and ProveKey
+		// copy), so an overwrite reuses its storage.
+		n.val = append(n.val[:0], val...)
 	case key < n.key:
 		n.left = insert(n.left, key, val, created)
 		if n.left.prio > n.prio {
 			return rotateRight(n)
 		}
-		n.rehash()
 	default:
 		n.right = insert(n.right, key, val, created)
 		if n.right.prio > n.prio {
 			return rotateLeft(n)
 		}
-		n.rehash()
 	}
 	return n
 }
 
+// remove drops key and marks the path to it dirty; a miss marks nothing.
 func remove(n *mapNode, key string, removed *bool) *mapNode {
 	if n == nil {
 		return nil
@@ -129,10 +155,8 @@ func remove(n *mapNode, key string, removed *bool) *mapNode {
 	switch {
 	case key < n.key:
 		n.left = remove(n.left, key, removed)
-		n.rehash()
 	case key > n.key:
 		n.right = remove(n.right, key, removed)
-		n.rehash()
 	default:
 		*removed = true
 		// Rotate the node down until it is a leaf, then drop it.
@@ -149,14 +173,16 @@ func remove(n *mapNode, key string, removed *bool) *mapNode {
 			return remove(rotateLeft(n), key, removed)
 		}
 	}
+	if *removed {
+		n.markDirty()
+	}
 	return n
 }
 
-// Set stores value under key.
+// Set stores a copy of value under key.
 func (m *Map) Set(key string, value []byte) {
-	v := append([]byte(nil), value...)
 	var created bool
-	m.root = insert(m.root, key, v, &created)
+	m.root = insert(m.root, key, value, &created)
 	if created {
 		m.count++
 	}
@@ -190,13 +216,9 @@ func (m *Map) Get(key string) ([]byte, bool) {
 // Len reports the number of live keys.
 func (m *Map) Len() int { return m.count }
 
-// Digest returns the authenticated root over the current contents.
-func (m *Map) Digest() Digest {
-	if m.root == nil {
-		return emptyRoot
-	}
-	return m.root.hash
-}
+// Digest returns the authenticated root over the current contents,
+// hashing whatever the mutations since the last call left dirty.
+func (m *Map) Digest() Digest { return settle(m.root) }
 
 // Keys returns the sorted key list.
 func (m *Map) Keys() []string {
@@ -268,30 +290,34 @@ type KeyProof struct {
 	Steps     []KeyProofStep
 }
 
-// ProveKey returns a membership proof for key.
+// ProveKey returns a membership proof for key against the Digest of the
+// current contents; like Digest it settles the tree first.
 func (m *Map) ProveKey(key string) (KeyProof, error) {
-	var steps []KeyProofStep
+	settle(m.root)
+	depth := 0
 	n := m.root
 	for n != nil && n.key != key {
-		st := KeyProofStep{KV: kvDigest(n.key, n.val)}
+		depth++
 		if key < n.key {
-			st.ProvenIsLeft = true
-			st.Other = childHash(n.right)
-			steps = append(steps, st)
 			n = n.left
 		} else {
-			st.ProvenIsLeft = false
-			st.Other = childHash(n.left)
-			steps = append(steps, st)
 			n = n.right
 		}
 	}
 	if n == nil {
 		return KeyProof{}, fmt.Errorf("merkle: key %q not present", key)
 	}
-	// Steps were collected root→node; verification walks node→root.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
+	// Verification walks node→root, so the root is the last step.
+	steps := make([]KeyProofStep, depth)
+	a := m.root
+	for i := depth - 1; i >= 0; i-- {
+		st := KeyProofStep{KV: kvDigest(a.key, a.val), ProvenIsLeft: key < a.key}
+		if st.ProvenIsLeft {
+			st.Other, a = childHash(a.right), a.left
+		} else {
+			st.Other, a = childHash(a.left), a.right
+		}
+		steps[i] = st
 	}
 	return KeyProof{
 		Key:       key,

@@ -1,16 +1,21 @@
 package merkle
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // checkTreap validates the structural invariants of the authenticated
-// treap: key order (BST), priority order (heap), and hash consistency.
+// treap: key order (BST), priority order (heap), every ancestor of a dirty
+// node dirty, and — once settled — hash consistency.
 func checkTreap(t *testing.T, m *Map) {
 	t.Helper()
+	dirty := func(n *mapNode) bool { return n != nil && n.dirty() }
 	var walk func(n *mapNode, min, max string) int
 	walk = func(n *mapNode, min, max string) int {
 		if n == nil {
@@ -28,14 +33,161 @@ func checkTreap(t *testing.T, m *Map) {
 		if n.right != nil && n.right.prio > n.prio {
 			t.Fatalf("heap violation at %q", n.key)
 		}
-		want := nodeHash(kvDigest(n.key, n.val), childHash(n.left), childHash(n.right))
-		if n.hash != want {
-			t.Fatalf("stale hash at %q", n.key)
+		if !dirty(n) && (dirty(n.left) || dirty(n.right)) {
+			t.Fatalf("clean node %q has a dirty child", n.key)
 		}
 		return 1 + walk(n.left, min, n.key) + walk(n.right, n.key, max)
 	}
 	if got := walk(m.root, "", ""); got != m.count {
 		t.Fatalf("count = %d, nodes = %d", m.count, got)
+	}
+	m.Digest()
+	var hashes func(n *mapNode)
+	hashes = func(n *mapNode) {
+		if n == nil {
+			return
+		}
+		if n.hash != nodeHash(kvDigest(n.key, n.val), childHash(n.left), childHash(n.right)) {
+			t.Fatalf("stale hash at %q after settling", n.key)
+		}
+		hashes(n.left)
+		hashes(n.right)
+	}
+	hashes(m.root)
+}
+
+// refRoot is the eager reference: the root digest as a function of the
+// contents alone. The canonical treap's root is the highest-priority key,
+// its subtrees the keys either side; every hash is recomputed from
+// (key, val, left, right). keys must be sorted.
+func refRoot(keys []string, vals map[string][]byte) Digest {
+	if len(keys) == 0 {
+		return emptyRoot
+	}
+	top := 0
+	for i, k := range keys {
+		if nodePrio(k) > nodePrio(keys[top]) {
+			top = i
+		}
+	}
+	k := keys[top]
+	return nodeHash(kvDigest(k, vals[k]), refRoot(keys[:top], vals), refRoot(keys[top+1:], vals))
+}
+
+func refDigest(vals map[string][]byte) Digest {
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return refRoot(keys, vals)
+}
+
+// TestLazyMapMatchesEagerReference drives random interleavings of creates,
+// overwrites, deletes (interior nodes rotate down), Digest, ProveKey and
+// Restore; wherever a hash is read it must equal the eager reference's,
+// however many mutations were left unsettled before it.
+func TestLazyMapMatchesEagerReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMap()
+		ref := map[string][]byte{}
+		for i := 0; i < 600; i++ {
+			k := fmt.Sprintf("k%02d", rng.Intn(48))
+			switch op := rng.Intn(20); {
+			case op < 9:
+				v := make([]byte, rng.Intn(40))
+				rng.Read(v)
+				m.Set(k, v)
+				ref[k] = v
+			case op < 14:
+				m.Delete(k)
+				delete(ref, k)
+			case op < 16:
+				if got, want := m.Digest(), refDigest(ref); got != want {
+					t.Fatalf("seed %d op %d: Digest %v, reference %v", seed, i, got, want)
+				}
+			case op < 19:
+				kp, err := m.ProveKey(k)
+				if _, live := ref[k]; live != (err == nil) {
+					t.Fatalf("seed %d op %d: ProveKey(%q) err = %v, live = %v", seed, i, k, err, live)
+				}
+				if err == nil {
+					if !bytes.Equal(kp.Value, ref[k]) {
+						t.Fatalf("seed %d op %d: proof carries a stale value", seed, i)
+					}
+					if err := VerifyKey(refDigest(ref), kp); err != nil {
+						t.Fatalf("seed %d op %d: proof against the reference root: %v", seed, i, err)
+					}
+				}
+			default:
+				m.Restore(m.Snapshot())
+			}
+			if i%50 == 49 {
+				checkTreap(t, m)
+			}
+		}
+		if got, want := m.Digest(), refDigest(ref); got != want {
+			t.Fatalf("seed %d: final Digest %v, reference %v", seed, got, want)
+		}
+	}
+}
+
+// TestProveKeyOnUnsettledMap: a proof taken right after a burst of writes,
+// with no Digest in between, verifies against the Digest that follows.
+func TestProveKeyOnUnsettledMap(t *testing.T) {
+	m := NewMap()
+	for i := 0; i < 300; i++ {
+		m.Set(fmt.Sprintf("key-%03d", i), []byte{byte(i)})
+	}
+	m.Digest()
+	for i := 0; i < 300; i += 3 {
+		m.Set(fmt.Sprintf("key-%03d", i), []byte("rewritten"))
+	}
+	m.Delete("key-007")
+	m.Set("key-300", []byte("new"))
+	for _, k := range []string{"key-000", "key-008", "key-300"} {
+		kp, err := m.ProveKey(k)
+		if err != nil {
+			t.Fatalf("ProveKey(%s): %v", k, err)
+		}
+		if err := VerifyKey(m.Digest(), kp); err != nil {
+			t.Fatalf("VerifyKey(%s): %v", k, err)
+		}
+	}
+}
+
+// TestMapNodeSize: marking a node dirty with the zero hash, not a flag,
+// keeps it in the 96-byte allocator size class it had with eager hashing.
+func TestMapNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(mapNode{}); got != 96 {
+		t.Fatalf("mapNode is %d bytes, want 96", got)
+	}
+}
+
+// TestHashingDoesNotAllocate pins the allocation-free primitives and the
+// write path: an overwrite reuses the node's value storage.
+func TestHashingDoesNotAllocate(t *testing.T) {
+	var d Digest
+	leaf := make([]byte, 300)
+	m := NewMap()
+	for i := 0; i < 100; i++ {
+		m.Set(fmt.Sprintf("key-%03d", i), []byte("value0"))
+	}
+	for name, tc := range map[string]struct {
+		max float64
+		fn  func()
+	}{
+		"nodeHash":      {0, func() { d = nodeHash(d, d, d) }},
+		"InteriorHash":  {0, func() { d = InteriorHash(d, d) }},
+		"LeafHash":      {0, func() { d = LeafHash(leaf) }},
+		"kvDigest":      {0, func() { d = kvDigest("key-050", leaf[:32]) }},
+		"overwrite Set": {1, func() { m.Set("key-050", leaf[:6]) }},
+		"Set+Digest":    {1, func() { m.Set("key-051", leaf[:6]); d = m.Digest() }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got > tc.max {
+			t.Errorf("%s: %v allocs per call, want ≤ %v", name, got, tc.max)
+		}
 	}
 }
 

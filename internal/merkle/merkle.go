@@ -10,10 +10,15 @@
 //     decision block with sequence number s (proof(o, l, s, D, val)).
 //   - Map: an incrementally-updatable sorted-key Merkle map used as the
 //     authenticator of the key-value store state (digest(D) and get-proofs).
+//     Writes only mark the nodes they touch; Digest and ProveKey hash what
+//     is marked, once per node, so a block of writes costs one pass over
+//     the union of their root paths. Reading a hash therefore writes to
+//     the map: it has a single owner and no concurrent readers.
 //
 // Domain separation: leaf hashes are H(0x00 ‖ data) and interior hashes are
 // H(0x01 ‖ left ‖ right) so a leaf can never be confused with an interior
-// node (second-preimage hardening).
+// node (second-preimage hardening); Map payloads and nodes use 0x02 and
+// 0x03. The hashing primitives do not allocate.
 package merkle
 
 import (
@@ -45,19 +50,17 @@ func LeafHash(data []byte) Digest {
 	h.Write([]byte{0x00})
 	h.Write(data)
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 
 // InteriorHash hashes two children with the interior domain separator.
 func InteriorHash(left, right Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(left[:])
-	h.Write(right[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var buf [1 + 2*DigestSize]byte
+	buf[0] = 0x01
+	copy(buf[1:], left[:])
+	copy(buf[1+DigestSize:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // Tree is a static binary Merkle tree over an ordered leaf list. Odd nodes

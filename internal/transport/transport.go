@@ -96,6 +96,11 @@ type Shell struct {
 	conns   map[int]*gob.Encoder
 	rawConn map[int]net.Conn
 	inbound map[net.Conn]struct{}
+	// timers holds the After timers that have neither fired nor been
+	// cancelled. Close stops them: a pending runtime timer keeps its
+	// callback, and through it the node and all its state, reachable
+	// until it fires.
+	timers map[*time.Timer]struct{}
 
 	events chan func()
 	done   chan struct{}
@@ -119,6 +124,7 @@ func NewShell(id int, listenAddr string, peers map[int]string) (*Shell, error) {
 		conns:   make(map[int]*gob.Encoder),
 		rawConn: make(map[int]net.Conn),
 		inbound: make(map[net.Conn]struct{}),
+		timers:  make(map[*time.Timer]struct{}),
 		events:  make(chan func(), 4096),
 		done:    make(chan struct{}),
 		ln:      ln,
@@ -363,7 +369,16 @@ func (s *Shell) Now() time.Duration {
 func (s *Shell) After(d time.Duration, fn func()) func() {
 	var once sync.Once
 	cancelled := make(chan struct{})
-	t := time.AfterFunc(d, func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return func() {}
+	}
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		s.mu.Lock() // also orders reading t after its assignment below
+		delete(s.timers, t)
+		s.mu.Unlock()
 		select {
 		case <-cancelled:
 			return
@@ -378,10 +393,14 @@ func (s *Shell) After(d time.Duration, fn func()) func() {
 		}:
 		}
 	})
+	s.timers[t] = struct{}{}
 	return func() {
 		once.Do(func() {
 			close(cancelled)
 			t.Stop()
+			s.mu.Lock()
+			delete(s.timers, t)
+			s.mu.Unlock()
 		})
 	}
 }
@@ -411,6 +430,10 @@ func (s *Shell) Close() error {
 	for c := range s.inbound {
 		c.Close()
 	}
+	for t := range s.timers {
+		t.Stop()
+	}
+	s.timers = nil
 	s.mu.Unlock()
 	close(s.done)
 	err := s.ln.Close()

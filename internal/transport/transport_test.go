@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +126,36 @@ func TestShellAfterCancel(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("timer did not fire")
 	}
+}
+
+// TestCloseReleasesPendingTimers: a closed shell must not keep its node's
+// state reachable through timers that have not fired yet (a replica arms
+// view-change and retry timers of a second and more).
+func TestCloseReleasesPendingTimers(t *testing.T) {
+	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Start(nopNode{})
+	type state struct{ b [1 << 16]byte }
+	freed := make(chan struct{})
+	arm := func(st *state) {
+		runtime.SetFinalizer(st, func(*state) { close(freed) })
+		sh.After(time.Hour, func() { _ = st.b[0] })
+	}
+	arm(new(state))
+	sh.Close()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			// After on a closed shell arms nothing.
+			sh.After(time.Hour, func() {})()
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("state captured by a pending timer is still reachable after Close")
 }
 
 type nopNode struct{}
