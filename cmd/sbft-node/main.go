@@ -1,8 +1,8 @@
 // Command sbft-node runs one SBFT replica over TCP. A deployment is
 // described by a peers file with one "id host:port" line per replica;
 // all replicas share a deterministic key seed (stand-in for the PKI/dealer
-// setup of §III — production deployments deal threshold RSA keys with
-// threshrsa.Dealer and distribute them out of band).
+// setup of §III — sbft.DealSuite deals real threshold BLS keys with
+// threshbls.Dealer; this binary does not yet load them).
 //
 // Example 4-replica local deployment (f=1, c=0):
 //
@@ -150,7 +150,6 @@ func main() {
 		c             = flag.Int("c", 0, "redundant servers c")
 		seed          = flag.String("seed", "sbft-demo", "shared key seed (demo PKI)")
 		dataDir       = flag.String("data", "", "block store directory (empty = no persistence)")
-		syncSnap      = flag.Bool("sync-snapshots", false, "persist checkpoint snapshots synchronously on the event loop (default: async worker)")
 		cryptoWorkers = flag.Int("crypto-workers", runtime.NumCPU(), "threshold-crypto verification pool width (0 = verify inline on the event loop)")
 	)
 	flag.Parse()
@@ -201,7 +200,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sbft-node: %v\n", err)
 		os.Exit(1)
 	}
-	if led != nil && !*syncSnap {
+	if led != nil {
 		sink := newSnapSink(led, shell.Do)
 		defer sink.Close()
 		rep.SetSnapshotSink(sink)

@@ -1,7 +1,9 @@
 // Package apps adapts the authenticated key-value store and the EVM smart
 // contract ledger to the replication engine's Application interface, and
-// provides the matching client-side proof verifiers (§IV layering: generic
-// service → authenticated KV store → smart contract engine).
+// provides the matching client-side proof verifiers. Both services stand
+// on kvstore.AuthState (§IV layering: generic service → authenticated KV
+// store → smart contract engine) and already have the interface's shape;
+// what this package adds is the wire encoding of the one proof format.
 package apps
 
 import (
@@ -14,9 +16,11 @@ import (
 	"sbft/internal/kvstore"
 )
 
-// KVApp adapts kvstore.Store to core.Application.
+// KVApp is kvstore.Store as a core.Application (plus the optional
+// ChunkedSnapshotter, KeyReader and TwoPhaser extensions, which the store
+// implements itself).
 type KVApp struct {
-	Store *kvstore.Store
+	*kvstore.Store
 }
 
 // NewKVApp returns an adapter over a fresh store.
@@ -24,61 +28,24 @@ func NewKVApp() *KVApp { return &KVApp{Store: kvstore.New()} }
 
 var _ core.Application = (*KVApp)(nil)
 
-// ExecuteBlock implements core.Application.
-func (a *KVApp) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
-	return a.Store.ExecuteBlock(seq, ops)
-}
-
-// Digest implements core.Application.
-func (a *KVApp) Digest() []byte { return a.Store.Digest() }
-
-// ProveOperation implements core.Application, gob-encoding the Merkle
-// proof for transport.
+// ProveOperation implements core.Application.
 func (a *KVApp) ProveOperation(seq uint64, l int) ([]byte, error) {
-	p, err := a.Store.ProveOperation(seq, l)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("apps: encoding kv proof: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeProof(a.Store.ProveOperation(seq, l))
 }
-
-// Snapshot implements core.Application.
-func (a *KVApp) Snapshot() ([]byte, error) { return a.Store.Snapshot() }
-
-// SnapshotChunks implements core.ChunkedSnapshotter, forwarding the
-// store's incremental bucketed capture.
-func (a *KVApp) SnapshotChunks() ([][]byte, bool, error) { return a.Store.SnapshotChunks() }
-
-// ReadKey implements core.KeyReader: the op→key mapping of the certified
-// read path.
-func (a *KVApp) ReadKey(op []byte) (string, error) { return kvstore.ReadKey(op) }
-
-// TxStats implements core.TwoPhaser, forwarding the store's cumulative
-// cross-shard 2PC counters.
-func (a *KVApp) TxStats() (prepares, commits, aborts uint64) { return a.Store.TxStats() }
-
-// Restore implements core.Application.
-func (a *KVApp) Restore(data []byte) error { return a.Store.Restore(data) }
-
-// GarbageCollect implements core.Application.
-func (a *KVApp) GarbageCollect(keepFrom uint64) { a.Store.GarbageCollect(keepFrom) }
 
 // VerifyKV is the core.ProofVerifier for key-value clients.
 func VerifyKV(digest []byte, op, val []byte, seq uint64, l int, proof []byte) error {
-	var p kvstore.Proof
-	if err := gob.NewDecoder(bytes.NewReader(proof)).Decode(&p); err != nil {
-		return fmt.Errorf("apps: decoding kv proof: %w", err)
+	p, err := decodeProof(proof)
+	if err != nil {
+		return err
 	}
 	return kvstore.Verify(digest, op, val, seq, l, p)
 }
 
-// EVMApp adapts evm.Ledger to core.Application.
+// EVMApp is evm.Ledger as a core.Application (plus ChunkedSnapshotter
+// and KeyReader).
 type EVMApp struct {
-	Ledger *evm.Ledger
+	*evm.Ledger
 }
 
 // NewEVMApp returns an adapter over a fresh ledger.
@@ -86,49 +53,36 @@ func NewEVMApp() *EVMApp { return &EVMApp{Ledger: evm.NewLedger()} }
 
 var _ core.Application = (*EVMApp)(nil)
 
-// ExecuteBlock implements core.Application.
-func (a *EVMApp) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
-	return a.Ledger.ExecuteBlock(seq, ops)
-}
-
-// Digest implements core.Application.
-func (a *EVMApp) Digest() []byte { return a.Ledger.Digest() }
-
 // ProveOperation implements core.Application.
 func (a *EVMApp) ProveOperation(seq uint64, l int) ([]byte, error) {
-	p, err := a.Ledger.ProveOperation(seq, l)
+	return encodeProof(a.Ledger.ProveOperation(seq, l))
+}
+
+// VerifyEVM is the core.ProofVerifier for smart-contract clients.
+func VerifyEVM(digest []byte, op, val []byte, seq uint64, l int, proof []byte) error {
+	p, err := decodeProof(proof)
+	if err != nil {
+		return err
+	}
+	return evm.Verify(digest, op, val, seq, l, p)
+}
+
+// encodeProof gob-encodes an operation proof for transport.
+func encodeProof(p kvstore.Proof, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("apps: encoding evm proof: %w", err)
+		return nil, fmt.Errorf("apps: encoding proof: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// Snapshot implements core.Application.
-func (a *EVMApp) Snapshot() ([]byte, error) { return a.Ledger.Snapshot() }
-
-// SnapshotChunks implements core.ChunkedSnapshotter, forwarding the
-// ledger's incremental bucketed capture.
-func (a *EVMApp) SnapshotChunks() ([][]byte, bool, error) { return a.Ledger.SnapshotChunks() }
-
-// ReadKey implements core.KeyReader: the op→key mapping of the certified
-// read path (balance queries).
-func (a *EVMApp) ReadKey(op []byte) (string, error) { return evm.ReadKey(op) }
-
-// Restore implements core.Application.
-func (a *EVMApp) Restore(data []byte) error { return a.Ledger.Restore(data) }
-
-// GarbageCollect implements core.Application.
-func (a *EVMApp) GarbageCollect(keepFrom uint64) { a.Ledger.GarbageCollect(keepFrom) }
-
-// VerifyEVM is the core.ProofVerifier for smart-contract clients.
-func VerifyEVM(digest []byte, op, val []byte, seq uint64, l int, proof []byte) error {
-	var p evm.Proof
+func decodeProof(proof []byte) (kvstore.Proof, error) {
+	var p kvstore.Proof
 	if err := gob.NewDecoder(bytes.NewReader(proof)).Decode(&p); err != nil {
-		return fmt.Errorf("apps: decoding evm proof: %w", err)
+		return kvstore.Proof{}, fmt.Errorf("apps: decoding proof: %w", err)
 	}
-	return evm.Verify(digest, op, val, seq, l, p)
+	return p, nil
 }

@@ -89,19 +89,12 @@ type Options struct {
 	Byzantine map[int]func(env core.Env, honest *core.Replica) Node
 	// Persist gives every SBFT-variant replica a durable storage.Ledger
 	// block store, enabling RestartReplica (restart-from-storage). The
-	// data lives under DataDir, or a temporary directory removed by Close.
+	// data lives in a temporary directory removed by Close. A persisted
+	// SBFT replica also gets an asynchronous core.SnapshotSink: the encode
+	// and disk write land after snapshotPersistDelay of virtual time, off
+	// the checkpoint critical path, and a crash can race the durable write
+	// — exactly the window the chaos sweeps should exercise.
 	Persist bool
-	// SyncSnapshots forces the synchronous snapshot-persistence path
-	// (encode+write on the replica's event loop, the pre-async behavior,
-	// kept measurable as a benchmark baseline). By default a persisted
-	// SBFT replica gets an asynchronous core.SnapshotSink: the encode and
-	// disk write land after SnapshotPersistDelay of virtual time, off the
-	// checkpoint critical path, and a crash can race the durable write —
-	// exactly the window the chaos sweeps should exercise.
-	SyncSnapshots bool
-	// SnapshotPersistDelay is the modeled disk hand-off latency of the
-	// async snapshot sink (0 = 2ms of virtual time).
-	SnapshotPersistDelay time.Duration
 	// CryptoPool, when positive, gives every SBFT-variant replica a
 	// modeled pool of that many crypto workers (a deterministic
 	// core.CryptoSink advancing in virtual time): share verification and
@@ -110,9 +103,6 @@ type Options struct {
 	// on message receipt. 0 keeps the synchronous inline path — the
 	// baseline the throughput benchmarks compare against.
 	CryptoPool int
-	// DataDir is the root directory for persisted replica state; empty
-	// with Persist set means a temp dir owned by the cluster.
-	DataDir string
 	// WrapApp, when set, wraps each replica's application (e.g. with the
 	// chaos harness's execution recorder) before the replica is built.
 	WrapApp func(id int, app core.Application) core.Application
@@ -150,10 +140,9 @@ type Cluster struct {
 	// cannot return errors, so they accumulate here for the caller.
 	FaultErrors []error
 
-	dataDir     string
-	ownsDataDir bool
-	keys        []core.ReplicaKeys
-	envs        []*env
+	dataDir string // cluster-owned temp dir when Opts.Persist is set
+	keys    []core.ReplicaKeys
+	envs    []*env
 	// costs is the effective CPU model (zero-valued under FreeCPU); the
 	// crypto-pool sinks price their work from it.
 	costs CostModel
@@ -208,28 +197,27 @@ func (e *env) After(d time.Duration, fn func()) func() {
 // write, exactly like a process dying mid-write; the replica then re-serves
 // from its previous durable snapshot).
 type ledgerSink struct {
-	env   *env
-	led   *storage.Ledger
-	delay time.Duration
+	env *env
+	led *storage.Ledger
 }
+
+// snapshotPersistDelay is the modeled disk hand-off latency of the async
+// snapshot sink, in virtual time.
+const snapshotPersistDelay = 2 * time.Millisecond
 
 // PersistSnapshot implements core.SnapshotSink.
 func (s *ledgerSink) PersistSnapshot(cs *core.CertifiedSnapshot, keepFrom uint64, done func(error)) {
-	s.env.After(s.delay, func() {
+	s.env.After(snapshotPersistDelay, func() {
 		done(core.PersistCertified(s.led, cs, keepFrom))
 	})
 }
 
 // installSink arms the async snapshot sink on a persisted SBFT replica.
 func (cl *Cluster) installSink(rep *core.Replica, e *env, led *storage.Ledger) {
-	if !cl.Opts.Persist || cl.Opts.SyncSnapshots || led == nil {
+	if !cl.Opts.Persist || led == nil {
 		return
 	}
-	delay := cl.Opts.SnapshotPersistDelay
-	if delay <= 0 {
-		delay = 2 * time.Millisecond
-	}
-	rep.SetSnapshotSink(&ledgerSink{env: e, led: led, delay: delay})
+	rep.SetSnapshotSink(&ledgerSink{env: e, led: led})
 }
 
 // handler adapts Node to sim.Handler.
@@ -320,15 +308,10 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}()
 	if opts.Persist {
-		dir := opts.DataDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "sbft-cluster-")
-			if err != nil {
-				return nil, fmt.Errorf("cluster: creating data dir: %w", err)
-			}
-			cl.ownsDataDir = true
+		cl.dataDir, err = os.MkdirTemp("", "sbft-cluster-")
+		if err != nil {
+			return nil, fmt.Errorf("cluster: creating data dir: %w", err)
 		}
-		cl.dataDir = dir
 		cl.Stores = make([]*storage.Ledger, cl.N+1)
 	}
 
@@ -494,7 +477,7 @@ func (cl *Cluster) Close() error {
 			first = err
 		}
 	}
-	if cl.ownsDataDir && cl.dataDir != "" {
+	if cl.dataDir != "" {
 		if err := os.RemoveAll(cl.dataDir); err != nil && first == nil {
 			first = err
 		}
@@ -507,9 +490,6 @@ func (cl *Cluster) MarkByzantine(id int) { cl.byzantine[id] = true }
 
 // IsByzantine reports whether a replica has ever behaved adversarially.
 func (cl *Cluster) IsByzantine(id int) bool { return cl.byzantine[id] }
-
-// ByzantineCount reports how many replicas carry the Byzantine mark.
-func (cl *Cluster) ByzantineCount() int { return len(cl.byzantine) }
 
 // CrashReplicas crashes k replicas, skipping the view-0 primary (the
 // paper's failure experiments measure throughput under crashed backups).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 )
@@ -336,6 +335,3 @@ func (c *Client) complete(p *pendingOp, val []byte, seq uint64, fast bool, viewH
 		})
 	}
 }
-
-// equalBytes is used by tests.
-func equalBytes(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -27,8 +27,7 @@ type Config struct {
 	// MaxPending bounds the admission queue (§V-C backpressure): a request
 	// arriving while len(pending) ≥ MaxPending is rejected with a BusyMsg
 	// retry hint instead of growing the queue without bound under
-	// open-loop overload. 0 derives 4 × Batch × activeWindow; negative
-	// disables the bound entirely.
+	// open-loop overload. 0 derives 4 × Batch × activeWindow.
 	MaxPending int
 	// FastPath enables the σ fast path (ingredient 2).
 	FastPath bool
@@ -65,16 +64,12 @@ type Config struct {
 	// ChunkRetryTimeout is how long one outstanding snapshot-chunk
 	// request may stay unanswered before it is re-issued to another
 	// server (and the unresponsive server loses scheduler share). Zero
-	// derives 2×GapRepairTimeout; negative disables per-chunk retries,
-	// leaving only the whole-transfer retry — the pre-windowed behavior,
-	// kept configurable as the measurable benchmark baseline.
+	// derives 2×GapRepairTimeout (500ms when that is unset).
 	ChunkRetryTimeout time.Duration
 	// SnapshotMetaWait is how long a fetcher collects competing snapshot
 	// metas before committing to the highest certified sequence among
-	// them. Zero derives 40ms; negative adopts the first verified meta
-	// immediately — the old racy behavior a Byzantine stale-meta server
-	// could win, kept configurable so the regression test can demonstrate
-	// the exploit against it.
+	// them, so a Byzantine server racing a stale-but-valid certified
+	// snapshot cannot win by answering first. Zero derives 40ms.
 	SnapshotMetaWait time.Duration
 	// SnapshotRetain bounds the chain of certified snapshot generations a
 	// replica keeps for serving state transfer (plus the delta sets
@@ -84,16 +79,6 @@ type Config struct {
 	// retained generation fetch deltas only. Zero derives 4; 1 reproduces
 	// single-generation retention.
 	SnapshotRetain int
-	// ReadBatch bounds the certified-read queue (ROADMAP item 2): a
-	// replica serves queued reads as one batch when the queue reaches
-	// this size, amortizing Merkle proof generation (the header proof and
-	// per-bucket chunk proofs are computed once per batch). Zero derives
-	// 16; 1 serves every read immediately.
-	ReadBatch int
-	// ReadBatchWait bounds how long a queued read may wait for its batch
-	// to fill. Zero derives 2ms; negative serves immediately (no
-	// batching), the measurable baseline for the batching benchmark.
-	ReadBatchWait time.Duration
 }
 
 // DefaultConfig returns the paper's defaults for a given f and c.
@@ -128,6 +113,23 @@ func (c Config) Validate() error {
 	}
 	if c.Batch < 1 {
 		return fmt.Errorf("core: Batch must be ≥ 1, got %d", c.Batch)
+	}
+	// Zero means "derive the default" for each of these; a negative value
+	// would arm a zero or negative timer, or size a window below one.
+	if c.MaxPending < 0 {
+		return fmt.Errorf("core: MaxPending must be ≥ 0, got %d", c.MaxPending)
+	}
+	if c.FetchWindow < 0 {
+		return fmt.Errorf("core: FetchWindow must be ≥ 0, got %d", c.FetchWindow)
+	}
+	if c.ChunkRetryTimeout < 0 {
+		return fmt.Errorf("core: ChunkRetryTimeout must be ≥ 0, got %v", c.ChunkRetryTimeout)
+	}
+	if c.SnapshotMetaWait < 0 {
+		return fmt.Errorf("core: SnapshotMetaWait must be ≥ 0, got %v", c.SnapshotMetaWait)
+	}
+	if c.SnapshotRetain < 0 {
+		return fmt.Errorf("core: SnapshotRetain must be ≥ 0, got %d", c.SnapshotRetain)
 	}
 	return nil
 }
@@ -167,8 +169,7 @@ func (c Config) fetchWindow() int {
 	return 32
 }
 
-// chunkRetryTimeout is the effective per-chunk retry interval; values
-// ≤ 0 after derivation disable per-chunk retries.
+// chunkRetryTimeout is the effective per-chunk retry interval (> 0).
 func (c Config) chunkRetryTimeout() time.Duration {
 	if c.ChunkRetryTimeout != 0 {
 		return c.ChunkRetryTimeout
@@ -179,8 +180,7 @@ func (c Config) chunkRetryTimeout() time.Duration {
 	return 500 * time.Millisecond
 }
 
-// snapshotMetaWait is the effective meta-collection window; values < 0
-// after derivation mean "adopt the first verified meta immediately".
+// snapshotMetaWait is the effective meta-collection window (> 0).
 func (c Config) snapshotMetaWait() time.Duration {
 	if c.SnapshotMetaWait != 0 {
 		return c.SnapshotMetaWait
@@ -194,23 +194,6 @@ func (c Config) snapshotRetain() int {
 		return c.SnapshotRetain
 	}
 	return 4
-}
-
-// readBatch is the effective read-batch size (≥ 1).
-func (c Config) readBatch() int {
-	if c.ReadBatch > 0 {
-		return c.ReadBatch
-	}
-	return 16
-}
-
-// readBatchWait is the effective read-batch wait; values < 0 after
-// derivation mean "serve every read immediately".
-func (c Config) readBatchWait() time.Duration {
-	if c.ReadBatchWait != 0 {
-		return c.ReadBatchWait
-	}
-	return 2 * time.Millisecond
 }
 
 // Primary returns the primary replica id (1-based) for a view, chosen

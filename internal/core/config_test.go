@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestConfigQuorums(t *testing.T) {
@@ -37,29 +39,35 @@ func TestConfigQuorums(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig(1, 0)
-	if err := good.Validate(); err != nil {
+	if err := DefaultConfig(1, 0).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := good
-	bad.F = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("F=0 accepted")
+	// Every rejection names the offending field. The last five are the
+	// "zero derives the default" fields, where a negative value would
+	// otherwise arm a zero or negative timer or size a window below one.
+	tests := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"F", func(c *Config) { c.F = 0 }},
+		{"C", func(c *Config) { c.C = -1 }},
+		{"Win", func(c *Config) { c.Win = 2 }},
+		{"Batch", func(c *Config) { c.Batch = 0 }},
+		{"MaxPending", func(c *Config) { c.MaxPending = -1 }},
+		{"FetchWindow", func(c *Config) { c.FetchWindow = -1 }},
+		{"ChunkRetryTimeout", func(c *Config) { c.ChunkRetryTimeout = -1 }},
+		{"SnapshotMetaWait", func(c *Config) { c.SnapshotMetaWait = -time.Millisecond }},
+		{"SnapshotRetain", func(c *Config) { c.SnapshotRetain = -1 }},
 	}
-	bad = good
-	bad.C = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("C=-1 accepted")
-	}
-	bad = good
-	bad.Win = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("Win=2 accepted")
-	}
-	bad = good
-	bad.Batch = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("Batch=0 accepted")
+	for _, tt := range tests {
+		cfg := DefaultConfig(1, 0)
+		tt.set(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("bad %s accepted", tt.field)
+		} else if !strings.Contains(err.Error(), tt.field) {
+			t.Errorf("bad %s: error %q does not name the field", tt.field, err)
+		}
 	}
 }
 

@@ -38,31 +38,33 @@ import (
 // ---------------------------------------------------------------------------
 // Server side.
 
+// A replica serves queued certified reads as one batch when the queue
+// reaches readBatch entries or the oldest has waited readBatchWait.
+const (
+	readBatch     = 16
+	readBatchWait = 2 * time.Millisecond
+)
+
 // readRequest is one queued certified read.
 type readRequest struct {
 	from int
 	m    ReadMsg
 }
 
-// onRead queues (or immediately serves) a certified read. Batching
-// amortizes proof generation: all reads of one flush share the header
-// proof and any repeated bucket-chunk proofs.
+// onRead queues a certified read. Batching amortizes proof generation:
+// all reads of one flush share the header proof and any repeated
+// bucket-chunk proofs.
 func (r *Replica) onRead(from int, m ReadMsg) {
 	if m.Client != from || !IsClient(from) {
 		return
 	}
-	if r.cfg.readBatchWait() < 0 || r.cfg.readBatch() <= 1 {
-		r.readQueue = append(r.readQueue, readRequest{from: from, m: m})
-		r.flushReads()
-		return
-	}
 	r.readQueue = append(r.readQueue, readRequest{from: from, m: m})
-	if len(r.readQueue) >= r.cfg.readBatch() {
+	if len(r.readQueue) >= readBatch {
 		r.flushReads()
 		return
 	}
 	if r.readTimer == nil {
-		r.readTimer = r.env.After(r.cfg.readBatchWait(), func() {
+		r.readTimer = r.env.After(readBatchWait, func() {
 			r.readTimer = nil
 			r.flushReads()
 		})

@@ -46,14 +46,6 @@ func DecodeBlockPayload(payload []byte) (BlockRecord, error) {
 	return rec, nil
 }
 
-// ClientReply is the durable/transferable form of one reply-cache entry.
-type ClientReply struct {
-	Timestamp uint64
-	Seq       uint64
-	L         int
-	Val       []byte
-}
-
 // SnapshotStore is an optional BlockStore extension for durable certified
 // snapshots (the encoded CertifiedSnapshot, chunks and π certificate
 // included). storage.Ledger satisfies it. A replica whose store supports

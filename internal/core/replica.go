@@ -666,9 +666,6 @@ func (r *Replica) maxPending() int {
 	if r.cfg.MaxPending > 0 {
 		return r.cfg.MaxPending
 	}
-	if r.cfg.MaxPending < 0 {
-		return int(^uint(0) >> 1) // unbounded (legacy behavior)
-	}
 	return 4 * r.cfg.Batch * int(r.activeWindow())
 }
 
@@ -2397,9 +2394,7 @@ func (r *Replica) dropStaleFetch() {
 // garbage-collect superseded snapshots, so a transfer locked to a
 // checkpoint the whole cluster has advanced past must discover the newer
 // one and restart rather than re-request dead chunks forever. Individual
-// lost chunk requests recover much sooner through the per-chunk pacer;
-// when that is disabled (ChunkRetryTimeout < 0, the pre-windowed
-// baseline) this timer also expires the whole window.
+// lost chunk requests recover much sooner through the per-chunk pacer.
 func (r *Replica) armFetchRetry() {
 	f := r.fetch
 	f.cancel = r.env.After(4*r.cfg.ViewChangeTimeout/3, func() {
@@ -2418,9 +2413,6 @@ func (r *Replica) armFetchRetry() {
 			r.sendFetchState()
 		}
 		if f.seq != 0 {
-			if r.cfg.chunkRetryTimeout() <= 0 {
-				r.expireInflight(f, 0)
-			}
 			r.fillFetchWindow()
 		}
 		r.armFetchRetry()
@@ -2547,12 +2539,6 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		f.bestMeta = &mm
 		f.bestFrom = from
 	}
-	if r.cfg.snapshotMetaWait() < 0 {
-		// Legacy first-accepted behavior, kept only as the regression
-		// test's demonstration baseline.
-		r.adoptBestMeta()
-		return
-	}
 	if f.metaTimer == nil {
 		f.metaTimer = r.env.After(r.cfg.snapshotMetaWait(), func() {
 			f.metaTimer = nil
@@ -2588,11 +2574,7 @@ func expiryLimit(f *stateFetch, st *fetchStats, age time.Duration) time.Duration
 // retries is NOT stalled. Used to gate mid-transfer restarts and the
 // progress-timeout suppression.
 func (r *Replica) fetchStalled(f *stateFetch) bool {
-	age := r.cfg.chunkRetryTimeout()
-	if age <= 0 {
-		age = 4 * r.cfg.ViewChangeTimeout / 3 // no pacer: the whole-transfer retry is the cadence
-	}
-	return r.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil, age)
+	return r.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil, r.cfg.chunkRetryTimeout())
 }
 
 // demoteLaggardServer reacts to snapshot metadata OLDER than the
@@ -2788,22 +2770,13 @@ func (r *Replica) fillFetchWindow() {
 // — a loaded-but-honest server answering in 800ms must not be treated
 // like a dead one by a fixed 500ms timer (the spurious retries would
 // more than double the transferred bytes) — but stays bounded so an
-// actually dead server still expires. age 0 expires everything WITHOUT
-// penalties or the per-chunk retry metric: that is the whole-transfer
-// re-blast of the no-pacer baseline (ChunkRetryTimeout < 0), which
-// reproduces the pre-windowed behavior and must not acquire strike
-// bookkeeping that behavior never had. Returns how many requests were
-// expired; indexes are processed in sorted order so simulated runs stay
-// deterministic.
-func (r *Replica) expireInflight(f *stateFetch, age time.Duration) int {
+// actually dead server still expires. Indexes are processed in sorted
+// order so simulated runs stay deterministic.
+func (r *Replica) expireInflight(f *stateFetch, age time.Duration) {
 	now := r.env.Now()
 	var expired []int
 	for idx, req := range f.inflight {
-		limit := age
-		if age > 0 {
-			limit = expiryLimit(f, f.stats(req.server), age)
-		}
-		if now-req.sentAt >= limit {
+		if now-req.sentAt >= expiryLimit(f, f.stats(req.server), age) {
 			expired = append(expired, idx)
 		}
 	}
@@ -2814,9 +2787,6 @@ func (r *Replica) expireInflight(f *stateFetch, age time.Duration) int {
 		delete(f.inflight, idx)
 		st := f.stats(req.server)
 		st.outstanding--
-		if age <= 0 {
-			continue // whole-transfer re-blast: no per-chunk bookkeeping
-		}
 		r.Metrics.SnapshotChunkRetries++
 		// One strike per server per scan: a single tick expiring several
 		// of one server's dropped replies is one observation of
@@ -2831,7 +2801,6 @@ func (r *Replica) expireInflight(f *stateFetch, age time.Duration) int {
 			}
 		}
 	}
-	return len(expired)
 }
 
 // armChunkPacer runs the per-chunk retry scan: an outstanding request
@@ -2841,7 +2810,7 @@ func (r *Replica) expireInflight(f *stateFetch, age time.Duration) int {
 func (r *Replica) armChunkPacer() {
 	f := r.fetch
 	timeout := r.cfg.chunkRetryTimeout()
-	if timeout <= 0 || f.pacer != nil {
+	if f.pacer != nil {
 		return
 	}
 	tick := timeout / 2

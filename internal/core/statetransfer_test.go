@@ -278,9 +278,7 @@ func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 // TestHighestCertifiedMetaWins is the stale-meta race regression test: a
 // Byzantine server racing a STALE-but-valid certified meta at/above the
 // requested target must not win the initial choice. The fetcher collects
-// competing metas briefly and adopts the highest certified sequence; the
-// legacy subtest demonstrates the pre-fix behavior (first accepted meta
-// wins) that made the race exploitable.
+// competing metas briefly and adopts the highest certified sequence.
 func TestHighestCertifiedMetaWins(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	stale := certifiedAt(t, rg, 4, nil)
@@ -304,18 +302,6 @@ func TestHighestCertifiedMetaWins(t *testing.T) {
 	if rg.r.LastExecuted() != 8 {
 		t.Fatalf("transfer completed at le=%d, want 8", rg.r.LastExecuted())
 	}
-
-	t.Run("legacy-first-accepted-loses", func(t *testing.T) {
-		rg := newRig(t, 1, func(c *Config) { c.SnapshotMetaWait = -1 })
-		stale := certifiedAt(t, rg, 4, nil)
-		rg.r.maybeFetchState(4)
-		rg.r.Deliver(2, metaOf(t, stale))
-		// Pre-fix behavior, pinned: the first meta at/above the target is
-		// adopted immediately — the race the Byzantine server wins.
-		if got := chunkReqCount(rg, stale.Seq); got == 0 {
-			t.Fatal("legacy mode did not adopt the first accepted meta")
-		}
-	})
 }
 
 // TestRestartMidWindowResetsAccounting: a transfer restarted by a newer

@@ -20,20 +20,6 @@ func (p *g1Jac) setInfinity() {
 
 func (p *g1Jac) isInfinity() bool { return p.z.isZero() }
 
-// g1FromAffine lifts a public affine point (Z = 1).
-func g1FromAffine(a G1Point) g1Jac {
-	if a.Inf {
-		var p g1Jac
-		p.setInfinity()
-		return p
-	}
-	var p g1Jac
-	p.x = fpFromBig(a.X.v)
-	p.y = fpFromBig(a.Y.v)
-	p.z.setOne()
-	return p
-}
-
 // toAffine normalizes back to the public representation (one inversion).
 func (p *g1Jac) toAffine() G1Point {
 	if p.isInfinity() {

@@ -141,9 +141,6 @@ func (s *Scheme) Threshold() int { return s.k }
 // N implements threshsig.Scheme.
 func (s *Scheme) N() int { return s.n }
 
-// PublicKey returns the group public key.
-func (s *Scheme) PublicKey() bn254.G2Point { return s.pk }
-
 // hashToG1 memoizes bn254.HashToG1 per digest: every share verification
 // and combination over one slot's digest shares the hash-to-curve work.
 func (s *Scheme) hashToG1(digest []byte) bn254.G1Point {

@@ -10,12 +10,9 @@
 // signature once and verifies shares one by one only when that check fails,
 // naming the culprits in a *BadSharesError.
 //
-// Two production implementations exist in sibling packages:
-//
-//   - threshrsa: Shoup's practical threshold RSA (EUROCRYPT '00), fully
-//     non-interactive and robust, built on math/big.
-//   - threshbls: threshold BLS over a from-scratch BN254 pairing, the
-//     scheme the paper deploys (33-byte signatures, batch verification).
+// The production implementation is the sibling package threshbls:
+// threshold BLS over a from-scratch BN254 pairing, the scheme the paper
+// deploys (64-byte uncompressed signatures here, batch verification).
 //
 // The Insecure scheme in this package is a hash-based stand-in for protocol
 // tests and simulations where cryptographic strength is irrelevant but

@@ -1,14 +1,12 @@
 package evm
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 
-	"sbft/internal/merkle"
+	"sbft/internal/kvstore"
 	"sbft/internal/snapcodec"
 )
 
@@ -37,12 +35,8 @@ type Tx struct {
 	Data     []byte // init code (create) or calldata (call)
 }
 
-// Errors returned by the ledger layer.
-var (
-	ErrBadTx        = errors.New("evm: malformed transaction")
-	ErrUnknownBlock = errors.New("evm: block not retained")
-	ErrBadProof     = errors.New("evm: invalid execution proof")
-)
+// ErrBadTx is returned when decoding a malformed transaction.
+var ErrBadTx = errors.New("evm: malformed transaction")
 
 // Encode serializes the transaction.
 func (tx Tx) Encode() []byte {
@@ -151,17 +145,17 @@ func DecodeReceipt(data []byte) (Receipt, error) {
 	return r, nil
 }
 
-// Ledger is the replica-side smart-contract application: it executes
-// blocks of transactions through the VM over an authenticated state and
-// produces digests and per-transaction proofs exactly like the key-value
-// store, so it plugs into the same replication engine (§IV layering).
+// stateTag is the domain of the ledger's state digests.
+const stateTag = "sbft:evm-state"
+
+// Ledger is the replica-side smart-contract application: the VM and the
+// partition guard over the same kvstore.AuthState the key-value store
+// stands on, so digests, per-transaction proofs, snapshots and state
+// transfer are that type's and the ledger plugs into the same replication
+// engine (§IV layering).
 type Ledger struct {
-	stateMap *merkle.Map
-	state    *MapState
-	tracker  *snapcodec.Tracker
-	lastSeq  uint64
-	digest   []byte
-	executed map[uint64]*execRecord
+	*kvstore.AuthState
+	state *MapState
 
 	// Account partitioning and locks (partition.go). shards==0 means
 	// partitioning is not enabled.
@@ -170,55 +164,10 @@ type Ledger struct {
 	lockedAccounts map[string]bool
 }
 
-type execRecord struct {
-	tree    *merkle.Tree
-	kvRoot  merkle.Digest
-	ops     [][]byte
-	results [][]byte
-}
-
 // NewLedger returns an empty contract ledger.
 func NewLedger() *Ledger {
-	m := merkle.NewMap()
-	l := &Ledger{
-		stateMap: m,
-		state:    NewMapState(m),
-		tracker:  snapcodec.NewTracker(snapcodec.DefaultBuckets),
-		executed: make(map[uint64]*execRecord),
-	}
-	l.state.SetWriteHook(l.trackWrite)
-	l.digest = stateDigest(0, m.Digest(), merkle.NewTree(nil).Root())
-	return l
-}
-
-// trackWrite mirrors every world-state mutation (genesis, execution, and
-// journal rollbacks alike) into the incremental snapshot tracker.
-func (l *Ledger) trackWrite(key string, val []byte, deleted bool) {
-	if deleted {
-		l.tracker.Delete(key)
-		return
-	}
-	l.tracker.Set(key, val)
-}
-
-func stateDigest(seq uint64, kvRoot, execRoot merkle.Digest) []byte {
-	const tag = "sbft:evm-state"
-	var buf [len(tag) + 8 + 2*merkle.DigestSize]byte
-	b := append(buf[:0], tag...)
-	b = binary.BigEndian.AppendUint64(b, seq)
-	b = append(b, kvRoot[:]...)
-	b = append(b, execRoot[:]...)
-	d := sha256.Sum256(b)
-	return d[:]
-}
-
-func execLeaf(l int, op, val []byte) []byte {
-	buf := make([]byte, 0, 8+len(op)+len(val))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(l))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(op)))
-	buf = append(buf, op...)
-	buf = append(buf, val...)
-	return buf
+	a := kvstore.NewAuthState(stateTag, snapcodec.DefaultBuckets)
+	return &Ledger{AuthState: a, state: NewMapState(a)}
 }
 
 // Mint credits an account balance outside consensus, for genesis setup in
@@ -227,7 +176,7 @@ func execLeaf(l int, op, val []byte) []byte {
 func (l *Ledger) Mint(a Address, amount uint64) {
 	l.state.SetBalance(a, new(big.Int).Add(l.state.GetBalance(a), new(big.Int).SetUint64(amount)))
 	l.state.DiscardJournal()
-	l.refreshGenesisDigest()
+	l.ResealGenesis()
 }
 
 // GenesisCreate deploys a contract outside consensus (genesis block). All
@@ -236,7 +185,7 @@ func (l *Ledger) GenesisCreate(from Address, initCode []byte, gas uint64) (Addre
 	vm := NewVM(l.state, Context{GasLimit: gas})
 	addr, res, err := vm.Create(from, nil, initCode, gas)
 	l.state.DiscardJournal()
-	l.refreshGenesisDigest()
+	l.ResealGenesis()
 	if err != nil {
 		return Address{}, fmt.Errorf("evm: genesis create: %w", err)
 	}
@@ -244,15 +193,6 @@ func (l *Ledger) GenesisCreate(from Address, initCode []byte, gas uint64) (Addre
 		return Address{}, fmt.Errorf("evm: genesis create reverted")
 	}
 	return addr, nil
-}
-
-// refreshGenesisDigest recomputes the pre-block-1 digest after genesis
-// mutations so replicas with identical genesis share digests from the
-// start.
-func (l *Ledger) refreshGenesisDigest() {
-	if l.lastSeq == 0 {
-		l.digest = stateDigest(0, l.stateMap.Digest(), merkle.NewTree(nil).Root())
-	}
 }
 
 // Balance reads an account balance.
@@ -371,144 +311,11 @@ func (l *Ledger) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
 		l.state.DiscardJournal()
 		results[i] = rcpt.Encode()
 	}
-	kvRoot := l.stateMap.Digest()
-	leaves := make([][]byte, len(ops))
-	for i := range ops {
-		leaves[i] = execLeaf(i, ops[i], results[i])
-	}
-	tree := merkle.NewTree(leaves)
-	l.executed[seq] = &execRecord{tree: tree, kvRoot: kvRoot, ops: ops, results: results}
-	l.lastSeq = seq
-	l.digest = stateDigest(seq, kvRoot, tree.Root())
+	l.Seal(seq, ops, results)
 	return results
 }
 
-// Digest returns the state digest after the last executed block.
-func (l *Ledger) Digest() []byte { return append([]byte(nil), l.digest...) }
-
-// LastExecuted reports the last executed sequence number.
-func (l *Ledger) LastExecuted() uint64 { return l.lastSeq }
-
-// Proof mirrors kvstore.Proof for contract transactions.
-type Proof struct {
-	Seq    uint64
-	L      int
-	Op     []byte
-	Val    []byte
-	KVRoot merkle.Digest
-	Path   merkle.Proof
-}
-
-// ProveOperation builds the proof for transaction l of block seq.
-func (l *Ledger) ProveOperation(seq uint64, idx int) (Proof, error) {
-	rec, ok := l.executed[seq]
-	if !ok {
-		return Proof{}, fmt.Errorf("%w: seq %d", ErrUnknownBlock, seq)
-	}
-	if idx < 0 || idx >= len(rec.ops) {
-		return Proof{}, fmt.Errorf("evm: tx index %d out of range [0,%d)", idx, len(rec.ops))
-	}
-	path, err := rec.tree.Prove(idx)
-	if err != nil {
-		return Proof{}, err
-	}
-	return Proof{
-		Seq: seq, L: idx,
-		Op:     rec.ops[idx],
-		Val:    rec.results[idx],
-		KVRoot: rec.kvRoot,
-		Path:   path,
-	}, nil
-}
-
-// Verify is the client-side proof check against an f+1-signed digest.
-func Verify(digest []byte, op, val []byte, seq uint64, idx int, p Proof) error {
-	if p.Seq != seq || p.L != idx || p.Path.Index != idx {
-		return fmt.Errorf("%w: binding mismatch", ErrBadProof)
-	}
-	if !bytes.Equal(p.Op, op) || !bytes.Equal(p.Val, val) {
-		return fmt.Errorf("%w: op/result mismatch", ErrBadProof)
-	}
-	root := merkle.LeafHash(execLeaf(idx, op, val))
-	for _, st := range p.Path.Steps {
-		if st.Right {
-			root = merkle.InteriorHash(root, st.Hash)
-		} else {
-			root = merkle.InteriorHash(st.Hash, root)
-		}
-	}
-	if !bytes.Equal(stateDigest(seq, p.KVRoot, root), digest) {
-		return fmt.Errorf("%w: digest mismatch", ErrBadProof)
-	}
-	return nil
-}
-
-// GarbageCollect drops execution records below keepFrom.
-func (l *Ledger) GarbageCollect(keepFrom uint64) {
-	for seq := range l.executed {
-		if seq < keepFrom {
-			delete(l.executed, seq)
-		}
-	}
-}
-
-// Snapshot serializes the ledger state for state transfer through the
-// canonical snapcodec framing: replicas with identical state produce
-// identical bytes in every process (gob could not promise that — its
-// wire format embeds process-global type ids).
-func (l *Ledger) Snapshot() ([]byte, error) {
-	return snapcodec.Encode(snapcodec.FromMap(l.lastSeq, l.digest, l.stateMap.Snapshot())), nil
-}
-
-// SnapshotChunks is the incremental capture path: the bucketed canonical
-// snapshot as a chunk list, re-encoding only buckets the write hook saw
-// mutate since the previous capture.
-func (l *Ledger) SnapshotChunks() ([][]byte, bool, error) {
-	chunks, _ := l.tracker.EncodeChunks(l.lastSeq, l.digest)
-	return chunks, true, nil
-}
-
-// Restore replaces the ledger state from a snapshot (either framing). A
-// bucketed snapshot also seeds the tracker's encoding cache.
-func (l *Ledger) Restore(data []byte) error {
-	if snapcodec.IsBucketed(data) {
-		snap, chunks, err := snapcodec.DecodeBucketed(data)
-		if err != nil {
-			return fmt.Errorf("evm: decoding snapshot: %w", err)
-		}
-		l.stateMap.Restore(snap.ToMap())
-		l.state = NewMapState(l.stateMap)
-		l.state.SetWriteHook(l.trackWrite)
-		l.reinstallGuard()
-		l.tracker.Restore(snap, len(chunks)-1, chunks)
-		l.lastSeq = snap.LastSeq
-		l.digest = snap.Digest
-		l.executed = make(map[uint64]*execRecord)
-		return nil
-	}
-	snap, err := snapcodec.Decode(data)
-	if err != nil {
-		return fmt.Errorf("evm: decoding snapshot: %w", err)
-	}
-	l.stateMap.Restore(snap.ToMap())
-	l.state = NewMapState(l.stateMap)
-	l.state.SetWriteHook(l.trackWrite)
-	l.reinstallGuard()
-	l.tracker = snapcodec.NewTracker(l.tracker.Buckets())
-	for _, e := range snap.Entries {
-		l.tracker.Set(e.Key, e.Val)
-	}
-	l.lastSeq = snap.LastSeq
-	l.digest = snap.Digest
-	l.executed = make(map[uint64]*execRecord)
-	return nil
-}
-
-// Results returns retained receipts for an executed block.
-func (l *Ledger) Results(seq uint64) ([][]byte, bool) {
-	rec, ok := l.executed[seq]
-	if !ok {
-		return nil, false
-	}
-	return rec.results, true
+// Verify is kvstore.VerifyProof for smart-contract clients.
+func Verify(digest []byte, op, val []byte, seq uint64, idx int, p kvstore.Proof) error {
+	return kvstore.VerifyProof(stateTag, digest, op, val, seq, idx, p)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"sbft/internal/kvstore"
 )
 
 func deployTokenTx(from Address) []byte {
@@ -165,10 +167,10 @@ func TestLedgerProofs(t *testing.T) {
 	if err := Verify(d, ops[0], res[0], 1, 0, p); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if err := Verify(d, ops[0], []byte("forged"), 1, 0, p); !errors.Is(err, ErrBadProof) {
+	if err := Verify(d, ops[0], []byte("forged"), 1, 0, p); !errors.Is(err, kvstore.ErrBadProof) {
 		t.Fatalf("forged result accepted: err=%v", err)
 	}
-	if _, err := l.ProveOperation(5, 0); !errors.Is(err, ErrUnknownBlock) {
+	if _, err := l.ProveOperation(5, 0); !errors.Is(err, kvstore.ErrUnknownBlock) {
 		t.Fatalf("err=%v, want ErrUnknownBlock", err)
 	}
 	if _, err := l.ProveOperation(1, 3); err == nil {

@@ -1,8 +1,9 @@
 // Package evm implements the smart-contract execution layer of the SBFT
 // blockchain (§IV, §VIII): a deterministic stack-based virtual machine
-// executing a substantial subset of EVM bytecode over an authenticated
-// key-value state, plus the two Ethereum transaction types the paper models
-// (contract creation and contract execution).
+// executing a substantial subset of EVM bytecode over the authenticated
+// state of package kvstore (kvstore.AuthState: digests, proofs, snapshots),
+// plus the two Ethereum transaction types the paper models (contract
+// creation and contract execution).
 //
 // Substitutions from the real EVM, documented in DESIGN.md: the hashing
 // opcode uses SHA-256 (stdlib) instead of Keccak-256, and gas costs are a

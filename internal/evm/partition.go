@@ -67,10 +67,6 @@ func (l *Ledger) Partition(shard, shards int) {
 	l.state.SetGuard(l.guardKey)
 }
 
-// Shard reports the ledger's shard id and total shard count (0,0 when
-// partitioning is not enabled).
-func (l *Ledger) Shard() (int, int) { return l.shardID, l.shards }
-
 // LockAccount parks an account: transactions writing it roll back with a
 // "locked" receipt until UnlockAccount. The lock set is deterministic
 // only if driven identically on every replica of the group — it is the
@@ -87,18 +83,7 @@ func (l *Ledger) LockAccount(a Address) {
 // UnlockAccount releases a parked account.
 func (l *Ledger) UnlockAccount(a Address) { delete(l.lockedAccounts, a.hex()) }
 
-// LockedAccounts reports how many accounts are currently parked.
-func (l *Ledger) LockedAccounts() int { return len(l.lockedAccounts) }
-
 func (a Address) hex() string { return hexStr(a[:]) }
-
-// reinstallGuard re-attaches the guard after Restore swaps the MapState
-// out (state transfer must not silently un-partition a replica).
-func (l *Ledger) reinstallGuard() {
-	if l.shards > 0 || l.lockedAccounts != nil {
-		l.state.SetGuard(l.guardKey)
-	}
-}
 
 // guardKey is the MapState write guard: foreign partition first, then
 // the lock set.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
-
-	"sbft/internal/merkle"
 )
 
 // AddressSize is the byte length of an account address.
@@ -54,7 +52,7 @@ func WordFromUint64(v uint64) Word {
 var u256Mask = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
 
 // State is the world-state interface the VM executes against. The ledger
-// implementation stores everything in an authenticated merkle.Map so the
+// implementation stores everything in its authenticated state so the
 // post-execution digest commits to the entire contract state (§IV).
 type State interface {
 	GetBalance(Address) *big.Int
@@ -71,7 +69,8 @@ type State interface {
 	RevertTo(int)
 }
 
-// MapState implements State over an authenticated merkle.Map with an undo
+// MapState implements State over an authenticated key-value map (the
+// ledger's kvstore.AuthState; a bare merkle.Map in VM tests) with an undo
 // journal for snapshots. Key layout (all printable prefixes for
 // debuggability):
 //
@@ -80,12 +79,8 @@ type State interface {
 //	c/<addr-hex>           code
 //	s/<addr-hex>/<key-hex> storage word
 type MapState struct {
-	m       *merkle.Map
+	m       kvMap
 	journal []journalEntry
-	// onWrite observes every map mutation (writes, deletions, and journal
-	// rollbacks alike) so the ledger's incremental snapshot tracker stays
-	// an exact mirror of the authenticated map.
-	onWrite func(key string, val []byte, deleted bool)
 	// guard vets every write key BEFORE it reaches the map (partition.go:
 	// sharded deployments refuse writes to foreign or locked accounts). A
 	// rejected write is dropped and recorded as the transaction's sticky
@@ -102,21 +97,15 @@ type journalEntry struct {
 	existed bool
 }
 
+// kvMap is the map a MapState reads and writes.
+type kvMap interface {
+	Get(key string) ([]byte, bool)
+	Set(key string, val []byte)
+	Delete(key string)
+}
+
 // NewMapState wraps an authenticated map as EVM world state.
-func NewMapState(m *merkle.Map) *MapState { return &MapState{m: m} }
-
-// SetWriteHook registers fn to observe every subsequent mutation of the
-// underlying map, including RevertTo rollbacks (which bypass the normal
-// set/del funnel on purpose — they must not re-journal).
-func (s *MapState) SetWriteHook(fn func(key string, val []byte, deleted bool)) {
-	s.onWrite = fn
-}
-
-func (s *MapState) notify(key string, val []byte, deleted bool) {
-	if s.onWrite != nil {
-		s.onWrite(key, val, deleted)
-	}
-}
+func NewMapState(m kvMap) *MapState { return &MapState{m: m} }
 
 var _ State = (*MapState)(nil)
 
@@ -173,7 +162,6 @@ func (s *MapState) set(key string, val []byte) {
 	prev, existed := s.m.Get(key)
 	s.journal = append(s.journal, journalEntry{key: key, prev: prev, existed: existed})
 	s.m.Set(key, val)
-	s.notify(key, val, false)
 }
 
 func (s *MapState) del(key string) {
@@ -186,7 +174,6 @@ func (s *MapState) del(key string) {
 	}
 	s.journal = append(s.journal, journalEntry{key: key, prev: prev, existed: true})
 	s.m.Delete(key)
-	s.notify(key, nil, true)
 }
 
 // GetBalance implements State.
@@ -270,10 +257,8 @@ func (s *MapState) RevertTo(mark int) {
 		e := s.journal[i]
 		if e.existed {
 			s.m.Set(e.key, e.prev)
-			s.notify(e.key, e.prev, false)
 		} else {
 			s.m.Delete(e.key)
-			s.notify(e.key, nil, true)
 		}
 	}
 	s.journal = s.journal[:mark]

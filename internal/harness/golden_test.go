@@ -1,0 +1,94 @@
+package harness
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"sbft/internal/cluster"
+)
+
+// goldenRuns pins the default path bit for bit: seeds 1–20 of five chaos
+// generators, each run reduced to a fingerprint line and the twenty lines
+// of a generator hashed into one constant. The constants were captured at
+// the commit before the retired-arms deletion pass (two separate
+// processes agreeing) and a zero-behaviour-change refactor must leave
+// them alone; a PR that moves one on purpose says so in CHANGES.md. On a
+// mismatch the test logs every seed's line, so diffing the log of this
+// commit against its parent's names the first seed that moved.
+var goldenRuns = []struct {
+	name string
+	gen  ScenarioGen
+	want string
+}{
+	{"default", DefaultGen, "8daa9d99a40f355adc58ac2122547e2cf6bdba341c1a17e803106b4b1befe857"},
+	{"byzantine", ByzantineGen, "3291c65c277bff3ef6035a4b403a635143f9547a1628ec5bd978a315fa308a9a"},
+	{"recovery", RecoveryGen, "2599cc082b821ca14e854ac5c3b96aaac87747cdeede7c2745d00ae025ba4bbf"},
+	{"reads", ReadGen, "448e9594fdc551c06c3184a94cd5df20a09b4807ed7fc4b08dbdd3721eaac03c"},
+	{"evm", EVMGen, "d2756d6515b502c254cee86dfcc1ce724564c5af1a20825d1845a85e2cd97cc4"},
+}
+
+// runFingerprint runs one scenario and renders what the run did: client
+// operations completed, simulated time consumed (to the last completion
+// and in total), messages sent, sequences audited, and every replica's
+// last-executed sequence, view and application state digest.
+func runFingerprint(s Scenario) (string, error) {
+	var replicas strings.Builder
+	var msgs uint64
+	var now int64
+	check := s.Check
+	s.Check = func(cl *cluster.Cluster) string {
+		msgs, now = cl.Net.MsgsSent, int64(cl.Sched.Now())
+		for id := 1; id <= cl.N; id++ {
+			var last, view uint64
+			switch {
+			case cl.Replicas != nil && cl.Replicas[id] != nil:
+				last, view = cl.Replicas[id].LastExecuted(), cl.Replicas[id].View()
+			case cl.PBFTReplicas != nil && cl.PBFTReplicas[id] != nil:
+				last, view = cl.PBFTReplicas[id].LastExecuted(), cl.PBFTReplicas[id].View()
+			}
+			fmt.Fprintf(&replicas, " r%d=%d/%d/%x", id, last, view, cl.Apps[id].Digest())
+		}
+		if check != nil {
+			return check(cl)
+		}
+		return ""
+	}
+	rep, err := Run(s)
+	if err != nil {
+		return "", err
+	}
+	if rep.Failed() {
+		return "", errors.New(rep.Summary())
+	}
+	return fmt.Sprintf("%s ops=%d/%d dur=%d now=%d msgs=%d seqs=%d%s",
+		s.Name, rep.Completed, rep.Expected, int64(rep.Result.Duration), now, msgs,
+		rep.Audit.SeqsAudited, replicas.String()), nil
+}
+
+func TestGoldenRunFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 chaos runs skipped in -short mode")
+	}
+	for _, g := range goldenRuns {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			h := sha256.New()
+			var lines []string
+			for _, seed := range SeedRange(1, 20) {
+				fp, err := runFingerprint(g.gen(seed))
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				line := fmt.Sprintf("seed %d: %s", seed, fp)
+				lines = append(lines, line)
+				fmt.Fprintln(h, line)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != g.want {
+				t.Errorf("fingerprint %s, want %s\n%s", got, g.want, strings.Join(lines, "\n"))
+			}
+		})
+	}
+}

@@ -106,10 +106,6 @@ func (s *Store) EnableSharding(shard, shards int, verify CertVerifier) {
 	s.certVerify = verify
 }
 
-// Shard reports the store's shard id and total shard count (0,0 when
-// sharding is not enabled).
-func (s *Store) Shard() (int, int) { return s.shardID, s.shards }
-
 // TxStats implements core.TwoPhaser: cumulative prepares staged, commits
 // applied and aborts applied since process start.
 func (s *Store) TxStats() (prepares, commits, aborts uint64) {
@@ -133,24 +129,11 @@ func (s *Store) userKeyError(key string, write bool) []byte {
 		return []byte("ERR:wrong-shard")
 	}
 	if write {
-		if _, locked := s.state.Get(txLockKey(key)); locked {
+		if _, locked := s.Get(txLockKey(key)); locked {
 			return []byte("ERR:locked")
 		}
 	}
 	return nil
-}
-
-// setTx writes a reserved 2PC state entry through both the state map and
-// the snapshot tracker (the same funnel user writes take).
-func (s *Store) setTx(key string, val []byte) {
-	s.state.Set(key, val)
-	s.tracker.Set(key, val)
-}
-
-// delTx removes a reserved 2PC state entry.
-func (s *Store) delTx(key string) {
-	s.state.Delete(key)
-	s.tracker.Delete(key)
 }
 
 // TxPrepare encodes a prepare op: txid, the full (deduplicated, sorted)
@@ -213,15 +196,6 @@ func dedupShards(shards []int) []int {
 		}
 	}
 	return out[:w]
-}
-
-// DecodeTxPrepare parses a prepare op's participant list and staged
-// writes.
-func DecodeTxPrepare(op Op) (participants []int, writes [][]byte, err error) {
-	if op.Kind != OpTxPrepare {
-		return nil, nil, fmt.Errorf("%w: kind %d is not a prepare", ErrBadOp, op.Kind)
-	}
-	return decodePreparePayload(op.Value)
 }
 
 func decodePreparePayload(payload []byte) (parts []int, writes [][]byte, err error) {
@@ -307,7 +281,7 @@ func decodeAbortPayload(payload []byte) (refuser int, cert []byte, err error) {
 // txid, no later prepare may succeed — otherwise commit evidence and
 // abort evidence for the same transaction could both exist.
 func (s *Store) refuse(txid, reason string) []byte {
-	s.setTx(txDoneKey(txid), []byte("a"))
+	s.Set(txDoneKey(txid), []byte("a"))
 	return []byte("CONFLICT:" + reason)
 }
 
@@ -317,13 +291,13 @@ func (s *Store) applyTxPrepare(op Op) []byte {
 	if txid == "" {
 		return []byte("ERR:empty-txid")
 	}
-	if done, ok := s.state.Get(txDoneKey(txid)); ok {
+	if done, ok := s.Get(txDoneKey(txid)); ok {
 		if string(done) == "c" {
 			return []byte(TxCommitted)
 		}
 		return []byte(TxAborted)
 	}
-	if rec, ok := s.state.Get(txRecKey(txid)); ok {
+	if rec, ok := s.Get(txRecKey(txid)); ok {
 		// Idempotent re-prepare: coordinators (original or recovery)
 		// resubmit prepares to refetch lost certificates. A DIFFERENT
 		// payload under the same txid is neither acceptance nor refusal —
@@ -367,15 +341,15 @@ func (s *Store) applyTxPrepare(op Op) []byte {
 		if !s.ownsKey(wo.Key) {
 			return s.refuse(txid, "wrong-shard")
 		}
-		if holder, locked := s.state.Get(txLockKey(wo.Key)); locked && string(holder) != txid {
+		if holder, locked := s.Get(txLockKey(wo.Key)); locked && string(holder) != txid {
 			return s.refuse(txid, "locked")
 		}
 	}
 	// All checks passed: stage the record and take the locks.
-	s.setTx(txRecKey(txid), append([]byte(nil), op.Value...))
+	s.Set(txRecKey(txid), append([]byte(nil), op.Value...))
 	for _, w := range writes {
 		wo, _ := DecodeOp(w)
-		s.setTx(txLockKey(wo.Key), []byte(txid))
+		s.Set(txLockKey(wo.Key), []byte(txid))
 	}
 	s.txPrepares++
 	return []byte(TxPrepared)
@@ -389,13 +363,13 @@ func (s *Store) applyTxCommit(op Op) []byte {
 	if txid == "" {
 		return []byte("ERR:empty-txid")
 	}
-	if done, ok := s.state.Get(txDoneKey(txid)); ok {
+	if done, ok := s.Get(txDoneKey(txid)); ok {
 		if string(done) == "c" {
 			return []byte(TxCommitted) // idempotent retry
 		}
 		return []byte("ERR:aborted")
 	}
-	rec, ok := s.state.Get(txRecKey(txid))
+	rec, ok := s.Get(txRecKey(txid))
 	if !ok {
 		return []byte("ERR:not-prepared")
 	}
@@ -425,18 +399,16 @@ func (s *Store) applyTxCommit(op Op) []byte {
 	// Commit: release locks, apply staged writes, record the decision.
 	for _, w := range writes {
 		wo, _ := DecodeOp(w)
-		s.delTx(txLockKey(wo.Key))
+		s.Delete(txLockKey(wo.Key))
 		switch wo.Kind {
 		case OpPut:
-			s.state.Set(wo.Key, wo.Value)
-			s.tracker.Set(wo.Key, wo.Value)
+			s.Set(wo.Key, wo.Value)
 		case OpDelete:
-			s.state.Delete(wo.Key)
-			s.tracker.Delete(wo.Key)
+			s.Delete(wo.Key)
 		}
 	}
-	s.delTx(txRecKey(txid))
-	s.setTx(txDoneKey(txid), []byte("c"))
+	s.Delete(txRecKey(txid))
+	s.Set(txDoneKey(txid), []byte("c"))
 	s.txCommits++
 	return []byte(TxCommitted)
 }
@@ -451,7 +423,7 @@ func (s *Store) applyTxAbort(op Op) []byte {
 	if txid == "" {
 		return []byte("ERR:empty-txid")
 	}
-	if done, ok := s.state.Get(txDoneKey(txid)); ok {
+	if done, ok := s.Get(txDoneKey(txid)); ok {
 		if string(done) == "a" {
 			return []byte(TxAborted) // idempotent retry
 		}
@@ -467,17 +439,17 @@ func (s *Store) applyTxAbort(op Op) []byte {
 	if err := s.certVerify(refuser, txid, false, cert); err != nil {
 		return []byte("ERR:bad-cert")
 	}
-	if rec, ok := s.state.Get(txRecKey(txid)); ok {
+	if rec, ok := s.Get(txRecKey(txid)); ok {
 		if _, writes, err := decodePreparePayload(rec); err == nil {
 			for _, w := range writes {
 				if wo, err := DecodeOp(w); err == nil {
-					s.delTx(txLockKey(wo.Key))
+					s.Delete(txLockKey(wo.Key))
 				}
 			}
 		}
-		s.delTx(txRecKey(txid))
+		s.Delete(txRecKey(txid))
 	}
-	s.setTx(txDoneKey(txid), []byte("a"))
+	s.Set(txDoneKey(txid), []byte("a"))
 	s.txAborts++
 	return []byte(TxAborted)
 }
@@ -499,13 +471,13 @@ func RefusalVal(val []byte) bool {
 // TxState reports this shard's local decision for txid: "committed",
 // "aborted", "prepared" (staged, undecided) or "none".
 func (s *Store) TxState(txid string) string {
-	if done, ok := s.state.Get(txDoneKey(txid)); ok {
+	if done, ok := s.Get(txDoneKey(txid)); ok {
 		if string(done) == "c" {
 			return "committed"
 		}
 		return "aborted"
 	}
-	if _, ok := s.state.Get(txRecKey(txid)); ok {
+	if _, ok := s.Get(txRecKey(txid)); ok {
 		return "prepared"
 	}
 	return "none"
@@ -515,7 +487,7 @@ func (s *Store) TxState(txid string) string {
 // lock, sorted — the harness auditor's lock-leak probe.
 func (s *Store) LockedKeys() []string {
 	var keys []string
-	for k := range s.state.Snapshot() {
+	for _, k := range s.Keys() {
 		if strings.HasPrefix(k, txLockPrefix) {
 			keys = append(keys, strings.TrimPrefix(k, txLockPrefix))
 		}
@@ -528,7 +500,7 @@ func (s *Store) LockedKeys() []string {
 // sorted.
 func (s *Store) PendingTxs() []string {
 	var ids []string
-	for k := range s.state.Snapshot() {
+	for _, k := range s.Keys() {
 		if strings.HasPrefix(k, txRecPrefix) {
 			ids = append(ids, strings.TrimPrefix(k, txRecPrefix))
 		}

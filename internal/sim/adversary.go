@@ -51,24 +51,6 @@ func (a *Adversary) PartitionWindow(from, until time.Duration, groups map[NodeID
 	}
 }
 
-// StragglerWindow slows a node by extra between from and until (0 = keep).
-func (a *Adversary) StragglerWindow(from, until time.Duration, id NodeID, extra time.Duration) {
-	a.at(from, func() { a.net.SetStraggler(id, extra) })
-	if until > 0 {
-		a.at(until, func() { a.net.SetStraggler(id, 0) })
-	}
-}
-
-// LinkFaultWindow applies a drop/duplicate/reorder fault on the directed
-// link fromNode → toNode (either may be AnyNode) between from and until
-// (0 = keep).
-func (a *Adversary) LinkFaultWindow(from, until time.Duration, fromNode, toNode NodeID, f LinkFault) {
-	a.at(from, func() { a.net.SetLinkFault(fromNode, toNode, f) })
-	if until > 0 {
-		a.at(until, func() { a.net.SetLinkFault(fromNode, toNode, LinkFault{}) })
-	}
-}
-
 // CorrupterWindow installs a Byzantine outbound interceptor on a node at
 // `from` and clears it at `until` (0 = keep). While installed, every send
 // of the node is rewritten by c (equivocation, mutation, replay,

@@ -520,6 +520,3 @@ func (n *Network) scheduleDelivery(from, to NodeID, msg any, size int, d time.Du
 
 // Scheduler exposes the underlying scheduler (for timers).
 func (n *Network) Scheduler() *Scheduler { return n.sched }
-
-// Region reports the region of a node.
-func (n *Network) Region(id NodeID) int { return n.regionOf[id] }

@@ -120,13 +120,14 @@ var VerifyEVM core.ProofVerifier = apps.VerifyEVM
 const ClientBase = core.ClientBase
 
 // DealInsecureSuite deals simulation-grade threshold keys (deterministic
-// from seed). Production deployments use DealSuite with threshrsa.Dealer.
+// from seed). Real keys come from DealSuite with threshbls.Dealer.
 func DealInsecureSuite(cfg Config, seed string) (CryptoSuite, []ReplicaKeys, error) {
 	return core.InsecureSuite(cfg, seed)
 }
 
 // DealSuite deals a suite from any threshold-signature dealer
-// (e.g. threshrsa.Dealer for real RSA threshold keys).
+// (threshbls.Dealer for the threshold BLS keys the paper's system signs
+// with, §III).
 func DealSuite(cfg Config, dealer threshsig.Dealer) (CryptoSuite, []ReplicaKeys, error) {
 	return core.DealSuite(cfg, dealer)
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"sbft"
-	"sbft/internal/crypto/threshrsa"
+	"sbft/internal/crypto/threshbls"
 	"sbft/internal/crypto/threshsig"
 )
 
@@ -50,12 +50,9 @@ func TestFacadeConfigAndOps(t *testing.T) {
 	}
 }
 
-func TestFacadeDealSuiteWithRealRSA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("safe-prime generation is slow")
-	}
+func TestFacadeDealSuiteWithRealBLS(t *testing.T) {
 	cfg := sbft.DefaultConfig(1, 0)
-	suite, keys, err := sbft.DealSuite(cfg, threshrsa.Dealer{ModulusBits: 512})
+	suite, keys, err := sbft.DealSuite(cfg, threshbls.Dealer{})
 	if err != nil {
 		t.Fatalf("DealSuite: %v", err)
 	}

@@ -1,10 +1,9 @@
 // Recovery-latency benchmarks for the windowed state-transfer subsystem:
 // BenchmarkStateTransfer measures (in simulated time) how long a replica
 // that missed several checkpoint intervals takes to catch up through
-// verified chunked state transfer over a lossy link, comparing the
-// pre-windowed baseline (every missing chunk requested at once, loss
-// recovered only by the whole-transfer retry) against the windowed,
-// flow-controlled fetch with per-chunk retries. Together with
+// verified chunked state transfer over a lossy link — the windowed,
+// flow-controlled fetch with per-chunk retries, from nothing and as a
+// delta against a generation the victim still holds. Together with
 // BenchmarkCheckpointCapture (internal/core) it emits the repo's
 // BENCH_*.json trajectory points: set SBFT_BENCH_JSON to a directory to
 // write BENCH_state_transfer.json there.
@@ -12,6 +11,7 @@ package sbft_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -24,11 +24,61 @@ import (
 
 var stateTransferJSON = benchjson.New("state_transfer", "simulated-recovery-ms")
 
+// followUpHorizon bounds the light traffic that runs beside a recovery;
+// a recovery latency at or above it means the victim never caught up.
+const followUpHorizon = 10 * time.Minute
+
+// timeRecovery recovers crashed replica 4 behind a lossy inbound link —
+// chunk replies get dropped, so per-chunk loss recovery dominates — and
+// returns the virtual time, in milliseconds, from recovery until its
+// LastExecuted() first reaches frontier, with its metrics at that
+// instant. A poll scheduled every millisecond records the crossing;
+// reading the clock and the counters after the workload driver returns
+// would measure the simulator going idle instead (RunClosedLoop runs
+// 50 000 events at a time and overshoots) and fold later transfers into
+// the counters. Light follow-up traffic keeps checkpoints announcing so
+// the recovering replica notices its gap.
+func timeRecovery(b *testing.B, cl *cluster.Cluster, frontier uint64, val []byte) (float64, core.Metrics) {
+	b.Helper()
+	victim := cl.Replicas[4]
+	cl.Net.SetLinkFault(sim.AnyNode, 4, sim.LinkFault{Drop: 0.15})
+	cl.Net.Recover(4)
+	start := cl.Sched.Now()
+	crossed := time.Duration(-1)
+	var atCrossing core.Metrics
+	var poll func()
+	poll = func() {
+		switch {
+		case victim.LastExecuted() >= frontier:
+			crossed = cl.Sched.Now() - start
+			atCrossing = victim.Metrics
+		case cl.Sched.Now()-start < followUpHorizon:
+			cl.Sched.Schedule(time.Millisecond, poll)
+		}
+	}
+	poll()
+	more := cl.RunClosedLoop(4, func(client, i int) []byte {
+		return kvstore.Put(fmt.Sprintf("post/c%d/k%d", client, i), val)
+	}, followUpHorizon)
+	if more.Completed != 8 {
+		b.Fatalf("follow-up completed %d of 8", more.Completed)
+	}
+	for crossed < 0 && cl.Sched.Now()-start < followUpHorizon {
+		cl.Run(10 * time.Millisecond)
+	}
+	if crossed < 0 || crossed >= followUpHorizon {
+		b.Fatalf("recovery did not complete: le=%d, frontier=%d (chunks=%d retries=%d)",
+			victim.LastExecuted(), frontier,
+			victim.Metrics.SnapshotChunks, victim.Metrics.SnapshotChunkRetries)
+	}
+	return float64(crossed) / float64(time.Millisecond), atCrossing
+}
+
 // recoveryLatency builds a 4-replica SBFT cluster, crashes replica 4
 // through the whole workload (several checkpoint intervals of history),
-// then recovers it behind a lossy inbound link and measures the simulated
-// time until it executes past the pre-recovery stable frontier.
-func recoveryLatency(b *testing.B, valSize, ops int, tune func(*core.Config)) float64 {
+// then recovers it and measures the simulated time until it executes
+// past the pre-recovery stable frontier.
+func recoveryLatency(b *testing.B, valSize, ops int) float64 {
 	b.Helper()
 	netCfg := sim.ContinentProfile(7)
 	cl, err := cluster.New(cluster.Options{
@@ -40,7 +90,6 @@ func recoveryLatency(b *testing.B, valSize, ops int, tune func(*core.Config)) fl
 			c.Batch = 1
 			c.CheckpointInterval = 4
 			c.ViewChangeTimeout = 2 * time.Second
-			tune(c)
 		},
 	})
 	if err != nil {
@@ -64,29 +113,8 @@ func recoveryLatency(b *testing.B, valSize, ops int, tune func(*core.Config)) fl
 	if frontier == 0 {
 		b.Fatal("no stable checkpoint built")
 	}
-
-	// Recover behind a lossy inbound link: chunk replies get dropped, so
-	// loss recovery (per-chunk retry vs whole-transfer restart) dominates.
-	cl.Net.SetLinkFault(sim.AnyNode, 4, sim.LinkFault{Drop: 0.15})
-	cl.Net.Recover(4)
-	start := cl.Sched.Now()
-	// Light follow-up traffic keeps checkpoints announcing so the
-	// recovering replica notices its gap.
-	more := cl.RunClosedLoop(4, func(client, i int) []byte {
-		return kvstore.Put(fmt.Sprintf("post/c%d/k%d", client, i), val)
-	}, 10*time.Minute)
-	if more.Completed != 8 {
-		b.Fatalf("follow-up completed %d of 8", more.Completed)
-	}
-	for i := 0; cl.Replicas[4].LastExecuted() < frontier && i < 1200; i++ {
-		cl.Run(100 * time.Millisecond)
-	}
-	if cl.Replicas[4].LastExecuted() < frontier {
-		b.Fatalf("recovery did not complete: le=%d, frontier=%d (chunks=%d retries=%d)",
-			cl.Replicas[4].LastExecuted(), frontier,
-			cl.Replicas[4].Metrics.SnapshotChunks, cl.Replicas[4].Metrics.SnapshotChunkRetries)
-	}
-	return float64(cl.Sched.Now()-start) / float64(time.Millisecond)
+	latency, _ := timeRecovery(b, cl, frontier, val)
+	return latency
 }
 
 // deltaRecoveryLatency measures catch-up of a replica that crashes
@@ -96,7 +124,8 @@ func recoveryLatency(b *testing.B, valSize, ops int, tune func(*core.Config)) fl
 // delta against the base generation it still holds. retain tunes
 // Config.SnapshotRetain — 1 disables the generation chain, forcing a
 // full transfer of the same workload (the no-delta baseline). Returns
-// the simulated recovery time plus the victim's reuse/restart counters.
+// the simulated recovery time plus the victim's reuse/restart counters
+// at the moment it caught up.
 func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64, retain int) (float64, core.Metrics) {
 	b.Helper()
 	netCfg := sim.ContinentProfile(7)
@@ -134,71 +163,45 @@ func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64, retain i
 	}
 
 	// Down window: 2 clients × 8 = 16 blocks = 4 checkpoint intervals,
-	// rewriting only dirtyFrac of the phase-1 keys.
+	// rewriting only dirtyFrac of the phase-1 keys (rounded up to whole
+	// keys) with DIFFERENT bytes — rewriting the bytes phase 1 wrote
+	// leaves every chunk clean whatever the fraction.
 	cl.Net.Crash(4)
-	span := int(float64(perClient) * dirtyFrac)
-	if span < 1 {
-		span = 1
+	span := int(math.Ceil(perClient * dirtyFrac))
+	rewritten := make([]byte, valSize)
+	for i := range rewritten {
+		rewritten[i] = ^val[i]
 	}
 	gone := cl.RunClosedLoop(8, func(client, i int) []byte {
-		return kvstore.Put(fmt.Sprintf("c%d/k%d", client, i%span), val)
+		return kvstore.Put(fmt.Sprintf("c%d/k%d", client, i%span), rewritten)
 	}, 10*time.Minute)
 	if gone.Completed != 16 {
 		b.Fatalf("down-window completed %d of 16", gone.Completed)
 	}
-	frontier := cl.Replicas[1].LastStable()
-
-	cl.Net.SetLinkFault(sim.AnyNode, 4, sim.LinkFault{Drop: 0.15})
-	cl.Net.Recover(4)
-	start := cl.Sched.Now()
-	more := cl.RunClosedLoop(4, func(client, i int) []byte {
-		return kvstore.Put(fmt.Sprintf("post/c%d/k%d", client, i), val)
-	}, 10*time.Minute)
-	if more.Completed != 8 {
-		b.Fatalf("follow-up completed %d of 8", more.Completed)
-	}
-	for i := 0; cl.Replicas[4].LastExecuted() < frontier && i < 1200; i++ {
-		cl.Run(100 * time.Millisecond)
-	}
-	if cl.Replicas[4].LastExecuted() < frontier {
-		b.Fatalf("recovery did not complete: le=%d, frontier=%d",
-			cl.Replicas[4].LastExecuted(), frontier)
-	}
-	return float64(cl.Sched.Now()-start) / float64(time.Millisecond), cl.Replicas[4].Metrics
+	return timeRecovery(b, cl, cl.Replicas[1].LastStable(), val)
 }
 
-// BenchmarkStateTransfer compares recovery latency of the serial
-// request-per-chunk baseline (unbounded blast, whole-transfer retry only
-// — the pre-windowed behavior, reproduced via config) against the
-// windowed fetch, at a small and a large (multi-MiB) application state;
-// the delta/* points then compare delta transfer against a base the
-// victim already holds (dirty fraction of the key space rewritten while
-// it was down) with the full transfer the same workload costs when the
-// generation chain is disabled (SnapshotRetain=1).
+// BenchmarkStateTransfer reports recovery latency of the windowed fetch
+// at a small and a large (multi-MiB) application state; the delta/*
+// points then compare delta transfer against a base the victim already
+// holds (dirty fraction of the key space rewritten while it was down)
+// with the full transfer the same workload costs when the generation
+// chain is disabled (SnapshotRetain=1).
 func BenchmarkStateTransfer(b *testing.B) {
-	serial := func(c *core.Config) {
-		c.FetchWindow = 1 << 20  // effectively unbounded: all chunks at once
-		c.ChunkRetryTimeout = -1 // no per-chunk retry
-		c.SnapshotMetaWait = -1  // first-accepted meta
-	}
-	windowed := func(c *core.Config) {} // defaults: window 32, retries on
 	cases := []struct {
 		name    string
 		valSize int
 		ops     int
-		tune    func(*core.Config)
 	}{
-		{"small/serial", 512, 12, serial},
-		{"small/windowed", 512, 12, windowed},
-		{"large/serial", 32 * 1024, 48, serial},
-		{"large/windowed", 32 * 1024, 48, windowed},
+		{"small/windowed", 512, 12},
+		{"large/windowed", 32 * 1024, 48},
 	}
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				total += recoveryLatency(b, tc.valSize, tc.ops, tc.tune)
+				total += recoveryLatency(b, tc.valSize, tc.ops)
 			}
 			ms := total / float64(b.N)
 			b.ReportMetric(ms, "simulated-recovery-ms")
@@ -218,6 +221,7 @@ func BenchmarkStateTransfer(b *testing.B) {
 		{"delta/dirty100", 1.00, 8},
 		{"delta/fullbase", 0.01, 1}, // chain disabled: full transfer baseline
 	}
+	reused := make(map[string]uint64)
 	for _, tc := range deltaCases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
@@ -229,9 +233,8 @@ func BenchmarkStateTransfer(b *testing.B) {
 				m = vm
 			}
 			// A transfer against a held base must reuse chunks and never
-			// restart; the no-chain baseline must not claim reuse (it is
-			// allowed to restart — that is the pre-delta behavior it
-			// demonstrates).
+			// restart; without the generation chain nothing can be
+			// reused (and the transfer is allowed to restart).
 			if tc.retain > 1 {
 				if m.SnapshotChunksReused == 0 {
 					b.Fatalf("delta transfer reused no chunks (fetched=%d)", m.SnapshotChunks)
@@ -242,6 +245,7 @@ func BenchmarkStateTransfer(b *testing.B) {
 			} else if m.SnapshotChunksReused != 0 {
 				b.Fatalf("baseline without a generation chain reused %d chunks", m.SnapshotChunksReused)
 			}
+			reused[tc.name] = m.SnapshotChunksReused
 			ms := total / float64(b.N)
 			b.ReportMetric(ms, "simulated-recovery-ms")
 			b.ReportMetric(float64(m.SnapshotChunksReused), "chunks-reused")
@@ -249,5 +253,12 @@ func BenchmarkStateTransfer(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+	// The dirty fraction must reach the chunks: rewriting everything has
+	// to leave fewer clean chunks to reuse than rewriting one key.
+	lo, okLo := reused["delta/dirty1"]
+	hi, okHi := reused["delta/dirty100"]
+	if okLo && okHi && hi >= lo {
+		b.Fatalf("delta/dirty100 reused %d chunks, delta/dirty1 %d: the down window dirtied nothing", hi, lo)
 	}
 }
