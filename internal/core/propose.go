@@ -1,0 +1,244 @@
+package core
+
+import "time"
+
+// ---------------------------------------------------------------------------
+// Request handling and proposing (primary).
+
+func (r *Replica) onRequest(from int, m RequestMsg) {
+	req := m.Req
+	// Reply from cache for already-executed requests (retries).
+	if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
+		if ent.timestamp == req.Timestamp {
+			r.env.Send(req.Client, ReplyMsg{
+				Seq: ent.seq, L: ent.l, Replica: r.id, View: r.view,
+				Client: req.Client, Timestamp: ent.timestamp, Val: ent.val,
+			})
+		}
+		return
+	}
+	// Admission control (§V-C backpressure): a full pending queue rejects
+	// new work instead of queueing it — under open-loop overload an
+	// unbounded queue (and the seen/watch maps that shadow it) trades
+	// memory and tail latency for zero extra throughput. The primary
+	// answers with a retry hint; a backup just declines to retain the
+	// request (its copy only matters if it becomes primary, by which time
+	// the client will have retried). Requests already admitted (covered by
+	// `seen`) fall through to the normal dedup paths.
+	if limit := r.maxPending(); len(r.pending) >= limit {
+		if known, ok := r.seen[req.Client]; !ok || known < req.Timestamp {
+			r.Metrics.AdmissionRejects++
+			if r.isPrimary() && IsClient(from) {
+				r.env.Send(req.Client, BusyMsg{
+					Client: req.Client, Timestamp: req.Timestamp, RetryAfter: r.retryHint(),
+				})
+			} else if !r.isPrimary() && IsClient(from) {
+				// The primary runs its own admission and may have room.
+				r.env.Send(r.cfg.Primary(r.view), m)
+			}
+			return
+		}
+	}
+	if w, ok := r.watch[req.Client]; !ok || w.ts < req.Timestamp {
+		r.watch[req.Client] = watchEntry{ts: req.Timestamp, since: r.env.Now()}
+	}
+	if !r.isPrimary() {
+		// Forward to the primary and watch for progress (§V-A retry path:
+		// a request reaching a backup arms the liveness timer, §VII).
+		if IsClient(from) {
+			r.env.Send(r.cfg.Primary(r.view), m)
+		}
+		r.notePending(req) // retained so a future primary can propose it
+		r.armProgressTimer()
+		return
+	}
+	r.notePending(req)
+	r.armProgressTimer()
+	r.proposeIfReady(false)
+}
+
+// pendingIdxAdd records a queued request in the client index.
+func (r *Replica) pendingIdxAdd(req Request) {
+	set := r.pendingIdx[req.Client]
+	if set == nil {
+		set = make(map[uint64]bool, 1)
+		r.pendingIdx[req.Client] = set
+	}
+	set[req.Timestamp] = true
+}
+
+// pendingIdxDel removes a dequeued request from the client index.
+func (r *Replica) pendingIdxDel(req Request) {
+	set := r.pendingIdx[req.Client]
+	if set == nil {
+		return
+	}
+	delete(set, req.Timestamp)
+	if len(set) == 0 {
+		delete(r.pendingIdx, req.Client)
+	}
+}
+
+// notePending enqueues a request if it is new.
+func (r *Replica) notePending(req Request) {
+	if ts, ok := r.seen[req.Client]; ok && ts >= req.Timestamp {
+		return
+	}
+	r.seen[req.Client] = req.Timestamp
+	r.pending = append(r.pending, req)
+	r.pendingIdxAdd(req)
+	r.armBatchTimer()
+}
+
+// requeue re-adds a request to the pending queue unless it has already
+// executed or is already covered by the queue, bypassing the `seen` dedup
+// (which tracks proposed-but-possibly-lost requests). Used at view
+// installation so requests stuck in slots the new view did not adopt are
+// proposed again; the exactly-once execution filter makes a redundant
+// re-proposal harmless.
+func (r *Replica) requeue(req Request) {
+	if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
+		return
+	}
+	// Already queued (same timestamp), or superseded by a LATER queued
+	// operation of the same client: clients are sequential, so a queued
+	// higher timestamp proves the client saw this operation complete —
+	// re-proposing it could only be deduplicated again at execution.
+	// Checked against the client index instead of scanning the whole
+	// queue (a 10k-deep queue at view installation made this O(n²)).
+	for ts := range r.pendingIdx[req.Client] {
+		if ts >= req.Timestamp {
+			return
+		}
+	}
+	r.pending = append(r.pending, req)
+	r.pendingIdxAdd(req)
+	if ts := r.seen[req.Client]; ts < req.Timestamp {
+		r.seen[req.Client] = req.Timestamp
+	}
+}
+
+// armBatchTimer ensures a pending-but-unproposed request cannot starve:
+// whenever the primary holds pending requests, a batch timer is running.
+func (r *Replica) armBatchTimer() {
+	if !r.isPrimary() || len(r.pending) == 0 || r.batchTimer != nil || r.cfg.BatchTimeout <= 0 {
+		return
+	}
+	r.batchTimer = r.env.After(r.cfg.BatchTimeout, func() {
+		r.batchTimer = nil
+		r.proposeIfReady(true)
+	})
+}
+
+// activeWindow is the number of blocks committed in parallel by the
+// primary: ⌊(n−1)/(c+1)⌋, capped by win/2 (§VIII).
+func (r *Replica) activeWindow() uint64 {
+	aw := uint64((r.cfg.N() - 1) / (r.cfg.C + 1))
+	if aw < 1 {
+		aw = 1
+	}
+	if aw > r.cfg.Win/2 {
+		aw = r.cfg.Win / 2
+	}
+	return aw
+}
+
+// adaptiveBatch implements the paper's heuristic: pending divided by half
+// the allowed concurrency, clamped to [1, Batch] (§V-C, §VIII).
+func (r *Replica) adaptiveBatch() int {
+	half := int(r.activeWindow() / 2)
+	if half < 1 {
+		half = 1
+	}
+	b := len(r.pending) / half
+	if b < 1 {
+		b = 1
+	}
+	if b > r.cfg.Batch {
+		b = r.cfg.Batch
+	}
+	return b
+}
+
+// maxPending is the admission bound on the pending queue (§V-C
+// backpressure). The derived default keeps several full windows of
+// max-sized blocks queued — enough to ride out proposal bursts without
+// letting queueing delay dominate client latency.
+func (r *Replica) maxPending() int {
+	if r.cfg.MaxPending > 0 {
+		return r.cfg.MaxPending
+	}
+	return 4 * r.cfg.Batch * int(r.activeWindow())
+}
+
+// retryHint estimates when a rejected client should retry: the time to
+// drain about half the queue at the batch cadence, clamped to keep a
+// momentarily deep queue from parking clients for long.
+func (r *Replica) retryHint() time.Duration {
+	per := r.cfg.BatchTimeout
+	if per <= 0 {
+		per = 10 * time.Millisecond
+	}
+	blocks := len(r.pending) / (2 * r.cfg.Batch)
+	d := time.Duration(blocks+1) * per
+	if d > 2*time.Second {
+		d = 2 * time.Second
+	}
+	return d
+}
+
+// outstanding counts proposed-but-uncommitted sequence numbers.
+func (r *Replica) outstanding() uint64 {
+	var n uint64
+	for seq := r.windowBase + 1; seq < r.nextSeq; seq++ {
+		if s, ok := r.slots[seq]; !ok || !s.committed {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *Replica) proposeIfReady(timerFired bool) {
+	if !r.isPrimary() || r.inViewChange {
+		return
+	}
+	// Whatever stops the proposal loop, leftover pending requests must
+	// have a running batch timer to pick them up.
+	defer r.armBatchTimer()
+	for {
+		if len(r.pending) == 0 {
+			return
+		}
+		if !timerFired && len(r.pending) < r.adaptiveBatch() {
+			return
+		}
+		if r.outstanding() >= r.activeWindow() {
+			return
+		}
+		if r.nextSeq > r.windowBase+r.cfg.Win {
+			return
+		}
+		// §V-C: the adaptive heuristic sizes the block, not just the
+		// proposal gate — cutting cfg.Batch here would propose max-sized
+		// blocks whenever enough requests piled up, and the pending/(aw/2)
+		// shaping would never reach the wire. Timer-fired proposals may
+		// still cut below the heuristic (whatever is pending goes out).
+		batch := r.adaptiveBatch()
+		if len(r.pending) < batch {
+			batch = len(r.pending)
+		}
+		reqs := make([]Request, batch)
+		copy(reqs, r.pending[:batch])
+		for _, req := range reqs {
+			r.pendingIdxDel(req)
+		}
+		r.pending = r.pending[batch:]
+		seq := r.nextSeq
+		r.nextSeq++
+		pp := PrePrepareMsg{Seq: seq, View: r.view, Reqs: reqs}
+		r.tracef("propose seq=%d batch=%d", seq, len(reqs))
+		r.broadcast(pp)
+		r.acceptPrePrepare(r.id, pp)
+		timerFired = false // only force one under-sized batch per timer
+	}
+}
