@@ -531,6 +531,11 @@ func (cl *Cluster) Metrics() core.Metrics {
 		m.FastPathDowngrades += rm.FastPathDowngrades
 		m.ExecFallbacks += rm.ExecFallbacks
 		m.ViewRejoins += rm.ViewRejoins
+		m.AdmissionRejects += rm.AdmissionRejects
+		m.Proposals += rm.Proposals
+		m.ProposedOps += rm.ProposedOps
+		m.Holds += rm.Holds
+		m.TimerProposals += rm.TimerProposals
 		m.BadShares += rm.BadShares
 		m.ReadsServed += rm.ReadsServed
 		m.ReadsBehind += rm.ReadsBehind

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
-// Tests for the §V-C throughput satellites: adaptive-batch block sizing,
-// batch-timer re-arming, the requeue client index, seen GC, and
+// Tests for the proposal rule (propose.go) and the §V-C satellites around
+// it: batch-timer re-arming, the requeue client index, seen GC, and
 // admission control.
 
 // fillPending stuffs the queue directly through notePending (one request
@@ -17,84 +18,170 @@ func fillPending(rg *rig, n int) {
 	}
 }
 
-// proposedSizes returns the block size of each distinct proposed
-// sequence, in proposal order.
-func proposedSizes(rg *rig) []int {
+// request delivers operation ts of client i, from that client.
+func (rg *rig) request(i int, ts uint64) {
+	c := ClientBase + i
+	rg.r.Deliver(c, RequestMsg{Req: Request{Client: c, Timestamp: ts, Op: []byte("op")}})
+}
+
+// requests delivers operation 1 of clients from..to.
+func (rg *rig) requests(from, to int) {
+	for i := from; i <= to; i++ {
+		rg.request(i, 1)
+	}
+}
+
+// proposed returns the first pre-prepare sent for each sequence, in
+// proposal order.
+func proposed(rg *rig) []PrePrepareMsg {
 	seen := map[uint64]bool{}
-	var sizes []int
+	var pps []PrePrepareMsg
 	for _, s := range rg.env.sent {
 		if pp, ok := s.msg.(PrePrepareMsg); ok && !seen[pp.Seq] {
 			seen[pp.Seq] = true
-			sizes = append(sizes, len(pp.Reqs))
+			pps = append(pps, pp)
 		}
+	}
+	return pps
+}
+
+// proposedSizes returns the block size of each distinct proposed
+// sequence, in proposal order.
+func proposedSizes(rg *rig) []int {
+	var sizes []int
+	for _, pp := range proposed(rg) {
+		sizes = append(sizes, len(pp.Reqs))
 	}
 	return sizes
 }
 
-func TestAdaptiveBatchSizing(t *testing.T) {
-	// f=2, c=1: n=9, activeWindow = ⌊8/2⌋ = 4, half = 2, Batch = 64.
-	// The §V-C heuristic must shape every cut block to pending/half — not
-	// just gate the proposal and then cut up to cfg.Batch (the bug this
-	// pins): with the bug, the first block of every case would be
-	// min(depth, 64).
+// commitSeq delivers the σ certificate of the block proposed at seq.
+func (rg *rig) commitSeq(seq uint64) {
+	rg.t.Helper()
+	for _, pp := range proposed(rg) {
+		if pp.Seq == seq {
+			rg.r.Deliver(2, (&syncRig{rg}).fastProof(rg.t, seq, pp.View, pp.Reqs))
+			return
+		}
+	}
+	rg.t.Fatalf("sequence %d was never proposed", seq)
+}
+
+func TestProposalRule(t *testing.T) {
+	// n=4, c=0: activeWindow = 3. The rig has no batch timer unless a case
+	// sets BatchTimeout, so whatever a case releases, a commit released.
+	timeout := func(c *Config) { c.BatchTimeout = 20 * time.Millisecond }
 	cases := []struct {
-		name  string
-		depth int
-		want  []int
+		name   string
+		tune   func(*Config)
+		run    func(rg *rig)
+		blocks []int  // size of every block proposed, in order
+		queued int    // requests left in the queue
+		holds  uint64 // Metrics.Holds
+		timer  uint64 // Metrics.TimerProposals
 	}{
-		// Timer-fired proposals may go under-sized: whatever is pending
-		// goes out.
-		{"single", 1, []int{1}},
-		// Partial load: sizes track pending/half and shrink as the queue
-		// drains; all strictly below cfg.Batch.
-		{"partial", 10, []int{5, 2, 1, 1}},
-		// Entering saturation: first block exactly cfg.Batch, then the
-		// heuristic backs off with the queue.
-		{"saturating", 128, []int{64, 32, 16, 8}},
-		// Saturated: max-sized blocks until the window fills.
-		{"saturated", 256, []int{64, 64, 64, 32}},
+		{"idle: an immediate singleton", nil,
+			func(rg *rig) { rg.request(0, 1) }, []int{1}, 0, 0, 0},
+		{"behind a slot in flight, from the third client on: held", nil,
+			func(rg *rig) { rg.requests(0, 4) }, []int{1, 1}, 3, 3, 0},
+		{"the slot's commit releases them as one block, no timer fire", timeout,
+			func(rg *rig) { rg.requests(0, 4); rg.commitSeq(1) }, []int{1, 1, 3}, 0, 3, 0},
+		{"two clients: never held", nil,
+			func(rg *rig) {
+				rg.requests(0, 1)
+				rg.commitSeq(1)
+				rg.request(0, 2)
+				rg.commitSeq(2)
+				rg.request(1, 2)
+			}, []int{1, 1, 1, 1}, 0, 0, 0},
+		{"the third client may be the one that committed last", nil,
+			func(rg *rig) {
+				rg.request(2, 1)
+				rg.commitSeq(1)
+				rg.request(0, 1) // idle again: at once
+				rg.request(1, 1) // behind client 0, and client 2 is due back
+			}, []int{1, 1}, 1, 1, 0},
+		{"a queue reaching Batch opens another slot, up to activeWindow", // n=7: 6
+			func(c *Config) { c.F = 2; c.Batch = 2 },
+			func(rg *rig) { rg.requests(0, 11) }, []int{1, 1, 2, 2, 2, 2}, 2, 4, 0},
+		{"the admission bound is a full batch when it is lower",
+			func(c *Config) { c.MaxPending = 2 },
+			func(rg *rig) { rg.requests(0, 3) }, []int{1, 1, 2}, 0, 1, 0},
+		{"BatchTimeout releases a held batch into a window with room", timeout,
+			func(rg *rig) { rg.requests(0, 3); rg.env.advance(20 * time.Millisecond) }, []int{1, 1, 2}, 0, 2, 1},
+		{"a commit restarts the timer: a later hold gets its full wait", timeout,
+			func(rg *rig) {
+				rg.requests(0, 4)
+				rg.env.advance(15 * time.Millisecond)
+				rg.commitSeq(1) // releases clients 2–4; their timer is void
+				rg.requests(5, 7)
+				rg.env.advance(15 * time.Millisecond) // 30 ms after the first arming
+			}, []int{1, 1, 3}, 3, 6, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rg := newRig(t, 1, func(c *Config) { c.F = 2; c.C = 1 })
-			fillPending(rg, tc.depth)
-			rg.r.proposeIfReady(true)
+			rg := newRig(t, 1, tc.tune)
+			tc.run(rg)
 			got := proposedSizes(rg)
-			if len(got) != len(tc.want) {
-				t.Fatalf("proposed %v, want %v", got, tc.want)
+			if !slices.Equal(got, tc.blocks) {
+				t.Fatalf("proposed %v, want %v", got, tc.blocks)
 			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("proposed %v, want %v", got, tc.want)
-				}
+			ops := 0
+			for _, n := range got {
+				ops += n
 			}
-			if tc.depth < 128 {
-				for _, sz := range got {
-					if sz >= rg.cfg.Batch {
-						t.Fatalf("partial load proposed a max-sized block: %v", got)
-					}
-				}
-			} else if got[0] != rg.cfg.Batch {
-				t.Fatalf("saturated first block = %d, want cfg.Batch = %d", got[0], rg.cfg.Batch)
+			m := rg.r.Metrics
+			if m.Proposals != uint64(len(got)) || m.ProposedOps != uint64(ops) {
+				t.Errorf("Proposals/ProposedOps = %d/%d, want %d/%d", m.Proposals, m.ProposedOps, len(got), ops)
+			}
+			if len(rg.r.pending) != tc.queued || m.Holds != tc.holds || m.TimerProposals != tc.timer {
+				t.Errorf("queued/Holds/TimerProposals = %d/%d/%d, want %d/%d/%d",
+					len(rg.r.pending), m.Holds, m.TimerProposals, tc.queued, tc.holds, tc.timer)
+			}
+			if (rg.r.batchTimer != nil) != (tc.queued > 0 && rg.cfg.BatchTimeout > 0) {
+				t.Errorf("batch timer armed = %v with %d queued", rg.r.batchTimer != nil, tc.queued)
 			}
 		})
 	}
 }
 
+func TestViewInstallationReleasesHeld(t *testing.T) {
+	// Replica 2 is the primary of view 1. In view 0 it holds the primary's
+	// slot 1 uncommitted and retains three clients' requests; installing
+	// view 1 adopts slot 1 (in flight again) and must send out everything
+	// queued — the retained three and slot 1's own request — as one block,
+	// not hold it behind the adopted slot.
+	rg := newRig(t, 2, nil)
+	rg.r.Deliver(1, PrePrepareMsg{Seq: 1, View: 0, Reqs: []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("op")}}})
+	rg.requests(1, 3)
+	for _, id := range []int{3, 4} {
+		rg.r.Deliver(id, vcMsg(id))
+	}
+	if rg.r.View() != 1 || rg.r.InViewChange() {
+		t.Fatalf("view 1 not installed: view=%d inViewChange=%v", rg.r.View(), rg.r.InViewChange())
+	}
+	var got []PrePrepareMsg
+	for _, pp := range proposed(rg) {
+		if pp.View == 1 {
+			got = append(got, pp)
+		}
+	}
+	if len(got) != 1 || got[0].Seq != 2 || len(got[0].Reqs) != 4 || len(rg.r.pending) != 0 {
+		t.Fatalf("installation proposed %+v with %d still queued, want one block of 4 at sequence 2", got, len(rg.r.pending))
+	}
+}
+
 func TestBatchTimerReArmsWhenWindowFull(t *testing.T) {
-	rg := newRig(t, 1, func(c *Config) { c.BatchTimeout = 20 * time.Millisecond })
-	// n=4, c=0: activeWindow = 3. Fill it with three size-1 blocks.
-	for i := 0; i < 3; i++ {
-		rg.r.Deliver(ClientBase+i, RequestMsg{Req: Request{Client: ClientBase + i, Timestamp: 1, Op: []byte("op")}})
+	rg := newRig(t, 1, func(c *Config) { c.BatchTimeout = 20 * time.Millisecond; c.Batch = 2 })
+	// n=4, c=0: activeWindow = 3. Clients 0 and 1 go at once, a full batch
+	// of two fills the window.
+	rg.requests(0, 3)
+	if got := proposedSizes(rg); !slices.Equal(got, []int{1, 1, 2}) {
+		t.Fatalf("window fill proposed %v, want [1 1 2]", got)
 	}
-	if got := len(proposedSizes(rg)); got != 3 {
-		t.Fatalf("window fill proposed %d blocks, want 3", got)
-	}
-	// More arrivals queue up behind the full window; the batch timer must
-	// be armed so they cannot starve.
-	for i := 3; i < 5; i++ {
-		rg.r.Deliver(ClientBase+i, RequestMsg{Req: Request{Client: ClientBase + i, Timestamp: 1, Op: []byte("op")}})
-	}
+	// More arrivals queue up behind the full window — a full batch and
+	// more; the batch timer must be armed so they cannot starve.
+	rg.requests(4, 6)
 	if got := len(proposedSizes(rg)); got != 3 {
 		t.Fatalf("proposed %d blocks through a full window", got)
 	}
@@ -111,37 +198,20 @@ func TestBatchTimerReArmsWhenWindowFull(t *testing.T) {
 	if rg.r.batchTimer == nil {
 		t.Fatal("batch timer not re-armed after firing into a full window")
 	}
-	// Commit the three outstanding blocks; the next timer fire must flush
-	// the queued requests.
-	for seq := uint64(1); seq <= 3; seq++ {
-		var reqs []Request
-		for _, s := range rg.env.sent {
-			if pp, ok := s.msg.(PrePrepareMsg); ok && pp.Seq == seq {
-				reqs = pp.Reqs
-				break
-			}
-		}
-		h := BlockHash(seq, 0, reqs)
-		var shares []threshShare
-		for i := 1; i <= rg.cfg.QuorumFast(); i++ {
-			sh, err := rg.keys[i-1].Sigma.Sign(h[:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			shares = append(shares, sh)
-		}
-		sigma, err := rg.suite.Sigma.Combine(h[:], shares)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg.r.Deliver(2, FullCommitProofMsg{Seq: seq, View: 0, Sigma: sigma})
+	// A commit drains the queue itself: the full batch goes into the slot
+	// it frees, and the request left over into the next one freed. Neither
+	// waits for the next arrival or the timer.
+	rg.commitSeq(1)
+	if got := proposedSizes(rg); !slices.Equal(got, []int{1, 1, 2, 2}) || len(rg.r.pending) != 1 {
+		t.Fatalf("first commit: proposed %v with %d queued, want a fourth block of 2 and 1 queued", got, len(rg.r.pending))
 	}
-	rg.env.advance(20 * time.Millisecond)
-	if got := len(proposedSizes(rg)); got != 4 {
-		t.Fatalf("queued requests not flushed after the window drained: %d blocks", got)
+	rg.commitSeq(2)
+	if got := proposedSizes(rg); !slices.Equal(got, []int{1, 1, 2, 2, 1}) || len(rg.r.pending) != 0 {
+		t.Fatalf("second commit: proposed %v with %d queued", got, len(rg.r.pending))
 	}
-	if len(rg.r.pending) != 0 {
-		t.Fatalf("%d requests still pending", len(rg.r.pending))
+	if rg.r.Metrics.TimerProposals != 0 || rg.r.batchTimer != nil {
+		t.Fatalf("TimerProposals = %d, timer armed = %v after commits drained the queue",
+			rg.r.Metrics.TimerProposals, rg.r.batchTimer != nil)
 	}
 }
 
@@ -252,21 +322,23 @@ func TestSeenGCAfterExecution(t *testing.T) {
 
 func TestAdmissionRejectAtPrimary(t *testing.T) {
 	rg := newRig(t, 1, func(c *Config) { c.MaxPending = 2 })
-	// Fill the window (activeWindow = 3 at n=4) so proposals stop and the
-	// queue can actually fill.
-	for i := 0; i < 3; i++ {
-		rg.r.Deliver(ClientBase+i, RequestMsg{Req: Request{Client: ClientBase + i, Timestamp: 1, Op: []byte("op")}})
+	// A queue at its bound counts as a full batch and is proposed while the
+	// window has room (activeWindow = 3 at n=4), so nothing is rejected on
+	// the way to a full window: clients 0 and 1 go at once, 2 and 3 as the
+	// block that fills it.
+	rg.requests(0, 3)
+	if got := proposedSizes(rg); !slices.Equal(got, []int{1, 1, 2}) || rg.r.Metrics.AdmissionRejects != 0 {
+		t.Fatalf("proposed %v with %d rejects while the window had room", got, rg.r.Metrics.AdmissionRejects)
 	}
-	// Two more are admitted into the bounded queue.
-	for i := 3; i < 5; i++ {
-		rg.r.Deliver(ClientBase+i, RequestMsg{Req: Request{Client: ClientBase + i, Timestamp: 1, Op: []byte("op")}})
-	}
+	// Two more are admitted into the bounded queue behind the full window.
+	rg.requests(4, 5)
 	if len(rg.r.pending) != 2 {
 		t.Fatalf("pending = %d, want 2", len(rg.r.pending))
 	}
-	// The sixth client hits the bound: BusyMsg with a positive retry hint,
-	// and no replica state retained for the rejected request.
-	rejected := ClientBase + 5
+	// The seventh client hits the bound with the window full: BusyMsg with a
+	// positive retry hint, and no replica state retained for the rejected
+	// request.
+	rejected := ClientBase + 6
 	rg.r.Deliver(rejected, RequestMsg{Req: Request{Client: rejected, Timestamp: 1, Op: []byte("op")}})
 	var busy *BusyMsg
 	for _, s := range rg.env.sent {
@@ -296,7 +368,7 @@ func TestAdmissionRejectAtPrimary(t *testing.T) {
 	}
 	// A retry of an ALREADY-ADMITTED request passes the gate and hits the
 	// normal dedup paths — no spurious reject.
-	rg.r.Deliver(ClientBase+4, RequestMsg{Req: Request{Client: ClientBase + 4, Timestamp: 1, Op: []byte("op")}})
+	rg.request(5, 1)
 	if rg.r.Metrics.AdmissionRejects != 1 {
 		t.Fatalf("admitted request's retry rejected: AdmissionRejects = %d", rg.r.Metrics.AdmissionRejects)
 	}

@@ -19,10 +19,10 @@ type Config struct {
 
 	// Win bounds outstanding decision blocks (paper: 256).
 	Win uint64
-	// Batch is the minimum client operations per block before the batch
-	// timer forces one out.
+	// Batch is the most client operations a block carries — a maximum, not
+	// a minimum: a queue that deep is proposed without waiting for a commit.
 	Batch int
-	// BatchTimeout bounds how long the primary waits to fill a batch.
+	// BatchTimeout is the longest a held request waits (propose.go).
 	BatchTimeout time.Duration
 	// MaxPending bounds the admission queue (§V-C backpressure): a request
 	// arriving while len(pending) ≥ MaxPending is rejected with a BusyMsg

@@ -476,13 +476,27 @@ func (a *gcApp) ProveOperation(seq uint64, l int) ([]byte, error) {
 }
 
 func TestExecAcksSurviveCheckpointGC(t *testing.T) {
-	// Benchmark finding 1: with a sink installed, a checkpoint can
-	// stabilize — collecting the slots and the application's proof
-	// material below it — while an E-collector's π(d) combine for one of
-	// those blocks is still in flight. Its clients must get their
-	// execute-acks all the same.
+	// A checkpoint can stabilize — collecting the slots and the
+	// application's proof material below it — before an E-collector has
+	// acked one of those blocks: its π(d) combine is still in flight on the
+	// sink (benchmark finding 1), or the second π share has yet to arrive
+	// (a lone client on a WAN). The collector keeps such a slot for one
+	// stable point, its clients get their execute-acks all the same, and no
+	// straggler brings a collected slot back.
+	for _, tc := range []struct {
+		name       string
+		shareFirst bool
+	}{
+		{"combine in flight", true},
+		{"share after the checkpoint", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { execAcksSurviveCheckpointGC(t, tc.shareFirst) })
+	}
+}
+
+func execAcksSurviveCheckpointGC(t *testing.T, shareFirst bool) {
 	cfg := DefaultConfig(1, 0)
-	const seq, ckpt = 1, 2
+	const seq, ckpt = 1, 4 // replica 2 collects for 1, 2 and 4; slot 3 is collected
 	id := cfg.ECollectors(seq, 0)[0]
 	rg := newRig(t, id, func(c *Config) { c.CheckpointInterval = ckpt; c.Win = 8 })
 	app := &gcApp{}
@@ -491,63 +505,65 @@ func TestExecAcksSurviveCheckpointGC(t *testing.T) {
 	rg.r.SetCryptoSink(sink)
 	peer := id%cfg.N() + 1
 
-	blocks := [][]Request{
-		{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}, {Client: ClientBase + 1, Timestamp: 1, Op: []byte("y")}},
-		{{Client: ClientBase + 2, Timestamp: 1, Op: []byte("z")}},
+	commitBlock := func(n uint64, reqs []Request) {
+		rg.r.Deliver(1, PrePrepareMsg{Seq: n, View: 0, Reqs: reqs})
+		rg.r.Deliver(1, (&syncRig{rg}).fastProof(t, n, 0, reqs))
 	}
-	for i, reqs := range blocks {
-		n := uint64(i + 1)
-		h := BlockHash(n, 0, reqs)
-		var shares []threshsig.Share
-		for _, k := range rg.keys {
-			sh, err := k.Sigma.Sign(h[:])
-			if err != nil {
-				t.Fatal(err)
+	// stabilize completes the f+1 checkpoint quorum at n with one peer's
+	// share: checked as one job, then combined.
+	stabilize := func(n uint64) {
+		var root []byte
+		for _, s := range rg.env.sent {
+			if m, ok := s.msg.(CheckpointShareMsg); ok && m.Seq == n {
+				root = m.Digest
 			}
-			shares = append(shares, sh)
 		}
-		sigma, err := rg.suite.Sigma.Combine(h[:], shares)
+		digest := CheckpointSigDigest(n, root)
+		ck, err := rg.keys[peer-1].Pi.Sign(digest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg.r.Deliver(1, PrePrepareMsg{Seq: n, View: 0, Reqs: reqs})
-		rg.r.Deliver(1, FullCommitProofMsg{Seq: n, View: 0, Sigma: sigma})
+		rg.r.Deliver(peer, CheckpointShareMsg{Seq: n, Replica: peer, Digest: root, PiSig: ck})
+		if len(sink.verifies) != 1 || len(sink.verifies[0].jobs[0].Shares) != cfg.QuorumExec() {
+			t.Fatalf("checkpoint quorum not staged as one verify job: %+v", sink.verifies)
+		}
+		sink.releaseVerify()
+		sink.releaseCombineOver(t, digest)
+		if rg.r.LastStable() != n || app.keepFrom != n {
+			t.Fatalf("checkpoint not stable: ls=%d keepFrom=%d", rg.r.LastStable(), app.keepFrom)
+		}
+	}
+
+	blocks := [][]Request{
+		{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}, {Client: ClientBase + 1, Timestamp: 1, Op: []byte("y")}},
+		{{Client: ClientBase + 2, Timestamp: 1, Op: []byte("z")}},
+		{{Client: ClientBase + 3, Timestamp: 1, Op: []byte("z")}},
+		{{Client: ClientBase + 4, Timestamp: 1, Op: []byte("z")}},
+	}
+	for i, reqs := range blocks {
+		commitBlock(uint64(i+1), reqs)
 	}
 	if rg.r.LastExecuted() != ckpt {
 		t.Fatalf("blocks not executed: le=%d", rg.r.LastExecuted())
 	}
 
-	// One peer's sign-state and checkpoint shares complete both f+1 quorums.
-	var root []byte
-	for _, s := range rg.env.sent {
-		if m, ok := s.msg.(CheckpointShareMsg); ok {
-			root = m.Digest
-		}
-	}
-	piDigest, ckptDigest := stateSigDigest(seq, []byte{1}), CheckpointSigDigest(ckpt, root)
+	// One peer's sign-state share completes the f+1 π quorum of seq, before
+	// the checkpoint or after it.
+	piDigest := stateSigDigest(seq, []byte{1})
 	pi, err := rg.keys[peer-1].Pi.Sign(piDigest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg.r.Deliver(peer, SignStateMsg{Seq: seq, Replica: peer, Digest: []byte{1}, PiSig: pi})
-	ck, err := rg.keys[peer-1].Pi.Sign(ckptDigest)
-	if err != nil {
-		t.Fatal(err)
+	signState := SignStateMsg{Seq: seq, Replica: peer, Digest: []byte{1}, PiSig: pi}
+	if shareFirst {
+		rg.r.Deliver(peer, signState)
 	}
-	rg.r.Deliver(peer, CheckpointShareMsg{Seq: ckpt, Replica: peer, Digest: root, PiSig: ck})
-
-	// The checkpoint completes first — its shares checked as one job, then
-	// combined — and collects slot and proofs.
-	if len(sink.verifies) != 1 || len(sink.verifies[0].jobs[0].Shares) != cfg.QuorumExec() {
-		t.Fatalf("checkpoint quorum not staged as one verify job: %+v", sink.verifies)
+	stabilize(ckpt)
+	if s := rg.r.slots[seq]; s == nil || !s.executed || s.execAcked {
+		t.Fatalf("the unacked slot did not survive the checkpoint as executed: %+v", s)
 	}
-	sink.releaseVerify()
-	sink.releaseCombineOver(t, ckptDigest)
-	if rg.r.LastStable() != ckpt || app.keepFrom != ckpt {
-		t.Fatalf("checkpoint not stable: ls=%d keepFrom=%d", rg.r.LastStable(), app.keepFrom)
-	}
-	if _, live := rg.r.slots[seq]; live {
-		t.Fatal("slot survived the checkpoint: the test does not cover the race")
+	if !shareFirst {
+		rg.r.Deliver(peer, signState)
 	}
 	sink.releaseCombineOver(t, piDigest)
 	acked := map[int]bool{}
@@ -557,7 +573,35 @@ func TestExecAcksSurviveCheckpointGC(t *testing.T) {
 		}
 	}
 	if len(acked) != len(blocks[0]) {
-		t.Fatalf("execute-acks reached %d of %d clients after the block was collected", len(acked), len(blocks[0]))
+		t.Fatalf("execute-acks reached %d of %d clients after the checkpoint", len(acked), len(blocks[0]))
+	}
+
+	// Stragglers for the collected sequences find what was kept or nothing:
+	// none of them files a slot at or below the stable point.
+	kept := len(rg.r.slots)
+	if kept >= ckpt {
+		t.Fatalf("%d of %d slots kept: no collected sequence to aim a straggler at", kept, ckpt)
+	}
+	for n := uint64(1); n <= ckpt; n++ {
+		for _, m := range []Message{
+			rg.signShare(peer, n, 0, blocks[n-1], true),
+			FullCommitProofMsg{Seq: n}, PrepareMsg{Seq: n}, CommitMsg{Seq: n, Replica: peer},
+			FullCommitProofSlowMsg{Seq: n}, SignStateMsg{Seq: n, Replica: peer, Digest: []byte{9}},
+		} {
+			rg.r.Deliver(peer, m)
+		}
+	}
+	if len(rg.r.slots) != kept {
+		t.Fatalf("stragglers filed %d slots at or below the stable point", len(rg.r.slots)-kept)
+	}
+
+	// The next stable point collects the kept slot.
+	for n := uint64(ckpt + 1); n <= 2*ckpt; n++ {
+		commitBlock(n, []Request{{Client: ClientBase + 4 + int(n), Timestamp: 1, Op: []byte("w")}})
+	}
+	stabilize(2 * ckpt)
+	if oldest := rg.r.OldestSlot(); oldest != 0 && oldest <= ckpt {
+		t.Fatalf("a slot at %d outlived the second stable point %d", oldest, 2*ckpt)
 	}
 }
 

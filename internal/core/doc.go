@@ -35,6 +35,7 @@
 //	              Application, CryptoSuite/ReplicaKeys dealing
 //	messages.go   every wire message + WireSize estimates
 //	replica.go    the Replica event machine (Deliver is the single entry)
+//	propose.go    request admission and the primary's proposal rule
 //	certstate.go  certified execution state: canonical reply table,
 //	              chunked Merkle-committed snapshots, signing digests
 //	viewchange.go view-change timers, safe-value computation, new-view

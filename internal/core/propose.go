@@ -2,9 +2,6 @@ package core
 
 import "time"
 
-// ---------------------------------------------------------------------------
-// Request handling and proposing (primary).
-
 func (r *Replica) onRequest(from int, m RequestMsg) {
 	req := m.Req
 	// Reply from cache for already-executed requests (retries).
@@ -42,17 +39,12 @@ func (r *Replica) onRequest(from int, m RequestMsg) {
 	if w, ok := r.watch[req.Client]; !ok || w.ts < req.Timestamp {
 		r.watch[req.Client] = watchEntry{ts: req.Timestamp, since: r.env.Now()}
 	}
-	if !r.isPrimary() {
+	if !r.isPrimary() && IsClient(from) {
 		// Forward to the primary and watch for progress (§V-A retry path:
 		// a request reaching a backup arms the liveness timer, §VII).
-		if IsClient(from) {
-			r.env.Send(r.cfg.Primary(r.view), m)
-		}
-		r.notePending(req) // retained so a future primary can propose it
-		r.armProgressTimer()
-		return
+		r.env.Send(r.cfg.Primary(r.view), m)
 	}
-	r.notePending(req)
+	r.notePending(req) // a backup retains it so a future primary can propose it
 	r.armProgressTimer()
 	r.proposeIfReady(false)
 }
@@ -120,13 +112,16 @@ func (r *Replica) requeue(req Request) {
 
 // armBatchTimer ensures a pending-but-unproposed request cannot starve:
 // whenever the primary holds pending requests, a batch timer is running.
+// The blocks it forces out are counted: a commit should have come first.
 func (r *Replica) armBatchTimer() {
 	if !r.isPrimary() || len(r.pending) == 0 || r.batchTimer != nil || r.cfg.BatchTimeout <= 0 {
 		return
 	}
 	r.batchTimer = r.env.After(r.cfg.BatchTimeout, func() {
 		r.batchTimer = nil
+		before := r.Metrics.Proposals
 		r.proposeIfReady(true)
+		r.Metrics.TimerProposals += r.Metrics.Proposals - before
 	})
 }
 
@@ -141,23 +136,6 @@ func (r *Replica) activeWindow() uint64 {
 		aw = r.cfg.Win / 2
 	}
 	return aw
-}
-
-// adaptiveBatch implements the paper's heuristic: pending divided by half
-// the allowed concurrency, clamped to [1, Batch] (§V-C, §VIII).
-func (r *Replica) adaptiveBatch() int {
-	half := int(r.activeWindow() / 2)
-	if half < 1 {
-		half = 1
-	}
-	b := len(r.pending) / half
-	if b < 1 {
-		b = 1
-	}
-	if b > r.cfg.Batch {
-		b = r.cfg.Batch
-	}
-	return b
 }
 
 // maxPending is the admission bound on the pending queue (§V-C
@@ -180,11 +158,7 @@ func (r *Replica) retryHint() time.Duration {
 		per = 10 * time.Millisecond
 	}
 	blocks := len(r.pending) / (2 * r.cfg.Batch)
-	d := time.Duration(blocks+1) * per
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
+	return min(time.Duration(blocks+1)*per, 2*time.Second)
 }
 
 // outstanding counts proposed-but-uncommitted sequence numbers.
@@ -198,47 +172,74 @@ func (r *Replica) outstanding() uint64 {
 	return n
 }
 
-func (r *Replica) proposeIfReady(timerFired bool) {
-	if !r.isPrimary() || r.inViewChange {
+// threeClientsAlive reports whether three distinct clients show in what
+// the primary sees of the recent past: its queue, the slots in flight and
+// the block that committed last. Holding a request pays only then: with
+// two, the client that is not in the queue is the one in flight, and it
+// cannot send again before the commit that ends the hold.
+func (r *Replica) threeClientsAlive() bool {
+	alive := make(map[int]bool, 3)
+	note := func(reqs []Request) {
+		for i := 0; i < len(reqs) && len(alive) < 3; i++ {
+			alive[reqs[i].Client] = true
+		}
+	}
+	note(r.pending)
+	note(r.lastCommitted)
+	for seq := r.windowBase + 1; seq < r.nextSeq && len(alive) < 3; seq++ {
+		if s, ok := r.slots[seq]; ok && !s.committed {
+			note(s.reqs)
+		}
+	}
+	return len(alive) >= 3
+}
+
+// proposeIfReady cuts blocks of up to Batch requests from the queue while
+// the window has room. The gate is Nagle's rule clocked by commits: with
+// nothing in flight a request is proposed at once; behind an uncommitted
+// slot requests are held (given threeClientsAlive), so the per-block
+// threshold crypto, constant in the block's size, is shared by all that
+// arrive meanwhile. A release — a slot committing, the batch timer, a view
+// installing — sends what has gathered as one block; a queue that reaches
+// a full batch, or the admission bound if lower, does not wait for one.
+func (r *Replica) proposeIfReady(release bool) {
+	if !r.isPrimary() || r.inViewChange || r.installing {
 		return
 	}
 	// Whatever stops the proposal loop, leftover pending requests must
 	// have a running batch timer to pick them up.
 	defer r.armBatchTimer()
-	for {
-		if len(r.pending) == 0 {
+	full := min(r.cfg.Batch, r.maxPending())
+	for len(r.pending) > 0 {
+		inFlight := r.outstanding()
+		if inFlight >= r.activeWindow() || r.nextSeq > r.windowBase+r.cfg.Win {
 			return
 		}
-		if !timerFired && len(r.pending) < r.adaptiveBatch() {
+		if inFlight > 0 && !release && len(r.pending) < full && r.threeClientsAlive() {
+			r.Metrics.Holds++
 			return
 		}
-		if r.outstanding() >= r.activeWindow() {
-			return
-		}
-		if r.nextSeq > r.windowBase+r.cfg.Win {
-			return
-		}
-		// §V-C: the adaptive heuristic sizes the block, not just the
-		// proposal gate — cutting cfg.Batch here would propose max-sized
-		// blocks whenever enough requests piled up, and the pending/(aw/2)
-		// shaping would never reach the wire. Timer-fired proposals may
-		// still cut below the heuristic (whatever is pending goes out).
-		batch := r.adaptiveBatch()
-		if len(r.pending) < batch {
-			batch = len(r.pending)
-		}
+		batch := min(len(r.pending), r.cfg.Batch)
 		reqs := make([]Request, batch)
 		copy(reqs, r.pending[:batch])
 		for _, req := range reqs {
 			r.pendingIdxDel(req)
 		}
 		r.pending = r.pending[batch:]
+		// The timer bounds how long a held request waits, so it restarts
+		// with the queue: left running, it would cut short a later hold.
+		if r.batchTimer != nil {
+			r.batchTimer()
+			r.batchTimer = nil
+		}
 		seq := r.nextSeq
 		r.nextSeq++
+		r.Metrics.Proposals++
+		r.Metrics.ProposedOps += uint64(batch)
 		pp := PrePrepareMsg{Seq: seq, View: r.view, Reqs: reqs}
 		r.tracef("propose seq=%d batch=%d", seq, len(reqs))
 		r.broadcast(pp)
 		r.acceptPrePrepare(r.id, pp)
-		timerFired = false // only force one under-sized batch per timer
+		release = false // a release forces out one under-full block
 	}
 }

@@ -191,6 +191,11 @@ type Metrics struct {
 	// was at its MaxPending bound (§V-C backpressure): the client got a
 	// BusyMsg retry hint instead of a queue slot.
 	AdmissionRejects uint64
+	// Proposals and ProposedOps count the blocks this replica proposed and
+	// the requests in them (their ratio is the block fill), Holds the times
+	// the proposal rule left requests queued though the window had room,
+	// TimerProposals the blocks the batch timer, not a commit, forced out.
+	Proposals, ProposedOps, Holds, TimerProposals uint64
 	// BadShares counts threshold-signature shares that failed
 	// verification: blamed after a combine over them failed, rejected on
 	// arrival from a signer blamed before, or in a checkpoint quorum's check.
@@ -264,6 +269,7 @@ type Replica struct {
 
 	view         uint64
 	inViewChange bool
+	installing   bool // a new view's decisions are being applied (onNewView)
 	// lastStable is the highest π-proven stable checkpoint (ls in §V-F);
 	// windowBase additionally reflects the fast-path rule that advances
 	// the window without a checkpoint quorum (ls := max(ls, s − win/4)).
@@ -321,10 +327,11 @@ type Replica struct {
 	// re-added request (O(n²) at view installation with a deep queue).
 	// Inner sets are tiny: a client has at most a couple of in-flight
 	// timestamps at once.
-	pendingIdx map[int]map[uint64]bool
-	seen       map[int]uint64 // client → highest in-flight (unexecuted) timestamp
-	nextSeq    uint64
-	batchTimer func()
+	pendingIdx    map[int]map[uint64]bool
+	seen          map[int]uint64 // client → highest in-flight (unexecuted) timestamp
+	nextSeq       uint64
+	batchTimer    func()
+	lastCommitted []Request // the block that committed last (threeClientsAlive)
 
 	// Client bookkeeping.
 	replyCache map[int]replyCacheEntry
@@ -420,6 +427,17 @@ func (r *Replica) LastExecuted() uint64 { return r.lastExecuted }
 // LastStable reports ls.
 func (r *Replica) LastStable() uint64 { return r.lastStable }
 
+// OldestSlot reports the lowest sequence this replica holds a slot for, 0
+// with none: how far behind the stable point collection is running.
+func (r *Replica) OldestSlot() (oldest uint64) {
+	for seq := range r.slots {
+		if oldest == 0 || seq < oldest {
+			oldest = seq
+		}
+	}
+	return oldest
+}
+
 // InViewChange reports whether the replica is between views.
 func (r *Replica) InViewChange() bool { return r.inViewChange }
 
@@ -434,12 +452,17 @@ func (r *Replica) tracef(format string, args ...any) {
 
 func (r *Replica) isPrimary() bool { return r.cfg.Primary(r.view) == r.id }
 
+// getSlot returns the slot of seq, creating it above the collection point.
+// At or below it only the slots recordStable kept exist: a straggler for
+// another sequence gets a blank that is not filed, so nothing comes back.
 func (r *Replica) getSlot(seq uint64) *slot {
 	s, ok := r.slots[seq]
 	if !ok {
 		s = &slot{seq: seq}
 		s.resetCollector(r.view)
-		r.slots[seq] = s
+		if seq > min(r.lastStable, r.lastExecuted) {
+			r.slots[seq] = s
+		}
 	}
 	return s
 }
@@ -1071,6 +1094,10 @@ func (r *Replica) commit(s *slot, reqs []Request) {
 	r.executeReady()
 	r.armProgressTimer()
 	r.checkGap()
+	// A commit is the clock of the proposal rule: it releases what the
+	// primary held behind this slot, or queued behind a full window.
+	r.lastCommitted = reqs
+	r.proposeIfReady(true)
 }
 
 // checkGap detects an execution gap — a committed block above an
@@ -1621,6 +1648,7 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 		return
 	}
 	r.Metrics.Checkpoints++
+	prevStable := r.lastStable
 	r.lastStable = seq
 	if seq > r.windowBase {
 		r.windowBase = seq
@@ -1657,14 +1685,15 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 	// sequence is then skipped by catch-up) is never collected.
 	r.gcPendingSnap(seq)
 	// Drop slot state below the stable point — but never ahead of local
-	// execution, or committed-but-unexecuted blocks would be lost.
-	gcTo := seq
-	if r.lastExecuted < gcTo {
-		gcTo = r.lastExecuted
-	}
-	for s := range r.slots {
-		if s <= gcTo {
-			delete(r.slots, s)
+	// execution, or committed-but-unexecuted blocks would be lost. A slot
+	// whose clients this E-collector has yet to ack outlives one stable
+	// point: the checkpoint quorum can form before the slot's π quorum,
+	// and the shares still to come must find the executed slot.
+	gcTo := min(seq, r.lastExecuted)
+	for n, s := range r.slots {
+		owesAcks := n > prevStable && s.executed && !s.execAcked && r.cfg.ExecCollectors && r.isECollector(n)
+		if n <= gcTo && !owesAcks {
+			delete(r.slots, n)
 		}
 	}
 	for s := range r.ckptShares {

@@ -499,7 +499,9 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 		s.resetCollector(m.View)
 	}
 
-	// Apply decisions.
+	// Apply decisions. The commits among them must not propose: nextSeq
+	// and the queue are settled only below, after the last one.
+	r.installing = true
 	maxSeq := r.lastStable
 	inFlight := make(map[int]uint64) // client → highest ts re-proposed/decided
 	for _, dec := range decisions {
@@ -549,6 +551,7 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 		r.pending = kept
 	}
 
+	r.installing = false
 	if r.isPrimary() {
 		r.nextSeq = maxSeq + 1
 		r.proposeIfReady(true)

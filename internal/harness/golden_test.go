@@ -18,15 +18,23 @@ import (
 // them alone; a PR that moves one on purpose says so in CHANGES.md. On a
 // mismatch the test logs every seed's line, so diffing the log of this
 // commit against its parent's names the first seed that moved.
+//
+// Re-captured with the commit-clocked proposal rule (DESIGN.md "Proposal
+// rule" quotes the lines that moved): byzantine and reads, the generators
+// with three or more clients, by the rule itself; recovery by the
+// execute-ack fix that came with it — with a checkpoint every 4 blocks,
+// 6% of the operations of a failure-free run of its configuration sat out
+// a retry for a lost ack. default and evm have two clients, whom the rule
+// never holds, and no checkpoint: bit-identical.
 var goldenRuns = []struct {
 	name string
 	gen  ScenarioGen
 	want string
 }{
 	{"default", DefaultGen, "8daa9d99a40f355adc58ac2122547e2cf6bdba341c1a17e803106b4b1befe857"},
-	{"byzantine", ByzantineGen, "3291c65c277bff3ef6035a4b403a635143f9547a1628ec5bd978a315fa308a9a"},
-	{"recovery", RecoveryGen, "2599cc082b821ca14e854ac5c3b96aaac87747cdeede7c2745d00ae025ba4bbf"},
-	{"reads", ReadGen, "448e9594fdc551c06c3184a94cd5df20a09b4807ed7fc4b08dbdd3721eaac03c"},
+	{"byzantine", ByzantineGen, "1652daa354bc919e4196bc5e4e1a27a4bb46ba94776ed26e12e2880ff96e9f97"},
+	{"recovery", RecoveryGen, "fe128749d3358dcbbdfaed32b0af224c4ab23581e6b10dfe72f5aa86de0e902e"},
+	{"reads", ReadGen, "83dd39d22341ebe47f589eb0ccf1f2333b88f5ed5ffe3285ef40500cb0937952"},
 	{"evm", EVMGen, "d2756d6515b502c254cee86dfcc1ce724564c5af1a20825d1845a85e2cd97cc4"},
 }
 

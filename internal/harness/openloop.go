@@ -38,12 +38,17 @@ func OpenLoopGen(seed int64) Scenario {
 	n := 3*f + 1
 	congested := seed%3 == 0
 	if congested {
-		tight := 4 + rng.Intn(8) // far below 4×Batch×window
+		// What a primary can hold is its window of full blocks plus the
+		// queue, 3×Batch + MaxPending at n=4, and only a generator with
+		// more slots than that can make it reject: blocks of one keep it
+		// at 7..14 against the 8..16 slots (blocks of four, 16..23, did
+		// while the window filled with singletons; now they fill).
+		tight := 4 + rng.Intn(8)
 		tune := opts.Tune
 		opts.Tune = func(c *core.Config) {
 			tune(c)
 			c.MaxPending = tight
-			c.Batch = 4
+			c.Batch = 1
 		}
 	}
 

@@ -3,10 +3,13 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"sbft/internal/cluster"
 )
 
 func TestOpenLoopGenSweep(t *testing.T) {
 	congested := 0
+	var rejects uint64
 	for seed := int64(1); seed <= 6; seed++ {
 		s := OpenLoopGen(seed)
 		if s.OpenLoop == nil {
@@ -14,6 +17,14 @@ func TestOpenLoopGenSweep(t *testing.T) {
 		}
 		if strings.Contains(s.Name, "congested") {
 			congested++
+			check := s.Check
+			s.Check = func(cl *cluster.Cluster) string {
+				rejects += cl.Metrics().AdmissionRejects
+				if check != nil {
+					return check(cl)
+				}
+				return ""
+			}
 		}
 		rep, err := Run(s)
 		if err != nil {
@@ -28,6 +39,11 @@ func TestOpenLoopGenSweep(t *testing.T) {
 	}
 	if congested == 0 {
 		t.Error("no congested (tight MaxPending) seeds in the sweep")
+	}
+	// The congested seeds exist to drive BusyMsg backoff beside a fault; a
+	// change that lets the primary hold more can leave them unable to.
+	if rejects == 0 {
+		t.Error("no admission reject on any congested seed: the generator no longer saturates the gate")
 	}
 }
 
