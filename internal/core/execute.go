@@ -1,0 +1,471 @@
+package core
+
+import (
+	"slices"
+	"time"
+
+	"sbft/internal/crypto/threshsig"
+)
+
+// This file is the execution stage (§V-D): gap repair below the execution
+// frontier, in-order execution through the exactly-once filter, the
+// E-collectors' execution certificate, the single-message acknowledgement
+// and its f+1 fallback.
+
+// checkGap detects an execution gap — a committed block above an
+// uncommitted one — and arms the repair timer (§II re-transmit layer).
+func (r *Replica) checkGap() {
+	if r.gapTimer != nil || r.cfg.GapRepairTimeout <= 0 {
+		return
+	}
+	if !r.hasGap() {
+		return
+	}
+	r.gapTimer = r.env.After(r.cfg.GapRepairTimeout, func() {
+		r.gapTimer = nil
+		if !r.hasGap() {
+			r.gapAttempt = 0
+			return
+		}
+		missing := r.lastExecuted + 1
+		// Rotate through peers across attempts.
+		peer := (int(missing)+r.gapAttempt)%r.cfg.N() + 1
+		if peer == r.id {
+			peer = peer%r.cfg.N() + 1
+		}
+		r.gapAttempt++
+		r.tracef("gap repair: fetching decision %d from %d", missing, peer)
+		r.env.Send(peer, FetchCommitMsg{Replica: r.id, Seq: missing})
+		r.checkGap()
+	})
+}
+
+// hasGap reports whether execution is stalled behind a committed block.
+func (r *Replica) hasGap() bool {
+	next := r.lastExecuted + 1
+	if s, ok := r.slots[next]; ok && s.committed {
+		return false // executeReady will handle it
+	}
+	for seq, s := range r.slots {
+		if seq > next && s.committed {
+			return true
+		}
+	}
+	return r.lastStable > r.lastExecuted
+}
+
+func (r *Replica) onFetchCommit(_ int, m FetchCommitMsg) {
+	s, ok := r.slots[m.Seq]
+	if !ok || !s.committed {
+		// Possibly garbage-collected: offer the snapshot instead.
+		if r.SnapshotSeq() >= m.Seq {
+			r.onFetchState(m.Replica, FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
+		}
+		return
+	}
+	info := CommitInfoMsg{Seq: m.Seq, Reqs: s.committedReqs}
+	switch {
+	case s.commitProof != nil:
+		info.HasFast = true
+		info.View = s.commitProofView
+		info.Sigma = s.commitProof.Sigma
+	case s.commitSlow != nil:
+		info.View = s.commitSlowView
+		info.Tau = s.commitSlow.Tau
+		info.TauTau = s.commitSlow.TauTau
+	default:
+		// Committed through a new-view decision without a retained
+		// certificate; the requester will try another peer.
+		return
+	}
+	r.env.Send(m.Replica, info)
+}
+
+func (r *Replica) onCommitInfo(_ int, m CommitInfoMsg) {
+	if m.Seq <= r.lastExecuted {
+		return
+	}
+	s := r.getSlot(m.Seq)
+	if s.committed {
+		return
+	}
+	h := BlockHash(m.Seq, m.View, m.Reqs)
+	if m.HasFast {
+		if r.suite.Sigma.Verify(h[:], m.Sigma) != nil {
+			return
+		}
+		s.commitProof = &FullCommitProofMsg{Seq: m.Seq, View: m.View, Sigma: m.Sigma}
+		s.commitProofView = m.View
+	} else {
+		if r.suite.Tau.Verify(h[:], m.Tau) != nil {
+			return
+		}
+		if r.suite.Tau.Verify(tauTauDigest(m.Tau), m.TauTau) != nil {
+			return
+		}
+		s.commitSlow = &FullCommitProofSlowMsg{Seq: m.Seq, View: m.View, Tau: m.Tau, TauTau: m.TauTau}
+		s.commitSlowView = m.View
+	}
+	if !s.hasPrePrepare {
+		s.hasPrePrepare = true
+		s.prePrepareView = m.View
+	}
+	s.reqs = m.Reqs
+	s.hash = h
+	r.Metrics.GapRepairs++
+	r.commit(s, m.Reqs)
+}
+
+// executeReady executes committed blocks in sequence order (§V-D execute
+// trigger).
+func (r *Replica) executeReady() {
+	advanced := false
+	defer func() {
+		if advanced {
+			r.resetProgressTimer()
+			r.checkGap()
+			r.dropStaleFetch()
+		}
+	}()
+	for {
+		next := r.lastExecuted + 1
+		s, ok := r.slots[next]
+		if !ok || !s.committed || s.executed {
+			return
+		}
+		advanced = true
+		// Exactly-once execution: the same request can legitimately commit
+		// at two sequence numbers (a retried request re-proposed across a
+		// view change, or a Byzantine primary double-proposing); replicas
+		// skip the second occurrence deterministically, keyed on the reply
+		// cache — the classic PBFT last-reply-timestamp rule.
+		s.execReqs = s.committedReqs[:0:0]
+		for _, req := range s.committedReqs {
+			if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
+				r.Metrics.DedupSkips++
+				continue
+			}
+			dup := false
+			for _, e := range s.execReqs {
+				if e.Client == req.Client && e.Timestamp >= req.Timestamp {
+					dup = true
+					break
+				}
+			}
+			if dup {
+				r.Metrics.DedupSkips++
+				continue
+			}
+			s.execReqs = append(s.execReqs, req)
+		}
+		ops := make([][]byte, len(s.execReqs))
+		for i, req := range s.execReqs {
+			ops[i] = req.Op
+		}
+		results := r.app.ExecuteBlock(next, ops)
+		s.executed = true
+		r.lastExecuted = next
+		r.Metrics.Executions++
+		if tp, ok := r.app.(TwoPhaser); ok {
+			r.Metrics.TxPrepares, r.Metrics.TxCommits, r.Metrics.TxAborts = tp.TxStats()
+		}
+		if len(s.committedReqs) == 0 {
+			r.Metrics.NullBlocks++
+		}
+		if r.store != nil {
+			if err := r.store.Append(next, EncodeBlockPayload(s.execReqs, results)); err != nil {
+				r.tracef("block store append failed: %v", err)
+			}
+		}
+		digest := r.app.Digest()
+
+		// Cache replies and serve direct-path replies.
+		for i, req := range s.execReqs {
+			r.replyCache[req.Client] = replyCacheEntry{
+				timestamp: req.Timestamp, seq: next, l: i, val: results[i],
+			}
+			// The reply cache now covers every timestamp ≤ this one, so the
+			// `seen` dedup entry is redundant — drop it. Without this GC,
+			// seen grows one entry per client forever (unbounded memory
+			// under churning client populations); with it, seen holds only
+			// clients with genuinely in-flight requests.
+			if ts, ok := r.seen[req.Client]; ok && ts <= req.Timestamp {
+				delete(r.seen, req.Client)
+			}
+			if w, ok := r.watch[req.Client]; ok && w.ts <= req.Timestamp {
+				delete(r.watch, req.Client)
+			}
+			if !r.cfg.ExecCollectors || req.Direct {
+				r.env.Send(req.Client, ReplyMsg{
+					Seq: next, L: i, Replica: r.id, View: r.view,
+					Client: req.Client, Timestamp: req.Timestamp, Val: results[i],
+				})
+			}
+		}
+		// Drop executed requests retained for future primaries.
+		if len(r.pending) > 0 {
+			kept := r.pending[:0]
+			for _, req := range r.pending {
+				if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
+					r.pendingIdxDel(req)
+					continue
+				}
+				kept = append(kept, req)
+			}
+			r.pending = kept
+		}
+
+		// Sign-state phase (§V-D) — only useful when exec collectors are
+		// enabled.
+		if r.cfg.ExecCollectors {
+			if r.cfg.ECollectors(next, 0)[0] == r.id {
+				s.ackProofs = r.proveBlock(s)
+			}
+			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
+			if err == nil {
+				msg := SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share}
+				for _, c := range r.cfg.ECollectors(next, 0) {
+					if c == r.id {
+						r.onSignState(r.id, msg)
+					} else {
+						r.env.Send(c, msg)
+					}
+				}
+			}
+			// If this replica is an E-collector that combined the π
+			// certificate before executing locally, release the acks now.
+			r.sendExecuteAcks(s)
+			// Fallback: if every E-collector of this sequence is crashed,
+			// serve clients directly after a timeout so the single
+			// correct-collector liveness assumption degrades gracefully.
+			if r.cfg.ExecFallbackTimeout > 0 && len(s.execReqs) > 0 {
+				seq := next
+				r.env.After(r.cfg.ExecFallbackTimeout, func() {
+					r.execFallback(seq)
+				})
+			}
+		}
+
+		// Periodic checkpoint (§V-F). Capture the certified snapshot NOW,
+		// while application state and reply table are exactly at this
+		// sequence; the π shares sign its Merkle root, which commits to
+		// both, so a single honest snapshot server suffices for verified
+		// state transfer. The stable certificate adopts the capture when
+		// it arrives.
+		if next%r.cfg.checkpointEvery() == 0 {
+			cs, err := r.buildSnapshot(next, digest)
+			if err != nil {
+				// The certified root cannot be computed without the
+				// snapshot bytes, so this replica abstains from this
+				// checkpoint (the π quorum needs only f+1 of n; a
+				// deterministic app's Snapshot failing on a quorum of
+				// replicas is an application bug, not a protocol state).
+				r.tracef("checkpoint snapshot at %d failed: %v", next, err)
+			} else {
+				r.pendingSnap[next] = cs
+				r.initiateCheckpoint(next, cs.Root())
+			}
+		}
+	}
+}
+
+func (r *Replica) isECollector(seq uint64) bool {
+	for _, c := range r.cfg.ECollectors(seq, 0) {
+		if c == r.id {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *Replica) onSignState(from int, m SignStateMsg) {
+	if from != m.Replica || !r.isECollector(m.Seq) {
+		return
+	}
+	s := r.getSlot(m.Seq)
+	if len(s.execPi.Data) > 0 {
+		return
+	}
+	r.admitShare(m.Replica, SharePi, stateSigDigest(m.Seq, m.Digest), m.PiSig, func() {
+		if len(s.execPi.Data) > 0 {
+			return
+		}
+		if s.piShares == nil {
+			s.piShares = make(map[string]map[int]threshsig.Share)
+		}
+		if fileByDigest(s.piShares, m.Digest, m.PiSig) != nil {
+			r.tryExecCert(s, m.Digest)
+		}
+	})
+}
+
+// fileByDigest files a π share under the digest it signs and returns that
+// digest's table, or nil for a signer already on file. Grouping by digest
+// means only a digest f+1 distinct replicas vouch for (at least one
+// honest) can be certified, so a Byzantine replica's signed-garbage digest
+// can never block or hijack the certificate. One share per replica ACROSS
+// the groups bounds them at n entries and keeps duplicate deliveries
+// cheap; a Byzantine double-voter merely wastes its place on its first
+// digest.
+func fileByDigest(groups map[string]map[int]threshsig.Share, digest []byte, share threshsig.Share) map[int]threshsig.Share {
+	for _, g := range groups {
+		if _, dup := g[share.Signer]; dup {
+			return nil
+		}
+	}
+	group := groups[string(digest)]
+	if group == nil {
+		group = make(map[int]threshsig.Share)
+		groups[string(digest)] = group
+	}
+	group[share.Signer] = share
+	return group
+}
+
+// tryExecCert combines and broadcasts the f+1 execution certificate π(d)
+// for an executed sequence (§V-D), staggered across redundant
+// E-collectors. Its completion works on the slot it was started for: a
+// checkpoint may collect the slot while the combine is in flight, and the
+// clients of that block still get their execute-acks.
+func (r *Replica) tryExecCert(s *slot, digest []byte) {
+	group := s.piShares[string(digest)]
+	if s.sentExecCert || len(group) < r.cfg.QuorumExec() {
+		return
+	}
+	s.sentExecCert = true
+	s.execDigest = digest
+	fire := func() {
+		if r.execCertified(s) {
+			return // another E-collector already certified this sequence
+		}
+		r.csink.Combine(SharePi, stateSigDigest(s.seq, digest), sharesList(group), func(pi threshsig.Signature, err error) {
+			if r.blame(group, err) {
+				s.sentExecCert = false
+				r.tryExecCert(s, digest)
+			}
+			if err != nil {
+				return
+			}
+			s.execPi = pi
+			r.broadcast(FullExecuteProofMsg{Seq: s.seq, Digest: digest, Pi: pi})
+			r.sendExecuteAcks(s)
+		})
+	}
+	// Stagger redundant E-collectors like C-collectors (§V).
+	idx := slices.Index(r.cfg.ECollectors(s.seq, 0), r.id)
+	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
+		fire()
+		return
+	}
+	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
+}
+
+// sendExecuteAcks sends each client of block s its single execute-ack
+// with a Merkle proof (§V-D). It requires both the combined π certificate
+// and local execution of the block; whichever happens last triggers the
+// acks (executeReady re-invokes it after executing).
+func (r *Replica) sendExecuteAcks(s *slot) {
+	if s.execAcked || len(s.execPi.Data) == 0 || !s.executed {
+		return
+	}
+	s.execAcked = true
+	if s.ackProofs == nil {
+		s.ackProofs = r.proveBlock(s)
+	}
+	for i, proof := range s.ackProofs {
+		req := s.execReqs[i]
+		ent, ok := r.replyCache[req.Client]
+		if proof == nil || !ok || ent.seq != s.seq {
+			continue
+		}
+		r.env.Send(req.Client, ExecuteAckMsg{
+			Seq: s.seq, L: i, Val: ent.val,
+			Client: req.Client, Timestamp: req.Timestamp, View: r.view,
+			Digest: s.execDigest, Pi: s.execPi, Proof: proof,
+		})
+	}
+}
+
+// proveBlock returns the Merkle proof of each client operation in the
+// executed block s, nil where there is none to send.
+func (r *Replica) proveBlock(s *slot) [][]byte {
+	proofs := make([][]byte, len(s.execReqs))
+	for i, req := range s.execReqs {
+		if req.Direct {
+			continue // direct requests already got PBFT-style replies
+		}
+		proof, err := r.app.ProveOperation(s.seq, i)
+		if err != nil {
+			r.tracef("prove op %d/%d: %v", s.seq, i, err)
+		}
+		proofs[i] = proof
+	}
+	return proofs
+}
+
+// execFallback sends direct replies to the clients of block seq when no
+// full-execute-proof arrived in time (crashed E-collectors).
+func (r *Replica) execFallback(seq uint64) {
+	s, ok := r.slots[seq]
+	if !ok || !s.executed || r.execCertified(s) {
+		return
+	}
+	r.Metrics.ExecFallbacks++
+	for i, req := range s.execReqs {
+		ent, ok := r.replyCache[req.Client]
+		if !ok || ent.seq != seq || ent.timestamp != req.Timestamp {
+			continue
+		}
+		r.env.Send(req.Client, ReplyMsg{
+			Seq: seq, L: i, Replica: r.id, View: r.view,
+			Client: req.Client, Timestamp: req.Timestamp, Val: ent.val,
+		})
+	}
+}
+
+// onFullExecuteProof keeps an E-collector's proof for execCertified; it
+// is not verified here because in the common case nothing ever asks.
+func (r *Replica) onFullExecuteProof(from int, m FullExecuteProofMsg) {
+	s, ok := r.slots[m.Seq]
+	if !ok || s.execCertSeen {
+		return
+	}
+	ecs := r.cfg.ECollectors(m.Seq, 0)
+	if i := slices.Index(ecs, from); i >= 0 {
+		if s.execProofs == nil {
+			s.execProofs = make([]FullExecuteProofMsg, len(ecs))
+		}
+		s.execProofs[i] = m
+	}
+	// Execution certificates cover only the application digest; checkpoint
+	// stability now requires the certified execution-state root (which
+	// also commits the last-reply table), carried by checkpoint shares —
+	// the two certificate families are domain-separated and cannot stand
+	// in for each other.
+}
+
+// execCertified reports whether a valid π(d) for s is known to exist. The
+// proofs received are verified only here, where the answer decides
+// something — and not even here once every client of the block has been
+// served: with nobody left to answer, a held proof is taken at its word.
+func (r *Replica) execCertified(s *slot) bool {
+	if s.execCertSeen || len(s.execProofs) == 0 {
+		return s.execCertSeen
+	}
+	waiting := false
+	for _, req := range s.execReqs {
+		ent, ok := r.replyCache[req.Client]
+		waiting = waiting || ok && ent.seq == s.seq && ent.timestamp == req.Timestamp
+	}
+	if !waiting {
+		return true
+	}
+	for _, m := range s.execProofs {
+		if len(m.Pi.Data) > 0 && r.suite.Pi.Verify(stateSigDigest(m.Seq, m.Digest), m.Pi) == nil {
+			s.execCertSeen = true
+			break
+		}
+	}
+	s.execProofs = nil
+	return s.execCertSeen
+}
