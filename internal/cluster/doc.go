@@ -18,8 +18,9 @@
 //
 // A Schedule is a list of timestamped Fault steps applied against the
 // running simulation (faults.go): crash/recover, restart-from-storage
-// (RestartReplica → core.NewRecoveredReplica), partitions, stragglers,
-// per-link drop/duplicate/reorder rules — plus the Byzantine kinds
+// (RestartReplica → core.NewReplica over the store the replica left),
+// partitions, stragglers, per-link drop/duplicate/reorder rules — plus
+// the Byzantine kinds
 // (byzantine.go), each of which installs a wire-aware sim.Corrupter on a
 // replica's outbound boundary and marks it Byzantine for the safety
 // audit: FaultByzEquivocate (equivocating primary), FaultByzSilent,

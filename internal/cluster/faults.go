@@ -373,7 +373,7 @@ func (cl *Cluster) RestartReplica(id int) error {
 		cl.PBFTReplicas[id] = rep
 		node = rep
 	} else {
-		rep, err := core.NewRecoveredReplica(id, cl.Cfg, cl.Suite, cl.keys[id-1], app, e, led)
+		rep, err := core.NewReplica(id, cl.Cfg, cl.Suite, cl.keys[id-1], app, e, led)
 		if err != nil {
 			return fmt.Errorf("cluster: recovering replica %d: %w", id, err)
 		}

@@ -138,8 +138,8 @@ func TestProposalRule(t *testing.T) {
 				t.Errorf("queued/Holds/TimerProposals = %d/%d/%d, want %d/%d/%d",
 					len(rg.r.pending), m.Holds, m.TimerProposals, tc.queued, tc.holds, tc.timer)
 			}
-			if (rg.r.batchTimer != nil) != (tc.queued > 0 && rg.cfg.BatchTimeout > 0) {
-				t.Errorf("batch timer armed = %v with %d queued", rg.r.batchTimer != nil, tc.queued)
+			if (rg.r.batchTimer.armed()) != (tc.queued > 0 && rg.cfg.BatchTimeout > 0) {
+				t.Errorf("batch timer armed = %v with %d queued", rg.r.batchTimer.armed(), tc.queued)
 			}
 		})
 	}
@@ -185,7 +185,7 @@ func TestBatchTimerReArmsWhenWindowFull(t *testing.T) {
 	if got := len(proposedSizes(rg)); got != 3 {
 		t.Fatalf("proposed %d blocks through a full window", got)
 	}
-	if rg.r.batchTimer == nil {
+	if !rg.r.batchTimer.armed() {
 		t.Fatal("no batch timer with pending requests behind a full window")
 	}
 	// The timer firing into a still-full window must consume the fire and
@@ -195,7 +195,7 @@ func TestBatchTimerReArmsWhenWindowFull(t *testing.T) {
 	if got := len(proposedSizes(rg)); got != 3 {
 		t.Fatalf("timer proposed %d blocks through a full window", got)
 	}
-	if rg.r.batchTimer == nil {
+	if !rg.r.batchTimer.armed() {
 		t.Fatal("batch timer not re-armed after firing into a full window")
 	}
 	// A commit drains the queue itself: the full batch goes into the slot
@@ -209,9 +209,9 @@ func TestBatchTimerReArmsWhenWindowFull(t *testing.T) {
 	if got := proposedSizes(rg); !slices.Equal(got, []int{1, 1, 2, 2, 1}) || len(rg.r.pending) != 0 {
 		t.Fatalf("second commit: proposed %v with %d queued", got, len(rg.r.pending))
 	}
-	if rg.r.Metrics.TimerProposals != 0 || rg.r.batchTimer != nil {
+	if rg.r.Metrics.TimerProposals != 0 || rg.r.batchTimer.armed() {
 		t.Fatalf("TimerProposals = %d, timer armed = %v after commits drained the queue",
-			rg.r.Metrics.TimerProposals, rg.r.batchTimer != nil)
+			rg.r.Metrics.TimerProposals, rg.r.batchTimer.armed())
 	}
 }
 

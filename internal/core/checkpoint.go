@@ -2,21 +2,38 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"sbft/internal/crypto/threshsig"
 )
 
 // This file is the checkpoint stage (§V-F): the stable-checkpoint
-// certificate, garbage collection below it, and the chain of certified
-// snapshot generations the certificate adopts and state transfer serves.
+// certificate, garbage collection below it, and snapChain, the chain of
+// certified snapshot generations the certificate adopts and state transfer
+// and certified reads are served from.
 
-// initiateCheckpoint broadcasts this replica's π share over the certified
-// execution-state root at a checkpoint sequence. Shares go to all replicas
-// so everyone can assemble the stable certificate locally even when
-// collectors are crashed; at one checkpoint per win/2 blocks the quadratic
-// cost is amortized away (§V-F).
-func (r *Replica) initiateCheckpoint(seq uint64, root []byte) {
+// initiateCheckpoint captures the certified snapshot at a checkpoint
+// sequence NOW, while application state and reply table are exactly at
+// seq, and broadcasts this replica's π share over its Merkle root, which
+// commits to both — so a single honest snapshot server suffices for
+// verified state transfer. The stable certificate adopts the capture when
+// it arrives. Shares go to all replicas so everyone can assemble the
+// certificate locally even when collectors are crashed; at one checkpoint
+// per win/2 blocks the quadratic cost is amortized away.
+func (r *Replica) initiateCheckpoint(seq uint64, appDigest []byte) {
+	cs, err := r.buildSnapshot(seq, appDigest)
+	if err != nil {
+		// The certified root cannot be computed without the snapshot
+		// bytes, so this replica abstains from this checkpoint (the π
+		// quorum needs only f+1 of n; a deterministic app's Snapshot
+		// failing on a quorum of replicas is an application bug, not a
+		// protocol state).
+		r.tracef("checkpoint snapshot at %d failed: %v", seq, err)
+		return
+	}
+	r.snaps.pendingSnap[seq] = cs
+	root := cs.Root()
 	share, err := r.keys.Pi.Sign(CheckpointSigDigest(seq, root))
 	if err != nil {
 		return
@@ -42,7 +59,7 @@ func (r *Replica) onCheckpointShare(from int, m CheckpointShareMsg) {
 
 // certifyCheckpoint assembles the stable-checkpoint certificate from a
 // quorum of checkpoint shares: verified as one batched job, then combined
-// (cryptosink.go says why these shares are checked first). Shares that
+// (collector.go says why these shares are checked first). Shares that
 // fail are dropped, and what is left is tried again while it is a quorum.
 func (r *Replica) certifyCheckpoint(seq uint64, digest []byte, group map[int]threshsig.Share) {
 	job := VerifyJob{Kind: SharePi, Digest: CheckpointSigDigest(seq, digest), Shares: sharesList(group)}
@@ -81,7 +98,7 @@ func (r *Replica) onCheckpointCert(_ int, m CheckpointCertMsg) {
 	if r.lastExecuted < m.Seq {
 		// We are behind a stable checkpoint: fetch state if the gap is
 		// not recoverable through the normal pipeline.
-		r.maybeFetchState(m.Seq)
+		r.fetcher.want(m.Seq)
 	}
 }
 
@@ -90,11 +107,11 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 		// Even when the checkpoint itself is old news, pending captures
 		// at or below the stable frontier are dead. A checkpoint whose
 		// sequence was skipped by state-transfer catch-up re-enters here
-		// (finishStateFetch → recordStable at the transferred seq) and
-		// used to leak its captured snapshot forever: the GC below only
-		// ran on the first recording, which had returned early while the
-		// replica was still behind.
-		r.gcPendingSnap(r.lastStable)
+		// (install → recordStable at the transferred seq) and used to leak
+		// its captured snapshot forever: the GC below only ran on the
+		// first recording, which had returned early while the replica was
+		// still behind.
+		dropThrough(r.snaps.pendingSnap, r.lastStable)
 		return
 	}
 	r.Metrics.Checkpoints++
@@ -113,27 +130,26 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 		// receiver. A capture whose root disagrees with the quorum-proven
 		// digest must not be served: this replica has diverged and its
 		// chunks would (correctly) be blamed by every fetcher.
-		cs, ok := r.pendingSnap[seq]
-		if !ok && r.lastExecuted == seq && r.SnapshotSeq() < seq {
-			if built, err := r.buildSnapshot(seq, r.app.Digest()); err == nil {
-				cs, ok = built, true
-			}
+		cs := r.snaps.pendingSnap[seq]
+		if cs == nil && r.lastExecuted == seq && r.snaps.seq() < seq {
+			cs, _ = r.buildSnapshot(seq, r.app.Digest())
 		}
-		if ok {
-			if bytes.Equal(cs.Root(), digest) {
-				cs.Pi = pi
-				r.adoptSnapshot(cs)
-			} else {
-				r.tracef("checkpoint %d: local root disagrees with certified digest", seq)
-			}
+		switch {
+		case cs == nil:
+		case bytes.Equal(cs.Root(), digest):
+			cs.Pi = pi
+			r.snaps.adopt(cs)
+		default:
+			r.tracef("checkpoint %d: local root disagrees with certified digest", seq)
 		}
 		r.app.GarbageCollect(seq)
 	}
 	// Captures at or below the stable point are dead regardless of whether
-	// this replica adopted one: unconditional, or a capture whose
-	// stabilization is learned while the replica is behind (and whose
-	// sequence is then skipped by catch-up) is never collected.
-	r.gcPendingSnap(seq)
+	// this replica adopted one: unconditional, and on EVERY recording (the
+	// early return above included), or a capture whose stabilization is
+	// learned while the replica is behind (and whose sequence is then
+	// skipped by catch-up) is never collected.
+	dropThrough(r.snaps.pendingSnap, seq)
 	// Drop slot state below the stable point — but never ahead of local
 	// execution, or committed-but-unexecuted blocks would be lost. A slot
 	// whose clients this E-collector has yet to ack outlives one stable
@@ -141,57 +157,45 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 	// and the shares still to come must find the executed slot.
 	gcTo := min(seq, r.lastExecuted)
 	for n, s := range r.slots {
-		owesAcks := n > prevStable && s.executed && !s.execAcked && r.cfg.ExecCollectors && r.isECollector(n)
-		if n <= gcTo && !owesAcks {
+		if n <= gcTo && !(n > prevStable && r.owesAcks(s)) {
 			delete(r.slots, n)
 		}
 	}
-	for s := range r.ckptShares {
-		if s <= seq {
-			delete(r.ckptShares, s)
-		}
-	}
-	for s := range r.directReq {
-		if s <= gcTo {
-			delete(r.directReq, s)
-		}
-	}
+	dropThrough(r.ckptShares, seq)
+	dropThrough(r.directReq, gcTo)
 	if r.lastExecuted < seq {
 		// The network proved a stable state we have not reached: catch up
 		// via state transfer (§VIII).
-		r.maybeFetchState(seq)
+		r.fetcher.want(seq)
 	}
 }
 
 // buildSnapshot captures the certified execution state at seq: the
-// application snapshot plus the canonical last-reply table, chunked and
-// Merkle-committed. Valid only while app state and reply table are exactly
-// at seq. Applications exposing the incremental capture path
-// (ChunkedSnapshotter) are captured chunk-by-chunk through the capture
-// cache: clean chunks (recognized by slice identity, per the interface
-// contract) reuse their previous leaf hashes, so the capture stall is
-// proportional to writes since the last checkpoint, not to state size.
+// application snapshot plus the canonical last-reply table. Valid only
+// while app state and reply table are exactly at seq.
 func (r *Replica) buildSnapshot(seq uint64, appDigest []byte) (*CertifiedSnapshot, error) {
-	if ca, ok := r.app.(ChunkedSnapshotter); ok {
-		chunks, supported, err := ca.SnapshotChunks()
-		if err != nil {
-			return nil, err
-		}
-		if supported {
-			if r.capCache == nil {
-				r.capCache = &CaptureCache{}
-			}
-			cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, encodeReplyTable(r.replyCache), r.capCache)
-			r.Metrics.CheckpointDirtyChunks += uint64(r.capCache.DirtyChunks())
-			return cs, nil
-		}
-	}
-	appSnap, err := r.app.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return NewCertifiedSnapshot(seq, appDigest, appSnap, encodeReplyTable(r.replyCache)), nil
+	return r.snaps.capture(r.app, seq, appDigest, encodeReplyTable(r.replyCache))
 }
+
+// SetSnapshotSink installs the asynchronous snapshot persistence hook.
+// Call before the replica starts processing messages.
+func (r *Replica) SetSnapshotSink(s SnapshotSink) { r.snaps.sink = s }
+
+// DurableSnapshotSeq reports the highest snapshot sequence known to be
+// durably persisted (0 when none): the serving point that survives a
+// restart, as opposed to SnapshotSeq, which arms immediately on adoption.
+func (r *Replica) DurableSnapshotSeq() uint64 { return r.snaps.durableSnap }
+
+// SnapshotSeq reports the sequence of the newest certified snapshot this
+// replica can serve (0 when none).
+func (r *Replica) SnapshotSeq() uint64 { return r.snaps.seq() }
+
+// RetainedSnapshotSeqs lists the sequences of every retained snapshot
+// generation, oldest first — observability for tests and operators.
+func (r *Replica) RetainedSnapshotSeqs() []uint64 { return r.snaps.seqs() }
+
+// ---------------------------------------------------------------------------
+// The snapshot chain.
 
 // snapGeneration is one retained certified snapshot plus the delta that
 // produced it: the 1-based chunk indexes whose commitment leaves differ
@@ -205,28 +209,122 @@ type snapGeneration struct {
 	deltaKnown bool
 }
 
-// curSnap returns the newest retained certified snapshot (nil when none):
-// the snapshot advertised to fetchers.
-func (r *Replica) curSnap() *CertifiedSnapshot {
-	if len(r.snapGens) == 0 {
+// snapChain owns a replica's certified snapshots, from capture to durable
+// persistence, and serves them to fetchers. It knows nothing of the
+// protocol: the checkpoint stage above says when a capture is taken and
+// when one became stable.
+type snapChain struct {
+	retain  int // Config.SnapshotRetain, derived
+	env     Env
+	store   SnapshotStore // synchronous persistence when no sink is set; may be nil
+	metrics *Metrics
+	tracef  func(format string, args ...any)
+
+	// snapGens is the bounded chain of retained stable certified
+	// snapshot generations, oldest first; the newest entry is the one
+	// advertised to fetchers. Older generations stay servable (in
+	// memory) so fetchers mid-transfer keep completing across
+	// checkpoint supersessions, and each generation records which chunk
+	// leaves changed from its chain predecessor so a laggard holding an
+	// older retained generation fetches one base plus deltas instead of
+	// the full state.
+	snapGens []*snapGeneration
+	// capCache carries chunk identities and leaf hashes between
+	// consecutive checkpoint captures, so an application with an
+	// incremental capture path (ChunkedSnapshotter) costs
+	// O(chunks-changed) per checkpoint rather than O(state).
+	capCache *CaptureCache
+	// pendingSnap holds certified snapshots captured at the moment a
+	// checkpoint sequence executed, keyed by that sequence. Stabilization
+	// (the π quorum) arrives a round-trip later, when execution may have
+	// pipelined past the checkpoint; capturing then would mislabel newer
+	// state (and a newer reply table) with the older certified digest.
+	pendingSnap map[uint64]*CertifiedSnapshot
+	// sink, when set, receives adopted snapshots for asynchronous
+	// persistence (see SnapshotSink); nil falls back to store.
+	sink SnapshotSink
+	// durableSnap is the highest snapshot sequence known persisted (the
+	// restart-survivable serving point, armed by the sink's completion).
+	durableSnap uint64
+}
+
+func newSnapChain(retain int, env Env, store BlockStore, metrics *Metrics, tracef func(string, ...any)) snapChain {
+	ss, _ := store.(SnapshotStore)
+	return snapChain{
+		retain: retain, env: env, store: ss, metrics: metrics, tracef: tracef,
+		pendingSnap: make(map[uint64]*CertifiedSnapshot),
+	}
+}
+
+// capture builds the certified snapshot of app at seq over its digest and
+// the encoded reply table, chunked and Merkle-committed. Applications
+// exposing the incremental capture path (ChunkedSnapshotter) are captured
+// chunk-by-chunk through the capture cache: clean chunks (recognized by
+// slice identity, per the interface contract) reuse their previous leaf
+// hashes, so the capture stall is proportional to writes since the last
+// checkpoint, not to state size.
+func (c *snapChain) capture(app Application, seq uint64, appDigest, replyTable []byte) (*CertifiedSnapshot, error) {
+	if ca, ok := app.(ChunkedSnapshotter); ok {
+		chunks, supported, err := ca.SnapshotChunks()
+		if err != nil {
+			return nil, err
+		}
+		if supported {
+			if c.capCache == nil {
+				c.capCache = &CaptureCache{}
+			}
+			cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, replyTable, c.capCache)
+			c.metrics.CheckpointDirtyChunks += uint64(c.capCache.DirtyChunks())
+			return cs, nil
+		}
+	}
+	appSnap, err := app.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return NewCertifiedSnapshot(seq, appDigest, appSnap, replyTable), nil
+}
+
+// restored forgets the capture cache: a Restore replaced application state
+// wholesale, so cached chunk identities no longer describe it. The next
+// checkpoint re-hashes every chunk and re-seeds the cache.
+func (c *snapChain) restored() { c.capCache = nil }
+
+// cur returns the newest retained certified snapshot (nil when none): the
+// snapshot advertised to fetchers.
+func (c *snapChain) cur() *CertifiedSnapshot {
+	if len(c.snapGens) == 0 {
 		return nil
 	}
-	return r.snapGens[len(r.snapGens)-1].cs
+	return c.snapGens[len(c.snapGens)-1].cs
+}
+
+// seqs lists the retained generations' sequences, oldest first.
+func (c *snapChain) seqs() []uint64 {
+	out := make([]uint64, len(c.snapGens))
+	for i, g := range c.snapGens {
+		out[i] = g.cs.Seq
+	}
+	return out
+}
+
+// seq is the sequence of cur, 0 when there is none.
+func (c *snapChain) seq() uint64 {
+	if cs := c.cur(); cs != nil {
+		return cs.Seq
+	}
+	return 0
 }
 
 // genAt returns the retained generation at exactly seq, or nil.
-func (r *Replica) genAt(seq uint64) *snapGeneration {
-	for _, g := range r.snapGens {
+func (c *snapChain) genAt(seq uint64) *snapGeneration {
+	for _, g := range c.snapGens {
 		if g.cs.Seq == seq {
 			return g
 		}
 	}
 	return nil
 }
-
-// retainsSnapshot reports whether the generation at seq is still within
-// the retention chain.
-func (r *Replica) retainsSnapshot(seq uint64) bool { return r.genAt(seq) != nil }
 
 // deltaSince returns the chunk indexes (1-based, in the CURRENT
 // snapshot's numbering, sorted) a fetcher holding the complete retained
@@ -238,21 +336,14 @@ func (r *Replica) retainsSnapshot(seq uint64) bool { return r.genAt(seq) != nil 
 // commits chunk i), so an index absent from every delta has an unchanged
 // leaf, and the base's copy of that chunk is bit-identical to the
 // current one.
-func (r *Replica) deltaSince(base uint64) ([]int, bool) {
-	bi := -1
-	for i, g := range r.snapGens {
-		if g.cs.Seq == base {
-			bi = i
-			break
-		}
-	}
+func (c *snapChain) deltaSince(base uint64) ([]int, bool) {
+	bi := slices.IndexFunc(c.snapGens, func(g *snapGeneration) bool { return g.cs.Seq == base })
 	if bi < 0 {
 		return nil, false
 	}
-	cur := r.curSnap()
-	n := cur.Header.NumChunks()
+	n := c.cur().Header.NumChunks()
 	set := make(map[int]bool)
-	for _, g := range r.snapGens[bi+1:] {
+	for _, g := range c.snapGens[bi+1:] {
 		if !g.deltaKnown {
 			return nil, false
 		}
@@ -276,10 +367,7 @@ func (r *Replica) deltaSince(base uint64) ([]int, bool) {
 // predecessor. O(chunks) hash comparisons; no chunk bytes are touched.
 func snapshotDelta(prev, cur *CertifiedSnapshot) []int {
 	np, nc := prev.Header.NumChunks(), cur.Header.NumChunks()
-	common := np
-	if nc < common {
-		common = nc
-	}
+	common := min(np, nc)
 	var delta []int
 	for i := 1; i <= common; i++ {
 		ph, perr := prev.LeafHashAt(i)
@@ -294,35 +382,22 @@ func snapshotDelta(prev, cur *CertifiedSnapshot) []int {
 	return delta
 }
 
-// gcPendingSnap drops pending checkpoint captures at or below the stable
-// frontier. Must run on EVERY stability recording — including re-entries
-// for already-stable sequences — so captures whose checkpoint was skipped
-// by state-transfer catch-up cannot leak.
-func (r *Replica) gcPendingSnap(stable uint64) {
-	for s := range r.pendingSnap {
-		if s <= stable {
-			delete(r.pendingSnap, s)
-		}
-	}
-}
-
-// adoptSnapshot appends a stable certified snapshot to the retention
-// chain and hands it off for durable persistence so a restarted replica
-// can serve state transfer immediately. In-memory serving arms at once
-// (the capture is already chunked and Merkle-committed); the delta
-// against the previous generation is computed here (leaf-hash diff) so
-// laggards can fetch increments. Persistence goes through the async
-// SnapshotSink when one is installed — encode+write of a large state
-// would otherwise stall the event loop every win/2 executions — and
-// falls back to the synchronous SnapshotStore path otherwise. The sink's
-// completion callback arms the restart-survivable serving point
-// (durableSnap) once the bytes are actually on disk, but only while the
-// persisted generation is still retained: a slow persist completing
-// after retention evicted its generation must not advertise a serving
-// point whose chunks (and, after a later prune, whose durable file) are
-// gone.
-func (r *Replica) adoptSnapshot(cs *CertifiedSnapshot) {
-	cur := r.curSnap()
+// adopt appends a stable certified snapshot to the retention chain and
+// hands it off for durable persistence so a restarted replica can serve
+// state transfer immediately. In-memory serving arms at once (the capture
+// is already chunked and Merkle-committed); the delta against the
+// previous generation is computed here (leaf-hash diff) so laggards can
+// fetch increments. Persistence goes through the async SnapshotSink when
+// one is installed — encode+write of a large state would otherwise stall
+// the event loop every win/2 executions — and falls back to the
+// synchronous SnapshotStore path otherwise. The sink's completion
+// callback arms the restart-survivable serving point (durableSnap) once
+// the bytes are actually on disk, but only while the persisted generation
+// is still retained: a slow persist completing after retention evicted
+// its generation must not advertise a serving point whose chunks (and,
+// after a later prune, whose durable file) are gone.
+func (c *snapChain) adopt(cs *CertifiedSnapshot) {
+	cur := c.cur()
 	if cur != nil && cur.Seq >= cs.Seq {
 		return
 	}
@@ -331,70 +406,50 @@ func (r *Replica) adoptSnapshot(cs *CertifiedSnapshot) {
 		gen.delta = snapshotDelta(cur, cs)
 		gen.deltaKnown = true
 	}
-	r.snapGens = append(r.snapGens, gen)
-	if keep := r.cfg.snapshotRetain(); len(r.snapGens) > keep {
+	c.snapGens = append(c.snapGens, gen)
+	if len(c.snapGens) > c.retain {
 		// Copy into a fresh slice so the shrinking window cannot pin
 		// evicted generations through the old backing array.
-		trimmed := make([]*snapGeneration, keep)
-		copy(trimmed, r.snapGens[len(r.snapGens)-keep:])
-		r.snapGens = trimmed
+		c.snapGens = append([]*snapGeneration(nil), c.snapGens[len(c.snapGens)-c.retain:]...)
 	}
-	keepFrom := r.snapGens[0].cs.Seq
-	if r.sink != nil {
+	keepFrom := c.snapGens[0].cs.Seq
+	if c.sink != nil {
 		seq := cs.Seq
-		r.sink.PersistSnapshot(cs, keepFrom, func(err error) {
+		c.sink.PersistSnapshot(cs, keepFrom, func(err error) {
 			if err != nil {
-				r.tracef("async snapshot persist %d failed: %v", seq, err)
+				c.tracef("async snapshot persist %d failed: %v", seq, err)
 				return
 			}
-			if seq > r.durableSnap && r.retainsSnapshot(seq) {
-				r.durableSnap = seq
-				r.Metrics.SnapshotPersists++
+			if seq > c.durableSnap && c.genAt(seq) != nil {
+				c.durableSnap = seq
+				c.metrics.SnapshotPersists++
 			}
 		})
 		return
 	}
-	if ss, ok := r.store.(SnapshotStore); ok && r.store != nil {
-		if err := PersistCertified(ss, cs, keepFrom); err != nil {
-			r.tracef("persisting snapshot %d failed: %v", cs.Seq, err)
-		} else if cs.Seq > r.durableSnap {
-			r.durableSnap = cs.Seq
-			r.Metrics.SnapshotPersists++
+	if c.store != nil {
+		if err := PersistCertified(c.store, cs, keepFrom); err != nil {
+			c.tracef("persisting snapshot %d failed: %v", cs.Seq, err)
+		} else if cs.Seq > c.durableSnap {
+			c.durableSnap = cs.Seq
+			c.metrics.SnapshotPersists++
 		}
 	}
 }
 
-// SetSnapshotSink installs the asynchronous snapshot persistence hook.
-// Call before the replica starts processing messages.
-func (r *Replica) SetSnapshotSink(s SnapshotSink) { r.sink = s }
-
-// DurableSnapshotSeq reports the highest snapshot sequence known to be
-// durably persisted (0 when none): the serving point that survives a
-// restart, as opposed to SnapshotSeq, which arms immediately on adoption.
-func (r *Replica) DurableSnapshotSeq() uint64 { return r.durableSnap }
-
-// SnapshotSeq reports the sequence of the newest certified snapshot this
-// replica can serve (0 when none).
-func (r *Replica) SnapshotSeq() uint64 {
-	cs := r.curSnap()
-	if cs == nil {
-		return 0
-	}
-	return cs.Seq
+// rearm restarts the chain from a snapshot read back from durable storage:
+// a single generation, because cross-restart delta continuity is not
+// reconstructed (deltaKnown=false). The chain regrows — and deltas with
+// it — from the next stable checkpoint.
+func (c *snapChain) rearm(cs *CertifiedSnapshot) {
+	c.snapGens = []*snapGeneration{{cs: cs}}
+	c.durableSnap = cs.Seq
 }
 
-// RetainedSnapshotSeqs lists the sequences of every retained snapshot
-// generation, oldest first — observability for tests and operators.
-func (r *Replica) RetainedSnapshotSeqs() []uint64 {
-	out := make([]uint64, len(r.snapGens))
-	for i, g := range r.snapGens {
-		out[i] = g.cs.Seq
-	}
-	return out
-}
-
-func (r *Replica) onFetchState(_ int, m FetchStateMsg) {
-	cs := r.curSnap()
+// onFetchState answers a fetcher's request for snapshot metadata with the
+// newest generation, if that is at or above what the fetcher needs.
+func (c *snapChain) onFetchState(m FetchStateMsg) {
+	cs := c.cur()
 	if cs == nil || cs.Seq < m.Seq {
 		return
 	}
@@ -414,44 +469,39 @@ func (r *Replica) onFetchState(_ int, m FetchStateMsg) {
 	// fetcher seeds the rest locally. Advisory only: the fetcher verifies
 	// the reassembled root and falls back to refetching on any mismatch.
 	if m.HaveSeq > 0 && m.HaveSeq < cs.Seq {
-		if delta, ok := r.deltaSince(m.HaveSeq); ok {
+		if delta, ok := c.deltaSince(m.HaveSeq); ok {
 			meta.DeltaBase = m.HaveSeq
 			meta.DeltaChunks = delta
 		}
 	}
-	r.env.Send(m.Replica, meta)
+	c.env.Send(m.Replica, meta)
 }
 
-func (r *Replica) onFetchSnapshotChunk(_ int, m FetchSnapshotChunkMsg) {
-	cur := r.curSnap()
+func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
+	cur := c.cur()
 	if cur == nil {
 		return
 	}
-	var cs *CertifiedSnapshot
-	if g := r.genAt(m.Seq); g != nil {
-		// Any retained generation serves: in-flight transfers keep
-		// completing across checkpoint supersessions for the whole
-		// retention depth.
-		cs = g.cs
-	} else if cur.Seq > m.Seq {
-		// Superseded beyond retention: the chunks are gone, but
-		// re-offering the current metadata lets the fetcher restart
-		// at the checkpoint this server can actually serve. (The
+	g := c.genAt(m.Seq)
+	if g == nil {
+		// Superseded beyond retention (cur.Seq > m.Seq): the chunks are
+		// gone, but re-offering the current metadata lets the fetcher
+		// restart at the checkpoint this server can actually serve. (The
 		// fetcher-side stall gate keeps an advancing transfer from
-		// thrashing on this; only a dead one restarts.)
-		r.onFetchState(m.Replica, FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
-		return
-	} else {
-		// The fetcher wants a NEWER snapshot than this server holds —
-		// this server is the laggard (say, freshly restarted while the
-		// fetcher adopted a later certified checkpoint). Dropping the
-		// request silently would leave the fetcher burning a retry
-		// timeout per request routed here; answering with current
-		// metadata (below the requested sequence) lets the fetcher's
-		// scheduler demote this server immediately instead.
-		r.onFetchState(m.Replica, FetchStateMsg{Replica: m.Replica})
+		// thrashing on this; only a dead one restarts.) Otherwise the
+		// fetcher wants a NEWER snapshot than this server holds — this
+		// server is the laggard (say, freshly restarted while the fetcher
+		// adopted a later certified checkpoint). Dropping the request
+		// silently would leave the fetcher burning a retry timeout per
+		// request routed here; answering with current metadata (below the
+		// requested sequence) lets the fetcher's scheduler demote this
+		// server immediately instead.
+		c.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: min(m.Seq, cur.Seq)})
 		return
 	}
+	// Any retained generation serves: in-flight transfers keep completing
+	// across checkpoint supersessions for the whole retention depth.
+	cs := g.cs
 	if m.Index < 1 || m.Index > len(cs.Chunks) {
 		return
 	}
@@ -459,7 +509,7 @@ func (r *Replica) onFetchSnapshotChunk(_ int, m FetchSnapshotChunkMsg) {
 	if err != nil {
 		return
 	}
-	r.env.Send(m.Replica, SnapshotChunkMsg{
+	c.env.Send(m.Replica, SnapshotChunkMsg{
 		Seq:   m.Seq,
 		Index: m.Index,
 		Data:  cs.Chunks[m.Index-1],

@@ -82,26 +82,30 @@ type Client struct {
 }
 
 type pendingOp struct {
-	op       []byte
-	ts       uint64
-	started  time.Duration
-	direct   bool
-	retried  bool
-	replies  map[int]string // replica → reply fingerprint (f+1 matching)
-	vals     map[string][]byte
-	seqs     map[string]uint64
-	views    map[int]uint64 // replica → claimed current view (routing hint)
-	cancelTo func()
+	op      []byte
+	ts      uint64
+	started time.Duration
+	direct  bool
+	retried bool
+	replies map[int]string // replica → reply fingerprint (f+1 matching)
+	vals    map[string][]byte
+	seqs    map[string]uint64
+	views   map[int]uint64 // replica → claimed current view (routing hint)
+	retry   timer
 }
 
 // NewClient builds a client. id must be ≥ ClientBase. verify may be nil
 // when the application provides no proofs (then only the π signature over
-// the digest is checked).
+// the digest is checked). Request timestamps count up from the client's
+// clock at construction (PBFT's "timestamp is the client's clock"), so a
+// process that takes over a client id outranks what its predecessor left
+// in the replicas' last-reply tables: wall-clock nanoseconds under
+// transport.Shell; simulated clients, all built at time 0, count from 1.
 func NewClient(id int, cfg Config, suite CryptoSuite, env Env, verify ProofVerifier) (*Client, error) {
 	if !IsClient(id) {
 		return nil, fmt.Errorf("core: client id %d below ClientBase", id)
 	}
-	return &Client{id: id, cfg: cfg, suite: suite, env: env, verify: verify}, nil
+	return &Client{id: id, cfg: cfg, suite: suite, env: env, verify: verify, ts: uint64(env.Now())}, nil
 }
 
 // ID reports the client id.
@@ -146,7 +150,7 @@ func (c *Client) armRetry(p *pendingOp) {
 	if c.RequestTimeout <= 0 {
 		return
 	}
-	p.cancelTo = c.env.After(c.RequestTimeout, func() {
+	p.retry.arm(c.env, c.RequestTimeout, func() {
 		if c.cur != p {
 			return
 		}
@@ -195,10 +199,8 @@ func (c *Client) onBusy(_ int, m BusyMsg) {
 	if wait <= 0 {
 		return // retries disabled; the op stays parked (test configs)
 	}
-	if p.cancelTo != nil {
-		p.cancelTo()
-	}
-	p.cancelTo = c.env.After(wait, func() {
+	p.retry.stop()
+	p.retry.arm(c.env, wait, func() {
 		if c.cur != p {
 			return
 		}
@@ -288,9 +290,7 @@ func (c *Client) onReply(from int, m ReplyMsg) {
 // ≤ f lying replicas degrade one client's latency; the retry broadcast
 // bounds the damage per operation.
 func (c *Client) complete(p *pendingOp, val []byte, seq uint64, fast bool, viewHint uint64, cert *ExecuteCert) {
-	if p.cancelTo != nil {
-		p.cancelTo()
-	}
+	p.retry.stop()
 	// Upward drift is ALWAYS capped to one primary rotation — including
 	// after a retry, where the completing evidence may be a single
 	// unauthenticated execute-ack; a retry additionally allows the view

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,7 +34,36 @@ import (
 // check per replica per interval, which keeps the batched share check,
 // otherwise reached only under attack, running in every deployment.
 
-func (s *slot) resetCollector(view uint64) {
+// collectorState is what a slot holds while this replica is one of its
+// C-collectors. The share tables hold one UNVERIFIED share per signer; the
+// combine checks them together.
+type collectorState struct {
+	sigmaShares  map[int]threshsig.Share
+	tauShares    map[int]threshsig.Share
+	tautauShares map[int]threshsig.Share
+	// tauQuorumAt records when the τ quorum was first reached; the gap to
+	// the σ quorum feeds the adaptive fast-path timer (§V-E: "an adaptive
+	// protocol based on past network profiling to control this timer").
+	tauQuorumAt   time.Duration
+	tauQuorumSeen bool
+	// pendingShares buffers sign-shares that arrived before this
+	// collector's own pre-prepare (they cannot be verified yet); replayed
+	// by acceptPrePrepare. Without this, WAN reordering starves the fast
+	// path of its 3f+c+1 quorum.
+	pendingShares []SignShareMsg
+	collectorView uint64
+	sentFastProof bool
+	sentPrepare   bool
+	sentSlowProof bool
+	fastTimer     timer
+	staggerTimer  timer
+	// collectorEpoch is bumped whenever the collector state resets, so
+	// sink completions of a dead collector round are dropped, not applied
+	// to the fresh tables.
+	collectorEpoch uint64
+}
+
+func (s *collectorState) resetCollector(view uint64) {
 	s.sigmaShares = make(map[int]threshsig.Share)
 	s.tauShares = make(map[int]threshsig.Share)
 	s.tautauShares = make(map[int]threshsig.Share)
@@ -41,33 +71,39 @@ func (s *slot) resetCollector(view uint64) {
 	s.sentFastProof = false
 	s.sentPrepare = false
 	s.sentSlowProof = false
-	if s.fastTimer != nil {
-		s.fastTimer()
-		s.fastTimer = nil
-	}
-	if s.staggerTimer != nil {
-		s.staggerTimer()
-		s.staggerTimer = nil
-	}
+	s.fastTimer.stop()
+	s.staggerTimer.stop()
 	s.collectorEpoch++
 }
 
-// collectorIndex reports this replica's position in the C-collector list
-// for (seq, view), or -1.
-func (r *Replica) collectorIndex(seq, view uint64) int {
-	for i, c := range r.cfg.CCollectors(seq, view) {
+// toCollectors sends msg to each collector in cs, which lists none twice;
+// this replica's own copy goes straight to Deliver.
+func (r *Replica) toCollectors(cs []int, msg Message) {
+	for _, c := range cs {
 		if c == r.id {
-			return i
+			r.Deliver(c, msg)
+		} else {
+			r.env.Send(c, msg)
 		}
 	}
-	return -1
+}
+
+// afterStagger runs fire at once for a slot's first collector and after
+// idx*CollectorStagger for its idx-th redundant one (§V "we stagger the
+// collectors"); fire itself checks whether it is still wanted.
+func (r *Replica) afterStagger(idx int, fire func()) {
+	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
+		fire()
+		return
+	}
+	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
 }
 
 func (r *Replica) onSignShare(from int, m SignShareMsg) {
 	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	idx := r.collectorIndex(m.Seq, m.View)
+	idx := slices.Index(r.cfg.CCollectors(m.Seq, m.View), r.id)
 	if idx < 0 {
 		return
 	}
@@ -126,34 +162,13 @@ func (r *Replica) collectorCombine(s *slot, view uint64, digest []byte, table ma
 	})
 }
 
-// observeFastSpread feeds the adaptive fast-path timer: collectors learn
-// how long the σ quorum trails the τ quorum on their slots and extend the
-// fallback timer to cover it (§V-E network profiling).
-func (r *Replica) observeFastSpread(spread time.Duration) {
-	if !r.fastSpreadSeen {
-		r.fastSpread = spread
-		r.fastSpreadSeen = true
-		return
-	}
-	// EWMA with α = 1/4.
-	r.fastSpread += (spread - r.fastSpread) / 4
-}
-
 // fastTimerDuration is the adaptive wait before abandoning the fast path:
 // at least the configured floor, stretched to cover the recently observed
 // share-arrival spread, and capped so crashed replicas cannot inflate
 // latency unboundedly.
 func (r *Replica) fastTimerDuration() time.Duration {
-	d := r.cfg.FastPathTimeout
-	if r.fastSpreadSeen {
-		if adaptive := r.fastSpread * 2; adaptive > d {
-			d = adaptive
-		}
-	}
-	if limit := 6 * r.cfg.FastPathTimeout; d > limit {
-		d = limit
-	}
-	return d
+	d := max(r.cfg.FastPathTimeout, 2*r.fastSpread.v)
+	return min(d, 6*r.cfg.FastPathTimeout)
 }
 
 func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
@@ -164,7 +179,7 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 		s.tauQuorumAt = r.env.Now()
 	}
 	if s.tauQuorumSeen && len(s.sigmaShares) >= r.cfg.QuorumFast() {
-		r.observeFastSpread(r.env.Now() - s.tauQuorumAt)
+		r.fastSpread.observe(r.env.Now() - s.tauQuorumAt)
 	}
 	// Fast path: combine σ(h) once 3f+c+1 shares arrive. The flag is set
 	// before the (staggered, possibly asynchronous) combination so
@@ -172,10 +187,7 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 	// blames a share rolls it back.
 	if r.cfg.FastPath && !s.sentFastProof && len(s.sigmaShares) >= r.cfg.QuorumFast() {
 		s.sentFastProof = true
-		if s.fastTimer != nil {
-			s.fastTimer()
-			s.fastTimer = nil
-		}
+		s.fastTimer.stop()
 		r.staggered(s, idx, func() {
 			r.collectorCombine(s, view, s.hash[:], s.sigmaShares, ShareSigma, func() {
 				s.sentFastProof = false
@@ -225,13 +237,12 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 		if r.cfg.FastPath {
 			delay += r.fastTimerDuration()
 		}
-		if s.fastTimer == nil && !s.sentFastProof {
+		if !s.fastTimer.armed() && !s.sentFastProof {
 			if delay == 0 {
 				fire()
 				return
 			}
-			s.fastTimer = r.env.After(delay, func() {
-				s.fastTimer = nil
+			s.fastTimer.arm(r.env, delay, func() {
 				if r.cfg.FastPath && !s.committed && !s.sentFastProof {
 					r.Metrics.CollectorTimeouts++
 				}
@@ -251,9 +262,7 @@ func (r *Replica) staggered(s *slot, idx int, act func()) {
 		act()
 		return
 	}
-	delay := time.Duration(idx) * r.cfg.CollectorStagger
-	s.staggerTimer = r.env.After(delay, func() {
-		s.staggerTimer = nil
+	s.staggerTimer.arm(r.env, time.Duration(idx)*r.cfg.CollectorStagger, func() {
 		if !s.committed {
 			act()
 		}
@@ -273,7 +282,7 @@ func (r *Replica) onCommit(from int, m CommitMsg) {
 	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	if r.collectorIndex(m.Seq, m.View) < 0 {
+	if !slices.Contains(r.cfg.CCollectors(m.Seq, m.View), r.id) {
 		return
 	}
 	s := r.getSlot(m.Seq)
@@ -317,12 +326,7 @@ func (r *Replica) trySlowProof(s *slot, view uint64) {
 			r.acceptSlowProof(s, msg)
 		})
 	}
-	idx := r.collectorIndex(s.seq, view)
-	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
-		fire()
-		return
-	}
-	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
+	r.afterStagger(slices.Index(r.cfg.CCollectors(s.seq, view), r.id), fire)
 }
 
 // signedBy reports whether share names the replica that sent it as its

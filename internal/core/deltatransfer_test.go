@@ -56,7 +56,7 @@ func TestSnapshotDeltaLeafDiff(t *testing.T) {
 func TestRetentionChainBounded(t *testing.T) {
 	rg := newRig(t, 1, func(c *Config) { c.SnapshotRetain = 3 })
 	for seq := uint64(4); seq <= 24; seq += 4 {
-		rg.r.adoptSnapshot(certifiedAt(t, rg, seq, nil))
+		rg.r.snaps.adopt(certifiedAt(t, rg, seq, nil))
 	}
 	got := rg.r.RetainedSnapshotSeqs()
 	want := []uint64{16, 20, 24}
@@ -69,7 +69,7 @@ func TestRetentionChainBounded(t *testing.T) {
 		}
 	}
 	// Every retained generation past the first carries a known delta.
-	for i, g := range rg.r.snapGens {
+	for i, g := range rg.r.snaps.snapGens {
 		if i > 0 && !g.deltaKnown {
 			t.Fatalf("generation %d adopted in sequence lacks its delta", g.cs.Seq)
 		}
@@ -81,22 +81,22 @@ func TestDeltaSinceUnionAcrossGenerations(t *testing.T) {
 	sa, sb := chunkSnaps()
 	sc := append([]byte(nil), sb...)
 	sc[100] ^= 0xFF // third generation additionally dirties chunk 1
-	rg.r.adoptSnapshot(certifiedSized(t, rg, 4, sa, nil))
-	rg.r.adoptSnapshot(certifiedSized(t, rg, 8, sb, nil))
-	rg.r.adoptSnapshot(certifiedSized(t, rg, 12, sc, nil))
+	rg.r.snaps.adopt(certifiedSized(t, rg, 4, sa, nil))
+	rg.r.snaps.adopt(certifiedSized(t, rg, 8, sb, nil))
+	rg.r.snaps.adopt(certifiedSized(t, rg, 12, sc, nil))
 
-	delta, ok := rg.r.deltaSince(4)
+	delta, ok := rg.r.snaps.deltaSince(4)
 	if !ok {
 		t.Fatal("deltaSince(4) not servable despite full retention")
 	}
 	if len(delta) != 2 || delta[0] != 1 || delta[1] != 2 {
 		t.Fatalf("deltaSince(4) = %v, want [1 2]", delta)
 	}
-	delta, ok = rg.r.deltaSince(8)
+	delta, ok = rg.r.snaps.deltaSince(8)
 	if !ok || len(delta) != 1 || delta[0] != 1 {
 		t.Fatalf("deltaSince(8) = %v (ok=%v), want [1]", delta, ok)
 	}
-	if _, ok := rg.r.deltaSince(2); ok {
+	if _, ok := rg.r.snaps.deltaSince(2); ok {
 		t.Fatal("deltaSince served for a base never retained")
 	}
 }
@@ -107,8 +107,8 @@ func TestDeltaSinceUnionAcrossGenerations(t *testing.T) {
 func TestServerAdvertisesDelta(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	sa, sb := chunkSnaps()
-	rg.r.adoptSnapshot(certifiedSized(t, rg, 4, sa, nil))
-	rg.r.adoptSnapshot(certifiedSized(t, rg, 8, sb, nil))
+	rg.r.snaps.adopt(certifiedSized(t, rg, 4, sa, nil))
+	rg.r.snaps.adopt(certifiedSized(t, rg, 8, sb, nil))
 
 	before := len(rg.env.sent)
 	rg.r.Deliver(2, FetchStateMsg{Replica: 2, Seq: 8, HaveSeq: 4})
@@ -146,10 +146,10 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 	sa, sb := chunkSnaps()
 	cs4 := certifiedSized(t, rg, 4, sa, nil)
 	cs8 := certifiedSized(t, rg, 8, sb, nil)
-	rg.r.adoptSnapshot(cs4)
+	rg.r.snaps.adopt(cs4)
 	rg.r.lastExecuted = 4
 
-	rg.r.maybeFetchState(8)
+	rg.r.fetcher.want(8)
 	// The metadata poll advertises the held base.
 	advertised := false
 	for _, s := range rg.env.sent {
@@ -163,7 +163,7 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, snapshotDelta(cs4, cs8)))
 	rg.env.advance(rg.cfg.snapshotMetaWait() + time.Millisecond)
 
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != 8 {
 		t.Fatalf("transfer not adopted at 8")
 	}
@@ -202,16 +202,16 @@ func TestMidTransferSupersessionKeepsProgressViaDelta(t *testing.T) {
 	cs4 := certifiedSized(t, rg, 4, sa, nil)
 	cs8 := certifiedSized(t, rg, 8, sb, nil)
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs4, 2)
 	rg.r.Deliver(3, chunkOf(t, cs4, 1)) // verified progress on the old base
-	if rg.r.fetch.fetched != 1 {
-		t.Fatalf("fetched = %d, want 1", rg.r.fetch.fetched)
+	if rg.r.fetcher.fetch.fetched != 1 {
+		t.Fatalf("fetched = %d, want 1", rg.r.fetcher.fetch.fetched)
 	}
 	// Supersession with a delta against the in-flight base: adopted
 	// immediately — no stall needed — and the verified chunk carries over.
 	rg.r.Deliver(3, deltaMetaOf(t, cs8, 4, snapshotDelta(cs4, cs8)))
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != 8 {
 		t.Fatal("delta supersession not adopted")
 	}
@@ -240,12 +240,12 @@ func TestDiscardingSupersessionCountsRestart(t *testing.T) {
 	old := certifiedAt(t, rg, 4, nil)
 	newer := certifiedAt(t, rg, 8, nil)
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	rg.r.Deliver(3, chunkOf(t, old, 1)) // progress that will be lost
 	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
 	rg.r.Deliver(3, metaOf(t, newer)) // no delta: full restart
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != newer.Seq {
 		t.Fatal("stalled transfer did not restart at the newer snapshot")
 	}
@@ -264,10 +264,10 @@ func TestLyingDeltaListBlamedAndRefetched(t *testing.T) {
 	sa, sb := chunkSnaps()
 	cs4 := certifiedSized(t, rg, 4, sa, nil)
 	cs8 := certifiedSized(t, rg, 8, sb, nil)
-	rg.r.adoptSnapshot(cs4)
+	rg.r.snaps.adopt(cs4)
 	rg.r.lastExecuted = 4
 
-	rg.r.maybeFetchState(8)
+	rg.r.fetcher.want(8)
 	// Server 2 lies: "nothing changed since 4" — so every chunk seeds
 	// from the base, including the one that actually differs.
 	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, nil))
@@ -277,7 +277,7 @@ func TestLyingDeltaListBlamedAndRefetched(t *testing.T) {
 		t.Fatalf("lying meta sender not blamed: %d blames, counts %v",
 			rg.r.Metrics.SnapshotBlames, rg.r.SnapshotBlameCounts())
 	}
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	if f == nil {
 		t.Fatal("transfer aborted instead of refetching the seeded chunks")
 	}
@@ -303,9 +303,9 @@ func TestLaggardServerDemotedOnStaleMeta(t *testing.T) {
 	old := certifiedAt(t, rg, 4, nil)
 	cur := certifiedSized(t, rg, 8, bytes.Repeat([]byte("y"), 64*1024), nil)
 
-	rg.r.maybeFetchState(8)
+	rg.r.fetcher.want(8)
 	deliverMeta(t, rg, cur, 3)
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	outstanding := 0
 	for _, req := range f.inflight {
 		if req.server == 2 {
@@ -350,7 +350,7 @@ func TestLaggardServerDemotedOnStaleMeta(t *testing.T) {
 func TestServerAnswersRequestForNewerSnapshot(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	cs4 := certifiedAt(t, rg, 4, nil)
-	rg.r.adoptSnapshot(cs4)
+	rg.r.snaps.adopt(cs4)
 
 	before := len(rg.env.sent)
 	rg.r.Deliver(2, FetchSnapshotChunkMsg{Replica: 2, Seq: 8, Index: 1})
@@ -371,25 +371,25 @@ func TestServerAnswersRequestForNewerSnapshot(t *testing.T) {
 // TestPendingSnapshotGCWhenCatchUpSkipsCheckpoint: a capture whose
 // checkpoint sequence is skipped by state-transfer catch-up must still be
 // collected — both when stability is first learned while behind, and on
-// the early-return re-recording path (finishStateFetch re-enters
+// the early-return re-recording path (install re-enters
 // recordStable for an already-stable sequence).
 func TestPendingSnapshotGCWhenCatchUpSkipsCheckpoint(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	cs8 := certifiedAt(t, rg, 8, nil)
-	rg.r.pendingSnap[4] = certifiedAt(t, rg, 4, nil)
+	rg.r.snaps.pendingSnap[4] = certifiedAt(t, rg, 4, nil)
 
 	// Stability at 8 learned while behind (lastExecuted=0): the adoption
 	// block is skipped, the dead capture at 4 must not be.
 	rg.r.recordStable(8, cs8.Root(), cs8.Pi)
-	if len(rg.r.pendingSnap) != 0 {
-		t.Fatalf("pendingSnap leaked %d captures on behind-recording", len(rg.r.pendingSnap))
+	if len(rg.r.snaps.pendingSnap) != 0 {
+		t.Fatalf("pendingSnap leaked %d captures on behind-recording", len(rg.r.snaps.pendingSnap))
 	}
 
 	// Early-return re-recording of the already-stable checkpoint.
-	rg.r.pendingSnap[6] = certifiedAt(t, rg, 6, nil)
+	rg.r.snaps.pendingSnap[6] = certifiedAt(t, rg, 6, nil)
 	rg.r.recordStable(8, cs8.Root(), cs8.Pi)
-	if len(rg.r.pendingSnap) != 0 {
-		t.Fatalf("pendingSnap leaked %d captures on early-return re-recording", len(rg.r.pendingSnap))
+	if len(rg.r.snaps.pendingSnap) != 0 {
+		t.Fatalf("pendingSnap leaked %d captures on early-return re-recording", len(rg.r.snaps.pendingSnap))
 	}
 }
 
@@ -402,8 +402,8 @@ func TestDurableNotArmedForEvictedGeneration(t *testing.T) {
 	sink := &recordingSink{}
 	rg.r.SetSnapshotSink(sink)
 
-	rg.r.adoptSnapshot(certifiedAt(t, rg, 4, nil))
-	rg.r.adoptSnapshot(certifiedAt(t, rg, 8, nil)) // evicts 4
+	rg.r.snaps.adopt(certifiedAt(t, rg, 4, nil))
+	rg.r.snaps.adopt(certifiedAt(t, rg, 8, nil)) // evicts 4
 	if len(sink.seqs) != 2 {
 		t.Fatalf("sink received %v, want [4 8]", sink.seqs)
 	}
@@ -447,7 +447,7 @@ func TestRestartRearmsRetainedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := NewRecoveredReplica(1, rg.cfg, rg.suite, rg.keys[0], &fakeApp{}, &fakeEnv{}, led)
+	r2, err := NewReplica(1, rg.cfg, rg.suite, rg.keys[0], &fakeApp{}, &fakeEnv{}, led)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,17 +31,39 @@
 //
 // # Structure
 //
+// One file per mechanism of the paper, all on one Replica; the two parts
+// with state of their own are types the replica holds (DESIGN.md "Stages"
+// says who owns which field).
+//
 //	config.go     Config (n = 3f+2c+1, quorums, collector sets), Env,
 //	              Application, CryptoSuite/ReplicaKeys dealing
 //	messages.go   every wire message + WireSize estimates
-//	replica.go    the Replica event machine (Deliver is the single entry)
+//	replica.go    the Replica struct, NewReplica (the one constructor: it
+//	              replays a store that has history), Deliver (the single
+//	              entry) and Metrics
 //	propose.go    request admission and the primary's proposal rule
+//	ordering.go   the slot, pre-prepare → commit on both paths, and the
+//	              commit rule: σ(h), or τ(τ(h)) over τ(h) (§V-C, §V-E)
+//	collector.go  the C-collector role: share tables, stagger, optimistic
+//	              combine, blame and suspects
+//	cryptosink.go CryptoSink, the seam the combines run behind
+//	execute.go    gap repair, in-order execution through the exactly-once
+//	              filter, the E-collectors' π(d), execute-acks and their
+//	              fallback (§V-D); install, the host side of state transfer
+//	checkpoint.go stable-checkpoint certificate and collection (§V-F);
+//	              snapChain: capture, retained generations and their
+//	              deltas, persistence hand-off, serving fetchers
+//	statefetch.go fetcher: the client side of state transfer (§VIII),
+//	              behind the two-method fetchHost
+//	read.go       certified reads served from the snapshot chain, and
+//	              their client side
 //	certstate.go  certified execution state: canonical reply table,
 //	              chunked Merkle-committed snapshots, signing digests
 //	viewchange.go view-change timers, safe-value computation, new-view
 //	client.go     the sans-io Client (single-ack accept, f+1 fallback,
 //	              view tracking from reply hints)
-//	recovery.go   restart-from-storage replay + durable snapshot re-arm
+//	recovery.go   the durable block record, snapshot persistence, and the
+//	              replay NewReplica runs over a store with history
 //
 // Replicas and clients are NOT safe for concurrent use: the runtime must
 // serialize Deliver and timer callbacks on one logical thread (the

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"slices"
-	"time"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -10,19 +11,47 @@ import (
 // This file is the execution stage (§V-D): gap repair below the execution
 // frontier, in-order execution through the exactly-once filter, the
 // E-collectors' execution certificate, the single-message acknowledgement
-// and its f+1 fallback.
+// and its f+1 fallback; and install, where state transfer moves the
+// execution frontier instead.
+
+// execState is what a slot holds once its block executes, and what this
+// replica holds for it as one of its E-collectors.
+type execState struct {
+	// execReqs is the exactly-once subset of committedReqs actually fed to
+	// the application (requests already executed for their client at an
+	// earlier sequence are skipped deterministically).
+	execReqs []Request
+	executed bool
+
+	// E-collector state. π shares are grouped by the digest they sign: a
+	// Byzantine replica may send correctly-signed shares over a garbage
+	// digest, and first-write-wins bookkeeping would let one such share
+	// block the honest f+1 quorum. Per-digest groups make the garbage
+	// digest inert (it can never gather f+1 signers, at least one of
+	// which would have to be honest).
+	piShares     map[string]map[int]threshsig.Share
+	execDigest   []byte
+	execPi       threshsig.Signature
+	sentExecCert bool
+	execAcked    bool
+	// ackProofs are the clients' Merkle proofs for this block. The first
+	// E-collector takes them when it executes the block (a checkpoint may
+	// drop the proof material before its certificate completes), a
+	// redundant one when it comes to send acks, which is rare.
+	ackProofs [][]byte
+	// execProofs holds the full-execute-proofs received for this slot, one
+	// place per E-collector, UNVERIFIED until execCertified has to know.
+	execProofs   []FullExecuteProofMsg
+	execCertSeen bool
+}
 
 // checkGap detects an execution gap — a committed block above an
 // uncommitted one — and arms the repair timer (§II re-transmit layer).
 func (r *Replica) checkGap() {
-	if r.gapTimer != nil || r.cfg.GapRepairTimeout <= 0 {
+	if r.gapTimer.armed() || r.cfg.GapRepairTimeout <= 0 || !r.hasGap() {
 		return
 	}
-	if !r.hasGap() {
-		return
-	}
-	r.gapTimer = r.env.After(r.cfg.GapRepairTimeout, func() {
-		r.gapTimer = nil
+	r.gapTimer.arm(r.env, r.cfg.GapRepairTimeout, func() {
 		if !r.hasGap() {
 			r.gapAttempt = 0
 			return
@@ -57,10 +86,9 @@ func (r *Replica) hasGap() bool {
 func (r *Replica) onFetchCommit(_ int, m FetchCommitMsg) {
 	s, ok := r.slots[m.Seq]
 	if !ok || !s.committed {
-		// Possibly garbage-collected: offer the snapshot instead.
-		if r.SnapshotSeq() >= m.Seq {
-			r.onFetchState(m.Replica, FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
-		}
+		// Possibly garbage-collected: offer the snapshot instead, if one
+		// covers the sequence.
+		r.snaps.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
 		return
 	}
 	info := CommitInfoMsg{Seq: m.Seq, Reqs: s.committedReqs}
@@ -91,16 +119,13 @@ func (r *Replica) onCommitInfo(_ int, m CommitInfoMsg) {
 	}
 	h := BlockHash(m.Seq, m.View, m.Reqs)
 	if m.HasFast {
-		if r.suite.Sigma.Verify(h[:], m.Sigma) != nil {
+		if !r.suite.fastCommitted(h, m.Sigma) {
 			return
 		}
 		s.commitProof = &FullCommitProofMsg{Seq: m.Seq, View: m.View, Sigma: m.Sigma}
 		s.commitProofView = m.View
 	} else {
-		if r.suite.Tau.Verify(h[:], m.Tau) != nil {
-			return
-		}
-		if r.suite.Tau.Verify(tauTauDigest(m.Tau), m.TauTau) != nil {
+		if !r.suite.slowCommitted(h, m.Tau, m.TauTau, false) {
 			return
 		}
 		s.commitSlow = &FullCommitProofSlowMsg{Seq: m.Seq, View: m.View, Tau: m.Tau, TauTau: m.TauTau}
@@ -124,7 +149,7 @@ func (r *Replica) executeReady() {
 		if advanced {
 			r.resetProgressTimer()
 			r.checkGap()
-			r.dropStaleFetch()
+			r.fetcher.dropStale()
 		}
 	}()
 	for {
@@ -202,18 +227,7 @@ func (r *Replica) executeReady() {
 				})
 			}
 		}
-		// Drop executed requests retained for future primaries.
-		if len(r.pending) > 0 {
-			kept := r.pending[:0]
-			for _, req := range r.pending {
-				if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
-					r.pendingIdxDel(req)
-					continue
-				}
-				kept = append(kept, req)
-			}
-			r.pending = kept
-		}
+		r.prunePending(nil) // executed requests retained for future primaries
 
 		// Sign-state phase (§V-D) — only useful when exec collectors are
 		// enabled.
@@ -223,14 +237,7 @@ func (r *Replica) executeReady() {
 			}
 			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
 			if err == nil {
-				msg := SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share}
-				for _, c := range r.cfg.ECollectors(next, 0) {
-					if c == r.id {
-						r.onSignState(r.id, msg)
-					} else {
-						r.env.Send(c, msg)
-					}
-				}
+				r.toCollectors(r.cfg.ECollectors(next, 0), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
 			}
 			// If this replica is an E-collector that combined the π
 			// certificate before executing locally, release the acks now.
@@ -246,40 +253,16 @@ func (r *Replica) executeReady() {
 			}
 		}
 
-		// Periodic checkpoint (§V-F). Capture the certified snapshot NOW,
-		// while application state and reply table are exactly at this
-		// sequence; the π shares sign its Merkle root, which commits to
-		// both, so a single honest snapshot server suffices for verified
-		// state transfer. The stable certificate adopts the capture when
-		// it arrives.
+		// Periodic checkpoint (§V-F), taken NOW: before the next block
+		// executes, application state and reply table are exactly at next.
 		if next%r.cfg.checkpointEvery() == 0 {
-			cs, err := r.buildSnapshot(next, digest)
-			if err != nil {
-				// The certified root cannot be computed without the
-				// snapshot bytes, so this replica abstains from this
-				// checkpoint (the π quorum needs only f+1 of n; a
-				// deterministic app's Snapshot failing on a quorum of
-				// replicas is an application bug, not a protocol state).
-				r.tracef("checkpoint snapshot at %d failed: %v", next, err)
-			} else {
-				r.pendingSnap[next] = cs
-				r.initiateCheckpoint(next, cs.Root())
-			}
+			r.initiateCheckpoint(next, digest)
 		}
 	}
-}
-
-func (r *Replica) isECollector(seq uint64) bool {
-	for _, c := range r.cfg.ECollectors(seq, 0) {
-		if c == r.id {
-			return true
-		}
-	}
-	return false
 }
 
 func (r *Replica) onSignState(from int, m SignStateMsg) {
-	if from != m.Replica || !r.isECollector(m.Seq) {
+	if from != m.Replica || !slices.Contains(r.cfg.ECollectors(m.Seq, 0), r.id) {
 		return
 	}
 	s := r.getSlot(m.Seq)
@@ -351,13 +334,7 @@ func (r *Replica) tryExecCert(s *slot, digest []byte) {
 			r.sendExecuteAcks(s)
 		})
 	}
-	// Stagger redundant E-collectors like C-collectors (§V).
-	idx := slices.Index(r.cfg.ECollectors(s.seq, 0), r.id)
-	if idx <= 0 || r.cfg.CollectorStagger <= 0 {
-		fire()
-		return
-	}
-	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
+	r.afterStagger(slices.Index(r.cfg.ECollectors(s.seq, 0), r.id), fire)
 }
 
 // sendExecuteAcks sends each client of block s its single execute-ack
@@ -384,6 +361,13 @@ func (r *Replica) sendExecuteAcks(s *slot) {
 			Digest: s.execDigest, Pi: s.execPi, Proof: proof,
 		})
 	}
+}
+
+// owesAcks reports whether this replica executed s as one of its
+// E-collectors and has yet to acknowledge its clients: recordStable keeps
+// such a slot, for the π shares still to come must find it.
+func (r *Replica) owesAcks(s *slot) bool {
+	return s.executed && !s.execAcked && r.cfg.ExecCollectors && slices.Contains(r.cfg.ECollectors(s.seq, 0), r.id)
 }
 
 // proveBlock returns the Merkle proof of each client operation in the
@@ -468,4 +452,59 @@ func (r *Replica) execCertified(s *slot) bool {
 	}
 	s.execProofs = nil
 	return s.execCertSeen
+}
+
+// install implements fetchHost: it moves the execution frontier to a
+// fully transferred, chunk-verified snapshot. The application is restored,
+// the last-reply table replaced with the CERTIFIED one (the exactly-once
+// filter's state is now exactly what the π quorum signed), and execution
+// resumes from the restored frontier.
+func (r *Replica) install(cs *CertifiedSnapshot) error {
+	appBytes, tableBytes, err := AssembleSnapshot(cs.Header, cs.Chunks)
+	if err != nil {
+		return err // unreachable with verified chunks
+	}
+	// A malformed certified table is one the honest quorum never signs, so
+	// this replica's decoder and the cluster disagree — do not install half
+	// a snapshot.
+	table, err := decodeReplyTable(tableBytes)
+	if err != nil {
+		return err
+	}
+	if err := r.app.Restore(appBytes); err != nil {
+		return err
+	}
+	if !bytes.Equal(r.app.Digest(), cs.Header.AppDigest) {
+		// Defense in depth: chunks were leaf-verified, so this indicates
+		// local divergence, not a tampering server.
+		return errors.New("restored app digest mismatch")
+	}
+	r.snaps.restored()
+	r.replyCache = table
+	for client, e := range table {
+		if ts := r.seen[client]; ts < e.timestamp {
+			r.seen[client] = e.timestamp
+		}
+		// Requests the certified table proves executed are no longer
+		// pending: drop their watch entries, or the liveness timer keeps
+		// firing (and spinning view changes) over work that finished
+		// below the snapshot and will never execute locally.
+		if w, ok := r.watch[client]; ok && w.ts <= e.timestamp {
+			delete(r.watch, client)
+		}
+	}
+	r.lastExecuted = cs.Seq
+	// Drop protocol state the snapshot supersedes: slots at or below the
+	// restored frontier can never execute locally (their effects are IN
+	// the snapshot) and an uncommitted one would read as outstanding work
+	// forever, spinning progress-timeout view changes. recordStable has
+	// typically already run for this checkpoint — that is what triggered
+	// the transfer — and stopped its GC at the OLD execution frontier, so
+	// it will not run again below.
+	dropThrough(r.slots, cs.Seq)
+	dropThrough(r.directReq, cs.Seq)
+	r.snaps.adopt(cs)
+	r.recordStable(cs.Seq, cs.Root(), cs.Pi)
+	r.executeReady()
+	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"time"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -11,7 +10,9 @@ import (
 // on the fast path (§V-C) and on the linear-PBFT path (§V-E). What the
 // C-collectors do between the two ends is in collector.go.
 
-// slot holds all per-sequence-number protocol state of one replica.
+// slot holds the per-sequence-number protocol state of one replica: what
+// ordering knows of the sequence, and embedded in it what this replica
+// holds as one of its collectors.
 type slot struct {
 	seq uint64
 
@@ -36,67 +37,48 @@ type slot struct {
 
 	committed     bool
 	committedReqs []Request
-	// execReqs is the exactly-once subset of committedReqs actually fed to
-	// the application (requests already executed for their client at an
-	// earlier sequence are skipped deterministically).
-	execReqs []Request
-	executed bool
 
 	sentSignShare   bool
 	sentCommitShare bool
 
-	// C-collector state (when this replica collects for this slot). The
-	// share tables hold one UNVERIFIED share per signer; the combine checks
-	// them together (cryptosink.go).
-	sigmaShares  map[int]threshsig.Share
-	tauShares    map[int]threshsig.Share
-	tautauShares map[int]threshsig.Share
-	// tauQuorumAt records when the τ quorum was first reached; the gap to
-	// the σ quorum feeds the adaptive fast-path timer (§V-E: "an adaptive
-	// protocol based on past network profiling to control this timer").
-	tauQuorumAt   time.Duration
-	tauQuorumSeen bool
-	// pendingShares buffers sign-shares that arrived before this
-	// collector's own pre-prepare (they cannot be verified yet); replayed
-	// by acceptPrePrepare. Without this, WAN reordering starves the fast
-	// path of its 3f+c+1 quorum.
-	pendingShares []SignShareMsg
-	// pendingProofs buffers commit certificates that raced ahead of the
-	// pre-prepare.
-	pendingFast   *FullCommitProofMsg
-	pendingSlow   *FullCommitProofSlowMsg
-	collectorView uint64
-	sentFastProof bool
-	sentPrepare   bool
-	sentSlowProof bool
-	fastTimer     func() // cancel
-	staggerTimer  func() // cancel
+	// pendingFast and pendingSlow buffer commit certificates that raced
+	// ahead of the pre-prepare.
+	pendingFast *FullCommitProofMsg
+	pendingSlow *FullCommitProofSlowMsg
 
-	// collectorEpoch is bumped whenever the collector state resets, so
-	// sink completions of a dead collector round are dropped, not applied
-	// to the fresh tables.
-	collectorEpoch uint64
+	collectorState // C-collector role (collector.go)
+	execState      // execution and the E-collector role (execute.go)
+}
 
-	// E-collector state. π shares are grouped by the digest they sign: a
-	// Byzantine replica may send correctly-signed shares over a garbage
-	// digest, and first-write-wins bookkeeping would let one such share
-	// block the honest f+1 quorum. Per-digest groups make the garbage
-	// digest inert (it can never gather f+1 signers, at least one of
-	// which would have to be honest).
-	piShares     map[string]map[int]threshsig.Share
-	execDigest   []byte
-	execPi       threshsig.Signature
-	sentExecCert bool
-	execAcked    bool
-	// ackProofs are the clients' Merkle proofs for this block. The first
-	// E-collector takes them when it executes the block (a checkpoint may
-	// drop the proof material before its certificate completes), a
-	// redundant one when it comes to send acks, which is rare.
-	ackProofs [][]byte
-	// execProofs holds the full-execute-proofs received for this slot, one
-	// place per E-collector, UNVERIFIED until execCertified has to know.
-	execProofs   []FullExecuteProofMsg
-	execCertSeen bool
+// getSlot returns the slot of seq, creating it above the collection point.
+// At or below it only the slots recordStable kept exist: a straggler for
+// another sequence gets a blank that is not filed, so nothing comes back.
+func (r *Replica) getSlot(seq uint64) *slot {
+	s, ok := r.slots[seq]
+	if !ok {
+		s = &slot{seq: seq}
+		s.resetCollector(r.view)
+		if seq > min(r.lastStable, r.lastExecuted) {
+			r.slots[seq] = s
+		}
+	}
+	return s
+}
+
+// The commit rule (§V-C, §V-E): the block with hash h is committed by σ(h),
+// or by τ(τ(h)) over a τ(h). Whatever carries a commit certificate in from
+// outside — a collector's proof, a gap-repair answer, view-change evidence,
+// the pair that lets a lone view-changer rejoin — has it checked here.
+
+// fastCommitted reports whether sigma is σ(h).
+func (cs CryptoSuite) fastCommitted(h Digest, sigma threshsig.Signature) bool {
+	return cs.Sigma.Verify(h[:], sigma) == nil
+}
+
+// slowCommitted reports whether tau is τ(h) and tauTau is τ(τ(h)). tauHeld
+// says the caller has verified this very τ(h) before.
+func (cs CryptoSuite) slowCommitted(h Digest, tau, tauTau threshsig.Signature, tauHeld bool) bool {
+	return (tauHeld || cs.Tau.Verify(h[:], tau) == nil) && cs.Tau.Verify(tauTauDigest(tau), tauTau) == nil
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +113,7 @@ func (r *Replica) onPrePrepare(from int, m PrePrepareMsg) {
 		if m.Seq > r.windowBase+r.cfg.Win && m.Seq > r.lastExecuted+r.cfg.Win {
 			// Too far behind to catch up through the pipeline (§VIII
 			// state transfer trigger).
-			r.maybeFetchState(r.lastExecuted + 1)
+			r.fetcher.want(r.lastExecuted + 1)
 		}
 		return
 	}
@@ -227,19 +209,7 @@ func (r *Replica) sendSignShare(s *slot) {
 		msg.SigmaSig = sigmaShare
 	}
 	r.tracef("sign-share seq=%d sigma=%v", s.seq, len(msg.SigmaSig.Data) > 0)
-	targets := r.cfg.CCollectors(s.seq, s.prePrepareView)
-	sent := map[int]bool{}
-	for _, c := range targets {
-		if sent[c] {
-			continue
-		}
-		sent[c] = true
-		if c == r.id {
-			r.onSignShare(r.id, msg)
-		} else {
-			r.env.Send(c, msg)
-		}
-	}
+	r.toCollectors(r.cfg.CCollectors(s.seq, s.prePrepareView), msg)
 }
 
 func (r *Replica) onFullCommitProof(_ int, m FullCommitProofMsg) {
@@ -254,10 +224,9 @@ func (r *Replica) onFullCommitProof(_ int, m FullCommitProofMsg) {
 		}
 		return
 	}
-	if r.suite.Sigma.Verify(s.hash[:], m.Sigma) != nil {
-		return
+	if r.suite.fastCommitted(s.hash, m.Sigma) {
+		r.acceptFastProof(s, m)
 	}
-	r.acceptFastProof(s, m)
 }
 
 // acceptFastProof commits s on a σ(h) known to be valid: verified on
@@ -302,13 +271,7 @@ func (r *Replica) onPrepare(_ int, m PrepareMsg) {
 // combined and checked by this very collector — and answers it with this
 // replica's commit share.
 func (r *Replica) acceptPrepare(s *slot, m PrepareMsg) {
-	if !s.hasPrepare || s.prepareView < m.View {
-		s.hasPrepare = true
-		s.prepareView = m.View
-		s.prepareTau = m.Tau
-		s.prepareReqs = s.reqs
-		s.prepareHash = s.hash
-	}
+	s.holdPrepare(m.View, m.Tau)
 	if s.committed || s.sentCommitShare {
 		return
 	}
@@ -317,18 +280,18 @@ func (r *Replica) acceptPrepare(s *slot, m PrepareMsg) {
 	if err != nil {
 		return
 	}
-	msg := CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share}
-	sent := map[int]bool{}
-	for _, c := range r.cfg.CCollectors(m.Seq, m.View) {
-		if sent[c] {
-			continue
-		}
-		sent[c] = true
-		if c == r.id {
-			r.onCommit(r.id, msg)
-		} else {
-			r.env.Send(c, msg)
-		}
+	r.toCollectors(r.cfg.CCollectors(m.Seq, m.View), CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share})
+}
+
+// holdPrepare keeps τ(h) of view as the slot's prepare certificate, with
+// the block it certifies, unless one from as high a view is held already.
+func (s *slot) holdPrepare(view uint64, tau threshsig.Signature) {
+	if !s.hasPrepare || s.prepareView < view {
+		s.hasPrepare = true
+		s.prepareView = view
+		s.prepareTau = tau
+		s.prepareReqs = s.reqs
+		s.prepareHash = s.hash
 	}
 }
 
@@ -344,17 +307,13 @@ func (r *Replica) onFullCommitProofSlow(_ int, m FullCommitProofSlowMsg) {
 		}
 		return
 	}
-	// Verify the chain: τ(h) over our block hash — unless it is the very
-	// prepare certificate onPrepare accepted for this block — then τ(τ(h)).
+	// τ(h) needs no second check when it is the very prepare certificate
+	// onPrepare accepted for this block.
 	held := s.hasPrepare && s.prepareView == m.View && s.prepareHash == s.hash &&
 		bytes.Equal(s.prepareTau.Data, m.Tau.Data)
-	if !held && r.suite.Tau.Verify(s.hash[:], m.Tau) != nil {
-		return
+	if r.suite.slowCommitted(s.hash, m.Tau, m.TauTau, held) {
+		r.acceptSlowProof(s, m)
 	}
-	if r.suite.Tau.Verify(tauTauDigest(m.Tau), m.TauTau) != nil {
-		return
-	}
-	r.acceptSlowProof(s, m)
 }
 
 // acceptSlowProof commits s on a τ(τ(h)) chain known to be valid (see
@@ -365,19 +324,14 @@ func (r *Replica) acceptSlowProof(s *slot, m FullCommitProofSlowMsg) {
 	}
 	s.commitSlow = &m
 	s.commitSlowView = m.View
-	if !s.hasPrepare || s.prepareView < m.View {
-		s.hasPrepare = true
-		s.prepareView = m.View
-		s.prepareTau = m.Tau
-		s.prepareReqs = s.reqs
-		s.prepareHash = s.hash
-	}
+	s.holdPrepare(m.View, m.Tau)
 	r.Metrics.SlowCommits++
 	r.commit(s, s.reqs)
 }
 
-// ---------------------------------------------------------------------------
-// Commit, execution and acknowledgement.
+// commit is the one place a block becomes committed, whichever certificate
+// or new-view decision brought it: the collectors stand down, execution is
+// tried, and the primary's proposal rule hears its clock tick.
 
 func (r *Replica) commit(s *slot, reqs []Request) {
 	if s.committed {
@@ -385,14 +339,8 @@ func (r *Replica) commit(s *slot, reqs []Request) {
 	}
 	s.committed = true
 	s.committedReqs = reqs
-	if s.fastTimer != nil {
-		s.fastTimer()
-		s.fastTimer = nil
-	}
-	if s.staggerTimer != nil {
-		s.staggerTimer()
-		s.staggerTimer = nil
-	}
+	s.fastTimer.stop()
+	s.staggerTimer.stop()
 	r.tracef("commit seq=%d (%d reqs)", s.seq, len(reqs))
 	r.executeReady()
 	r.armProgressTimer()

@@ -82,6 +82,23 @@ func (r *Replica) notePending(req Request) {
 	r.armBatchTimer()
 }
 
+// prunePending drops the queued requests that have executed (the reply
+// cache covers them) or that carried covers: client → highest timestamp in
+// a slot of the view being installed, nil at any other time.
+func (r *Replica) prunePending(carried map[int]uint64) {
+	kept := r.pending[:0]
+	for _, req := range r.pending {
+		ts, inSlot := carried[req.Client]
+		ent, done := r.replyCache[req.Client]
+		if inSlot && ts >= req.Timestamp || done && ent.timestamp >= req.Timestamp {
+			r.pendingIdxDel(req)
+		} else {
+			kept = append(kept, req)
+		}
+	}
+	r.pending = kept
+}
+
 // requeue re-adds a request to the pending queue unless it has already
 // executed or is already covered by the queue, bypassing the `seen` dedup
 // (which tracks proposed-but-possibly-lost requests). Used at view
@@ -114,11 +131,10 @@ func (r *Replica) requeue(req Request) {
 // whenever the primary holds pending requests, a batch timer is running.
 // The blocks it forces out are counted: a commit should have come first.
 func (r *Replica) armBatchTimer() {
-	if !r.isPrimary() || len(r.pending) == 0 || r.batchTimer != nil || r.cfg.BatchTimeout <= 0 {
+	if !r.isPrimary() || len(r.pending) == 0 || r.batchTimer.armed() || r.cfg.BatchTimeout <= 0 {
 		return
 	}
-	r.batchTimer = r.env.After(r.cfg.BatchTimeout, func() {
-		r.batchTimer = nil
+	r.batchTimer.arm(r.env, r.cfg.BatchTimeout, func() {
 		before := r.Metrics.Proposals
 		r.proposeIfReady(true)
 		r.Metrics.TimerProposals += r.Metrics.Proposals - before
@@ -228,10 +244,7 @@ func (r *Replica) proposeIfReady(release bool) {
 		r.pending = r.pending[batch:]
 		// The timer bounds how long a held request waits, so it restarts
 		// with the queue: left running, it would cut short a later hold.
-		if r.batchTimer != nil {
-			r.batchTimer()
-			r.batchTimer = nil
-		}
+		r.batchTimer.stop()
 		seq := r.nextSeq
 		r.nextSeq++
 		r.Metrics.Proposals++

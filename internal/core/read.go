@@ -63,21 +63,15 @@ func (r *Replica) onRead(from int, m ReadMsg) {
 		r.flushReads()
 		return
 	}
-	if r.readTimer == nil {
-		r.readTimer = r.env.After(readBatchWait, func() {
-			r.readTimer = nil
-			r.flushReads()
-		})
+	if !r.readTimer.armed() {
+		r.readTimer.arm(r.env, readBatchWait, r.flushReads)
 	}
 }
 
 // flushReads serves the queued batch against the newest certified
 // snapshot, computing each distinct Merkle proof once.
 func (r *Replica) flushReads() {
-	if r.readTimer != nil {
-		r.readTimer()
-		r.readTimer = nil
-	}
+	r.readTimer.stop()
 	queue := r.readQueue
 	r.readQueue = nil
 	if len(queue) == 0 {
@@ -85,7 +79,7 @@ func (r *Replica) flushReads() {
 	}
 	r.Metrics.ReadBatches++
 
-	cs := r.curSnap()
+	cs := r.snaps.cur()
 	kr, _ := r.app.(KeyReader)
 	var (
 		headerProof     merkle.Proof
@@ -246,7 +240,7 @@ type pendingRead struct {
 	tried     int // replicas tried so far (index offset from first)
 	target    int // replica currently awaited
 	failovers int
-	cancelTo  func()
+	timeout   timer
 }
 
 // SetReadKey installs the client-side op→key mapping (the same mapping
@@ -310,11 +304,9 @@ func (c *Client) sendRead(p *pendingRead) {
 	if timeout <= 0 {
 		return // deterministic tests drive failover via explicit replies
 	}
-	if p.cancelTo != nil {
-		p.cancelTo()
-	}
+	p.timeout.stop()
 	attempt := p.tried
-	p.cancelTo = c.env.After(timeout, func() {
+	p.timeout.arm(c.env, timeout, func() {
 		if c.curRead != p || p.tried != attempt {
 			return
 		}
@@ -330,9 +322,7 @@ func (c *Client) readFailover(p *pendingRead) {
 	p.tried++
 	p.failovers++
 	if p.tried >= c.cfg.N() {
-		if p.cancelTo != nil {
-			p.cancelTo()
-		}
+		p.timeout.stop()
 		c.curRead = nil
 		c.ReadFallbacks++
 		c.readFallback = p
@@ -373,9 +363,7 @@ func (c *Client) onReadReply(from int, m ReadReplyMsg) {
 		return
 	}
 	// Accepted. Any replica's verified reply is as good as the target's.
-	if p.cancelTo != nil {
-		p.cancelTo()
-	}
+	p.timeout.stop()
 	c.curRead = nil
 	c.ReadsCompleted++
 	if m.Seq > c.seqFloor {

@@ -9,11 +9,11 @@ import (
 // This file implements replica restart from durable storage. The paper's
 // deployment persists committed transactions to disk (RocksDB, §IX);
 // internal/storage provides the substitute log. A replica that crashes and
-// restarts replays its block log through the application — recovering the
-// exact pre-crash state because execution is deterministic — and then
-// rejoins the protocol, catching up on anything it missed through the
-// normal gap-repair and state-transfer paths (§II re-transmit layer,
-// §VIII state transfer).
+// restarts — NewReplica over the store it left — replays its block log
+// through the application, recovering the exact pre-crash state because
+// execution is deterministic, and then rejoins the protocol, catching up
+// on anything it missed through the normal gap-repair and state-transfer
+// paths (§II re-transmit layer, §VIII state transfer).
 
 // BlockRecord is the durable form of one committed decision block: the
 // requests and the per-request execution results. Records are
@@ -84,7 +84,7 @@ type SnapshotSink interface {
 // PersistCertified durably saves a stable certified snapshot into a
 // SnapshotStore, pruning generations below keepFrom only after a
 // successful write. The single implementation every persistence path
-// shares — the synchronous adoptSnapshot fallback, the simulator's
+// shares — snapChain's synchronous fallback, the simulator's
 // virtual-disk sink, and the deployment's worker sink — so the
 // save→prune ordering (and the retention policy) cannot silently diverge
 // between them.
@@ -106,39 +106,35 @@ type RecoverableStore interface {
 	NextSeq() uint64
 }
 
-// NewRecoveredReplica rebuilds a replica from its durable block log: it
-// replays every stored block through the application (which must be at
-// genesis), verifies the recomputed results against the stored ones, and
-// primes the reply cache and execution frontier. The replica then rejoins
-// the protocol at its durable frontier; blocks committed by the rest of
-// the cluster while it was down arrive through gap repair or state
-// transfer.
-func NewRecoveredReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app Application, env Env, store RecoverableStore) (*Replica, error) {
-	r, err := NewReplica(id, cfg, suite, keys, app, env, store)
-	if err != nil {
-		return nil, err
-	}
+// replay rebuilds a replica from its durable block log, as NewReplica's
+// last step: every stored block goes through the application (which must
+// be at genesis), the recomputed results are verified against the stored
+// ones, and the reply cache and execution frontier are primed. The replica
+// then joins the protocol at its durable frontier; blocks committed by the
+// rest of the cluster while it was down arrive through gap repair or state
+// transfer. An empty store replays nothing and changes nothing.
+func (r *Replica) replay(store RecoverableStore) error {
 	frontier := store.NextSeq() - 1
 	for seq := uint64(1); seq <= frontier; seq++ {
 		payload, err := store.Get(seq)
 		if err != nil {
-			return nil, fmt.Errorf("core: recovering block %d: %w", seq, err)
+			return fmt.Errorf("core: recovering block %d: %w", seq, err)
 		}
 		rec, err := DecodeBlockPayload(payload)
 		if err != nil {
-			return nil, fmt.Errorf("core: recovering block %d: %w", seq, err)
+			return fmt.Errorf("core: recovering block %d: %w", seq, err)
 		}
 		ops := make([][]byte, len(rec.Reqs))
 		for i, req := range rec.Reqs {
 			ops[i] = req.Op
 		}
-		results := app.ExecuteBlock(seq, ops)
+		results := r.app.ExecuteBlock(seq, ops)
 		if len(results) != len(rec.Results) {
-			return nil, fmt.Errorf("core: block %d replay produced %d results, stored %d", seq, len(results), len(rec.Results))
+			return fmt.Errorf("core: block %d replay produced %d results, stored %d", seq, len(results), len(rec.Results))
 		}
 		for i := range results {
 			if !bytes.Equal(results[i], rec.Results[i]) {
-				return nil, fmt.Errorf("core: block %d result %d diverged on replay (corrupt store or non-deterministic app)", seq, i)
+				return fmt.Errorf("core: block %d result %d diverged on replay (corrupt store or non-deterministic app)", seq, i)
 			}
 		}
 		for i, req := range rec.Reqs {
@@ -157,9 +153,7 @@ func NewRecoveredReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys
 	// above it. The stable checkpoint (lastStable) stays at 0 — stability
 	// is a quorum property the restarted replica re-learns from its peers.
 	r.windowBase = frontier
-	if r.nextSeq <= frontier {
-		r.nextSeq = frontier + 1
-	}
+	r.nextSeq = frontier + 1
 	// Re-arm snapshot serving from the durable certified snapshot, if one
 	// exists at or below the replayed frontier. The stored blob carries its
 	// π certificate; verify it (and the chunk shape) before trusting disk.
@@ -167,22 +161,16 @@ func NewRecoveredReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys
 		if seq, err := ss.LatestSnapshot(); err == nil && seq > 0 && seq <= frontier {
 			blob, err := ss.LoadSnapshot(seq)
 			if err != nil {
-				return nil, fmt.Errorf("core: loading snapshot %d: %w", seq, err)
+				return fmt.Errorf("core: loading snapshot %d: %w", seq, err)
 			}
 			cs, err := DecodeCertifiedSnapshot(blob)
 			if err != nil || cs.Seq != seq {
-				return nil, fmt.Errorf("core: durable snapshot %d corrupt: %v", seq, err)
+				return fmt.Errorf("core: durable snapshot %d corrupt: %v", seq, err)
 			}
-			if suite.Pi.Verify(CheckpointSigDigest(cs.Seq, cs.Root()), cs.Pi) == nil {
-				// Re-arm a single-generation retention chain: the durable
-				// store held only this snapshot's predecessors-by-prune,
-				// and cross-restart delta continuity is not reconstructed
-				// (deltaKnown=false). The chain regrows — and deltas with
-				// it — from the next stable checkpoint.
-				r.snapGens = []*snapGeneration{{cs: cs}}
-				r.durableSnap = cs.Seq
+			if r.suite.Pi.Verify(CheckpointSigDigest(cs.Seq, cs.Root()), cs.Pi) == nil {
+				r.snaps.rearm(cs)
 			}
 		}
 	}
-	return r, nil
+	return nil
 }

@@ -129,7 +129,7 @@ func TestRecoveredReplicaReplaysLog(t *testing.T) {
 
 	// "Restart": fresh app + replica rebuilt from the store.
 	after := &countingApp{}
-	r2, err := NewRecoveredReplica(2, cfg, suite, keys[1], after, &fakeEnv{}, store)
+	r2, err := NewReplica(2, cfg, suite, keys[1], after, &fakeEnv{}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRecoveredReplicaDetectsDivergentReplay(t *testing.T) {
 	if err := store.Append(1, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRecoveredReplica(2, cfg, suite, keys[1], &countingApp{}, &fakeEnv{}, store); err == nil {
+	if _, err := NewReplica(2, cfg, suite, keys[1], &countingApp{}, &fakeEnv{}, store); err == nil {
 		t.Fatal("divergent replay accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"sbft/internal/crypto/threshsig"
@@ -169,38 +170,10 @@ type Replica struct {
 	stableDigest []byte
 	stablePi     threshsig.Signature
 	slots        map[uint64]*slot
-	// snapGens is the bounded chain of retained stable certified
-	// snapshot generations, oldest first; the newest entry is the one
-	// advertised to fetchers. Older generations stay servable (in
-	// memory) so fetchers mid-transfer keep completing across
-	// checkpoint supersessions, and each generation records which chunk
-	// leaves changed from its chain predecessor so a laggard holding an
-	// older retained generation fetches one base plus deltas instead of
-	// the full state. Depth is Config.SnapshotRetain.
-	snapGens []*snapGeneration
-	// capCache carries chunk identities and leaf hashes between
-	// consecutive checkpoint captures, so an application with an
-	// incremental capture path (ChunkedSnapshotter) costs
-	// O(chunks-changed) per checkpoint rather than O(state).
-	capCache *CaptureCache
-	// pendingSnap holds certified snapshots captured at the moment a
-	// checkpoint sequence executed, keyed by that sequence. Stabilization
-	// (the π quorum) arrives a round-trip later, when execution may have
-	// pipelined past the checkpoint; capturing then would mislabel newer
-	// state (and a newer reply table) with the older certified digest.
-	pendingSnap map[uint64]*CertifiedSnapshot
-	// fetch is the in-progress chunked state transfer, if any.
-	fetch *stateFetch
-	// snapshotBlames accumulates, per server id, how many times that
-	// server was blamed for snapshot material failing verification.
-	snapshotBlames map[int]int
-	// sink, when set, receives adopted snapshots for asynchronous
-	// persistence (see SnapshotSink); nil falls back to the synchronous
-	// SnapshotStore path.
-	sink SnapshotSink
-	// durableSnap is the highest snapshot sequence known persisted (the
-	// restart-survivable serving point, armed by the sink's completion).
-	durableSnap uint64
+	// snaps is the chain of certified snapshot generations (checkpoint.go);
+	// fetcher is the client side of state transfer (statefetch.go).
+	snaps   snapChain
+	fetcher fetcher
 	// csink runs threshold-share verification and combination, inline by
 	// default or on a worker pool when SetCryptoSink installs one (see
 	// cryptosink.go). Never nil.
@@ -220,7 +193,7 @@ type Replica struct {
 	pendingIdx    map[int]map[uint64]bool
 	seen          map[int]uint64 // client → highest in-flight (unexecuted) timestamp
 	nextSeq       uint64
-	batchTimer    func()
+	batchTimer    timer
 	lastCommitted []Request // the block that committed last (threeClientsAlive)
 
 	// Client bookkeeping.
@@ -247,20 +220,20 @@ type Replica struct {
 	vcSent        map[uint64]bool
 	vcResent      map[uint64]bool // view-change re-unicast to a late primary
 	vcBackoff     uint64
-	progressTimer func()
-	vcTimer       func()
-	gapTimer      func()
+	progressTimer timer
+	vcTimer       timer
+	gapTimer      timer
 	gapAttempt    int
 
 	// Certified-read batching (read.go): queued reads and the flush timer
 	// that bounds their wait.
 	readQueue []readRequest
-	readTimer func()
+	readTimer timer
 
-	// fastSpread is an EWMA of the observed τ-quorum → σ-quorum share
-	// arrival gap, driving the adaptive fast-path timer (§V-E).
-	fastSpread     time.Duration
-	fastSpreadSeen bool
+	// fastSpread averages the observed τ-quorum → σ-quorum share arrival
+	// gap: collectors learn how long the σ quorum trails the τ quorum on
+	// their slots, and the adaptive fast-path timer covers it (§V-E).
+	fastSpread ewma
 
 	Metrics Metrics
 
@@ -268,8 +241,10 @@ type Replica struct {
 	trace func(format string, args ...any)
 }
 
-// NewReplica constructs a replica. app must be at genesis (nothing
-// executed); id is 1-based.
+// NewReplica constructs a replica; id is 1-based and app must be at genesis
+// (nothing executed). A store that can be read back (RecoverableStore) and
+// holds history is replayed through app first (recovery.go), so a restart
+// and a first start are the same call.
 func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app Application, env Env, store BlockStore) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -278,30 +253,38 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		return nil, fmt.Errorf("core: replica id %d out of range [1,%d]", id, cfg.N())
 	}
 	r := &Replica{
-		id:             id,
-		cfg:            cfg,
-		suite:          suite,
-		keys:           keys,
-		app:            app,
-		env:            env,
-		store:          store,
-		slots:          make(map[uint64]*slot),
-		pendingIdx:     make(map[int]map[uint64]bool),
-		seen:           make(map[int]uint64),
-		nextSeq:        1,
-		replyCache:     make(map[int]replyCacheEntry),
-		directReq:      make(map[uint64]map[int]bool),
-		watch:          make(map[int]watchEntry),
-		ckptShares:     make(map[uint64]map[string]map[int]threshsig.Share),
-		vcMsgs:         make(map[uint64]map[int]*ViewChangeMsg),
-		vcSent:         make(map[uint64]bool),
-		vcResent:       make(map[uint64]bool),
-		ppBuffer:       make(map[uint64][]PrePrepareMsg),
-		pendingSnap:    make(map[uint64]*CertifiedSnapshot),
-		snapshotBlames: make(map[int]int),
-		suspects:       make(map[int]uint64),
+		id:         id,
+		cfg:        cfg,
+		suite:      suite,
+		keys:       keys,
+		app:        app,
+		env:        env,
+		store:      store,
+		slots:      make(map[uint64]*slot),
+		pendingIdx: make(map[int]map[uint64]bool),
+		seen:       make(map[int]uint64),
+		nextSeq:    1,
+		replyCache: make(map[int]replyCacheEntry),
+		directReq:  make(map[uint64]map[int]bool),
+		watch:      make(map[int]watchEntry),
+		ckptShares: make(map[uint64]map[string]map[int]threshsig.Share),
+		vcMsgs:     make(map[uint64]map[int]*ViewChangeMsg),
+		vcSent:     make(map[uint64]bool),
+		vcResent:   make(map[uint64]bool),
+		ppBuffer:   make(map[uint64][]PrePrepareMsg),
+		suspects:   make(map[int]uint64),
+		csink:      syncSink{suite},
 	}
-	r.csink = syncSink{suite}
+	r.snaps = newSnapChain(cfg.snapshotRetain(), env, store, &r.Metrics, r.tracef)
+	r.fetcher = fetcher{
+		id: id, cfg: cfg, env: env, pi: suite.Pi, host: r, snaps: &r.snaps,
+		metrics: &r.Metrics, tracef: r.tracef, blames: make(map[int]int),
+	}
+	if rs, ok := store.(RecoverableStore); ok {
+		if err := r.replay(rs); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
 }
 
@@ -331,6 +314,10 @@ func (r *Replica) OldestSlot() (oldest uint64) {
 // InViewChange reports whether the replica is between views.
 func (r *Replica) InViewChange() bool { return r.inViewChange }
 
+// SnapshotBlameCounts reports, per server id, how many pieces of snapshot
+// material from that server failed verification against a certified root.
+func (r *Replica) SnapshotBlameCounts() map[int]int { return maps.Clone(r.fetcher.blames) }
+
 // SetTrace installs a debug trace sink.
 func (r *Replica) SetTrace(fn func(string, ...any)) { r.trace = fn }
 
@@ -341,21 +328,6 @@ func (r *Replica) tracef(format string, args ...any) {
 }
 
 func (r *Replica) isPrimary() bool { return r.cfg.Primary(r.view) == r.id }
-
-// getSlot returns the slot of seq, creating it above the collection point.
-// At or below it only the slots recordStable kept exist: a straggler for
-// another sequence gets a blank that is not filed, so nothing comes back.
-func (r *Replica) getSlot(seq uint64) *slot {
-	s, ok := r.slots[seq]
-	if !ok {
-		s = &slot{seq: seq}
-		s.resetCollector(r.view)
-		if seq > min(r.lastStable, r.lastExecuted) {
-			r.slots[seq] = s
-		}
-	}
-	return s
-}
 
 // broadcast sends msg to every replica except self.
 func (r *Replica) broadcast(msg Message) {
@@ -397,18 +369,63 @@ func (r *Replica) Deliver(from int, msg any) {
 	case CommitInfoMsg:
 		r.onCommitInfo(from, m)
 	case FetchStateMsg:
-		r.onFetchState(from, m)
+		r.snaps.onFetchState(m)
 	case SnapshotMetaMsg:
-		r.onSnapshotMeta(from, m)
+		r.fetcher.onSnapshotMeta(from, m)
 	case FetchSnapshotChunkMsg:
-		r.onFetchSnapshotChunk(from, m)
+		r.snaps.onFetchSnapshotChunk(m)
 	case SnapshotChunkMsg:
-		r.onSnapshotChunk(from, m)
+		r.fetcher.onSnapshotChunk(from, m)
 	case ViewChangeMsg:
 		r.onViewChange(from, m)
 	case NewViewMsg:
 		r.onNewView(from, m)
 	case ReadMsg:
 		r.onRead(from, m)
+	}
+}
+
+// timer is one cancellable Env.After; the zero value is not armed.
+type timer struct{ cancel func() }
+
+func (t *timer) armed() bool { return t.cancel != nil }
+
+// arm schedules fn after d. When fn runs the timer is no longer armed.
+func (t *timer) arm(env Env, d time.Duration, fn func()) {
+	t.cancel = env.After(d, func() {
+		t.cancel = nil
+		fn()
+	})
+}
+
+// stop cancels the timer if it is armed.
+func (t *timer) stop() {
+	if t.cancel != nil {
+		t.cancel()
+		t.cancel = nil
+	}
+}
+
+// ewma is an exponentially weighted moving average of durations with
+// α = 1/4, seeded by its first sample.
+type ewma struct {
+	v   time.Duration
+	set bool
+}
+
+func (e *ewma) observe(d time.Duration) {
+	if !e.set {
+		e.v, e.set = d, true
+		return
+	}
+	e.v += (d - e.v) / 4
+}
+
+// dropThrough deletes every entry of m keyed at or below seq.
+func dropThrough[V any](m map[uint64]V, seq uint64) {
+	for k := range m {
+		if k <= seq {
+			delete(m, k)
+		}
 	}
 }

@@ -392,14 +392,14 @@ func TestAdaptiveFastTimer(t *testing.T) {
 	}
 
 	// A large observed spread stretches the timer (2× the EWMA).
-	r.observeFastSpread(200 * time.Millisecond)
+	r.fastSpread.observe(200 * time.Millisecond)
 	if got := r.fastTimerDuration(); got != 400*time.Millisecond {
 		t.Fatalf("adaptive = %v, want 400ms", got)
 	}
 
 	// EWMA converges toward repeated small observations.
 	for i := 0; i < 40; i++ {
-		r.observeFastSpread(20 * time.Millisecond)
+		r.fastSpread.observe(20 * time.Millisecond)
 	}
 	if got := r.fastTimerDuration(); got != 100*time.Millisecond {
 		t.Fatalf("after small spreads = %v, want the 100ms floor", got)
@@ -408,7 +408,7 @@ func TestAdaptiveFastTimer(t *testing.T) {
 	// The cap bounds pathological observations (crashed replicas must not
 	// inflate commit latency unboundedly).
 	for i := 0; i < 40; i++ {
-		r.observeFastSpread(10 * time.Second)
+		r.fastSpread.observe(10 * time.Second)
 	}
 	if got := r.fastTimerDuration(); got != 600*time.Millisecond {
 		t.Fatalf("capped = %v, want 6×floor = 600ms", got)

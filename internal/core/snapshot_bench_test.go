@@ -118,7 +118,7 @@ func benchCapture(b *testing.B, size int, async bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.adoptSnapshot(cs)
+		r.snaps.adopt(cs)
 	}
 	b.StopTimer()
 	if async {
@@ -192,7 +192,7 @@ func benchIncrementalCapture(b *testing.B, sc kvBenchState) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.adoptSnapshot(cs)
+	r.snaps.adopt(cs)
 
 	dirtyN := int(float64(sc.keys) * sc.dirtyFrac)
 	if dirtyN < 1 {
@@ -213,7 +213,7 @@ func benchIncrementalCapture(b *testing.B, sc kvBenchState) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.adoptSnapshot(cs)
+		r.snaps.adopt(cs)
 	}
 }
 

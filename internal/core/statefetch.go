@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,16 +13,38 @@ import (
 // This file is the client side of state transfer (§VIII): a lagging
 // replica fetches the newest certified snapshot in chunks through a
 // bounded window, verifies each against the threshold-signed root, and
-// installs the result.
+// hands the result to its host to install. The serving side is
+// snapChain's (checkpoint.go).
 
-// SnapshotBlameCounts reports, per server id, how many pieces of snapshot
-// material from that server failed verification against a certified root.
-func (r *Replica) SnapshotBlameCounts() map[int]int {
-	out := make(map[int]int, len(r.snapshotBlames))
-	for id, n := range r.snapshotBlames {
-		out[id] = n
-	}
-	return out
+// fetchHost is what the fetcher sees of the replica it fetches for.
+type fetchHost interface {
+	// LastExecuted is the execution frontier a transfer must get ahead of.
+	LastExecuted() uint64
+	// install replaces the host's state with a snapshot whose every chunk
+	// verified against its certified root, and resumes execution from it.
+	// The transfer that fetched it is over by then, so install may ask for
+	// the next one (want). An error means the snapshot was not installed.
+	install(cs *CertifiedSnapshot) error
+}
+
+// fetcher is the state-transfer client of one replica: at most one
+// transfer in flight, and the blame its servers have earned over all of
+// them.
+type fetcher struct {
+	id      int
+	cfg     Config
+	env     Env
+	pi      threshsig.Scheme // verifies a snapshot's certificate
+	host    fetchHost
+	snaps   *snapChain // local generations: delta bases
+	metrics *Metrics
+	tracef  func(format string, args ...any)
+
+	// fetch is the in-progress chunked state transfer, if any.
+	fetch *stateFetch
+	// blames accumulates, per server id, how many times that server was
+	// blamed for snapshot material failing verification.
+	blames map[int]int
 }
 
 // fetchTimeoutStrikes is how many consecutive unanswered chunk requests
@@ -37,18 +60,8 @@ const fetchTimeoutStrikes = 3
 // are eventually excluded.
 type fetchStats struct {
 	outstanding int
-	timeouts    int // consecutive unanswered requests
-	ewma        time.Duration
-	ewmaSet     bool
-}
-
-// observe folds one request→verified-chunk latency into the EWMA (α=1/4).
-func (st *fetchStats) observe(d time.Duration) {
-	if !st.ewmaSet {
-		st.ewma, st.ewmaSet = d, true
-		return
-	}
-	st.ewma += (d - st.ewma) / 4
+	timeouts    int  // consecutive unanswered requests
+	latency     ewma // request→verified chunk
 }
 
 // score ranks observed service quality (lower is better). Unknown
@@ -56,12 +69,8 @@ func (st *fetchStats) observe(d time.Duration) {
 // doubles the effective latency, steering the window away from
 // slow-trickling servers well before the exclusion threshold.
 func (st *fetchStats) score() time.Duration {
-	s := st.ewma
-	strikes := st.timeouts
-	if strikes > 8 {
-		strikes = 8
-	}
-	for i := 0; i < strikes; i++ {
+	s := st.latency.v
+	for i := 0; i < min(st.timeouts, 8); i++ {
 		s = 2*s + 10*time.Millisecond
 	}
 	return s
@@ -81,7 +90,7 @@ type stateFetch struct {
 	// sequence among them — a Byzantine server racing a stale-but-valid
 	// meta can no longer steer the transfer by answering first.
 	bestMeta  *SnapshotMetaMsg
-	metaTimer func() // cancel
+	metaTimer timer
 	// Filled once a meta is adopted:
 	seq     uint64
 	root    []byte
@@ -95,10 +104,9 @@ type stateFetch struct {
 	// base's sequence (0 = full transfer). The delta fields of a meta
 	// ride OUTSIDE the π-certified root, so prefilled chunks are only
 	// trusted once the fully assembled snapshot reproduces the certified
-	// root (finishStateFetch); metaFrom remembers who supplied the delta
-	// list so a mismatch blames the right server. fetched counts chunks
-	// verified over the wire this transfer — the progress a restart
-	// would discard.
+	// root (finish); metaFrom remembers who supplied the delta list so a
+	// mismatch blames the right server. fetched counts chunks verified
+	// over the wire this transfer — the progress a restart would discard.
 	prefilled []int
 	deltaBase uint64
 	metaFrom  int
@@ -122,10 +130,9 @@ type stateFetch struct {
 	// retry deadline's fallback before a specific server's own EWMA is
 	// seeded (early in a transfer the queue tail behind a full window
 	// easily exceeds any fixed timeout; expiring it would churn).
-	svc    time.Duration
-	svcSet bool
-	cancel func() // whole-transfer retry timer
-	pacer  func() // per-chunk retry scan timer
+	svc   ewma
+	retry timer // whole-transfer retry
+	pacer timer // per-chunk retry scan
 }
 
 // stats returns the accounting entry for a server, creating it lazily.
@@ -138,78 +145,73 @@ func (f *stateFetch) stats(id int) *fetchStats {
 	return st
 }
 
-// stopTimers cancels every timer owned by the transfer.
-func (f *stateFetch) stopTimers() {
-	if f.cancel != nil {
-		f.cancel()
-		f.cancel = nil
-	}
-	if f.pacer != nil {
-		f.pacer()
-		f.pacer = nil
-	}
-	if f.metaTimer != nil {
-		f.metaTimer()
-		f.metaTimer = nil
-	}
+// clear ends the transfer in flight: its timers stop and it is forgotten.
+func (ft *fetcher) clear() {
+	f := ft.fetch
+	f.retry.stop()
+	f.pacer.stop()
+	f.metaTimer.stop()
+	ft.fetch = nil
 }
 
-// fetchPeers lists the servers still eligible for this transfer. If every
+// advancing reports whether a transfer is in flight and making progress:
+// the replica is then behind the fetch, not behind a faulty primary.
+func (ft *fetcher) advancing() bool { return ft.fetch != nil && !ft.stalled(ft.fetch) }
+
+// peers lists the servers still eligible for this transfer. If every
 // peer has been excluded the set resets: with at most f Byzantine servers
 // a full exclusion list means transient corruption or loss, not a hostile
 // majority. The reset also forgives timeout strikes so every server gets
 // a fresh probe instead of being instantly re-excluded.
-func (r *Replica) fetchPeers(f *stateFetch) []int {
-	peers := make([]int, 0, r.cfg.N()-1)
-	for id := 1; id <= r.cfg.N(); id++ {
-		if id != r.id && !f.blamed[id] {
+func (ft *fetcher) peers(f *stateFetch) []int {
+	peers := make([]int, 0, ft.cfg.N()-1)
+	for id := 1; id <= ft.cfg.N(); id++ {
+		if id != ft.id && !f.blamed[id] {
 			peers = append(peers, id)
 		}
 	}
-	if len(peers) == 0 {
-		f.blamed = make(map[int]bool)
-		for _, st := range f.servers {
-			st.timeouts = 0
-		}
-		for id := 1; id <= r.cfg.N(); id++ {
-			if id != r.id {
-				peers = append(peers, id)
-			}
-		}
+	if len(peers) > 0 {
+		return peers
 	}
-	return peers
+	f.blamed = make(map[int]bool)
+	for _, st := range f.servers {
+		st.timeouts = 0
+	}
+	return ft.peers(f)
 }
 
-// blameSnapshotServer records a server whose snapshot material failed
+// blameServer records a server whose snapshot material failed
 // verification against the certified root (§VIII: any single honest server
 // suffices; a tampering one is excluded and provably at fault, since
 // correct material is Merkle-provable against a threshold-signed root).
-func (r *Replica) blameSnapshotServer(f *stateFetch, id int, why string) {
-	r.tracef("blaming snapshot server %d: %s", id, why)
+func (ft *fetcher) blameServer(f *stateFetch, id int, why string) {
+	ft.tracef("blaming snapshot server %d: %s", id, why)
 	f.blamed[id] = true
-	r.snapshotBlames[id]++
-	r.Metrics.SnapshotBlames++
+	ft.blames[id]++
+	ft.metrics.SnapshotBlames++
 }
 
-func (r *Replica) maybeFetchState(target uint64) {
-	if r.lastExecuted >= target {
+// want starts a transfer to a certified snapshot at or above target, or
+// raises the target of the one in flight; a host already there needs none.
+func (ft *fetcher) want(target uint64) {
+	if ft.host.LastExecuted() >= target {
 		return
 	}
-	if r.fetch != nil {
-		if target > r.fetch.target {
-			r.fetch.target = target
+	if ft.fetch != nil {
+		if target > ft.fetch.target {
+			ft.fetch.target = target
 		}
 		return
 	}
-	r.fetch = &stateFetch{
+	ft.fetch = &stateFetch{
 		target:       target,
 		blamed:       make(map[int]bool),
 		servers:      make(map[int]*fetchStats),
-		lastProgress: r.env.Now(),
+		lastProgress: ft.env.Now(),
 	}
-	r.Metrics.StateFetches++
-	r.sendFetchState()
-	r.armFetchRetry()
+	ft.metrics.StateFetches++
+	ft.sendFetchState()
+	ft.armRetry()
 }
 
 // sendFetchState asks every eligible peer for snapshot metadata. The
@@ -219,75 +221,72 @@ func (r *Replica) maybeFetchState(target uint64) {
 // that is the snapshot being fetched (a delta against it carries the
 // verified chunks forward through a supersession), otherwise the newest
 // retained generation.
-func (r *Replica) sendFetchState() {
-	f := r.fetch
-	have := uint64(0)
-	if f.seq != 0 {
-		have = f.seq
-	} else if cs := r.curSnap(); cs != nil {
-		have = cs.Seq
+func (ft *fetcher) sendFetchState() {
+	f := ft.fetch
+	have := f.seq
+	if have == 0 {
+		have = ft.snaps.seq()
 	}
-	for _, peer := range r.fetchPeers(f) {
-		r.env.Send(peer, FetchStateMsg{Replica: r.id, Seq: f.target, HaveSeq: have})
+	for _, peer := range ft.peers(f) {
+		ft.env.Send(peer, FetchStateMsg{Replica: ft.id, Seq: f.target, HaveSeq: have})
 	}
 }
 
-// dropStaleFetch cancels an in-progress state transfer that can no longer
+// dropStale cancels an in-progress state transfer that can no longer
 // deliver anything: local execution caught up with both the requested
 // target and (if metadata was already accepted) the transfer's snapshot
 // sequence. Without this, a replica that catches up through gap repair
 // keeps an immortal retry timer and may later re-download a snapshot it
 // does not need.
-func (r *Replica) dropStaleFetch() {
-	f := r.fetch
-	if f == nil || r.lastExecuted < f.target || r.lastExecuted < f.seq {
+func (ft *fetcher) dropStale() {
+	f := ft.fetch
+	if f == nil || ft.host.LastExecuted() < f.target || ft.host.LastExecuted() < f.seq {
 		return
 	}
-	f.stopTimers()
-	r.fetch = nil
+	ft.clear()
 }
 
-// armFetchRetry re-drives a stalled transfer at the whole-transfer level:
+// armRetry re-drives a stalled transfer at the whole-transfer level:
 // metadata requests repeat while no meta has been adopted, and every few
 // attempts the metadata request repeats even mid-transfer — servers
 // garbage-collect superseded snapshots, so a transfer locked to a
 // checkpoint the whole cluster has advanced past must discover the newer
 // one and restart rather than re-request dead chunks forever. Individual
 // lost chunk requests recover much sooner through the per-chunk pacer.
-func (r *Replica) armFetchRetry() {
-	f := r.fetch
-	f.cancel = r.env.After(4*r.cfg.ViewChangeTimeout/3, func() {
-		if r.fetch != f {
+func (ft *fetcher) armRetry() {
+	f := ft.fetch
+	f.retry.arm(ft.env, 4*ft.cfg.ViewChangeTimeout/3, func() {
+		if ft.fetch != f {
 			return
 		}
-		r.dropStaleFetch()
-		if r.fetch != f {
+		ft.dropStale()
+		if ft.fetch != f {
 			return
 		}
 		f.attempt++
 		if f.seq == 0 {
-			r.adoptBestMeta() // a meta under collection beats re-polling
+			ft.adoptBestMeta() // a meta under collection beats re-polling
 		}
 		if f.seq == 0 || f.attempt%3 == 0 {
-			r.sendFetchState()
+			ft.sendFetchState()
 		}
 		if f.seq != 0 {
-			r.fillFetchWindow()
+			ft.fillWindow()
 		}
-		r.armFetchRetry()
+		ft.armRetry()
 	})
 }
 
-func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
-	r.dropStaleFetch()
-	f := r.fetch
+func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
+	ft.dropStale()
+	f := ft.fetch
 	if f == nil {
 		return
 	}
-	if from < 1 || from > r.cfg.N() || from == r.id {
+	if from < 1 || from > ft.cfg.N() || from == ft.id {
 		return
 	}
-	if m.Seq <= r.lastExecuted || m.Seq < f.target || (f.seq != 0 && m.Seq < f.seq) {
+	if m.Seq <= ft.host.LastExecuted() || m.Seq < f.target || (f.seq != 0 && m.Seq < f.seq) {
 		// Metadata BELOW what the transfer needs. The sender is a laggard
 		// — an honest server behind the adopted checkpoint (say, freshly
 		// restarted) answering chunk requests with the only snapshot it
@@ -297,7 +296,7 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		// retry timeout per request routed to it. Staleness is not
 		// tampering — no blame — and a server can only demote itself, so
 		// acting before certificate verification is safe.
-		r.demoteLaggardServer(f, from, m.Seq)
+		ft.demoteLaggard(f, from, m.Seq)
 		return
 	}
 	// Mid-transfer, only a strictly newer certified snapshot is
@@ -308,32 +307,24 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	}
 	// π over the certified root, then the header's membership proof: after
 	// this every chunk is independently verifiable, from any server.
-	if r.suite.Pi.Verify(CheckpointSigDigest(m.Seq, m.Root), m.Pi) != nil {
-		r.blameSnapshotServer(f, from, "snapshot certificate invalid")
+	if ft.pi.Verify(CheckpointSigDigest(m.Seq, m.Root), m.Pi) != nil {
+		ft.blameServer(f, from, "snapshot certificate invalid")
 		return
 	}
 	if err := VerifySnapshotHeader(m.Root, m.Header, m.HeaderProof); err != nil {
-		r.blameSnapshotServer(f, from, err.Error())
+		ft.blameServer(f, from, err.Error())
 		return
 	}
 	// Sanitize the ADVISORY delta fields before they can influence the
 	// transfer: indexes must name real chunks of THIS meta's snapshot and
 	// the base must be one this fetcher can actually seed from. A lying
 	// list that survives this (wrongly claiming chunks clean) is caught
-	// by the whole-snapshot root check in finishStateFetch.
+	// by the whole-snapshot root check in finish.
 	if m.DeltaBase != 0 {
-		ok := m.DeltaBase == f.seq || r.retainsSnapshot(m.DeltaBase)
 		n := m.Header.NumChunks()
-		if len(m.DeltaChunks) > n {
-			ok = false
-		}
-		for _, idx := range m.DeltaChunks {
-			if idx < 1 || idx > n {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		outside := func(idx int) bool { return idx < 1 || idx > n }
+		if (m.DeltaBase != f.seq && ft.snaps.genAt(m.DeltaBase) == nil) ||
+			len(m.DeltaChunks) > n || slices.ContainsFunc(m.DeltaChunks, outside) {
 			m.DeltaBase, m.DeltaChunks = 0, nil
 		}
 	}
@@ -348,15 +339,15 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		// only a STALLED transfer — its snapshot garbage-collected
 		// everywhere, nothing arriving — restarts at the newer state.
 		if m.DeltaBase == f.seq {
-			r.tracef("state transfer advancing %d → %d via delta (%d changed chunks)", f.seq, m.Seq, len(m.DeltaChunks))
-			r.adoptMeta(from, m)
+			ft.tracef("state transfer advancing %d → %d via delta (%d changed chunks)", f.seq, m.Seq, len(m.DeltaChunks))
+			ft.adoptMeta(from, m)
 			return
 		}
-		if !r.fetchStalled(f) {
+		if !ft.stalled(f) {
 			return
 		}
-		r.tracef("state transfer restarting at %d (superseded stalled %d)", m.Seq, f.seq)
-		r.adoptMeta(from, m)
+		ft.tracef("state transfer restarting at %d (superseded stalled %d)", m.Seq, f.seq)
+		ft.adoptMeta(from, m)
 		return
 	}
 	// Initial choice: collect competing metas briefly and adopt the
@@ -369,11 +360,10 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		f.bestMeta = &mm
 		f.bestFrom = from
 	}
-	if f.metaTimer == nil {
-		f.metaTimer = r.env.After(r.cfg.snapshotMetaWait(), func() {
-			f.metaTimer = nil
-			if r.fetch == f {
-				r.adoptBestMeta()
+	if !f.metaTimer.armed() {
+		f.metaTimer.arm(ft.env, ft.cfg.snapshotMetaWait(), func() {
+			if ft.fetch == f {
+				ft.adoptBestMeta()
 			}
 		})
 	}
@@ -384,37 +374,30 @@ func (r *Replica) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 // EWMA, falling back to the transfer-wide one before it is seeded),
 // bounded so a dead server still expires.
 func expiryLimit(f *stateFetch, st *fetchStats, age time.Duration) time.Duration {
-	limit := age
-	ewma := f.svc
-	if st != nil && st.ewmaSet && st.ewma > ewma {
-		ewma = st.ewma
+	svc := f.svc.v
+	if st != nil {
+		svc = max(svc, st.latency.v)
 	}
-	if adaptive := 4 * ewma; adaptive > limit {
-		limit = adaptive
-	}
-	if bound := 8 * age; limit > bound {
-		limit = bound
-	}
-	return limit
+	return min(max(age, 4*svc), 8*age)
 }
 
-// fetchStalled reports whether the in-flight transfer has stopped
+// stalled reports whether the in-flight transfer has stopped
 // advancing: no verified chunk (or accepted meta) within twice the
 // (adaptive) retry deadline — a transfer merely waiting out slow-server
 // retries is NOT stalled. Used to gate mid-transfer restarts and the
 // progress-timeout suppression.
-func (r *Replica) fetchStalled(f *stateFetch) bool {
-	return r.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil, r.cfg.chunkRetryTimeout())
+func (ft *fetcher) stalled(f *stateFetch) bool {
+	return ft.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil, ft.cfg.chunkRetryTimeout())
 }
 
-// demoteLaggardServer reacts to snapshot metadata OLDER than the
+// demoteLaggard reacts to snapshot metadata OLDER than the
 // transfer in flight: the sender cannot serve the in-flight chunks (it
 // does not have them), so its outstanding requests are expired at once
 // and it takes a timeout strike, shifting its window share to servers
 // with current material. Repeated stale answers accumulate strikes into
 // a soft exclusion, exactly like unresponsiveness — and like
 // unresponsiveness it is forgiven if the peer set resets.
-func (r *Replica) demoteLaggardServer(f *stateFetch, from int, seq uint64) {
+func (ft *fetcher) demoteLaggard(f *stateFetch, from int, seq uint64) {
 	if f.seq == 0 || seq >= f.seq {
 		return
 	}
@@ -430,28 +413,23 @@ func (r *Replica) demoteLaggardServer(f *stateFetch, from int, seq uint64) {
 		delete(f.inflight, idx)
 		st.outstanding--
 	}
-	st.timeouts++
-	if st.timeouts >= fetchTimeoutStrikes && !f.blamed[from] {
-		r.tracef("snapshot server %d serves only %d < %d; excluding from transfer", from, seq, f.seq)
-		f.blamed[from] = true
-		r.Metrics.SnapshotTimeoutExclusions++
-	}
+	ft.strike(f, from)
 	if len(expired) > 0 {
-		r.fillFetchWindow()
+		ft.fillWindow()
 	}
 }
 
 // adoptBestMeta commits the transfer to the highest certified meta
 // collected so far.
-func (r *Replica) adoptBestMeta() {
-	f := r.fetch
+func (ft *fetcher) adoptBestMeta() {
+	f := ft.fetch
 	if f == nil || f.seq != 0 || f.bestMeta == nil {
 		return
 	}
 	m := *f.bestMeta
 	from := f.bestFrom
 	f.bestMeta = nil
-	r.adoptMeta(from, m)
+	ft.adoptMeta(from, m)
 }
 
 // deltaBaseChunks resolves the chunk source for a delta prefill: a
@@ -459,8 +437,8 @@ func (r *Replica) adoptBestMeta() {
 // the very snapshot this transfer was fetching (mid-transfer
 // supersession) — the superseded window's verified chunks, so fetched
 // progress carries over instead of being discarded.
-func (r *Replica) deltaBaseChunks(base, prevSeq uint64, prevChunks [][]byte) [][]byte {
-	if g := r.genAt(base); g != nil {
+func (ft *fetcher) deltaBaseChunks(base, prevSeq uint64, prevChunks [][]byte) [][]byte {
+	if g := ft.snaps.genAt(base); g != nil {
 		return g.cs.Chunks
 	}
 	if base != 0 && base == prevSeq {
@@ -480,12 +458,9 @@ func (r *Replica) deltaBaseChunks(base, prevSeq uint64, prevChunks [][]byte) [][
 // intervals behind then moves base + deltas over the wire instead of
 // base × intervals, and a transfer superseded mid-flight keeps its
 // verified chunks rather than restarting.
-func (r *Replica) adoptMeta(from int, m SnapshotMetaMsg) {
-	f := r.fetch
-	if f.metaTimer != nil {
-		f.metaTimer()
-		f.metaTimer = nil
-	}
+func (ft *fetcher) adoptMeta(from int, m SnapshotMetaMsg) {
+	f := ft.fetch
+	f.metaTimer.stop()
 	f.bestMeta = nil
 	prevSeq, prevChunks, prevFetched := f.seq, f.chunks, f.fetched
 	f.seq = m.Seq
@@ -503,9 +478,9 @@ func (r *Replica) adoptMeta(from int, m SnapshotMetaMsg) {
 	for _, st := range f.servers {
 		st.outstanding = 0
 	}
-	f.lastProgress = r.env.Now()
+	f.lastProgress = ft.env.Now()
 	if m.DeltaBase != 0 {
-		if base := r.deltaBaseChunks(m.DeltaBase, prevSeq, prevChunks); base != nil {
+		if base := ft.deltaBaseChunks(m.DeltaBase, prevSeq, prevChunks); base != nil {
 			inDelta := make(map[int]bool, len(m.DeltaChunks))
 			for _, idx := range m.DeltaChunks {
 				inDelta[idx] = true
@@ -521,8 +496,8 @@ func (r *Replica) adoptMeta(from int, m SnapshotMetaMsg) {
 			if len(f.prefilled) > 0 {
 				f.deltaBase = m.DeltaBase
 				f.metaFrom = from
-				r.Metrics.SnapshotDeltaTransfers++
-				r.Metrics.SnapshotChunksReused += uint64(len(f.prefilled))
+				ft.metrics.SnapshotDeltaTransfers++
+				ft.metrics.SnapshotChunksReused += uint64(len(f.prefilled))
 			}
 		}
 	}
@@ -531,27 +506,27 @@ func (r *Replica) adoptMeta(from int, m SnapshotMetaMsg) {
 		// wire — the restart the retention chain and delta path exist to
 		// avoid. (Supersessions that carried progress forward, or hit
 		// before anything was fetched, do not count.)
-		r.Metrics.SnapshotTransferRestarts++
+		ft.metrics.SnapshotTransferRestarts++
 	}
-	r.tracef("state transfer to %d: %d chunks to fetch, %d reused (window %d)", f.seq, f.missing, len(f.prefilled), r.cfg.fetchWindow())
+	ft.tracef("state transfer to %d: %d chunks to fetch, %d reused (window %d)", f.seq, f.missing, len(f.prefilled), ft.cfg.fetchWindow())
 	if f.missing == 0 {
-		r.finishStateFetch()
+		ft.finish()
 		return
 	}
-	r.fillFetchWindow()
-	r.armChunkPacer()
+	ft.fillWindow()
+	ft.armPacer()
 }
 
-// pickFetchServer selects the server for the next chunk request: the
+// pickServer selects the server for the next chunk request: the
 // non-excluded server with the fewest outstanding requests, ties broken
 // by the better observed service score, then by id (determinism). Fast
 // servers therefore absorb more of the window and slow or unresponsive
 // ones naturally lose share (§VIII needs only one honest server; the
 // scheduler just prefers the good ones).
-func (r *Replica) pickFetchServer(f *stateFetch) int {
+func (ft *fetcher) pickServer(f *stateFetch) int {
 	best := -1
 	var bestSt *fetchStats
-	for _, id := range r.fetchPeers(f) {
+	for _, id := range ft.peers(f) {
 		st := f.stats(id)
 		if best < 0 || st.outstanding < bestSt.outstanding ||
 			(st.outstanding == bestSt.outstanding && st.score() < bestSt.score()) {
@@ -561,15 +536,15 @@ func (r *Replica) pickFetchServer(f *stateFetch) int {
 	return best
 }
 
-// fillFetchWindow tops the bounded in-flight window up with requests for
+// fillWindow tops the bounded in-flight window up with requests for
 // missing, not-yet-requested chunks, each routed through the per-server
 // scheduler. This is the only place chunk requests are issued.
-func (r *Replica) fillFetchWindow() {
-	f := r.fetch
+func (ft *fetcher) fillWindow() {
+	f := ft.fetch
 	if f == nil || f.seq == 0 || f.missing == 0 {
 		return
 	}
-	win := r.cfg.fetchWindow()
+	win := ft.cfg.fetchWindow()
 	n := len(f.chunks)
 	for scanned := 0; len(f.inflight) < win && scanned < n; scanned++ {
 		idx := f.next
@@ -583,13 +558,13 @@ func (r *Replica) fillFetchWindow() {
 		if _, ok := f.inflight[idx]; ok {
 			continue
 		}
-		server := r.pickFetchServer(f)
+		server := ft.pickServer(f)
 		if server < 0 {
 			return
 		}
-		f.inflight[idx] = chunkReq{server: server, sentAt: r.env.Now()}
+		f.inflight[idx] = chunkReq{server: server, sentAt: ft.env.Now()}
 		f.stats(server).outstanding++
-		r.env.Send(server, FetchSnapshotChunkMsg{Replica: r.id, Seq: f.seq, Index: idx})
+		ft.env.Send(server, FetchSnapshotChunkMsg{Replica: ft.id, Seq: f.seq, Index: idx})
 	}
 }
 
@@ -602,8 +577,8 @@ func (r *Replica) fillFetchWindow() {
 // more than double the transferred bytes) — but stays bounded so an
 // actually dead server still expires. Indexes are processed in sorted
 // order so simulated runs stay deterministic.
-func (r *Replica) expireInflight(f *stateFetch, age time.Duration) {
-	now := r.env.Now()
+func (ft *fetcher) expireInflight(f *stateFetch, age time.Duration) {
+	now := ft.env.Now()
 	var expired []int
 	for idx, req := range f.inflight {
 		if now-req.sentAt >= expiryLimit(f, f.stats(req.server), age) {
@@ -617,55 +592,63 @@ func (r *Replica) expireInflight(f *stateFetch, age time.Duration) {
 		delete(f.inflight, idx)
 		st := f.stats(req.server)
 		st.outstanding--
-		r.Metrics.SnapshotChunkRetries++
+		ft.metrics.SnapshotChunkRetries++
 		// One strike per server per scan: a single tick expiring several
 		// of one server's dropped replies is one observation of
 		// unresponsiveness, not three.
 		if !struck[req.server] {
 			struck[req.server] = true
-			st.timeouts++
-			if st.timeouts >= fetchTimeoutStrikes && !f.blamed[req.server] {
-				r.tracef("snapshot server %d unanswered %d scans; excluding from transfer", req.server, st.timeouts)
-				f.blamed[req.server] = true
-				r.Metrics.SnapshotTimeoutExclusions++
-			}
+			ft.strike(f, req.server)
 		}
 	}
 }
 
-// armChunkPacer runs the per-chunk retry scan: an outstanding request
+// strike counts one more unanswered round — requests that expired, or an
+// answer with a snapshot older than the one being fetched — against a
+// server, and at fetchTimeoutStrikes in a row excludes it from the rest of
+// the transfer. No blame: neither is provable tampering.
+func (ft *fetcher) strike(f *stateFetch, server int) {
+	st := f.stats(server)
+	st.timeouts++
+	if st.timeouts >= fetchTimeoutStrikes && !f.blamed[server] {
+		ft.tracef("snapshot server %d: %d strikes in a row; excluding from transfer to %d", server, st.timeouts, f.seq)
+		f.blamed[server] = true
+		ft.metrics.SnapshotTimeoutExclusions++
+	}
+}
+
+// armPacer runs the per-chunk retry scan: an outstanding request
 // unanswered for ChunkRetryTimeout is treated as lost and its chunk
 // re-enters the window toward a better server. A dropped SnapshotChunkMsg
 // now costs one retry interval instead of a whole-transfer restart.
-func (r *Replica) armChunkPacer() {
-	f := r.fetch
-	timeout := r.cfg.chunkRetryTimeout()
-	if f.pacer != nil {
+func (ft *fetcher) armPacer() {
+	f := ft.fetch
+	timeout := ft.cfg.chunkRetryTimeout()
+	if f.pacer.armed() {
 		return
 	}
 	tick := timeout / 2
 	if tick <= 0 {
 		tick = timeout
 	}
-	f.pacer = r.env.After(tick, func() {
-		f.pacer = nil
-		if r.fetch != f || f.seq == 0 {
+	f.pacer.arm(ft.env, tick, func() {
+		if ft.fetch != f || f.seq == 0 {
 			return
 		}
-		r.expireInflight(f, timeout)
-		r.fillFetchWindow()
+		ft.expireInflight(f, timeout)
+		ft.fillWindow()
 		if f.missing > 0 {
-			r.armChunkPacer()
+			ft.armPacer()
 		}
 	})
 }
 
-func (r *Replica) onSnapshotChunk(from int, m SnapshotChunkMsg) {
-	f := r.fetch
+func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
+	f := ft.fetch
 	if f == nil || f.seq == 0 || m.Seq != f.seq {
 		return
 	}
-	if from < 1 || from > r.cfg.N() || from == r.id {
+	if from < 1 || from > ft.cfg.N() || from == ft.id {
 		return
 	}
 	if m.Index < 1 || m.Index > len(f.chunks) || f.chunks[m.Index-1] != nil {
@@ -676,14 +659,14 @@ func (r *Replica) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 		// Tampered or corrupt: blame the sender, exclude it, and route the
 		// chunk back through the scheduler. (The pre-windowed code
 		// re-derived the retry peer from the PRE-blame rotation — after
-		// fetchPeers shrank, `(index+attempt) % len(peers)` could land on
+		// peers shrank, `(index+attempt) % len(peers)` could land on
 		// the very server just excluded, or on the same server again.)
-		r.blameSnapshotServer(f, from, fmt.Sprintf("chunk %d: %v", m.Index, err))
+		ft.blameServer(f, from, fmt.Sprintf("chunk %d: %v", m.Index, err))
 		if wasInflight && req.server == from {
 			delete(f.inflight, m.Index)
 			f.stats(from).outstanding--
 		}
-		r.fillFetchWindow()
+		ft.fillWindow()
 		return
 	}
 	if wasInflight {
@@ -693,40 +676,36 @@ func (r *Replica) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 	st := f.stats(from)
 	st.timeouts = 0
 	if wasInflight && req.server == from {
-		d := r.env.Now() - req.sentAt
-		st.observe(d)
-		if !f.svcSet {
-			f.svc, f.svcSet = d, true
-		} else {
-			f.svc += (d - f.svc) / 4
-		}
+		d := ft.env.Now() - req.sentAt
+		st.latency.observe(d)
+		f.svc.observe(d)
 	}
-	f.lastProgress = r.env.Now()
+	f.lastProgress = ft.env.Now()
 	f.chunks[m.Index-1] = m.Data
 	f.missing--
 	f.fetched++
-	r.Metrics.SnapshotChunks++
+	ft.metrics.SnapshotChunks++
 	if f.missing == 0 {
-		r.finishStateFetch()
+		ft.finish()
 		return
 	}
-	r.fillFetchWindow()
+	ft.fillWindow()
 }
 
-// finishStateFetch installs a fully transferred, chunk-verified snapshot:
-// restore the application, replace the last-reply table with the CERTIFIED
-// one (the exactly-once filter's state is now exactly what the π quorum
-// signed), and resume from the restored frontier.
-func (r *Replica) finishStateFetch() {
-	f := r.fetch
-	if r.lastExecuted >= f.seq {
+// finish hands a fully transferred snapshot to the host to install, once
+// the chunks together reproduce the certified root. The transfer clears
+// itself first — timers stopped, nothing in flight — because install
+// re-enters the fetcher (the stable point it records and the blocks it
+// then executes may each want the next transfer); a snapshot the host
+// could not install costs a fresh transfer at the same target.
+func (ft *fetcher) finish() {
+	f := ft.fetch
+	if ft.host.LastExecuted() >= f.seq {
 		// Execution advanced past the transfer while chunks were in
 		// flight (gap repair): installing now would ROLL BACK application
 		// state and the reply table. Drop the transfer; if a raised
 		// target still lies ahead, start over against it.
-		f.stopTimers()
-		r.fetch = nil
-		r.maybeFetchState(f.target)
+		ft.restart()
 		return
 	}
 	// Rebuild the commitment over the assembled chunks and require the
@@ -743,103 +722,36 @@ func (r *Replica) finishStateFetch() {
 			// the wire — every individually verified chunk is kept, so
 			// the lie costs the liar its service, not this transfer its
 			// progress.
-			r.blameSnapshotServer(f, f.metaFrom, "delta prefill mismatched certified root")
+			ft.blameServer(f, f.metaFrom, "delta prefill mismatched certified root")
 			for _, idx := range f.prefilled {
 				f.chunks[idx-1] = nil
 				f.missing++
 			}
 			f.prefilled = nil
 			f.deltaBase = 0
-			f.lastProgress = r.env.Now()
-			r.fillFetchWindow()
-			r.armChunkPacer()
+			f.lastProgress = ft.env.Now()
+			ft.fillWindow()
+			ft.armPacer()
 			return
 		}
 		// Unreachable with leaf-verified chunks and no prefill.
-		r.tracef("state transfer root mismatch at %d", f.seq)
-		r.abortStateFetch()
+		ft.tracef("state transfer root mismatch at %d", f.seq)
+		ft.restart()
 		return
 	}
-	appBytes, tableBytes, err := AssembleSnapshot(f.header, f.chunks)
-	if err != nil {
-		// Unreachable with verified chunks; restart the transfer.
-		r.tracef("state transfer assembly failed: %v", err)
-		r.abortStateFetch()
+	ft.clear()
+	if err := ft.host.install(cs); err != nil {
+		ft.tracef("state transfer to %d not installed: %v", f.seq, err)
+		ft.want(f.target)
 		return
 	}
-	table, err := decodeReplyTable(tableBytes)
-	if err != nil {
-		// The certified table itself is malformed: the honest quorum never
-		// signs one, so this replica's decoder and the cluster disagree —
-		// do not install half a snapshot.
-		r.tracef("state transfer reply table malformed: %v", err)
-		r.abortStateFetch()
-		return
-	}
-	if err := r.app.Restore(appBytes); err != nil {
-		r.tracef("state transfer restore failed: %v", err)
-		r.abortStateFetch()
-		return
-	}
-	if !bytes.Equal(r.app.Digest(), f.header.AppDigest) {
-		// Defense in depth: chunks were leaf-verified, so this indicates
-		// local divergence, not a tampering server.
-		r.tracef("state transfer: restored app digest mismatch")
-		r.abortStateFetch()
-		return
-	}
-	// The restore replaced application state wholesale; cached capture
-	// identities no longer describe it. The next checkpoint re-hashes
-	// every chunk and re-seeds the cache.
-	r.capCache = nil
-	r.replyCache = table
-	for client, e := range table {
-		if ts := r.seen[client]; ts < e.timestamp {
-			r.seen[client] = e.timestamp
-		}
-		// Requests the certified table proves executed are no longer
-		// pending: drop their watch entries, or the liveness timer keeps
-		// firing (and spinning view changes) over work that finished
-		// below the snapshot and will never execute locally.
-		if w, ok := r.watch[client]; ok && w.ts <= e.timestamp {
-			delete(r.watch, client)
-		}
-	}
-	seq, root, pi := f.seq, f.root, f.pi
-	f.stopTimers()
-	r.fetch = nil
-	r.lastExecuted = seq
-	// Drop protocol state the snapshot supersedes: slots at or below the
-	// restored frontier can never execute locally (their effects are IN
-	// the snapshot) and an uncommitted one would read as outstanding work
-	// forever, spinning progress-timeout view changes. recordStable has
-	// typically already run for this checkpoint — that is what triggered
-	// the transfer — and stopped its GC at the OLD execution frontier, so
-	// it will not run again below.
-	for s := range r.slots {
-		if s <= seq {
-			delete(r.slots, s)
-		}
-	}
-	for s := range r.directReq {
-		if s <= seq {
-			delete(r.directReq, s)
-		}
-	}
-	r.adoptSnapshot(cs)
-	r.tracef("state transfer complete at %d (%d servers blamed)", seq, len(f.blamed))
-	r.recordStable(seq, root, pi)
-	r.executeReady()
+	ft.tracef("state transfer complete at %d (%d servers blamed)", f.seq, len(f.blamed))
 }
 
-// abortStateFetch cancels the current transfer; the protocol will retrigger
-// state transfer from recordStable/maybeFetchState when still behind.
-func (r *Replica) abortStateFetch() {
-	if r.fetch == nil {
-		return
-	}
-	target := r.fetch.target
-	r.fetch.stopTimers()
-	r.fetch = nil
-	r.maybeFetchState(target)
+// restart drops the transfer in flight and, while its target still lies
+// ahead of the host, starts over against it.
+func (ft *fetcher) restart() {
+	target := ft.fetch.target
+	ft.clear()
+	ft.want(target)
 }

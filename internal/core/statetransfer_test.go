@@ -91,7 +91,7 @@ func TestChunkedStateTransferCompletes(t *testing.T) {
 	}
 	cs := certifiedAt(t, rg, 4, table)
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	if rg.sentOfType(func(m Message) bool { _, ok := m.(FetchStateMsg); return ok }) == 0 {
 		t.Fatal("no FetchState sent")
 	}
@@ -120,13 +120,13 @@ func TestChunkedStateTransferBlamesTamperedChunk(t *testing.T) {
 	cs := certifiedAt(t, rg, 4, map[int]replyCacheEntry{
 		ClientBase: {timestamp: 1, seq: 1, l: 0, val: []byte("v")},
 	})
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 
 	// Tamper the chunk assigned to server 2 so the failed delivery also
 	// exercises the in-flight requeue.
 	evilIdx := 0
-	for idx, req := range rg.r.fetch.inflight {
+	for idx, req := range rg.r.fetcher.fetch.inflight {
 		if req.server == 2 {
 			evilIdx = idx
 			break
@@ -166,13 +166,13 @@ func TestChunkedStateTransferBlamesTamperedChunk(t *testing.T) {
 func TestTamperedChunkRefetchAvoidsBlamedServer(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	cs := certifiedSized(t, rg, 4, bytes.Repeat([]byte("x"), 64*1024), nil)
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 
 	// Tamper every chunk assigned to server 2, one by one.
 	tampered := 0
 	for idx := 1; idx <= len(cs.Chunks); idx++ {
-		req, ok := rg.r.fetch.inflight[idx]
+		req, ok := rg.r.fetcher.fetch.inflight[idx]
 		if !ok || req.server != 2 {
 			continue
 		}
@@ -213,7 +213,7 @@ func TestWindowedFetchRespectsWindowAndRefills(t *testing.T) {
 		t.Fatalf("snapshot too small for the test: %d chunks", len(cs.Chunks))
 	}
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 	if got := chunkReqCount(rg, 0); got != win {
 		t.Fatalf("initial requests = %d, want window %d", got, win)
@@ -222,7 +222,7 @@ func TestWindowedFetchRespectsWindowAndRefills(t *testing.T) {
 	for i := 1; i <= len(cs.Chunks); i++ {
 		rg.r.Deliver(3, chunkOf(t, cs, i))
 		delivered++
-		if f := rg.r.fetch; f != nil {
+		if f := rg.r.fetcher.fetch; f != nil {
 			if len(f.inflight) > win {
 				t.Fatalf("window exceeded after %d deliveries: %d in flight", delivered, len(f.inflight))
 			}
@@ -250,7 +250,7 @@ func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 		c.ViewChangeTimeout = time.Minute // whole-transfer retry far away
 	})
 	cs := certifiedSized(t, rg, 4, bytes.Repeat([]byte("z"), 30*1024), nil) // 4+ chunks
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 	before := chunkReqCount(rg, 0)
 	if before != 2 {
@@ -266,7 +266,7 @@ func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 	if after := chunkReqCount(rg, 0); after <= before {
 		t.Fatalf("no chunk requests re-issued (%d → %d)", before, after)
 	}
-	if f := rg.r.fetch; f == nil || len(f.inflight) > 2 {
+	if f := rg.r.fetcher.fetch; f == nil || len(f.inflight) > 2 {
 		t.Fatalf("window exceeded during retries")
 	}
 	deliverAllChunks(t, rg, cs, 3)
@@ -286,7 +286,7 @@ func TestHighestCertifiedMetaWins(t *testing.T) {
 		ClientBase: {timestamp: 2, seq: 8, l: 0, val: []byte("new")},
 	})
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	// The stale meta arrives FIRST (the Byzantine server wins the race)...
 	rg.r.Deliver(2, metaOf(t, stale))
 	rg.r.Deliver(3, metaOf(t, newer))
@@ -314,7 +314,7 @@ func TestRestartMidWindowResetsAccounting(t *testing.T) {
 	old := certifiedSized(t, rg, 4, bytes.Repeat([]byte("o"), 64*1024), nil)
 	newer := certifiedSized(t, rg, 8, bytes.Repeat([]byte("n"), 64*1024), nil)
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	if got := chunkReqCount(rg, old.Seq); got != win {
 		t.Fatalf("old window holds %d requests, want %d", got, win)
@@ -323,7 +323,7 @@ func TestRestartMidWindowResetsAccounting(t *testing.T) {
 	// and a strictly newer meta then restarts it mid-window.
 	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
 	rg.r.Deliver(3, metaOf(t, newer))
-	f := rg.r.fetch
+	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != newer.Seq {
 		t.Fatalf("transfer did not restart at %d", newer.Seq)
 	}
@@ -364,11 +364,11 @@ func TestAdvancingTransferIgnoresNewerMeta(t *testing.T) {
 	old := certifiedAt(t, rg, 4, nil)
 	newer := certifiedAt(t, rg, 8, nil)
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	rg.r.Deliver(3, chunkOf(t, old, 1)) // the transfer is advancing
 	rg.r.Deliver(3, metaOf(t, newer))
-	if f := rg.r.fetch; f == nil || f.seq != old.Seq {
+	if f := rg.r.fetcher.fetch; f == nil || f.seq != old.Seq {
 		t.Fatal("advancing transfer was restarted by a newer meta")
 	}
 	deliverAllChunks(t, rg, old, 4)
@@ -386,9 +386,9 @@ func TestServerServesPreviousSnapshotAfterSupersession(t *testing.T) {
 	older := certifiedAt(t, rg, 2, nil)
 	mid := certifiedAt(t, rg, 4, nil)
 	cur := certifiedAt(t, rg, 8, nil)
-	rg.r.adoptSnapshot(older)
-	rg.r.adoptSnapshot(mid)
-	rg.r.adoptSnapshot(cur)
+	rg.r.snaps.adopt(older)
+	rg.r.snaps.adopt(mid)
+	rg.r.snaps.adopt(cur)
 
 	before := len(rg.env.sent)
 	rg.r.Deliver(2, FetchSnapshotChunkMsg{Replica: 2, Seq: mid.Seq, Index: 1})
@@ -434,7 +434,7 @@ func TestStateTransferRestartsOnNewerSnapshot(t *testing.T) {
 		ClientBase: {timestamp: 2, seq: 8, l: 0, val: []byte("new")},
 	})
 
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	// The transfer stalls, then a strictly newer meta arrives: servers
 	// advanced past (and garbage-collected) the snapshot being fetched.
@@ -458,15 +458,15 @@ func TestStateTransferRestartsOnNewerSnapshot(t *testing.T) {
 // needs.
 func TestStateFetchDroppedWhenCaughtUp(t *testing.T) {
 	rg := newRig(t, 1, func(c *Config) { c.ViewChangeTimeout = time.Second })
-	rg.r.maybeFetchState(4)
-	if rg.r.fetch == nil {
+	rg.r.fetcher.want(4)
+	if rg.r.fetcher.fetch == nil {
 		t.Fatal("no fetch in progress")
 	}
 	// Simulate catch-up past the target via the normal pipeline.
 	rg.r.lastExecuted = 5
 	before := len(rg.env.sent)
 	rg.env.advance(3 * time.Second) // retry timer fires
-	if rg.r.fetch != nil {
+	if rg.r.fetcher.fetch != nil {
 		t.Fatal("fetch not dropped after catching up")
 	}
 	for _, s := range rg.env.sent[before:] {
@@ -485,7 +485,7 @@ func TestStateTransferNeverRollsBackExecution(t *testing.T) {
 	cs := certifiedAt(t, rg, 4, map[int]replyCacheEntry{
 		ClientBase: {timestamp: 1, seq: 1, l: 0, val: []byte("old")},
 	})
-	rg.r.maybeFetchState(4)
+	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 	// Gap repair advances execution past the in-flight snapshot.
 	rg.r.lastExecuted = 6
@@ -497,7 +497,7 @@ func TestStateTransferNeverRollsBackExecution(t *testing.T) {
 	if ent := rg.r.replyCache[ClientBase]; ent.timestamp != 9 {
 		t.Fatalf("reply table rolled back to ts=%d by a stale transfer", ent.timestamp)
 	}
-	if rg.r.fetch != nil {
+	if rg.r.fetcher.fetch != nil {
 		t.Fatal("stale transfer not dropped")
 	}
 }
@@ -526,7 +526,7 @@ func TestAsyncSnapshotSinkArmsDurableOnCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg.r.adoptSnapshot(cs)
+	rg.r.snaps.adopt(cs)
 	if rg.r.SnapshotSeq() != 4 {
 		t.Fatalf("in-memory serving not armed on adoption (SnapshotSeq=%d)", rg.r.SnapshotSeq())
 	}
@@ -549,7 +549,7 @@ func TestAsyncSnapshotSinkArmsDurableOnCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg.r.adoptSnapshot(cs8)
+	rg.r.snaps.adopt(cs8)
 	sink.done[1](ErrInvalidProof)
 	if rg.r.DurableSnapshotSeq() != 4 {
 		t.Fatalf("failed persist advanced the durable point to %d", rg.r.DurableSnapshotSeq())

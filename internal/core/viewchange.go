@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -42,11 +43,10 @@ func (r *Replica) hasOutstandingWork() bool {
 // view change (§VII). It deliberately does NOT reset a pending timer —
 // duplicate client retries must not postpone the timeout.
 func (r *Replica) armProgressTimer() {
-	if r.progressTimer != nil || r.inViewChange || !r.hasOutstandingWork() {
+	if r.progressTimer.armed() || r.inViewChange || !r.hasOutstandingWork() {
 		return
 	}
-	r.progressTimer = r.env.After(r.vcTimeout(), func() {
-		r.progressTimer = nil
+	r.progressTimer.arm(r.env, r.vcTimeout(), func() {
 		if !r.inViewChange && r.hasOutstandingWork() {
 			// A replica catching up through an ADVANCING state transfer is
 			// stalled behind the fetch, not behind a faulty primary: the
@@ -56,7 +56,7 @@ func (r *Replica) armProgressTimer() {
 			// genuinely cluster-wide stall still reaches it through the
 			// f+1 view-change join rule (§VII); a DEAD transfer falls
 			// through to the normal timeout below.
-			if f := r.fetch; f != nil && !r.fetchStalled(f) {
+			if r.fetcher.advancing() {
 				r.armProgressTimer()
 				return
 			}
@@ -69,10 +69,7 @@ func (r *Replica) armProgressTimer() {
 // resetProgressTimer restarts the liveness timer after real progress
 // (execution frontier advanced or a new view installed).
 func (r *Replica) resetProgressTimer() {
-	if r.progressTimer != nil {
-		r.progressTimer()
-		r.progressTimer = nil
-	}
+	r.progressTimer.stop()
 	r.armProgressTimer()
 }
 
@@ -88,14 +85,8 @@ func (r *Replica) startViewChange(target uint64) {
 	r.inViewChange = true
 	r.view = target
 	r.Metrics.ViewChanges++
-	if r.progressTimer != nil {
-		r.progressTimer()
-		r.progressTimer = nil
-	}
-	if r.batchTimer != nil {
-		r.batchTimer()
-		r.batchTimer = nil
-	}
+	r.progressTimer.stop()
+	r.batchTimer.stop()
 	if !r.vcSent[target] {
 		r.vcSent[target] = true
 		vc := r.buildViewChange(target)
@@ -103,12 +94,9 @@ func (r *Replica) startViewChange(target uint64) {
 		r.onViewChange(r.id, vc)
 	}
 	// If the new primary fails to install the view, escalate.
-	if r.vcTimer != nil {
-		r.vcTimer()
-	}
+	r.vcTimer.stop()
 	r.vcBackoff++
-	r.vcTimer = r.env.After(r.vcTimeout(), func() {
-		r.vcTimer = nil
+	r.vcTimer.arm(r.env, r.vcTimeout(), func() {
 		if r.inViewChange {
 			r.startViewChange(r.view + 1)
 		}
@@ -327,8 +315,7 @@ func computeSlotDecision(cfg Config, suite CryptoSuite, j uint64, vcs []ViewChan
 			// Decided certificates short-circuit.
 			if si.HasCommitProofSlow {
 				h := BlockHash(j, si.SlowView, si.SlowReqs)
-				if suite.Tau.Verify(h[:], si.Tau) == nil &&
-					suite.Tau.Verify(tauTauDigest(si.Tau), si.TauTau) == nil {
+				if suite.slowCommitted(h, si.Tau, si.TauTau, false) {
 					dec.decided = true
 					dec.reqs = si.SlowReqs
 					return dec
@@ -336,7 +323,7 @@ func computeSlotDecision(cfg Config, suite CryptoSuite, j uint64, vcs []ViewChan
 			}
 			if si.HasCommitProof {
 				h := BlockHash(j, si.FastView, si.FastReqs)
-				if suite.Sigma.Verify(h[:], si.Sigma) == nil {
+				if suite.fastCommitted(h, si.Sigma) {
 					dec.decided = true
 					dec.reqs = si.FastReqs
 					return dec
@@ -445,25 +432,10 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	r.view = m.View
 	r.inViewChange = false
 	r.vcBackoff = 0
-	if r.vcTimer != nil {
-		r.vcTimer()
-		r.vcTimer = nil
-	}
-	for tv := range r.vcMsgs {
-		if tv <= m.View {
-			delete(r.vcMsgs, tv)
-		}
-	}
-	for tv := range r.vcSent {
-		if tv <= m.View {
-			delete(r.vcSent, tv)
-		}
-	}
-	for tv := range r.vcResent {
-		if tv <= m.View {
-			delete(r.vcResent, tv)
-		}
-	}
+	r.vcTimer.stop()
+	dropThrough(r.vcMsgs, m.View)
+	dropThrough(r.vcSent, m.View)
+	dropThrough(r.vcResent, m.View)
 
 	// Advance the stable point if the quorum proved a higher one.
 	if ls > r.lastStable {
@@ -535,21 +507,7 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	// Requests the new view already carries (re-proposed or decided above)
 	// must not be proposed again from the retained pending queue, or the
 	// same request would commit at two sequence numbers and execute twice.
-	if len(r.pending) > 0 {
-		kept := r.pending[:0]
-		for _, req := range r.pending {
-			if ts, ok := inFlight[req.Client]; ok && ts >= req.Timestamp {
-				r.pendingIdxDel(req)
-				continue
-			}
-			if ent, ok := r.replyCache[req.Client]; ok && ent.timestamp >= req.Timestamp {
-				r.pendingIdxDel(req)
-				continue
-			}
-			kept = append(kept, req)
-		}
-		r.pending = kept
-	}
+	r.prunePending(inFlight)
 
 	r.installing = false
 	if r.isPrimary() {
@@ -563,13 +521,9 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 			r.onPrePrepare(r.cfg.Primary(m.View), pp)
 		}
 	}
-	for v := range r.ppBuffer {
-		if v <= m.View {
-			delete(r.ppBuffer, v)
-		}
-	}
+	dropThrough(r.ppBuffer, m.View)
 	if r.lastExecuted < r.lastStable {
-		r.maybeFetchState(r.lastStable)
+		r.fetcher.want(r.lastStable)
 	}
 	r.resetProgressTimer()
 }
@@ -600,22 +554,12 @@ func (r *Replica) rejoinView(view uint64) {
 	r.view = view
 	r.inViewChange = false
 	r.vcBackoff = 0
-	if r.vcTimer != nil {
-		r.vcTimer()
-		r.vcTimer = nil
-	}
+	r.vcTimer.stop()
 	// Allow a genuine future escalation to rebroadcast its view-change
 	// message: the suspicion that produced the abandoned targets is void.
-	for tv := range r.vcSent {
-		if tv > view {
-			delete(r.vcSent, tv)
-		}
-	}
-	for tv := range r.vcResent {
-		if tv > view {
-			delete(r.vcResent, tv)
-		}
-	}
+	above := func(tv uint64, _ bool) bool { return tv > view }
+	maps.DeleteFunc(r.vcSent, above)
+	maps.DeleteFunc(r.vcResent, above)
 	r.resetProgressTimer()
 }
 
@@ -640,13 +584,9 @@ func (r *Replica) tryRejoinView(seq, view uint64) {
 	}
 	s := r.getSlot(seq)
 	h := BlockHash(seq, view, pp.Reqs)
-	certified := s.pendingFast != nil && s.pendingFast.View == view &&
-		r.suite.Sigma.Verify(h[:], s.pendingFast.Sigma) == nil
-	if !certified {
-		certified = s.pendingSlow != nil && s.pendingSlow.View == view &&
-			r.suite.Tau.Verify(h[:], s.pendingSlow.Tau) == nil &&
-			r.suite.Tau.Verify(tauTauDigest(s.pendingSlow.Tau), s.pendingSlow.TauTau) == nil
-	}
+	pf, ps := s.pendingFast, s.pendingSlow
+	certified := pf != nil && pf.View == view && r.suite.fastCommitted(h, pf.Sigma) ||
+		ps != nil && ps.View == view && r.suite.slowCommitted(h, ps.Tau, ps.TauTau, false)
 	if !certified {
 		return
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // NewRecoveredReplica rebuilds a PBFT replica from its durable block log
-// (the baseline's counterpart of core.NewRecoveredReplica): every stored
-// block is replayed through the application (which must be at genesis),
+// (the baseline's counterpart of the replay in core.NewReplica): every
+// stored block is replayed through the application (which must be at genesis),
 // the recomputed results are verified against the stored ones, and the
 // reply cache and execution frontier are primed. The replica then rejoins
 // at its durable frontier; blocks committed by the rest of the cluster
