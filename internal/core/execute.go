@@ -433,6 +433,7 @@ func (r *Replica) onFullExecuteProof(from int, m FullExecuteProofMsg) {
 // something — and not even here once every client of the block has been
 // served: with nobody left to answer, a held proof is taken at its word.
 func (r *Replica) execCertified(s *slot) bool {
+	s.execCertSeen = s.execCertSeen || len(s.execPi.Data) > 0 // this collector's own π(d)
 	if s.execCertSeen || len(s.execProofs) == 0 {
 		return s.execCertSeen
 	}
