@@ -93,6 +93,119 @@ func TestFpDifferential(t *testing.T) {
 	}
 }
 
+// TestFpConstants derives every constant fp.go writes out as a literal —
+// the modulus limbs, the Montgomery factor and the powers of 2²⁵⁶ — from Q.
+func TestFpConstants(t *testing.T) {
+	if got := (fp{q0, q1, q2, q3}); got != fp(bigToLimbs(Q)) {
+		t.Fatalf("modulus limbs %x do not spell Q", got)
+	}
+	word := new(big.Int).Lsh(big.NewInt(1), 64)
+	inv := new(big.Int).ModInverse(Q, word)
+	inv.Neg(inv).Mod(inv, word)
+	if inv.Uint64() != qInvNeg {
+		t.Fatalf("qInvNeg = %#x, want %#x", qInvNeg, inv.Uint64())
+	}
+	for _, c := range []struct {
+		name  string
+		got   fp
+		shift uint
+	}{{"fpMontOne", fpMontOne, 256}, {"fpRSquare", fpRSquare, 512}} {
+		want := new(big.Int).Lsh(big.NewInt(1), c.shift)
+		if c.got != fp(bigToLimbs(want.Mod(want, Q))) {
+			t.Fatalf("%s is not 2^%d mod Q", c.name, c.shift)
+		}
+	}
+}
+
+// TestFpBoundary runs every fp operation over the operands where a carry,
+// a borrow or the final subtraction can go wrong, each against math/big,
+// with the destination fresh, aliasing x, aliasing y and aliasing both.
+func TestFpBoundary(t *testing.T) {
+	ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	// raw is the integer whose Montgomery representative has the limbs l.
+	raw := func(l fp) *big.Int { return l.toBig() }
+	vals := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2),
+		new(big.Int).Sub(Q, big.NewInt(1)), new(big.Int).Sub(Q, big.NewInt(2)),
+		new(big.Int).Rsh(Q, 1), new(big.Int).Add(new(big.Int).Rsh(Q, 1), big.NewInt(1)),
+		ones, // 2²⁵⁶−1, reduced by fpFromBig
+		new(big.Int).Lsh(big.NewInt(1), 64), new(big.Int).Lsh(big.NewInt(1), 192),
+		new(big.Int).SetUint64(^uint64(0)),
+		// Montgomery representatives with extreme limbs: the value whose
+		// limbs are Q−1, and the one whose low three limbs are all ones.
+		raw(fp{q0 - 1, q1, q2, q3}), raw(fp{^uint64(0), ^uint64(0), ^uint64(0), q3 - 1}),
+	}
+	type binop struct {
+		name string
+		fast func(z, x, y *fp)
+		ref  func(x, y Fq) Fq
+	}
+	ops := []binop{
+		{"add", fpAdd, Fq.Add},
+		{"sub", fpSub, Fq.Sub},
+		{"mul", montMul, Fq.Mul},
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			fa, fb := fpFromBig(a), fpFromBig(b)
+			ra, rb := NewFq(a), NewFq(b)
+			for _, op := range ops {
+				want := op.ref(ra, rb).Big()
+				var z fp
+				op.fast(&z, &fa, &fb)
+				if z.toBig().Cmp(want) != 0 {
+					t.Fatalf("%s(%v, %v) = %v, want %v", op.name, a, b, z.toBig(), want)
+				}
+				x, y := fa, fb
+				op.fast(&x, &x, &y) // z aliases x
+				if x != z {
+					t.Fatalf("%s(%v, %v) differs when z aliases x", op.name, a, b)
+				}
+				x, y = fa, fb
+				op.fast(&y, &x, &y) // z aliases y
+				if y != z {
+					t.Fatalf("%s(%v, %v) differs when z aliases y", op.name, a, b)
+				}
+			}
+		}
+		fa, ra := fpFromBig(a), NewFq(a)
+		var z fp
+		fpSquare(&z, &fa)
+		if z.toBig().Cmp(ra.Mul(ra).Big()) != 0 {
+			t.Fatalf("square(%v)", a)
+		}
+		x := fa
+		montMul(&x, &x, &x) // all three alias
+		if x != z {
+			t.Fatalf("mul(%v) differs when z, x and y alias", a)
+		}
+		fpDouble(&z, &fa)
+		if z.toBig().Cmp(ra.Add(ra).Big()) != 0 {
+			t.Fatalf("double(%v)", a)
+		}
+		fpNeg(&z, &fa)
+		if z.toBig().Cmp(ra.Neg().Big()) != 0 {
+			t.Fatalf("neg(%v)", a)
+		}
+		fpHalve(&z, &fa)
+		fpDouble(&z, &z)
+		if z != fa {
+			t.Fatalf("halve(%v) does not double back", a)
+		}
+		if !ra.IsZero() {
+			fpInv(&z, &fa)
+			if z.toBig().Cmp(ra.Inv().Big()) != 0 {
+				t.Fatalf("inv(%v) = %v, want %v", a, z.toBig(), ra.Inv().Big())
+			}
+			x = fa
+			fpInv(&x, &x)
+			if x != z {
+				t.Fatalf("inv(%v) differs in place", a)
+			}
+		}
+	}
+}
+
 func TestFp2Differential(t *testing.T) {
 	r := testRand()
 	xi := NewFq2(FqFromInt64(9), FqFromInt64(1))

@@ -2,13 +2,18 @@ package bn254
 
 // Fixed-limb base-field arithmetic: the production hot path promised by the
 // package doc. An fp holds an integer mod Q as 4 little-endian 64-bit limbs
-// in Montgomery form (value · 2²⁵⁶ mod Q), so multiplication is a single
-// CIOS pass over machine words with no heap allocation. The math/big Fq
-// type above remains the semantic reference; fast_test.go cross-checks
-// every operation here against it on random inputs.
+// in Montgomery form (value · 2²⁵⁶ mod Q). Multiplication is the unrolled
+// no-carry CIOS (montMul); addition, subtraction, doubling and negation
+// select their result with a mask instead of a branch, because the branch
+// is a coin flip the predictor loses half the time; inversion is a binary
+// extended Euclid. Nothing here allocates. The math/big Fq type remains the
+// semantic reference; fast_test.go cross-checks every operation against it
+// on random and boundary inputs, and FuzzFpArith on whatever the fuzzer
+// finds.
 //
-// All Montgomery constants are derived from Q at package init rather than
-// transcribed, so they cannot drift from the reference modulus.
+// The modulus limbs, −Q⁻¹ mod 2⁶⁴ and the powers of 2²⁵⁶ are written out as
+// constants so the compiler folds them into the unrolled code;
+// TestFpConstants derives each from Q and compares.
 
 import (
 	"math/big"
@@ -18,22 +23,22 @@ import (
 // fp is a base-field element in Montgomery form. The zero value is 0.
 type fp [4]uint64
 
+// The modulus Q as limbs, and qInvNeg = −Q⁻¹ mod 2⁶⁴, the Montgomery
+// reduction factor.
+const (
+	q0 uint64 = 0x3c208c16d87cfd47
+	q1 uint64 = 0x97816a916871ca8d
+	q2 uint64 = 0xb85045b68181585d
+	q3 uint64 = 0x30644e72e131a029
+
+	qInvNeg uint64 = 0x87d20782e4866389
+)
+
 var (
-	// fpQ is the modulus as limbs.
-	fpQ = bigToLimbs(Q)
-	// qInvNeg is −Q⁻¹ mod 2⁶⁴, the Montgomery reduction factor.
-	qInvNeg = func() uint64 {
-		b := new(big.Int).Lsh(big.NewInt(1), 64)
-		inv := new(big.Int).ModInverse(Q, b)
-		inv.Neg(inv).Mod(inv, b)
-		return inv.Uint64()
-	}()
 	// fpMontOne is 1 in Montgomery form (2²⁵⁶ mod Q).
-	fpMontOne = fp(bigToLimbs(new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 256), Q)))
+	fpMontOne = fp{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
 	// fpRSquare is 2⁵¹² mod Q, used to convert into Montgomery form.
-	fpRSquare = fp(bigToLimbs(new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 512), Q)))
-	// fpQMinus2 is the Fermat inversion exponent.
-	fpQMinus2 = new(big.Int).Sub(Q, big.NewInt(2))
+	fpRSquare = fp{0xf32cfc5b538afa89, 0xb5e71911d44501fb, 0x47ab1eff0a417ff6, 0x06d89f71cab8351f}
 	// fpSqrtExp is (Q+1)/4; Q ≡ 3 (mod 4), so x^((Q+1)/4) is a square
 	// root of any quadratic residue x.
 	fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(Q, big.NewInt(1)), 2)
@@ -96,58 +101,141 @@ func (z *fp) setOne() { *z = fpMontOne }
 // lessCanonical compares canonical (non-Montgomery) values: z < x.
 func (z *fp) lessCanonical(x *fp) bool {
 	a, b := z.canonical(), x.canonical()
-	for i := 3; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return a.less(&b)
 }
 
-// montMul sets z = x·y·2⁻²⁵⁶ mod Q (CIOS Montgomery multiplication).
+// montMul sets z = x·y·2⁻²⁵⁶ mod Q: CIOS Montgomery multiplication, fully
+// unrolled. Each round forms x[i]·y and m·Q as four independent 64×64
+// products joined by one carry chain, so the adds compile to straight ADC
+// runs. Q's top limb leaves two bits free, which keeps the running total
+// under 2Q between rounds: it never outgrows four words plus the small
+// spill t4 (the "no-carry" variant — textbook CIOS's sixth accumulator word
+// and its carry handling are gone).
 func montMul(z, x, y *fp) {
-	var t [6]uint64
-	for i := 0; i < 4; i++ {
-		// Multiply-accumulate: t += x · y[i].
-		var c uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(x[j], y[i])
-			var c1, c2 uint64
-			lo, c1 = bits.Add64(lo, t[j], 0)
-			lo, c2 = bits.Add64(lo, c, 0)
-			t[j] = lo
-			c = hi + c1 + c2 // cannot overflow: x[j]·y[i] + t[j] + c < 2¹²⁸
-		}
-		t[4], c = bits.Add64(t[4], c, 0)
-		t[5] = c
-		// Reduce: add m·Q so the low word cancels, then shift down a word.
-		m := t[0] * qInvNeg
-		hi, lo := bits.Mul64(m, fpQ[0])
-		_, c1 := bits.Add64(lo, t[0], 0)
-		c = hi + c1
-		for j := 1; j < 4; j++ {
-			hi, lo := bits.Mul64(m, fpQ[j])
-			var c1, c2 uint64
-			lo, c1 = bits.Add64(lo, t[j], 0)
-			lo, c2 = bits.Add64(lo, c, 0)
-			t[j-1] = lo
-			c = hi + c1 + c2
-		}
-		t[3], c = bits.Add64(t[4], c, 0)
-		t[4] = t[5] + c
-	}
-	// t < 2Q (and t[4] == 0 since 2Q < 2²⁵⁵): one conditional subtraction.
-	var r fp
-	var b uint64
-	r[0], b = bits.Sub64(t[0], fpQ[0], 0)
-	r[1], b = bits.Sub64(t[1], fpQ[1], b)
-	r[2], b = bits.Sub64(t[2], fpQ[2], b)
-	r[3], b = bits.Sub64(t[3], fpQ[3], b)
-	if b == 0 || t[4] != 0 {
-		*z = r
-	} else {
-		z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
-	}
+	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, c, m uint64
+
+	// Round 0: t += x[0]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	h0, l0 = bits.Mul64(x[0], y[0])
+	h1, l1 = bits.Mul64(x[0], y[1])
+	h2, l2 = bits.Mul64(x[0], y[2])
+	h3, l3 = bits.Mul64(x[0], y[3])
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	t0, t1, t2, t3, t4 = l0, l1, l2, l3, h3
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3 = t4 + h3 + c
+
+	// Round 1: t += x[1]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	h0, l0 = bits.Mul64(x[1], y[0])
+	h1, l1 = bits.Mul64(x[1], y[1])
+	h2, l2 = bits.Mul64(x[1], y[2])
+	h3, l3 = bits.Mul64(x[1], y[3])
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3 = t4 + h3 + c
+
+	// Round 2: t += x[2]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	h0, l0 = bits.Mul64(x[2], y[0])
+	h1, l1 = bits.Mul64(x[2], y[1])
+	h2, l2 = bits.Mul64(x[2], y[2])
+	h3, l3 = bits.Mul64(x[2], y[3])
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3 = t4 + h3 + c
+
+	// Round 3: t += x[3]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	h0, l0 = bits.Mul64(x[3], y[0])
+	h1, l1 = bits.Mul64(x[3], y[1])
+	h2, l2 = bits.Mul64(x[3], y[2])
+	h3, l3 = bits.Mul64(x[3], y[3])
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = h3 + c
+	m = t0 * qInvNeg
+	h0, l0 = bits.Mul64(m, q0)
+	h1, l1 = bits.Mul64(m, q1)
+	h2, l2 = bits.Mul64(m, q2)
+	h3, l3 = bits.Mul64(m, q3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3 = t4 + h3 + c
+
+	// t < 2Q: one conditional subtraction, selected by mask.
+	l0, c = bits.Sub64(t0, q0, 0)
+	l1, c = bits.Sub64(t1, q1, c)
+	l2, c = bits.Sub64(t2, q2, c)
+	l3, c = bits.Sub64(t3, q3, c)
+	m = -c // all ones when t < Q
+	z[0] = l0 ^ (l0^t0)&m
+	z[1] = l1 ^ (l1^t1)&m
+	z[2] = l2 ^ (l2^t2)&m
+	z[3] = l3 ^ (l3^t3)&m
 }
 
 // fpAdd sets z = x + y.
@@ -160,33 +248,31 @@ func fpAdd(z, x, y *fp) {
 	fpReduce(z)
 }
 
-// fpReduce conditionally subtracts Q once (input < 2Q).
+// fpReduce subtracts Q once if z ≥ Q (input < 2Q), selecting by mask.
 func fpReduce(z *fp) {
-	var r fp
-	var b uint64
-	r[0], b = bits.Sub64(z[0], fpQ[0], 0)
-	r[1], b = bits.Sub64(z[1], fpQ[1], b)
-	r[2], b = bits.Sub64(z[2], fpQ[2], b)
-	r[3], b = bits.Sub64(z[3], fpQ[3], b)
-	if b == 0 {
-		*z = r
-	}
+	r0, b := bits.Sub64(z[0], q0, 0)
+	r1, b := bits.Sub64(z[1], q1, b)
+	r2, b := bits.Sub64(z[2], q2, b)
+	r3, b := bits.Sub64(z[3], q3, b)
+	keep := -b // all ones when z < Q
+	z[0] = r0 ^ (r0^z[0])&keep
+	z[1] = r1 ^ (r1^z[1])&keep
+	z[2] = r2 ^ (r2^z[2])&keep
+	z[3] = r3 ^ (r3^z[3])&keep
 }
 
-// fpSub sets z = x − y.
+// fpSub sets z = x − y, adding Q back under the borrow's mask.
 func fpSub(z, x, y *fp) {
-	var b uint64
+	var b, c uint64
 	z[0], b = bits.Sub64(x[0], y[0], 0)
 	z[1], b = bits.Sub64(x[1], y[1], b)
 	z[2], b = bits.Sub64(x[2], y[2], b)
 	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], fpQ[0], 0)
-		z[1], c = bits.Add64(z[1], fpQ[1], c)
-		z[2], c = bits.Add64(z[2], fpQ[2], c)
-		z[3], _ = bits.Add64(z[3], fpQ[3], c)
-	}
+	m := -b
+	z[0], c = bits.Add64(z[0], q0&m, 0)
+	z[1], c = bits.Add64(z[1], q1&m, c)
+	z[2], c = bits.Add64(z[2], q2&m, c)
+	z[3], _ = bits.Add64(z[3], q3&m, c)
 }
 
 // fpNeg sets z = −x.
@@ -196,30 +282,32 @@ func fpNeg(z, x *fp) {
 		return
 	}
 	var b uint64
-	z[0], b = bits.Sub64(fpQ[0], x[0], 0)
-	z[1], b = bits.Sub64(fpQ[1], x[1], b)
-	z[2], b = bits.Sub64(fpQ[2], x[2], b)
-	z[3], _ = bits.Sub64(fpQ[3], x[3], b)
+	z[0], b = bits.Sub64(q0, x[0], 0)
+	z[1], b = bits.Sub64(q1, x[1], b)
+	z[2], b = bits.Sub64(q2, x[2], b)
+	z[3], _ = bits.Sub64(q3, x[3], b)
 }
 
 // fpDouble sets z = 2x.
-func fpDouble(z, x *fp) { fpAdd(z, x, x) }
+func fpDouble(z, x *fp) {
+	z[3] = x[3]<<1 | x[2]>>63 // x < 2²⁵⁴: nothing shifts out
+	z[2] = x[2]<<1 | x[1]>>63
+	z[1] = x[1]<<1 | x[0]>>63
+	z[0] = x[0] << 1
+	fpReduce(z)
+}
 
-// fpHalve sets z = x/2.
+// fpHalve sets z = x/2: x when even, else x + Q (Q is odd), shifted down.
 func fpHalve(z, x *fp) {
-	t := *x
-	var carry uint64
-	if t[0]&1 != 0 { // odd: add Q (odd) to make it even
-		var c uint64
-		t[0], c = bits.Add64(t[0], fpQ[0], 0)
-		t[1], c = bits.Add64(t[1], fpQ[1], c)
-		t[2], c = bits.Add64(t[2], fpQ[2], c)
-		t[3], carry = bits.Add64(t[3], fpQ[3], c)
-	}
-	z[0] = t[0]>>1 | t[1]<<63
-	z[1] = t[1]>>1 | t[2]<<63
-	z[2] = t[2]>>1 | t[3]<<63
-	z[3] = t[3]>>1 | carry<<63
+	m := -(x[0] & 1)
+	t0, c := bits.Add64(x[0], q0&m, 0)
+	t1, c := bits.Add64(x[1], q1&m, c)
+	t2, c := bits.Add64(x[2], q2&m, c)
+	t3, _ := bits.Add64(x[3], q3&m, c) // x + Q < 2²⁵⁵
+	z[0] = t0>>1 | t1<<63
+	z[1] = t1>>1 | t2<<63
+	z[2] = t2>>1 | t3<<63
+	z[3] = t3 >> 1
 }
 
 // fpSquare sets z = x².
@@ -239,12 +327,65 @@ func fpExp(z, x *fp, e *big.Int) {
 	*z = r
 }
 
-// fpInv sets z = x⁻¹ via Fermat's little theorem. Panics on zero.
+// fpInv sets z = x⁻¹ by the binary extended Euclidean algorithm (variable
+// time). Panics on zero. With a = x·2²⁵⁶ the limb value, the loop keeps
+// u ≡ a·r and v ≡ a·s (mod Q) while it shrinks (u, v) from (a, Q) to a 1;
+// starting r at 2⁵¹² instead of 1 makes the answer a⁻¹·2⁵¹² = x⁻¹·2²⁵⁶,
+// already in Montgomery form.
 func fpInv(z, x *fp) {
 	if x.isZero() {
 		panic("bn254: inverse of zero")
 	}
-	fpExp(z, x, fpQMinus2)
+	u, v := *x, fp{q0, q1, q2, q3}
+	r, s := fpRSquare, fp{}
+	one := fp{1}
+	for u != one && v != one {
+		for u[0]&1 == 0 {
+			u.shiftRight()
+			fpHalve(&r, &r)
+		}
+		for v[0]&1 == 0 {
+			v.shiftRight()
+			fpHalve(&s, &s)
+		}
+		if v.less(&u) {
+			u.subNoReduce(&v)
+			fpSub(&r, &r, &s)
+		} else {
+			v.subNoReduce(&u)
+			fpSub(&s, &s, &r)
+		}
+	}
+	if u == one {
+		*z = r
+	} else {
+		*z = s
+	}
+}
+
+// shiftRight, less and subNoReduce treat the limbs as a plain 256-bit
+// integer (fpInv's u and v).
+func (z *fp) shiftRight() {
+	z[0] = z[0]>>1 | z[1]<<63
+	z[1] = z[1]>>1 | z[2]<<63
+	z[2] = z[2]>>1 | z[3]<<63
+	z[3] >>= 1
+}
+
+func (z *fp) less(x *fp) bool {
+	_, b := bits.Sub64(z[0], x[0], 0)
+	_, b = bits.Sub64(z[1], x[1], b)
+	_, b = bits.Sub64(z[2], x[2], b)
+	_, b = bits.Sub64(z[3], x[3], b)
+	return b != 0
+}
+
+func (z *fp) subNoReduce(x *fp) {
+	var b uint64
+	z[0], b = bits.Sub64(z[0], x[0], 0)
+	z[1], b = bits.Sub64(z[1], x[1], b)
+	z[2], b = bits.Sub64(z[2], x[2], b)
+	z[3], _ = bits.Sub64(z[3], x[3], b)
 }
 
 // fpSqrt sets z to a square root of x and reports whether one exists.
