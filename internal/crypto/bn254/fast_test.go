@@ -206,6 +206,69 @@ func TestFpBoundary(t *testing.T) {
 	}
 }
 
+// TestFpLazyOperands checks the two places a value above Q is let through:
+// montMul on unreduced sums (fp2Mul's Karatsuba cross term), up to both
+// operands at 2Q − 2, and fpNineXPlus with its quotient estimate.
+func TestFpLazyOperands(t *testing.T) {
+	r := testRand()
+	qm1 := new(big.Int).Sub(Q, big.NewInt(1))
+	vals := []*big.Int{big.NewInt(0), big.NewInt(1), qm1, new(big.Int).Rsh(Q, 1)}
+	for i := 0; i < 50; i++ {
+		vals = append(vals, randBig(r))
+	}
+	// Sums of Montgomery representatives near Q: (Q−1) + (Q−1) as limbs.
+	top := fp{q0 - 1, q1, q2, q3}
+	vals = append(vals, top.toBig())
+	for _, a := range vals {
+		for _, b := range vals {
+			fa, fb := fpFromBig(a), fpFromBig(b)
+			ra, rb := NewFq(a), NewFq(b)
+			var s, z fp
+			fpAddNoReduce(&s, &fa, &fb)
+			montMul(&z, &s, &s)
+			sum := ra.Add(rb)
+			if z.toBig().Cmp(sum.Mul(sum).Big()) != 0 {
+				t.Fatalf("montMul on the unreduced sum %v + %v", a, b)
+			}
+			montMul(&z, &s, &fa)
+			if z.toBig().Cmp(sum.Mul(ra).Big()) != 0 {
+				t.Fatalf("montMul with one unreduced operand, %v + %v", a, b)
+			}
+			nine := FqFromInt64(9)
+			fpNineXPlus(&z, &fa, &fb)
+			if z.toBig().Cmp(nine.Mul(ra).Add(rb).Big()) != 0 {
+				t.Fatalf("9·%v + %v", a, b)
+			}
+			x := fa
+			fpNineXPlus(&x, &x, &fb)
+			if x != z {
+				t.Fatalf("9·%v + %v differs in place", a, b)
+			}
+		}
+		// w = Q itself (fp2MulByNonresidue passes Q − 0).
+		fa := fpFromBig(a)
+		var z fp
+		fpNineXPlus(&z, &fa, &fp{q0, q1, q2, q3})
+		if z.toBig().Cmp(FqFromInt64(9).Mul(NewFq(a)).Big()) != 0 {
+			t.Fatalf("9·%v + Q", a)
+		}
+	}
+	// The quotient estimate, for every h = ⌊t/2²⁵⁰⌋ a t < 10Q can have:
+	// k·Q ≤ h·2²⁵⁰ (never overshoots) and (h+1)·2²⁵⁰ − k·Q ≤ 2Q.
+	tenQ := new(big.Int).Mul(Q, big.NewInt(10))
+	for h := uint64(0); ; h++ {
+		lo := new(big.Int).Lsh(new(big.Int).SetUint64(h), 250)
+		if lo.Cmp(tenQ) >= 0 {
+			break
+		}
+		kQ := new(big.Int).Mul(new(big.Int).SetUint64(nineXQuotient(h)), Q)
+		hi := new(big.Int).Lsh(new(big.Int).SetUint64(h+1), 250)
+		if kQ.Cmp(lo) > 0 || hi.Sub(hi, kQ).Cmp(new(big.Int).Lsh(Q, 1)) > 0 {
+			t.Fatalf("quotient estimate off at h=%d", h)
+		}
+	}
+}
+
 func TestFp2Differential(t *testing.T) {
 	r := testRand()
 	xi := NewFq2(FqFromInt64(9), FqFromInt64(1))

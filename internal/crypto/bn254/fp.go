@@ -110,7 +110,8 @@ func (z *fp) lessCanonical(x *fp) bool {
 // runs. Q's top limb leaves two bits free, which keeps the running total
 // under 2Q between rounds: it never outgrows four words plus the small
 // spill t4 (the "no-carry" variant — textbook CIOS's sixth accumulator word
-// and its carry handling are gone).
+// and its carry handling are gone). Operands may be as large as 2Q − 1; the
+// result is always below Q.
 func montMul(z, x, y *fp) {
 	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, c, m uint64
 
@@ -238,27 +239,35 @@ func montMul(z, x, y *fp) {
 	z[3] = l3 ^ (l3^t3)&m
 }
 
-// fpAdd sets z = x + y.
+// fpAdd sets z = x + y. (The reduction is written out in fpAdd, fpDouble
+// and montMul rather than called: none of them is small enough to inline,
+// and a nested call per field addition is a tenth of a pairing.)
 func fpAdd(z, x, y *fp) {
+	t0, c := bits.Add64(x[0], y[0], 0)
+	t1, c := bits.Add64(x[1], y[1], c)
+	t2, c := bits.Add64(x[2], y[2], c)
+	t3, _ := bits.Add64(x[3], y[3], c) // Q < 2²⁵⁴, so no carry out
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	keep := -b // all ones when x + y < Q
+	z[0] = r0 ^ (r0^t0)&keep
+	z[1] = r1 ^ (r1^t1)&keep
+	z[2] = r2 ^ (r2^t2)&keep
+	z[3] = r3 ^ (r3^t3)&keep
+}
+
+// fpAddNoReduce sets z = x + y without reducing: z < 2Q. montMul takes
+// operands below 2Q (the product stays under 2²⁵⁶·Q, which is all its final
+// subtraction needs), so a sum that only feeds a multiplication skips the
+// reduction.
+func fpAddNoReduce(z, x, y *fp) {
 	var c uint64
 	z[0], c = bits.Add64(x[0], y[0], 0)
 	z[1], c = bits.Add64(x[1], y[1], c)
 	z[2], c = bits.Add64(x[2], y[2], c)
-	z[3], _ = bits.Add64(x[3], y[3], c) // Q < 2²⁵⁴, so no carry out
-	fpReduce(z)
-}
-
-// fpReduce subtracts Q once if z ≥ Q (input < 2Q), selecting by mask.
-func fpReduce(z *fp) {
-	r0, b := bits.Sub64(z[0], q0, 0)
-	r1, b := bits.Sub64(z[1], q1, b)
-	r2, b := bits.Sub64(z[2], q2, b)
-	r3, b := bits.Sub64(z[3], q3, b)
-	keep := -b // all ones when z < Q
-	z[0] = r0 ^ (r0^z[0])&keep
-	z[1] = r1 ^ (r1^z[1])&keep
-	z[2] = r2 ^ (r2^z[2])&keep
-	z[3] = r3 ^ (r3^z[3])&keep
+	z[3], _ = bits.Add64(x[3], y[3], c)
 }
 
 // fpSub sets z = x − y, adding Q back under the borrow's mask.
@@ -290,12 +299,68 @@ func fpNeg(z, x *fp) {
 
 // fpDouble sets z = 2x.
 func fpDouble(z, x *fp) {
-	z[3] = x[3]<<1 | x[2]>>63 // x < 2²⁵⁴: nothing shifts out
-	z[2] = x[2]<<1 | x[1]>>63
-	z[1] = x[1]<<1 | x[0]>>63
-	z[0] = x[0] << 1
-	fpReduce(z)
+	t3 := x[3]<<1 | x[2]>>63 // x < 2²⁵⁴: nothing shifts out
+	t2 := x[2]<<1 | x[1]>>63
+	t1 := x[1]<<1 | x[0]>>63
+	t0 := x[0] << 1
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	keep := -b // all ones when 2x < Q
+	z[0] = r0 ^ (r0^t0)&keep
+	z[1] = r1 ^ (r1^t1)&keep
+	z[2] = r2 ^ (r2^t2)&keep
+	z[3] = r3 ^ (r3^t3)&keep
 }
+
+// fpNineXPlus sets z = 9x + w mod Q for x < Q and w ≤ Q: the wide step
+// behind multiplication by ξ = 9 + i. The sum stays below 10Q < 2²⁵⁸, so it
+// is formed unreduced in five words and brought down by one estimated
+// multiple of Q and one conditional subtraction, where three doublings and
+// two additions would pay five reductions.
+func fpNineXPlus(z, x, w *fp) {
+	// t = (x << 3) + x + w
+	t0, c := bits.Add64(x[0]<<3, x[0], 0)
+	t1, c := bits.Add64(x[1]<<3|x[0]>>61, x[1], c)
+	t2, c := bits.Add64(x[2]<<3|x[1]>>61, x[2], c)
+	t3, c := bits.Add64(x[3]<<3|x[2]>>61, x[3], c)
+	t4 := x[3]>>61 + c
+	t0, c = bits.Add64(t0, w[0], 0)
+	t1, c = bits.Add64(t1, w[1], c)
+	t2, c = bits.Add64(t2, w[2], c)
+	t3, c = bits.Add64(t3, w[3], c)
+	t4 += c
+
+	// t −= k·Q, leaving t < 2Q: only the low four words are needed.
+	k := nineXQuotient(t4<<6 | t3>>58)
+	h0, l0 := bits.Mul64(k, q0)
+	h1, l1 := bits.Mul64(k, q1)
+	h2, l2 := bits.Mul64(k, q2)
+	l3 := k * q3
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, _ = bits.Add64(l3, h2, c)
+	t0, c = bits.Sub64(t0, l0, 0)
+	t1, c = bits.Sub64(t1, l1, c)
+	t2, c = bits.Sub64(t2, l2, c)
+	t3, _ = bits.Sub64(t3, l3, c)
+
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	keep := -b
+	z[0] = r0 ^ (r0^t0)&keep
+	z[1] = r1 ^ (r1^t1)&keep
+	z[2] = r2 ^ (r2^t2)&keep
+	z[3] = r3 ^ (r3^t3)&keep
+}
+
+// nineXQuotient estimates ⌊t/Q⌋ for t < 10Q from h = ⌊t/2²⁵⁰⌋ ≤ 120:
+// 338/2¹² sits just under 2²⁵⁰/Q, so k = ⌊338h/2¹²⌋ never overshoots, and
+// it leaves t − kQ < 2Q (TestFpNineXPlus checks both for every h).
+func nineXQuotient(h uint64) uint64 { return h * 338 >> 12 }
 
 // fpHalve sets z = x/2: x when even, else x + Q (Q is odd), shifted down.
 func fpHalve(z, x *fp) {

@@ -1,5 +1,7 @@
 package bn254
 
+import "math/bits"
+
 // fp2 is Fq² = Fq[i]/(i²+1) over the fixed-limb base field: c0 + c1·i.
 // The quadratic nonresidue used to build Fq⁶ is ξ = 9 + i, matching the
 // reference tower (w⁶ = ξ).
@@ -45,8 +47,8 @@ func fp2Mul(z, x, y *fp2) {
 	var t0, t1, s0, s1, r0 fp
 	montMul(&t0, &x.c0, &y.c0)
 	montMul(&t1, &x.c1, &y.c1)
-	fpAdd(&s0, &x.c0, &x.c1)
-	fpAdd(&s1, &y.c0, &y.c1)
+	fpAddNoReduce(&s0, &x.c0, &x.c1)
+	fpAddNoReduce(&s1, &y.c0, &y.c1)
 	montMul(&s0, &s0, &s1)
 	fpSub(&r0, &t0, &t1) // real part: a0b0 − a1b1
 	fpSub(&s0, &s0, &t0)
@@ -57,7 +59,7 @@ func fp2Mul(z, x, y *fp2) {
 // fp2Square sets z = x² via (a0+a1)(a0−a1) + 2a0a1·i.
 func fp2Square(z, x *fp2) {
 	var s, d, m fp
-	fpAdd(&s, &x.c0, &x.c1)
+	fpAddNoReduce(&s, &x.c0, &x.c1)
 	fpSub(&d, &x.c0, &x.c1)
 	montMul(&m, &x.c0, &x.c1)
 	montMul(&z.c0, &s, &d)
@@ -76,21 +78,18 @@ func fp2Conjugate(z, x *fp2) {
 	fpNeg(&z.c1, &x.c1)
 }
 
-// fp2MulByNonresidue sets z = ξ·x = (9+i)·x (safe when z aliases x).
+// fp2MulByNonresidue sets z = ξ·x = (9+i)·x = (9a0 − a1) + (9a1 + a0)i
+// (safe when z aliases x).
 func fp2MulByNonresidue(z, x *fp2) {
-	// (9a0 − a1) + (9a1 + a0)i
-	a0, a1 := x.c0, x.c1
-	var n0, n1, t fp
-	fpDouble(&t, &a0)
-	fpDouble(&t, &t)
-	fpDouble(&t, &t)
-	fpAdd(&n0, &t, &a0) // 9a0
-	fpDouble(&t, &a1)
-	fpDouble(&t, &t)
-	fpDouble(&t, &t)
-	fpAdd(&n1, &t, &a1) // 9a1
-	fpSub(&z.c0, &n0, &a1)
-	fpAdd(&z.c1, &n1, &a0)
+	a0 := x.c0
+	var n1 fp // Q − a1, in (0, Q]
+	var b uint64
+	n1[0], b = bits.Sub64(q0, x.c1[0], 0)
+	n1[1], b = bits.Sub64(q1, x.c1[1], b)
+	n1[2], b = bits.Sub64(q2, x.c1[2], b)
+	n1[3], _ = bits.Sub64(q3, x.c1[3], b)
+	fpNineXPlus(&z.c1, &x.c1, &a0)
+	fpNineXPlus(&z.c0, &a0, &n1)
 }
 
 // fp2Inv sets z = x⁻¹ = (c0 − c1·i)/(c0² + c1²). Panics on zero.

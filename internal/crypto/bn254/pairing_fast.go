@@ -151,13 +151,22 @@ func psi2(q *g2Affine) g2Affine {
 	return r
 }
 
+// ateNAF is the loop count 6u+2 in non-adjacent form, least significant
+// digit first: 22 nonzero digits below the leading one where the binary
+// expansion has 36, so 14 fewer addition steps per loop. A −1 digit adds −Q;
+// against the binary loop the value moves only by vertical lines, which lie
+// in a proper subfield and die in the final exponentiation.
+var ateNAF = wnaf(ateLoopCount, 2)
+
 // ateLines is the number of lines in one optimal-ate Miller loop: a
-// doubling per bit of 6u+2 below the top one, an addition per set bit among
-// them, and the two Frobenius correction steps.
+// doubling per digit of 6u+2 below the top one, an addition per nonzero
+// digit among them, and the two Frobenius correction steps.
 var ateLines = func() int {
-	n := ateLoopCount.BitLen() - 1 + 2
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
-		n += int(ateLoopCount.Bit(i))
+	n := len(ateNAF) - 1 + 2
+	for _, d := range ateNAF[:len(ateNAF)-1] {
+		if d != 0 {
+			n++
+		}
 	}
 	return n
 }()
@@ -177,10 +186,12 @@ func prepareLines(q *g2Affine) (lines []lineCoeff, ok bool) {
 		lines = append(lines, l)
 		return true
 	}
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+	nq := *q
+	fp2Neg(&nq.y, &nq.y)
+	for i := len(ateNAF) - 2; i >= 0; i-- {
 		doubleStep(&t, &l)
 		lines = append(lines, l)
-		if ateLoopCount.Bit(i) == 1 && !add(q) {
+		if d := ateNAF[i]; d > 0 && !add(q) || d < 0 && !add(&nq) {
 			return nil, false
 		}
 	}
@@ -214,10 +225,10 @@ func millerLoopLines(lines [][]lineCoeff, ps []g1Arg) fp12 {
 		}
 		k++
 	}
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+	for i := len(ateNAF) - 2; i >= 0; i-- {
 		fp12Square(&f, &f)
 		step()
-		if ateLoopCount.Bit(i) == 1 {
+		if ateNAF[i] != 0 {
 			step()
 		}
 	}
@@ -273,16 +284,32 @@ func PairingCheckPrepared(ps []G1Point, qs []*G2Prepared) bool {
 	return e.isOne()
 }
 
-// expByU sets z = x^u using cyclotomic squarings (x must lie in the
-// cyclotomic subgroup).
+// ateUNAF is u in width-4 non-adjacent form: 14 nonzero digits over the odd
+// powers x, x³, x⁵, x⁷ (u's binary expansion has 28 ones).
+var ateUNAF = wnaf(ateU, 4)
+
+// expByU sets z = x^u for x in the cyclotomic subgroup, where squaring is
+// the cheap cyclotomic one and inversion is conjugation: a negative digit
+// costs the same multiplication as a positive one. 62 squarings and 16
+// multiplications (3 for the table), against 27 for square-and-multiply.
 func expByU(z, x *fp12) {
-	var r fp12
-	r.setOne()
-	b := *x
-	for i := ateU.BitLen() - 1; i >= 0; i-- {
+	var tab [4]fp12 // x, x³, x⁵, x⁷
+	var x2, t fp12
+	tab[0] = *x
+	fp12CyclotomicSquare(&x2, x)
+	for i := 1; i < len(tab); i++ {
+		fp12Mul(&tab[i], &tab[i-1], &x2)
+	}
+	top := len(ateUNAF) - 1
+	r := tab[ateUNAF[top]/2] // the leading digit is positive
+	for i := top - 1; i >= 0; i-- {
 		fp12CyclotomicSquare(&r, &r)
-		if ateU.Bit(i) == 1 {
-			fp12Mul(&r, &r, &b)
+		switch d := ateUNAF[i]; {
+		case d > 0:
+			fp12Mul(&r, &r, &tab[d/2])
+		case d < 0:
+			fp12Conjugate(&t, &tab[-d/2])
+			fp12Mul(&r, &r, &t)
 		}
 	}
 	*z = r
