@@ -5,6 +5,7 @@ package bn254
 //
 //	go test ./internal/crypto/bn254 -bench . -benchtime 10x
 import (
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -51,6 +52,25 @@ func BenchmarkG1ScalarMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ScalarMul(k)
+	}
+}
+
+// BenchmarkG1MultiScalarMul: k full-width scalars over k distinct points,
+// the shape of a Lagrange combination whose denominators were not cleared.
+func BenchmarkG1MultiScalarMul(b *testing.B) {
+	for _, k := range []int{3, 7} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			ps := make([]G1Point, k)
+			ks := make([]*big.Int, k)
+			for i := range ps {
+				ps[i] = HashToG1([]byte{byte(i)})
+				ks[i] = new(big.Int).Rsh(benchScalar, uint(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				G1MultiScalarMul(ps, ks)
+			}
+		})
 	}
 }
 
@@ -119,6 +139,14 @@ func BenchmarkFpInv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fpInv(&z, &x)
+	}
+}
+
+func BenchmarkFinalExp(b *testing.B) {
+	f := fp12FromFQP(randFq12(testRand()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finalExpFast(&f)
 	}
 }
 

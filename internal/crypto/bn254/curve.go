@@ -25,9 +25,13 @@ func (p G1Point) IsOnCurve() bool {
 	if p.Inf {
 		return true
 	}
-	y2 := p.Y.Mul(p.Y)
-	x3 := p.X.Mul(p.X).Mul(p.X).Add(FqFromInt64(3))
-	return y2.Equal(x3)
+	x, y := fpFromBig(p.X.v), fpFromBig(p.Y.v)
+	var y2, x3 fp
+	fpSquare(&y2, &y)
+	fpSquare(&x3, &x)
+	montMul(&x3, &x3, &x)
+	fpAdd(&x3, &x3, &fpThree)
+	return y2.equal(&x3)
 }
 
 // Equal compares points.
@@ -77,11 +81,11 @@ func (p G1Point) Double() G1Point {
 	return G1Point{X: x3, Y: y3}
 }
 
-// ScalarMul returns k·p (k taken mod R). It runs in fixed-limb Jacobian
-// coordinates (g1fast.go); scalarMulReference retains the affine math/big
-// double-and-add as the oracle.
+// ScalarMul returns k·p (k taken mod R): the one-term case of
+// G1MultiScalarMul (g1fast.go). scalarMulReference retains the affine
+// math/big double-and-add as the oracle.
 func (p G1Point) ScalarMul(k *big.Int) G1Point {
-	return p.scalarMulFast(k)
+	return G1MultiScalarMul([]G1Point{p}, []*big.Int{k})
 }
 
 // Marshal serializes the point (64 bytes, or all-zero for infinity).
@@ -90,8 +94,8 @@ func (p G1Point) Marshal() []byte {
 	if p.Inf {
 		return out
 	}
-	p.X.Big().FillBytes(out[:32])
-	p.Y.Big().FillBytes(out[32:])
+	p.X.v.FillBytes(out[:32])
+	p.Y.v.FillBytes(out[32:])
 	return out
 }
 

@@ -428,7 +428,7 @@ func TestScalarMulFastMatchesReference(t *testing.T) {
 		scalars = append(scalars, randBig(r))
 	}
 	for _, k := range scalars {
-		if !g1.scalarMulFast(k).Equal(g1.scalarMulReference(k)) {
+		if !g1.ScalarMul(k).Equal(g1.scalarMulReference(k)) {
 			t.Fatalf("G1 scalar mul mismatch for k=%v", k)
 		}
 		if !g2.scalarMulFast(k).Equal(g2.scalarMulReference(k)) {
@@ -436,17 +436,200 @@ func TestScalarMulFastMatchesReference(t *testing.T) {
 		}
 	}
 	// Non-generator base points.
-	p := g1.scalarMulFast(big.NewInt(7))
+	p := g1.ScalarMul(big.NewInt(7))
 	q := g2.scalarMulFast(big.NewInt(11))
 	k := randBig(r)
-	if !p.scalarMulFast(k).Equal(p.scalarMulReference(k)) {
+	if !p.ScalarMul(k).Equal(p.scalarMulReference(k)) {
 		t.Fatal("G1 scalar mul mismatch on derived base")
 	}
 	if !q.scalarMulFast(k).Equal(q.scalarMulReference(k)) {
 		t.Fatal("G2 scalar mul mismatch on derived base")
 	}
-	if !G1Infinity().scalarMulFast(k).Inf || !G2Infinity().scalarMulFast(k).Inf {
+	if !G1Infinity().ScalarMul(k).Inf || !G2Infinity().scalarMulFast(k).Inf {
 		t.Fatal("scalar mul of infinity is not infinity")
+	}
+}
+
+// glvLambda is the eigenvalue of φ(x, y) = (βx, y) on G1.
+var glvLambda = uPoly(36, 18, 6, 1)
+
+// TestGLVConstants checks β, λ and the lattice basis against the algebra
+// they are supposed to satisfy, the last against the reference group law.
+func TestGLVConstants(t *testing.T) {
+	var b2, b3 fp
+	fpSquare(&b2, &glvBeta)
+	montMul(&b3, &b2, &glvBeta)
+	if glvBeta == fpMontOne || b3 != fpMontOne {
+		t.Fatal("β is not a primitive cube root of unity mod Q")
+	}
+	l := new(big.Int).Mul(glvLambda, glvLambda)
+	if l.Add(l, glvLambda).Add(l, big.NewInt(1)).Mod(l, R).Sign() != 0 {
+		t.Fatal("λ² + λ + 1 ≠ 0 mod R")
+	}
+	// φ(P) = λ·P, by the math/big double-and-add.
+	p := G1Generator().scalarMulReference(big.NewInt(5))
+	bx := fpFromBig(p.X.v)
+	montMul(&bx, &bx, &glvBeta)
+	if phi := (G1Point{X: Fq{v: bx.toBig()}, Y: p.Y}); !phi.Equal(p.scalarMulReference(glvLambda)) {
+		t.Fatal("φ(P) ≠ λ·P: β and λ are not a matching pair")
+	}
+	// Both basis vectors (a, b) satisfy a + bλ ≡ 0, and span determinant R.
+	negB1 := new(big.Int).Neg(glvB1)
+	for _, v := range [][2]*big.Int{{glvA1, negB1}, {glvA2, glvA1}} {
+		if s := new(big.Int).Mul(v[1], glvLambda); s.Add(s, v[0]).Mod(s, R).Sign() != 0 {
+			t.Fatalf("(%v, %v) is not in the lattice", v[0], v[1])
+		}
+	}
+	det := new(big.Int).Mul(glvA1, glvA1)
+	if det.Add(det, new(big.Int).Mul(glvA2, glvB1)).Cmp(R) != 0 {
+		t.Fatal("basis determinant is not R")
+	}
+}
+
+// edgeScalars are the multipliers where the recoding can go wrong: the
+// ends of the range, both sides of the short-scalar cut, a half-scalar
+// carrying into bit 128, and the corners of the lattice's fundamental cell,
+// where the GLV half-scalars are as large as they get.
+func edgeScalars() []*big.Int {
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
+	ks := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3), big.NewInt(7), big.NewInt(8), big.NewInt(-1), big.NewInt(-8),
+		new(big.Int).Sub(R, big.NewInt(1)), new(big.Int).Set(R), new(big.Int).Add(R, big.NewInt(1)),
+		new(big.Int).Lsh(R, 3), new(big.Int).Neg(pow(200)),
+		glvLambda, new(big.Int).Sub(R, glvLambda), new(big.Int).Mul(glvLambda, glvLambda),
+	}
+	for _, n := range []uint{glvShortBits - 1, glvShortBits, glvShortBits + 1, 127, 128, 253} {
+		ks = append(ks, new(big.Int).Sub(pow(n), big.NewInt(1)), pow(n), new(big.Int).Add(pow(n), big.NewInt(1)))
+	}
+	// Corners ±(v1 ± v2)/2 of the cell, as scalars a + bλ, and their
+	// neighbours.
+	for _, s1 := range []int64{1, -1} {
+		for _, s2 := range []int64{1, -1} {
+			a := new(big.Int).Mul(glvA1, big.NewInt(s1))
+			a.Add(a, new(big.Int).Mul(glvA2, big.NewInt(s2))).Rsh(a, 1)
+			b := new(big.Int).Mul(glvB1, big.NewInt(-s1))
+			b.Add(b, new(big.Int).Mul(glvA1, big.NewInt(s2))).Rsh(b, 1)
+			k := b.Mul(b, glvLambda).Add(b, a).Mod(b, R)
+			ks = append(ks, k, new(big.Int).Add(k, big.NewInt(1)), new(big.Int).Sub(k, big.NewInt(1)))
+		}
+	}
+	return ks
+}
+
+func TestGLVSplit(t *testing.T) {
+	r := testRand()
+	ks := edgeScalars()
+	for i := 0; i < 200; i++ {
+		ks = append(ks, randBig(r))
+	}
+	longest := 0
+	for _, k := range ks {
+		if k.BitLen() > glvShortBits {
+			k = new(big.Int).Mod(k, R) // what G1MultiScalarMul hands over
+		}
+		h := glvSplit(k)
+		sum := new(big.Int).Mul(h[1], glvLambda)
+		if sum.Add(sum, h[0]).Sub(sum, k).Mod(sum, R).Sign() != 0 {
+			t.Fatalf("k=%v: %v + %v·λ is a different scalar", k, h[0], h[1])
+		}
+		longest = max(longest, h[0].BitLen(), h[1].BitLen())
+		// The short-cut and the rounding agree where both apply.
+		if k.BitLen() <= glvShortBits && k.Sign() >= 0 {
+			wide := new(big.Int).Add(k, R) // same scalar, too long for the short-cut
+			if full := glvSplit(wide.Mod(wide, R)); full[0].Cmp(h[0]) != 0 || full[1].Sign() != 0 {
+				t.Fatalf("k=%v: short-cut (k, 0) but rounding gives (%v, %v)", k, full[0], full[1])
+			}
+		}
+	}
+	if longest > 128 {
+		t.Fatalf("a half-scalar of %d bits", longest)
+	}
+}
+
+func TestWnaf(t *testing.T) {
+	r := testRand()
+	ks := edgeScalars()
+	for i := 0; i < 50; i++ {
+		ks = append(ks, randBig(r).Rsh(randBig(r), uint(64+i)))
+	}
+	for _, k := range ks {
+		if k.BitLen() > 256 {
+			continue
+		}
+		for _, w := range []uint{2, 3, 4, 5} {
+			digits := wnaf(k, w)
+			sum := new(big.Int)
+			last := -int(w)
+			for i := len(digits) - 1; i >= 0; i-- {
+				sum.Lsh(sum, 1).Add(sum, big.NewInt(int64(digits[i])))
+			}
+			for i, d := range digits {
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || int(d) >= 1<<(w-1) || int(d) <= -(1<<(w-1)) || i-last < int(w) {
+					t.Fatalf("wnaf(%v, %d): digit %d at %d breaks the form", k, w, d, i)
+				}
+				last = i
+			}
+			if sum.CmpAbs(k) != 0 {
+				t.Fatalf("wnaf(%v, %d) spells %v", k, w, sum)
+			}
+			if n := len(digits); n > 0 && digits[n-1] == 0 {
+				t.Fatalf("wnaf(%v, %d) has a leading zero", k, w)
+			}
+		}
+	}
+}
+
+// TestG1ScalarMulEdges runs the edge multipliers over the generator, its
+// negation and a derived point, each against the math/big double-and-add.
+func TestG1ScalarMulEdges(t *testing.T) {
+	g := G1Generator()
+	for _, p := range []G1Point{g, g.Neg(), HashToG1([]byte("edge"))} {
+		for _, k := range edgeScalars() {
+			if got, want := p.ScalarMul(k), p.scalarMulReference(k); !got.Equal(want) {
+				t.Fatalf("%v·(%v, %v): got %v, want %v", k, p.X.v, p.Y.v, got, want)
+			}
+		}
+	}
+}
+
+// TestG1MultiScalarMul checks the interleaved pass against the sum of
+// reference multiplications, on the inputs that drive the accumulator
+// through addAffine's special cases: a repeated point (P + P doubles), a
+// point and its negation (P + (−P) returns to infinity mid-loop), terms
+// that cancel outright, infinity and zero terms.
+func TestG1MultiScalarMul(t *testing.T) {
+	r := testRand()
+	g := G1Generator()
+	p, q := HashToG1([]byte("p")), HashToG1([]byte("q"))
+	k1, k2 := randBig(r), randBig(r)
+	one, three := big.NewInt(1), big.NewInt(3)
+	cases := []struct {
+		name string
+		ps   []G1Point
+		ks   []*big.Int
+	}{
+		{"empty", nil, nil},
+		{"random", []G1Point{g, p, q}, []*big.Int{k1, k2, randBig(r)}},
+		{"repeated point, equal scalars", []G1Point{p, p}, []*big.Int{k1, k1}},
+		{"repeated point, small scalars", []G1Point{p, p, p}, []*big.Int{one, one, three}},
+		{"opposite points, equal scalars", []G1Point{p, p.Neg()}, []*big.Int{k1, k1}},
+		{"opposite points, small scalars", []G1Point{p, p.Neg(), q}, []*big.Int{three, one, one}},
+		{"cancelling scalars", []G1Point{p, p, q}, []*big.Int{k1, new(big.Int).Neg(k1), k2}},
+		{"p and 3p", []G1Point{p, p.scalarMulReference(three)}, []*big.Int{three, big.NewInt(-1)}},
+		{"infinity and zero terms", []G1Point{G1Infinity(), p, q}, []*big.Int{k1, new(big.Int), k2}},
+		{"seven full-width terms", []G1Point{g, p, q, g.Neg(), p.Neg(), q, g}, []*big.Int{k1, k2, randBig(r), randBig(r), randBig(r), randBig(r), randBig(r)}},
+	}
+	for _, c := range cases {
+		want := G1Infinity()
+		for i := range c.ps {
+			want = want.Add(c.ps[i].scalarMulReference(c.ks[i]))
+		}
+		if got := G1MultiScalarMul(c.ps, c.ks); !got.Equal(want) {
+			t.Fatalf("%s: got %v, want %v", c.name, got, want)
+		}
 	}
 }
 

@@ -52,13 +52,14 @@ func bigToLimbs(x *big.Int) [4]uint64 {
 	return l
 }
 
-// fpFromBig reduces v mod Q and converts to Montgomery form.
+// fpFromBig reduces v mod Q and converts to Montgomery form. A canonical
+// v (what every decoded or computed coordinate is) is used as it stands,
+// without allocating.
 func fpFromBig(v *big.Int) fp {
-	m := new(big.Int).Mod(v, Q)
-	if m.Sign() < 0 {
-		m.Add(m, Q)
+	if v.Sign() < 0 || v.Cmp(Q) >= 0 {
+		v = new(big.Int).Mod(v, Q)
 	}
-	z := fp(bigToLimbs(m))
+	z := fp(bigToLimbs(v))
 	montMul(&z, &z, &fpRSquare)
 	return z
 }
@@ -72,12 +73,7 @@ func fpFromUint64(v uint64) fp {
 // toBig converts out of Montgomery form into a canonical integer < Q.
 func (z *fp) toBig() *big.Int {
 	c := z.canonical()
-	b := new(big.Int)
-	for i := 3; i >= 0; i-- {
-		b.Lsh(b, 64)
-		b.Or(b, new(big.Int).SetUint64(c[i]))
-	}
-	return b
+	return new(big.Int).SetBits([]big.Word{big.Word(c[0]), big.Word(c[1]), big.Word(c[2]), big.Word(c[3])})
 }
 
 // canonical returns the non-Montgomery limb representation (< Q).

@@ -6,9 +6,93 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the deserialization boundary: any accepted input must
+// Fuzz targets. For the deserialization boundary: any accepted input must
 // be a valid curve (and for G2, subgroup) point whose re-marshalling
-// round-trips, and valid marshalled points must always be accepted.
+// round-trips, and valid marshalled points must always be accepted. For the
+// limb arithmetic and the recoded scalar multiplication: agreement with
+// the math/big oracle on whatever operands the fuzzer finds.
+
+// FuzzFpArith drives every fp operation against math/big. The operands are
+// 32 raw bytes each, reduced mod Q on the way in, so limbs of all ones and
+// values just under and over the modulus are one mutation away.
+func FuzzFpArith(f *testing.F) {
+	ff := bytes.Repeat([]byte{0xff}, 32)
+	qm1 := new(big.Int).Sub(Q, big.NewInt(1)).Bytes()
+	f.Add(make([]byte, 32), make([]byte, 32))
+	f.Add(ff, ff)
+	f.Add(qm1, qm1)
+	f.Add(Q.Bytes(), []byte{1})
+	f.Add([]byte{2}, qm1)
+	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+		if len(ab) > 32 || len(bb) > 32 {
+			return
+		}
+		a, b := new(big.Int).SetBytes(ab), new(big.Int).SetBytes(bb)
+		fa, fb := fpFromBig(a), fpFromBig(b)
+		ra, rb := NewFq(a), NewFq(b)
+		check := func(op string, got *fp, want Fq) {
+			t.Helper()
+			if got.toBig().Cmp(want.Big()) != 0 {
+				t.Fatalf("%s(%v, %v) = %v, want %v", op, a, b, got.toBig(), want.Big())
+			}
+		}
+		var z, lazy fp
+		montMul(&z, &fa, &fb)
+		check("mul", &z, ra.Mul(rb))
+		fpSquare(&z, &fa)
+		check("square", &z, ra.Mul(ra))
+		fpAdd(&z, &fa, &fb)
+		check("add", &z, ra.Add(rb))
+		fpSub(&z, &fa, &fb)
+		check("sub", &z, ra.Sub(rb))
+		fpDouble(&z, &fa)
+		check("double", &z, ra.Add(ra))
+		fpNeg(&z, &fa)
+		check("neg", &z, ra.Neg())
+		fpHalve(&z, &fa)
+		fpDouble(&z, &z)
+		check("halve, doubled back", &z, ra)
+		fpAddNoReduce(&lazy, &fa, &fb)
+		montMul(&z, &lazy, &lazy)
+		check("mul of unreduced sums", &z, ra.Add(rb).Mul(ra.Add(rb)))
+		fpNineXPlus(&z, &fa, &fb)
+		check("9x+y", &z, FqFromInt64(9).Mul(ra).Add(rb))
+		if !ra.IsZero() {
+			fpInv(&z, &fa)
+			check("inv", &z, ra.Inv())
+		}
+	})
+}
+
+// FuzzG1ScalarMul drives the GLV + width-4 NAF multiplication against the
+// math/big double-and-add, on the generator's multiples by a fuzzed base
+// scalar so the point varies too, alone and as one term of three.
+func FuzzG1ScalarMul(f *testing.F) {
+	f.Add(uint64(1), []byte{0})
+	f.Add(uint64(1), []byte{1})
+	f.Add(uint64(7), R.Bytes())
+	f.Add(uint64(2), new(big.Int).Sub(R, big.NewInt(1)).Bytes())
+	f.Add(^uint64(0), bytes.Repeat([]byte{0xff}, 32))
+	f.Add(uint64(3), new(big.Int).Lsh(big.NewInt(1), 127).Bytes())
+	f.Add(uint64(5), uPoly(36, 18, 6, 1).Bytes()) // λ
+	g := G1Generator()
+	f.Fuzz(func(t *testing.T, base uint64, kb []byte) {
+		if len(kb) > 40 {
+			return
+		}
+		p := g.scalarMulReference(new(big.Int).SetUint64(base))
+		k := new(big.Int).SetBytes(kb)
+		want := p.scalarMulReference(k)
+		if got := p.ScalarMul(k); !got.Equal(want) {
+			t.Fatalf("%v·(%d·g): got %v, want %v", k, base, got, want)
+		}
+		// As a term among others: k·p + 3·p − 3·p.
+		three := big.NewInt(3)
+		if got := G1MultiScalarMul([]G1Point{p, p, p.Neg()}, []*big.Int{k, three, three}); !got.Equal(want) {
+			t.Fatalf("%v·(%d·g) among cancelling terms: got %v, want %v", k, base, got, want)
+		}
+	})
+}
 
 func FuzzUnmarshalG1(f *testing.F) {
 	f.Add(make([]byte, 64))

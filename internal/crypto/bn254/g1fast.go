@@ -115,23 +115,138 @@ func (p *g1Jac) addAffine(ax, ay *fp) {
 	p.x = t
 }
 
-// scalarMulFast computes k·p via Jacobian double-and-add; k is taken mod R.
-func (p G1Point) scalarMulFast(k *big.Int) G1Point {
-	kk := new(big.Int).Mod(k, R)
-	if p.Inf || kk.Sign() == 0 {
-		return G1Infinity()
+// g1Affine is a finite point with Montgomery-form coordinates.
+type g1Affine struct{ x, y fp }
+
+// g1Term is one k·P of a multi-scalar multiplication, laid out for the
+// shared doubling chain: the odd multiples of P a width-4 NAF digit can
+// select, their images under φ(x, y) = (βx, y), and the digits of the two
+// GLV half-scalars, k1 over tab and k2 over φ(tab).
+type g1Term struct {
+	tab  [4]g1Affine // P, 3P, 5P, 7P
+	phiX [4]fp       // β·x of each
+	naf  [2][]int8   // signs of k1, k2 folded into the digits
+}
+
+// G1MultiScalarMul returns Σ kᵢ·pᵢ (each kᵢ taken mod R, negative ones
+// included; the slices must be of one length) in a single interleaved pass
+// (Straus): every term's scalar is split in two by the GLV endomorphism and
+// recoded in width-4 NAF, all digit strings share one chain of Jacobian
+// doublings — at most 128, and as few as the longest scalar has bits when
+// all are short — and each nonzero digit costs one mixed addition from its
+// term's table. The tables are built in Jacobian form and made affine
+// together by one inversion; the result is normalised by a second.
+// Variable time in points and scalars alike.
+func G1MultiScalarMul(ps []G1Point, ks []*big.Int) G1Point {
+	if len(ps) != len(ks) {
+		panic("bn254: G1MultiScalarMul: points and scalars differ in number")
 	}
-	bx := fpFromBig(p.X.v)
-	by := fpFromBig(p.Y.v)
+	terms := make([]g1Term, 0, len(ps))
+	multiples := make([]g1Jac, 0, 3*len(ps)) // 3P, 5P, 7P of every term
+	digits := 0
+	for i, p := range ps {
+		k := ks[i]
+		if k.BitLen() > glvShortBits && (k.Sign() < 0 || k.Cmp(R) >= 0) {
+			k = new(big.Int).Mod(k, R)
+		}
+		if p.Inf || k.Sign() == 0 {
+			continue
+		}
+		var t g1Term
+		for h, half := range glvSplit(k) {
+			t.naf[h] = wnaf(half, 4)
+			if half.Sign() < 0 {
+				for j := range t.naf[h] {
+					t.naf[h][j] = -t.naf[h][j]
+				}
+			}
+			digits = max(digits, len(t.naf[h]))
+		}
+		t.tab[0] = g1Affine{fpFromBig(p.X.v), fpFromBig(p.Y.v)}
+		multiples = appendOddMultiples(multiples, &t.tab[0])
+		terms = append(terms, t)
+	}
+	affine := g1BatchAffine(multiples)
+	for i := range terms {
+		t := &terms[i]
+		copy(t.tab[1:], affine[3*i:])
+		for j := range t.tab {
+			montMul(&t.phiX[j], &t.tab[j].x, &glvBeta)
+		}
+	}
+
 	var acc g1Jac
 	acc.setInfinity()
-	for i := kk.BitLen() - 1; i >= 0; i-- {
+	var negY fp
+	for i := digits - 1; i >= 0; i-- {
 		acc.double()
-		if kk.Bit(i) == 1 {
-			acc.addAffine(&bx, &by)
+		for j := range terms {
+			t := &terms[j]
+			for h, naf := range t.naf {
+				if i >= len(naf) || naf[i] == 0 {
+					continue
+				}
+				d := naf[i]
+				if d < 0 {
+					d = -d
+				}
+				e := &t.tab[d/2]
+				x, y := &e.x, &e.y
+				if h == 1 {
+					x = &t.phiX[d/2]
+				}
+				if naf[i] < 0 {
+					fpNeg(&negY, y)
+					y = &negY
+				}
+				acc.addAffine(x, y)
+			}
 		}
 	}
 	return acc.toAffine()
+}
+
+// appendOddMultiples appends 3P, 5P and 7P: three doublings and three
+// mixed additions of P itself.
+func appendOddMultiples(dst []g1Jac, p *g1Affine) []g1Jac {
+	even := g1Jac{x: p.x, y: p.y, z: fpMontOne}
+	even.double() // 2P
+	m3 := even
+	m3.addAffine(&p.x, &p.y)
+	even.double() // 4P
+	m5 := even
+	m5.addAffine(&p.x, &p.y)
+	m7 := m3
+	m7.double() // 6P
+	m7.addAffine(&p.x, &p.y)
+	return append(dst, m3, m5, m7)
+}
+
+// g1BatchAffine normalises finite Jacobian points with one inversion
+// between them (Montgomery's trick): invert the product of every Z, then
+// peel the factors off one at a time.
+func g1BatchAffine(ps []g1Jac) []g1Affine {
+	out := make([]g1Affine, len(ps))
+	if len(ps) == 0 {
+		return out
+	}
+	// out[i].x holds Z₀·…·Zᵢ₋₁ until point i is written.
+	acc := fpMontOne
+	for i := range ps {
+		out[i].x = acc
+		montMul(&acc, &acc, &ps[i].z)
+	}
+	fpInv(&acc, &acc)
+	for i := len(ps) - 1; i >= 0; i-- {
+		var zi, zi2 fp
+		montMul(&zi, &acc, &out[i].x) // 1/Zᵢ
+		montMul(&acc, &acc, &ps[i].z)
+		fpSquare(&zi2, &zi)
+		montMul(&out[i].x, &ps[i].x, &zi2)
+		montMul(&zi2, &zi2, &zi)
+		montMul(&out[i].y, &ps[i].y, &zi2)
+	}
+	return out
 }
 
 // scalarMulReference is the retained math/big double-and-add oracle.

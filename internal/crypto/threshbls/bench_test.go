@@ -100,6 +100,23 @@ func BenchmarkCombineVerified(b *testing.B) {
 	}
 }
 
+// BenchmarkCombineVerifiedGap combines signers {1, 2, 4}: the Lagrange
+// coefficients of a set with a gap are not integers, so this pays the
+// full-width multiplication by the cleared denominator's inverse that the
+// consecutive set of BenchmarkCombineVerified does not.
+func BenchmarkCombineVerifiedGap(b *testing.B) {
+	sch, sgs := benchInstance(b)
+	d := sha256.Sum256([]byte("bench combine verified"))
+	shares := benchShares(b, sgs, d[:], 4)
+	shares = append(shares[:2], shares[3])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sch.CombineVerified(d[:], shares); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkVerify(b *testing.B) {
 	sch, sgs := benchInstance(b)
 	d := sha256.Sum256([]byte("bench verify combined"))

@@ -65,9 +65,23 @@ type Scheme struct {
 	// Miller-loop lines of the two G2 arguments every signature check
 	// uses, computed once at dealing time.
 	pkLines, g2Lines *bn254.G2Prepared
+	// shareLines[i-1] are signer i's key's lines, prepared the first time
+	// one of its shares is verified (a failure-free run verifies none).
+	shareLines []lazyLines
 
 	mu        sync.Mutex
 	hashCache map[string]bn254.G1Point
+}
+
+// lazyLines prepares one fixed G2 point's Miller-loop lines on first use.
+type lazyLines struct {
+	once  sync.Once
+	lines *bn254.G2Prepared
+}
+
+func (l *lazyLines) get(q bn254.G2Point) *bn254.G2Prepared {
+	l.once.Do(func() { l.lines = bn254.PrepareG2(q) })
+	return l.lines
 }
 
 // Signer holds one Shamir share of the secret key.
@@ -96,12 +110,13 @@ func (d Dealer) Deal(k, n int) (threshsig.Scheme, []threshsig.Signer, error) {
 	}
 	g2 := bn254.G2Generator()
 	sch := &Scheme{
-		k:         k,
-		n:         n,
-		pk:        g2.ScalarMul(coeffs[0]),
-		shares:    make([]bn254.G2Point, n),
-		hashCache: make(map[string]bn254.G1Point),
-		g2Lines:   bn254.PrepareG2(g2),
+		k:          k,
+		n:          n,
+		pk:         g2.ScalarMul(coeffs[0]),
+		shares:     make([]bn254.G2Point, n),
+		shareLines: make([]lazyLines, n),
+		hashCache:  make(map[string]bn254.G1Point),
+		g2Lines:    bn254.PrepareG2(g2),
 	}
 	sch.pkLines = bn254.PrepareG2(sch.pk)
 	signers := make([]threshsig.Signer, n)
@@ -172,9 +187,10 @@ func (s *Scheme) VerifyShare(digest []byte, share threshsig.Share) error {
 		return fmt.Errorf("%w: not a G1 point", threshsig.ErrInvalidShare)
 	}
 	h := s.hashToG1(digest)
+	i := share.Signer - 1
 	if !bn254.PairingCheckPrepared(
 		[]bn254.G1Point{h, sig.Neg()},
-		[]*bn254.G2Prepared{bn254.PrepareG2(s.shares[share.Signer-1]), s.g2Lines},
+		[]*bn254.G2Prepared{s.shareLines[i].get(s.shares[i]), s.g2Lines},
 	) {
 		return fmt.Errorf("%w: signer %d", threshsig.ErrInvalidShare, share.Signer)
 	}
@@ -239,24 +255,6 @@ func (s *Scheme) batchVerifyParsed(digest []byte, shares []threshsig.Share, ids 
 	return fmt.Errorf("%w: batch verification failed", threshsig.ErrInvalidShare)
 }
 
-// lagrangeAtZero computes λ_i(0) = Π_{j≠i} j/(j−i) over the scalar field.
-func lagrangeAtZero(set []int, i int) *big.Int {
-	num := big.NewInt(1)
-	den := big.NewInt(1)
-	for _, j := range set {
-		if j == i {
-			continue
-		}
-		num.Mul(num, big.NewInt(int64(j)))
-		num.Mod(num, bn254.R)
-		den.Mul(den, big.NewInt(int64(j-i)))
-		den.Mod(den, bn254.R)
-	}
-	den.ModInverse(den, bn254.R)
-	num.Mul(num, den)
-	return num.Mod(num, bn254.R)
-}
-
 // parsePoints unmarshals sorted shares into ids and G1 points.
 func parsePoints(shares []threshsig.Share) ([]int, []bn254.G1Point, error) {
 	ids := make([]int, len(shares))
@@ -272,13 +270,48 @@ func parsePoints(shares []threshsig.Share) ([]int, []bn254.G1Point, error) {
 	return ids, points, nil
 }
 
-// interpolate combines shares in the exponent: σ = Σ λ_i(0)·σ_i.
+// interpolate combines shares in the exponent: σ = Σ λ_i(0)·σ_i with the
+// Lagrange coefficients λ_i(0) = Π_{j≠i} j/(j−i). Reduced mod R a quotient
+// is a full-width scalar, but as a fraction n_i/d_i in lowest terms it is a
+// few bits over a few bits for the paper's n, so the denominators are
+// cleared instead: with L = lcm(d_i),
+//
+//	σ = L⁻¹ · Σ (n_i·L/d_i)·σ_i
+//
+// is one multi-scalar pass over short scalars and, unless L = 1, one
+// full-width multiplication, whatever k is. (L = 1 whenever the ids are
+// consecutive — every n-of-n combination — because the λ_i are then signed
+// multinomial coefficients. Past a few dozen signers the scalars reach full
+// width and the pass is an ordinary Straus one.)
 func interpolate(ids []int, points []bn254.G1Point) threshsig.Signature {
-	acc := bn254.G1Infinity()
-	for i := range points {
-		acc = acc.Add(points[i].ScalarMul(lagrangeAtZero(ids, ids[i])))
+	fracs := make([]big.Int, 2*len(ids)) // n_i at 2i, d_i at 2i+1
+	nums := make([]*big.Int, len(ids))
+	lcm := big.NewInt(1)
+	var t, g big.Int
+	for i, id := range ids {
+		n, d := fracs[2*i].SetInt64(1), fracs[2*i+1].SetInt64(1)
+		for _, j := range ids {
+			if j != id {
+				n.Mul(n, t.SetInt64(int64(j)))
+				d.Mul(d, t.SetInt64(int64(j-id)))
+			}
+		}
+		g.GCD(nil, nil, n, t.Abs(d))
+		nums[i] = n.Quo(n, &g)
+		if t.Abs(d.Quo(d, &g)).IsInt64() && t.Int64() == 1 {
+			continue // nothing to clear
+		}
+		g.GCD(nil, nil, lcm, &t)
+		lcm.Mul(lcm, &t).Quo(lcm, &g)
 	}
-	return threshsig.Signature{Data: acc.Marshal()}
+	for i, n := range nums {
+		n.Mul(n, t.Quo(lcm, &fracs[2*i+1]))
+	}
+	sum := bn254.G1MultiScalarMul(points, nums)
+	if lcm.IsInt64() && lcm.Int64() == 1 {
+		return threshsig.Signature{Data: sum.Marshal()}
+	}
+	return threshsig.Signature{Data: sum.ScalarMul(lcm.ModInverse(lcm, bn254.R)).Marshal()}
 }
 
 // Combine implements threshsig.Scheme: interpolate the k lowest-id shares

@@ -130,6 +130,34 @@ func TestRobustnessRejectsBadShare(t *testing.T) {
 	}
 }
 
+// TestVerifyShareConcurrent: a signer's prepared lines are built on first
+// use, and the crypto pool verifies from several goroutines at once.
+func TestVerifyShareConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("threshold BLS tests are expensive (real pairings)")
+	}
+	sch, sgs, err := Dealer{}.Deal(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := digestOf("concurrent")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		sh, _ := sgs[g%2].Sign(d)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := sch.VerifyShare(d, sh); err != nil {
+				t.Errorf("VerifyShare(signer %d): %v", sh.Signer, err)
+			}
+			if err := sch.VerifyShare(d, threshsig.Share{Signer: 3, Data: sh.Data}); !errors.Is(err, threshsig.ErrInvalidShare) {
+				t.Errorf("share replayed under signer 3: err=%v", err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestVerifyRejectsForgery(t *testing.T) {
 	sch, sgs := instance(t)
 	d := digestOf("forge")
