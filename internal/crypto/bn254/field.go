@@ -6,14 +6,20 @@
 //
 // The package carries two implementations of the same algebra:
 //
-//   - The production hot path (fp.go, fp2.go, fp6.go, fp12.go, g1fast.go,
-//     g2fast.go, pairing_fast.go): fixed 4×64-bit Montgomery limbs for Fq
-//     with no per-operation heap allocation, a dedicated 2-3-2 tower
+//   - The production hot path (fp.go, fp2.go, fp6.go, fp12.go, scalar.go,
+//     g1fast.go, g2fast.go, pairing_fast.go): fixed 4×64-bit Montgomery
+//     limbs for Fq with no per-operation heap allocation — an unrolled
+//     no-carry CIOS multiplication, mask-selected additions, a binary
+//     Euclid inversion — under a dedicated 2-3-2 tower
 //     (Fq² = Fq[i]/(i²+1), Fq⁶ = Fq²[v]/(v³−(9+i)), Fq¹² = Fq⁶[w]/(w²−v))
-//     with Frobenius coefficient tables, Jacobian-coordinate group law,
-//     and a projective Miller loop with inline sparse line evaluation and
-//     a cyclotomic-squaring final exponentiation. All public entry points
-//     (ScalarMul, HashToG1, Pair, PairingCheck) run on this path.
+//     with Frobenius coefficient tables. G1 has one scalar multiplication,
+//     G1MultiScalarMul: GLV half-scalars in width-4 NAF over one shared
+//     Jacobian doubling chain (ScalarMul is its one-term case). The
+//     pairing is a projective Miller loop over the NAF of 6u+2 with
+//     precomputable sparse lines, and a final exponentiation by cyclotomic
+//     squarings and the width-4 NAF of u. All public entry points
+//     (ScalarMul, G1MultiScalarMul, HashToG1, Pair, PairingCheck) run on
+//     this path.
 //
 //   - The auditable reference (field.go, curve.go, pairing.go): math/big
 //     field elements and generic polynomial quotient rings, where the
@@ -21,15 +27,28 @@
 //     ordinary polynomial arithmetic rather than hand-derived constants.
 //     It is retained as the differential-test oracle: fast_test.go
 //     cross-checks every limb, tower, group and pairing operation against
-//     it on random inputs, and all Montgomery/Frobenius constants of the
-//     fast path are derived from it at package init rather than
-//     transcribed.
+//     it on random and boundary inputs, and the fuzz targets on whatever
+//     the fuzzer finds. The fast path's Frobenius tables, twist constant
+//     and GLV constants are derived from the reference (or from the curve
+//     parameter u) at package init; the handful of Montgomery constants
+//     the unrolled field code needs at compile time — the modulus limbs,
+//     −Q⁻¹ mod 2⁶⁴, 2²⁵⁶ and 2⁵¹² mod Q — are literals that
+//     TestFpConstants re-derives from Q. The public point types still
+//     carry math/big coordinates, so the reference is not test-only code.
 //
 // Every structural property — group laws, subgroup orders, non-degeneracy
 // and bilinearity of the pairing — is property-tested against both paths.
-// Arithmetic is variable-time (as was the math/big reference); signing
-// keys are protocol-internal and the threat model of the replication
-// protocol is Byzantine behavior, not co-located timing measurement.
+//
+// Side channels: the package is variable-time in its secrets, as the
+// math/big construction it grew from was. Signing multiplies a hashed
+// point by the secret share: that loop branched on the share's bits when
+// it was double-and-add and branches on its NAF digits (and indexes a
+// table by them) now; fpInv's Euclid and fpExp take data-dependent paths
+// too. The mask-selected field additions are an optimisation, not a
+// hardening. This fits the paper's setting — a permissioned deployment
+// whose threat model is Byzantine replicas, not an attacker timing a
+// co-located signer — and would have to change before the code signed for
+// anyone who can measure it.
 package bn254
 
 import (

@@ -3,7 +3,7 @@ package bn254
 // Fixed-limb base-field arithmetic: the production hot path promised by the
 // package doc. An fp holds an integer mod Q as 4 little-endian 64-bit limbs
 // in Montgomery form (value · 2²⁵⁶ mod Q). Multiplication is the unrolled
-// no-carry CIOS (montMul); addition, subtraction, doubling and negation
+// no-carry CIOS (montMul); addition, subtraction, doubling and halving
 // select their result with a mask instead of a branch, because the branch
 // is a coin flip the predictor loses half the time; inversion is a binary
 // extended Euclid. Nothing here allocates. The math/big Fq type remains the
@@ -104,14 +104,15 @@ func (z *fp) lessCanonical(x *fp) bool {
 // unrolled. Each round forms x[i]·y and m·Q as four independent 64×64
 // products joined by one carry chain, so the adds compile to straight ADC
 // runs. Q's top limb leaves two bits free, which keeps the running total
-// under 2Q between rounds: it never outgrows four words plus the small
-// spill t4 (the "no-carry" variant — textbook CIOS's sixth accumulator word
-// and its carry handling are gone). Operands may be as large as 2Q − 1; the
-// result is always below Q.
+// under y + Q + 1 between rounds: it never outgrows four words plus the
+// small spill t4 (the "no-carry" variant — textbook CIOS's sixth accumulator
+// word and its carry handling are gone). Operands may be as large as
+// 2Q − 1 (3Q still fits four words, and x·y/2²⁵⁶ + Q stays under 2Q for the
+// one subtraction at the end); the result is always below Q.
 func montMul(z, x, y *fp) {
 	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, c, m uint64
 
-	// Round 0: t += x[0]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	// Round 0: t = x[0]·y, then t = (t + m·Q)/2⁶⁴ with m cancelling the low word.
 	h0, l0 = bits.Mul64(x[0], y[0])
 	h1, l1 = bits.Mul64(x[0], y[1])
 	h2, l2 = bits.Mul64(x[0], y[2])
@@ -136,7 +137,7 @@ func montMul(z, x, y *fp) {
 	t2, c = bits.Add64(t3, l3, c)
 	t3 = t4 + h3 + c
 
-	// Round 1: t += x[1]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	// Round 1: t += x[1]·y, then t = (t + m·Q)/2⁶⁴.
 	h0, l0 = bits.Mul64(x[1], y[0])
 	h1, l1 = bits.Mul64(x[1], y[1])
 	h2, l2 = bits.Mul64(x[1], y[2])
@@ -165,7 +166,7 @@ func montMul(z, x, y *fp) {
 	t2, c = bits.Add64(t3, l3, c)
 	t3 = t4 + h3 + c
 
-	// Round 2: t += x[2]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	// Round 2: t += x[2]·y, then t = (t + m·Q)/2⁶⁴.
 	h0, l0 = bits.Mul64(x[2], y[0])
 	h1, l1 = bits.Mul64(x[2], y[1])
 	h2, l2 = bits.Mul64(x[2], y[2])
@@ -194,7 +195,7 @@ func montMul(z, x, y *fp) {
 	t2, c = bits.Add64(t3, l3, c)
 	t3 = t4 + h3 + c
 
-	// Round 3: t += x[3]·y, then t = (t + m·Q) / 2⁶⁴ with m chosen so the low word cancels.
+	// Round 3: t += x[3]·y, then t = (t + m·Q)/2⁶⁴.
 	h0, l0 = bits.Mul64(x[3], y[0])
 	h1, l1 = bits.Mul64(x[3], y[1])
 	h2, l2 = bits.Mul64(x[3], y[2])
@@ -286,6 +287,13 @@ func fpNeg(z, x *fp) {
 		z.setZero()
 		return
 	}
+	fpNegNoReduce(z, x)
+}
+
+// fpNegNoReduce sets z = Q − x, which is −x left in (0, Q]: zero comes out
+// as Q. Good as fpNineXPlus's addend, which is why it exists apart from
+// fpNeg.
+func fpNegNoReduce(z, x *fp) {
 	var b uint64
 	z[0], b = bits.Sub64(q0, x[0], 0)
 	z[1], b = bits.Sub64(q1, x[1], b)

@@ -1,7 +1,5 @@
 package bn254
 
-import "math/bits"
-
 // fp2 is Fq² = Fq[i]/(i²+1) over the fixed-limb base field: c0 + c1·i.
 // The quadratic nonresidue used to build Fq⁶ is ξ = 9 + i, matching the
 // reference tower (w⁶ = ξ).
@@ -82,12 +80,8 @@ func fp2Conjugate(z, x *fp2) {
 // (safe when z aliases x).
 func fp2MulByNonresidue(z, x *fp2) {
 	a0 := x.c0
-	var n1 fp // Q − a1, in (0, Q]
-	var b uint64
-	n1[0], b = bits.Sub64(q0, x.c1[0], 0)
-	n1[1], b = bits.Sub64(q1, x.c1[1], b)
-	n1[2], b = bits.Sub64(q2, x.c1[2], b)
-	n1[3], _ = bits.Sub64(q3, x.c1[3], b)
+	var n1 fp
+	fpNegNoReduce(&n1, &x.c1)
 	fpNineXPlus(&z.c1, &x.c1, &a0)
 	fpNineXPlus(&z.c0, &a0, &n1)
 }

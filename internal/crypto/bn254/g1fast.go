@@ -3,7 +3,8 @@ package bn254
 import "math/big"
 
 // Jacobian-coordinate G1 arithmetic over the fixed-limb field: (X, Y, Z)
-// represents the affine point (X/Z², Y/Z³); Z = 0 is the identity. The
+// represents the affine point (X/Z², Y/Z³); Z = 0 is the identity. On it,
+// the package's one G1 scalar multiplication (G1MultiScalarMul). The
 // affine math/big group law in curve.go is retained as the reference
 // oracle (scalarMulReference); fast_test.go cross-checks the two.
 
