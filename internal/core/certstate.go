@@ -10,6 +10,7 @@ import (
 
 	"sbft/internal/crypto/threshsig"
 	"sbft/internal/merkle"
+	"sbft/internal/snapcodec"
 )
 
 // This file defines the certified execution state: the canonical,
@@ -58,6 +59,25 @@ type SnapshotHeader struct {
 	// per bucket, sizes set by the application) instead of the legacy
 	// fixed ChunkSize split. Table chunks always use the fixed split.
 	AppChunks uint32
+}
+
+// AppendSnapshotHeader appends the header's binary form for a socket frame
+// or a stored snapshot (headerLeaf is the form that is HASHED, fixed-width
+// and frozen; this one is only carried).
+func AppendSnapshotHeader(b []byte, h SnapshotHeader) []byte {
+	b = snapcodec.AppendBytes(b, h.AppDigest)
+	b = snapcodec.AppendUint(b, h.AppLen)
+	b = snapcodec.AppendUint(b, h.TableLen)
+	b = snapcodec.AppendUint(b, uint64(h.ChunkSize))
+	return snapcodec.AppendUint(b, uint64(h.AppChunks))
+}
+
+// ReadSnapshotHeader reads what AppendSnapshotHeader wrote.
+func ReadSnapshotHeader(r *snapcodec.Reader) SnapshotHeader {
+	return SnapshotHeader{
+		AppDigest: r.Bytes(), AppLen: r.Uint(), TableLen: r.Uint(),
+		ChunkSize: r.Uint32(), AppChunks: r.Uint32(),
+	}
 }
 
 // maxAppChunks bounds a header's declared variable chunk count; a sanity

@@ -7,6 +7,7 @@ import (
 
 	"sbft/internal/crypto/threshsig"
 	"sbft/internal/merkle"
+	"sbft/internal/snapcodec"
 )
 
 // Digest is a SHA-256 block or state digest.
@@ -44,6 +45,42 @@ type Request struct {
 	// Direct requests ask for the PBFT-style f+1 direct-reply path (§V-A
 	// retry fallback) instead of the single execute-ack.
 	Direct bool
+}
+
+// AppendRequest appends the binary form of one request — the same bytes in
+// a socket frame (internal/wire) and in a block record (recovery.go).
+func AppendRequest(b []byte, q Request) []byte {
+	b = snapcodec.AppendInt(b, q.Client)
+	b = snapcodec.AppendUint(b, q.Timestamp)
+	b = snapcodec.AppendBytes(b, q.Op)
+	return snapcodec.AppendBool(b, q.Direct)
+}
+
+// ReadRequest reads what AppendRequest wrote; Op aliases the reader's input.
+func ReadRequest(r *snapcodec.Reader) Request {
+	return Request{Client: r.Int(), Timestamp: r.Uint(), Op: r.Bytes(), Direct: r.Bool()}
+}
+
+// AppendRequests appends a request block: a count, then each request.
+func AppendRequests(b []byte, reqs []Request) []byte {
+	b = snapcodec.AppendUint(b, uint64(len(reqs)))
+	for _, q := range reqs {
+		b = AppendRequest(b, q)
+	}
+	return b
+}
+
+// ReadRequests reads what AppendRequests wrote, nil for an empty block.
+func ReadRequests(r *snapcodec.Reader) []Request {
+	n := r.Count(4) // a request is at least four one-byte fields
+	if n == 0 {
+		return nil
+	}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = ReadRequest(r)
+	}
+	return reqs
 }
 
 // Message is implemented by all protocol messages. WireSize estimates the

@@ -26,6 +26,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+
+	"sbft/internal/snapcodec"
 )
 
 // DigestSize is the size of all node hashes in bytes.
@@ -227,3 +229,33 @@ func VerifyLeafAt(root Digest, data []byte, p Proof, leafCount int) error {
 // Equal reports whether two byte slices match (constant-time not required;
 // digests are public).
 func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
+
+// proofStepSize is one encoded ProofStep: the sibling hash and its side.
+const proofStepSize = DigestSize + 1
+
+// AppendProof appends the binary form of p: index, step count, then each
+// step as hash ‖ side. It is the one encoding of a membership proof —
+// inside the socket frames that carry one and inside the execute-ack
+// proof.
+func AppendProof(b []byte, p Proof) []byte {
+	b = snapcodec.AppendInt(b, p.Index)
+	b = snapcodec.AppendUint(b, uint64(len(p.Steps)))
+	for _, s := range p.Steps {
+		b = snapcodec.AppendBool(append(b, s.Hash[:]...), s.Right)
+	}
+	return b
+}
+
+// ReadProof reads what AppendProof wrote; a proof without steps has nil
+// Steps.
+func ReadProof(r *snapcodec.Reader) Proof {
+	p := Proof{Index: r.Int()}
+	if n := r.Count(proofStepSize); n > 0 {
+		p.Steps = make([]ProofStep, n)
+		for i := range p.Steps {
+			copy(p.Steps[i].Hash[:], r.Fixed(DigestSize))
+			p.Steps[i].Right = r.Bool()
+		}
+	}
+	return p
+}

@@ -21,6 +21,11 @@
 //	dlen u64, digest bytes
 //	count u64
 //	count × ( klen u64, key bytes, vlen u64, value bytes )
+//
+// prim.go holds the field primitives (varint, byte string, flag, and the
+// bounds-checked Reader) of the module's formats that are carried or
+// stored but never hashed: socket frames, the execute-ack proof and the
+// disk records.
 package snapcodec
 
 import (
