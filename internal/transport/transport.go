@@ -4,79 +4,51 @@
 // the handshake here authenticates by announced node id, which matches the
 // simulation trust model and keeps the module dependency-free).
 //
-// Messages are gob-encoded with a length-free stream codec. Each Shell
-// owns one protocol node (replica or client), serializes all Deliver and
-// timer callbacks through a single event loop, and implements core.Env
+// Messages travel as internal/wire frames, one Write per message. Each
+// Shell owns one protocol node (replica or client), serializes all Deliver
+// and timer callbacks through a single event loop, and implements core.Env
 // over wall-clock time.
 package transport
 
 import (
-	"encoding/gob"
-	"errors"
+	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"sbft/internal/core"
-	"sbft/internal/pbft"
+	"sbft/internal/wire"
 )
 
-func init() {
-	// Register every concrete message for gob transport.
-	gob.Register(core.RequestMsg{})
-	gob.Register(core.PrePrepareMsg{})
-	gob.Register(core.SignShareMsg{})
-	gob.Register(core.FullCommitProofMsg{})
-	gob.Register(core.PrepareMsg{})
-	gob.Register(core.CommitMsg{})
-	gob.Register(core.FullCommitProofSlowMsg{})
-	gob.Register(core.SignStateMsg{})
-	gob.Register(core.FullExecuteProofMsg{})
-	gob.Register(core.ExecuteAckMsg{})
-	gob.Register(core.ReplyMsg{})
-	gob.Register(core.BusyMsg{})
-	gob.Register(core.CheckpointShareMsg{})
-	gob.Register(core.CheckpointCertMsg{})
-	gob.Register(core.FetchCommitMsg{})
-	gob.Register(core.CommitInfoMsg{})
-	gob.Register(core.FetchStateMsg{})
-	gob.Register(core.SnapshotMetaMsg{})
-	gob.Register(core.FetchSnapshotChunkMsg{})
-	gob.Register(core.SnapshotChunkMsg{})
-	gob.Register(core.ReadMsg{})
-	gob.Register(core.ReadReplyMsg{})
-	gob.Register(core.ViewChangeMsg{})
-	gob.Register(core.NewViewMsg{})
-	gob.Register(pbft.PrePrepareMsg{})
-	gob.Register(pbft.PrepareMsg{})
-	gob.Register(pbft.CommitMsg{})
-	gob.Register(pbft.CheckpointMsg{})
-	gob.Register(pbft.FetchCommitMsg{})
-	gob.Register(pbft.CommitInfoMsg{})
-	gob.Register(pbft.ViewChangeMsg{})
-	gob.Register(pbft.NewViewMsg{})
+// The first frame on every outbound connection is a hello (wire.AppendHello)
+// announcing the sender's id and listen address, so the receiver can dial
+// back even when the sender is absent from its static peers file — without
+// this, a client (never listed in the replicas' peers files) commits blocks
+// it can never hear about: requests flow in over its inbound connections
+// while every reply is dropped as "unknown peer". The cmd-level
+// 4×sbft-node + sbft-client deployment hung exactly this way after its
+// first block.
+
+// peerConn is one outbound connection. mu orders writers — Send is safe
+// for concurrent callers — and guards buf, the frame being written, which
+// is reused from one send to the next.
+type peerConn struct {
+	mu   sync.Mutex
+	conn net.Conn
+	buf  []byte
 }
 
-// envelope frames a message with its sender.
-type envelope struct {
-	From int
-	Msg  any
-}
+// maxKeptBuf is the largest write buffer a connection keeps between sends;
+// the rare frame beyond it (a snapshot chunk, a new-view) is released after
+// its write instead of staying pinned per peer.
+const maxKeptBuf = 64 << 10
 
-// hello is the first frame on every outbound connection. Addr announces
-// the sender's listen address so the receiver can dial back even when the
-// sender is absent from its static peers file — without this, a client
-// (never listed in the replicas' peers files) commits blocks it can never
-// hear about: requests flow in over its inbound connections while every
-// reply is dropped as "unknown peer". The cmd-level 4×sbft-node +
-// sbft-client deployment hung exactly this way after its first block.
-type hello struct {
-	From int
-	Addr string
-}
+// readBufSize is the per-connection read buffer: a busy connection drains
+// this many bytes of small frames per read call, and a frame larger than
+// it is read straight into its own allocation.
+const readBufSize = 16 << 10
 
 // Node is a protocol event machine (core.Replica, core.Client,
 // pbft.Replica).
@@ -93,8 +65,7 @@ type Shell struct {
 	mu      sync.Mutex
 	learned map[int]string // addresses announced by inbound hellos
 	faults  *shellFaults
-	conns   map[int]*gob.Encoder
-	rawConn map[int]net.Conn
+	conns   map[int]*peerConn
 	inbound map[net.Conn]struct{}
 	// timers holds the After timers that have neither fired nor been
 	// cancelled. Close stops them: a pending runtime timer keeps its
@@ -121,8 +92,7 @@ func NewShell(id int, listenAddr string, peers map[int]string) (*Shell, error) {
 		id:      id,
 		peers:   peers,
 		learned: make(map[int]string),
-		conns:   make(map[int]*gob.Encoder),
-		rawConn: make(map[int]net.Conn),
+		conns:   make(map[int]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 		timers:  make(map[*time.Timer]struct{}),
 		events:  make(chan func(), 4096),
@@ -172,34 +142,34 @@ func (s *Shell) readLoop(conn net.Conn) {
 		delete(s.inbound, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	var h hello
-	if err := dec.Decode(&h); err != nil {
+	br := bufio.NewReaderSize(conn, readBufSize)
+	body, err := wire.ReadFrame(br)
+	if err != nil {
 		return
 	}
-	from := h.From
-	if h.Addr != "" {
+	from, addr, err := wire.DecodeHello(body)
+	if err != nil {
+		return
+	}
+	if addr != "" {
 		// Learn a dial-back route for peers absent from the static book
 		// (clients announce themselves this way).
 		s.mu.Lock()
 		if _, known := s.peers[from]; !known {
-			s.learned[from] = h.Addr
+			s.learned[from] = addr
 		}
 		s.mu.Unlock()
 	}
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection broken; peer will redial.
-				_ = err
-			}
+		// Any malformed frame closes the connection; the peer redials.
+		body, err := wire.ReadFrame(br)
+		if err != nil {
 			return
 		}
-		if env.From != from {
+		sender, msg, err := wire.Decode(body)
+		if err != nil || sender != from {
 			return // channel authenticity: sender id is fixed per conn
 		}
-		msg := env.Msg
 		select {
 		case s.events <- func() { s.node.Deliver(from, msg) }:
 		case <-s.done:
@@ -245,12 +215,12 @@ func (s *Shell) AnnounceAll() {
 	wg.Wait()
 }
 
-// dial returns (creating if needed) the encoder for a peer.
-func (s *Shell) dial(to int) (*gob.Encoder, error) {
+// dial returns (creating if needed) the connection to a peer.
+func (s *Shell) dial(to int) (*peerConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if enc, ok := s.conns[to]; ok {
-		return enc, nil
+	if pc, ok := s.conns[to]; ok {
+		return pc, nil
 	}
 	addr, ok := s.peers[to]
 	if !ok {
@@ -263,24 +233,28 @@ func (s *Shell) dial(to int) (*gob.Encoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %d (%s): %w", to, addr, err)
 	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{From: s.id, Addr: s.Addr()}); err != nil {
+	hello, err := wire.AppendHello(nil, s.id, s.Addr())
+	if err == nil {
+		_, err = conn.Write(hello)
+	}
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: handshake with %d: %w", to, err)
 	}
-	s.conns[to] = enc
-	s.rawConn[to] = conn
-	return enc, nil
+	pc := &peerConn{conn: conn}
+	s.conns[to] = pc
+	return pc, nil
 }
 
-func (s *Shell) dropConn(to int) {
+// dropConn closes and forgets the cached connection to a peer — pc if it
+// still is the cached one, whichever is cached when pc is nil.
+func (s *Shell) dropConn(to int, pc *peerConn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.rawConn[to]; ok {
-		c.Close()
+	if cur, ok := s.conns[to]; ok && (pc == nil || cur == pc) {
+		cur.conn.Close()
+		delete(s.conns, to)
 	}
-	delete(s.conns, to)
-	delete(s.rawConn, to)
 }
 
 var _ core.Env = (*Shell)(nil)
@@ -348,14 +322,27 @@ func (s *Shell) Send(to int, msg core.Message) {
 	s.sendNow(to, msg)
 }
 
-// sendNow pushes one message through the codec.
+// sendNow encodes one message into the connection's buffer and writes it:
+// one Write per message. A message the codec refuses is dropped; a failed
+// write drops the connection, and the next send redials.
 func (s *Shell) sendNow(to int, msg core.Message) {
-	enc, err := s.dial(to)
+	pc, err := s.dial(to)
 	if err != nil {
 		return
 	}
-	if err := enc.Encode(envelope{From: s.id, Msg: msg}); err != nil {
-		s.dropConn(to)
+	pc.mu.Lock()
+	frame, err := wire.AppendFrame(pc.buf[:0], s.id, msg)
+	if err != nil {
+		pc.mu.Unlock()
+		return
+	}
+	_, err = pc.conn.Write(frame)
+	if pc.buf = frame; cap(frame) > maxKeptBuf {
+		pc.buf = nil
+	}
+	pc.mu.Unlock()
+	if err != nil {
+		s.dropConn(to, pc)
 	}
 }
 
@@ -424,8 +411,8 @@ func (s *Shell) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, c := range s.rawConn {
-		c.Close()
+	for _, pc := range s.conns {
+		pc.conn.Close()
 	}
 	for c := range s.inbound {
 		c.Close()

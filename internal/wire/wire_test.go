@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -322,11 +323,24 @@ func TestDecodeAllocations(t *testing.T) {
 		{"SignShare", body(t, 1, core.SignShareMsg{Seq: 9, SigmaSig: share(1), TauSig: share(1)}), 1},
 		{"ExecuteAck", body(t, 1, executeAck), 1},
 		{"PrePrepare4", body(t, 1, core.PrePrepareMsg{Seq: 9, Reqs: reqs(4, 48)}), 2},
-		{"refused count", []byte{tagPrePrepare, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, 3}, // the error values
 	} {
 		if got := testing.AllocsPerRun(100, func() { Decode(c.b) }); got > c.max {
 			t.Errorf("%s: %.0f allocations per Decode, want ≤ %.0f", c.name, got, c.max)
 		}
+	}
+	// Half a gigabyte of claimed requests in nine bytes: the error is all
+	// that is allocated.
+	bomb := []byte{tagPrePrepare, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, _, err := Decode(bomb); err == nil {
+			t.Fatal("bomb accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / 100; got > 1024 {
+		t.Errorf("a refused frame allocated %d bytes", got)
 	}
 }
 
