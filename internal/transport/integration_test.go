@@ -309,3 +309,22 @@ func TestTCPClientRerunCompletes(t *testing.T) {
 		t.Fatalf("second run's first timestamp %d does not outrank the first run's last %d", second[0].Timestamp, first[len(first)-1].Timestamp)
 	}
 }
+
+// TestReannouncedPeerReplacesRoute is the same re-run, timed: the second
+// process listens on a new port under the same id, and its hello must
+// replace the connection the replicas cached to the first — not only the
+// address. While they kept it, the first acknowledgement of the second
+// run went to a dead socket and the operation waited out the client's
+// retry timeout (2 s here, 4 s for sbft-client).
+func TestReannouncedPeerReplacesRoute(t *testing.T) {
+	d := bootTCPDeployment(t)
+	for id := 1; id <= d.cfg.N(); id++ {
+		d.shells[id].Start(d.replicas[id])
+	}
+	d.runClient(t, core.ClientBase, puts("first", 3))
+	start := time.Now()
+	d.runClient(t, core.ClientBase, puts("second", 1))
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the re-run's first operation took %v: its acknowledgement went to the dead process's socket and a retry fetched it", took)
+	}
+}

@@ -153,12 +153,20 @@ func (s *Shell) readLoop(conn net.Conn) {
 	}
 	if addr != "" {
 		// Learn a dial-back route for peers absent from the static book
-		// (clients announce themselves this way).
+		// (clients announce themselves this way). A new address under a
+		// known id is a new process: the connection cached to the old one
+		// goes with the old route, or the next reply is written to a dead
+		// socket and lost.
 		s.mu.Lock()
-		if _, known := s.peers[from]; !known {
+		_, static := s.peers[from]
+		moved := !static && s.learned[from] != addr
+		if moved {
 			s.learned[from] = addr
 		}
 		s.mu.Unlock()
+		if moved {
+			s.dropConn(from, nil)
+		}
 	}
 	for {
 		// Any malformed frame closes the connection; the peer redials.
