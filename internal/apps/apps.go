@@ -7,13 +7,13 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sbft/internal/core"
 	"sbft/internal/evm"
 	"sbft/internal/kvstore"
+	"sbft/internal/merkle"
+	"sbft/internal/snapcodec"
 )
 
 // KVApp is kvstore.Store as a core.Application (plus the optional
@@ -67,21 +67,29 @@ func VerifyEVM(digest []byte, op, val []byte, seq uint64, l int, proof []byte) e
 	return evm.Verify(digest, op, val, seq, l, p)
 }
 
-// encodeProof gob-encodes an operation proof for transport.
+// encodeProof writes an operation proof for the execute-ack with the
+// snapcodec primitives: Seq, L, Op, Val, the 32 bytes of KVRoot, then the
+// execution-tree path as merkle.AppendProof writes it.
 func encodeProof(p kvstore.Proof, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("apps: encoding proof: %w", err)
-	}
-	return buf.Bytes(), nil
+	b := make([]byte, 0, 64+len(p.Op)+len(p.Val)+(merkle.DigestSize+1)*len(p.Path.Steps))
+	b = snapcodec.AppendUint(b, p.Seq)
+	b = snapcodec.AppendInt(b, p.L)
+	b = snapcodec.AppendBytes(b, p.Op)
+	b = snapcodec.AppendBytes(b, p.Val)
+	b = append(b, p.KVRoot[:]...)
+	return merkle.AppendProof(b, p.Path), nil
 }
 
+// decodeProof is encodeProof's inverse; Op and Val alias proof.
 func decodeProof(proof []byte) (kvstore.Proof, error) {
-	var p kvstore.Proof
-	if err := gob.NewDecoder(bytes.NewReader(proof)).Decode(&p); err != nil {
+	r := snapcodec.NewReader(proof)
+	p := kvstore.Proof{Seq: r.Uint(), L: r.Int(), Op: r.Bytes(), Val: r.Bytes()}
+	copy(p.KVRoot[:], r.Fixed(len(p.KVRoot)))
+	p.Path = merkle.ReadProof(&r)
+	if err := r.Done(); err != nil {
 		return kvstore.Proof{}, fmt.Errorf("apps: decoding proof: %w", err)
 	}
 	return p, nil

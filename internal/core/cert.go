@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sbft/internal/crypto/threshsig"
+	"sbft/internal/snapcodec"
 )
 
 // ExecuteCert is a π-certified execute certificate for ONE request: the
@@ -30,22 +29,31 @@ type ExecuteCert struct {
 
 // Encode serializes the certificate for embedding in application
 // operations (cross-shard commit/abort evidence travels inside ordered
-// ops, so replicas of the receiving shard verify it deterministically).
-func (c *ExecuteCert) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("core: encoding execute cert: %w", err)
-	}
-	return buf.Bytes(), nil
+// ops, so replicas of the receiving shard verify it deterministically):
+// version, then the fields in declaration order.
+func (c *ExecuteCert) Encode() []byte {
+	b := snapcodec.AppendUint([]byte{recordVersion}, c.Seq)
+	b = snapcodec.AppendInt(b, c.L)
+	b = snapcodec.AppendBytes(b, c.Op)
+	b = snapcodec.AppendBytes(b, c.Val)
+	b = snapcodec.AppendBytes(b, c.Digest)
+	b = snapcodec.AppendBytes(b, c.Pi.Data)
+	return snapcodec.AppendBytes(b, c.Proof)
 }
 
-// DecodeExecuteCert parses an encoded certificate.
+// DecodeExecuteCert parses an encoded certificate; its byte fields alias
+// data.
 func DecodeExecuteCert(data []byte) (*ExecuteCert, error) {
-	var c ExecuteCert
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); err != nil {
+	r, err := openRecord("execute cert", data)
+	if err != nil {
+		return nil, err
+	}
+	c := &ExecuteCert{Seq: r.Uint(), L: r.Int(), Op: r.Bytes(), Val: r.Bytes(), Digest: r.Bytes(),
+		Pi: threshsig.Signature{Data: r.Bytes()}, Proof: r.Bytes()}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: decoding execute cert: %w", err)
 	}
-	return &c, nil
+	return c, nil
 }
 
 // VerifyExecuteCert checks a certificate against a deployment's π scheme

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+
+	"sbft/internal/snapcodec"
 )
 
 // This file implements replica restart from durable storage. The paper's
@@ -22,6 +24,26 @@ import (
 type BlockRecord struct {
 	Reqs    []Request
 	Results [][]byte
+}
+
+// recordVersion is the first byte of each record this package stores or
+// embeds — block records, certified snapshots, execute certificates —
+// ahead of fields written with the snapcodec primitives. Nothing is
+// migrated: a record with another first byte (every gob stream of the
+// builds before this format starts with a length, never with 1) is
+// refused by version.
+const recordVersion = 1
+
+// openRecord checks a record's version byte and returns a reader over the
+// fields behind it.
+func openRecord(what string, data []byte) (snapcodec.Reader, error) {
+	if len(data) == 0 {
+		return snapcodec.Reader{}, fmt.Errorf("core: empty %s", what)
+	}
+	if data[0] != recordVersion {
+		return snapcodec.Reader{}, fmt.Errorf("core: %s has format version %d, this build reads version %d (stores written by another build are not migrated)", what, data[0], recordVersion)
+	}
+	return snapcodec.NewReader(data[1:]), nil
 }
 
 // EncodeBlockPayload serializes a block record for the BlockStore (shared

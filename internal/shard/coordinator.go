@@ -169,9 +169,7 @@ func (c *Coordinator) startRecovery(tx Tx, done func(TxOutcome)) error {
 func (r *txRun) onPrepare(p int, res core.Result) {
 	r.vals[p] = string(res.Val)
 	if res.Cert != nil {
-		if enc, err := res.Cert.Encode(); err == nil {
-			r.certs[p] = enc
-		}
+		r.certs[p] = res.Cert.Encode()
 	}
 	r.waiting--
 	if r.waiting == 0 {
@@ -230,9 +228,7 @@ func (r *txRun) ensureCert(p int, then func()) {
 	err := r.c.SC.Submit(p, r.c.Lane, r.prepOps[p], func(res core.Result) {
 		r.vals[p] = string(res.Val)
 		if res.Cert != nil {
-			if enc, err := res.Cert.Encode(); err == nil {
-				r.certs[p] = enc
-			}
+			r.certs[p] = res.Cert.Encode()
 		}
 		r.ensureCert(p, then)
 	})
