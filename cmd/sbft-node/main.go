@@ -197,6 +197,11 @@ func main() {
 
 	rep, err := core.NewReplica(*id, cfg, suite, keys[*id-1], apps.NewKVApp(), shell, store)
 	if err != nil {
+		if led != nil {
+			// Replay failed; the error says which block of blocks.log or
+			// which snap-<seq>.bin.
+			err = fmt.Errorf("data directory %s (blocks.log, snap-<seq>.bin): %w", *dataDir, err)
+		}
 		fmt.Fprintf(os.Stderr, "sbft-node: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -443,50 +441,47 @@ func decodeReplyTable(data []byte) (map[int]replyCacheEntry, error) {
 // ---------------------------------------------------------------------------
 // Durable form (storage.Ledger snapshot files).
 
-// storedSnapshot is the gob-encoded durable form of a certified snapshot,
-// including the π certificate so a restarted replica can serve state
-// transfer before reaching its next checkpoint.
-type storedSnapshot struct {
-	Seq    uint64
-	Header SnapshotHeader
-	Chunks [][]byte
-	Pi     threshsig.Signature
-}
-
-// Encode serializes the snapshot (with certificate) for the SnapshotStore.
+// Encode serializes the snapshot for the SnapshotStore — version, sequence,
+// header, a count and each chunk, then the π certificate, so a restarted
+// replica can serve state transfer before reaching its next checkpoint.
 func (cs *CertifiedSnapshot) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(storedSnapshot{
-		Seq: cs.Seq, Header: cs.Header, Chunks: cs.Chunks, Pi: cs.Pi,
-	}); err != nil {
-		panic(fmt.Sprintf("core: encoding stored snapshot: %v", err))
+	size := 64 + len(cs.Header.AppDigest) + len(cs.Pi.Data)
+	for _, c := range cs.Chunks {
+		size += 10 + len(c)
 	}
-	return buf.Bytes()
+	b := snapcodec.AppendUint(append(make([]byte, 0, size), recordVersion), cs.Seq)
+	b = AppendSnapshotHeader(b, cs.Header)
+	b = snapcodec.AppendByteSlices(b, cs.Chunks)
+	return snapcodec.AppendBytes(b, cs.Pi.Data)
 }
 
 // DecodeCertifiedSnapshot parses a stored snapshot and rebuilds its
-// commitment tree. Callers must still verify the π certificate over
-// (Seq, Root()) before serving or trusting it.
+// commitment tree; the chunks alias data. Callers must still verify the π
+// certificate over (Seq, Root()) before serving or trusting it.
 func DecodeCertifiedSnapshot(data []byte) (*CertifiedSnapshot, error) {
-	var st storedSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	r, err := openRecord("stored snapshot", data)
+	if err != nil {
+		return nil, err
+	}
+	cs := &CertifiedSnapshot{Seq: r.Uint(), Header: ReadSnapshotHeader(&r), Chunks: r.ByteSlices(),
+		Pi: threshsig.Signature{Data: r.Bytes()}}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: decoding stored snapshot: %w", err)
 	}
-	if !st.Header.valid() || len(st.Chunks) != st.Header.NumChunks() {
+	if !cs.Header.valid() || len(cs.Chunks) != cs.Header.NumChunks() {
 		return nil, fmt.Errorf("core: stored snapshot shape mismatch")
 	}
 	var appSum uint64
-	for i, c := range st.Chunks {
-		if want := st.Header.chunkLen(i + 1); want < 0 {
+	for i, c := range cs.Chunks {
+		if want := cs.Header.chunkLen(i + 1); want < 0 {
 			appSum += uint64(len(c))
 		} else if len(c) != want {
 			return nil, fmt.Errorf("core: stored snapshot chunk %d length mismatch", i+1)
 		}
 	}
-	if st.Header.AppChunks > 0 && appSum != st.Header.AppLen {
-		return nil, fmt.Errorf("core: stored snapshot app chunks sum %d, want %d", appSum, st.Header.AppLen)
+	if cs.Header.AppChunks > 0 && appSum != cs.Header.AppLen {
+		return nil, fmt.Errorf("core: stored snapshot app chunks sum %d, want %d", appSum, cs.Header.AppLen)
 	}
-	cs := &CertifiedSnapshot{Seq: st.Seq, Header: st.Header, Chunks: st.Chunks, Pi: st.Pi}
 	cs.build()
 	return cs, nil
 }

@@ -72,3 +72,83 @@ func FuzzDecodeExecuteCert(f *testing.F) {
 		}
 	})
 }
+
+func blockSamples() []BlockRecord {
+	return []BlockRecord{
+		{}, // a null block
+		{Reqs: []Request{{Client: ClientBase, Timestamp: 3, Op: []byte("put k v")}, {Client: ClientBase + 1, Timestamp: 1 << 62, Op: []byte("get k"), Direct: true}},
+			Results: [][]byte{[]byte("ok"), nil}},
+		{Reqs: []Request{{Client: -1, Op: bytes.Repeat([]byte{3}, 1<<16)}}, Results: [][]byte{bytes.Repeat([]byte{4}, 1<<12)}},
+	}
+}
+
+func TestBlockRecordRoundTrip(t *testing.T) {
+	for i, rec := range blockSamples() {
+		enc := EncodeBlockPayload(rec.Reqs, rec.Results)
+		got, err := DecodeBlockPayload(enc)
+		if err != nil || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("sample %d: %v\n got %+v\nwant %+v", i, err, got, rec)
+		}
+		refusesDamage(t, "block record", enc, func(b []byte) error { _, err := DecodeBlockPayload(b); return err })
+	}
+	got, err := DecodeBlockPayload(EncodeBlockPayload([]Request{}, [][]byte{{}}))
+	if err != nil || !reflect.DeepEqual(got, BlockRecord{Results: [][]byte{nil}}) {
+		t.Fatalf("empty fields decode to %+v, %v; want nil fields", got, err)
+	}
+}
+
+func FuzzDecodeBlockRecord(f *testing.F) {
+	for _, rec := range blockSamples() {
+		f.Add(EncodeBlockPayload(rec.Reqs, rec.Results))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := DecodeBlockPayload(b)
+		if err != nil {
+			return
+		}
+		if again := EncodeBlockPayload(rec.Reqs, rec.Results); !bytes.Equal(again, b) {
+			t.Fatalf("accepted % x\nre-encodes as % x", b, again)
+		}
+	})
+}
+
+func snapshotSamples() []*CertifiedSnapshot {
+	table := encodeReplyTable(map[int]replyCacheEntry{ClientBase: {timestamp: 5, seq: 8, l: 0, val: []byte("ok")}})
+	plain := NewCertifiedSnapshot(8, bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 3*SnapshotChunkSize+17), table)
+	plain.Pi = threshsig.Signature{Data: bytes.Repeat([]byte{9}, 33)}
+	chunked := NewCertifiedSnapshotChunked(16, bytes.Repeat([]byte{1}, 32),
+		[][]byte{[]byte("hdr"), bytes.Repeat([]byte{6}, 1<<20), []byte("b2")}, table, nil)
+	return []*CertifiedSnapshot{plain, chunked, NewCertifiedSnapshot(0, nil, nil, nil)}
+}
+
+func TestStoredSnapshotRoundTrip(t *testing.T) {
+	for i, cs := range snapshotSamples() {
+		enc := cs.Encode()
+		got, err := DecodeCertifiedSnapshot(enc)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if got.Seq != cs.Seq || !reflect.DeepEqual(got.Header, cs.Header) || !reflect.DeepEqual(got.Chunks, cs.Chunks) ||
+			!reflect.DeepEqual(got.Pi, cs.Pi) || !bytes.Equal(got.Root(), cs.Root()) {
+			t.Fatalf("sample %d: decoded snapshot differs", i)
+		}
+		refusesDamage(t, "stored snapshot", enc, func(b []byte) error { _, err := DecodeCertifiedSnapshot(b); return err })
+	}
+}
+
+func FuzzDecodeStoredSnapshot(f *testing.F) {
+	for _, cs := range snapshotSamples() {
+		if enc := cs.Encode(); len(enc) < 1<<16 {
+			f.Add(enc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cs, err := DecodeCertifiedSnapshot(b)
+		if err != nil {
+			return
+		}
+		if again := cs.Encode(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted % x\nre-encodes as % x", b, again)
+		}
+	})
+}

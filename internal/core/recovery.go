@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sbft/internal/snapcodec"
@@ -47,22 +46,22 @@ func openRecord(what string, data []byte) (snapcodec.Reader, error) {
 }
 
 // EncodeBlockPayload serializes a block record for the BlockStore (shared
-// by the SBFT and PBFT engines so both logs recover the same way).
+// by the SBFT and PBFT engines so both logs recover the same way):
+// version, the request block, then a count and each result.
 func EncodeBlockPayload(reqs []Request, results [][]byte) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(BlockRecord{Reqs: reqs, Results: results}); err != nil {
-		// Requests and results are plain slices and ints; encoding cannot
-		// fail for well-formed inputs.
-		panic(fmt.Sprintf("core: encoding block record: %v", err))
-	}
-	return buf.Bytes()
+	return snapcodec.AppendByteSlices(AppendRequests([]byte{recordVersion}, reqs), results)
 }
 
 // DecodeBlockPayload parses a stored block record (the inverse of the
-// encoding used by Replica when appending to its BlockStore).
+// encoding used by Replica when appending to its BlockStore). Ops and
+// results alias payload.
 func DecodeBlockPayload(payload []byte) (BlockRecord, error) {
-	var rec BlockRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+	r, err := openRecord("block record", payload)
+	if err != nil {
+		return BlockRecord{}, err
+	}
+	rec := BlockRecord{Reqs: ReadRequests(&r), Results: r.ByteSlices()}
+	if err := r.Done(); err != nil {
 		return BlockRecord{}, fmt.Errorf("core: decoding block record: %w", err)
 	}
 	return rec, nil

@@ -39,6 +39,15 @@ func AppendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
+// AppendByteSlices appends a count and each element as AppendBytes does.
+func AppendByteSlices(b []byte, ps [][]byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = AppendBytes(b, p)
+	}
+	return b
+}
+
 // Errors a Reader reports. A decoder's caller learns that the input was
 // refused and why; nothing branches on which.
 var (
@@ -152,6 +161,20 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	return r.Fixed(int(n))
+}
+
+// ByteSlices reads what AppendByteSlices wrote: nil for no elements, nil
+// for each empty element, the others aliasing the input.
+func (r *Reader) ByteSlices() [][]byte {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	ps := make([][]byte, n)
+	for i := range ps {
+		ps[i] = r.Bytes()
+	}
+	return ps
 }
 
 // Count reads an element count for a slice whose elements each take at
