@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -397,43 +398,15 @@ func encodeReplyTable(cache map[int]replyCacheEntry) []byte {
 
 // decodeReplyTable parses the canonical reply-table encoding.
 func decodeReplyTable(data []byte) (map[int]replyCacheEntry, error) {
-	readU64 := func() (uint64, error) {
-		if len(data) < 8 {
-			return 0, fmt.Errorf("core: truncated reply table")
-		}
-		v := binary.BigEndian.Uint64(data)
-		data = data[8:]
-		return v, nil
-	}
-	n, err := readU64()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSnapshotLen/8 {
-		return nil, fmt.Errorf("core: reply table claims %d entries", n)
-	}
+	r := snapcodec.NewReader(data)
+	n := r.Count64(40) // an entry is five 8-byte fields and its value
 	out := make(map[int]replyCacheEntry, n)
-	for i := uint64(0); i < n; i++ {
-		var vals [5]uint64
-		for j := range vals {
-			if vals[j], err = readU64(); err != nil {
-				return nil, err
-			}
-		}
-		vlen := vals[4]
-		if uint64(len(data)) < vlen {
-			return nil, fmt.Errorf("core: truncated reply table value")
-		}
-		out[int(vals[0])] = replyCacheEntry{
-			timestamp: vals[1],
-			seq:       vals[2],
-			l:         int(vals[3]),
-			val:       append([]byte(nil), data[:vlen]...),
-		}
-		data = data[vlen:]
+	for i := 0; i < n; i++ {
+		client := int(r.U64())
+		out[client] = replyCacheEntry{timestamp: r.U64(), seq: r.U64(), l: int(r.U64()), val: bytes.Clone(r.Bytes64())}
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("core: %d trailing reply-table bytes", len(data))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: reply table: %w", err)
 	}
 	return out, nil
 }

@@ -177,6 +177,58 @@ func (r *Reader) ByteSlices() [][]byte {
 	return ps
 }
 
+// U64 reads eight big-endian bytes: the integer of the HASHED formats (the
+// snapshot and bucket framings of this package, core's reply table), which
+// are fixed-width and frozen. Their decoders share this reader; only their
+// integers differ from the varint formats above.
+func (r *Reader) U64() uint64 {
+	if len(r.buf) < 8 {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
+// U32 reads four big-endian bytes.
+func (r *Reader) U32() uint32 {
+	if len(r.buf) < 4 {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	v := binary.BigEndian.Uint32(r.buf)
+	r.buf = r.buf[4:]
+	return v
+}
+
+// Bytes64 reads a byte field whose length is a U64: nil when empty,
+// otherwise aliasing the input.
+func (r *Reader) Bytes64() []byte {
+	n := r.U64()
+	if n > uint64(len(r.buf)) {
+		r.fail(ErrTruncated)
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	return r.Fixed(int(n))
+}
+
+// Count64 is Count for a U64 count.
+func (r *Reader) Count64(minSize int) int {
+	n := r.U64()
+	if n > uint64(len(r.buf)/minSize) {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
+
+// Len reports the bytes not yet read (0 after a failure).
+func (r *Reader) Len() int { return len(r.buf) }
+
 // Count reads an element count for a slice whose elements each take at
 // least minSize bytes, refusing a count the remaining input cannot hold —
 // checked BEFORE the caller allocates, or a few bytes could demand

@@ -29,6 +29,7 @@
 package snapcodec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -36,11 +37,6 @@ import (
 
 // magic versions the canonical snapshot framing.
 const magic = "sbftsnap1"
-
-// maxLen bounds any single length field; a sanity guard against
-// allocation bombs from malformed input (never certified input — the
-// replication layer verifies chunks against the signed root first).
-const maxLen = 1 << 31
 
 // Entry is one key-value pair of the canonical snapshot encoding.
 type Entry struct {
@@ -99,63 +95,17 @@ func Decode(data []byte) (State, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return State{}, fmt.Errorf("snapcodec: bad magic")
 	}
-	data = data[len(magic):]
-	readU64 := func() (uint64, error) {
-		if len(data) < 8 {
-			return 0, fmt.Errorf("snapcodec: truncated")
-		}
-		v := binary.BigEndian.Uint64(data)
-		data = data[8:]
-		return v, nil
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxLen || uint64(len(data)) < n {
-			return nil, fmt.Errorf("snapcodec: bad length %d", n)
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		out := append([]byte(nil), data[:n]...)
-		data = data[n:]
-		return out, nil
-	}
-	var st State
-	var err error
-	if st.LastSeq, err = readU64(); err != nil {
-		return State{}, err
-	}
-	if st.Digest, err = readBytes(); err != nil {
-		return State{}, err
-	}
-	count, err := readU64()
-	if err != nil {
-		return State{}, err
-	}
-	// Each entry consumes at least 16 bytes of input (two length fields),
-	// so the remaining data bounds the plausible count — checked BEFORE
-	// the slice allocation, or a corrupt count field could demand
-	// gigabytes for a few trailing bytes.
-	if count > maxLen/16 || count > uint64(len(data))/16 {
-		return State{}, fmt.Errorf("snapcodec: %d entries in %d bytes", count, len(data))
-	}
+	r := NewReader(data[len(magic):])
+	st := State{LastSeq: r.U64(), Digest: bytes.Clone(r.Bytes64())}
+	// Each entry takes at least 16 bytes of input (two length fields), so
+	// the remaining data bounds the count BEFORE the slice allocation.
+	count := r.Count64(16)
 	st.Entries = make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		k, err := readBytes()
-		if err != nil {
-			return State{}, err
-		}
-		v, err := readBytes()
-		if err != nil {
-			return State{}, err
-		}
-		st.Entries = append(st.Entries, Entry{Key: string(k), Val: v})
+	for i := 0; i < count; i++ {
+		st.Entries = append(st.Entries, Entry{Key: string(r.Bytes64()), Val: bytes.Clone(r.Bytes64())})
 	}
-	if len(data) != 0 {
-		return State{}, fmt.Errorf("snapcodec: %d trailing bytes", len(data))
+	if err := r.Done(); err != nil {
+		return State{}, err
 	}
 	return st, nil
 }

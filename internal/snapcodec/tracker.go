@@ -24,6 +24,7 @@
 package snapcodec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -182,51 +183,17 @@ func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
 // client-side: the chunk's Merkle leaf binds these exact bytes, so a
 // replica cannot hide or invent an entry without breaking the proof.
 func BucketLookup(chunk []byte, key string) ([]byte, bool, error) {
-	rest := chunk
-	readU64 := func() (uint64, error) {
-		if len(rest) < 8 {
-			return 0, fmt.Errorf("snapcodec: truncated bucket chunk")
-		}
-		v := binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		return v, nil
-	}
-	count, err := readU64()
-	if err != nil {
-		return nil, false, err
-	}
-	if count > maxLen/16 || count > uint64(len(rest))/16 {
-		return nil, false, fmt.Errorf("snapcodec: %d entries in %d bytes", count, len(rest))
-	}
+	r := NewReader(chunk)
 	var val []byte
 	found := false
-	for i := uint64(0); i < count; i++ {
-		klen, err := readU64()
-		if err != nil {
-			return nil, false, err
+	for i, count := 0, r.Count64(16); i < count; i++ {
+		k, v := r.Bytes64(), r.Bytes64()
+		if string(k) == key {
+			found, val = true, bytes.Clone(v)
 		}
-		if klen > maxLen || uint64(len(rest)) < klen {
-			return nil, false, fmt.Errorf("snapcodec: bad key length %d", klen)
-		}
-		k := string(rest[:klen])
-		rest = rest[klen:]
-		vlen, err := readU64()
-		if err != nil {
-			return nil, false, err
-		}
-		if vlen > maxLen || uint64(len(rest)) < vlen {
-			return nil, false, fmt.Errorf("snapcodec: bad value length %d", vlen)
-		}
-		if k == key {
-			found = true
-			if vlen > 0 {
-				val = append([]byte(nil), rest[:vlen]...)
-			}
-		}
-		rest = rest[vlen:]
 	}
-	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("snapcodec: %d trailing bucket bytes", len(rest))
+	if err := r.Done(); err != nil {
+		return nil, false, fmt.Errorf("snapcodec: bucket chunk: %w", err)
 	}
 	return val, found, nil
 }
@@ -238,78 +205,23 @@ func DecodeBucketed(data []byte) (State, [][]byte, error) {
 	if !IsBucketed(data) {
 		return State{}, nil, fmt.Errorf("snapcodec: bad bucket magic")
 	}
-	rest := data[len(bucketMagic):]
-	readU64 := func() (uint64, error) {
-		if len(rest) < 8 {
-			return 0, fmt.Errorf("snapcodec: truncated")
-		}
-		v := binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		return v, nil
-	}
-	var st State
-	var err error
-	if st.LastSeq, err = readU64(); err != nil {
-		return State{}, nil, err
-	}
-	dlen, err := readU64()
-	if err != nil {
-		return State{}, nil, err
-	}
-	if dlen > maxLen || uint64(len(rest)) < dlen {
-		return State{}, nil, fmt.Errorf("snapcodec: bad digest length %d", dlen)
-	}
-	if dlen > 0 {
-		st.Digest = append([]byte(nil), rest[:dlen]...)
-		rest = rest[dlen:]
-	}
-	if len(rest) < 4 {
-		return State{}, nil, fmt.Errorf("snapcodec: truncated bucket count")
-	}
-	buckets := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
+	r := NewReader(data[len(bucketMagic):])
+	st := State{LastSeq: r.U64(), Digest: bytes.Clone(r.Bytes64())}
+	buckets := int(r.U32())
 	if buckets <= 0 || buckets > MaxBuckets {
 		return State{}, nil, fmt.Errorf("snapcodec: bad bucket count %d", buckets)
 	}
 	chunks := make([][]byte, 1+buckets)
-	chunks[0] = data[:len(data)-len(rest)]
+	end := len(data) - r.Len() // where the chunk being read ends
+	chunks[0] = data[:end]
 	for b := 0; b < buckets; b++ {
-		start := rest
-		count, err := readU64()
-		if err != nil {
-			return State{}, nil, err
+		for i, count := 0, r.Count64(16); i < count; i++ {
+			st.Entries = append(st.Entries, Entry{Key: string(r.Bytes64()), Val: bytes.Clone(r.Bytes64())})
 		}
-		if count > maxLen/16 || count > uint64(len(rest))/16 {
-			return State{}, nil, fmt.Errorf("snapcodec: %d entries in %d bytes", count, len(rest))
-		}
-		for i := uint64(0); i < count; i++ {
-			klen, err := readU64()
-			if err != nil {
-				return State{}, nil, err
-			}
-			if klen > maxLen || uint64(len(rest)) < klen {
-				return State{}, nil, fmt.Errorf("snapcodec: bad key length %d", klen)
-			}
-			key := string(rest[:klen])
-			rest = rest[klen:]
-			vlen, err := readU64()
-			if err != nil {
-				return State{}, nil, err
-			}
-			if vlen > maxLen || uint64(len(rest)) < vlen {
-				return State{}, nil, fmt.Errorf("snapcodec: bad value length %d", vlen)
-			}
-			var val []byte
-			if vlen > 0 {
-				val = append([]byte(nil), rest[:vlen]...)
-				rest = rest[vlen:]
-			}
-			st.Entries = append(st.Entries, Entry{Key: key, Val: val})
-		}
-		chunks[1+b] = start[:len(start)-len(rest)]
+		chunks[1+b], end = data[end:len(data)-r.Len()], len(data)-r.Len()
 	}
-	if len(rest) != 0 {
-		return State{}, nil, fmt.Errorf("snapcodec: %d trailing bytes", len(rest))
+	if err := r.Done(); err != nil {
+		return State{}, nil, err
 	}
 	return st, chunks, nil
 }
