@@ -241,11 +241,7 @@ func (s *Shell) dial(to int) (*peerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %d (%s): %w", to, addr, err)
 	}
-	hello, err := wire.AppendHello(nil, s.id, s.Addr())
-	if err == nil {
-		_, err = conn.Write(hello)
-	}
-	if err != nil {
+	if _, err := conn.Write(wire.AppendHello(nil, s.id, s.Addr())); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: handshake with %d: %w", to, err)
 	}

@@ -104,11 +104,14 @@ func AppendFrame(b []byte, sender int, m core.Message) ([]byte, error) {
 	if err != nil {
 		return b[:start], err
 	}
-	return closeFrame(b, start)
+	if n := len(b) - start - 4; n > MaxFrame {
+		return b[:start], fmt.Errorf("wire: %d-byte frame exceeds the %d-byte cap", n, MaxFrame)
+	}
+	return closeFrame(b, start), nil
 }
 
 // AppendHello appends the frame that opens a connection.
-func AppendHello(b []byte, sender int, addr string) ([]byte, error) {
+func AppendHello(b []byte, sender int, addr string) []byte {
 	start := len(b)
 	b = sc.AppendInt(append(b, 0, 0, 0, 0, Version), sender)
 	b = append(sc.AppendUint(b, uint64(len(addr))), addr...)
@@ -116,13 +119,9 @@ func AppendHello(b []byte, sender int, addr string) ([]byte, error) {
 }
 
 // closeFrame fills in the length of the frame that starts at b[start].
-func closeFrame(b []byte, start int) ([]byte, error) {
-	n := len(b) - start - 4
-	if n > MaxFrame {
-		return b[:start], fmt.Errorf("wire: %d-byte frame exceeds the %d-byte cap", n, MaxFrame)
-	}
-	binary.BigEndian.PutUint32(b[start:], uint32(n))
-	return b, nil
+func closeFrame(b []byte, start int) []byte {
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
 }
 
 // ReadFrame reads one frame from r and returns its body in a buffer of its

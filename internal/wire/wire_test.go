@@ -383,10 +383,7 @@ func TestFrameCap(t *testing.T) {
 }
 
 func TestHello(t *testing.T) {
-	frame, err := AppendHello(nil, 1003, "127.0.0.1:7001")
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := AppendHello(nil, 1003, "127.0.0.1:7001")
 	b, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
