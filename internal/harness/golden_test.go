@@ -35,7 +35,7 @@ import (
 //
 // Held through the wire codec (PR 22: the simulator never serialises), then
 // default, byzantine, recovery and evm re-captured with that PR's proof
-// codec: an execute-ack proof is 146 bytes where gob's was some 600,
+// codec: an execute-ack proof is 146 bytes where gob's was 430,
 // ExecuteAckMsg.WireSize() counts it and the simulator charges bandwidth
 // per byte, so the SBFT lines (the variant with execute-acks) end a
 // microsecond earlier. Only dur and now moved, on 35 lines; one of them,

@@ -136,11 +136,14 @@ func (r *Reader) Bool() bool {
 	return v == 1
 }
 
-// Fixed returns the next n bytes, aliasing the input, or nil when fewer
-// are left.
-func (r *Reader) Fixed(n int) []byte {
-	if n > len(r.buf) {
+// take returns the next n bytes, aliasing the input with the capacity
+// clipped: nil when n is 0, a failure when fewer are left.
+func (r *Reader) take(n uint64) []byte {
+	if n > uint64(len(r.buf)) {
 		r.fail(ErrTruncated)
+		return nil
+	}
+	if n == 0 {
 		return nil
 	}
 	p := r.buf[:n:n]
@@ -148,20 +151,28 @@ func (r *Reader) Fixed(n int) []byte {
 	return p
 }
 
+// atMost admits n as an element count when the bytes left can hold n
+// elements of at least minSize each — checked BEFORE the caller allocates,
+// or a few bytes could demand gigabytes.
+func (r *Reader) atMost(n uint64, minSize int) int {
+	if n > uint64(len(r.buf)/minSize) {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
+
+// Fixed returns the next n bytes (a digest), aliasing the input.
+func (r *Reader) Fixed(n int) []byte { return r.take(uint64(n)) }
+
 // Bytes reads a length-prefixed byte field: nil when empty, otherwise a
 // slice ALIASING the input, its capacity clipped so that appending to it
 // cannot reach the fields behind it.
-func (r *Reader) Bytes() []byte {
-	n := r.Uint()
-	if n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	return r.Fixed(int(n))
-}
+func (r *Reader) Bytes() []byte { return r.take(r.Uint()) }
+
+// Count reads an element count for a slice whose elements each take at
+// least minSize bytes, refusing a count the remaining input cannot hold.
+func (r *Reader) Count(minSize int) int { return r.atMost(r.Uint(), minSize) }
 
 // ByteSlices reads what AppendByteSlices wrote: nil for no elements, nil
 // for each empty element, the others aliasing the input.
@@ -202,45 +213,14 @@ func (r *Reader) U32() uint32 {
 	return v
 }
 
-// Bytes64 reads a byte field whose length is a U64: nil when empty,
-// otherwise aliasing the input.
-func (r *Reader) Bytes64() []byte {
-	n := r.U64()
-	if n > uint64(len(r.buf)) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	return r.Fixed(int(n))
-}
+// Bytes64 is Bytes for a U64 length.
+func (r *Reader) Bytes64() []byte { return r.take(r.U64()) }
 
 // Count64 is Count for a U64 count.
-func (r *Reader) Count64(minSize int) int {
-	n := r.U64()
-	if n > uint64(len(r.buf)/minSize) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	return int(n)
-}
+func (r *Reader) Count64(minSize int) int { return r.atMost(r.U64(), minSize) }
 
 // Len reports the bytes not yet read (0 after a failure).
 func (r *Reader) Len() int { return len(r.buf) }
-
-// Count reads an element count for a slice whose elements each take at
-// least minSize bytes, refusing a count the remaining input cannot hold —
-// checked BEFORE the caller allocates, or a few bytes could demand
-// gigabytes.
-func (r *Reader) Count(minSize int) int {
-	n := r.Uint()
-	if n > uint64(len(r.buf)/minSize) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	return int(n)
-}
 
 // Done reports the first failure, or ErrTrailing when input is left over.
 func (r *Reader) Done() error {
