@@ -16,17 +16,75 @@ import (
 	"sbft/internal/crypto/threshsig"
 )
 
+// Queue is a bounded job queue drained by a fixed set of worker
+// goroutines. Submit never blocks: a full or closed queue refuses the job
+// and the caller applies its own policy — the crypto pool runs the job
+// inline, the deployment's snapshot worker (internal/node) skips it.
+type Queue struct {
+	jobs chan func()
+	wg   sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+}
+
+// NewQueue starts `workers` goroutines draining a queue of `depth` jobs.
+func NewQueue(workers, depth int) *Queue {
+	q := &Queue{jobs: make(chan func(), depth)}
+	q.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go q.loop()
+	}
+	return q
+}
+
+func (q *Queue) loop() {
+	defer q.wg.Done()
+	for fn := range q.jobs {
+		fn()
+	}
+}
+
+// Submit enqueues work without blocking; false means saturated or
+// closed. The closed guard matters: a send on the closed jobs channel
+// would panic, even under select.
+func (q *Queue) Submit(fn func()) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	select {
+	case q.jobs <- fn:
+		return true
+	default:
+		return false
+	}
+}
+
+// Close runs the jobs already queued, stops the workers and waits for
+// them; Submit refuses from here on. A job that hands its result to an
+// event loop blocks until that loop takes it, so close the queue before
+// the loop its jobs complete on.
+func (q *Queue) Close() {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	q.closed = true
+	close(q.jobs)
+	q.mu.Unlock()
+	q.wg.Wait()
+}
+
 // Pool is a fixed-width crypto worker pool implementing core.CryptoSink.
 // Completions are routed back onto the replica's event loop through the
 // do callback (transport.Shell.Do in sbft-node), per the sink contract.
 type Pool struct {
 	suite core.CryptoSuite
 	do    func(func())
-	jobs  chan func()
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
+	queue *Queue
 }
 
 // New starts a pool of `workers` goroutines. do must serialize its
@@ -35,35 +93,7 @@ func New(suite core.CryptoSuite, workers int, do func(func())) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{suite: suite, do: do, jobs: make(chan func(), 4*workers)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.loop()
-	}
-	return p
-}
-
-func (p *Pool) loop() {
-	defer p.wg.Done()
-	for fn := range p.jobs {
-		fn()
-	}
-}
-
-// submit enqueues work without blocking; false means saturated or
-// closed.
-func (p *Pool) submit(fn func()) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	select {
-	case p.jobs <- fn:
-		return true
-	default:
-		return false
-	}
+	return &Pool{suite: suite, do: do, queue: NewQueue(workers, 4*workers)}
 }
 
 // VerifyShares implements core.CryptoSink. Unlike a skippable snapshot,
@@ -79,7 +109,7 @@ func (p *Pool) VerifyShares(jobs []core.VerifyJob, done func(ok [][]threshsig.Sh
 		}
 		return ok
 	}
-	if !p.submit(func() {
+	if !p.queue.Submit(func() {
 		ok := run()
 		p.do(func() { done(ok) })
 	}) {
@@ -92,7 +122,7 @@ func (p *Pool) VerifyShares(jobs []core.VerifyJob, done func(ok [][]threshsig.Sh
 // the worker.
 func (p *Pool) Combine(kind core.ShareKind, digest []byte, shares []threshsig.Share, done func(sig threshsig.Signature, err error)) {
 	scheme := core.SchemeFor(p.suite, kind)
-	if !p.submit(func() {
+	if !p.queue.Submit(func() {
 		sig, err := scheme.Combine(digest, shares)
 		p.do(func() { done(sig, err) })
 	}) {
@@ -103,14 +133,4 @@ func (p *Pool) Combine(kind core.ShareKind, digest []byte, shares []threshsig.Sh
 // Close drains queued work and stops the workers; further calls fall
 // back to inline execution. Close the pool before the shell it routes
 // completions through.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	close(p.jobs)
-	p.mu.Unlock()
-	p.wg.Wait()
-}
+func (p *Pool) Close() { p.queue.Close() }
