@@ -2,13 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sbft/internal/apps"
 	"sbft/internal/core"
 	"sbft/internal/kvstore"
+	"sbft/internal/node"
 	"sbft/internal/transport"
 )
 
@@ -26,159 +27,77 @@ func runLiveReads(writes, reads int, timeout time.Duration) error {
 	// Certified reads serve from checkpoint snapshots; the default win/2
 	// interval (128) would never checkpoint inside this small smoke.
 	cfg.CheckpointInterval = 4
-	n := cfg.N()
 	suite, keys, err := core.InsecureSuite(cfg, "chaos-live")
 	if err != nil {
 		return err
 	}
-
-	replicaPeers := make(map[int]string)
-	shells := make([]*transport.Shell, n+1)
-	for id := 1; id <= n; id++ {
-		sh, err := transport.NewShell(id, "127.0.0.1:0", replicaPeers)
-		if err != nil {
-			return err
-		}
-		defer sh.Close()
-		shells[id] = sh
-		replicaPeers[id] = sh.Addr()
-	}
-	for id := 1; id <= n; id++ {
-		rep, err := core.NewReplica(id, cfg, suite, keys[id-1], apps.NewKVApp(), shells[id], nil)
-		if err != nil {
-			return err
-		}
-		shells[id].Start(rep)
-	}
-
-	clientPeers := make(map[int]string, n)
-	for id, addr := range replicaPeers {
-		clientPeers[id] = addr
-	}
-	clientShell, err := transport.NewShell(core.ClientBase, "127.0.0.1:0", clientPeers)
+	peers, replicas, err := node.StartLoopback(cfg, suite, keys, func(int) core.Application { return apps.NewKVApp() }, "", 0)
 	if err != nil {
 		return err
 	}
-	defer clientShell.Close()
-	client, err := core.NewClient(core.ClientBase, cfg, suite, clientShell, apps.VerifyKV)
+	for _, rep := range replicas[1:] {
+		defer rep.Close()
+	}
+	shell, err := transport.NewShell(core.ClientBase, "127.0.0.1:0", peers)
 	if err != nil {
 		return err
 	}
-	client.RequestTimeout = 2 * time.Second
-	client.SetReadKey(kvstore.ReadKey)
-	clientShell.Start(client)
-	clientShell.AnnounceAll()
+	client, err := node.StartClient(core.ClientBase, shell, cfg, suite, apps.VerifyKV, kvstore.ReadKey, 2*time.Second)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
 
 	key := func(i int) string { return fmt.Sprintf("live/%d", i) }
 	val := func(i int) []byte { return []byte(fmt.Sprintf("v%d", i)) }
+	put := func(i int) []byte { return kvstore.Put(key(i), val(i)) }
 
 	// Phase 1: commit the write set through consensus.
-	var mu sync.Mutex
-	done := make(chan error, 1)
-	finish := func(err error) {
-		select {
-		case done <- err:
-		default:
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	ops := make([][]byte, writes)
+	for i := range ops {
+		ops[i] = put(i)
 	}
-	wrote := 0
-	client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		wrote++
-		if wrote >= writes {
-			finish(nil)
-			return
-		}
-		if err := client.Submit(kvstore.Put(key(wrote), val(wrote))); err != nil {
-			finish(err)
-		}
-	})
-	clientShell.Do(func() {
-		if err := client.Submit(kvstore.Put(key(0), val(0))); err != nil {
-			finish(err)
-		}
-	})
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("write phase: %w", err)
-		}
-	case <-time.After(timeout):
-		return fmt.Errorf("write phase hung: %d/%d writes committed over TCP", wrote, writes)
+	if _, err := client.Run(ctx, ops); err != nil {
+		return fmt.Errorf("write phase over TCP: %w", err)
 	}
 
-	// Phase 2: certified reads over the committed keys, interleaved with
-	// fresh writes so the certified frontier keeps moving.
-	readDone := make(chan error, 1)
-	finishRead := func(err error) {
-		select {
-		case readDone <- err:
-		default:
-		}
-	}
+	// Phase 2: certified reads over the committed keys, four at a time,
+	// with a write between rounds (the value the key already holds, so
+	// later reads verify unchanged): the read path must tolerate a moving
+	// certified frontier.
+	ctx, cancel = context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	completed, ordered, failovers := 0, 0, 0
-	var salt uint64
-	nextRead := func() error {
-		salt++
-		return client.SubmitRead(kvstore.GetUnique(key(int(salt)%writes), salt))
-	}
-	// The client allows one outstanding request of either kind, so the
-	// interleaved writes chain the next read from their own completion.
-	client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err := nextRead(); err != nil {
-			finishRead(err)
+	for completed < reads {
+		round := make([][]byte, min(4, reads-completed))
+		for i := range round {
+			salt := completed + i + 1
+			round[i] = kvstore.GetUnique(key(salt%writes), uint64(salt))
 		}
-	})
-	client.SetOnReadResult(func(res core.ReadResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		i := int(salt) % writes
-		if !res.Ordered {
-			if !res.Found {
-				finishRead(fmt.Errorf("certified read of %q found nothing", res.Key))
-				return
-			}
-			if !bytes.Equal(res.Val, val(i)) {
-				finishRead(fmt.Errorf("certified read of %q returned %q, consensus committed %q", res.Key, res.Val, val(i)))
-				return
-			}
-		} else {
-			ordered++
-		}
-		failovers += res.Failovers
-		completed++
-		if completed >= reads {
-			finishRead(nil)
-			return
-		}
-		if completed%4 == 0 {
-			// Interleave a write (same value it already holds, so later
-			// reads verify unchanged): the read path must tolerate a moving
-			// certified frontier.
-			if err := client.Submit(kvstore.Put(key(completed%writes), val(completed%writes))); err != nil {
-				finishRead(err)
-			}
-			return
-		}
-		if err := nextRead(); err != nil {
-			finishRead(err)
-		}
-	})
-	clientShell.Do(func() {
-		if err := nextRead(); err != nil {
-			finishRead(err)
-		}
-	})
-	select {
-	case err := <-readDone:
+		results, err := client.RunReads(ctx, round)
 		if err != nil {
-			return fmt.Errorf("read phase: %w", err)
+			return fmt.Errorf("read phase over TCP, %d/%d reads completed: %w", completed, reads, err)
 		}
-	case <-time.After(timeout):
-		return fmt.Errorf("read phase hung: %d/%d reads completed over TCP", completed, reads)
+		for i, res := range results {
+			want := val((completed + i + 1) % writes)
+			switch {
+			case res.Ordered:
+				ordered++
+			case !res.Found:
+				return fmt.Errorf("read phase: certified read of %q found nothing", res.Key)
+			case !bytes.Equal(res.Val, want):
+				return fmt.Errorf("read phase: certified read of %q returned %q, consensus committed %q", res.Key, res.Val, want)
+			}
+			failovers += res.Failovers
+		}
+		completed += len(results)
+		if completed < reads {
+			if _, err := client.Run(ctx, [][]byte{put(completed % writes)}); err != nil {
+				return fmt.Errorf("read phase over TCP, interleaved write: %w", err)
+			}
+		}
 	}
 	if ordered >= reads {
 		return fmt.Errorf("all %d reads fell back to ordering — the certified read path never served one", reads)

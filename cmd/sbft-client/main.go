@@ -8,46 +8,23 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sbft/internal/apps"
 	"sbft/internal/core"
 	"sbft/internal/kvstore"
+	"sbft/internal/node"
 	"sbft/internal/transport"
 )
 
-func loadPeers(path string) (map[int]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	peers := make(map[int]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("malformed peers line %q", line)
-		}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad id in %q: %w", line, err)
-		}
-		peers[id] = fields[1]
-	}
-	return peers, sc.Err()
-}
+// requestTimeout is the §V-A retry timeout of every client this binary
+// starts.
+const requestTimeout = 4 * time.Second
 
 func main() {
 	var (
@@ -65,147 +42,105 @@ func main() {
 	)
 	flag.Parse()
 
-	peers, err := loadPeers(*peerFile)
-	if err != nil {
+	if err := run(*peerFile, core.DefaultConfig(*f, *c), *seed, *n, *reads, *listen, *openloop, *slots, *warmup, *duration); err != nil {
 		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
 		os.Exit(1)
-	}
-	cfg := core.DefaultConfig(*f, *c)
-	if *openloop > 0 {
-		if err := runOpenLoop(peers, cfg, *seed, *openloop, *slots, *warmup, *duration, 5*time.Second, *listen); err != nil {
-			fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	suite, _, err := core.InsecureSuite(cfg, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		os.Exit(1)
-	}
-
-	id := core.ClientBase
-	shell, err := transport.NewShell(id, *listen, peers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		os.Exit(1)
-	}
-	defer shell.Close()
-
-	client, err := core.NewClient(id, cfg, suite, shell, apps.VerifyKV)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		os.Exit(1)
-	}
-	client.RequestTimeout = 4 * time.Second
-	client.SetReadKey(kvstore.ReadKey)
-
-	done := make(chan struct{})
-	var latencies []time.Duration
-	var fastAcks int
-	count := 0
-	client.SetOnResult(func(res core.Result) {
-		latencies = append(latencies, res.Latency)
-		if res.FastAck {
-			fastAcks++
-		}
-		count++
-		if count >= *n {
-			close(done)
-			return
-		}
-		op := kvstore.Put(fmt.Sprintf("bench/%d", count), []byte("value"))
-		if err := client.Submit(op); err != nil {
-			fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-			close(done)
-		}
-	})
-	shell.Start(client)
-	// Announce the client's dial-back address to every replica up front:
-	// replicas otherwise learn it only from the forwarded first request,
-	// and any reply sent before that is dropped as "unknown peer", costing
-	// a full retry timeout on the first operation.
-	shell.AnnounceAll()
-
-	start := time.Now()
-	shell.Do(func() {
-		if err := client.Submit(kvstore.Put("bench/0", []byte("value"))); err != nil {
-			fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		}
-	})
-	<-done
-	elapsed := time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum time.Duration
-	for _, l := range latencies {
-		sum += l
-	}
-	fmt.Printf("completed %d ops in %v: %.1f op/s\n", count, elapsed.Round(time.Millisecond),
-		float64(count)/elapsed.Seconds())
-	if count > 0 {
-		fmt.Printf("latency: mean=%v p50=%v p95=%v  single-message acks: %d/%d\n",
-			(sum / time.Duration(count)).Round(time.Microsecond),
-			latencies[count/2].Round(time.Microsecond),
-			latencies[count*95/100].Round(time.Microsecond),
-			fastAcks, count)
-	}
-
-	if *reads > 0 {
-		runReads(client, shell, *reads, *n)
 	}
 }
 
-// runReads issues a closed loop of certified reads over the keys the
-// write phase populated and reports how many completed on the
-// consensus-free path (verified value + Merkle proof from one replica)
-// versus falling back to ordering.
-func runReads(client *core.Client, shell *transport.Shell, reads, keys int) {
-	done := make(chan struct{})
-	var latencies []time.Duration
-	var failovers, ordered int
-	count := 0
-	salt := uint64(0)
-	next := func() error {
-		salt++
-		return client.SubmitRead(kvstore.GetUnique(fmt.Sprintf("bench/%d", count%keys), salt))
+func run(peerFile string, cfg core.Config, seed string, n, reads int, listen string, openloop float64, slots int, warmup, duration time.Duration) error {
+	peers, err := node.LoadPeers(peerFile)
+	if err != nil {
+		return err
 	}
-	client.SetOnReadResult(func(res core.ReadResult) {
-		latencies = append(latencies, res.Latency)
+	suite, _, err := core.InsecureSuite(cfg, seed)
+	if err != nil {
+		return err
+	}
+	if openloop > 0 {
+		return runOpenLoop(peers, cfg, suite, openloop, slots, warmup, duration, 5*time.Second, listen)
+	}
+	client, err := startClient(core.ClientBase, listen, peers, cfg, suite)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+
+	ops := make([][]byte, n)
+	for i := range ops {
+		ops[i] = kvstore.Put(fmt.Sprintf("bench/%d", i), []byte("value"))
+	}
+	start := time.Now()
+	results, err := client.Run(context.Background(), ops)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+	latencies := make([]time.Duration, len(results))
+	fastAcks := 0
+	for i, res := range results {
+		latencies[i] = res.Latency
+		if res.FastAck {
+			fastAcks++
+		}
+	}
+	fmt.Printf("completed %d ops in %v: %.1f op/s\n", n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
+	if n > 0 {
+		fmt.Printf("latency: %s  single-message acks: %d/%d\n", percentiles(latencies), fastAcks, n)
+	}
+	if reads == 0 || n == 0 {
+		return nil
+	}
+
+	// Certified reads over the keys the write phase populated: how many
+	// completed on the consensus-free path (verified value + Merkle proof
+	// from one replica) versus falling back to ordering.
+	readOps := make([][]byte, reads)
+	for i := range readOps {
+		readOps[i] = kvstore.GetUnique(fmt.Sprintf("bench/%d", i%n), uint64(i+1))
+	}
+	start = time.Now()
+	readResults, err := client.RunReads(context.Background(), readOps)
+	if err != nil {
+		return err
+	}
+	elapsed = time.Since(start)
+	latencies = make([]time.Duration, len(readResults))
+	failovers, ordered := 0, 0
+	for i, res := range readResults {
+		latencies[i] = res.Latency
 		failovers += res.Failovers
 		if res.Ordered {
 			ordered++
 		}
-		count++
-		if count >= reads {
-			close(done)
-			return
-		}
-		if err := next(); err != nil {
-			fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-			close(done)
-		}
-	})
-	start := time.Now()
-	shell.Do(func() {
-		if err := next(); err != nil {
-			fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		}
-	})
-	<-done
-	elapsed := time.Since(start)
+	}
+	fmt.Printf("completed %d certified reads in %v: %.1f op/s (%d ordered fallbacks, %d failovers)\n",
+		reads, elapsed.Round(time.Millisecond), float64(reads)/elapsed.Seconds(), ordered, failovers)
+	fmt.Printf("read latency: %s\n", percentiles(latencies))
+	return nil
+}
 
+// startClient is one client process of this binary: its own shell on
+// listen, the key-value verifier and read mapping.
+func startClient(id int, listen string, peers map[int]string, cfg core.Config, suite core.CryptoSuite) (*node.Client, error) {
+	shell, err := transport.NewShell(id, listen, peers)
+	if err != nil {
+		return nil, err
+	}
+	return node.StartClient(id, shell, cfg, suite, apps.VerifyKV, kvstore.ReadKey, requestTimeout)
+}
+
+// percentiles renders the mean, median and 95th percentile of a non-empty
+// set of latencies, sorting it.
+func percentiles(latencies []time.Duration) string {
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	var sum time.Duration
 	for _, l := range latencies {
 		sum += l
 	}
-	fmt.Printf("completed %d certified reads in %v: %.1f op/s (%d ordered fallbacks, %d failovers)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds(), ordered, failovers)
-	if count > 0 {
-		fmt.Printf("read latency: mean=%v p50=%v p95=%v\n",
-			(sum / time.Duration(count)).Round(time.Microsecond),
-			latencies[count/2].Round(time.Microsecond),
-			latencies[count*95/100].Round(time.Microsecond))
-	}
+	count := len(latencies)
+	return fmt.Sprintf("mean=%v p50=%v p95=%v",
+		(sum / time.Duration(count)).Round(time.Microsecond),
+		latencies[count/2].Round(time.Microsecond),
+		latencies[count*95/100].Round(time.Microsecond))
 }

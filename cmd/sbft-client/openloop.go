@@ -7,11 +7,10 @@ import (
 	"sync"
 	"time"
 
-	"sbft/internal/apps"
 	"sbft/internal/core"
 	"sbft/internal/kvstore"
 	"sbft/internal/load"
-	"sbft/internal/transport"
+	"sbft/internal/node"
 )
 
 // runOpenLoop drives the deployment with real-time Poisson arrivals
@@ -20,36 +19,25 @@ import (
 // run at increasing -openloop rates finds the deployment's saturation
 // knee: the rate where Dropped turns nonzero is where the system stopped
 // keeping up with offered load.
-func runOpenLoop(peers map[int]string, cfg core.Config, seed string, rate float64, slots int, warmup, window, drain time.Duration, listen string) error {
-	suite, _, err := core.InsecureSuite(cfg, seed)
-	if err != nil {
-		return err
-	}
-
-	shells := make([]*transport.Shell, slots)
-	clients := make([]*core.Client, slots)
+func runOpenLoop(peers map[int]string, cfg core.Config, suite core.CryptoSuite, rate float64, slots int, warmup, window, drain time.Duration, listen string) error {
+	clients := make([]*node.Client, slots)
 	var mu sync.Mutex
 	book := load.NewBook(slots)
 	for s := 0; s < slots; s++ {
 		s := s
-		shell, err := transport.NewShell(core.ClientBase+s, listen, peers)
+		client, err := startClient(core.ClientBase+s, listen, peers, cfg, suite)
 		if err != nil {
 			return err
 		}
-		defer shell.Close()
-		client, err := core.NewClient(core.ClientBase+s, cfg, suite, shell, apps.VerifyKV)
-		if err != nil {
-			return err
-		}
-		client.RequestTimeout = 4 * time.Second
-		client.SetOnResult(func(res core.Result) {
-			mu.Lock()
-			book.Complete(s, res.Latency, res.FastAck, res.Retried)
-			mu.Unlock()
+		defer client.Close()
+		client.Do(func(cc *core.Client) {
+			cc.SetOnResult(func(res core.Result) {
+				mu.Lock()
+				book.Complete(s, res.Latency, res.FastAck, res.Retried)
+				mu.Unlock()
+			})
 		})
-		shell.Start(client)
-		shell.AnnounceAll()
-		shells[s], clients[s] = shell, client
+		clients[s] = client
 	}
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -72,10 +60,10 @@ func runOpenLoop(peers map[int]string, cfg core.Config, seed string, rate float6
 			continue // shed: every slot busy
 		}
 		op := kvstore.Put(fmt.Sprintf("ol/c%d/k%d", slot, i), []byte("v"))
-		shells[slot].Do(func() {
+		clients[slot].Do(func(cc *core.Client) {
 			mu.Lock()
 			defer mu.Unlock()
-			if err := clients[slot].Submit(op); err != nil {
+			if err := cc.Submit(op); err != nil {
 				book.Requeue(slot)
 			} else {
 				book.Submitted()

@@ -1,114 +1,12 @@
-package transport
+package transport_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"sbft/internal/apps"
 	"sbft/internal/core"
-	"sbft/internal/kvstore"
+	"sbft/internal/transport"
 )
-
-// tcpCluster is a compact in-process deployment over loopback TCP used by
-// the chaos-flavored integration tests.
-type tcpCluster struct {
-	shells      []*Shell
-	replicas    []*core.Replica
-	client      *core.Client
-	clientShell *Shell
-}
-
-// newTCPCluster boots n Shell-hosted replicas plus one client. When
-// clientInPeers is false the replicas' address books omit the client —
-// the cmd-level deployment shape, where replies can only flow because
-// the hello handshake announces the client's listen address.
-func newTCPCluster(t *testing.T, clientInPeers bool) *tcpCluster {
-	t.Helper()
-	cfg := core.DefaultConfig(1, 0)
-	cfg.BatchTimeout = 5 * time.Millisecond
-	n := cfg.N()
-	suite, keys, err := core.InsecureSuite(cfg, "tcp-chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tc := &tcpCluster{shells: make([]*Shell, n+1), replicas: make([]*core.Replica, n+1)}
-	replicaPeers := make(map[int]string)
-	for id := 1; id <= n; id++ {
-		sh, err := NewShell(id, "127.0.0.1:0", replicaPeers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.shells[id] = sh
-		replicaPeers[id] = sh.Addr()
-		t.Cleanup(func() { sh.Close() })
-	}
-
-	clientID := core.ClientBase
-	clientPeers := make(map[int]string, n)
-	for id, addr := range replicaPeers {
-		clientPeers[id] = addr
-	}
-	clientShell, err := NewShell(clientID, "127.0.0.1:0", clientPeers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.clientShell = clientShell
-	t.Cleanup(func() { clientShell.Close() })
-	if clientInPeers {
-		replicaPeers[clientID] = clientShell.Addr()
-	}
-
-	for id := 1; id <= n; id++ {
-		rep, err := core.NewReplica(id, cfg, suite, keys[id-1], apps.NewKVApp(), tc.shells[id], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.replicas[id] = rep
-		tc.shells[id].Start(rep)
-	}
-	client, err := core.NewClient(clientID, cfg, suite, clientShell, apps.VerifyKV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.RequestTimeout = 2 * time.Second
-	tc.client = client
-	return tc
-}
-
-// runOps drives ops sequential client operations to completion.
-func (tc *tcpCluster) runOps(t *testing.T, ops int, timeout time.Duration) {
-	t.Helper()
-	var mu sync.Mutex
-	count := 0
-	done := make(chan struct{})
-	tc.client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		count++
-		k := count
-		mu.Unlock()
-		if k < ops {
-			if err := tc.client.Submit(kvstore.Put(fmt.Sprintf("k%d", k), []byte("v"))); err != nil {
-				t.Errorf("Submit: %v", err)
-			}
-		} else {
-			close(done)
-		}
-	})
-	tc.clientShell.Start(tc.client)
-	tc.clientShell.Do(func() {
-		if err := tc.client.Submit(kvstore.Put("k0", []byte("v"))); err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-	})
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		t.Fatal("timed out committing the batch over TCP")
-	}
-}
 
 // TestClientDialBackWithoutPeersEntry pins the cmd-level deployment fix:
 // replicas whose peers files do not list the client must still be able to
@@ -116,8 +14,11 @@ func (tc *tcpCluster) runOps(t *testing.T, ops int, timeout time.Duration) {
 // the fix this shape committed its first block and then hung forever —
 // every reply was dropped as "unknown peer".
 func TestClientDialBackWithoutPeersEntry(t *testing.T) {
-	tc := newTCPCluster(t, false)
-	tc.runOps(t, 8, 60*time.Second)
+	d := boot(t, false)
+	if _, listed := d.peers[core.ClientBase]; listed {
+		t.Fatal("the replicas' peers book lists the client")
+	}
+	d.runClient(t, core.ClientBase, puts("k", 8), 60*time.Second)
 }
 
 // TestTCPClusterSurvivesShellFaults runs a small fault scenario over real
@@ -125,11 +26,17 @@ func TestClientDialBackWithoutPeersEntry(t *testing.T) {
 // rest by up to 15ms for a window, then heals. The protocol's retry,
 // re-transmit and collector layers must still commit every operation.
 func TestTCPClusterSurvivesShellFaults(t *testing.T) {
-	tc := newTCPCluster(t, true)
-	tc.shells[2].SetFaults(ShellFaults{Drop: 0.3, MaxDelay: 15 * time.Millisecond, Seed: 7})
+	d := boot(t, false)
+	// Replica 2 again, at genesis as before, on a shell this test holds.
+	if err := d.replicas[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	faulty := listen(t, 2, d.peers[2], d.peers)
+	faulty.SetFaults(transport.ShellFaults{Drop: 0.3, MaxDelay: 15 * time.Millisecond, Seed: 7})
+	d.restart(t, 2, faulty)
 	healer := time.AfterFunc(3*time.Second, func() {
-		tc.shells[2].SetFaults(ShellFaults{})
+		faulty.SetFaults(transport.ShellFaults{})
 	})
 	defer healer.Stop()
-	tc.runOps(t, 10, 90*time.Second)
+	d.runClient(t, core.ClientBase, puts("k", 10), 90*time.Second)
 }

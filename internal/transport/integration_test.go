@@ -1,151 +1,122 @@
-package transport
+package transport_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"sbft/internal/apps"
 	"sbft/internal/core"
-	"sbft/internal/cryptopool"
 	"sbft/internal/kvstore"
+	"sbft/internal/node"
 	"sbft/internal/storage"
+	"sbft/internal/transport"
 )
 
-// tcpDeployment is the cmd/sbft-node wiring path in-process: four
-// Shell-hosted replicas with durable block stores and real crypto worker
-// pools, all over real loopback TCP.
-type tcpDeployment struct {
+// deployment is node.StartLoopback under test: four replicas assembled the
+// way cmd/sbft-node assembles one, over real loopback TCP, and clients
+// started the way cmd/sbft-client starts one.
+type deployment struct {
 	cfg      core.Config
 	suite    core.CryptoSuite
 	keys     []core.ReplicaKeys
 	dataDir  string
+	workers  int
 	peers    map[int]string
-	shells   []*Shell
-	replicas []*core.Replica
+	replicas []*node.Replica
 	kvApps   []*apps.KVApp
-	ledgers  []*storage.Ledger
 }
 
-func bootTCPDeployment(t *testing.T) *tcpDeployment {
+// boot starts the deployment. With durable set every replica runs as
+// `sbft-node -data -crypto-workers 2` does — a block store under its own
+// directory, the snapshot worker, real pool goroutines verifying shares
+// off the event loop; without, as a bare `sbft-node -crypto-workers 0`.
+func boot(t *testing.T, durable bool) *deployment {
 	t.Helper()
 	cfg := core.DefaultConfig(1, 0)
 	cfg.BatchTimeout = 5 * time.Millisecond
-	n := cfg.N()
 	suite, keys, err := core.InsecureSuite(cfg, "tcp-integration")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &tcpDeployment{
-		cfg: cfg, suite: suite, keys: keys, dataDir: t.TempDir(), peers: make(map[int]string),
-		shells: make([]*Shell, n+1), replicas: make([]*core.Replica, n+1),
-		kvApps: make([]*apps.KVApp, n+1), ledgers: make([]*storage.Ledger, n+1),
+	d := &deployment{cfg: cfg, suite: suite, keys: keys, kvApps: make([]*apps.KVApp, cfg.N()+1)}
+	if durable {
+		d.dataDir, d.workers = t.TempDir(), 2
 	}
-	for id := 1; id <= n; id++ {
-		d.listen(t, id, "127.0.0.1:0")
-		d.peers[id] = d.shells[id].Addr()
+	d.peers, d.replicas, err = node.StartLoopback(cfg, suite, keys, d.newApp, d.dataDir, d.workers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := 1; id <= n; id++ {
-		d.startReplica(t, id)
-	}
+	t.Cleanup(func() {
+		for _, rep := range d.replicas[1:] {
+			rep.Close()
+		}
+	})
 	return d
 }
 
-// listen opens replica id's shell on addr.
-func (d *tcpDeployment) listen(t *testing.T, id int, addr string) {
-	t.Helper()
-	sh, err := NewShell(id, addr, d.peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.shells[id] = sh
-	t.Cleanup(func() { sh.Close() })
-}
-
-// startReplica is the sbft-node main wiring, on a first start and on a
-// restart alike: KV app + storage.Ledger block store under the replica's
-// directory, handed to core.NewReplica, which replays whatever the store
-// holds. It returns before the shell delivers anything.
-func (d *tcpDeployment) startReplica(t *testing.T, id int) {
-	t.Helper()
-	led, err := storage.Open(filepath.Join(d.dataDir, fmt.Sprintf("r%d", id)), storage.Options{Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.ledgers[id] = led
-	t.Cleanup(func() { led.Close() })
+func (d *deployment) newApp(id int) core.Application {
 	d.kvApps[id] = apps.NewKVApp()
-	rep, err := core.NewReplica(id, d.cfg, d.suite, d.keys[id-1], d.kvApps[id], d.shells[id], led)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sbft-node -crypto-workers path: real worker goroutines
-	// verifying shares off the shell's event loop, completions routed
-	// back through Shell.Do.
-	pool := cryptopool.New(d.suite, 2, d.shells[id].Do)
-	t.Cleanup(pool.Close)
-	rep.SetCryptoSink(pool)
-	d.replicas[id] = rep
+	return d.kvApps[id]
 }
 
-// runClient is one sbft-client process: a fresh shell and a fresh
-// core.Client with the given id that submits ops one after the other and
-// returns their results, then goes away.
-func (d *tcpDeployment) runClient(t *testing.T, id int, ops [][]byte) []core.Result {
+// dir is replica id's data directory (node.StartLoopback's layout).
+func (d *deployment) dir(id int) string { return filepath.Join(d.dataDir, fmt.Sprintf("r%d", id)) }
+
+// restart replaces the closed replica id with one started over the same
+// directory, on shell: a new process of that node.
+func (d *deployment) restart(t *testing.T, id int, shell *transport.Shell) *node.Replica {
 	t.Helper()
-	sh, err := NewShell(id, "127.0.0.1:0", d.peers)
+	dir := ""
+	if d.dataDir != "" {
+		dir = d.dir(id)
+	}
+	rep, err := node.StartReplica(id, shell, d.cfg, d.suite, d.keys[id-1], d.newApp(id), dir, d.workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
-	client, err := core.NewClient(id, d.cfg, d.suite, sh, apps.VerifyKV)
+	d.replicas[id] = rep
+	return rep
+}
+
+func listen(t *testing.T, id int, addr string, peers map[int]string) *transport.Shell {
+	t.Helper()
+	sh, err := transport.NewShell(id, addr, peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.RequestTimeout = 2 * time.Second
-	var mu sync.Mutex
-	var results []core.Result
-	done := make(chan struct{})
-	client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		results = append(results, res)
-		k := len(results)
-		mu.Unlock()
-		if k < len(ops) {
-			if err := client.Submit(ops[k]); err != nil {
-				t.Errorf("Submit: %v", err)
-			}
-		} else {
-			close(done)
-		}
-	})
-	sh.Start(client)
-	sh.AnnounceAll()
-	sh.Do(func() {
-		if err := client.Submit(ops[0]); err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-	})
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("timed out: %d of %d operations completed over TCP", len(results), len(ops))
+	return sh
+}
+
+// runClient is one sbft-client process: a fresh shell and a fresh client
+// with the given id that submits ops one after the other and returns
+// their results, then goes away.
+func (d *deployment) runClient(t *testing.T, id int, ops [][]byte, timeout time.Duration) []core.Result {
+	t.Helper()
+	client, err := node.StartClient(id, listen(t, id, "127.0.0.1:0", d.peers), d.cfg, d.suite, apps.VerifyKV, kvstore.ReadKey, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	results, err := client.Run(ctx, ops)
+	if err != nil {
+		t.Fatalf("over TCP: %v", err)
+	}
 	return results
 }
 
 // waitExecuted blocks until replica id has executed seq.
-func (d *tcpDeployment) waitExecuted(t *testing.T, id int, seq uint64) {
+func (d *deployment) waitExecuted(t *testing.T, id int, seq uint64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var le uint64
-		d.shells[id].Do(func() { le = d.replicas[id].LastExecuted() })
+		d.replicas[id].Do(func(r *core.Replica) { le = r.LastExecuted() })
 		if le >= seq {
 			return
 		}
@@ -154,6 +125,18 @@ func (d *tcpDeployment) waitExecuted(t *testing.T, id int, seq uint64) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// openLedger reads replica id's block store back once the replica that
+// wrote it is closed.
+func (d *deployment) openLedger(t *testing.T, id int) *storage.Ledger {
+	t.Helper()
+	led, err := storage.Open(d.dir(id), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { led.Close() })
+	return led
 }
 
 func puts(prefix string, n int) [][]byte {
@@ -171,16 +154,26 @@ func lastSeq(results []core.Result) (seq uint64) {
 	return seq
 }
 
+func TestTCPClusterCommitsOperations(t *testing.T) {
+	d := boot(t, false)
+	const ops = 5
+	results := d.runClient(t, core.ClientBase, puts("k", ops), 30*time.Second)
+	if len(results) != ops {
+		t.Fatalf("completed %d of %d", len(results), ops)
+	}
+	for _, res := range results {
+		if string(res.Val) != "OK" {
+			t.Fatalf("unexpected result %q", res.Val)
+		}
+	}
+}
+
 // TestTCPClusterEndToEndConvergence commits a batch of KV operations
 // end-to-end over the deployment and asserts every replica converges to
 // the same execution frontier, state digest, and durable log.
 func TestTCPClusterEndToEndConvergence(t *testing.T) {
-	d := bootTCPDeployment(t)
+	d := boot(t, true)
 	n := d.cfg.N()
-	shells, replicas, kvApps, ledgers := d.shells, d.replicas, d.kvApps, d.ledgers
-	for id := 1; id <= n; id++ {
-		shells[id].Start(replicas[id])
-	}
 
 	// Drive a batch of KV puts, then reads verifying them.
 	const ops = 12
@@ -188,7 +181,7 @@ func TestTCPClusterEndToEndConvergence(t *testing.T) {
 	for i := 0; i < ops/2; i++ {
 		batch = append(batch, kvstore.Get(fmt.Sprintf("key%d", i)))
 	}
-	results := d.runClient(t, core.ClientBase, batch)
+	results := d.runClient(t, core.ClientBase, batch, 60*time.Second)
 
 	for i, res := range results {
 		if i >= ops/2 && !bytes.Equal(res.Val, []byte(fmt.Sprintf("val%d", i-ops/2))) {
@@ -209,9 +202,8 @@ func TestTCPClusterEndToEndConvergence(t *testing.T) {
 	}
 	states := make([]state, n+1)
 	for id := 1; id <= n; id++ {
-		id := id
-		shells[id].Do(func() {
-			states[id] = state{le: replicas[id].LastExecuted(), digest: kvApps[id].Digest()}
+		d.replicas[id].Do(func(r *core.Replica) {
+			states[id] = state{le: r.LastExecuted(), digest: d.kvApps[id].Digest()}
 		})
 	}
 	for id := 2; id <= n; id++ {
@@ -228,6 +220,13 @@ func TestTCPClusterEndToEndConvergence(t *testing.T) {
 	}
 	if minLE == 0 {
 		t.Fatal("no common durable prefix")
+	}
+	ledgers := make([]*storage.Ledger, n+1)
+	for id := 1; id <= n; id++ {
+		if err := d.replicas[id].Close(); err != nil {
+			t.Fatal(err)
+		}
+		ledgers[id] = d.openLedger(t, id)
 	}
 	for seq := uint64(1); seq <= minLE; seq++ {
 		first, err := ledgers[1].Get(seq)
@@ -249,44 +248,44 @@ func TestTCPClusterEndToEndConvergence(t *testing.T) {
 // TestTCPReplicaResumesFromItsLedger is `sbft-node -data` stopped and
 // started again over its directory: the rebuilt replica comes up where
 // its block log ends and in the view it left — before a single message
-// reaches it — and then keeps appending to that log. (A node that came
+// moves it — and then keeps appending to that log. (A node that came
 // up at genesis over a non-empty ledger could append nothing, every
 // block being out of order, and escalated views alone.)
 func TestTCPReplicaResumesFromItsLedger(t *testing.T) {
-	d := bootTCPDeployment(t)
-	for id := 1; id <= d.cfg.N(); id++ {
-		d.shells[id].Start(d.replicas[id])
-	}
+	d := boot(t, true)
 	const victim = 3 // a backup in view 0
-	done := lastSeq(d.runClient(t, core.ClientBase, puts("before", 8)))
+	done := lastSeq(d.runClient(t, core.ClientBase, puts("before", 8), 60*time.Second))
 	d.waitExecuted(t, victim, done)
 
 	var executed, view uint64
-	d.shells[victim].Do(func() { executed, view = d.replicas[victim].LastExecuted(), d.replicas[victim].View() })
-	d.shells[victim].Close()
-	if err := d.ledgers[victim].Close(); err != nil {
+	d.replicas[victim].Do(func(r *core.Replica) { executed, view = r.LastExecuted(), r.View() })
+	if err := d.replicas[victim].Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d.listen(t, victim, d.peers[victim])
-	d.startReplica(t, victim)
-	rep, led := d.replicas[victim], d.ledgers[victim]
-	if rep.LastExecuted() != executed || rep.View() != view {
-		t.Fatalf("rebuilt over a ledger of %d blocks: executed=%d view=%d, want executed=%d view=%d",
-			led.NextSeq()-1, rep.LastExecuted(), rep.View(), executed, view)
+	// The deployment is idle and its peers hold no connection to it, so
+	// what the first Do reads is what the replay left (internal/node's
+	// TestSnapshotWorkerPersistsOffLoop reads it before the shell starts).
+	rep := d.restart(t, victim, listen(t, victim, d.peers[victim], d.peers))
+	var rebuilt, rebuiltView uint64
+	rep.Do(func(r *core.Replica) { rebuilt, rebuiltView = r.LastExecuted(), r.View() })
+	if rebuilt != executed || rebuiltView != view {
+		t.Fatalf("rebuilt over its ledger: executed=%d view=%d, want executed=%d view=%d", rebuilt, rebuiltView, executed, view)
 	}
-	d.shells[victim].Start(rep)
 
-	done = lastSeq(d.runClient(t, core.ClientBase+1, puts("after", 8)))
+	done = lastSeq(d.runClient(t, core.ClientBase+1, puts("after", 8), 60*time.Second))
 	d.waitExecuted(t, victim, done)
-	if next := led.NextSeq(); next <= done {
-		t.Fatalf("the rebuilt replica's ledger ends at block %d; it executed %d blocks before the restart and is at %d now",
-			next-1, executed, done)
-	}
 	var after uint64
-	d.shells[victim].Do(func() { after = rep.View() })
+	rep.Do(func(r *core.Replica) { after = r.View() })
 	if after != view {
 		t.Fatalf("the rebuilt replica moved from view %d to %d with nothing failing", view, after)
+	}
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if next := d.openLedger(t, victim).NextSeq(); next <= done {
+		t.Fatalf("the rebuilt replica's ledger ends at block %d; it executed %d blocks before the restart and is at %d now",
+			next-1, executed, done)
 	}
 }
 
@@ -296,12 +295,9 @@ func TestTCPReplicaResumesFromItsLedger(t *testing.T) {
 // last-reply tables. With timestamps counted from 1 in every process
 // they were discarded as duplicates and the second run never finished.
 func TestTCPClientRerunCompletes(t *testing.T) {
-	d := bootTCPDeployment(t)
-	for id := 1; id <= d.cfg.N(); id++ {
-		d.shells[id].Start(d.replicas[id])
-	}
-	first := d.runClient(t, core.ClientBase, puts("first", 5))
-	second := d.runClient(t, core.ClientBase, puts("second", 5))
+	d := boot(t, true)
+	first := d.runClient(t, core.ClientBase, puts("first", 5), 60*time.Second)
+	second := d.runClient(t, core.ClientBase, puts("second", 5), 60*time.Second)
 	if lastSeq(second) <= lastSeq(first) {
 		t.Fatalf("second run finished at sequence %d, the first at %d: its operations were not ordered", lastSeq(second), lastSeq(first))
 	}
@@ -317,13 +313,10 @@ func TestTCPClientRerunCompletes(t *testing.T) {
 // run went to a dead socket and the operation waited out the client's
 // retry timeout (2 s here, 4 s for sbft-client).
 func TestReannouncedPeerReplacesRoute(t *testing.T) {
-	d := bootTCPDeployment(t)
-	for id := 1; id <= d.cfg.N(); id++ {
-		d.shells[id].Start(d.replicas[id])
-	}
-	d.runClient(t, core.ClientBase, puts("first", 3))
+	d := boot(t, true)
+	d.runClient(t, core.ClientBase, puts("first", 3), 60*time.Second)
 	start := time.Now()
-	d.runClient(t, core.ClientBase, puts("second", 1))
+	d.runClient(t, core.ClientBase, puts("second", 1), 60*time.Second)
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("the re-run's first operation took %v: its acknowledgement went to the dead process's socket and a retry fetched it", took)
 	}

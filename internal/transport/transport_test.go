@@ -1,107 +1,13 @@
 package transport
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"sbft/internal/apps"
 	"sbft/internal/core"
-	"sbft/internal/kvstore"
 )
-
-// launchTCPCluster starts n replicas and one client over loopback TCP.
-func launchTCPCluster(t *testing.T, cfg core.Config) ([]*Shell, *Shell, *core.Client) {
-	t.Helper()
-	n := cfg.N()
-	suite, keys, err := core.InsecureSuite(cfg, "tcp-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shells := make([]*Shell, n+1)
-	peers := make(map[int]string)
-	for id := 1; id <= n; id++ {
-		sh, err := NewShell(id, "127.0.0.1:0", peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shells[id] = sh
-		peers[id] = sh.Addr()
-		t.Cleanup(func() { sh.Close() })
-	}
-	clientID := core.ClientBase
-	clientShell, err := NewShell(clientID, "127.0.0.1:0", peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers[clientID] = clientShell.Addr()
-	t.Cleanup(func() { clientShell.Close() })
-
-	for id := 1; id <= n; id++ {
-		rep, err := core.NewReplica(id, cfg, suite, keys[id-1], apps.NewKVApp(), shells[id], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shells[id].Start(rep)
-	}
-	client, err := core.NewClient(clientID, cfg, suite, clientShell, apps.VerifyKV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.RequestTimeout = 2 * time.Second
-	clientShell.Start(client)
-	return shells, clientShell, client
-}
-
-func TestTCPClusterCommitsOperations(t *testing.T) {
-	cfg := core.DefaultConfig(1, 0)
-	cfg.BatchTimeout = 5 * time.Millisecond
-	_, clientShell, client := launchTCPCluster(t, cfg)
-
-	const ops = 5
-	var mu sync.Mutex
-	results := make([][]byte, 0, ops)
-	done := make(chan struct{})
-
-	submitLocked := func(i int) {
-		// Runs on the client's event loop (from onResult or via Do).
-		op := kvstore.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
-		if err := client.Submit(op); err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-	}
-	client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		results = append(results, res.Val)
-		n := len(results)
-		mu.Unlock()
-		if n < ops {
-			submitLocked(n)
-		} else {
-			close(done)
-		}
-	})
-	clientShell.Do(func() { submitLocked(0) })
-
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("timed out waiting for operations over TCP")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(results) != ops {
-		t.Fatalf("completed %d of %d", len(results), ops)
-	}
-	for _, v := range results {
-		if string(v) != "OK" {
-			t.Fatalf("unexpected result %q", v)
-		}
-	}
-}
 
 func TestShellAfterCancel(t *testing.T) {
 	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
