@@ -212,14 +212,6 @@ func (s *ledgerSink) PersistSnapshot(cs *core.CertifiedSnapshot, keepFrom uint64
 	})
 }
 
-// installSink arms the async snapshot sink on a persisted SBFT replica.
-func (cl *Cluster) installSink(rep *core.Replica, e *env, led *storage.Ledger) {
-	if !cl.Opts.Persist || led == nil {
-		return
-	}
-	rep.SetSnapshotSink(&ledgerSink{env: e, led: led})
-}
-
 // handler adapts Node to sim.Handler.
 type handler struct{ n Node }
 
@@ -328,33 +320,12 @@ func New(opts Options) (*Cluster, error) {
 		cl.Apps = make([]core.Application, cl.N+1)
 		cl.envs = make([]*env, cl.N+1)
 		for id := 1; id <= cl.N; id++ {
-			app, err := cl.newApp(id)
+			node, err := cl.startReplica(id)
 			if err != nil {
 				return nil, err
 			}
-			cl.Apps[id] = app
-			var store core.BlockStore
-			if opts.Persist {
-				led, err := cl.openStore(id)
-				if err != nil {
-					return nil, err
-				}
-				store = led
-			}
-			e := &env{id: id, net: cl.Net, sched: cl.Sched}
-			cl.envs[id] = e
-			rep, err := core.NewReplica(id, cl.Cfg, suite, keys[id-1], app, e, store)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Persist {
-				cl.installSink(rep, e, cl.Stores[id])
-			}
-			cl.installCryptoPool(rep, e)
-			cl.Replicas[id] = rep
-			var node Node = rep
 			if mk, ok := opts.Byzantine[id]; ok {
-				node = mk(e, rep)
+				node = mk(cl.envs[id], cl.Replicas[id])
 				cl.Replicas[id] = nil // excluded from honest-state checks
 			}
 			if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
@@ -374,27 +345,11 @@ func New(opts Options) (*Cluster, error) {
 		cl.Apps = make([]core.Application, cl.N+1)
 		cl.envs = make([]*env, cl.N+1)
 		for id := 1; id <= cl.N; id++ {
-			app, err := cl.newApp(id)
+			node, err := cl.startReplica(id)
 			if err != nil {
 				return nil, err
 			}
-			cl.Apps[id] = app
-			var store core.BlockStore
-			if opts.Persist {
-				led, err := cl.openStore(id)
-				if err != nil {
-					return nil, err
-				}
-				store = led
-			}
-			e := &env{id: id, net: cl.Net, sched: cl.Sched}
-			cl.envs[id] = e
-			rep, err := pbft.NewReplica(id, cl.PBFTCfg, app, e, store)
-			if err != nil {
-				return nil, err
-			}
-			cl.PBFTReplicas[id] = rep
-			if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{rep}); err != nil {
+			if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
 				return nil, err
 			}
 		}
@@ -434,6 +389,58 @@ func New(opts Options) (*Cluster, error) {
 	}
 	built = true
 	return cl, nil
+}
+
+// startReplica builds replica id and everything that hangs off it, on a
+// first start and on a restart alike, and records them in the cluster's
+// tables: application → durable store (Options.Persist) → env → engine,
+// which replays whatever the store holds → async snapshot sink → modeled
+// crypto pool. The order is the one every env.After of a run depends on.
+// The caller attaches the returned node to the network.
+func (cl *Cluster) startReplica(id int) (Node, error) {
+	app, err := cl.newApp(id)
+	if err != nil {
+		return nil, err
+	}
+	var led *storage.Ledger
+	if cl.Opts.Persist {
+		if led, err = cl.openStore(id); err != nil {
+			return nil, err
+		}
+	}
+	e := &env{id: id, net: cl.Net, sched: cl.Sched}
+	cl.Apps[id], cl.envs[id] = app, e
+	if cl.Opts.Protocol == ProtoPBFT {
+		// The baseline keeps its own replay (ROADMAP: internal/pbft is
+		// frozen); over an empty store it is NewReplica.
+		var rep *pbft.Replica
+		if led != nil {
+			rep, err = pbft.NewRecoveredReplica(id, cl.PBFTCfg, app, e, led)
+		} else {
+			rep, err = pbft.NewReplica(id, cl.PBFTCfg, app, e, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		cl.PBFTReplicas[id] = rep
+		return rep, nil
+	}
+	var store core.BlockStore
+	if led != nil {
+		store = led
+	}
+	rep, err := core.NewReplica(id, cl.Cfg, cl.Suite, cl.keys[id-1], app, e, store)
+	if err != nil {
+		return nil, err
+	}
+	if led != nil {
+		rep.SetSnapshotSink(&ledgerSink{env: e, led: led})
+	}
+	if cl.Opts.CryptoPool > 0 {
+		rep.SetCryptoSink(newPoolSink(e, cl.Suite, cl.costs, cl.Opts.CryptoPool))
+	}
+	cl.Replicas[id] = rep
+	return rep, nil
 }
 
 func (cl *Cluster) newApp(id int) (core.Application, error) {

@@ -88,12 +88,3 @@ func (p *poolSink) Combine(kind core.ShareKind, digest []byte, shares []threshsi
 	}
 	p.schedule(cost, func() { done(sig, err) })
 }
-
-// installCryptoPool arms the modeled verification pool on an SBFT
-// replica when Options.CryptoPool asks for one.
-func (cl *Cluster) installCryptoPool(rep *core.Replica, e *env) {
-	if cl.Opts.CryptoPool <= 0 {
-		return
-	}
-	rep.SetCryptoSink(newPoolSink(e, cl.Suite, cl.costs, cl.Opts.CryptoPool))
-}

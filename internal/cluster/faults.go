@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sbft/internal/core"
-	"sbft/internal/pbft"
 	"sbft/internal/sim"
 )
 
@@ -355,35 +353,10 @@ func (cl *Cluster) RestartReplica(id int) error {
 			return fmt.Errorf("cluster: closing store of replica %d: %w", id, err)
 		}
 	}
-	led, err := cl.openStore(id)
+	node, err := cl.startReplica(id)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: recovering replica %d: %w", id, err)
 	}
-	app, err := cl.newApp(id)
-	if err != nil {
-		return err
-	}
-	e := &env{id: id, net: cl.Net, sched: cl.Sched}
-	var node Node
-	if cl.Opts.Protocol == ProtoPBFT {
-		rep, err := pbft.NewRecoveredReplica(id, cl.PBFTCfg, app, e, led)
-		if err != nil {
-			return fmt.Errorf("cluster: recovering replica %d: %w", id, err)
-		}
-		cl.PBFTReplicas[id] = rep
-		node = rep
-	} else {
-		rep, err := core.NewReplica(id, cl.Cfg, cl.Suite, cl.keys[id-1], app, e, led)
-		if err != nil {
-			return fmt.Errorf("cluster: recovering replica %d: %w", id, err)
-		}
-		cl.installSink(rep, e, led)
-		cl.installCryptoPool(rep, e)
-		cl.Replicas[id] = rep
-		node = rep
-	}
-	cl.envs[id] = e
-	cl.Apps[id] = app
 	if err := cl.Net.Reattach(sim.NodeID(id), handler{node}); err != nil {
 		return err
 	}

@@ -189,3 +189,50 @@ func TestPBFTScheduledRestart(t *testing.T) {
 	}
 	digestsAgree(t, cl)
 }
+
+// TestRestartBuildsWhatNewBuilt: New and RestartReplica assemble a replica
+// through the one startReplica, so a deployment whose every replica is
+// restarted at time zero — over an empty store, nothing to replay — is the
+// deployment New built. It runs the same workload to the same event count
+// at the same virtual instant; a restart that dropped the async snapshot
+// sink (one timer per checkpoint) or the modeled crypto pool (one per
+// combine) would not. The rebuilt replicas' combines complete, or nothing
+// would commit, and their durable snapshot sequence advances.
+func TestRestartBuildsWhatNewBuilt(t *testing.T) {
+	run := func(restart bool) (WorkloadResult, *Cluster) {
+		cl := newKV(t, Options{
+			Protocol: ProtoSBFT, F: 1, C: 0,
+			Clients: 2, Seed: 41, Persist: true, CryptoPool: 1,
+			Tune: func(c *core.Config) {
+				c.Win = 8
+				c.Batch = 1
+				c.CheckpointInterval = 4
+			},
+		})
+		t.Cleanup(func() { cl.Close() })
+		if restart {
+			for id := 1; id <= cl.N; id++ {
+				if err := cl.RestartReplica(id); err != nil {
+					t.Fatalf("RestartReplica(%d): %v", id, err)
+				}
+			}
+		}
+		res := cl.RunClosedLoop(15, kvGen, 2*time.Minute)
+		cl.Run(time.Second) // the last checkpoint's persist lands
+		return res, cl
+	}
+	built, _ := run(false)
+	rebuilt, cl := run(true)
+	if rebuilt.Completed != 30 {
+		t.Fatalf("completed %d of 30 on rebuilt replicas", rebuilt.Completed)
+	}
+	if rebuilt.Duration != built.Duration || rebuilt.Events != built.Events || rebuilt.MsgsSent != built.MsgsSent {
+		t.Errorf("rebuilt replicas ran %v, %d events, %d messages; New's ran %v, %d events, %d messages",
+			rebuilt.Duration, rebuilt.Events, rebuilt.MsgsSent, built.Duration, built.Events, built.MsgsSent)
+	}
+	for id := 1; id <= cl.N; id++ {
+		if r := cl.Replicas[id]; r.DurableSnapshotSeq() == 0 || r.DurableSnapshotSeq() != r.SnapshotSeq() {
+			t.Errorf("rebuilt replica %d: durable snapshot %d, served %d", id, r.DurableSnapshotSeq(), r.SnapshotSeq())
+		}
+	}
+}
