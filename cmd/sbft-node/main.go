@@ -87,8 +87,9 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	var le, ls uint64
-	var view uint64
-	rep.Do(func(r *core.Replica) { le, ls, view = r.LastExecuted(), r.LastStable(), r.View() })
-	fmt.Printf("sbft-node: shutting down (view=%d executed=%d stable=%d)\n", view, le, ls)
+	var le, ls, view uint64
+	var m core.Metrics
+	rep.Do(func(r *core.Replica) { le, ls, view, m = r.LastExecuted(), r.LastStable(), r.View(), r.Metrics })
+	fmt.Printf("sbft-node: shutting down (view=%d executed=%d stable=%d StoreErrors=%d CaptureFailures=%d)\n",
+		view, le, ls, m.StoreErrors, m.CaptureFailures)
 }

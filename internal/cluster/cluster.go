@@ -552,6 +552,8 @@ func (cl *Cluster) Metrics() core.Metrics {
 		m.TxCommits += rm.TxCommits
 		m.TxAborts += rm.TxAborts
 		m.TxCoordFailovers += rm.TxCoordFailovers
+		m.StoreErrors += rm.StoreErrors
+		m.CaptureFailures += rm.CaptureFailures
 	}
 	return m
 }

@@ -29,13 +29,14 @@ func (r *Replica) initiateCheckpoint(seq uint64, appDigest []byte) {
 		// quorum needs only f+1 of n; a deterministic app's Snapshot
 		// failing on a quorum of replicas is an application bug, not a
 		// protocol state).
-		r.tracef("checkpoint snapshot at %d failed: %v", seq, err)
+		r.Metrics.CaptureFailures++
 		return
 	}
 	r.snaps.pendingSnap[seq] = cs
 	root := cs.Root()
 	share, err := r.keys.Pi.Sign(CheckpointSigDigest(seq, root))
 	if err != nil {
+		r.Metrics.CaptureFailures++
 		return
 	}
 	msg := CheckpointShareMsg{Seq: seq, Replica: r.id, Digest: root, PiSig: share}
@@ -140,7 +141,7 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 			cs.Pi = pi
 			r.snaps.adopt(cs)
 		default:
-			r.tracef("checkpoint %d: local root disagrees with certified digest", seq)
+			r.Metrics.CaptureFailures++
 		}
 		r.app.GarbageCollect(seq)
 	}
@@ -218,7 +219,6 @@ type snapChain struct {
 	env     Env
 	store   SnapshotStore // synchronous persistence when no sink is set; may be nil
 	metrics *Metrics
-	tracef  func(format string, args ...any)
 
 	// snapGens is the bounded chain of retained stable certified
 	// snapshot generations, oldest first; the newest entry is the one
@@ -248,10 +248,10 @@ type snapChain struct {
 	durableSnap uint64
 }
 
-func newSnapChain(retain int, env Env, store BlockStore, metrics *Metrics, tracef func(string, ...any)) snapChain {
+func newSnapChain(retain int, env Env, store BlockStore, metrics *Metrics) snapChain {
 	ss, _ := store.(SnapshotStore)
 	return snapChain{
-		retain: retain, env: env, store: ss, metrics: metrics, tracef: tracef,
+		retain: retain, env: env, store: ss, metrics: metrics,
 		pendingSnap: make(map[uint64]*CertifiedSnapshot),
 	}
 }
@@ -417,7 +417,7 @@ func (c *snapChain) adopt(cs *CertifiedSnapshot) {
 		seq := cs.Seq
 		c.sink.PersistSnapshot(cs, keepFrom, func(err error) {
 			if err != nil {
-				c.tracef("async snapshot persist %d failed: %v", seq, err)
+				c.metrics.StoreErrors++
 				return
 			}
 			if seq > c.durableSnap && c.genAt(seq) != nil {
@@ -429,7 +429,7 @@ func (c *snapChain) adopt(cs *CertifiedSnapshot) {
 	}
 	if c.store != nil {
 		if err := PersistCertified(c.store, cs, keepFrom); err != nil {
-			c.tracef("persisting snapshot %d failed: %v", cs.Seq, err)
+			c.metrics.StoreErrors++
 		} else if cs.Seq > c.durableSnap {
 			c.durableSnap = cs.Seq
 			c.metrics.SnapshotPersists++

@@ -172,8 +172,6 @@ func (r *Replica) fastTimerDuration() time.Duration {
 }
 
 func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
-	r.tracef("collector seq=%d idx=%d sigma=%d tau=%d fastSent=%v prepSent=%v",
-		s.seq, idx, len(s.sigmaShares), len(s.tauShares), s.sentFastProof, s.sentPrepare)
 	if !s.tauQuorumSeen && len(s.tauShares) >= r.cfg.QuorumSlow() {
 		s.tauQuorumSeen = true
 		s.tauQuorumAt = r.env.Now()

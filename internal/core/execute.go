@@ -63,7 +63,6 @@ func (r *Replica) checkGap() {
 			peer = peer%r.cfg.N() + 1
 		}
 		r.gapAttempt++
-		r.tracef("gap repair: fetching decision %d from %d", missing, peer)
 		r.env.Send(peer, FetchCommitMsg{Replica: r.id, Seq: missing})
 		r.checkGap()
 	})
@@ -199,7 +198,7 @@ func (r *Replica) executeReady() {
 		}
 		if r.store != nil {
 			if err := r.store.Append(next, EncodeBlockPayload(s.execReqs, results)); err != nil {
-				r.tracef("block store append failed: %v", err)
+				r.Metrics.StoreErrors++
 			}
 		}
 		digest := r.app.Digest()
@@ -238,6 +237,8 @@ func (r *Replica) executeReady() {
 			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
 			if err == nil {
 				r.toCollectors(r.cfg.ECollectors(next, 0), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
+			} else {
+				r.Metrics.CaptureFailures++
 			}
 			// If this replica is an E-collector that combined the π
 			// certificate before executing locally, release the acks now.
@@ -380,7 +381,7 @@ func (r *Replica) proveBlock(s *slot) [][]byte {
 		}
 		proof, err := r.app.ProveOperation(s.seq, i)
 		if err != nil {
-			r.tracef("prove op %d/%d: %v", s.seq, i, err)
+			r.Metrics.CaptureFailures++
 		}
 		proofs[i] = proof
 	}

@@ -122,7 +122,6 @@ func (r *Replica) onPrePrepare(from int, m PrePrepareMsg) {
 		if s.hash != BlockHash(m.Seq, m.View, m.Reqs) {
 			// Publicly verifiable equivocation by the primary (§V-G
 			// trigger): start a view change immediately.
-			r.tracef("equivocation detected at seq=%d", m.Seq)
 			r.startViewChange(r.view + 1)
 		}
 		return
@@ -194,7 +193,7 @@ func (r *Replica) sendSignShare(s *slot) {
 	s.sentSignShare = true
 	tauShare, err := r.keys.Tau.Sign(s.hash[:])
 	if err != nil {
-		r.tracef("tau sign failed: %v", err)
+		r.Metrics.CaptureFailures++
 		return
 	}
 	msg := SignShareMsg{Seq: s.seq, View: s.prePrepareView, Replica: r.id, TauSig: tauShare}
@@ -203,12 +202,11 @@ func (r *Replica) sendSignShare(s *slot) {
 	if r.cfg.FastPath && s.seq <= r.lastExecuted+r.cfg.fastGateWindow() {
 		sigmaShare, err := r.keys.Sigma.Sign(s.hash[:])
 		if err != nil {
-			r.tracef("sigma sign failed: %v", err)
+			r.Metrics.CaptureFailures++
 			return
 		}
 		msg.SigmaSig = sigmaShare
 	}
-	r.tracef("sign-share seq=%d sigma=%v", s.seq, len(msg.SigmaSig.Data) > 0)
 	r.toCollectors(r.cfg.CCollectors(s.seq, s.prePrepareView), msg)
 }
 
@@ -341,7 +339,6 @@ func (r *Replica) commit(s *slot, reqs []Request) {
 	s.committedReqs = reqs
 	s.fastTimer.stop()
 	s.staggerTimer.stop()
-	r.tracef("commit seq=%d (%d reqs)", s.seq, len(reqs))
 	r.executeReady()
 	r.armProgressTimer()
 	r.checkGap()

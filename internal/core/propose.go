@@ -250,7 +250,6 @@ func (r *Replica) proposeIfReady(release bool) {
 		r.Metrics.Proposals++
 		r.Metrics.ProposedOps += uint64(batch)
 		pp := PrePrepareMsg{Seq: seq, View: r.view, Reqs: reqs}
-		r.tracef("propose seq=%d batch=%d", seq, len(reqs))
 		r.broadcast(pp)
 		r.acceptPrePrepare(r.id, pp)
 		release = false // a release forces out one under-full block

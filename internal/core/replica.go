@@ -137,6 +137,19 @@ type Metrics struct {
 	// outside the replica — but it lives here so the sharded cluster's
 	// aggregated Metrics carries the whole cross-shard story.
 	TxCoordFailovers uint64
+	// StoreErrors counts writes the durable store refused: a block append
+	// (after any state transfer, every one — ROADMAP item 20) or a
+	// certified snapshot's persist, a snapshot the async sink skipped
+	// included. The replica carries on in memory; the counter is how an
+	// operator learns its disk has stopped following.
+	StoreErrors uint64
+	// CaptureFailures counts certified material this replica could not
+	// produce or could not stand behind: a checkpoint capture or an
+	// operation proof the application failed to build, a share its key
+	// failed to sign, a captured or fetched state whose root disagrees
+	// with the certified digest, a fetched snapshot the application
+	// refused to install. Zero on every run that is not a bug.
+	CaptureFailures uint64
 }
 
 // BlockStore persists committed decision blocks (the paper persists
@@ -236,9 +249,6 @@ type Replica struct {
 	fastSpread ewma
 
 	Metrics Metrics
-
-	// trace, when set, receives debug lines (tests).
-	trace func(format string, args ...any)
 }
 
 // NewReplica constructs a replica; id is 1-based and app must be at genesis
@@ -275,10 +285,10 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		suspects:   make(map[int]uint64),
 		csink:      syncSink{suite},
 	}
-	r.snaps = newSnapChain(cfg.snapshotRetain(), env, store, &r.Metrics, r.tracef)
+	r.snaps = newSnapChain(cfg.snapshotRetain(), env, store, &r.Metrics)
 	r.fetcher = fetcher{
 		id: id, cfg: cfg, env: env, pi: suite.Pi, host: r, snaps: &r.snaps,
-		metrics: &r.Metrics, tracef: r.tracef, blames: make(map[int]int),
+		metrics: &r.Metrics, blames: make(map[int]int),
 	}
 	if rs, ok := store.(RecoverableStore); ok {
 		if err := r.replay(rs); err != nil {
@@ -317,15 +327,6 @@ func (r *Replica) InViewChange() bool { return r.inViewChange }
 // SnapshotBlameCounts reports, per server id, how many pieces of snapshot
 // material from that server failed verification against a certified root.
 func (r *Replica) SnapshotBlameCounts() map[int]int { return maps.Clone(r.fetcher.blames) }
-
-// SetTrace installs a debug trace sink.
-func (r *Replica) SetTrace(fn func(string, ...any)) { r.trace = fn }
-
-func (r *Replica) tracef(format string, args ...any) {
-	if r.trace != nil {
-		r.trace("[r%d v%d] "+format, append([]any{r.id, r.view}, args...)...)
-	}
-}
 
 func (r *Replica) isPrimary() bool { return r.cfg.Primary(r.view) == r.id }
 

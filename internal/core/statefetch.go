@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -38,7 +37,6 @@ type fetcher struct {
 	host    fetchHost
 	snaps   *snapChain // local generations: delta bases
 	metrics *Metrics
-	tracef  func(format string, args ...any)
 
 	// fetch is the in-progress chunked state transfer, if any.
 	fetch *stateFetch
@@ -184,8 +182,7 @@ func (ft *fetcher) peers(f *stateFetch) []int {
 // verification against the certified root (§VIII: any single honest server
 // suffices; a tampering one is excluded and provably at fault, since
 // correct material is Merkle-provable against a threshold-signed root).
-func (ft *fetcher) blameServer(f *stateFetch, id int, why string) {
-	ft.tracef("blaming snapshot server %d: %s", id, why)
+func (ft *fetcher) blameServer(f *stateFetch, id int) {
 	f.blamed[id] = true
 	ft.blames[id]++
 	ft.metrics.SnapshotBlames++
@@ -308,11 +305,11 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	// π over the certified root, then the header's membership proof: after
 	// this every chunk is independently verifiable, from any server.
 	if ft.pi.Verify(CheckpointSigDigest(m.Seq, m.Root), m.Pi) != nil {
-		ft.blameServer(f, from, "snapshot certificate invalid")
+		ft.blameServer(f, from) // the certificate is invalid
 		return
 	}
-	if err := VerifySnapshotHeader(m.Root, m.Header, m.HeaderProof); err != nil {
-		ft.blameServer(f, from, err.Error())
+	if VerifySnapshotHeader(m.Root, m.Header, m.HeaderProof) != nil {
+		ft.blameServer(f, from)
 		return
 	}
 	// Sanitize the ADVISORY delta fields before they can influence the
@@ -339,14 +336,12 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		// only a STALLED transfer — its snapshot garbage-collected
 		// everywhere, nothing arriving — restarts at the newer state.
 		if m.DeltaBase == f.seq {
-			ft.tracef("state transfer advancing %d → %d via delta (%d changed chunks)", f.seq, m.Seq, len(m.DeltaChunks))
 			ft.adoptMeta(from, m)
 			return
 		}
 		if !ft.stalled(f) {
 			return
 		}
-		ft.tracef("state transfer restarting at %d (superseded stalled %d)", m.Seq, f.seq)
 		ft.adoptMeta(from, m)
 		return
 	}
@@ -508,7 +503,6 @@ func (ft *fetcher) adoptMeta(from int, m SnapshotMetaMsg) {
 		// before anything was fetched, do not count.)
 		ft.metrics.SnapshotTransferRestarts++
 	}
-	ft.tracef("state transfer to %d: %d chunks to fetch, %d reused (window %d)", f.seq, f.missing, len(f.prefilled), ft.cfg.fetchWindow())
 	if f.missing == 0 {
 		ft.finish()
 		return
@@ -611,7 +605,6 @@ func (ft *fetcher) strike(f *stateFetch, server int) {
 	st := f.stats(server)
 	st.timeouts++
 	if st.timeouts >= fetchTimeoutStrikes && !f.blamed[server] {
-		ft.tracef("snapshot server %d: %d strikes in a row; excluding from transfer to %d", server, st.timeouts, f.seq)
 		f.blamed[server] = true
 		ft.metrics.SnapshotTimeoutExclusions++
 	}
@@ -655,13 +648,13 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 		return
 	}
 	req, wasInflight := f.inflight[m.Index]
-	if err := VerifySnapshotChunk(f.root, f.header, m.Index, m.Data, m.Proof); err != nil {
+	if VerifySnapshotChunk(f.root, f.header, m.Index, m.Data, m.Proof) != nil {
 		// Tampered or corrupt: blame the sender, exclude it, and route the
 		// chunk back through the scheduler. (The pre-windowed code
 		// re-derived the retry peer from the PRE-blame rotation — after
 		// peers shrank, `(index+attempt) % len(peers)` could land on
 		// the very server just excluded, or on the same server again.)
-		ft.blameServer(f, from, fmt.Sprintf("chunk %d: %v", m.Index, err))
+		ft.blameServer(f, from)
 		if wasInflight && req.server == from {
 			delete(f.inflight, m.Index)
 			f.stats(from).outstanding--
@@ -722,7 +715,7 @@ func (ft *fetcher) finish() {
 			// the wire — every individually verified chunk is kept, so
 			// the lie costs the liar its service, not this transfer its
 			// progress.
-			ft.blameServer(f, f.metaFrom, "delta prefill mismatched certified root")
+			ft.blameServer(f, f.metaFrom) // its delta prefill mismatched the certified root
 			for _, idx := range f.prefilled {
 				f.chunks[idx-1] = nil
 				f.missing++
@@ -735,17 +728,15 @@ func (ft *fetcher) finish() {
 			return
 		}
 		// Unreachable with leaf-verified chunks and no prefill.
-		ft.tracef("state transfer root mismatch at %d", f.seq)
+		ft.metrics.CaptureFailures++
 		ft.restart()
 		return
 	}
 	ft.clear()
-	if err := ft.host.install(cs); err != nil {
-		ft.tracef("state transfer to %d not installed: %v", f.seq, err)
+	if ft.host.install(cs) != nil {
+		ft.metrics.CaptureFailures++
 		ft.want(f.target)
-		return
 	}
-	ft.tracef("state transfer complete at %d (%d servers blamed)", f.seq, len(f.blamed))
 }
 
 // restart drops the transfer in flight and, while its target still lies

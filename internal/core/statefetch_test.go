@@ -52,10 +52,10 @@ func newFetchRig(t *testing.T, tune func(*Config)) *fetchRig {
 	rg := &rig{t: t, cfg: cfg, suite: suite, keys: keys, env: &fakeEnv{}, app: &fakeApp{}}
 	host := &fakeHost{}
 	metrics := &Metrics{}
-	snaps := newSnapChain(cfg.snapshotRetain(), rg.env, nil, metrics, t.Logf)
+	snaps := newSnapChain(cfg.snapshotRetain(), rg.env, nil, metrics)
 	return &fetchRig{rig: rg, host: host, ft: &fetcher{
 		id: 1, cfg: cfg, env: rg.env, pi: suite.Pi, host: host, snaps: &snaps,
-		metrics: metrics, tracef: t.Logf, blames: make(map[int]int),
+		metrics: metrics, blames: make(map[int]int),
 	}}
 }
 
@@ -193,6 +193,9 @@ func TestFetcherInstallErrorStartsOverAtTheSameTarget(t *testing.T) {
 	}
 	if old.retry.armed() || old.pacer.armed() || old.metaTimer.armed() {
 		t.Fatal("the failed transfer left a timer armed")
+	}
+	if got := fr.ft.metrics.CaptureFailures; got != 1 {
+		t.Fatalf("CaptureFailures = %d after one refused install, want 1", got)
 	}
 }
 

@@ -554,4 +554,7 @@ func TestAsyncSnapshotSinkArmsDurableOnCompletion(t *testing.T) {
 	if rg.r.DurableSnapshotSeq() != 4 {
 		t.Fatalf("failed persist advanced the durable point to %d", rg.r.DurableSnapshotSeq())
 	}
+	if rg.r.Metrics.StoreErrors != 1 {
+		t.Fatalf("StoreErrors = %d after one failed persist, want 1", rg.r.Metrics.StoreErrors)
+	}
 }

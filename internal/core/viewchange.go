@@ -60,7 +60,6 @@ func (r *Replica) armProgressTimer() {
 				r.armProgressTimer()
 				return
 			}
-			r.tracef("progress timeout → view change")
 			r.startViewChange(r.view + 1)
 		}
 	})
@@ -223,7 +222,6 @@ func (r *Replica) onViewChange(from int, m ViewChangeMsg) {
 			}
 		}
 		if len(distinct) > r.cfg.F && minAbove > r.view {
-			r.tracef("joining view change to %d (f+1 rule)", minAbove)
 			r.startViewChange(minAbove)
 		}
 	}
@@ -253,7 +251,6 @@ func (r *Replica) tryInstallView(target uint64) {
 	for _, id := range ids {
 		nv.ViewChanges = append(nv.ViewChanges, *msgs[id])
 	}
-	r.tracef("installing view %d with %d view-change messages", target, len(nv.ViewChanges))
 	r.broadcast(nv)
 	r.onNewView(r.id, nv)
 }
@@ -426,7 +423,6 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	}
 
 	ls, decisions := computeSafeValues(r.cfg, r.suite, m.View, m.ViewChanges)
-	r.tracef("new view %d: ls=%d, %d slots", m.View, ls, len(decisions))
 
 	// Enter the view.
 	r.view = m.View
@@ -549,7 +545,6 @@ func (r *Replica) rejoinView(view uint64) {
 	if !r.inViewChange || view >= r.view {
 		return
 	}
-	r.tracef("view synchronizer: certified traffic in view %d, rejoining (was escalating to %d)", view, r.view)
 	r.Metrics.ViewRejoins++
 	r.view = view
 	r.inViewChange = false

@@ -84,6 +84,10 @@ type Report struct {
 	Result cluster.WorkloadResult
 	// Faults echoes the applied schedule for reproduction.
 	Faults cluster.Schedule
+	// StoreErrors and CaptureFailures are the settled cluster's counters of
+	// the same names (core.Metrics): failures a replica swallows and
+	// carries on from, which no audit sees.
+	StoreErrors, CaptureFailures uint64
 }
 
 // Failed reports whether the scenario violated safety, (when asserted)
@@ -112,6 +116,9 @@ func (r *Report) Summary() string {
 	}
 	for _, d := range r.Audit.Divergences {
 		s += "; " + d
+	}
+	if r.StoreErrors > 0 || r.CaptureFailures > 0 {
+		s += fmt.Sprintf("; StoreErrors=%d CaptureFailures=%d", r.StoreErrors, r.CaptureFailures)
 	}
 	return s
 }
@@ -197,6 +204,8 @@ func Run(s Scenario) (*Report, error) {
 		Result:    res,
 		Faults:    s.Schedule,
 	}
+	m := cl.Metrics()
+	report.StoreErrors, report.CaptureFailures = m.StoreErrors, m.CaptureFailures
 	if s.ExpectAllCommitted && report.Completed < report.Expected {
 		report.LivenessFailure = fmt.Sprintf("liveness: %d of %d ops completed (live replicas: %d)",
 			report.Completed, report.Expected, liveReplicaCount(cl))

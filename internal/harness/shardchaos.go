@@ -106,6 +106,9 @@ func (r *ShardReport) Summary() string {
 			}
 		}
 	}
+	if r.Metrics.StoreErrors > 0 || r.Metrics.CaptureFailures > 0 {
+		s += fmt.Sprintf("; StoreErrors=%d CaptureFailures=%d", r.Metrics.StoreErrors, r.Metrics.CaptureFailures)
+	}
 	return s
 }
 

@@ -179,10 +179,13 @@ func TestCloseDuringPersist(t *testing.T) {
 	d.waitFor(t, victim, "checkpoints past the closed worker", func(r *core.Replica) bool {
 		return r.LastStable() >= stable+3*d.cfg.CheckpointInterval
 	})
-	var durable uint64
-	d.replicas[victim].Do(func(r *core.Replica) { durable = r.DurableSnapshotSeq() })
+	var durable, skipped uint64
+	d.replicas[victim].Do(func(r *core.Replica) { durable, skipped = r.DurableSnapshotSeq(), r.Metrics.StoreErrors })
 	if durable > stable+d.cfg.CheckpointInterval {
 		t.Errorf("durable snapshot at %d with the worker closed since %d", durable, stable)
+	}
+	if skipped == 0 {
+		t.Error("no skipped snapshot counted in StoreErrors")
 	}
 	// Everything goes down with operations in flight.
 	for _, rep := range d.replicas[1:] {

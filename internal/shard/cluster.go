@@ -231,6 +231,8 @@ func (sc *Cluster) Metrics() core.Metrics {
 		m.TxPrepares += gm.TxPrepares
 		m.TxCommits += gm.TxCommits
 		m.TxAborts += gm.TxAborts
+		m.StoreErrors += gm.StoreErrors
+		m.CaptureFailures += gm.CaptureFailures
 	}
 	m.TxCoordFailovers = sc.Failovers
 	return m
