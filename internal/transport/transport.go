@@ -227,6 +227,9 @@ func (s *Shell) AnnounceAll() {
 func (s *Shell) dial(to int) (*peerConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("transport: shell closed")
+	}
 	if pc, ok := s.conns[to]; ok {
 		return pc, nil
 	}
@@ -247,7 +250,23 @@ func (s *Shell) dial(to int) (*peerConn, error) {
 	}
 	pc := &peerConn{conn: conn}
 	s.conns[to] = pc
+	s.wg.Add(1)
+	go s.watchConn(to, pc)
 	return pc, nil
+}
+
+// watchConn parks one reader on an outbound connection. Connections are
+// one-way — the dialer writes, the peer's readLoop never does — so the
+// read returns only when the connection is gone: the peer's process went
+// away, or this shell dropped or closed it. The cached entry goes with it
+// and the next send redials. Without the reader the first message to a
+// restarted peer is written into the dead socket, which TCP accepts, and is
+// lost.
+func (s *Shell) watchConn(to int, pc *peerConn) {
+	defer s.wg.Done()
+	var b [1]byte
+	_, _ = pc.conn.Read(b[:]) // returning at all is the signal
+	s.dropConn(to, pc)
 }
 
 // dropConn closes and forgets the cached connection to a peer — pc if it

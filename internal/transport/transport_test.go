@@ -141,3 +141,57 @@ func TestAnnounceAllEstablishesDialBackRoutes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedPeerIsRedialed: a peer's process goes away and a new one
+// listens on its address. Once the sender has seen the old connection end,
+// the FIRST message it sends reaches the new process. While it kept writing
+// into the cached connection, that message went to a dead socket — the
+// write succeeds — and only the one after it was redialed; a share lost
+// that way cost an operation its client's whole retry timeout.
+func TestRestartedPeerIsRedialed(t *testing.T) {
+	peer, err := NewShell(2, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := peer.Addr()
+	first := newRecordingNode()
+	peer.Start(first)
+
+	sender, err := NewShell(1, "127.0.0.1:0", map[int]string{2: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	sender.Start(nopNode{})
+	sender.Send(2, core.ReplyMsg{Client: core.ClientBase, Timestamp: 1})
+	select {
+	case <-first.wake:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first process heard nothing")
+	}
+
+	peer.Close()
+	restarted, err := NewShell(2, addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	second := newRecordingNode()
+	restarted.Start(second)
+
+	// The old connection's end reaches the sender within moments of
+	// peer.Close; give it those, not a sleep.
+	deadline := time.Now().Add(2 * time.Second)
+	for cached := true; cached && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		sender.mu.Lock()
+		_, cached = sender.conns[2]
+		sender.mu.Unlock()
+	}
+	sender.Send(2, core.ReplyMsg{Client: core.ClientBase, Timestamp: 2})
+	select {
+	case <-second.wake:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first message sent to the restarted process was lost")
+	}
+}
