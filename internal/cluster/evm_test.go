@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math/big"
 	"testing"
 	"time"
 
 	"sbft/internal/apps"
+	"sbft/internal/core"
 	"sbft/internal/evm"
 )
 
@@ -92,4 +94,78 @@ func TestEVMLedgerOverPBFT(t *testing.T) {
 		t.Fatalf("completed %d of 20 EVM txs over PBFT", res.Completed)
 	}
 	digestsAgree(t, cl)
+}
+
+// TestEVMCertifiedBalanceRead is the EVM ledger's consensus-free read, end
+// to end: a native transfer goes through ordering, a checkpoint certifies
+// the state that holds it, and evm.BalanceQuery is then answered by one
+// replica from that snapshot — the post-transfer balance with its Merkle
+// proof, and for an account nothing ever touched an authenticated absence.
+func TestEVMCertifiedBalanceRead(t *testing.T) {
+	genesis, _ := evmGenesis(t)
+	cl := newKV(t, Options{
+		Protocol: ProtoSBFT, F: 1, C: 0,
+		App: AppEVM, Clients: 1, Seed: 43,
+		GenesisEVM: genesis,
+		Tune: func(c *core.Config) {
+			c.CheckpointInterval = 4
+			c.Batch = 1
+		},
+	})
+	defer cl.Close()
+	c := cl.Clients[0]
+	receiver := evm.AddressFromBytes([]byte{0xB0, 0x01})
+	untouched := evm.AddressFromBytes([]byte{0xB0, 0x02})
+
+	// The transfer, then enough blocks to carry a checkpoint past it.
+	ordered := 0
+	c.SetOnResult(func(core.Result) { ordered++ })
+	for i := 0; i < 4; i++ {
+		tx := evm.Tx{Kind: evm.TxCall, From: senderAddr(0), To: receiver, Value: 250, GasLimit: 100_000}
+		if i > 0 {
+			tx = evm.Tx{Kind: evm.TxCall, From: senderAddr(i), To: senderAddr(i + 1), Value: 1, GasLimit: 100_000}
+		}
+		if err := c.Submit(tx.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		runUntil(cl, 30*time.Second, func() bool { return ordered == i+1 })
+		if ordered != i+1 {
+			t.Fatalf("transaction %d did not complete", i)
+		}
+	}
+	runUntil(cl, 30*time.Second, func() bool {
+		for id := 1; id <= cl.N; id++ {
+			if cl.Replicas[id].LastStable() < c.SeqFloor() {
+				return false
+			}
+		}
+		return true
+	})
+
+	read := func(addr evm.Address) core.ReadResult {
+		t.Helper()
+		var res *core.ReadResult
+		c.SetOnReadResult(func(r core.ReadResult) { res = &r })
+		if err := c.SubmitRead(evm.BalanceQuery(addr)); err != nil {
+			t.Fatal(err)
+		}
+		runUntil(cl, 30*time.Second, func() bool { return res != nil })
+		if res == nil {
+			t.Fatal("read never completed")
+		}
+		if res.Ordered || res.Seq < c.SeqFloor() {
+			t.Fatalf("read of %x: ordered=%v at seq %d (floor %d, %d failovers), want the certified path",
+				addr, res.Ordered, res.Seq, c.SeqFloor(), res.Failovers)
+		}
+		return *res
+	}
+	if res := read(receiver); !res.Found || new(big.Int).SetBytes(res.Val).Uint64() != 250 {
+		t.Fatalf("receiver's certified balance: found=%v val=%x, want 250", res.Found, res.Val)
+	}
+	if res := read(untouched); res.Found {
+		t.Fatalf("an untouched account's balance read as present: %x", res.Val)
+	}
+	if c.ReadsCompleted != 2 || cl.Metrics().ReadsServed < 2 {
+		t.Fatalf("%d certified reads completed, %d served; want 2 and at least 2", c.ReadsCompleted, cl.Metrics().ReadsServed)
+	}
 }
