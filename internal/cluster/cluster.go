@@ -308,50 +308,35 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	// The simulation uses the insecure threshold scheme; crypto CPU cost
-	// is modeled via the network cost model above (see DESIGN.md).
-	if opts.Protocol != ProtoPBFT {
-		suite, keys, err := core.InsecureSuite(cl.Cfg, fmt.Sprintf("cluster-%d", opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		cl.Suite = suite
-		cl.keys = keys
-		cl.Replicas = make([]*core.Replica, cl.N+1) // 1-based
-		cl.Apps = make([]core.Application, cl.N+1)
-		cl.envs = make([]*env, cl.N+1)
-		for id := 1; id <= cl.N; id++ {
-			node, err := cl.startReplica(id)
-			if err != nil {
-				return nil, err
-			}
-			if mk, ok := opts.Byzantine[id]; ok {
-				node = mk(cl.envs[id], cl.Replicas[id])
-				cl.Replicas[id] = nil // excluded from honest-state checks
-			}
-			if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// PBFT clients still verify nothing beyond f+1 matching replies,
-		// but the shared core.Client needs a suite; deal a minimal one.
-		cfgForSuite := core.DefaultConfig(opts.F, 0)
-		suite, _, err := core.InsecureSuite(cfgForSuite, fmt.Sprintf("cluster-%d", opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		cl.Suite = suite
+	// is modeled via the network cost model above (see DESIGN.md). PBFT
+	// clients verify nothing beyond f+1 matching replies, but the shared
+	// core.Client needs a suite and the quorum sizes: an equivalent
+	// core.Config (F matches; QuorumExec = f+1 is what the reply path
+	// uses; Primary round-robin matches).
+	clientCfg := cl.Cfg
+	if opts.Protocol == ProtoPBFT {
+		clientCfg = core.DefaultConfig(opts.F, 0)
 		cl.PBFTReplicas = make([]*pbft.Replica, cl.N+1)
-		cl.Apps = make([]core.Application, cl.N+1)
-		cl.envs = make([]*env, cl.N+1)
-		for id := 1; id <= cl.N; id++ {
-			node, err := cl.startReplica(id)
-			if err != nil {
-				return nil, err
-			}
-			if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
-				return nil, err
-			}
+	} else {
+		cl.Replicas = make([]*core.Replica, cl.N+1) // 1-based
+	}
+	cl.Suite, cl.keys, err = core.InsecureSuite(clientCfg, fmt.Sprintf("cluster-%d", opts.Seed))
+	if err != nil {
+		return nil, err
+	}
+	cl.Apps = make([]core.Application, cl.N+1)
+	cl.envs = make([]*env, cl.N+1)
+	for id := 1; id <= cl.N; id++ {
+		node, err := cl.startReplica(id)
+		if err != nil {
+			return nil, err
+		}
+		if mk, ok := opts.Byzantine[id]; ok && cl.Replicas != nil {
+			node = mk(cl.envs[id], cl.Replicas[id])
+			cl.Replicas[id] = nil // excluded from honest-state checks
+		}
+		if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -361,13 +346,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.App == AppEVM {
 		verifier = apps.VerifyEVM
 		readKey = evm.ReadKey
-	}
-	clientCfg := cl.Cfg
-	if opts.Protocol == ProtoPBFT {
-		// Give clients a view of the PBFT quorum sizes through an
-		// equivalent core.Config (F matches; QuorumExec = f+1 is what the
-		// reply path uses; Primary round-robin matches).
-		clientCfg = core.DefaultConfig(opts.F, 0)
 	}
 	timeout := opts.ClientTimeout
 	if timeout == 0 {
@@ -404,9 +382,11 @@ func (cl *Cluster) startReplica(id int) (Node, error) {
 	}
 	var led *storage.Ledger
 	if cl.Opts.Persist {
-		if led, err = cl.openStore(id); err != nil {
-			return nil, err
+		led, err = storage.Open(filepath.Join(cl.dataDir, fmt.Sprintf("r%d", id)), storage.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: opening store for replica %d: %w", id, err)
 		}
+		cl.Stores[id] = led
 	}
 	e := &env{id: id, net: cl.Net, sched: cl.Sched}
 	cl.Apps[id], cl.envs[id] = app, e
@@ -461,16 +441,6 @@ func (cl *Cluster) newApp(id int) (core.Application, error) {
 		app = cl.Opts.WrapApp(id, app)
 	}
 	return app, nil
-}
-
-// openStore opens (or reopens) replica id's durable block store.
-func (cl *Cluster) openStore(id int) (*storage.Ledger, error) {
-	led, err := storage.Open(filepath.Join(cl.dataDir, fmt.Sprintf("r%d", id)), storage.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: opening store for replica %d: %w", id, err)
-	}
-	cl.Stores[id] = led
-	return led, nil
 }
 
 // Close releases durable stores and removes cluster-owned data.

@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sbft/internal/core"
@@ -46,10 +45,9 @@ func (c *Client) Do(fn func(*core.Client)) {
 // Close stops the client's shell.
 func (c *Client) Close() error { return c.shell.Close() }
 
-// Run submits ops one after the other — the next from the completion of
-// the one before, on the event loop — and returns their results in order.
-// When ctx ends first it returns the results so far and an error that
-// counts them.
+// Run submits ops one after the other, each when the one before has
+// completed, and returns their results in order. When ctx ends first it
+// returns the results so far and an error that counts them.
 func (c *Client) Run(ctx context.Context, ops [][]byte) ([]core.Result, error) {
 	return closedLoop(ctx, c, ops, (*core.Client).SetOnResult, (*core.Client).Submit)
 }
@@ -62,44 +60,26 @@ func (c *Client) RunReads(ctx context.Context, ops [][]byte) ([]core.ReadResult,
 }
 
 // closedLoop is the one closed-loop driver: a core.Client allows one
-// outstanding request, so the result callback submits the next.
+// outstanding request, so each operation is submitted when the result of
+// the one before has come back from the event loop.
 func closedLoop[R any](ctx context.Context, c *Client, ops [][]byte, setCallback func(*core.Client, func(R)), submit func(*core.Client, []byte) error) ([]R, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	// mu guards results and stopped: the event loop appends, this
-	// goroutine reads and stops the loop when ctx ends first.
-	var mu sync.Mutex
+	// One slot: with one request outstanding the event loop never blocks
+	// here, not even on the result that arrives after ctx has ended.
+	got := make(chan R, 1)
+	c.Do(func(cc *core.Client) { setCallback(cc, func(res R) { got <- res }) })
 	results := make([]R, 0, len(ops))
-	stopped := false
-	done := make(chan error, 1) // one send: the last result or the first refused submit
-	c.Do(func(cc *core.Client) {
-		setCallback(cc, func(res R) {
-			mu.Lock()
-			if stopped || len(results) == len(ops) {
-				mu.Unlock()
-				return
-			}
-			results = append(results, res)
-			k := len(results)
-			mu.Unlock()
-			if k == len(ops) {
-				done <- nil
-			} else if err := submit(cc, ops[k]); err != nil {
-				done <- err
-			}
-		})
-		if err := submit(cc, ops[0]); err != nil {
-			done <- err
+	for _, op := range ops {
+		var err error
+		c.Do(func(cc *core.Client) { err = submit(cc, op) })
+		if err != nil {
+			return results, err
 		}
-	})
-	select {
-	case err := <-done:
-		return results, err
-	case <-ctx.Done():
-		mu.Lock()
-		defer mu.Unlock()
-		stopped = true
-		return results, fmt.Errorf("%d of %d operations completed: %w", len(results), len(ops), ctx.Err())
+		select {
+		case res := <-got:
+			results = append(results, res)
+		case <-ctx.Done():
+			return results, fmt.Errorf("%d of %d operations completed: %w", len(results), len(ops), ctx.Err())
+		}
 	}
+	return results, nil
 }
