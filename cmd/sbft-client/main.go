@@ -27,13 +27,20 @@ import (
 const requestTimeout = 4 * time.Second
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		peerFile = flag.String("peers", "peers.txt", "peers file")
 		f        = flag.Int("f", 1, "fault threshold f")
 		c        = flag.Int("c", 0, "redundant servers c")
 		seed     = flag.String("seed", "sbft-demo", "shared key seed (must match nodes)")
-		n        = flag.Int("n", 100, "operations to send")
-		reads    = flag.Int("reads", 0, "certified single-replica reads to issue after the writes")
+		nFlag    = flag.Int("n", 100, "operations to send")
+		rFlag    = flag.Int("reads", 0, "certified single-replica reads to issue after the writes")
 		listen   = flag.String("listen", "127.0.0.1:0", "client listen address")
 		openloop = flag.Float64("openloop", 0, "open-loop mode: Poisson arrivals at this rate (req/s) over a slot pool instead of the closed loop")
 		slots    = flag.Int("slots", 8, "open-loop client slot pool size")
@@ -41,37 +48,32 @@ func main() {
 		warmup   = flag.Duration("warmup", time.Second, "open-loop warmup before measurement")
 	)
 	flag.Parse()
+	n, reads := *nFlag, *rFlag
 
-	if err := run(*peerFile, core.DefaultConfig(*f, *c), *seed, *n, *reads, *listen, *openloop, *slots, *warmup, *duration); err != nil {
-		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func run(peerFile string, cfg core.Config, seed string, n, reads int, listen string, openloop float64, slots int, warmup, duration time.Duration) error {
-	peers, err := node.LoadPeers(peerFile)
+	peers, err := node.LoadPeers(*peerFile)
 	if err != nil {
 		return err
 	}
-	suite, _, err := core.InsecureSuite(cfg, seed)
+	cfg := core.DefaultConfig(*f, *c)
+	suite, _, err := core.InsecureSuite(cfg, *seed)
 	if err != nil {
 		return err
 	}
-	if openloop > 0 {
-		return runOpenLoop(peers, cfg, suite, openloop, slots, warmup, duration, 5*time.Second, listen)
+	if *openloop > 0 {
+		return runOpenLoop(peers, cfg, suite, *openloop, *slots, *warmup, *duration, 5*time.Second, *listen)
 	}
-	client, err := startClient(core.ClientBase, listen, peers, cfg, suite)
+	client, err := startClient(core.ClientBase, *listen, peers, cfg, suite)
 	if err != nil {
 		return err
 	}
 	defer client.Close()
 
-	ops := make([][]byte, n)
-	for i := range ops {
-		ops[i] = kvstore.Put(fmt.Sprintf("bench/%d", i), []byte("value"))
+	writes := make([][]byte, n)
+	for i := range writes {
+		writes[i] = kvstore.Put(fmt.Sprintf("bench/%d", i), []byte("value"))
 	}
 	start := time.Now()
-	results, err := client.Run(context.Background(), ops)
+	results, err := client.Run(context.Background(), writes)
 	if err != nil {
 		return err
 	}

@@ -186,12 +186,13 @@ func StartLoopback(cfg core.Config, suite core.CryptoSuite, keys []core.ReplicaK
 	peers := make(map[int]string, n)
 	shells := make([]*transport.Shell, n+1)
 	replicas := make([]*Replica, n+1)
+	// A started replica takes its shell down with it; the shell of a
+	// failed StartReplica is closed already, and closing twice is harmless.
 	fail := func(err error) (map[int]string, []*Replica, error) {
 		for id := 1; id <= n; id++ {
-			switch {
-			case replicas[id] != nil:
+			if replicas[id] != nil {
 				replicas[id].Close()
-			case shells[id] != nil:
+			} else if shells[id] != nil {
 				shells[id].Close()
 			}
 		}
@@ -210,7 +211,6 @@ func StartLoopback(cfg core.Config, suite core.CryptoSuite, keys []core.ReplicaK
 			dir = filepath.Join(dataDir, fmt.Sprintf("r%d", id))
 		}
 		rep, err := StartReplica(id, shells[id], cfg, suite, keys[id-1], newApp(id), dir, cryptoWorkers)
-		shells[id] = nil // the replica owns it; a failed StartReplica closed it
 		if err != nil {
 			return fail(fmt.Errorf("replica %d: %w", id, err))
 		}
