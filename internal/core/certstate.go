@@ -153,14 +153,18 @@ func headerLeaf(h SnapshotHeader) []byte {
 	return buf
 }
 
-// chunkLeaf binds a data chunk to its 1-based leaf index, so a correct
-// proof for chunk i can never authenticate its bytes at position j.
-func chunkLeaf(index int, data []byte) []byte {
-	buf := make([]byte, 0, 24+len(data))
-	buf = append(buf, []byte("sbft:snap-chunk")...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(index))
-	buf = append(buf, data...)
-	return buf
+// chunkLeafHash is the commitment-tree leaf of a data chunk:
+// merkle.LeafHash("sbft:snap-chunk" ‖ index ‖ data), streamed so the
+// chunk is hashed where it lies. Binding the 1-based leaf index means a
+// correct proof for chunk i can never authenticate its bytes at position j.
+func chunkLeafHash(index int, data []byte) merkle.Digest {
+	pre := append(make([]byte, 0, 24), "\x00sbft:snap-chunk"...)
+	h := sha256.New()
+	h.Write(binary.BigEndian.AppendUint64(pre, uint64(index)))
+	h.Write(data)
+	var d merkle.Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // splitChunks cuts data into ChunkSize pieces (no copy; callers treat the
@@ -263,13 +267,13 @@ func NewCertifiedSnapshotChunked(seq uint64, appDigest []byte, appChunks [][]byt
 		if cache != nil && i < len(cache.chunks) && sameSlice(cache.chunks[i], c) {
 			appLeaves[i] = cache.leaves[i]
 		} else {
-			appLeaves[i] = merkle.LeafHash(chunkLeaf(i+1, c))
+			appLeaves[i] = chunkLeafHash(i+1, c)
 			dirty++
 		}
 		leaves[1+i] = appLeaves[i]
 	}
 	for j, c := range tableChunks {
-		leaves[1+len(appChunks)+j] = merkle.LeafHash(chunkLeaf(len(appChunks)+j+1, c))
+		leaves[1+len(appChunks)+j] = chunkLeafHash(len(appChunks)+j+1, c)
 	}
 	cs.tree = merkle.NewTreeFromHashes(leaves)
 	root := cs.tree.Root()
@@ -284,12 +288,12 @@ func NewCertifiedSnapshotChunked(seq uint64, appDigest []byte, appChunks [][]byt
 
 // build computes the commitment tree from Header and Chunks.
 func (cs *CertifiedSnapshot) build() {
-	leaves := make([][]byte, 1+len(cs.Chunks))
-	leaves[0] = headerLeaf(cs.Header)
+	leaves := make([]merkle.Digest, 1+len(cs.Chunks))
+	leaves[0] = merkle.LeafHash(headerLeaf(cs.Header))
 	for i, c := range cs.Chunks {
-		leaves[i+1] = chunkLeaf(i+1, c)
+		leaves[i+1] = chunkLeafHash(i+1, c)
 	}
-	cs.tree = merkle.NewTree(leaves)
+	cs.tree = merkle.NewTreeFromHashes(leaves)
 	root := cs.tree.Root()
 	cs.root = root[:]
 }
@@ -352,7 +356,10 @@ func VerifySnapshotChunk(root []byte, h SnapshotHeader, i int, data []byte, p me
 	}
 	copy(rd[:], root)
 	// Index-binding verification (see VerifySnapshotHeader).
-	return merkle.VerifyLeafAt(rd, chunkLeaf(i, data), p, 1+h.NumChunks())
+	if err := merkle.CheckProofShape(p, 1+h.NumChunks()); err != nil {
+		return err
+	}
+	return merkle.VerifyLeafHash(rd, chunkLeafHash(i, data), p)
 }
 
 // AssembleSnapshot reassembles (app snapshot bytes, reply-table bytes)

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
+
+	"sbft/internal/merkle"
+	"sbft/internal/snapcodec"
 )
 
 func testCache() map[int]replyCacheEntry {
@@ -134,5 +139,53 @@ func TestCheckpointDigestDomainSeparation(t *testing.T) {
 	d := []byte("digest")
 	if bytes.Equal(StateSigDigest(4, d), CheckpointSigDigest(4, d)) {
 		t.Fatal("state and checkpoint signing digests collide")
+	}
+}
+
+// TestChunkLeafHashMatchesLeafHash pins the streamed chunk leaf to what
+// it replaced: merkle.LeafHash of tag ‖ index ‖ chunk, built in one
+// buffer. The sizes straddle SHA-256's padding and block boundaries.
+func TestChunkLeafHashMatchesLeafHash(t *testing.T) {
+	for _, size := range []int{0, 1, 55, 56, 64, 64 * 1024} {
+		for _, index := range []int{1, -1 << 63} { // the last is 2⁶³ once cast to uint64
+			chunk := bytes.Repeat([]byte{byte(size), 0x5A}, size)[:size]
+			leaf := binary.BigEndian.AppendUint64([]byte("sbft:snap-chunk"), uint64(index))
+			if got, want := chunkLeafHash(index, chunk), merkle.LeafHash(append(leaf, chunk...)); got != want {
+				t.Errorf("chunk of %d bytes at index %d: streamed leaf %v, want %v", size, uint64(index), got, want)
+			}
+		}
+	}
+}
+
+// TestSteadyCaptureAllocations bounds what a capture allocates by what
+// was written: with d of 64 buckets dirty, at most 2·d objects (a bucket's
+// new encoding is one; nothing is collected, sorted or copied to be
+// hashed) above a constant for the prelude, the chunk and leaf lists and
+// the commitment tree's levels.
+func TestSteadyCaptureAllocations(t *testing.T) {
+	const perCapture = 32
+	tracker := snapcodec.NewTracker(0)
+	var keyIn [snapcodec.DefaultBuckets]string // one key of each bucket
+	for i := 0; i < 8192; i++ {
+		key := fmt.Sprintf("key-%04d", i)
+		tracker.Set(key, []byte("value"))
+		keyIn[snapcodec.BucketOf(key, len(keyIn))] = key
+	}
+	cache, digest, val := new(CaptureCache), []byte{0xD1}, []byte("other")
+	for _, dirty := range []int{0, 1, 16, 64} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, key := range keyIn[:dirty] {
+				tracker.Set(key, val)
+			}
+			chunks, _ := tracker.EncodeChunks(1, digest)
+			NewCertifiedSnapshotChunked(1, digest, chunks, nil, cache)
+		})
+		if cache.DirtyChunks() != 1+dirty { // the prelude always is
+			t.Fatalf("%d buckets written, %d chunks re-hashed", dirty, cache.DirtyChunks())
+		}
+		if allocs > float64(2*dirty+perCapture) {
+			t.Errorf("capture with %d of 64 buckets dirty allocates %.0f objects, want at most 2·%d + %d", dirty, allocs, dirty, perCapture)
+		}
+		t.Logf("%d of 64 buckets dirty: %.0f objects", dirty, allocs)
 	}
 }

@@ -27,8 +27,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // bucketMagic versions the bucketed canonical snapshot framing.
@@ -46,11 +45,14 @@ const DefaultBuckets = 64
 const MaxBuckets = 1 << 20
 
 // BucketOf maps a key to its bucket among n. Pure function of the key
-// bytes: every replica agrees.
+// bytes (FNV-1a 64, written out so a call allocates nothing): every
+// replica agrees.
 func BucketOf(key string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(n))
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return int(h % uint64(n))
 }
 
 // IsBucketed reports whether data carries the bucketed framing.
@@ -65,9 +67,17 @@ func IsBucketed(data []byte) bool {
 // Returned slices are never mutated afterwards, so snapshot generations
 // retained by the checkpoint layer can alias them safely.
 type Tracker struct {
-	buckets int
-	content []map[string][]byte // live mirror, one map per bucket
-	enc     [][]byte            // cached encoding per bucket (nil = stale)
+	content []bucket
+}
+
+// bucket mirrors one hash bucket as parallel slices in key order — the
+// order the encoding needs, so encode is one pass with no sort and no
+// lookup. Overwriting a key is a binary search and a store; a new key or
+// a delete also shifts the entries above it (40 bytes each).
+type bucket struct {
+	keys []string
+	vals [][]byte
+	enc  []byte // cached encoding (nil = stale)
 }
 
 // NewTracker returns a tracker over the given bucket count (DefaultBuckets
@@ -77,53 +87,54 @@ func NewTracker(n int) *Tracker {
 	if n <= 0 {
 		n = DefaultBuckets
 	}
-	t := &Tracker{
-		buckets: n,
-		content: make([]map[string][]byte, n),
-		enc:     make([][]byte, n),
-	}
-	for i := range t.content {
-		t.content[i] = make(map[string][]byte)
-	}
-	return t
+	return &Tracker{content: make([]bucket, n)}
 }
 
 // Buckets reports the bucket count.
-func (t *Tracker) Buckets() int { return t.buckets }
+func (t *Tracker) Buckets() int { return len(t.content) }
 
 // Set records a key write. The value slice is referenced, not copied —
 // callers must not mutate it afterwards (the same contract the
 // authenticated state map imposes).
 func (t *Tracker) Set(key string, val []byte) {
-	b := BucketOf(key, t.buckets)
-	t.content[b][key] = val
-	t.enc[b] = nil
+	b := &t.content[BucketOf(key, len(t.content))]
+	if i, found := slices.BinarySearch(b.keys, key); found {
+		b.vals[i] = val
+	} else {
+		b.keys = slices.Insert(b.keys, i, key)
+		b.vals = slices.Insert(b.vals, i, val)
+	}
+	b.enc = nil
 }
 
 // Delete records a key deletion.
 func (t *Tracker) Delete(key string) {
-	b := BucketOf(key, t.buckets)
-	delete(t.content[b], key)
-	t.enc[b] = nil
+	b := &t.content[BucketOf(key, len(t.content))]
+	if i, found := slices.BinarySearch(b.keys, key); found {
+		b.keys = slices.Delete(b.keys, i, i+1)
+		b.vals = slices.Delete(b.vals, i, i+1)
+	}
+	b.enc = nil
 }
 
-// encodeBucket builds the canonical encoding of bucket b.
-func (t *Tracker) encodeBucket(b int) []byte {
-	m := t.content[b]
-	keys := make([]string, 0, len(m))
-	n := 8
-	for k := range m {
-		keys = append(keys, k)
-		n += 16 + len(k) + len(m[k])
+// encode builds the canonical encoding of the bucket. A bucket that grew
+// since its last encoding also sheds append's slack here, once that
+// passes a quarter of its length: the mirror lives as long as the state.
+func (b *bucket) encode() []byte {
+	if cap(b.keys)-len(b.keys) > len(b.keys)/4 {
+		b.keys, b.vals = slices.Clone(b.keys), slices.Clone(b.vals)
 	}
-	sort.Strings(keys)
+	n := 8
+	for i, k := range b.keys {
+		n += 16 + len(k) + len(b.vals[i])
+	}
 	buf := make([]byte, 0, n)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
-	for _, k := range keys {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.keys)))
+	for i, k := range b.keys {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(k)))
 		buf = append(buf, k...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(m[k])))
-		buf = append(buf, m[k]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.vals[i])))
+		buf = append(buf, b.vals[i]...)
 	}
 	return buf
 }
@@ -140,38 +151,42 @@ func (t *Tracker) EncodeChunks(lastSeq uint64, digest []byte) ([][]byte, int) {
 	prelude = binary.BigEndian.AppendUint64(prelude, lastSeq)
 	prelude = binary.BigEndian.AppendUint64(prelude, uint64(len(digest)))
 	prelude = append(prelude, digest...)
-	prelude = binary.BigEndian.AppendUint32(prelude, uint32(t.buckets))
+	prelude = binary.BigEndian.AppendUint32(prelude, uint32(len(t.content)))
 
-	chunks := make([][]byte, 1+t.buckets)
+	chunks := make([][]byte, 1+len(t.content))
 	chunks[0] = prelude
 	reencoded := 0
-	for b := 0; b < t.buckets; b++ {
-		if t.enc[b] == nil {
-			t.enc[b] = t.encodeBucket(b)
+	for i := range t.content {
+		b := &t.content[i]
+		if b.enc == nil {
+			b.enc = b.encode()
 			reencoded++
 		}
-		chunks[1+b] = t.enc[b]
+		chunks[1+i] = b.enc
 	}
 	return chunks, reencoded
 }
 
 // Restore rebuilds the tracker from a decoded bucketed snapshot: the
-// mirror adopts the blob's bucket count and entries, and the cached
-// encodings are seeded from the blob's own chunks — so the first capture
-// after a state transfer is already incremental instead of a full
-// re-encode.
+// mirror adopts the blob's bucket count and entries (each bucket sized
+// exactly; a certified blob lists them in order, so every Set appends),
+// and the cached encodings are seeded from the blob's own chunks — so the
+// first capture after a state transfer is already incremental instead of
+// a full re-encode.
 func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
-	t.buckets = buckets
-	t.content = make([]map[string][]byte, buckets)
-	for i := range t.content {
-		t.content[i] = make(map[string][]byte)
+	sizes := make([]int, buckets)
+	for _, e := range st.Entries {
+		sizes[BucketOf(e.Key, buckets)]++
+	}
+	t.content = make([]bucket, buckets)
+	for b, n := range sizes {
+		t.content[b] = bucket{keys: make([]string, 0, n), vals: make([][]byte, 0, n)}
 	}
 	for _, e := range st.Entries {
-		t.content[BucketOf(e.Key, buckets)][e.Key] = e.Val
+		t.Set(e.Key, e.Val)
 	}
-	t.enc = make([][]byte, buckets)
 	for b := 0; b < buckets && 1+b < len(chunks); b++ {
-		t.enc[b] = chunks[1+b]
+		t.content[b].enc = chunks[1+b]
 	}
 }
 
