@@ -66,11 +66,6 @@ type Config struct {
 	// server (and the unresponsive server loses scheduler share). Zero
 	// derives 2×GapRepairTimeout (500ms when that is unset).
 	ChunkRetryTimeout time.Duration
-	// SnapshotMetaWait is how long a fetcher collects competing snapshot
-	// metas before committing to the highest certified sequence among
-	// them, so a Byzantine server racing a stale-but-valid certified
-	// snapshot cannot win by answering first. Zero derives 40ms.
-	SnapshotMetaWait time.Duration
 	// SnapshotRetain bounds the chain of certified snapshot generations a
 	// replica keeps for serving state transfer (plus the delta sets
 	// between consecutive generations). A deeper chain lets a transfer
@@ -125,9 +120,6 @@ func (c Config) Validate() error {
 	if c.ChunkRetryTimeout < 0 {
 		return fmt.Errorf("core: ChunkRetryTimeout must be ≥ 0, got %v", c.ChunkRetryTimeout)
 	}
-	if c.SnapshotMetaWait < 0 {
-		return fmt.Errorf("core: SnapshotMetaWait must be ≥ 0, got %v", c.SnapshotMetaWait)
-	}
 	if c.SnapshotRetain < 0 {
 		return fmt.Errorf("core: SnapshotRetain must be ≥ 0, got %d", c.SnapshotRetain)
 	}
@@ -178,14 +170,6 @@ func (c Config) chunkRetryTimeout() time.Duration {
 		return 2 * c.GapRepairTimeout
 	}
 	return 500 * time.Millisecond
-}
-
-// snapshotMetaWait is the effective meta-collection window (> 0).
-func (c Config) snapshotMetaWait() time.Duration {
-	if c.SnapshotMetaWait != 0 {
-		return c.SnapshotMetaWait
-	}
-	return 40 * time.Millisecond
 }
 
 // snapshotRetain is the effective generation-retention depth (≥ 1).

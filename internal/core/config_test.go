@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestConfigQuorums(t *testing.T) {
@@ -42,7 +41,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(1, 0).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	// Every rejection names the offending field. The last five are the
+	// Every rejection names the offending field. The last four are the
 	// "zero derives the default" fields, where a negative value would
 	// otherwise arm a zero or negative timer or size a window below one.
 	tests := []struct {
@@ -56,7 +55,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MaxPending", func(c *Config) { c.MaxPending = -1 }},
 		{"FetchWindow", func(c *Config) { c.FetchWindow = -1 }},
 		{"ChunkRetryTimeout", func(c *Config) { c.ChunkRetryTimeout = -1 }},
-		{"SnapshotMetaWait", func(c *Config) { c.SnapshotMetaWait = -time.Millisecond }},
 		{"SnapshotRetain", func(c *Config) { c.SnapshotRetain = -1 }},
 	}
 	for _, tt := range tests {

@@ -161,7 +161,7 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 		t.Fatal("FetchState did not advertise the held base generation")
 	}
 	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, snapshotDelta(cs4, cs8)))
-	rg.env.advance(rg.cfg.snapshotMetaWait() + time.Millisecond)
+	rg.env.advance(snapshotMetaWait + time.Millisecond)
 
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != 8 {
@@ -271,7 +271,7 @@ func TestLyingDeltaListBlamedAndRefetched(t *testing.T) {
 	// Server 2 lies: "nothing changed since 4" — so every chunk seeds
 	// from the base, including the one that actually differs.
 	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, nil))
-	rg.env.advance(rg.cfg.snapshotMetaWait() + time.Millisecond)
+	rg.env.advance(snapshotMetaWait + time.Millisecond)
 
 	if rg.r.Metrics.SnapshotBlames != 1 || rg.r.SnapshotBlameCounts()[2] != 1 {
 		t.Fatalf("lying meta sender not blamed: %d blames, counts %v",

@@ -51,6 +51,12 @@ type fetcher struct {
 // window slots the way a tampering one stops serving chunks at all).
 const fetchTimeoutStrikes = 3
 
+// snapshotMetaWait is how long a fetcher collects competing snapshot metas
+// before committing to the highest certified sequence among them, so a
+// Byzantine server racing a stale-but-valid certified snapshot cannot win
+// by answering first.
+const snapshotMetaWait = 40 * time.Millisecond
+
 // fetchStats accumulates one server's observed state-transfer service
 // quality for the window scheduler: outstanding load, consecutive
 // timeouts, and an EWMA of request→verified-chunk latency. Faster
@@ -356,7 +362,7 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 		f.bestFrom = from
 	}
 	if !f.metaTimer.armed() {
-		f.metaTimer.arm(ft.env, ft.cfg.snapshotMetaWait(), func() {
+		f.metaTimer.arm(ft.env, snapshotMetaWait, func() {
 			if ft.fetch == f {
 				ft.adoptBestMeta()
 			}

@@ -63,7 +63,7 @@ func newFetchRig(t *testing.T, tune func(*Config)) *fetchRig {
 // meta-collection window.
 func (fr *fetchRig) adoptMeta(m SnapshotMetaMsg, from int) {
 	fr.ft.onSnapshotMeta(from, m)
-	fr.env.advance(fr.cfg.snapshotMetaWait() + time.Millisecond)
+	fr.env.advance(snapshotMetaWait + time.Millisecond)
 }
 
 func isFetchState(m Message) bool { _, ok := m.(FetchStateMsg); return ok }

@@ -61,7 +61,7 @@ func chunkOf(t *testing.T, cs *CertifiedSnapshot, i int) SnapshotChunkMsg {
 func deliverMeta(t *testing.T, rg *rig, cs *CertifiedSnapshot, from int) {
 	t.Helper()
 	rg.r.Deliver(from, metaOf(t, cs))
-	rg.env.advance(rg.cfg.snapshotMetaWait() + time.Millisecond)
+	rg.env.advance(snapshotMetaWait + time.Millisecond)
 }
 
 // deliverAllChunks feeds every chunk from the given peer.
@@ -290,7 +290,7 @@ func TestHighestCertifiedMetaWins(t *testing.T) {
 	// The stale meta arrives FIRST (the Byzantine server wins the race)...
 	rg.r.Deliver(2, metaOf(t, stale))
 	rg.r.Deliver(3, metaOf(t, newer))
-	rg.env.advance(rg.cfg.snapshotMetaWait() + time.Millisecond)
+	rg.env.advance(snapshotMetaWait + time.Millisecond)
 	// ...but the higher certified sequence wins the choice.
 	if got := chunkReqCount(rg, stale.Seq); got != 0 {
 		t.Fatalf("%d chunk requests for the stale snapshot %d", got, stale.Seq)

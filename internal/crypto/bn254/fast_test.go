@@ -7,6 +7,7 @@ package bn254
 // skipped under -short, like the original pairing tests.
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -89,6 +90,20 @@ func TestFpDifferential(t *testing.T) {
 		f := fpFromBig(v)
 		if f.toBig().Cmp(v) != 0 {
 			t.Fatalf("round trip mismatch for %v", v)
+		}
+	}
+	// The 64-byte reduction behind HashToG1, at its boundaries and at random.
+	q32 := Q.FillBytes(make([]byte, 32))
+	wides := [][]byte{make([]byte, 64), bytes.Repeat([]byte{0xff}, 64), append(bytes.Clone(q32), q32...)}
+	for i := 0; i < 20; i++ {
+		w := make([]byte, 64)
+		r.Read(w)
+		wides = append(wides, w)
+	}
+	for _, w := range wides {
+		want := new(big.Int).SetBytes(w)
+		if z := fpFromWide(w); z.toBig().Cmp(want.Mod(want, Q)) != 0 {
+			t.Fatalf("fpFromWide(%x) = %v, want %v", w, z.toBig(), want)
 		}
 	}
 }
@@ -269,6 +284,53 @@ func TestFpLazyOperands(t *testing.T) {
 	}
 }
 
+// TestG1EqualMarshalLazy: G1Point.Equal compares limbs, which is sound only
+// because every stored coordinate is fully reduced. A coordinate reached
+// through the lazily reduced paths — montMul of an unreduced sum,
+// fpNineXPlus with its quotient estimate — must equal, limb for limb, the
+// same residue reached by reduced arithmetic, and both must marshal to the
+// oracle's canonical bytes.
+func TestG1EqualMarshalLazy(t *testing.T) {
+	r := testRand()
+	qm1 := new(big.Int).Sub(Q, big.NewInt(1))
+	vals := []*big.Int{big.NewInt(0), big.NewInt(1), qm1, new(big.Int).Rsh(Q, 1)}
+	for i := 0; i < 20; i++ {
+		vals = append(vals, randBig(r))
+	}
+	top := fp{q0 - 1, q1, q2, q3}
+	vals = append(vals, top.toBig())
+	nine := fpFromUint64(9)
+	for _, a := range vals {
+		for _, b := range vals {
+			fa, fb := fpFromBig(a), fpFromBig(b)
+			ra, rb := NewFq(a), NewFq(b)
+			// x = a + b: montMul by 1 of the unreduced sum, and fpAdd.
+			var lazy, reduced G1Point
+			fpAddNoReduce(&lazy.x, &fa, &fb)
+			montMul(&lazy.x, &lazy.x, &fpMontOne)
+			fpAdd(&reduced.x, &fa, &fb)
+			// y = 9a + b: fpNineXPlus, and a multiplication and an addition.
+			fpNineXPlus(&lazy.y, &fa, &fb)
+			montMul(&reduced.y, &nine, &fa)
+			fpAdd(&reduced.y, &reduced.y, &fb)
+			ref := g1Ref{X: ra.Add(rb), Y: FqFromInt64(9).Mul(ra).Add(rb)}
+			if !lazy.Equal(reduced) || !reduced.Equal(lazy) {
+				t.Fatalf("a=%v b=%v: lazily reduced point %x ≠ reduced %x", a, b, lazy.Marshal(), reduced.Marshal())
+			}
+			for _, p := range []G1Point{lazy, reduced} {
+				if got, want := p.Marshal(), ref.Marshal(); !bytes.Equal(got, want) {
+					t.Fatalf("a=%v b=%v: Marshal = %x, oracle %x", a, b, got, want)
+				}
+			}
+			// Equal also agrees with the oracle where the points may differ.
+			other := G1Point{x: lazy.x, y: fa}
+			if lazy.Equal(other) != ref.Equal(g1Ref{X: ref.X, Y: ra}) {
+				t.Fatalf("a=%v b=%v: Equal disagrees with the oracle", a, b)
+			}
+		}
+	}
+}
+
 func TestFp2Differential(t *testing.T) {
 	r := testRand()
 	xi := NewFq2(FqFromInt64(9), FqFromInt64(1))
@@ -384,6 +446,20 @@ func TestCyclotomicSquareAgrees(t *testing.T) {
 	}
 }
 
+// fp12Exp sets z = x^e by plain square-and-multiply (variable time).
+func fp12Exp(z, x *fp12, e *big.Int) {
+	var r fp12
+	r.setOne()
+	b := *x
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		fp12Square(&r, &r)
+		if e.Bit(i) == 1 {
+			fp12Mul(&r, &r, &b)
+		}
+	}
+	*z = r
+}
+
 func TestExpByUAgrees(t *testing.T) {
 	r := testRand()
 	a := fp12FromFQP(randFq12(r))
@@ -402,14 +478,11 @@ func TestFinalExpMatchesReference(t *testing.T) {
 	}
 	g1, g2 := G1Generator(), G2Generator()
 	p := g1.ScalarMul(big.NewInt(5))
-	xP := fpFromBig(p.X.v)
-	yP := fpFromBig(p.Y.v)
-	qa := g2AffineFromPoint(g2)
-	lines, ok := prepareLines(&qa)
-	if !ok {
+	lines := prepareLines(&g2)
+	if lines == nil {
 		t.Fatal("miller loop hit degenerate line")
 	}
-	f := millerLoopLines([][]lineCoeff{lines}, []g1Arg{{xP, yP}})
+	f := millerLoopLines([][]lineCoeff{lines}, []G1Point{p})
 	fast := finalExpFast(&f)
 	ref := f.toFQP().Pow(finalExponent)
 	if !fast.toFQP().Equal(ref) {
@@ -431,21 +504,21 @@ func TestScalarMulFastMatchesReference(t *testing.T) {
 		if !g1.ScalarMul(k).Equal(g1.scalarMulReference(k)) {
 			t.Fatalf("G1 scalar mul mismatch for k=%v", k)
 		}
-		if !g2.scalarMulFast(k).Equal(g2.scalarMulReference(k)) {
+		if !g2.ScalarMul(k).Equal(g2.scalarMulReference(k)) {
 			t.Fatalf("G2 scalar mul mismatch for k=%v", k)
 		}
 	}
 	// Non-generator base points.
 	p := g1.ScalarMul(big.NewInt(7))
-	q := g2.scalarMulFast(big.NewInt(11))
+	q := g2.ScalarMul(big.NewInt(11))
 	k := randBig(r)
 	if !p.ScalarMul(k).Equal(p.scalarMulReference(k)) {
 		t.Fatal("G1 scalar mul mismatch on derived base")
 	}
-	if !q.scalarMulFast(k).Equal(q.scalarMulReference(k)) {
+	if !q.ScalarMul(k).Equal(q.scalarMulReference(k)) {
 		t.Fatal("G2 scalar mul mismatch on derived base")
 	}
-	if !G1Infinity().ScalarMul(k).Inf || !G2Infinity().scalarMulFast(k).Inf {
+	if !G1Infinity().ScalarMul(k).Inf || !G2Infinity().ScalarMul(k).Inf {
 		t.Fatal("scalar mul of infinity is not infinity")
 	}
 }
@@ -468,9 +541,9 @@ func TestGLVConstants(t *testing.T) {
 	}
 	// φ(P) = λ·P, by the math/big double-and-add.
 	p := G1Generator().scalarMulReference(big.NewInt(5))
-	bx := fpFromBig(p.X.v)
-	montMul(&bx, &bx, &glvBeta)
-	if phi := (G1Point{X: Fq{v: bx.toBig()}, Y: p.Y}); !phi.Equal(p.scalarMulReference(glvLambda)) {
+	phi := p
+	montMul(&phi.x, &phi.x, &glvBeta)
+	if !phi.Equal(p.scalarMulReference(glvLambda)) {
 		t.Fatal("φ(P) ≠ λ·P: β and λ are not a matching pair")
 	}
 	// Both basis vectors (a, b) satisfy a + bλ ≡ 0, and span determinant R.
@@ -589,7 +662,7 @@ func TestG1ScalarMulEdges(t *testing.T) {
 	for _, p := range []G1Point{g, g.Neg(), HashToG1([]byte("edge"))} {
 		for _, k := range edgeScalars() {
 			if got, want := p.ScalarMul(k), p.scalarMulReference(k); !got.Equal(want) {
-				t.Fatalf("%v·(%v, %v): got %v, want %v", k, p.X.v, p.Y.v, got, want)
+				t.Fatalf("%v·%x: got %x, want %x", k, p.Marshal(), got.Marshal(), want.Marshal())
 			}
 		}
 	}
@@ -661,7 +734,7 @@ func TestPairFastMatchesReference(t *testing.T) {
 		{g1, G2Infinity()},
 	}
 	for i, c := range cases {
-		if !Pair(c.p, c.q).Equal(pairReference(c.p, c.q)) {
+		if !Pair(c.p, c.q).fqp().Equal(pairReference(c.p, c.q)) {
 			t.Fatalf("case %d: fast pairing disagrees with reference", i)
 		}
 	}
@@ -669,12 +742,12 @@ func TestPairFastMatchesReference(t *testing.T) {
 
 func TestPairFastBilinearity(t *testing.T) {
 	g1, g2 := G1Generator(), G2Generator()
-	e := Pair(g1, g2)
+	e := Pair(g1, g2).fqp()
 	if e.Equal(Fq12One()) {
 		t.Fatal("fast pairing degenerate")
 	}
 	a, b := big.NewInt(131), big.NewInt(467)
-	lhs := Pair(g1.ScalarMul(a), g2.ScalarMul(b))
+	lhs := Pair(g1.ScalarMul(a), g2.ScalarMul(b)).fqp()
 	rhs := e.Pow(new(big.Int).Mul(a, b))
 	if !lhs.Equal(rhs) {
 		t.Fatal("fast pairing not bilinear")
@@ -770,10 +843,45 @@ func TestPairingCheckMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPairingCheckFailsClosed: a finite G2 argument without prepared lines
+// (its Miller loop met a vertical line, so it is not an r-torsion point)
+// fails the check outright — there is no second pairing to fall back to.
+// The zero G2Point value, (0, 0), is such a point; Pair sends it to zero.
+func TestPairingCheckFailsClosed(t *testing.T) {
+	g1, g2 := G1Generator(), G2Generator()
+	zero := PrepareG2(G2Point{})
+	if zero.lines != nil {
+		t.Fatal("the zero G2Point prepared a full set of lines")
+	}
+	for _, bad := range []*G2Prepared{{}, zero} {
+		if PairingCheckPrepared([]G1Point{g1}, []*G2Prepared{bad}) {
+			t.Fatal("a finite point without lines passed alone")
+		}
+		// e(g1, g2)·e(−g1, g2) == 1 with the bad point riding along.
+		if PairingCheckPrepared([]G1Point{g1, g1.Neg(), g1}, []*G2Prepared{PrepareG2(g2), PrepareG2(g2), bad}) {
+			t.Fatal("a finite point without lines passed beside a true statement")
+		}
+		// An infinite G1 partner still contributes 1.
+		if !PairingCheckPrepared([]G1Point{G1Infinity()}, []*G2Prepared{bad}) {
+			t.Fatal("∞ paired with a point without lines is not 1")
+		}
+	}
+	if Pair(g1, G2Point{}).Equal(Pair(G1Infinity(), g2)) {
+		t.Fatal("a degenerate Miller loop paired to 1")
+	}
+}
+
+// TestG2GeneratorDecimal: the hex-encoded production generator is the
+// specification's decimal one.
+func TestG2GeneratorDecimal(t *testing.T) {
+	if got, want := G2Generator(), g2GeneratorReference(); !g2RefOf(got).Equal(want) {
+		t.Fatalf("G2Generator = %x, want %x", got.Marshal(), want.Marshal())
+	}
+}
+
 func TestPreparedLineCount(t *testing.T) {
-	qa := g2AffineFromPoint(G2Generator())
-	lines, ok := prepareLines(&qa)
-	if !ok || len(lines) != ateLines {
-		t.Fatalf("prepared %d lines (ok=%v), want %d", len(lines), ok, ateLines)
+	g2 := G2Generator()
+	if lines := prepareLines(&g2); len(lines) != ateLines {
+		t.Fatalf("prepared %d lines, want %d", len(lines), ateLines)
 	}
 }

@@ -6,16 +6,17 @@ package bn254
 // no-carry CIOS (montMul); addition, subtraction, doubling and halving
 // select their result with a mask instead of a branch, because the branch
 // is a coin flip the predictor loses half the time; inversion is a binary
-// extended Euclid. Nothing here allocates. The math/big Fq type remains the
-// semantic reference; fast_test.go cross-checks every operation against it
-// on random and boundary inputs, and FuzzFpArith on whatever the fuzzer
-// finds.
+// extended Euclid. Nothing here allocates. The test-only math/big Fq type
+// is the semantic reference; fast_test.go cross-checks every operation
+// against it on random and boundary inputs, and FuzzFpArith on whatever the
+// fuzzer finds.
 //
 // The modulus limbs, −Q⁻¹ mod 2⁶⁴ and the powers of 2²⁵⁶ are written out as
 // constants so the compiler folds them into the unrolled code;
 // TestFpConstants derives each from Q and compares.
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -35,6 +36,8 @@ const (
 )
 
 var (
+	// qLimbs is Q as a plain (non-Montgomery) limb integer.
+	qLimbs = fp{q0, q1, q2, q3}
 	// fpMontOne is 1 in Montgomery form (2²⁵⁶ mod Q).
 	fpMontOne = fp{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
 	// fpRSquare is 2⁵¹² mod Q, used to convert into Montgomery form.
@@ -44,36 +47,57 @@ var (
 	fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(Q, big.NewInt(1)), 2)
 )
 
-func bigToLimbs(x *big.Int) [4]uint64 {
-	var l [4]uint64
-	for i, w := range x.Bits() {
-		l[i] = uint64(w)
-	}
-	return l
-}
-
-// fpFromBig reduces v mod Q and converts to Montgomery form. A canonical
-// v (what every decoded or computed coordinate is) is used as it stands,
-// without allocating.
-func fpFromBig(v *big.Int) fp {
-	if v.Sign() < 0 || v.Cmp(Q) >= 0 {
-		v = new(big.Int).Mod(v, Q)
-	}
-	z := fp(bigToLimbs(v))
-	montMul(&z, &z, &fpRSquare)
-	return z
-}
-
 func fpFromUint64(v uint64) fp {
 	z := fp{v}
 	montMul(&z, &z, &fpRSquare)
 	return z
 }
 
-// toBig converts out of Montgomery form into a canonical integer < Q.
-func (z *fp) toBig() *big.Int {
+// rawFromBytes reads 32 big-endian bytes as a plain 256-bit limb integer.
+func rawFromBytes(b []byte) fp {
+	return fp{
+		binary.BigEndian.Uint64(b[24:32]), binary.BigEndian.Uint64(b[16:24]),
+		binary.BigEndian.Uint64(b[8:16]), binary.BigEndian.Uint64(b[0:8]),
+	}
+}
+
+// fpFromBytes parses a 32-byte big-endian field element, rejecting
+// non-canonical (≥ Q) encodings so every point has exactly one byte
+// representation (signatures are compared and deduplicated as bytes).
+func fpFromBytes(b []byte) (fp, bool) {
+	z := rawFromBytes(b)
+	if !z.less(&qLimbs) {
+		return fp{}, false
+	}
+	montMul(&z, &z, &fpRSquare)
+	return z, true
+}
+
+// fpFromRaw reduces a plain 256-bit integer below Q by subtraction
+// (2²⁵⁶ < 6Q) and converts it to Montgomery form.
+func fpFromRaw(z fp) fp {
+	for !z.less(&qLimbs) {
+		z.subNoReduce(&qLimbs)
+	}
+	montMul(&z, &z, &fpRSquare)
+	return z
+}
+
+// fpFromWide reduces a 64-byte big-endian integer hi·2²⁵⁶ + lo mod Q.
+func fpFromWide(b []byte) fp {
+	hi, lo := fpFromRaw(rawFromBytes(b[:32])), fpFromRaw(rawFromBytes(b[32:64]))
+	montMul(&hi, &hi, &fpRSquare) // ·2²⁵⁶: 2⁵¹² mod Q is 2²⁵⁶ in Montgomery form
+	fpAdd(&hi, &hi, &lo)
+	return hi
+}
+
+// putBytes writes z's canonical value as 32 big-endian bytes.
+func (z *fp) putBytes(b []byte) {
 	c := z.canonical()
-	return new(big.Int).SetBits([]big.Word{big.Word(c[0]), big.Word(c[1]), big.Word(c[2]), big.Word(c[3])})
+	binary.BigEndian.PutUint64(b[0:8], c[3])
+	binary.BigEndian.PutUint64(b[8:16], c[2])
+	binary.BigEndian.PutUint64(b[16:24], c[1])
+	binary.BigEndian.PutUint64(b[24:32], c[0])
 }
 
 // canonical returns the non-Montgomery limb representation (< Q).

@@ -3,9 +3,9 @@ package bn254
 import "math/big"
 
 // fp12 is Fq¹² = Fq⁶[w]/(w² − v): c0 + c1·w. Together with fp6 and fp2
-// this is the standard 2-3-2 tower over the same algebra as the reference
-// single-shot extension Fq[w]/(w¹² − 18w⁶ + 82): w here is the reference
-// w, v = w², and i = w⁶ − 9. fp12FromFQP/toFQP translate between the two.
+// this is the standard 2-3-2 tower over the same algebra as the test-only
+// reference single-shot extension Fq[w]/(w¹² − 18w⁶ + 82): w here is the
+// reference w, v = w², and i = w⁶ − 9.
 type fp12 struct{ c0, c1 fp6 }
 
 func (z *fp12) setOne() { z.c0.setOne(); z.c1.setZero() }
@@ -67,20 +67,6 @@ func fp12Inv(z, x *fp12) {
 	fp6Neg(&z.c1, &z.c1)
 }
 
-// fp12Exp sets z = x^e by plain square-and-multiply (variable time).
-func fp12Exp(z, x *fp12, e *big.Int) {
-	var r fp12
-	r.setOne()
-	b := *x
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		fp12Square(&r, &r)
-		if e.Bit(i) == 1 {
-			fp12Mul(&r, &r, &b)
-		}
-	}
-	*z = r
-}
-
 // fp12CyclotomicSquare squares an element of the cyclotomic subgroup
 // (x^(q⁶+1)(q²+1)... after the easy final-exponentiation part) using the
 // Granger–Scott compressed squaring: 6 fp2 squarings instead of a full
@@ -136,29 +122,28 @@ func fp12CyclotomicSquare(z, x *fp12) {
 	fp2Add(&z.c1.b2, &u, &t[7])
 }
 
-// fp12 component → power-of-w exponent, used by the Frobenius tables and
-// the FQP conversion: (c0.b0, c0.b1, c0.b2, c1.b0, c1.b1, c1.b2) sit at
-// w⁰, w², w⁴, w¹, w³, w⁵ respectively.
+// fp12 component → power-of-w exponent, used by the Frobenius tables:
+// (c0.b0, c0.b1, c0.b2, c1.b0, c1.b1, c1.b2) sit at w⁰, w², w⁴, w¹, w³, w⁵
+// respectively.
 var fp12Exponents = [6]uint{0, 2, 4, 1, 3, 5}
 
 func (z *fp12) components() [6]*fp2 {
 	return [6]*fp2{&z.c0.b0, &z.c0.b1, &z.c0.b2, &z.c1.b0, &z.c1.b1, &z.c1.b2}
 }
 
-// Frobenius coefficient tables γₙ[e] = ξ^(e(qⁿ−1)/6), derived at init from
-// the reference tower arithmetic so they cannot drift from the algebra.
+// Frobenius coefficient tables γₙ[e] = ξ^(e(qⁿ−1)/6), derived at init by
+// exponentiating ξ so they cannot drift from the algebra (and checked
+// against the reference's x^(qⁿ) in fast_test.go).
 var frobGamma1, frobGamma2, frobGamma3 = func() (g1, g2, g3 [6]fp2) {
-	xi := NewFq2(FqFromInt64(9), FqFromInt64(1))
 	six := big.NewInt(6)
 	for n, out := range []*[6]fp2{&g1, &g2, &g3} {
-		qn := new(big.Int).Exp(Q, big.NewInt(int64(n+1)), nil)
-		exp := new(big.Int).Sub(qn, big.NewInt(1))
-		exp.Div(exp, six)
-		base := xi.Pow(exp) // ξ^((qⁿ−1)/6)
-		acc := Fq2One()
-		for e := 0; e < 6; e++ {
-			out[e] = fp2FromFQP(acc)
-			acc = acc.Mul(base)
+		exp := new(big.Int).Exp(Q, big.NewInt(int64(n+1)), nil)
+		exp.Sub(exp, big.NewInt(1)).Div(exp, six)
+		var base fp2
+		fp2Exp(&base, &fp2Xi, exp) // ξ^((qⁿ−1)/6)
+		out[0].setOne()
+		for e := 1; e < 6; e++ {
+			fp2Mul(&out[e], &out[e-1], &base)
 		}
 	}
 	return
@@ -200,44 +185,4 @@ func fp12FrobeniusCube(z, x *fp12) {
 		fp2Mul(rc[k], &t, &frobGamma3[fp12Exponents[k]])
 	}
 	*z = r
-}
-
-// fp12FromFQP converts from the reference single-shot tower: coefficient
-// d_k of w^k maps to component (a, b) with b = d_{e+6}, a = d_e + 9·d_{e+6}
-// (from i = w⁶ − 9).
-func fp12FromFQP(x FQP) fp12 {
-	if len(x.coeffs) != 12 {
-		panic("bn254: fp12FromFQP requires an Fq12 element")
-	}
-	var z fp12
-	zc := z.components()
-	nine := big.NewInt(9)
-	for k := 0; k < 6; k++ {
-		e := fp12Exponents[k]
-		hi := x.coeffs[e+6].v
-		a := new(big.Int).Mul(nine, hi)
-		a.Add(a, x.coeffs[e].v)
-		zc[k].c0 = fpFromBig(a)
-		zc[k].c1 = fpFromBig(hi)
-	}
-	return z
-}
-
-// toFQP converts into the reference representation.
-func (z *fp12) toFQP() FQP {
-	var d [12]Fq
-	for i := range d {
-		d[i] = FqZero()
-	}
-	zc := z.components()
-	nine := big.NewInt(9)
-	for k := 0; k < 6; k++ {
-		e := fp12Exponents[k]
-		a, b := zc[k].c0.toBig(), zc[k].c1.toBig()
-		lo := new(big.Int).Mul(nine, b)
-		lo.Sub(a, lo)
-		d[e] = NewFq(lo)
-		d[e+6] = Fq{v: b}
-	}
-	return NewFq12(d)
 }

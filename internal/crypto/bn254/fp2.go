@@ -1,9 +1,14 @@
 package bn254
 
+import "math/big"
+
 // fp2 is Fq² = Fq[i]/(i²+1) over the fixed-limb base field: c0 + c1·i.
 // The quadratic nonresidue used to build Fq⁶ is ξ = 9 + i, matching the
 // reference tower (w⁶ = ξ).
 type fp2 struct{ c0, c1 fp }
+
+// fp2Xi is ξ = 9 + i.
+var fp2Xi = fp2{c0: fpFromUint64(9), c1: fpFromUint64(1)}
 
 func (z *fp2) setZero() { z.c0.setZero(); z.c1.setZero() }
 
@@ -98,14 +103,16 @@ func fp2Inv(z, x *fp2) {
 	fpNeg(&z.c1, &t0)
 }
 
-// fp2FromFQP converts a reference Fq² element; fp2ToFQP is its inverse.
-func fp2FromFQP(x FQP) fp2 {
-	if len(x.coeffs) != 2 {
-		panic("bn254: fp2FromFQP requires an Fq2 element")
+// fp2Exp sets z = x^e (e ≥ 0, a public constant: variable time).
+func fp2Exp(z, x *fp2, e *big.Int) {
+	var r fp2
+	r.setOne()
+	b := *x
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		fp2Square(&r, &r)
+		if e.Bit(i) == 1 {
+			fp2Mul(&r, &r, &b)
+		}
 	}
-	return fp2{c0: fpFromBig(x.coeffs[0].v), c1: fpFromBig(x.coeffs[1].v)}
-}
-
-func (z *fp2) toFQP() FQP {
-	return NewFq2(Fq{v: z.c0.toBig()}, Fq{v: z.c1.toBig()})
+	*z = r
 }

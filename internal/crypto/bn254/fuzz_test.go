@@ -9,8 +9,9 @@ import (
 // Fuzz targets. For the deserialization boundary: any accepted input must
 // be a valid curve (and for G2, subgroup) point whose re-marshalling
 // round-trips, and valid marshalled points must always be accepted. For the
-// limb arithmetic and the recoded scalar multiplication: agreement with
-// the math/big oracle on whatever operands the fuzzer finds.
+// limb arithmetic, the recoded scalar multiplication and the G2 group law
+// and codec: agreement with the math/big oracle on whatever operands the
+// fuzzer finds.
 
 // FuzzFpArith drives every fp operation against math/big. The operands are
 // 32 raw bytes each, reduced mod Q on the way in, so limbs of all ones and
@@ -90,6 +91,122 @@ func FuzzG1ScalarMul(f *testing.F) {
 		three := big.NewInt(3)
 		if got := G1MultiScalarMul([]G1Point{p, p, p.Neg()}, []*big.Int{k, three, three}); !got.Equal(want) {
 			t.Fatalf("%v·(%d·g) among cancelling terms: got %v, want %v", k, base, got, want)
+		}
+	})
+}
+
+// offTorsionTwistPoint returns a point of the twist E'(Fq²) outside the
+// R-torsion (the twist's order is R·(2Q − R)), found on the oracle: the
+// first x = c + i with x³ + b′ a square, its root taken by the q ≡ 3 (mod 4)
+// method of Adj and Rodríguez-Henríquez and checked by squaring back.
+func offTorsionTwistPoint() g2Ref {
+	minusOne := NewFq2(FqFromInt64(-1), FqZero())
+	e34 := new(big.Int).Rsh(new(big.Int).Sub(Q, big.NewInt(3)), 2) // (q−3)/4
+	e12 := new(big.Int).Rsh(new(big.Int).Sub(Q, big.NewInt(1)), 1) // (q−1)/2
+	for c := int64(1); ; c++ {
+		x := NewFq2(FqFromInt64(c), FqOne())
+		a := x.Mul(x).Mul(x).Add(twistB)
+		a1 := a.Pow(e34)
+		alpha := a1.Mul(a1).Mul(a)
+		x0 := a1.Mul(a)
+		var y FQP
+		if alpha.Equal(minusOne) {
+			y = x0.Mul(NewFq2(FqZero(), FqOne()))
+		} else {
+			y = alpha.Add(Fq2One()).Pow(e12).Mul(x0)
+		}
+		p := g2Ref{X: x, Y: y}
+		if y.Mul(y).Equal(a) && !p.InSubgroup() {
+			return p
+		}
+	}
+}
+
+// withCoordPlusQ returns enc with Q added to its i-th 32-byte coordinate:
+// the same residue, encoded non-canonically (Q < 2²⁵⁴ leaves the room).
+func withCoordPlusQ(enc []byte, i int) []byte {
+	out := bytes.Clone(enc)
+	v := new(big.Int).SetBytes(out[32*i : 32*(i+1)])
+	v.Add(v, Q).FillBytes(out[32*i : 32*(i+1)])
+	return out
+}
+
+// FuzzG2Ops drives the G2 group law, the curve and subgroup checks and the
+// codec against the oracle. P = a·B and Q = b·B over a base B that is the
+// generator or, with offTorsion, a twist point outside the R-torsion;
+// every run also adds P + P, P + (−P) and the ∞ operands, checks an
+// off-curve neighbour of P, and decodes both the fuzzed encoding and P's
+// own with each coordinate pushed up by Q.
+func FuzzG2Ops(f *testing.F) {
+	g2 := G2Generator()
+	tw := offTorsionTwistPoint()
+	f.Add(uint64(1), uint64(1), false, []byte(nil))
+	f.Add(uint64(5), uint64(7), false, g2.Marshal())
+	f.Add(uint64(0), uint64(3), false, make([]byte, 128))
+	f.Add(uint64(2), uint64(9), true, tw.Marshal())
+	f.Add(uint64(3), uint64(3), true, withCoordPlusQ(g2.Marshal(), 0))
+	f.Add(^uint64(0), uint64(1), false, withCoordPlusQ(g2.Marshal(), 3))
+	f.Add(uint64(4), uint64(0), true, bytes.Repeat([]byte{0xff}, 128))
+	f.Fuzz(func(t *testing.T, a, b uint64, offTorsion bool, enc []byte) {
+		base := g2RefOf(g2)
+		if offTorsion {
+			base = tw
+		}
+		rp, rq := base.mul(new(big.Int).SetUint64(a)), base.mul(new(big.Int).SetUint64(b))
+		p, q := rp.point(), rq.point()
+		if !base.point().ScalarMul(new(big.Int).SetUint64(a)).Equal(p) {
+			t.Fatalf("ScalarMul(%d) disagrees with the oracle", a)
+		}
+		inf, rinf := G2Infinity(), g2Ref{Inf: true}
+		for _, c := range []struct {
+			name   string
+			x, y   G2Point
+			rx, ry g2Ref
+		}{
+			{"P+Q", p, q, rp, rq},
+			{"P+P", p, p, rp, rp},
+			{"P+(−P)", p, p.Neg(), rp, rp.Neg()},
+			{"P+∞", p, inf, rp, rinf},
+			{"∞+P", inf, p, rinf, rp},
+			{"∞+∞", inf, inf, rinf, rinf},
+		} {
+			if got, want := c.x.Add(c.y), c.rx.Add(c.ry); !g2RefOf(got).Equal(want) {
+				t.Fatalf("%s (a=%d, b=%d): got %x, want %x", c.name, a, b, got.Marshal(), want.Marshal())
+			}
+		}
+		if !g2RefOf(p.Double()).Equal(rp.Double()) || !g2RefOf(p.Neg()).Equal(rp.Neg()) {
+			t.Fatalf("Double or Neg of %d·B disagrees with the oracle", a)
+		}
+		inSubgroup := rp.InSubgroup() // the oracle's R·P: most of a run's time
+		if !p.IsOnCurve() || p.InSubgroup() != inSubgroup {
+			t.Fatalf("%d·B: IsOnCurve %v, InSubgroup %v, oracle %v", a, p.IsOnCurve(), p.InSubgroup(), inSubgroup)
+		}
+		if !p.Inf {
+			off := p
+			fpAdd(&off.y.c0, &off.y.c0, &fpMontOne)
+			if off.IsOnCurve() != g2RefOf(off).IsOnCurve() {
+				t.Fatal("IsOnCurve disagrees with the oracle off the curve")
+			}
+		}
+		encP := p.Marshal()
+		if !bytes.Equal(encP, rp.Marshal()) {
+			t.Fatalf("Marshal(%d·B) = %x, oracle %x", a, encP, rp.Marshal())
+		}
+		if got, ok := UnmarshalG2(encP); ok != inSubgroup || ok && !got.Equal(p) {
+			t.Fatalf("UnmarshalG2(Marshal(%d·B)) = %v, in the R-torsion: %v", a, ok, inSubgroup)
+		}
+		inputs := [][]byte{enc}
+		if !p.Inf {
+			for i := 0; i < 4; i++ {
+				inputs = append(inputs, withCoordPlusQ(encP, i))
+			}
+		}
+		for _, in := range inputs {
+			got, ok := UnmarshalG2(in)
+			want, wantOK := unmarshalG2Reference(in)
+			if ok != wantOK || ok && !g2RefOf(got).Equal(want) {
+				t.Fatalf("UnmarshalG2(%x) = %v, oracle %v", in, ok, wantOK)
+			}
 		}
 	})
 }

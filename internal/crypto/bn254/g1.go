@@ -1,17 +1,179 @@
 package bn254
 
-import "math/big"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/big"
+)
 
-// Jacobian-coordinate G1 arithmetic over the fixed-limb field: (X, Y, Z)
-// represents the affine point (X/Z², Y/Z³); Z = 0 is the identity. On it,
-// the package's one G1 scalar multiplication (G1MultiScalarMul). The
-// affine math/big group law in curve.go is retained as the reference
-// oracle (scalarMulReference); fast_test.go cross-checks the two.
+// G1Point is a point on E(Fq): y² = x³ + 3, affine with an infinity flag.
+// The coordinates are fully reduced Montgomery limbs (below Q), so two
+// points are equal exactly when their limbs are.
+type G1Point struct {
+	x, y fp
+	Inf  bool
+}
 
 // fpThree is the curve coefficient b = 3 of E(Fq): y² = x³ + 3.
 var fpThree = fpFromUint64(3)
 
+// G1Generator returns the standard generator (1, 2).
+func G1Generator() G1Point {
+	return G1Point{x: fpFromUint64(1), y: fpFromUint64(2)}
+}
+
+// G1Infinity returns the identity.
+func G1Infinity() G1Point { return G1Point{Inf: true} }
+
+// IsOnCurve reports y² == x³ + 3 (or infinity).
+func (p G1Point) IsOnCurve() bool {
+	if p.Inf {
+		return true
+	}
+	var y2, x3 fp
+	fpSquare(&y2, &p.y)
+	fpSquare(&x3, &p.x)
+	montMul(&x3, &x3, &p.x)
+	fpAdd(&x3, &x3, &fpThree)
+	return y2.equal(&x3)
+}
+
+// Equal compares points.
+func (p G1Point) Equal(q G1Point) bool {
+	if p.Inf || q.Inf {
+		return p.Inf == q.Inf
+	}
+	return p.x.equal(&q.x) && p.y.equal(&q.y)
+}
+
+// Neg returns −p.
+func (p G1Point) Neg() G1Point {
+	if !p.Inf {
+		fpNeg(&p.y, &p.y)
+	}
+	return p
+}
+
+// Add returns p + q: one mixed Jacobian addition and one inversion back to
+// affine.
+func (p G1Point) Add(q G1Point) G1Point {
+	if q.Inf {
+		return p
+	}
+	j := p.jac()
+	j.addAffine(&q.x, &q.y)
+	return j.toAffine()
+}
+
+// Double returns 2p.
+func (p G1Point) Double() G1Point {
+	j := p.jac()
+	j.double()
+	return j.toAffine()
+}
+
+// ScalarMul returns k·p (k taken mod R): the one-term case of
+// G1MultiScalarMul.
+func (p G1Point) ScalarMul(k *big.Int) G1Point {
+	return G1MultiScalarMul([]G1Point{p}, []*big.Int{k})
+}
+
+// Marshal serializes the point (64 bytes, or all-zero for infinity).
+func (p G1Point) Marshal() []byte {
+	out := make([]byte, 64)
+	if !p.Inf {
+		p.x.putBytes(out[:32])
+		p.y.putBytes(out[32:])
+	}
+	return out
+}
+
+// allZero reports whether b is the all-zero encoding of infinity.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// UnmarshalG1 parses a 64-byte point, checking canonical coordinate
+// encoding and curve membership.
+func UnmarshalG1(data []byte) (G1Point, bool) {
+	if len(data) != 64 {
+		return G1Point{}, false
+	}
+	if allZero(data) {
+		return G1Infinity(), true
+	}
+	x, okX := fpFromBytes(data[:32])
+	y, okY := fpFromBytes(data[32:])
+	p := G1Point{x: x, y: y}
+	if !okX || !okY || !p.IsOnCurve() {
+		return G1Point{}, false
+	}
+	return p, true
+}
+
+// HashToG1 hashes a message onto G1 by try-and-increment: candidate x
+// values derived from the digest until x³+3 is a quadratic residue, and of
+// the two roots the one whose canonical value is smaller. The method is
+// deterministic and constant-free; BLS signatures only need a
+// random-oracle-ish map (§III).
+func HashToG1(msg []byte) G1Point {
+	for ctr := uint32(0); ; ctr++ {
+		// E(Fq) has order R exactly for BN curves (cofactor 1), so any
+		// curve point is already in the subgroup.
+		p := G1Point{x: fpFromWide(hashCandidateX(msg, ctr))}
+		var rhs fp
+		fpSquare(&rhs, &p.x)
+		montMul(&rhs, &rhs, &p.x)
+		fpAdd(&rhs, &rhs, &fpThree)
+		if !fpSqrt(&p.y, &rhs) {
+			continue
+		}
+		var yn fp
+		fpNeg(&yn, &p.y)
+		if yn.lessCanonical(&p.y) {
+			p.y = yn
+		}
+		return p
+	}
+}
+
+// hashCandidateX derives the ctr-th candidate x coordinate for msg: a
+// 64-byte big-endian integer, reduced mod Q by the caller.
+func hashCandidateX(msg []byte, ctr uint32) []byte {
+	h := sha256.New()
+	h.Write([]byte("bn254:hash-to-g1"))
+	var cb [4]byte
+	binary.BigEndian.PutUint32(cb[:], ctr)
+	h.Write(cb[:])
+	h.Write(msg)
+	d1 := h.Sum(nil)
+	h.Reset()
+	h.Write([]byte("bn254:hash-to-g1:2"))
+	h.Write(cb[:])
+	h.Write(msg)
+	return h.Sum(d1)
+}
+
+// Jacobian-coordinate G1 arithmetic: (X, Y, Z) represents the affine point
+// (X/Z², Y/Z³); Z = 0 is the identity. On it, the group law above and the
+// package's one G1 scalar multiplication (G1MultiScalarMul).
+
 type g1Jac struct{ x, y, z fp }
+
+// jac lifts an affine point to Z = 1 (or the Jacobian identity).
+func (p *G1Point) jac() g1Jac {
+	if p.Inf {
+		var j g1Jac
+		j.setInfinity()
+		return j
+	}
+	return g1Jac{x: p.x, y: p.y, z: fpMontOne}
+}
 
 func (p *g1Jac) setInfinity() {
 	p.x.setOne()
@@ -26,13 +188,14 @@ func (p *g1Jac) toAffine() G1Point {
 	if p.isInfinity() {
 		return G1Infinity()
 	}
-	var zi, zi2, zi3, x, y fp
+	var zi, zi2, zi3 fp
+	var a G1Point
 	fpInv(&zi, &p.z)
 	fpSquare(&zi2, &zi)
 	montMul(&zi3, &zi2, &zi)
-	montMul(&x, &p.x, &zi2)
-	montMul(&y, &p.y, &zi3)
-	return G1Point{X: Fq{v: x.toBig()}, Y: Fq{v: y.toBig()}}
+	montMul(&a.x, &p.x, &zi2)
+	montMul(&a.y, &p.y, &zi3)
+	return a
 }
 
 // double sets p = 2p (dbl-2009-l; a = 0).
@@ -116,17 +279,14 @@ func (p *g1Jac) addAffine(ax, ay *fp) {
 	p.x = t
 }
 
-// g1Affine is a finite point with Montgomery-form coordinates.
-type g1Affine struct{ x, y fp }
-
 // g1Term is one k·P of a multi-scalar multiplication, laid out for the
 // shared doubling chain: the odd multiples of P a width-4 NAF digit can
 // select, their images under φ(x, y) = (βx, y), and the digits of the two
 // GLV half-scalars, k1 over tab and k2 over φ(tab).
 type g1Term struct {
-	tab  [4]g1Affine // P, 3P, 5P, 7P
-	phiX [4]fp       // β·x of each
-	naf  [2][]int8   // signs of k1, k2 folded into the digits
+	tab  [4]G1Point // P, 3P, 5P, 7P
+	phiX [4]fp      // β·x of each
+	naf  [2][]int8  // signs of k1, k2 folded into the digits
 }
 
 // G1MultiScalarMul returns Σ kᵢ·pᵢ (each kᵢ taken mod R, negative ones
@@ -163,8 +323,8 @@ func G1MultiScalarMul(ps []G1Point, ks []*big.Int) G1Point {
 			}
 			digits = max(digits, len(t.naf[h]))
 		}
-		t.tab[0] = g1Affine{fpFromBig(p.X.v), fpFromBig(p.Y.v)}
-		multiples = appendOddMultiples(multiples, &t.tab[0])
+		t.tab[0] = p
+		multiples = appendOddMultiples(multiples, &p)
 		terms = append(terms, t)
 	}
 	affine := g1BatchAffine(multiples)
@@ -209,8 +369,8 @@ func G1MultiScalarMul(ps []G1Point, ks []*big.Int) G1Point {
 
 // appendOddMultiples appends 3P, 5P and 7P: three doublings and three
 // mixed additions of P itself.
-func appendOddMultiples(dst []g1Jac, p *g1Affine) []g1Jac {
-	even := g1Jac{x: p.x, y: p.y, z: fpMontOne}
+func appendOddMultiples(dst []g1Jac, p *G1Point) []g1Jac {
+	even := p.jac()
 	even.double() // 2P
 	m3 := even
 	m3.addAffine(&p.x, &p.y)
@@ -226,8 +386,8 @@ func appendOddMultiples(dst []g1Jac, p *g1Affine) []g1Jac {
 // g1BatchAffine normalises finite Jacobian points with one inversion
 // between them (Montgomery's trick): invert the product of every Z, then
 // peel the factors off one at a time.
-func g1BatchAffine(ps []g1Jac) []g1Affine {
-	out := make([]g1Affine, len(ps))
+func g1BatchAffine(ps []g1Jac) []G1Point {
+	out := make([]G1Point, len(ps))
 	if len(ps) == 0 {
 		return out
 	}
@@ -248,38 +408,4 @@ func g1BatchAffine(ps []g1Jac) []g1Affine {
 		montMul(&out[i].y, &ps[i].y, &zi2)
 	}
 	return out
-}
-
-// scalarMulReference is the retained math/big double-and-add oracle.
-func (p G1Point) scalarMulReference(k *big.Int) G1Point {
-	kk := new(big.Int).Mod(k, R)
-	acc := G1Infinity()
-	base := p
-	for i := 0; i < kk.BitLen(); i++ {
-		if kk.Bit(i) == 1 {
-			acc = acc.Add(base)
-		}
-		base = base.Double()
-	}
-	return acc
-}
-
-// hashCandidate maps a candidate x coordinate to a curve point if x³+3 is
-// a quadratic residue, picking the lexicographically smaller root exactly
-// like the reference try-and-increment loop.
-func hashCandidate(xBig *big.Int) (G1Point, bool) {
-	x := fpFromBig(xBig)
-	var rhs, t, y fp
-	fpSquare(&t, &x)
-	montMul(&rhs, &t, &x)
-	fpAdd(&rhs, &rhs, &fpThree)
-	if !fpSqrt(&y, &rhs) {
-		return G1Point{}, false
-	}
-	var yn fp
-	fpNeg(&yn, &y)
-	if yn.lessCanonical(&y) {
-		y = yn
-	}
-	return G1Point{X: Fq{v: x.toBig()}, Y: Fq{v: y.toBig()}}, true
 }

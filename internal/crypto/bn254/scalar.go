@@ -63,7 +63,16 @@ func wnaf(k *big.Int, w uint) []int8 {
 // and the lattice {(a, b) : a + bλ ≡ 0 mod R} has the short basis
 // (2u+1, −(6u²+2u)), (6u²+4u+1, 2u+1), of determinant R.
 var (
-	glvBeta             = fpFromBig(uPoly(18, 18, 9, 1))
+	glvBeta = func() fp { // β evaluated on the limb field (u < 2⁶³)
+		u := fpFromUint64(ateU.Uint64())
+		var b fp
+		for _, c := range []uint64{18, 18, 9, 1} {
+			k := fpFromUint64(c)
+			montMul(&b, &b, &u)
+			fpAdd(&b, &b, &k)
+		}
+		return b
+	}()
 	glvA1, glvB1, glvA2 = uPoly(2, 1), uPoly(6, 2, 0), uPoly(6, 4, 1) // 2u+1, 6u²+2u, 6u²+4u+1
 	glvHalfR            = new(big.Int).Rsh(R, 1)
 	glvZero             = new(big.Int)

@@ -288,6 +288,58 @@ func TestCombineRobust(t *testing.T) {
 	sigtest.CombineRobust(t, sch, signers, 12)
 }
 
+// TestAllocsPerOp pins the heap allocations of each collector-path kernel
+// on a (3, 4) instance, the benchmarks' shape. The bounds are the counts
+// measured when bn254's points moved onto the limb field (DESIGN.md's
+// kernel table has them beside the math/big-era ones); a kernel that
+// allocates more has grown a conversion or a temporary back. Two counts
+// depend on data: hashing a digest onto G1 costs 3 allocations per
+// rejected candidate (this digest takes three), and each batch scalar past
+// 125 bits costs 8 in its GLV split — the bound is for all four. Under
+// -race the counts are not deterministic (race builds make sync.Pool drop
+// entries at random, and math/big's division temporaries come from one),
+// so CI's race job skips this test by name.
+func TestAllocsPerOp(t *testing.T) {
+	s, sgs, err := Dealer{}.Deal(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := s.(*Scheme)
+	d := digestOf("allocs per op")
+	shares := make([]threshsig.Share, len(sgs))
+	for i, sg := range sgs {
+		if shares[i], err = sg.Sign(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sig, err := sch.Combine(d, shares[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []struct {
+		name  string
+		bound float64
+		run   func()
+	}{
+		{"Sign", 23, func() { _, err := sgs[0].Sign(d); must(err) }},
+		{"Verify", 3, func() { must(sch.Verify(d, sig)) }},
+		{"VerifyShare", 3, func() { must(sch.VerifyShare(d, shares[0])) }},
+		{"BatchVerifyShares/k=4", 72, func() { must(sch.BatchVerifyShares(d, shares)) }},
+		{"Combine", 42, func() { _, err := sch.Combine(d, shares[:3]); must(err) }},
+	} {
+		if got := testing.AllocsPerRun(10, k.run); got > k.bound {
+			t.Errorf("%s: %.0f allocs/op, bound %.0f", k.name, got, k.bound)
+		} else {
+			t.Logf("%s: %.0f allocs/op (bound %.0f)", k.name, got, k.bound)
+		}
+	}
+}
+
 // TestGoldenVectors pins the bytes this package produces: BLS signatures
 // are deterministic, so a change to the arithmetic under them (bn254's
 // field, group law, hash-to-curve or the interpolation here) must leave
