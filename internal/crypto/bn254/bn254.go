@@ -25,6 +25,16 @@
 // modulus limbs, −Q⁻¹ mod 2⁶⁴, 2²⁵⁶ and 2⁵¹² mod Q — are literals that
 // TestFpConstants re-derives from Q.
 //
+// On amd64 CPUs with ADX and BMI2, montMul and fp2Mul run as MULX/ADCX/ADOX
+// assembly (montmul_amd64.s), chosen once by CPUID at init; everywhere
+// else they are the Go functions montMulGeneric and fp2MulGeneric. That is
+// still one arithmetic: one limb representation and one contract per
+// function (operands below 2Q for montMul, below Q for fp2Mul; results
+// fully reduced; z may alias x or y), with two implementations whose
+// outputs are bit-identical. TestMontMulMatchesGeneric,
+// TestFp2MulMatchesGeneric and FuzzMontMul hold the assembly to the Go,
+// and the Go stays the only path off amd64.
+//
 // The auditable math/big reference is test-only (reference_test.go): the
 // field Fq and generic polynomial quotient rings FQP, where the tower
 // behaviour (the Frobenius action included) follows from ordinary
@@ -41,7 +51,8 @@
 // point by the secret share: that loop branched on the share's bits when
 // it was double-and-add and branches on its NAF digits (and indexes a
 // table by them) now; fpInv's Euclid and fpExp take data-dependent paths
-// too. The mask-selected field additions are an optimisation, not a
+// too. The mask-selected field additions, and the CMOV-selected final
+// subtraction of the assembly montMul, are optimisations, not a
 // hardening. This fits the paper's setting — a permissioned deployment
 // whose threat model is Byzantine replicas, not an attacker timing a
 // co-located signer — and would have to change before the code signed for

@@ -3,7 +3,8 @@ package bn254
 // Fixed-limb base-field arithmetic: the production hot path promised by the
 // package doc. An fp holds an integer mod Q as 4 little-endian 64-bit limbs
 // in Montgomery form (value · 2²⁵⁶ mod Q). Multiplication is the unrolled
-// no-carry CIOS (montMul); addition, subtraction, doubling and halving
+// no-carry CIOS (montMulGeneric here; on amd64 with ADX, the same rounds in
+// montmul_amd64.s); addition, subtraction, doubling and halving
 // select their result with a mask instead of a branch, because the branch
 // is a coin flip the predictor loses half the time; inversion is a binary
 // extended Euclid. Nothing here allocates. The test-only math/big Fq type
@@ -124,16 +125,22 @@ func (z *fp) lessCanonical(x *fp) bool {
 	return a.less(&b)
 }
 
-// montMul sets z = x·y·2⁻²⁵⁶ mod Q: CIOS Montgomery multiplication, fully
-// unrolled. Each round forms x[i]·y and m·Q as four independent 64×64
+// montMulGeneric sets z = x·y·2⁻²⁵⁶ mod Q: CIOS Montgomery multiplication,
+// fully unrolled. Each round forms x[i]·y and m·Q as four independent 64×64
 // products joined by one carry chain, so the adds compile to straight ADC
 // runs. Q's top limb leaves two bits free, which keeps the running total
 // under y + Q + 1 between rounds: it never outgrows four words plus the
 // small spill t4 (the "no-carry" variant — textbook CIOS's sixth accumulator
 // word and its carry handling are gone). Operands may be as large as
 // 2Q − 1 (3Q still fits four words, and x·y/2²⁵⁶ + Q stays under 2Q for the
-// one subtraction at the end); the result is always below Q.
-func montMul(z, x, y *fp) {
+// one subtraction at the end); the result is always below Q. z may alias x
+// or y.
+//
+// This is montMul's contract. montMul is this function off amd64 and on
+// CPUs without ADX/BMI2 (montmul_other.go), and the same rounds in
+// MULX/ADCX/ADOX assembly otherwise (montmul_amd64.s);
+// TestMontMulMatchesGeneric holds the two to each other.
+func montMulGeneric(z, x, y *fp) {
 	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, c, m uint64
 
 	// Round 0: t = x[0]·y, then t = (t + m·Q)/2⁶⁴ with m cancelling the low word.
@@ -261,8 +268,8 @@ func montMul(z, x, y *fp) {
 }
 
 // fpAdd sets z = x + y. (The reduction is written out in fpAdd, fpDouble
-// and montMul rather than called: none of them is small enough to inline,
-// and a nested call per field addition is a tenth of a pairing.)
+// and montMulGeneric rather than called: none of them is small enough to
+// inline, and a nested call per field addition is a tenth of a pairing.)
 func fpAdd(z, x, y *fp) {
 	t0, c := bits.Add64(x[0], y[0], 0)
 	t1, c := bits.Add64(x[1], y[1], c)

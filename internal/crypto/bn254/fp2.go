@@ -45,8 +45,12 @@ func fp2Halve(z, x *fp2) {
 	fpHalve(&z.c1, &x.c1)
 }
 
-// fp2Mul sets z = x·y (Karatsuba, 3 base multiplications).
-func fp2Mul(z, x, y *fp2) {
+// fp2MulGeneric sets z = x·y (Karatsuba, 3 base multiplications) for x and
+// y below Q, their sums being montMul operands. This is fp2Mul off amd64
+// and on CPUs without ADX/BMI2 (montmul_other.go); otherwise fp2Mul is the
+// lazily reduced assembly (montmul_amd64.s), which
+// TestFp2MulMatchesGeneric holds to it.
+func fp2MulGeneric(z, x, y *fp2) {
 	var t0, t1, s0, s1, r0 fp
 	montMul(&t0, &x.c0, &y.c0)
 	montMul(&t1, &x.c1, &y.c1)
