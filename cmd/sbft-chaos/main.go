@@ -25,12 +25,7 @@
 // certified single-replica reads and writes under crash windows,
 // whole-run forged-proof replicas, and partitioned laggards; every
 // forged reply must be rejected client-side and every verified read
-// audited against the certified frontier), and "sharded" (multi-group
-// deployments with key-routed partitions driving cross-shard 2PC
-// transactions under honest, crashing, equivocating and
-// certificate-dropping coordinators plus in-group backup crashes; every
-// run is audited for cross-shard atomicity, no prepared leftovers after
-// recovery, no leaked locks, and per-group replica agreement). "both" splits the seed range across default and byzantine,
+// audited against the certified frontier). "both" splits the seed range across default and byzantine,
 // keeping wall-time flat; both of those also run the EVM ledger
 // themselves on every fifth seed.
 //
@@ -44,7 +39,6 @@
 //	sbft-chaos                          # 100 benign + 100 Byzantine seeds
 //	sbft-chaos -gen byzantine -seeds 1000
 //	sbft-chaos -gen evm -seeds 50
-//	sbft-chaos -gen sharded -seeds 24
 //	sbft-chaos -gen reads -live
 //	sbft-chaos -gen byzantine -start 176 -seeds 1 -v
 package main
@@ -62,7 +56,7 @@ func main() {
 	var (
 		seeds   = flag.Int("seeds", 200, "number of seeded scenarios to run")
 		start   = flag.Int64("start", 1, "first seed")
-		gen     = flag.String("gen", "both", "scenario generator: default, byzantine, evm, recovery, colluding, openloop, reads, sharded, or both (seed range split)")
+		gen     = flag.String("gen", "both", "scenario generator: default, byzantine, evm, recovery, colluding, openloop, reads, or both (seed range split)")
 		verbose = flag.Bool("v", false, "print every scenario outcome")
 		live    = flag.Bool("live", false, "with -gen reads: run the write/read mix over a real 4-node loopback-TCP deployment instead of the simulator")
 	)
@@ -80,26 +74,6 @@ func main() {
 		}
 		if err := runLiveReads(16, 48, 120*time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "sbft-chaos: live reads smoke FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *gen == "sharded" {
-		cr := harness.RunShardChaos(harness.SeedRange(*start, *seeds), harness.ShardGen,
-			func(seed int64, rep *harness.ShardReport, err error) {
-				switch {
-				case err != nil:
-					fmt.Printf("[sharded] seed %d ERROR: %v\n", seed, err)
-				case rep.Failed():
-					fmt.Printf("[sharded] %s\n", rep.Summary())
-				case *verbose:
-					fmt.Printf("[sharded] %s\n", rep.Summary())
-				}
-			})
-		fmt.Printf("[sharded] %s\n", cr.Summary())
-		if !cr.OK() {
-			fmt.Printf("[sharded] reproduce: sbft-chaos -gen sharded -start %d -seeds 1 -v\n", cr.MinFailingSeed)
 			os.Exit(1)
 		}
 		return
