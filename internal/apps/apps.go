@@ -17,11 +17,16 @@ import (
 )
 
 // KVApp is kvstore.Store as a core.Application (plus the optional
-// ChunkedSnapshotter, KeyReader and TwoPhaser extensions, which the store
-// implements itself).
+// ChunkedSnapshotter and KeyReader extensions, which the store implements
+// itself).
 type KVApp struct {
 	*kvstore.Store
 }
+
+// TxStats implements the deprecated core.TwoPhaser with zeros.
+//
+// Deprecated: the store has no two-phase commit; nothing reads this.
+func (a *KVApp) TxStats() (prepares, commits, aborts uint64) { return 0, 0, 0 }
 
 // NewKVApp returns an adapter over a fresh store.
 func NewKVApp() *KVApp { return &KVApp{Store: kvstore.New()} }

@@ -518,10 +518,6 @@ func (cl *Cluster) Metrics() core.Metrics {
 		m.ReadsBehind += rm.ReadsBehind
 		m.ReadsUnavailable += rm.ReadsUnavailable
 		m.ReadBatches += rm.ReadBatches
-		m.TxPrepares += rm.TxPrepares
-		m.TxCommits += rm.TxCommits
-		m.TxAborts += rm.TxAborts
-		m.TxCoordFailovers += rm.TxCoordFailovers
 		m.StoreErrors += rm.StoreErrors
 		m.CaptureFailures += rm.CaptureFailures
 	}

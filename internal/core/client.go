@@ -23,12 +23,6 @@ type Result struct {
 	// Retried reports whether the client had to fall back to
 	// broadcasting the request (§V-A timeout path).
 	Retried bool
-	// Cert is the π-certified execute certificate backing a FastAck
-	// completion — the verified single-message acceptance evidence,
-	// retained as a standalone artifact (cross-shard coordinators embed
-	// it in commit/abort ops). Nil on the f+1 direct-reply path, which
-	// carries no certificate.
-	Cert *ExecuteCert
 }
 
 // Client is a sans-io SBFT client (§V-A): it sends each operation to the
@@ -224,16 +218,7 @@ func (c *Client) onExecuteAck(_ int, m ExecuteAckMsg) {
 			return
 		}
 	}
-	cert := &ExecuteCert{
-		Seq:    m.Seq,
-		L:      m.L,
-		Op:     append([]byte(nil), p.op...),
-		Val:    append([]byte(nil), m.Val...),
-		Digest: append([]byte(nil), m.Digest...),
-		Pi:     m.Pi,
-		Proof:  append([]byte(nil), m.Proof...),
-	}
-	c.complete(p, m.Val, m.Seq, true, m.View, cert)
+	c.complete(p, m.Val, m.Seq, true, m.View)
 }
 
 func (c *Client) onReply(from int, m ReplyMsg) {
@@ -273,7 +258,7 @@ func (c *Client) onReply(from int, m ReplyMsg) {
 				first = false
 			}
 		}
-		c.complete(p, p.vals[fp], p.seqs[fp], false, viewHint, nil)
+		c.complete(p, p.vals[fp], p.seqs[fp], false, viewHint)
 	}
 }
 
@@ -289,7 +274,7 @@ func (c *Client) onReply(from int, m ReplyMsg) {
 // poisoned maximum (upward adoption stays capped even then). Worst case,
 // ≤ f lying replicas degrade one client's latency; the retry broadcast
 // bounds the damage per operation.
-func (c *Client) complete(p *pendingOp, val []byte, seq uint64, fast bool, viewHint uint64, cert *ExecuteCert) {
+func (c *Client) complete(p *pendingOp, val []byte, seq uint64, fast bool, viewHint uint64) {
 	p.retry.stop()
 	// Upward drift is ALWAYS capped to one primary rotation — including
 	// after a retry, where the completing evidence may be a single
@@ -331,7 +316,6 @@ func (c *Client) complete(p *pendingOp, val []byte, seq uint64, fast bool, viewH
 			Latency:   c.env.Now() - p.started,
 			FastAck:   fast,
 			Retried:   p.retried,
-			Cert:      cert,
 		})
 	}
 }

@@ -335,14 +335,12 @@ type KeyReader interface {
 	ReadKey(op []byte) (string, error)
 }
 
-// TwoPhaser is the optional cross-shard extension of Application
-// (ROADMAP item 5): applications that execute the two-phase
-// (prepare-lock / commit-or-abort) op envelope report their cumulative
-// 2PC counters so the replica surfaces them as Metrics. The counters
-// are observability only — never protocol state — and reset with the
-// process like every other metric. Wrappers forward the call
-// statically, like ChunkedSnapshotter; a wrapper over an app without
-// the envelope reports zeros.
+// TwoPhaser is what the retired cross-shard two-phase commit reported.
+// Nothing in this module calls it; it is kept only so code that still
+// embeds it in an interface keeps compiling.
+//
+// Deprecated: sharding and 2PC were removed; the replica no longer reads
+// these counters.
 type TwoPhaser interface {
 	TxStats() (prepares, commits, aborts uint64)
 }

@@ -190,9 +190,6 @@ func (r *Replica) executeReady() {
 		s.executed = true
 		r.lastExecuted = next
 		r.Metrics.Executions++
-		if tp, ok := r.app.(TwoPhaser); ok {
-			r.Metrics.TxPrepares, r.Metrics.TxCommits, r.Metrics.TxAborts = tp.TxStats()
-		}
 		if len(s.committedReqs) == 0 {
 			r.Metrics.NullBlocks++
 		}

@@ -34,45 +34,6 @@ func refusesDamage(t *testing.T, what string, enc []byte, decode func([]byte) er
 	}
 }
 
-func certSamples() []ExecuteCert {
-	return []ExecuteCert{
-		{},
-		{Seq: 1 << 40, L: 3, Op: []byte("op"), Val: []byte("val"), Digest: bytes.Repeat([]byte{7}, 32),
-			Pi: threshsig.Signature{Data: bytes.Repeat([]byte{9}, 33)}, Proof: bytes.Repeat([]byte{5}, 146)},
-		{Seq: 1, L: -1, Op: bytes.Repeat([]byte{1}, 1<<16)},
-	}
-}
-
-func TestExecuteCertRoundTrip(t *testing.T) {
-	for i, c := range certSamples() {
-		enc := c.Encode()
-		got, err := DecodeExecuteCert(enc)
-		if err != nil || !reflect.DeepEqual(*got, c) {
-			t.Fatalf("sample %d: %v\n got %+v\nwant %+v", i, err, got, c)
-		}
-		refusesDamage(t, "execute cert", enc, func(b []byte) error { _, err := DecodeExecuteCert(b); return err })
-	}
-	empty := ExecuteCert{Seq: 2, Op: []byte{}, Pi: threshsig.Signature{Data: []byte{}}}
-	if got, err := DecodeExecuteCert(empty.Encode()); err != nil || !reflect.DeepEqual(*got, ExecuteCert{Seq: 2}) {
-		t.Fatalf("empty fields decode to %+v, %v; want nil fields", got, err)
-	}
-}
-
-func FuzzDecodeExecuteCert(f *testing.F) {
-	for _, c := range certSamples() {
-		f.Add(c.Encode())
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		c, err := DecodeExecuteCert(b)
-		if err != nil {
-			return
-		}
-		if again := c.Encode(); !bytes.Equal(again, b) {
-			t.Fatalf("accepted % x\nre-encodes as % x", b, again)
-		}
-	})
-}
-
 func blockSamples() []BlockRecord {
 	return []BlockRecord{
 		{}, // a null block

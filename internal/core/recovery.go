@@ -25,12 +25,11 @@ type BlockRecord struct {
 	Results [][]byte
 }
 
-// recordVersion is the first byte of each record this package stores or
-// embeds — block records, certified snapshots, execute certificates —
-// ahead of fields written with the snapcodec primitives. Nothing is
-// migrated: a record with another first byte (every gob stream of the
-// builds before this format starts with a length, never with 1) is
-// refused by version.
+// recordVersion is the first byte of each record this package stores —
+// block records and certified snapshots — ahead of fields written with
+// the snapcodec primitives. Nothing is migrated: a record with another
+// first byte (every gob stream of the builds before this format starts
+// with a length, never with 1) is refused by version.
 const recordVersion = 1
 
 // openRecord checks a record's version byte and returns a reader over the

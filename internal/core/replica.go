@@ -123,20 +123,6 @@ type Metrics struct {
 	// ReadBatches counts read-batch flushes; ReadsServed/ReadBatches is
 	// the realized proof-generation amortization factor.
 	ReadBatches uint64
-	// TxPrepares / TxCommits / TxAborts mirror the application's
-	// cumulative cross-shard 2PC counters (core.TwoPhaser): prepares
-	// that locked and staged writes, commits that passed the
-	// certificate-verifying commit rule, and aborts applied on refusal
-	// evidence (ROADMAP item 5).
-	TxPrepares uint64
-	TxCommits  uint64
-	TxAborts   uint64
-	// TxCoordFailovers counts cross-shard transactions a RECOVERY
-	// coordinator finished after the original coordinator crashed or
-	// equivocated mid-2PC. Replicas never set it — coordination is
-	// outside the replica — but it lives here so the sharded cluster's
-	// aggregated Metrics carries the whole cross-shard story.
-	TxCoordFailovers uint64
 	// StoreErrors counts writes the durable store refused: a block append
 	// (after any state transfer, every one — ROADMAP item 20) or a
 	// certified snapshot's persist, a snapshot the async sink skipped

@@ -148,20 +148,13 @@ func DecodeReceipt(data []byte) (Receipt, error) {
 // stateTag is the domain of the ledger's state digests.
 const stateTag = "sbft:evm-state"
 
-// Ledger is the replica-side smart-contract application: the VM and the
-// partition guard over the same kvstore.AuthState the key-value store
-// stands on, so digests, per-transaction proofs, snapshots and state
-// transfer are that type's and the ledger plugs into the same replication
-// engine (§IV layering).
+// Ledger is the replica-side smart-contract application: the VM over the
+// same kvstore.AuthState the key-value store stands on, so digests,
+// per-transaction proofs, snapshots and state transfer are that type's and
+// the ledger plugs into the same replication engine (§IV layering).
 type Ledger struct {
 	*kvstore.AuthState
 	state *MapState
-
-	// Account partitioning and locks (partition.go). shards==0 means
-	// partitioning is not enabled.
-	shardID        int
-	shards         int
-	lockedAccounts map[string]bool
 }
 
 // NewLedger returns an empty contract ledger.
@@ -297,17 +290,7 @@ func errClass(err error) string {
 func (l *Ledger) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
 	results := make([][]byte, len(ops))
 	for i, raw := range ops {
-		mark := l.state.Snapshot()
 		rcpt := l.applyTx(seq, raw)
-		// Partition guard (partition.go): a transaction that touched a
-		// foreign or locked account rolls back ENTIRELY — its admitted
-		// writes are undone and an error receipt takes its slot, so sharded
-		// replicas never apply a partial cross-partition effect.
-		if verr := l.state.Violation(); verr != nil {
-			l.state.RevertTo(mark)
-			l.state.ClearViolation()
-			rcpt = Receipt{Err: verr.Error()}
-		}
 		l.state.DiscardJournal()
 		results[i] = rcpt.Encode()
 	}

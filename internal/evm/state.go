@@ -81,14 +81,6 @@ type State interface {
 type MapState struct {
 	m       kvMap
 	journal []journalEntry
-	// guard vets every write key BEFORE it reaches the map (partition.go:
-	// sharded deployments refuse writes to foreign or locked accounts). A
-	// rejected write is dropped and recorded as the transaction's sticky
-	// violation; the ledger reverts the whole transaction and substitutes
-	// an error receipt. Rollbacks bypass the guard on purpose — undoing an
-	// admitted write must always succeed.
-	guard     func(key string) error
-	violation error
 }
 
 type journalEntry struct {
@@ -129,45 +121,13 @@ func hexStr(b []byte) string {
 	return sb.String()
 }
 
-// SetGuard installs the write-key guard. All replicas of a group must
-// install identical guards before sequence 1 (the guard decides receipt
-// outcomes, so it is part of deterministic execution).
-func (s *MapState) SetGuard(fn func(key string) error) { s.guard = fn }
-
-// Violation reports the first guard rejection since the last
-// ClearViolation (nil when the transaction stayed inside its partition).
-func (s *MapState) Violation() error { return s.violation }
-
-// ClearViolation resets the sticky violation at a transaction boundary.
-func (s *MapState) ClearViolation() { s.violation = nil }
-
-// admit applies the guard to a write key, recording the first rejection.
-func (s *MapState) admit(key string) bool {
-	if s.guard == nil {
-		return true
-	}
-	if err := s.guard(key); err != nil {
-		if s.violation == nil {
-			s.violation = err
-		}
-		return false
-	}
-	return true
-}
-
 func (s *MapState) set(key string, val []byte) {
-	if !s.admit(key) {
-		return
-	}
 	prev, existed := s.m.Get(key)
 	s.journal = append(s.journal, journalEntry{key: key, prev: prev, existed: existed})
 	s.m.Set(key, val)
 }
 
 func (s *MapState) del(key string) {
-	if !s.admit(key) {
-		return
-	}
 	prev, existed := s.m.Get(key)
 	if !existed {
 		return

@@ -52,17 +52,14 @@ func (a *Audit) addf(format string, args ...any) {
 //     and in at least one replica overall.
 //  4. Per-replica no re-execution: the same operation does not appear at
 //     two different sequences of one replica's log (callers must use
-//     workloads with unique operation payloads). Ops whose hash appears
-//     in a `repeatable` set are exempt — cross-shard prepares are
-//     IDEMPOTENT by design (certificate refetch and coordinator recovery
-//     resubmit byte-identical prepares under fresh client timestamps).
+//     workloads with unique operation payloads).
 //  5. Scheduled fault steps all applied (cl.FaultErrors empty).
 //
 // Crashed replicas are still audited — a crashed node's retained state
 // must not contradict the survivors' — but Byzantine replicas (replaced
 // nodes and corrupter-equipped ones, per cl.IsByzantine) are expected to
 // diverge and are skipped.
-func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack, repeatable ...map[[32]byte]bool) *Audit {
+func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack) *Audit {
 	a := &Audit{}
 
 	for _, err := range cl.FaultErrors {
@@ -182,14 +179,6 @@ func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack, 
 	}
 
 	// (4) No re-execution of one operation at two sequences of a replica.
-	allowed := func(h [32]byte) bool {
-		for _, set := range repeatable {
-			if set[h] {
-				return true
-			}
-		}
-		return false
-	}
 	for _, id := range ids {
 		seen := make(map[[32]byte]uint64)
 		seqs := make([]uint64, 0, len(recorders[id].Records))
@@ -199,7 +188,7 @@ func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack, 
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
 			for _, h := range recorders[id].Records[seq].OpHashes {
-				if prev, dup := seen[h]; dup && !allowed(h) {
+				if prev, dup := seen[h]; dup {
 					a.addf("replica %d re-executed an operation: seq %d and seq %d", id, prev, seq)
 				} else {
 					seen[h] = seq

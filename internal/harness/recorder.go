@@ -97,16 +97,6 @@ func (r *Recorder) ReadKey(op []byte) (string, error) {
 	return "", fmt.Errorf("harness: application has no read-key mapping")
 }
 
-// TxStats implements core.TwoPhaser by delegation, like SnapshotChunks:
-// without static forwarding, wrapped replicas would stop reporting the
-// 2PC metrics the sharded tests assert on.
-func (r *Recorder) TxStats() (prepares, commits, aborts uint64) {
-	if tp, ok := r.inner.(core.TwoPhaser); ok {
-		return tp.TxStats()
-	}
-	return 0, 0, 0
-}
-
 // Restore implements core.Application. The restored span was not executed
 // locally, so no records are added for it.
 func (r *Recorder) Restore(data []byte) error { return r.inner.Restore(data) }

@@ -11,8 +11,8 @@ import (
 )
 
 // AuthState is §IV's authenticated execution state, the layer both
-// replicated services stand on (Store adds the operation codec and 2PC,
-// evm.Ledger the VM and the partition guard): an authenticated key-value
+// replicated services stand on (Store adds the operation codec,
+// evm.Ledger the VM): an authenticated key-value
 // map, the bucketed snapshot tracker that mirrors it, and per executed
 // block a Merkle tree over its (operation, result) pairs. The state digest
 //

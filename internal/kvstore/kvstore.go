@@ -7,8 +7,7 @@
 //	verify(d, o, val, s, l, P)        → VerifyProof (client side)
 //
 // Store adds the key-value service on top: Put, Get, Delete and Bundle
-// operations in a compact length-prefixed binary codec (this file) and the
-// proof-carrying cross-shard two-phase commit (tx.go).
+// operations in a compact length-prefixed binary codec.
 package kvstore
 
 import (
@@ -66,7 +65,7 @@ func DecodeOp(data []byte) (Op, error) {
 		return Op{}, fmt.Errorf("%w: %d bytes", ErrBadOp, len(data))
 	}
 	kind := OpKind(data[0])
-	if kind < OpPut || kind > OpTxAbort {
+	if kind < OpPut || kind > OpBundle {
 		return Op{}, fmt.Errorf("%w: kind %d", ErrBadOp, kind)
 	}
 	data = data[1:]
@@ -163,21 +162,10 @@ func BundleSize(encoded []byte) int {
 const stateTag = "sbft:kv-state"
 
 // Store is the replica-side authenticated key-value store: the operation
-// codec (this file) and cross-shard 2PC (tx.go) over an AuthState. It is
-// not safe for concurrent use; the replica event loop owns it.
+// codec over an AuthState. It is not safe for concurrent use; the replica
+// event loop owns it.
 type Store struct {
 	*AuthState
-
-	// Sharding and cross-shard 2PC (tx.go). shards==0 means sharding is
-	// not enabled: every key is local and no partition check applies.
-	shardID    int
-	shards     int
-	certVerify CertVerifier
-
-	// Cumulative 2PC counters, surfaced through TxStats (core.TwoPhaser).
-	txPrepares uint64
-	txCommits  uint64
-	txAborts   uint64
 }
 
 // New returns an empty store at sequence 0.
@@ -198,24 +186,15 @@ func NewWithBuckets(buckets int) *Store {
 func (s *Store) apply(op Op) []byte {
 	switch op.Kind {
 	case OpPut:
-		if e := s.userKeyError(op.Key, true); e != nil {
-			return e
-		}
 		s.Set(op.Key, op.Value)
 		return []byte("OK")
 	case OpGet:
-		if e := s.userKeyError(op.Key, false); e != nil {
-			return e
-		}
 		v, ok := s.Get(op.Key)
 		if !ok {
 			return nil
 		}
 		return v
 	case OpDelete:
-		if e := s.userKeyError(op.Key, true); e != nil {
-			return e
-		}
 		s.Delete(op.Key)
 		return []byte("OK")
 	case OpBundle:
@@ -226,19 +205,13 @@ func (s *Store) apply(op Op) []byte {
 		applied := 0
 		for _, raw := range subs {
 			sub, err := DecodeOp(raw)
-			if err != nil || sub.Kind == OpBundle || sub.Kind >= OpTxPrepare {
-				continue // skip malformed/nested/tx deterministically
+			if err != nil || sub.Kind == OpBundle {
+				continue // skip malformed/nested deterministically
 			}
 			s.apply(sub)
 			applied++
 		}
 		return strconv.AppendInt([]byte("OK:"), int64(applied), 10)
-	case OpTxPrepare:
-		return s.applyTxPrepare(op)
-	case OpTxCommit:
-		return s.applyTxCommit(op)
-	case OpTxAbort:
-		return s.applyTxAbort(op)
 	default:
 		return []byte("ERR")
 	}
