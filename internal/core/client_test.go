@@ -400,3 +400,38 @@ func TestClientRetriedFastAckHintStillCapped(t *testing.T) {
 		t.Fatalf("retried completion adopted inflated view %d", c.View())
 	}
 }
+
+// TestFastAckCompletionAllocs pins what one verified execute-ack costs the
+// client on its way to a Result beyond the π check itself: one object, the
+// Result's copy of the value. The ack carries a proof, so a copy of it, or
+// of the op, digest or value for anything but the Result, shows up here.
+func TestFastAckCompletionAllocs(t *testing.T) {
+	const runs, want = 50, 1
+	c, _, suite, keys := newTestClient(t)
+	var got Result
+	c.SetOnResult(func(r Result) { got = r })
+	op := []byte("op")
+	acks := make([]ExecuteAckMsg, runs+1) // AllocsPerRun adds a warm-up run
+	pending := make([]*pendingOp, runs+1)
+	for i := range acks {
+		ts := uint64(i + 1)
+		acks[i] = buildExecAck(t, suite, keys, c.ID(), ts, []byte("result"))
+		acks[i].Proof = make([]byte, 146)
+		pending[i] = &pendingOp{op: op, ts: ts}
+	}
+	check := testing.AllocsPerRun(runs, func() {
+		suite.Pi.Verify(stateSigDigest(acks[0].Seq, acks[0].Digest), acks[0].Pi)
+	})
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.cur = pending[i]
+		c.onExecuteAck(2, acks[i])
+		i++
+	})
+	if c.Completed != uint64(runs+1) || !got.FastAck || string(got.Val) != "result" {
+		t.Fatalf("%d of %d acks completed, last result %+v", c.Completed, i, got)
+	}
+	if allocs-check != want {
+		t.Fatalf("a fast-ack completion allocates %.0f objects beyond the %.0f of its π check, want %d", allocs-check, check, want)
+	}
+}

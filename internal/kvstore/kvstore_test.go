@@ -101,6 +101,53 @@ func TestExecuteBlockMalformedOpIsDeterministicError(t *testing.T) {
 	}
 }
 
+// TestOpSurface executes one block of every edge of the operation codec
+// on two stores: kinds above OpBundle are malformed, a bundle skips nested
+// bundles and malformed sub-operations, and a key starting with \x00 is an
+// ordinary key.
+func TestOpSurface(t *testing.T) {
+	withKind := func(kind byte) []byte {
+		op := Put("k", []byte("v"))
+		op[0] = kind
+		return op
+	}
+	tests := []struct {
+		name string
+		op   []byte
+		want string // "<nil>" for a nil result
+	}{
+		{"kind 5", withKind(5), "ERR:malformed"},
+		{"kind 6", withKind(6), "ERR:malformed"},
+		{"kind 7", withKind(7), "ERR:malformed"},
+		{"bundle skips nested and malformed",
+			Bundle(Put("a", []byte("1")), Bundle(Put("b", []byte("2"))), withKind(6), Put("c", []byte("3"))), "OK:2"},
+		{"nested bundle not applied", Get("b"), "<nil>"},
+		{"bundle applied", Get("c"), "3"},
+		{"nul-prefixed key: put", Put("\x00tx/l/k", []byte("v")), "OK"},
+		{"nul-prefixed key: get", Get("\x00tx/l/k"), "v"},
+		{"nul-prefixed key: delete", Delete("\x00tx/l/k"), "OK"},
+		{"nul-prefixed key: get after delete", Get("\x00tx/l/k"), "<nil>"},
+	}
+	ops := make([][]byte, len(tests))
+	for i, tt := range tests {
+		ops[i] = tt.op
+	}
+	a, b := New(), New()
+	ra, rb := a.ExecuteBlock(1, ops), b.ExecuteBlock(1, ops)
+	for i, tt := range tests {
+		got := string(ra[i])
+		if ra[i] == nil {
+			got = "<nil>"
+		}
+		if got != tt.want || !bytes.Equal(ra[i], rb[i]) {
+			t.Errorf("%s: got %q (other store %q), want %q", tt.name, ra[i], rb[i], tt.want)
+		}
+	}
+	if !bytes.Equal(a.Digest(), b.Digest()) {
+		t.Fatal("digests diverged")
+	}
+}
+
 func TestDigestDeterminism(t *testing.T) {
 	a, b := New(), New()
 	if !bytes.Equal(a.Digest(), b.Digest()) {
