@@ -25,9 +25,9 @@
 // certified single-replica reads and writes under crash windows,
 // whole-run forged-proof replicas, and partitioned laggards; every
 // forged reply must be rejected client-side and every verified read
-// audited against the certified frontier). "both" splits the seed range across default and byzantine,
-// keeping wall-time flat; both of those also run the EVM ledger
-// themselves on every fifth seed.
+// audited against the certified frontier). "both" splits the seed range
+// across default and byzantine, keeping wall-time flat; both of those
+// also run the EVM ledger themselves on every fifth seed.
 //
 // The -live flag (with -gen reads) replaces the simulator with a real
 // 4-node loopback-TCP deployment — real sockets, real timers — and
