@@ -17,8 +17,7 @@ import (
 )
 
 // KVApp is kvstore.Store as a core.Application (plus the optional
-// ChunkedSnapshotter and KeyReader extensions, which the store implements
-// itself).
+// KeyReader extension, which the store implements itself).
 type KVApp struct {
 	*kvstore.Store
 }
@@ -47,8 +46,7 @@ func VerifyKV(digest []byte, op, val []byte, seq uint64, l int, proof []byte) er
 	return kvstore.Verify(digest, op, val, seq, l, p)
 }
 
-// EVMApp is evm.Ledger as a core.Application (plus ChunkedSnapshotter
-// and KeyReader).
+// EVMApp is evm.Ledger as a core.Application (plus KeyReader).
 type EVMApp struct {
 	*evm.Ledger
 }

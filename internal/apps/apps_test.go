@@ -43,12 +43,12 @@ func TestKVAppProofRoundTrip(t *testing.T) {
 func TestKVAppSnapshotRestore(t *testing.T) {
 	a := NewKVApp()
 	a.ExecuteBlock(1, [][]byte{kvstore.Put("k", []byte("v"))})
-	snap, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	chunks, ok, err := a.SnapshotChunks()
+	if err != nil || !ok {
+		t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
 	}
 	b := NewKVApp()
-	if err := b.Restore(snap); err != nil {
+	if err := b.Restore(bytes.Join(chunks, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Digest(), b.Digest()) {

@@ -147,8 +147,8 @@ func TestCertifiedReadLaggardFailover(t *testing.T) {
 	if m.Executions == 0 {
 		t.Error("no executions counted despite committed writes")
 	}
-	// Checkpoints here capture through the incremental path (the KV app
-	// is a ChunkedSnapshotter), so written buckets must register dirty.
+	// Checkpoints capture incrementally (SnapshotChunks returns clean
+	// buckets as the same slices), so written buckets must register dirty.
 	if cl.Replicas[1].Metrics.CheckpointDirtyChunks == 0 {
 		t.Error("incremental checkpoint captures counted no dirty chunks")
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sbft/internal/crypto/threshsig"
@@ -26,18 +27,19 @@ import (
 //
 // Layout of the commitment tree (internal/merkle, domain-separated leaves):
 //
-//	leaf 0               header: app digest, app/table byte lengths, chunk size
-//	leaf 1 .. n_a        app snapshot bytes, split into ChunkSize pieces
-//	leaf n_a+1 .. n_a+n_t   canonical reply-table bytes, split likewise
+//	leaf 0               header: app digest, app/table byte lengths, chunk size, app chunk count
+//	leaf 1 .. n_a        the app chunks, as Application.SnapshotChunks returned them
+//	leaf n_a+1 .. n_a+n_t   canonical reply-table bytes, split into ChunkSize pieces
 //
-// Determinism contract: Application.Snapshot must produce identical bytes
-// on replicas with identical state (the kvstore and evm apps encode
-// key-sorted entries), and the reply table is serialized sorted by client
+// Determinism contract: Application.SnapshotChunks must produce identical
+// chunks on replicas with identical state (the kvstore and evm apps encode
+// key-sorted buckets), and the reply table is serialized sorted by client
 // id — so every honest replica computes the same root at the same
 // checkpoint sequence and the π quorum forms.
 
-// SnapshotChunkSize is the number of snapshot bytes committed per Merkle
-// leaf (and transferred per SnapshotChunkMsg).
+// SnapshotChunkSize is the number of reply-table bytes committed per
+// Merkle leaf (and transferred per SnapshotChunkMsg); app chunks keep the
+// lengths the application gave them.
 const SnapshotChunkSize = 8 * 1024
 
 // maxSnapshotLen bounds a header's claimed byte lengths; a sanity guard
@@ -53,10 +55,10 @@ type SnapshotHeader struct {
 	AppLen    uint64
 	TableLen  uint64
 	ChunkSize uint32
-	// AppChunks, when non-zero, declares the app snapshot as a list of
-	// VARIABLE-length chunks (the incremental bucketed capture: one chunk
-	// per bucket, sizes set by the application) instead of the legacy
-	// fixed ChunkSize split. Table chunks always use the fixed split.
+	// AppChunks is the number of app chunks. Their lengths are the
+	// application's (one chunk per bucket for the kvstore and evm apps),
+	// so only AppLen bounds each; the table chunks use the fixed
+	// ChunkSize split.
 	AppChunks uint32
 }
 
@@ -79,64 +81,43 @@ func ReadSnapshotHeader(r *snapcodec.Reader) SnapshotHeader {
 	}
 }
 
-// maxAppChunks bounds a header's declared variable chunk count; a sanity
-// guard against allocation bombs from malformed (never certified)
-// metadata.
+// maxAppChunks bounds a header's declared app chunk count; a sanity guard
+// against allocation bombs from malformed (never certified) metadata.
 const maxAppChunks = 1 << 20
 
-// chunkCount is ceil(n / size).
-func chunkCount(n uint64, size uint32) int {
-	if n == 0 {
+// tableChunks is the number of reply-table chunks: ceil(TableLen / ChunkSize).
+func (h SnapshotHeader) tableChunks() int {
+	if h.TableLen == 0 {
 		return 0
 	}
-	return int((n + uint64(size) - 1) / uint64(size))
-}
-
-// appChunkCount reports the number of app chunks: declared for the
-// variable-length capture, derived from AppLen for the legacy fixed split.
-func (h SnapshotHeader) appChunkCount() int {
-	if h.AppChunks > 0 {
-		return int(h.AppChunks)
-	}
-	return chunkCount(h.AppLen, h.ChunkSize)
+	return int((h.TableLen + uint64(h.ChunkSize) - 1) / uint64(h.ChunkSize))
 }
 
 // NumChunks reports the number of data chunks (Merkle leaves past the
 // header) the certified snapshot carries.
-func (h SnapshotHeader) NumChunks() int {
-	return h.appChunkCount() + chunkCount(h.TableLen, h.ChunkSize)
-}
+func (h SnapshotHeader) NumChunks() int { return int(h.AppChunks) + h.tableChunks() }
 
 // chunkLen reports the exact byte length of 1-based chunk index i, or -1
-// for variable-length app chunks (whose exact content only the leaf hash
-// authenticates).
+// for an app chunk (whose exact content only the leaf hash authenticates).
 func (h SnapshotHeader) chunkLen(i int) int {
-	na := h.appChunkCount()
-	if i <= na && h.AppChunks > 0 {
+	i -= int(h.AppChunks)
+	if i <= 0 {
 		return -1
 	}
-	lenOf := func(total uint64, pos int, count int) int {
-		if pos < count-1 {
-			return int(h.ChunkSize)
-		}
-		rem := total % uint64(h.ChunkSize)
-		if rem == 0 {
-			return int(h.ChunkSize)
-		}
+	if rem := h.TableLen % uint64(h.ChunkSize); i == h.tableChunks() && rem != 0 {
 		return int(rem)
 	}
-	if i <= na {
-		return lenOf(h.AppLen, i-1, na)
-	}
-	return lenOf(h.TableLen, i-na-1, h.NumChunks()-na)
+	return int(h.ChunkSize)
 }
 
 // valid performs cheap structural sanity checks (the certified root is
-// what actually authenticates a header; this only guards allocations).
+// what actually authenticates a header; this only guards allocations). A
+// header with app bytes but no app chunks is the retired fixed-split
+// layout, and is refused.
 func (h SnapshotHeader) valid() bool {
 	return h.ChunkSize > 0 && h.ChunkSize <= 1<<20 &&
 		h.AppLen <= maxSnapshotLen && h.TableLen <= maxSnapshotLen &&
-		h.AppChunks <= maxAppChunks &&
+		h.AppChunks <= maxAppChunks && (h.AppChunks > 0 || h.AppLen == 0) &&
 		len(h.AppDigest) <= 64
 }
 
@@ -197,23 +178,6 @@ type CertifiedSnapshot struct {
 	tree *merkle.Tree
 }
 
-// NewCertifiedSnapshot commits (app snapshot bytes, canonical reply-table
-// bytes) for a checkpoint sequence.
-func NewCertifiedSnapshot(seq uint64, appDigest, appSnap, tableBytes []byte) *CertifiedSnapshot {
-	cs := &CertifiedSnapshot{
-		Seq: seq,
-		Header: SnapshotHeader{
-			AppDigest: append([]byte(nil), appDigest...),
-			AppLen:    uint64(len(appSnap)),
-			TableLen:  uint64(len(tableBytes)),
-			ChunkSize: SnapshotChunkSize,
-		},
-	}
-	cs.Chunks = append(splitChunks(appSnap, SnapshotChunkSize), splitChunks(tableBytes, SnapshotChunkSize)...)
-	cs.build()
-	return cs
-}
-
 // CaptureCache carries the app-chunk leaf hashes of one replica's latest
 // capture across checkpoints. Clean chunks are recognized by slice
 // identity (the incremental capture contract: an unchanged chunk is
@@ -235,10 +199,32 @@ func sameSlice(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// NewCertifiedSnapshotChunked commits a pre-chunked app snapshot (the
-// incremental capture path: variable-length chunks, one per bucket) plus
-// the canonical reply-table bytes. With a cache from the previous capture,
-// only chunks whose slices changed are re-hashed.
+// hash returns the leaf hashes of a capture's app chunks, re-hashing only
+// the chunks whose slices changed since the previous capture, and keeps
+// this capture for the next. A nil cache returns nil: build hashes every
+// chunk.
+func (c *CaptureCache) hash(chunks [][]byte) []merkle.Digest {
+	if c == nil {
+		return nil
+	}
+	leaves := make([]merkle.Digest, len(chunks))
+	c.dirty = 0
+	for i, chunk := range chunks {
+		if i < len(c.chunks) && sameSlice(c.chunks[i], chunk) {
+			leaves[i] = c.leaves[i]
+		} else {
+			leaves[i] = chunkLeafHash(i+1, chunk)
+			c.dirty++
+		}
+	}
+	c.chunks, c.leaves = append([][]byte(nil), chunks...), leaves
+	return leaves
+}
+
+// NewCertifiedSnapshotChunked commits an application's snapshot chunks
+// plus the canonical reply-table bytes for a checkpoint sequence. With a
+// cache from the previous capture, only chunks whose slices changed are
+// re-hashed.
 func NewCertifiedSnapshotChunked(seq uint64, appDigest []byte, appChunks [][]byte, tableBytes []byte, cache *CaptureCache) *CertifiedSnapshot {
 	var appLen uint64
 	for _, c := range appChunks {
@@ -254,44 +240,18 @@ func NewCertifiedSnapshotChunked(seq uint64, appDigest []byte, appChunks [][]byt
 			AppChunks: uint32(len(appChunks)),
 		},
 	}
-	tableChunks := splitChunks(tableBytes, SnapshotChunkSize)
-	cs.Chunks = make([][]byte, 0, len(appChunks)+len(tableChunks))
-	cs.Chunks = append(cs.Chunks, appChunks...)
-	cs.Chunks = append(cs.Chunks, tableChunks...)
-
-	leaves := make([]merkle.Digest, 1+len(cs.Chunks))
-	leaves[0] = merkle.LeafHash(headerLeaf(cs.Header))
-	appLeaves := make([]merkle.Digest, len(appChunks))
-	dirty := 0
-	for i, c := range appChunks {
-		if cache != nil && i < len(cache.chunks) && sameSlice(cache.chunks[i], c) {
-			appLeaves[i] = cache.leaves[i]
-		} else {
-			appLeaves[i] = chunkLeafHash(i+1, c)
-			dirty++
-		}
-		leaves[1+i] = appLeaves[i]
-	}
-	for j, c := range tableChunks {
-		leaves[1+len(appChunks)+j] = chunkLeafHash(len(appChunks)+j+1, c)
-	}
-	cs.tree = merkle.NewTreeFromHashes(leaves)
-	root := cs.tree.Root()
-	cs.root = root[:]
-	if cache != nil {
-		cache.chunks = append([][]byte(nil), appChunks...)
-		cache.leaves = appLeaves
-		cache.dirty = dirty
-	}
+	cs.Chunks = slices.Concat(appChunks, splitChunks(tableBytes, SnapshotChunkSize))
+	cs.build(cache.hash(appChunks))
 	return cs
 }
 
-// build computes the commitment tree from Header and Chunks.
-func (cs *CertifiedSnapshot) build() {
+// build computes the commitment tree from Header and Chunks. The leaves of
+// the first len(known) chunks are taken from known; the rest are hashed.
+func (cs *CertifiedSnapshot) build(known []merkle.Digest) {
 	leaves := make([]merkle.Digest, 1+len(cs.Chunks))
 	leaves[0] = merkle.LeafHash(headerLeaf(cs.Header))
-	for i, c := range cs.Chunks {
-		leaves[i+1] = chunkLeafHash(i+1, c)
+	for i := copy(leaves[1:], known); i < len(cs.Chunks); i++ {
+		leaves[i+1] = chunkLeafHash(i+1, cs.Chunks[i])
 	}
 	cs.tree = merkle.NewTreeFromHashes(leaves)
 	root := cs.tree.Root()
@@ -459,10 +419,10 @@ func DecodeCertifiedSnapshot(data []byte) (*CertifiedSnapshot, error) {
 			return nil, fmt.Errorf("core: stored snapshot chunk %d length mismatch", i+1)
 		}
 	}
-	if cs.Header.AppChunks > 0 && appSum != cs.Header.AppLen {
+	if appSum != cs.Header.AppLen {
 		return nil, fmt.Errorf("core: stored snapshot app chunks sum %d, want %d", appSum, cs.Header.AppLen)
 	}
-	cs.build()
+	cs.build(nil)
 	return cs, nil
 }
 

@@ -18,12 +18,18 @@ func testCache() map[int]replyCacheEntry {
 	}
 }
 
+// certifiedSplit commits app bytes cut into SnapshotChunkSize app chunks,
+// the shape most snapshots in these tests take.
+func certifiedSplit(seq uint64, appDigest, app, table []byte) *CertifiedSnapshot {
+	return NewCertifiedSnapshotChunked(seq, appDigest, splitChunks(app, SnapshotChunkSize), table, nil)
+}
+
 // TestCertifiedSnapshotRoundTrip covers build → prove → verify → assemble
 // → decode for a multi-chunk snapshot.
 func TestCertifiedSnapshotRoundTrip(t *testing.T) {
 	app := bytes.Repeat([]byte{0xAB}, 3*SnapshotChunkSize+17) // 4 app chunks
 	table := encodeReplyTable(testCache())
-	cs := NewCertifiedSnapshot(8, []byte("app-digest"), app, table)
+	cs := certifiedSplit(8, []byte("app-digest"), app, table)
 
 	if got, want := len(cs.Chunks), cs.Header.NumChunks(); got != want {
 		t.Fatalf("chunks %d, header says %d", got, want)
@@ -68,7 +74,7 @@ func TestCertifiedSnapshotRoundTrip(t *testing.T) {
 func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 	app := bytes.Repeat([]byte{0xCD}, SnapshotChunkSize+100)
 	table := encodeReplyTable(testCache())
-	cs := NewCertifiedSnapshot(4, []byte("app-digest"), app, table)
+	cs := certifiedSplit(4, []byte("app-digest"), app, table)
 
 	for i := 1; i <= len(cs.Chunks); i++ {
 		p, err := cs.ProveChunk(i)
@@ -85,7 +91,7 @@ func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 	// A chunk served at the wrong position must not verify either, even
 	// with its own (correct) proof.
 	p1, _ := cs.ProveChunk(1)
-	if err := VerifySnapshotChunk(cs.Root(), cs.Header, 2, cs.Chunks[0][:cs.Header.chunkLen(2)], p1); err == nil {
+	if err := VerifySnapshotChunk(cs.Root(), cs.Header, 2, cs.Chunks[0][:len(cs.Chunks[1])], p1); err == nil {
 		t.Fatal("chunk accepted at the wrong index")
 	}
 
@@ -103,16 +109,16 @@ func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 // property that lets independent replicas reach the π quorum.
 func TestCertifiedSnapshotDeterminism(t *testing.T) {
 	app := bytes.Repeat([]byte{7}, 1000)
-	a := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(testCache()))
+	a := certifiedSplit(4, []byte("d"), app, encodeReplyTable(testCache()))
 	other := map[int]replyCacheEntry{}
 	for c, e := range testCache() { // re-insert in map order (arbitrary)
 		other[c] = e
 	}
-	b := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(other))
+	b := certifiedSplit(4, []byte("d"), app, encodeReplyTable(other))
 	if !bytes.Equal(a.Root(), b.Root()) {
 		t.Fatal("roots differ for identical state")
 	}
-	c := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(map[int]replyCacheEntry{}))
+	c := certifiedSplit(4, []byte("d"), app, encodeReplyTable(map[int]replyCacheEntry{}))
 	if bytes.Equal(a.Root(), c.Root()) {
 		t.Fatal("root ignores the reply table")
 	}
@@ -121,13 +127,42 @@ func TestCertifiedSnapshotDeterminism(t *testing.T) {
 // TestStoredSnapshotRejectsCorruption: the durable blob re-validates shape
 // on load.
 func TestStoredSnapshotRejectsCorruption(t *testing.T) {
-	cs := NewCertifiedSnapshot(4, []byte("d"), bytes.Repeat([]byte{1}, 100), encodeReplyTable(testCache()))
+	cs := certifiedSplit(4, []byte("d"), bytes.Repeat([]byte{1}, 100), encodeReplyTable(testCache()))
 	blob := cs.Encode()
 	if _, err := DecodeCertifiedSnapshot(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated blob decoded")
 	}
 	if _, err := DecodeCertifiedSnapshot([]byte("garbage")); err == nil {
 		t.Fatal("garbage blob decoded")
+	}
+}
+
+// legacySnapshot commits app bytes in the retired fixed-split layout: the
+// bytes counted in AppLen but no app chunks declared, the leaves cut at
+// ChunkSize.
+func legacySnapshot() *CertifiedSnapshot {
+	app := bytes.Repeat([]byte{2}, SnapshotChunkSize+17)
+	cs := &CertifiedSnapshot{Seq: 8, Chunks: splitChunks(app, SnapshotChunkSize),
+		Header: SnapshotHeader{AppDigest: []byte("d"), AppLen: uint64(len(app)), ChunkSize: SnapshotChunkSize}}
+	cs.build(nil)
+	return cs
+}
+
+// TestLegacyHeaderRefused: a header with app bytes but no app chunks is
+// the fixed-split layout, which no capture produces any more. Neither a
+// fetcher (VerifySnapshotHeader) nor a restart (DecodeCertifiedSnapshot)
+// takes it, however well its tree is formed.
+func TestLegacyHeaderRefused(t *testing.T) {
+	cs := legacySnapshot()
+	hp, err := cs.ProveHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySnapshotHeader(cs.Root(), cs.Header, hp); err == nil {
+		t.Fatal("VerifySnapshotHeader accepted AppChunks 0 with AppLen > 0")
+	}
+	if _, err := DecodeCertifiedSnapshot(cs.Encode()); err == nil {
+		t.Fatal("DecodeCertifiedSnapshot accepted AppChunks 0 with AppLen > 0")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"sort"
 
@@ -25,8 +26,8 @@ func (r *Replica) initiateCheckpoint(seq uint64, appDigest []byte) {
 	cs, err := r.buildSnapshot(seq, appDigest)
 	if err != nil {
 		// The certified root cannot be computed without the snapshot
-		// bytes, so this replica abstains from this checkpoint (the π
-		// quorum needs only f+1 of n; a deterministic app's Snapshot
+		// chunks, so this replica abstains from this checkpoint (the π
+		// quorum needs only f+1 of n; a deterministic app's capture
 		// failing on a quorum of replicas is an application bug, not a
 		// protocol state).
 		r.Metrics.CaptureFailures++
@@ -230,9 +231,8 @@ type snapChain struct {
 	// the full state.
 	snapGens []*snapGeneration
 	// capCache carries chunk identities and leaf hashes between
-	// consecutive checkpoint captures, so an application with an
-	// incremental capture path (ChunkedSnapshotter) costs
-	// O(chunks-changed) per checkpoint rather than O(state).
+	// consecutive checkpoint captures, so a checkpoint costs
+	// O(chunks-changed) rather than O(state).
 	capCache *CaptureCache
 	// pendingSnap holds certified snapshots captured at the moment a
 	// checkpoint sequence executed, keyed by that sequence. Stabilization
@@ -257,32 +257,24 @@ func newSnapChain(retain int, env Env, store BlockStore, metrics *Metrics) snapC
 }
 
 // capture builds the certified snapshot of app at seq over its digest and
-// the encoded reply table, chunked and Merkle-committed. Applications
-// exposing the incremental capture path (ChunkedSnapshotter) are captured
-// chunk-by-chunk through the capture cache: clean chunks (recognized by
-// slice identity, per the interface contract) reuse their previous leaf
-// hashes, so the capture stall is proportional to writes since the last
-// checkpoint, not to state size.
+// the encoded reply table, chunk by chunk through the capture cache: clean
+// chunks (recognized by slice identity, per the ChunkedSnapshotter
+// contract) reuse their previous leaf hashes, so the capture stall is
+// proportional to writes since the last checkpoint, not to state size.
 func (c *snapChain) capture(app Application, seq uint64, appDigest, replyTable []byte) (*CertifiedSnapshot, error) {
-	if ca, ok := app.(ChunkedSnapshotter); ok {
-		chunks, supported, err := ca.SnapshotChunks()
-		if err != nil {
-			return nil, err
-		}
-		if supported {
-			if c.capCache == nil {
-				c.capCache = &CaptureCache{}
-			}
-			cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, replyTable, c.capCache)
-			c.metrics.CheckpointDirtyChunks += uint64(c.capCache.DirtyChunks())
-			return cs, nil
-		}
-	}
-	appSnap, err := app.Snapshot()
+	chunks, ok, err := app.SnapshotChunks()
 	if err != nil {
 		return nil, err
 	}
-	return NewCertifiedSnapshot(seq, appDigest, appSnap, replyTable), nil
+	if !ok {
+		return nil, errors.New("core: application returned no snapshot chunks")
+	}
+	if c.capCache == nil {
+		c.capCache = &CaptureCache{}
+	}
+	cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, replyTable, c.capCache)
+	c.metrics.CheckpointDirtyChunks += uint64(c.capCache.DirtyChunks())
+	return cs, nil
 }
 
 // restored forgets the capture cache: a Restore replaced application state

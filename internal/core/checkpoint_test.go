@@ -21,7 +21,7 @@ func plainSnapshot(seq uint64, fill byte) *CertifiedSnapshot {
 	for i := SnapshotChunkSize; i < 2*SnapshotChunkSize; i++ {
 		app[i] = fill
 	}
-	return NewCertifiedSnapshot(seq, []byte{0}, app, encodeReplyTable(nil))
+	return certifiedSplit(seq, []byte{0}, app, encodeReplyTable(nil))
 }
 
 func TestSnapChainRetainsAndTrims(t *testing.T) {

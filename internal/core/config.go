@@ -57,15 +57,6 @@ type Config struct {
 	// CheckpointInterval is the stable-checkpoint period (paper: win/2).
 	// Zero derives win/2.
 	CheckpointInterval uint64
-	// FetchWindow bounds in-flight snapshot chunk requests during state
-	// transfer (flow control, §VIII): the window refills as verified
-	// chunks land. Zero derives the default 32.
-	FetchWindow int
-	// ChunkRetryTimeout is how long one outstanding snapshot-chunk
-	// request may stay unanswered before it is re-issued to another
-	// server (and the unresponsive server loses scheduler share). Zero
-	// derives 2×GapRepairTimeout (500ms when that is unset).
-	ChunkRetryTimeout time.Duration
 	// SnapshotRetain bounds the chain of certified snapshot generations a
 	// replica keeps for serving state transfer (plus the delta sets
 	// between consecutive generations). A deeper chain lets a transfer
@@ -91,7 +82,6 @@ func DefaultConfig(f, c int) Config {
 		GapRepairTimeout:    250 * time.Millisecond,
 		ViewChangeTimeout:   2 * time.Second,
 		CollectorStagger:    50 * time.Millisecond,
-		FetchWindow:         32,
 	}
 }
 
@@ -109,16 +99,10 @@ func (c Config) Validate() error {
 	if c.Batch < 1 {
 		return fmt.Errorf("core: Batch must be ≥ 1, got %d", c.Batch)
 	}
-	// Zero means "derive the default" for each of these; a negative value
-	// would arm a zero or negative timer, or size a window below one.
+	// Zero means "derive the default" for both; a negative value would
+	// size the admission queue or the snapshot chain below one.
 	if c.MaxPending < 0 {
 		return fmt.Errorf("core: MaxPending must be ≥ 0, got %d", c.MaxPending)
-	}
-	if c.FetchWindow < 0 {
-		return fmt.Errorf("core: FetchWindow must be ≥ 0, got %d", c.FetchWindow)
-	}
-	if c.ChunkRetryTimeout < 0 {
-		return fmt.Errorf("core: ChunkRetryTimeout must be ≥ 0, got %v", c.ChunkRetryTimeout)
 	}
 	if c.SnapshotRetain < 0 {
 		return fmt.Errorf("core: SnapshotRetain must be ≥ 0, got %d", c.SnapshotRetain)
@@ -153,19 +137,16 @@ func (c Config) checkpointEvery() uint64 {
 // the fast path for s ∈ [le, le + win/4].
 func (c Config) fastGateWindow() uint64 { return c.Win / 4 }
 
-// fetchWindow is the effective in-flight chunk window for state transfer.
-func (c Config) fetchWindow() int {
-	if c.FetchWindow > 0 {
-		return c.FetchWindow
-	}
-	return 32
-}
+// fetchWindow bounds in-flight snapshot chunk requests during state
+// transfer (flow control, §VIII): the window refills as verified chunks
+// land.
+const fetchWindow = 32
 
-// chunkRetryTimeout is the effective per-chunk retry interval (> 0).
+// chunkRetryTimeout is how long one outstanding snapshot-chunk request may
+// stay unanswered before it is re-issued to another server (and the
+// unresponsive server loses scheduler share): 2×GapRepairTimeout, 500ms
+// when that is unset.
 func (c Config) chunkRetryTimeout() time.Duration {
-	if c.ChunkRetryTimeout != 0 {
-		return c.ChunkRetryTimeout
-	}
 	if c.GapRepairTimeout > 0 {
 		return 2 * c.GapRepairTimeout
 	}
@@ -299,19 +280,20 @@ type Application interface {
 	Digest() []byte
 	// ProveOperation returns the encoded proof(o, l, s, D, val).
 	ProveOperation(seq uint64, l int) ([]byte, error)
-	// Snapshot and Restore implement state transfer.
-	Snapshot() ([]byte, error)
+	// SnapshotChunks captures the state for checkpoints and state
+	// transfer (§V-F, §VIII); Restore installs the concatenation of a
+	// capture's chunks.
+	ChunkedSnapshotter
 	Restore([]byte) error
 	// GarbageCollect drops proof material below keepFrom.
 	GarbageCollect(keepFrom uint64)
 }
 
-// ChunkedSnapshotter is the optional incremental-capture extension of
-// Application. SnapshotChunks returns the snapshot as a chunk list whose
-// concatenation Restore accepts, with ok=false meaning "not supported
-// here" (wrappers forward the call statically and report their inner
-// app's answer, so all replicas of a deployment take the same capture
-// path — mixing paths would diverge the certified chunk layout).
+// ChunkedSnapshotter is the capture half of Application. SnapshotChunks
+// returns the state as a chunk list; every chunk is one leaf of the
+// certified commitment tree. ok=false is a capture failure, like a
+// non-nil err: the replica counts it in Metrics.CaptureFailures and sends
+// no π share for that checkpoint.
 //
 // Incremental contract: a chunk whose content is unchanged since the
 // previous SnapshotChunks call MUST be returned as the identical byte
@@ -329,8 +311,7 @@ type ChunkedSnapshotter interface {
 // snapshot's bucketed chunk layout without ordering. Operations with side
 // effects, or apps without a stable key mapping, return an error — the
 // replica then answers ReadUnavailable and the client falls back to the
-// ordering path. Wrappers forward the call statically, like
-// ChunkedSnapshotter.
+// ordering path. Wrappers must forward the call statically.
 type KeyReader interface {
 	ReadKey(op []byte) (string, error)
 }

@@ -41,9 +41,9 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(1, 0).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	// Every rejection names the offending field. The last four are the
+	// Every rejection names the offending field. The last two are the
 	// "zero derives the default" fields, where a negative value would
-	// otherwise arm a zero or negative timer or size a window below one.
+	// otherwise size the admission queue or the snapshot chain below one.
 	tests := []struct {
 		field string
 		set   func(*Config)
@@ -53,8 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		{"Win", func(c *Config) { c.Win = 2 }},
 		{"Batch", func(c *Config) { c.Batch = 0 }},
 		{"MaxPending", func(c *Config) { c.MaxPending = -1 }},
-		{"FetchWindow", func(c *Config) { c.FetchWindow = -1 }},
-		{"ChunkRetryTimeout", func(c *Config) { c.ChunkRetryTimeout = -1 }},
 		{"SnapshotRetain", func(c *Config) { c.SnapshotRetain = -1 }},
 	}
 	for _, tt := range tests {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // chunkSnaps builds two same-shape app snapshots (3 full chunks) that
 // differ only inside the second chunk, so the certified delta between
 // them is exactly chunk index 2.
-func chunkSnaps() (a, b []byte) {
-	a = bytes.Repeat([]byte{0xA1}, 3*SnapshotChunkSize)
-	b = append([]byte(nil), a...)
-	b[SnapshotChunkSize+100] ^= 0xFF
+func chunkSnaps() (a, b [][]byte) {
+	a = splitChunks(bytes.Repeat([]byte{0xA1}, 3*SnapshotChunkSize), SnapshotChunkSize)
+	b = slices.Clone(a)
+	b[1] = bytes.Clone(b[1])
+	b[1][100] ^= 0xFF
 	return a, b
 }
 
@@ -35,14 +37,14 @@ func deltaMetaOf(t *testing.T, cs *CertifiedSnapshot, base uint64, delta []int) 
 
 func TestSnapshotDeltaLeafDiff(t *testing.T) {
 	sa, sb := chunkSnaps()
-	csA := NewCertifiedSnapshot(4, []byte{0}, sa, encodeReplyTable(nil))
-	csB := NewCertifiedSnapshot(8, []byte{0}, sb, encodeReplyTable(nil))
+	csA := NewCertifiedSnapshotChunked(4, []byte{0}, sa, encodeReplyTable(nil), nil)
+	csB := NewCertifiedSnapshotChunked(8, []byte{0}, sb, encodeReplyTable(nil), nil)
 	got := snapshotDelta(csA, csB)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("snapshotDelta = %v, want [2]", got)
 	}
 	// Growth: a successor with more chunks includes every new index.
-	csC := NewCertifiedSnapshot(12, []byte{0}, bytes.Repeat([]byte{0xA1}, 5*SnapshotChunkSize), encodeReplyTable(nil))
+	csC := certifiedSplit(12, []byte{0}, bytes.Repeat([]byte{0xA1}, 5*SnapshotChunkSize), encodeReplyTable(nil))
 	grown := snapshotDelta(csA, csC)
 	want := map[int]bool{5: true, 6: true} // two new app chunks (table chunk shifts index)
 	for _, idx := range grown {
@@ -79,8 +81,9 @@ func TestRetentionChainBounded(t *testing.T) {
 func TestDeltaSinceUnionAcrossGenerations(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	sa, sb := chunkSnaps()
-	sc := append([]byte(nil), sb...)
-	sc[100] ^= 0xFF // third generation additionally dirties chunk 1
+	sc := slices.Clone(sb)
+	sc[0] = bytes.Clone(sc[0])
+	sc[0][100] ^= 0xFF // third generation additionally dirties chunk 1
 	rg.r.snaps.adopt(certifiedSized(t, rg, 4, sa, nil))
 	rg.r.snaps.adopt(certifiedSized(t, rg, 8, sb, nil))
 	rg.r.snaps.adopt(certifiedSized(t, rg, 12, sc, nil))
@@ -301,7 +304,7 @@ func TestLyingDeltaListBlamedAndRefetched(t *testing.T) {
 func TestLaggardServerDemotedOnStaleMeta(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	old := certifiedAt(t, rg, 4, nil)
-	cur := certifiedSized(t, rg, 8, bytes.Repeat([]byte("y"), 64*1024), nil)
+	cur := certifiedSized(t, rg, 8, splitChunks(bytes.Repeat([]byte("y"), 64*1024), SnapshotChunkSize), nil)
 
 	rg.r.fetcher.want(8)
 	deliverMeta(t, rg, cur, 3)

@@ -24,17 +24,21 @@ func (refusingStore) LoadSnapshot(uint64) ([]byte, error) {
 func (refusingStore) LatestSnapshot() (uint64, error) { return 0, nil }
 func (refusingStore) PruneSnapshots(uint64) error     { return nil }
 
-// brokenApp fails the calls it is told to.
+// brokenApp fails the calls it is told to. noChunks answers
+// SnapshotChunks with ok=false and no error.
 type brokenApp struct {
 	fakeApp
-	failSnapshot, failProve bool
+	failSnapshot, noChunks, failProve bool
 }
 
-func (a *brokenApp) Snapshot() ([]byte, error) {
-	if a.failSnapshot {
-		return nil, errors.New("snapshot failed")
+func (a *brokenApp) SnapshotChunks() ([][]byte, bool, error) {
+	switch {
+	case a.failSnapshot:
+		return nil, false, errors.New("snapshot failed")
+	case a.noChunks:
+		return nil, false, nil
 	}
-	return a.fakeApp.Snapshot()
+	return a.fakeApp.SnapshotChunks()
 }
 
 func (a *brokenApp) ProveOperation(seq uint64, l int) ([]byte, error) {
@@ -163,4 +167,22 @@ func TestCaptureFailuresCount(t *testing.T) {
 	})
 	// A fetched snapshot the host refuses to install is
 	// TestFetcherInstallErrorStartsOverAtTheSameTarget's.
+}
+
+// TestCaptureRefusesUnchunkedApp: an application that answers
+// SnapshotChunks with ok=false has given the engine nothing to commit.
+// The checkpoint is a capture failure — counted, with no π share sent —
+// not a fall back to some other layout.
+func TestCaptureRefusesUnchunkedApp(t *testing.T) {
+	rg := counterRig(t, 2, &brokenApp{noChunks: true}, nil, nil)
+	commitBlock(t, rg, 1, []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("op")}})
+	if rg.r.LastExecuted() != 1 || rg.r.Metrics.CaptureFailures != 1 {
+		t.Fatalf("executed %d with CaptureFailures = %d, want 1 and 1", rg.r.LastExecuted(), rg.r.Metrics.CaptureFailures)
+	}
+	if rg.sentOfType(func(m Message) bool { s, ok := m.(CheckpointShareMsg); return ok && s.Seq == 1 }) != 0 {
+		t.Fatal("a checkpoint share went out for a capture the application refused")
+	}
+	if _, ok := rg.r.snaps.pendingSnap[1]; ok {
+		t.Fatal("a refused capture is pending adoption")
+	}
 }

@@ -367,7 +367,7 @@ func (m SnapshotMetaMsg) WireSize() int {
 
 // FetchSnapshotChunkMsg requests one chunk (1-based Merkle leaf index)
 // of the certified snapshot at Seq. A recovering replica keeps a bounded
-// window of these in flight (Config.FetchWindow), routes each through a
+// window of these in flight (fetchWindow), routes each through a
 // per-server scheduler that prefers lightly-loaded, fast servers, and
 // re-issues a request to a different server when it times out or its
 // chunk fails verification.

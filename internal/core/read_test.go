@@ -249,15 +249,16 @@ func TestVerifyReadReplyRelabeledProof(t *testing.T) {
 }
 
 // TestVerifyReadReplyNonBucketed pins the AppChunks ≥ 2 requirement: a
-// genuinely certified legacy (fixed-split, non-bucketed) snapshot cannot
-// serve key reads, however valid its certificate.
+// genuinely certified snapshot whose app state is one chunk (no bucket
+// prelude and buckets) cannot serve key reads, however valid its
+// certificate.
 func TestVerifyReadReplyNonBucketed(t *testing.T) {
 	cfg := DefaultConfig(1, 0)
 	suite, keys, err := InsecureSuite(cfg, "read-verify")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewCertifiedSnapshot(9, []byte("d"), []byte("legacy-app-bytes"), []byte("table"))
+	cs := NewCertifiedSnapshotChunked(9, []byte("d"), [][]byte{[]byte("one-app-chunk")}, []byte("table"), nil)
 	cs.Pi = certify(t, suite, keys, cs.Seq, cs.Root())
 	hp, err := cs.ProveHeader()
 	if err != nil {

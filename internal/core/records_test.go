@@ -75,11 +75,11 @@ func FuzzDecodeBlockRecord(f *testing.F) {
 
 func snapshotSamples() []*CertifiedSnapshot {
 	table := encodeReplyTable(map[int]replyCacheEntry{ClientBase: {timestamp: 5, seq: 8, l: 0, val: []byte("ok")}})
-	plain := NewCertifiedSnapshot(8, bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 3*SnapshotChunkSize+17), table)
-	plain.Pi = threshsig.Signature{Data: bytes.Repeat([]byte{9}, 33)}
+	split := certifiedSplit(8, bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 3*SnapshotChunkSize+17), table)
+	split.Pi = threshsig.Signature{Data: bytes.Repeat([]byte{9}, 33)}
 	chunked := NewCertifiedSnapshotChunked(16, bytes.Repeat([]byte{1}, 32),
 		[][]byte{[]byte("hdr"), bytes.Repeat([]byte{6}, 1<<20), []byte("b2")}, table, nil)
-	return []*CertifiedSnapshot{plain, chunked, NewCertifiedSnapshot(0, nil, nil, nil)}
+	return []*CertifiedSnapshot{split, chunked, NewCertifiedSnapshotChunked(0, nil, nil, nil, nil)}
 }
 
 func TestStoredSnapshotRoundTrip(t *testing.T) {
@@ -98,6 +98,7 @@ func TestStoredSnapshotRoundTrip(t *testing.T) {
 }
 
 func FuzzDecodeStoredSnapshot(f *testing.F) {
+	f.Add(legacySnapshot().Encode()) // refused: the retired fixed-split layout
 	for _, cs := range snapshotSamples() {
 		if enc := cs.Encode(); len(enc) < 1<<16 {
 			f.Add(enc)

@@ -56,9 +56,11 @@ func (a *countingApp) Digest() []byte {
 	return d
 }
 func (a *countingApp) ProveOperation(uint64, int) ([]byte, error) { return []byte("p"), nil }
-func (a *countingApp) Snapshot() ([]byte, error)                  { return []byte("s"), nil }
-func (a *countingApp) Restore([]byte) error                       { return nil }
-func (a *countingApp) GarbageCollect(uint64)                      {}
+func (a *countingApp) SnapshotChunks() ([][]byte, bool, error) {
+	return [][]byte{[]byte("s")}, true, nil
+}
+func (a *countingApp) Restore([]byte) error  { return nil }
+func (a *countingApp) GarbageCollect(uint64) {}
 
 func commitBlock(t *testing.T, rg *rig, seq uint64, reqs []Request) {
 	t.Helper()

@@ -29,9 +29,11 @@ func (a *fakeApp) Digest() []byte {
 	return d
 }
 func (a *fakeApp) ProveOperation(uint64, int) ([]byte, error) { return []byte("proof"), nil }
-func (a *fakeApp) Snapshot() ([]byte, error)                  { return []byte("snap"), nil }
-func (a *fakeApp) Restore([]byte) error                       { return nil }
-func (a *fakeApp) GarbageCollect(uint64)                      {}
+func (a *fakeApp) SnapshotChunks() ([][]byte, bool, error) {
+	return [][]byte{[]byte("snap")}, true, nil
+}
+func (a *fakeApp) Restore([]byte) error  { return nil }
+func (a *fakeApp) GarbageCollect(uint64) {}
 
 // rig holds a replica under test plus all peer signing keys so the test
 // can forge valid protocol messages from other replicas.

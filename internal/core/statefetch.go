@@ -544,9 +544,8 @@ func (ft *fetcher) fillWindow() {
 	if f == nil || f.seq == 0 || f.missing == 0 {
 		return
 	}
-	win := ft.cfg.fetchWindow()
 	n := len(f.chunks)
-	for scanned := 0; len(f.inflight) < win && scanned < n; scanned++ {
+	for scanned := 0; len(f.inflight) < fetchWindow && scanned < n; scanned++ {
 		idx := f.next
 		f.next++
 		if f.next > n {
@@ -617,7 +616,7 @@ func (ft *fetcher) strike(f *stateFetch, server int) {
 }
 
 // armPacer runs the per-chunk retry scan: an outstanding request
-// unanswered for ChunkRetryTimeout is treated as lost and its chunk
+// unanswered for chunkRetryTimeout is treated as lost and its chunk
 // re-enters the window toward a better server. A dropped SnapshotChunkMsg
 // now costs one retry interval instead of a whole-transfer restart.
 func (ft *fetcher) armPacer() {
@@ -713,7 +712,7 @@ func (ft *fetcher) finish() {
 	// local base were vouched for only by the meta's ADVISORY delta list
 	// — this whole-snapshot check is what makes that list safe to act on.
 	cs := &CertifiedSnapshot{Seq: f.seq, Header: f.header, Chunks: f.chunks, Pi: f.pi}
-	cs.build()
+	cs.build(nil)
 	if !bytes.Equal(cs.Root(), f.root) {
 		if len(f.prefilled) > 0 {
 			// A lying delta list claimed changed chunks clean. Blame its

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -69,17 +68,17 @@ func (fr *fetchRig) adoptMeta(m SnapshotMetaMsg, from int) {
 func isFetchState(m Message) bool { _, ok := m.(FetchStateMsg); return ok }
 
 func TestFetcherWindowNeverExceeded(t *testing.T) {
-	fr := newFetchRig(t, func(c *Config) { c.FetchWindow = 3 })
-	cs := certifiedSized(t, fr.rig, 4, bytes.Repeat([]byte("w"), 10*SnapshotChunkSize), nil)
-	if len(cs.Chunks) < 9 {
+	fr := newFetchRig(t, nil)
+	cs := certifiedSized(t, fr.rig, 4, tinyChunks(100), nil)
+	if len(cs.Chunks) < 3*fetchWindow {
 		t.Fatalf("snapshot has %d chunks; the test needs several windows", len(cs.Chunks))
 	}
 	fr.ft.want(4)
 	fr.adoptMeta(metaOf(t, cs), 2)
 	for fr.ft.fetch != nil {
 		f := fr.ft.fetch
-		if len(f.inflight) == 0 || len(f.inflight) > 3 {
-			t.Fatalf("%d requests in flight with %d chunks missing, window 3", len(f.inflight), f.missing)
+		if len(f.inflight) == 0 || len(f.inflight) > fetchWindow {
+			t.Fatalf("%d requests in flight with %d chunks missing, window %d", len(f.inflight), f.missing, fetchWindow)
 		}
 		// Answer the lowest outstanding request from whoever was asked.
 		next, server := 0, 0

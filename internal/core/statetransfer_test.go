@@ -9,12 +9,11 @@ import (
 )
 
 // certifiedSized builds a valid certified snapshot at seq over the given
-// app snapshot bytes, π-signed by the rig's keys, matching fakeApp's
-// genesis digest (Restore is a no-op and Digest of the untouched fakeApp
-// is [0]).
-func certifiedSized(t *testing.T, rg *rig, seq uint64, appSnap []byte, table map[int]replyCacheEntry) *CertifiedSnapshot {
+// app chunks, π-signed by the rig's keys, matching fakeApp's genesis
+// digest (Restore is a no-op and Digest of the untouched fakeApp is [0]).
+func certifiedSized(t *testing.T, rg *rig, seq uint64, appChunks [][]byte, table map[int]replyCacheEntry) *CertifiedSnapshot {
 	t.Helper()
-	cs := NewCertifiedSnapshot(seq, rg.app.Digest(), appSnap, encodeReplyTable(table))
+	cs := NewCertifiedSnapshotChunked(seq, rg.app.Digest(), appChunks, encodeReplyTable(table), nil)
 	sd := CheckpointSigDigest(seq, cs.Root())
 	var shares []threshsig.Share
 	for i := 0; i < rg.cfg.QuorumExec(); i++ {
@@ -35,8 +34,12 @@ func certifiedSized(t *testing.T, rg *rig, seq uint64, appSnap []byte, table map
 // certifiedAt is certifiedSized with a small default app snapshot.
 func certifiedAt(t *testing.T, rg *rig, seq uint64, table map[int]replyCacheEntry) *CertifiedSnapshot {
 	t.Helper()
-	return certifiedSized(t, rg, seq, bytes.Repeat([]byte("snap"), 64), table)
+	return certifiedSized(t, rg, seq, [][]byte{bytes.Repeat([]byte("snap"), 64)}, table)
 }
+
+// tinyChunks is n one-byte app chunks: a snapshot spanning several fetch
+// windows at almost no cost.
+func tinyChunks(n int) [][]byte { return splitChunks(bytes.Repeat([]byte("t"), n), 1) }
 
 func metaOf(t *testing.T, cs *CertifiedSnapshot) SnapshotMetaMsg {
 	t.Helper()
@@ -165,7 +168,7 @@ func TestChunkedStateTransferBlamesTamperedChunk(t *testing.T) {
 // slice — which could re-ask the excluded server or the same one again.)
 func TestTamperedChunkRefetchAvoidsBlamedServer(t *testing.T) {
 	rg := newRig(t, 1, nil)
-	cs := certifiedSized(t, rg, 4, bytes.Repeat([]byte("x"), 64*1024), nil)
+	cs := certifiedSized(t, rg, 4, splitChunks(bytes.Repeat([]byte("x"), 64*1024), SnapshotChunkSize), nil)
 	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 
@@ -206,9 +209,9 @@ func TestTamperedChunkRefetchAvoidsBlamedServer(t *testing.T) {
 // never exceed the configured window, and every verified chunk refills
 // the window by (at most) one request.
 func TestWindowedFetchRespectsWindowAndRefills(t *testing.T) {
-	const win = 4
-	rg := newRig(t, 1, func(c *Config) { c.FetchWindow = win })
-	cs := certifiedSized(t, rg, 4, bytes.Repeat([]byte("y"), 100*1024), nil) // 13 chunks
+	const win = fetchWindow
+	rg := newRig(t, 1, nil)
+	cs := certifiedSized(t, rg, 4, tinyChunks(80), nil)
 	if len(cs.Chunks) <= 2*win {
 		t.Fatalf("snapshot too small for the test: %d chunks", len(cs.Chunks))
 	}
@@ -245,20 +248,18 @@ func TestWindowedFetchRespectsWindowAndRefills(t *testing.T) {
 // whole-transfer restart.
 func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 	rg := newRig(t, 1, func(c *Config) {
-		c.FetchWindow = 2
-		c.ChunkRetryTimeout = 100 * time.Millisecond
 		c.ViewChangeTimeout = time.Minute // whole-transfer retry far away
 	})
-	cs := certifiedSized(t, rg, 4, bytes.Repeat([]byte("z"), 30*1024), nil) // 4+ chunks
+	cs := certifiedSized(t, rg, 4, tinyChunks(80), nil)
 	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, cs, 2)
 	before := chunkReqCount(rg, 0)
-	if before != 2 {
-		t.Fatalf("initial requests = %d, want 2", before)
+	if before != fetchWindow {
+		t.Fatalf("initial requests = %d, want %d", before, fetchWindow)
 	}
 	// Drop everything: no replies arrive. The pacer must re-issue.
 	for i := 0; i < 6; i++ {
-		rg.env.advance(60 * time.Millisecond)
+		rg.env.advance(rg.cfg.chunkRetryTimeout() * 6 / 10)
 	}
 	if rg.r.Metrics.SnapshotChunkRetries == 0 {
 		t.Fatal("no per-chunk retries after the timeout")
@@ -266,7 +267,7 @@ func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 	if after := chunkReqCount(rg, 0); after <= before {
 		t.Fatalf("no chunk requests re-issued (%d → %d)", before, after)
 	}
-	if f := rg.r.fetcher.fetch; f == nil || len(f.inflight) > 2 {
+	if f := rg.r.fetcher.fetch; f == nil || len(f.inflight) > fetchWindow {
 		t.Fatalf("window exceeded during retries")
 	}
 	deliverAllChunks(t, rg, cs, 3)
@@ -309,10 +310,10 @@ func TestHighestCertifiedMetaWins(t *testing.T) {
 // chunks of the superseded snapshot are ignored and the new window fills
 // completely (leaked outstanding counters would under-fill it forever).
 func TestRestartMidWindowResetsAccounting(t *testing.T) {
-	const win = 4
-	rg := newRig(t, 1, func(c *Config) { c.FetchWindow = win })
-	old := certifiedSized(t, rg, 4, bytes.Repeat([]byte("o"), 64*1024), nil)
-	newer := certifiedSized(t, rg, 8, bytes.Repeat([]byte("n"), 64*1024), nil)
+	const win = fetchWindow
+	rg := newRig(t, 1, nil)
+	old := certifiedSized(t, rg, 4, tinyChunks(80), nil)
+	newer := certifiedSized(t, rg, 8, tinyChunks(80), nil)
 
 	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)

@@ -15,9 +15,9 @@ func concatChunks(chunks [][]byte) []byte {
 	return buf.Bytes()
 }
 
-// captureMaps decodes both capture paths of the same ledger and returns
-// their state maps for comparison.
-func captureMaps(t *testing.T, l *Ledger) (bucketed, flat map[string][]byte) {
+// captureMaps decodes the ledger's capture and reads the authenticated
+// map it must describe, and returns both for comparison.
+func captureMaps(t *testing.T, l *Ledger) (bucketed, state map[string][]byte) {
 	t.Helper()
 	chunks, ok, err := l.SnapshotChunks()
 	if err != nil || !ok {
@@ -27,27 +27,23 @@ func captureMaps(t *testing.T, l *Ledger) (bucketed, flat map[string][]byte) {
 	if err != nil {
 		t.Fatalf("DecodeBucketed: %v", err)
 	}
-	flatBlob, err := l.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	if bst.LastSeq != l.LastExecuted() || !bytes.Equal(bst.Digest, l.Digest()) {
+		t.Fatalf("capture metadata diverged: capture (%d,%x) ledger (%d,%x)",
+			bst.LastSeq, bst.Digest, l.LastExecuted(), l.Digest())
 	}
-	fst, err := snapcodec.Decode(flatBlob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	state = make(map[string][]byte)
+	for _, k := range l.Keys() {
+		state[k], _ = l.Get(k)
 	}
-	if bst.LastSeq != fst.LastSeq || !bytes.Equal(bst.Digest, fst.Digest) {
-		t.Fatalf("capture metadata diverged: bucketed (%d,%x) flat (%d,%x)",
-			bst.LastSeq, bst.Digest, fst.LastSeq, fst.Digest)
-	}
-	return bst.ToMap(), fst.ToMap()
+	return bst.ToMap(), state
 }
 
-func requireSameState(t *testing.T, bucketed, flat map[string][]byte, when string) {
+func requireSameState(t *testing.T, bucketed, state map[string][]byte, when string) {
 	t.Helper()
-	if len(bucketed) != len(flat) {
-		t.Fatalf("%s: tracker mirror has %d entries, state map %d", when, len(bucketed), len(flat))
+	if len(bucketed) != len(state) {
+		t.Fatalf("%s: tracker mirror has %d entries, state map %d", when, len(bucketed), len(state))
 	}
-	for k, v := range flat {
+	for k, v := range state {
 		if !bytes.Equal(bucketed[k], v) {
 			t.Fatalf("%s: key %q diverged between tracker and state map", when, k)
 		}
@@ -57,8 +53,8 @@ func requireSameState(t *testing.T, bucketed, flat map[string][]byte, when strin
 // TestLedgerTrackerFollowsExecutionAndRollback drives genesis, successful
 // execution, and failed transactions (whose journal rollback mutates the
 // state map outside the normal write path) and checks after every block
-// that the incremental capture describes exactly the same state as the
-// flat one — i.e. the write hook saw every mutation, reverts included.
+// that the capture describes exactly the authenticated map — i.e. the
+// write hook saw every mutation, reverts included.
 func TestLedgerTrackerFollowsExecutionAndRollback(t *testing.T) {
 	l := NewLedger()
 	deployer := addr(0xD0)

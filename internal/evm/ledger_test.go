@@ -182,13 +182,13 @@ func TestLedgerSnapshotRestore(t *testing.T) {
 	l := NewLedger()
 	l.Mint(addr(0xD0), 1_000_000)
 	l.ExecuteBlock(1, [][]byte{deployTokenTx(addr(0xD0))})
-	snap, err := l.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	chunks, ok, err := l.SnapshotChunks()
+	if err != nil || !ok {
+		t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
 	}
 
 	r := NewLedger()
-	if err := r.Restore(snap); err != nil {
+	if err := r.Restore(bytes.Join(chunks, nil)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if !bytes.Equal(r.Digest(), l.Digest()) {
@@ -246,23 +246,19 @@ func TestLedgerSnapshotCanonical(t *testing.T) {
 		}
 		return l
 	}
+	capture := func(l *Ledger) []byte {
+		chunks, ok, err := l.SnapshotChunks()
+		if err != nil || !ok {
+			t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
+		}
+		return bytes.Join(chunks, nil)
+	}
 	a, b := build(), build()
-	sa, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa, sb := capture(a), capture(b)
 	if !bytes.Equal(sa, sb) {
 		t.Fatal("ledgers with identical state serialized different snapshot bytes")
 	}
-	again, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sa, again) {
+	if again := capture(a); !bytes.Equal(sa, again) {
 		t.Fatal("repeated snapshot of the same ledger differs")
 	}
 }

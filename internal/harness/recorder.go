@@ -71,25 +71,12 @@ func (r *Recorder) ProveOperation(seq uint64, l int) ([]byte, error) {
 	return r.inner.ProveOperation(seq, l)
 }
 
-// Snapshot implements core.Application.
-func (r *Recorder) Snapshot() ([]byte, error) { return r.inner.Snapshot() }
+// SnapshotChunks implements core.Application.
+func (r *Recorder) SnapshotChunks() ([][]byte, bool, error) { return r.inner.SnapshotChunks() }
 
-// SnapshotChunks implements core.ChunkedSnapshotter by delegation. The
-// wrapper must forward this statically: if it swallowed the interface,
-// wrapped replicas would fall back to full captures with a DIFFERENT
-// chunk layout than unwrapped ones and checkpoint roots would diverge.
-// The ok=false return keeps delegation safe over apps without the
-// incremental path.
-func (r *Recorder) SnapshotChunks() ([][]byte, bool, error) {
-	if ca, ok := r.inner.(core.ChunkedSnapshotter); ok {
-		return ca.SnapshotChunks()
-	}
-	return nil, false, nil
-}
-
-// ReadKey implements core.KeyReader by delegation, like SnapshotChunks:
-// if the wrapper swallowed the interface, wrapped replicas would answer
-// every certified read ReadUnavailable.
+// ReadKey implements core.KeyReader by delegation: if the wrapper
+// swallowed the interface, wrapped replicas would answer every certified
+// read ReadUnavailable.
 func (r *Recorder) ReadKey(op []byte) (string, error) {
 	if kr, ok := r.inner.(core.KeyReader); ok {
 		return kr.ReadKey(op)

@@ -213,54 +213,29 @@ func (a *AuthState) GarbageCollect(keepFrom uint64) {
 	}
 }
 
-// Snapshot serializes the full state for state transfer (§VIII) through
-// the canonical snapcodec framing: replicas with identical state produce
-// identical bytes IN EVERY PROCESS (gob could not promise that — its wire
-// format embeds process-global type ids, which broke checkpoint root
-// agreement between live replicas with different gob histories).
-// Execution records are not part of the snapshot; a restored replica can
-// prove only blocks it executes after restoration, which matches
-// PBFT-style state transfer semantics.
-func (a *AuthState) Snapshot() ([]byte, error) {
-	return snapcodec.Encode(snapcodec.FromMap(a.lastSeq, a.digest, a.m.Snapshot())), nil
-}
-
-// SnapshotChunks is the incremental capture path: the bucketed canonical
-// snapshot as a chunk list, re-encoding only buckets written since the
-// previous capture (clean chunks are the identical byte slices of the
-// previous call, so the checkpoint layer reuses their leaf hashes). The
-// replication layer prefers this over Snapshot when available.
+// SnapshotChunks captures the state for checkpoints and state transfer
+// (§VIII): the bucketed canonical snapshot as a chunk list, re-encoding
+// only buckets written since the previous capture (clean chunks are the
+// identical byte slices of the previous call, so the checkpoint layer
+// reuses their leaf hashes). Replicas with identical state produce
+// identical chunks in every process. Execution records are not part of
+// the snapshot; a restored replica can prove only blocks it executes
+// after restoration, which matches PBFT-style state transfer semantics.
 func (a *AuthState) SnapshotChunks() ([][]byte, bool, error) {
 	chunks, _ := a.tracker.EncodeChunks(a.lastSeq, a.digest)
 	return chunks, true, nil
 }
 
-// Restore replaces the contents from a snapshot (either framing; state
-// transfer hands over whatever the serving replica captured). A bucketed
-// snapshot also seeds the tracker's encoding cache, so the first capture
-// after a transfer is already incremental.
+// Restore replaces the contents from the concatenation of a capture's
+// chunks, and seeds the tracker's encoding cache from them, so the first
+// capture after a transfer is already incremental.
 func (a *AuthState) Restore(data []byte) error {
-	if snapcodec.IsBucketed(data) {
-		snap, chunks, err := snapcodec.DecodeBucketed(data)
-		if err != nil {
-			return fmt.Errorf("kvstore: decoding snapshot: %w", err)
-		}
-		a.m.Restore(snap.ToMap())
-		a.tracker.Restore(snap, len(chunks)-1, chunks)
-		a.lastSeq = snap.LastSeq
-		a.digest = snap.Digest
-		a.executed = make(map[uint64]*execRecord)
-		return nil
-	}
-	snap, err := snapcodec.Decode(data)
+	snap, chunks, err := snapcodec.DecodeBucketed(data)
 	if err != nil {
 		return fmt.Errorf("kvstore: decoding snapshot: %w", err)
 	}
 	a.m.Restore(snap.ToMap())
-	a.tracker = snapcodec.NewTracker(a.tracker.Buckets())
-	for _, e := range snap.Entries {
-		a.tracker.Set(e.Key, e.Val)
-	}
+	a.tracker.Restore(snap, len(chunks)-1, chunks)
 	a.lastSeq = snap.LastSeq
 	a.digest = snap.Digest
 	a.executed = make(map[uint64]*execRecord)

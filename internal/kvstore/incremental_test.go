@@ -8,11 +8,10 @@ import (
 	"sbft/internal/snapcodec"
 )
 
-// The incremental capture path (SnapshotChunks) and the flat path
-// (Snapshot) must describe the same state: the checkpoint layer picks
-// whichever is available, and π roots certify only the chunked form, so
-// divergence between them would split checkpoint agreement between
-// replicas on different paths.
+// The capture (SnapshotChunks) must describe exactly the authenticated
+// map's contents: π roots certify the chunks, and Restore rebuilds the
+// map from them, so a tracker that missed a write would certify — and
+// transfer — a state no replica executed.
 
 func concatChunks(chunks [][]byte) []byte {
 	var buf bytes.Buffer
@@ -59,25 +58,17 @@ func TestSnapshotChunksMatchFlatSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeBucketed: %v", err)
 	}
-	flatBlob, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	if bucketed.LastSeq != s.LastExecuted() || !bytes.Equal(bucketed.Digest, s.Digest()) {
+		t.Fatalf("metadata diverged: capture (%d,%x) store (%d,%x)",
+			bucketed.LastSeq, bucketed.Digest, s.LastExecuted(), s.Digest())
 	}
-	flat, err := snapcodec.Decode(flatBlob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	bm, want := bucketed.ToMap(), s.m.Snapshot()
+	if len(bm) != len(want) {
+		t.Fatalf("entry count diverged: capture %d, map %d", len(bm), len(want))
 	}
-	if bucketed.LastSeq != flat.LastSeq || !bytes.Equal(bucketed.Digest, flat.Digest) {
-		t.Fatalf("metadata diverged: bucketed (%d,%x) flat (%d,%x)",
-			bucketed.LastSeq, bucketed.Digest, flat.LastSeq, flat.Digest)
-	}
-	bm, fm := bucketed.ToMap(), flat.ToMap()
-	if len(bm) != len(fm) {
-		t.Fatalf("entry count diverged: bucketed %d, flat %d", len(bm), len(fm))
-	}
-	for k, v := range fm {
+	for k, v := range want {
 		if !bytes.Equal(bm[k], v) {
-			t.Fatalf("key %q diverged between capture paths", k)
+			t.Fatalf("key %q diverged between capture and map", k)
 		}
 	}
 }
@@ -155,26 +146,5 @@ func TestRestoreSeedsIncrementalCapture(t *testing.T) {
 	}
 	if got := st.ToMap()["post-restore"]; !bytes.Equal(got, []byte("y")) {
 		t.Fatalf("post-restore write missing from capture: %q", got)
-	}
-}
-
-func TestLegacyRestoreRebuildsTracker(t *testing.T) {
-	src := New()
-	populate(t, src, 10)
-	flat, err := src.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	dst := New()
-	if err := dst.Restore(flat); err != nil {
-		t.Fatalf("Restore(flat): %v", err)
-	}
-	chunks, ok, err := dst.SnapshotChunks()
-	if err != nil || !ok {
-		t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
-	}
-	srcChunks, _, _ := src.SnapshotChunks()
-	if !bytes.Equal(concatChunks(chunks), concatChunks(srcChunks)) {
-		t.Fatalf("tracker rebuilt from flat snapshot diverged from source capture")
 	}
 }

@@ -295,13 +295,13 @@ func TestSnapshotRestore(t *testing.T) {
 	for seq := uint64(1); seq <= 4; seq++ {
 		s.ExecuteBlock(seq, [][]byte{Put(fmt.Sprintf("k%d", seq), []byte("v"))})
 	}
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	chunks, ok, err := s.SnapshotChunks()
+	if err != nil || !ok {
+		t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
 	}
 
 	r := New()
-	if err := r.Restore(snap); err != nil {
+	if err := r.Restore(bytes.Join(chunks, nil)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if !bytes.Equal(r.Digest(), s.Digest()) {
@@ -380,6 +380,14 @@ func TestQuickExecutionProofSoundness(t *testing.T) {
 // same state along different operation orders must serialize to identical
 // snapshot bytes.
 func TestSnapshotCanonical(t *testing.T) {
+	capture := func(s *Store) []byte {
+		t.Helper()
+		chunks, ok, err := s.SnapshotChunks()
+		if err != nil || !ok {
+			t.Fatalf("SnapshotChunks: ok=%v err=%v", ok, err)
+		}
+		return bytes.Join(chunks, nil)
+	}
 	// Two replicas executing the same blocks, with enough keys that map
 	// iteration order would almost surely differ between processes.
 	a, b := New(), New()
@@ -391,24 +399,13 @@ func TestSnapshotCanonical(t *testing.T) {
 		a.ExecuteBlock(seq, ops)
 		b.ExecuteBlock(seq, ops)
 	}
-	sa, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa, sb := capture(a), capture(b)
 	if !bytes.Equal(sa, sb) {
 		t.Fatal("replicas with identical state serialized different snapshot bytes")
 	}
 	// Repeated snapshots of the same store must also be stable.
 	for i := 0; i < 3; i++ {
-		again, err := a.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sa, again) {
+		if again := capture(a); !bytes.Equal(sa, again) {
 			t.Fatalf("snapshot %d of the same store differs", i)
 		}
 	}

@@ -148,9 +148,11 @@ func (a *countingApp) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
 }
 func (a *countingApp) Digest() []byte                             { return []byte("digest") }
 func (a *countingApp) ProveOperation(uint64, int) ([]byte, error) { return []byte("p"), nil }
-func (a *countingApp) Snapshot() ([]byte, error)                  { return []byte("s"), nil }
-func (a *countingApp) Restore([]byte) error                       { return nil }
-func (a *countingApp) GarbageCollect(uint64)                      {}
+func (a *countingApp) SnapshotChunks() ([][]byte, bool, error) {
+	return [][]byte{[]byte("s")}, true, nil
+}
+func (a *countingApp) Restore([]byte) error  { return nil }
+func (a *countingApp) GarbageCollect(uint64) {}
 
 // drive delivers a message to a replica as if from `from`.
 func deliver(r *Replica, from int, msg any) { r.Deliver(from, msg) }

@@ -14,13 +14,17 @@
 // with the backup quorum's — invisible in the simulator, where all
 // replicas share one process and one gob registry.
 //
-// The format here is fixed big-endian framing with no type metadata:
+// There is one snapshot format, bucketed fixed big-endian framing with no
+// type metadata. Keys are distributed over a fixed number of hash buckets
+// and each bucket encodes independently, keys sorted; a Tracker
+// (tracker.go) mirrors the application state so that a capture
+// re-encodes only the buckets written since the previous one. The
+// format is the concatenation of the chunk list:
 //
-//	magic "sbftsnap1"
-//	lastSeq  u64
-//	dlen u64, digest bytes
-//	count u64
-//	count × ( klen u64, key bytes, vlen u64, value bytes )
+//	chunk 0 (prelude):  magic "sbftbkt1", lastSeq u64, dlen u64, digest,
+//	                    buckets u32
+//	chunk 1+b:          count u64, count × ( klen u64, key bytes,
+//	                    vlen u64, value bytes )   — keys sorted
 //
 // prim.go holds the field primitives (varint, byte string, flag, and the
 // bounds-checked Reader) of the module's formats that are carried or
@@ -28,86 +32,19 @@
 // disk records.
 package snapcodec
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
-
-// magic versions the canonical snapshot framing.
-const magic = "sbftsnap1"
-
-// Entry is one key-value pair of the canonical snapshot encoding.
+// Entry is one key-value pair of a decoded snapshot.
 type Entry struct {
 	Key string
 	Val []byte
 }
 
-// State is an application's replayable checkpoint state in canonical
-// form: the last executed sequence, the application digest at that
-// sequence, and the key-SORTED state entries.
+// State is an application's replayable checkpoint state as DecodeBucketed
+// returns it: the last executed sequence, the application digest at that
+// sequence, and the state entries.
 type State struct {
 	LastSeq uint64
 	Digest  []byte
 	Entries []Entry
-}
-
-// FromMap builds a State with canonically sorted entries.
-func FromMap(lastSeq uint64, digest []byte, m map[string][]byte) State {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]Entry, len(keys))
-	for i, k := range keys {
-		entries[i] = Entry{Key: k, Val: m[k]}
-	}
-	return State{LastSeq: lastSeq, Digest: digest, Entries: entries}
-}
-
-// Encode serializes the state canonically: identical State values yield
-// identical bytes in every process.
-func Encode(st State) []byte {
-	n := len(magic) + 8 + 8 + len(st.Digest) + 8
-	for _, e := range st.Entries {
-		n += 16 + len(e.Key) + len(e.Val)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, magic...)
-	buf = binary.BigEndian.AppendUint64(buf, st.LastSeq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(st.Digest)))
-	buf = append(buf, st.Digest...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(st.Entries)))
-	for _, e := range st.Entries {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.Val)))
-		buf = append(buf, e.Val...)
-	}
-	return buf
-}
-
-// Decode parses a canonical snapshot. Zero-length digests and values
-// decode to nil.
-func Decode(data []byte) (State, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return State{}, fmt.Errorf("snapcodec: bad magic")
-	}
-	r := NewReader(data[len(magic):])
-	st := State{LastSeq: r.U64(), Digest: bytes.Clone(r.Bytes64())}
-	// Each entry takes at least 16 bytes of input (two length fields), so
-	// the remaining data bounds the count BEFORE the slice allocation.
-	count := r.Count64(16)
-	st.Entries = make([]Entry, 0, count)
-	for i := 0; i < count; i++ {
-		st.Entries = append(st.Entries, Entry{Key: string(r.Bytes64()), Val: bytes.Clone(r.Bytes64())})
-	}
-	if err := r.Done(); err != nil {
-		return State{}, err
-	}
-	return st, nil
 }
 
 // ToMap flattens decoded entries back into a map.

@@ -6,41 +6,6 @@ import (
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	st := FromMap(42, []byte{1, 2, 3}, map[string][]byte{
-		"b":     []byte("vb"),
-		"a":     []byte("va"),
-		"empty": nil,
-	})
-	got, err := Decode(Encode(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LastSeq != 42 || !bytes.Equal(got.Digest, []byte{1, 2, 3}) {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(got.Entries) != 3 || got.Entries[0].Key != "a" || got.Entries[1].Key != "b" {
-		t.Fatalf("entries not canonical: %+v", got.Entries)
-	}
-	m := got.ToMap()
-	if !bytes.Equal(m["b"], []byte("vb")) || m["empty"] != nil {
-		t.Fatalf("values mismatch: %v", m)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	for _, data := range [][]byte{
-		nil,
-		[]byte("nope"),
-		[]byte(magic),                           // truncated after magic
-		append(Encode(State{LastSeq: 1}), 0xFF), // trailing byte
-	} {
-		if _, err := Decode(data); err == nil {
-			t.Fatalf("garbage accepted: %q", data)
-		}
-	}
-}
-
 // TestEncodingIndependentOfGobHistory pins the reason this package
 // exists: gob wire bytes embed type ids from a PROCESS-GLOBAL counter,
 // so encoding some unrelated type first changes later gob output — which
@@ -48,8 +13,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // had different gob histories (the primary encodes different transport
 // message types than a backup). The canonical codec must not care.
 func TestEncodingIndependentOfGobHistory(t *testing.T) {
-	st := FromMap(7, []byte{9}, map[string][]byte{"k": []byte("v")})
-	before := Encode(st)
+	encode := func() []byte {
+		tr := NewTracker(4) // a fresh tracker: nothing cached, every bucket encoded
+		tr.Set("k", []byte("v"))
+		chunks, _ := tr.EncodeChunks(7, []byte{9})
+		return concat(chunks)
+	}
+	before := encode()
 
 	// Pollute the process-global gob registry mid-test.
 	type pollutant struct{ A, B, C string }
@@ -58,7 +28,7 @@ func TestEncodingIndependentOfGobHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if after := Encode(st); !bytes.Equal(before, after) {
+	if after := encode(); !bytes.Equal(before, after) {
 		t.Fatal("canonical encoding changed after unrelated gob activity")
 	}
 }

@@ -1,26 +1,14 @@
-// Bucketed canonical snapshots: the incremental variant of the flat
-// framing in snapcodec.go. Keys are distributed over a fixed number of
-// hash buckets; each bucket encodes independently (same fixed big-endian
-// framing, keys sorted within the bucket), and a Tracker mirrors the
-// application state so that only buckets touched since the previous
-// capture are re-encoded. Capture cost becomes O(writes-since-last-
-// checkpoint + buckets), not O(state) — the checkpoint layer hands the
-// per-bucket chunks straight to the Merkle commitment, so clean buckets
-// also keep their cached leaf hashes.
+// The bucketed snapshot format (package doc) and its Tracker. Capture
+// cost is O(writes-since-last-checkpoint + buckets), not O(state) — the
+// checkpoint layer hands the per-bucket chunks straight to the Merkle
+// commitment, so clean buckets also keep their cached leaf hashes.
 //
 // Canonicality: the bucket of a key is a pure function of the key bytes
 // (FNV-1a 64), the bucket count is part of the encoding, and bucket
 // contents are key-sorted — identical state yields identical chunks in
-// every process, exactly like the flat format. The bucket count is
-// adopted from the blob on restore, so a fetched snapshot re-buckets the
-// restoring replica identically to the serving one.
-//
-// Format (concatenation of the chunk list):
-//
-//	chunk 0 (prelude):  magic "sbftbkt1", lastSeq u64, dlen u64, digest,
-//	                    buckets u32
-//	chunk 1+b:          count u64, count × ( klen u64, key bytes,
-//	                    vlen u64, value bytes )   — keys sorted
+// every process. The bucket count is adopted from the blob on restore, so
+// a fetched snapshot re-buckets the restoring replica identically to the
+// serving one.
 package snapcodec
 
 import (
@@ -53,11 +41,6 @@ func BucketOf(key string, n int) int {
 		h = (h ^ uint64(key[i])) * 1099511628211
 	}
 	return int(h % uint64(n))
-}
-
-// IsBucketed reports whether data carries the bucketed framing.
-func IsBucketed(data []byte) bool {
-	return len(data) >= len(bucketMagic) && string(data[:len(bucketMagic)]) == bucketMagic
 }
 
 // Tracker maintains the bucketed encoding of one application's state
@@ -217,7 +200,7 @@ func BucketLookup(chunk []byte, key string) ([]byte, bool, error) {
 // state and the re-split chunk list (prelude + one slice per bucket,
 // aliasing data) for seeding a Tracker.
 func DecodeBucketed(data []byte) (State, [][]byte, error) {
-	if !IsBucketed(data) {
+	if !bytes.HasPrefix(data, []byte(bucketMagic)) {
 		return State{}, nil, fmt.Errorf("snapcodec: bad bucket magic")
 	}
 	r := NewReader(data[len(bucketMagic):])
