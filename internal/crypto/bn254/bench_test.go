@@ -184,6 +184,30 @@ func BenchmarkFinalExp(b *testing.B) {
 	}
 }
 
+// BenchmarkMillerLoop is the Miller loop of Verify's check: two prepared
+// G2 arguments, evaluated at two G1 points, with no final exponentiation.
+func BenchmarkMillerLoop(b *testing.B) {
+	g1, g2 := G1Generator(), G2Generator()
+	k := big.NewInt(31337)
+	q := g2.ScalarMul(k)
+	lines := [][]normLine{prepareLines(&g2), prepareLines(&q)}
+	ps := []G1Point{g1.ScalarMul(k), g1.Neg()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		millerLoopLines(lines, ps)
+	}
+}
+
+// BenchmarkPrepareG2 computes one G2 argument's lines, as dealing does for
+// each fixed key and BatchVerifyShares does for its combined key.
+func BenchmarkPrepareG2(b *testing.B) {
+	q := G2Generator().ScalarMul(benchScalar)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PrepareG2(q)
+	}
+}
+
 func BenchmarkFp12Mul(b *testing.B) {
 	r := testRand()
 	x := fp12FromFQP(randFq12(r))

@@ -15,15 +15,16 @@
 // multiplication, G1MultiScalarMul: GLV half-scalars in width-4 NAF over one
 // shared Jacobian doubling chain (ScalarMul is its one-term case). The
 // pairing is a projective Miller loop over the NAF of 6u+2 with
-// precomputable sparse lines, and a final exponentiation by cyclotomic
-// squarings and the width-4 NAF of u; its value is an opaque GT. math/big
-// appears only for integers: scalars mod R, and the fixed exponents and
-// curve parameter the init-time tables and the square root are computed
-// from. The Frobenius tables, the twist constant and the GLV constants are
-// derived at package init on the limb tower from ξ = 9 + i and u; the
-// Montgomery constants the unrolled field code needs at compile time — the
-// modulus limbs, −Q⁻¹ mod 2⁶⁴, 2²⁵⁶ and 2⁵¹² mod Q — are literals that
-// TestFpConstants re-derives from Q.
+// precomputable sparse lines, stored divided by their constant term so
+// each costs two sparse fp6 products, and a final exponentiation by
+// cyclotomic squarings and the width-4 NAF of u; its value is an opaque
+// GT. math/big appears only for integers: scalars mod R, and the fixed
+// exponents and curve parameter the init-time tables and the square root
+// are computed from. The Frobenius tables, the twist constant and the GLV
+// constants are derived at package init on the limb tower from ξ = 9 + i
+// and u; the Montgomery constants the unrolled field code needs at compile
+// time — the modulus limbs, −Q⁻¹ mod 2⁶⁴, 2²⁵⁶ and 2⁵¹² mod Q — are
+// literals that TestFpConstants re-derives from Q.
 //
 // On amd64 CPUs with ADX and BMI2, montMul and fp2Mul run as MULX/ADCX/ADOX
 // assembly (montmul_amd64.s), chosen once by CPUID at init; everywhere

@@ -482,7 +482,10 @@ func TestFinalExpMatchesReference(t *testing.T) {
 	if lines == nil {
 		t.Fatal("miller loop hit degenerate line")
 	}
-	f := millerLoopLines([][]lineCoeff{lines}, []G1Point{p})
+	f, ok := millerLoopLines([][]normLine{lines}, []G1Point{p})
+	if !ok {
+		t.Fatal("miller loop refused a curve point")
+	}
 	fast := finalExpFast(&f)
 	ref := f.toFQP().Pow(finalExponent)
 	if !fast.toFQP().Equal(ref) {
@@ -868,6 +871,63 @@ func TestPairingCheckFailsClosed(t *testing.T) {
 	}
 	if Pair(g1, G2Point{}).Equal(Pair(G1Infinity(), g2)) {
 		t.Fatal("a degenerate Miller loop paired to 1")
+	}
+}
+
+// TestPairingZeroG1FailsClosed: the G1Point zero value, (0, 0), is not on
+// the curve, and its y = 0 is the one value the normalised lines divide
+// by. A check with it fails, beside a true statement too, and Pair sends
+// it to zero — neither panics in the shared inversion.
+func TestPairingZeroG1FailsClosed(t *testing.T) {
+	g1, g2 := G1Generator(), G2Generator()
+	zero := G1Point{}
+	if zero.IsOnCurve() {
+		t.Fatal("(0, 0) is on the curve")
+	}
+	pg2 := PrepareG2(g2)
+	// e(g1, g2)·e(−g1, g2) == 1 with the zero point riding along.
+	if PairingCheckPrepared([]G1Point{g1, g1.Neg(), zero}, []*G2Prepared{pg2, pg2, pg2}) {
+		t.Fatal("the zero G1Point passed beside a true statement")
+	}
+	if PairingCheck([]G1Point{zero}, []G2Point{g2}) {
+		t.Fatal("the zero G1Point passed alone")
+	}
+	if got := Pair(zero, g2); !got.Equal(GT{}) {
+		t.Fatalf("Pair((0, 0), g2) = %v, want zero", got.fqp())
+	}
+}
+
+// TestPreparedLinesNormalised: every prepared line, evaluated at P and
+// multiplied by a·yP, is the projective line doubleStep or addStep
+// returned, as Fq¹² values — the two differ by that Fq² factor, which the
+// final exponentiation kills, and by nothing else.
+func TestPreparedLinesNormalised(t *testing.T) {
+	r := testRand()
+	g1, g2 := G1Generator(), G2Generator()
+	for range 3 {
+		p, q := g1.ScalarMul(randBig(r)), g2.ScalarMul(randBig(r))
+		raw, lines := projectiveLines(&q), prepareLines(&q)
+		if len(raw) != ateLines || len(lines) != ateLines {
+			t.Fatalf("%d projective and %d normalised lines, want %d", len(raw), len(lines), ateLines)
+		}
+		var yInv, xy fp
+		fpInv(&yInv, &p.y)
+		montMul(&xy, &p.x, &yInv)
+		for i := range raw {
+			// norm = 1 + (b′·xP/yP + c′/yP·v)·w, proj = a·yP + b·xP·w + c·v·w.
+			var norm, proj, scale fp12
+			norm.c0.b0.setOne()
+			fp2MulByFp(&norm.c1.b0, &lines[i].b, &xy)
+			fp2MulByFp(&norm.c1.b1, &lines[i].c, &yInv)
+			fp2MulByFp(&proj.c0.b0, &raw[i].a, &p.y)
+			fp2MulByFp(&proj.c1.b0, &raw[i].b, &p.x)
+			proj.c1.b1 = raw[i].c
+			scale.c0.b0 = proj.c0.b0
+			fp12Mul(&norm, &norm, &scale)
+			if !norm.equal(&proj) {
+				t.Fatalf("line %d of %x: a·yP times the normalised line is not the projective line", i, q.Marshal())
+			}
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package bn254
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // fp2 is Fq² = Fq[i]/(i²+1) over the fixed-limb base field: c0 + c1·i.
 // The quadratic nonresidue used to build Fq⁶ is ξ = 9 + i, matching the
@@ -20,14 +23,60 @@ func (z *fp2) isZero() bool { return z.c0.isZero() && z.c1.isZero() }
 
 func (z *fp2) equal(x *fp2) bool { return z.c0.equal(&x.c0) && z.c1.equal(&x.c1) }
 
+// fp2Add sets z = x + y. fp2Add, fp2Sub and fp2Double write out fpAdd,
+// fpSub and fpDouble over both components' eight limbs, so an Fq²
+// operation is one call instead of three (none of them inlines).
 func fp2Add(z, x, y *fp2) {
-	fpAdd(&z.c0, &x.c0, &y.c0)
-	fpAdd(&z.c1, &x.c1, &y.c1)
+	t0, c := bits.Add64(x.c0[0], y.c0[0], 0)
+	t1, c := bits.Add64(x.c0[1], y.c0[1], c)
+	t2, c := bits.Add64(x.c0[2], y.c0[2], c)
+	t3, _ := bits.Add64(x.c0[3], y.c0[3], c) // Q < 2²⁵⁴, so no carry out
+	u0, c := bits.Add64(x.c1[0], y.c1[0], 0)
+	u1, c := bits.Add64(x.c1[1], y.c1[1], c)
+	u2, c := bits.Add64(x.c1[2], y.c1[2], c)
+	u3, _ := bits.Add64(x.c1[3], y.c1[3], c)
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	keep0 := -b // all ones when x.c0 + y.c0 < Q
+	s0, b := bits.Sub64(u0, q0, 0)
+	s1, b := bits.Sub64(u1, q1, b)
+	s2, b := bits.Sub64(u2, q2, b)
+	s3, b := bits.Sub64(u3, q3, b)
+	keep1 := -b
+	z.c0[0] = r0 ^ (r0^t0)&keep0
+	z.c0[1] = r1 ^ (r1^t1)&keep0
+	z.c0[2] = r2 ^ (r2^t2)&keep0
+	z.c0[3] = r3 ^ (r3^t3)&keep0
+	z.c1[0] = s0 ^ (s0^u0)&keep1
+	z.c1[1] = s1 ^ (s1^u1)&keep1
+	z.c1[2] = s2 ^ (s2^u2)&keep1
+	z.c1[3] = s3 ^ (s3^u3)&keep1
 }
 
+// fp2Sub sets z = x − y, adding Q back to each component under its
+// borrow's mask.
 func fp2Sub(z, x, y *fp2) {
-	fpSub(&z.c0, &x.c0, &y.c0)
-	fpSub(&z.c1, &x.c1, &y.c1)
+	t0, b := bits.Sub64(x.c0[0], y.c0[0], 0)
+	t1, b := bits.Sub64(x.c0[1], y.c0[1], b)
+	t2, b := bits.Sub64(x.c0[2], y.c0[2], b)
+	t3, b := bits.Sub64(x.c0[3], y.c0[3], b)
+	m0 := -b
+	u0, b := bits.Sub64(x.c1[0], y.c1[0], 0)
+	u1, b := bits.Sub64(x.c1[1], y.c1[1], b)
+	u2, b := bits.Sub64(x.c1[2], y.c1[2], b)
+	u3, b := bits.Sub64(x.c1[3], y.c1[3], b)
+	m1 := -b
+	var c uint64
+	z.c0[0], c = bits.Add64(t0, q0&m0, 0)
+	z.c0[1], c = bits.Add64(t1, q1&m0, c)
+	z.c0[2], c = bits.Add64(t2, q2&m0, c)
+	z.c0[3], _ = bits.Add64(t3, q3&m0, c)
+	z.c1[0], c = bits.Add64(u0, q0&m1, 0)
+	z.c1[1], c = bits.Add64(u1, q1&m1, c)
+	z.c1[2], c = bits.Add64(u2, q2&m1, c)
+	z.c1[3], _ = bits.Add64(u3, q3&m1, c)
 }
 
 func fp2Neg(z, x *fp2) {
@@ -35,9 +84,34 @@ func fp2Neg(z, x *fp2) {
 	fpNeg(&z.c1, &x.c1)
 }
 
+// fp2Double sets z = 2x.
 func fp2Double(z, x *fp2) {
-	fpDouble(&z.c0, &x.c0)
-	fpDouble(&z.c1, &x.c1)
+	t3 := x.c0[3]<<1 | x.c0[2]>>63 // x < 2²⁵⁴: nothing shifts out
+	t2 := x.c0[2]<<1 | x.c0[1]>>63
+	t1 := x.c0[1]<<1 | x.c0[0]>>63
+	t0 := x.c0[0] << 1
+	u3 := x.c1[3]<<1 | x.c1[2]>>63
+	u2 := x.c1[2]<<1 | x.c1[1]>>63
+	u1 := x.c1[1]<<1 | x.c1[0]>>63
+	u0 := x.c1[0] << 1
+	r0, b := bits.Sub64(t0, q0, 0)
+	r1, b := bits.Sub64(t1, q1, b)
+	r2, b := bits.Sub64(t2, q2, b)
+	r3, b := bits.Sub64(t3, q3, b)
+	keep0 := -b // all ones when 2·x.c0 < Q
+	s0, b := bits.Sub64(u0, q0, 0)
+	s1, b := bits.Sub64(u1, q1, b)
+	s2, b := bits.Sub64(u2, q2, b)
+	s3, b := bits.Sub64(u3, q3, b)
+	keep1 := -b
+	z.c0[0] = r0 ^ (r0^t0)&keep0
+	z.c0[1] = r1 ^ (r1^t1)&keep0
+	z.c0[2] = r2 ^ (r2^t2)&keep0
+	z.c0[3] = r3 ^ (r3^t3)&keep0
+	z.c1[0] = s0 ^ (s0^u0)&keep1
+	z.c1[1] = s1 ^ (s1^u1)&keep1
+	z.c1[2] = s2 ^ (s2^u2)&keep1
+	z.c1[3] = s3 ^ (s3^u3)&keep1
 }
 
 func fp2Halve(z, x *fp2) {

@@ -76,26 +76,22 @@ func fp6Mul(z, x, y *fp6) {
 
 func fp6Square(z, x *fp6) { fp6Mul(z, x, x) }
 
-// fp6MulByE2 scales every coefficient by an fp2 element.
-func fp6MulByE2(z, x *fp6, k *fp2) {
-	fp2Mul(&z.b0, &x.b0, k)
-	fp2Mul(&z.b1, &x.b1, k)
-	fp2Mul(&z.b2, &x.b2, k)
-}
-
-// fp6Mul01 multiplies by the sparse element d0 + d1·v (Miller-loop lines).
+// fp6Mul01 multiplies by the sparse element d0 + d1·v (Miller-loop lines):
+// Karatsuba, 5 fp2 multiplications.
 func fp6Mul01(z, x *fp6, d0, d1 *fp2) {
-	var t0, t1, u, c0, c1, c2 fp2
+	var t0, t1, u, s, c0, c1, c2 fp2
 	fp2Mul(&t0, &x.b0, d0)
 	fp2Mul(&t1, &x.b1, d1)
 	// c0 = b0d0 + ξ·b2d1
 	fp2Mul(&u, &x.b2, d1)
 	fp2MulByNonresidue(&u, &u)
 	fp2Add(&c0, &t0, &u)
-	// c1 = b0d1 + b1d0
-	fp2Mul(&u, &x.b0, d1)
-	fp2Mul(&c1, &x.b1, d0)
-	fp2Add(&c1, &c1, &u)
+	// c1 = (b0+b1)(d0+d1) − b0d0 − b1d1
+	fp2Add(&u, &x.b0, &x.b1)
+	fp2Add(&s, d0, d1)
+	fp2Mul(&c1, &u, &s)
+	fp2Sub(&c1, &c1, &t0)
+	fp2Sub(&c1, &c1, &t1)
 	// c2 = b1d1 + b2d0
 	fp2Mul(&u, &x.b2, d0)
 	fp2Add(&c2, &t1, &u)

@@ -4,12 +4,14 @@ import "math/big"
 
 // The optimal ate pairing: a projective Miller loop over the fixed-limb
 // tower. The G2 accumulator lives in homogeneous projective coordinates
-// over Fq², the line is evaluated inline as a sparse Fq¹² element (three
-// Fq² coefficients at 1, w, v·w), and multiplying it into f is a dedicated
-// sparse multiplication. Lines are computed only up to Fq² scalars, which
-// the final exponentiation kills. The test-only reference
-// (reference_test.go) works in affine Fq¹² coordinates with a full
-// extension-field inversion per line and the full final exponent.
+// over Fq², and every line is prepared ahead of the loop divided by its
+// constant coefficient, so that at P it is the sparse Fq¹² element
+// 1 + (r1 + r2·v)·w and multiplying it into f costs two sparse fp6
+// products (Costello–Stebila's fixed-argument normalisation). Lines are
+// computed only up to Fq² scalars, which the final exponentiation kills.
+// The test-only reference (reference_test.go) works in affine Fq¹²
+// coordinates with a full extension-field inversion per line and the full
+// final exponent.
 
 // GT is an element of the order-r subgroup of Fq¹², the pairing's target
 // group: the value Pair returns, comparable only with Equal.
@@ -22,7 +24,8 @@ func (a GT) Equal(b GT) bool { return a.v.equal(&b.v) }
 // Q ∈ G2; e is bilinear and non-degenerate (property-tested against the
 // reference). A Q whose Miller loop meets a vertical line is outside the
 // r-torsion — of the G2Point values the package hands out only the zero
-// value can be — and pairs to zero, which equals no pairing value.
+// value can be — and pairs to zero, which equals no pairing value; so
+// does a P with y = 0, which no curve point has (the G1Point zero value).
 func Pair(p G1Point, q G2Point) GT {
 	var e GT
 	if p.Inf || q.Inf {
@@ -33,7 +36,10 @@ func Pair(p G1Point, q G2Point) GT {
 	if lines == nil {
 		return e
 	}
-	f := millerLoopLines([][]lineCoeff{lines}, []G1Point{p})
+	f, ok := millerLoopLines([][]normLine{lines}, []G1Point{p})
+	if !ok {
+		return e
+	}
 	e.v = finalExpFast(&f)
 	return e
 }
@@ -61,14 +67,15 @@ var ateU, _ = new(big.Int).SetString("4965661367192848881", 10)
 // affine (X/Z, Y/Z).
 type g2Proj struct{ x, y, z fp2 }
 
-// lineEval is ℓ(P) = r0 + r1·w + r2·v·w with rᵢ ∈ Fq².
-type lineEval struct{ r0, r1, r2 fp2 }
-
-// lineCoeff is a Miller-loop line with its G1 argument still open:
-// ℓ(P) = a·yP + b·xP·w + c·v·w for P = (xP, yP). The coefficients depend
-// on the G2 argument alone, so they can be computed once for a Q that many
-// pairings share (G2Prepared).
+// lineCoeff is a Miller-loop line as doubleStep and addStep produce it,
+// with its G1 argument still open: ℓ(P) = a·yP + b·xP·w + c·v·w for
+// P = (xP, yP). The coefficients depend on the G2 argument alone, so they
+// can be computed once for a Q that many pairings share (G2Prepared).
 type lineCoeff struct{ a, b, c fp2 }
+
+// normLine is a prepared line divided by its a: (b/a, c/a). At P it is
+// ℓ(P)/(a·yP) = 1 + (b′·xP/yP + c′/yP·v)·w, an Fq² scalar away from ℓ(P).
+type normLine struct{ b, c fp2 }
 
 // doubleStep sets T = 2T and l to the tangent line at T:
 //
@@ -154,25 +161,6 @@ func addStep(t *g2Proj, l *lineCoeff, q *G2Point) bool {
 	return true
 }
 
-// mulByLine multiplies f by the sparse line value
-// r0 + (r1 + r2·v)·w, costing 15 fp2 multiplications instead of 18.
-func mulByLine(f *fp12, l *lineEval) {
-	var a, b, sum fp6
-	var d0 fp2
-	fp6MulByE2(&a, &f.c0, &l.r0)      // A·L0
-	fp6Mul01(&b, &f.c1, &l.r1, &l.r2) // B·L1
-	fp2Add(&d0, &l.r0, &l.r1)
-	var s fp6
-	fp6Add(&s, &f.c0, &f.c1)
-	fp6Mul01(&sum, &s, &d0, &l.r2) // (A+B)(L0+L1)
-	fp6Sub(&sum, &sum, &a)
-	fp6Sub(&sum, &sum, &b) // A·L1 + B·L0
-	var vb fp6
-	fp6MulByNonresidue(&vb, &b)
-	fp6Add(&f.c0, &a, &vb)
-	f.c1 = sum
-}
-
 // psi applies the twist-Frobenius-untwist endomorphism to an affine twist
 // point: ψ(x, y) = (x̄·ξ^((q−1)/3), ȳ·ξ^((q−1)/2)).
 func psi(q *G2Point) G2Point {
@@ -213,11 +201,11 @@ var ateLines = func() int {
 	return n
 }()
 
-// prepareLines walks the Miller loop of a finite Q alone and records every
-// line's coefficients in loop order. It returns nil on a degenerate line,
-// which cannot occur for an r-torsion Q (every key is one: dealt, or
+// projectiveLines walks the Miller loop of a finite Q alone and records
+// every line's coefficients in loop order. It returns nil on a degenerate
+// line, which cannot occur for an r-torsion Q (every key is one: dealt, or
 // through UnmarshalG2's subgroup check); callers then fail closed.
-func prepareLines(q *G2Point) []lineCoeff {
+func projectiveLines(q *G2Point) []lineCoeff {
 	lines := make([]lineCoeff, 0, ateLines)
 	t := g2Proj{x: q.x, y: q.y}
 	t.z.setOne()
@@ -247,21 +235,87 @@ func prepareLines(q *G2Point) []lineCoeff {
 	return lines
 }
 
-// millerLoopLines computes Π_j f_{6u+2,Q_j}(P_j) in ONE pass over the loop
-// (lines[j] are Q_j's prepared lines, P_j finite): the pairs share every
-// squaring of f, and each step only evaluates the prepared lines at P_j.
-func millerLoopLines(lines [][]lineCoeff, ps []G1Point) fp12 {
+// prepareLines is projectiveLines divided line by line by a, every a
+// inverted by one fp2Inv (Montgomery's trick: lines[i].b holds a₀⋯aᵢ₋₁
+// until the backward pass peels aᵢ⁻¹ out of the inverted product). A zero
+// a is a tangent at Y = 0 or Z = 0, degenerate like a vertical line: nil.
+// projectiveLines already refuses every Q that reaches one (T comes out
+// as (0, Y, 0), and the next addition's λ is zero); the check keeps
+// fp2Inv from ever seeing zero all the same.
+func prepareLines(q *G2Point) []normLine {
+	raw := projectiveLines(q)
+	if raw == nil {
+		return nil
+	}
+	lines := make([]normLine, len(raw))
+	var acc fp2
+	acc.setOne()
+	for i := range raw {
+		lines[i].b = acc
+		fp2Mul(&acc, &acc, &raw[i].a)
+	}
+	if acc.isZero() {
+		return nil
+	}
+	fp2Inv(&acc, &acc)
+	for i := len(raw) - 1; i >= 0; i-- {
+		var inv fp2
+		fp2Mul(&inv, &lines[i].b, &acc) // aᵢ⁻¹
+		fp2Mul(&acc, &acc, &raw[i].a)
+		fp2Mul(&lines[i].b, &raw[i].b, &inv)
+		fp2Mul(&lines[i].c, &raw[i].c, &inv)
+	}
+	return lines
+}
+
+// fixedPairs is how many pairs a check holds in fixed arrays before its
+// buffers move to the heap: every check threshbls makes has two.
+const fixedPairs = 4
+
+// millerLoopLines computes Π_j f_{6u+2,Q_j}(P_j), up to an Fq² scalar, in
+// ONE pass over the loop (lines[j] are Q_j's prepared lines, P_j finite):
+// the pairs share every squaring of f, and each step only evaluates the
+// prepared lines at P_j. It reports false, and computes nothing, when some
+// P_j has y = 0 — no curve point does, the G1Point zero value does.
+func millerLoopLines(lines [][]normLine, ps []G1Point) (fp12, bool) {
 	var f fp12
+	// Every P_j as the lines read it, xP/yP and 1/yP, with all the yP
+	// inverted by one fpInv: yInv holds yP₀⋯yPⱼ₋₁ until the backward pass.
+	type evalArg struct{ xy, yInv fp }
+	var buf [fixedPairs]evalArg
+	args := buf[:0]
+	acc := fpMontOne
+	for j := range ps {
+		args = append(args, evalArg{yInv: acc})
+		montMul(&acc, &acc, &ps[j].y)
+	}
+	if acc.isZero() {
+		return f, false
+	}
+	fpInv(&acc, &acc)
+	for j := len(ps) - 1; j >= 0; j-- {
+		a := &args[j]
+		montMul(&a.yInv, &a.yInv, &acc)
+		montMul(&acc, &acc, &ps[j].y)
+		montMul(&a.xy, &ps[j].x, &a.yInv)
+	}
+
 	f.setOne()
 	k := 0
 	step := func() {
-		var l lineEval
 		for j := range lines {
-			c := &lines[j][k]
-			fp2MulByFp(&l.r0, &c.a, &ps[j].y)
-			fp2MulByFp(&l.r1, &c.b, &ps[j].x)
-			l.r2 = c.c
-			mulByLine(&f, &l)
+			l, a := &lines[j][k], &args[j]
+			var d0, d1 fp2
+			var al, bl fp6
+			fp2MulByFp(&d0, &l.b, &a.xy)
+			fp2MulByFp(&d1, &l.c, &a.yInv)
+			// f·(1 + L·w) = (A + v·B·L) + (B + A·L)·w for f = A + B·w and
+			// L = d0 + d1·v: 10 fp2 products.
+			fp6Mul01(&al, &f.c0, &d0, &d1)
+			fp6Mul01(&bl, &f.c1, &d0, &d1)
+			fp6MulByNonresidue(&bl, &bl)
+			fp6Add(&f.c0, &f.c0, &bl)
+			fp6Add(&f.c1, &f.c1, &al)
 		}
 		k++
 	}
@@ -274,7 +328,7 @@ func millerLoopLines(lines [][]lineCoeff, ps []G1Point) fp12 {
 	}
 	step()
 	step()
-	return f
+	return f, true
 }
 
 // G2Prepared is a G2 point with the lines of its Miller loop computed
@@ -284,7 +338,7 @@ func millerLoopLines(lines [][]lineCoeff, ps []G1Point) fp12 {
 // arguments (PairingCheckPrepared).
 type G2Prepared struct {
 	inf   bool
-	lines []lineCoeff // nil when q is infinity or hit a degenerate line
+	lines []normLine // nil when q is infinity or hit a degenerate line
 }
 
 // PrepareG2 precomputes q's Miller-loop lines.
@@ -297,13 +351,15 @@ func PrepareG2(q G2Point) *G2Prepared {
 
 // PairingCheckPrepared reports whether Π e(Pᵢ, Qᵢ) == 1: one Miller loop
 // over all pairs, one final exponentiation. A finite Qᵢ without lines (a
-// degenerate Miller line, so not an r-torsion point) fails the check.
+// degenerate Miller line, so not an r-torsion point) fails the check, and
+// so does a finite Pᵢ with y = 0 (not a curve point).
 func PairingCheckPrepared(ps []G1Point, qs []*G2Prepared) bool {
 	if len(ps) != len(qs) {
 		return false
 	}
-	lines := make([][]lineCoeff, 0, len(ps))
-	args := make([]G1Point, 0, len(ps))
+	var lineBuf [fixedPairs][]normLine
+	var argBuf [fixedPairs]G1Point
+	lines, args := lineBuf[:0], argBuf[:0]
 	for i, p := range ps {
 		if p.Inf || qs[i].inf {
 			continue // contributes 1
@@ -314,7 +370,10 @@ func PairingCheckPrepared(ps []G1Point, qs []*G2Prepared) bool {
 		lines = append(lines, qs[i].lines)
 		args = append(args, p)
 	}
-	f := millerLoopLines(lines, args)
+	f, ok := millerLoopLines(lines, args)
+	if !ok {
+		return false
+	}
 	e := finalExpFast(&f)
 	return e.isOne()
 }
