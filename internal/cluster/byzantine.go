@@ -263,27 +263,19 @@ func TamperSnapshotChunk(data []byte) []byte {
 	return out
 }
 
-// snapshotTamperer rewrites outbound snapshot chunks, and lies on the
-// ADVISORY delta fields of meta answers: when its replica advertises a
-// delta set it drops half the indexes, so a fetcher that trusts the list
-// prefills chunks whose content actually changed. The certified parts
-// (threshold-signed root + header) are passed through untouched — a
-// Byzantine server cannot forge the π certificate anyway, and an honest-
-// looking meta followed by tampered chunks or a lying delta list is
-// exactly the attack the whole-root re-derivation exists to catch. All
-// non-snapshot traffic passes through: the replica participates honestly
-// in consensus while lying only on the state-transfer path.
+// snapshotTamperer rewrites outbound snapshot chunks. Metas — the
+// certified root and the leaf list it commits to — pass through untouched:
+// a Byzantine server cannot forge the π certificate anyway, and an
+// honest-looking meta followed by tampered chunks is exactly the attack
+// the per-chunk leaf check exists to catch. All non-snapshot traffic
+// passes through: the replica participates honestly in consensus while
+// lying only on the state-transfer path.
 type snapshotTamperer struct{}
 
 // Corrupt implements sim.Corrupter.
 func (snapshotTamperer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
 	if m, ok := msg.(core.SnapshotChunkMsg); ok {
-		em := core.SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: TamperSnapshotChunk(m.Data), Proof: m.Proof}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
-	}
-	if m, ok := msg.(core.SnapshotMetaMsg); ok && len(m.DeltaChunks) > 1 {
-		em := m
-		em.DeltaChunks = append([]int(nil), m.DeltaChunks[:len(m.DeltaChunks)/2]...)
+		em := core.SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: TamperSnapshotChunk(m.Data)}
 		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
 	}
 	return sim.PassThrough(to, msg, size)

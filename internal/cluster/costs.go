@@ -125,9 +125,9 @@ func (cm CostModel) RecvCost(msg any, size int) time.Duration {
 	case core.NewViewMsg:
 		d += time.Duration(1+len(m.ViewChanges)) * cm.Verify
 	case core.SnapshotMetaMsg:
-		d += cm.Verify // π certificate + header proof
+		d += cm.Verify // π certificate + hashing the leaf list to the root
 	case core.SnapshotChunkMsg:
-		d += time.Duration(1+size/4096) * cm.PerOp // leaf hash chain
+		d += time.Duration(1+size/4096) * cm.PerOp // the chunk's leaf hash
 	case core.ReadMsg:
 		// Queueing only; proof generation is charged on the reply send.
 	case core.ReadReplyMsg:

@@ -68,10 +68,10 @@ const (
 	// FaultByzSnapshot makes Node a Byzantine snapshot server: outbound
 	// state-transfer chunks are tampered with (flipped bytes — perturbing
 	// the serialized reply table and application state a recovering
-	// replica would restore). Because every chunk is Merkle-verified
-	// against the π-certified checkpoint root, honest receivers must
-	// detect the tampering, blame this server, and finish recovery from
-	// the remaining honest servers.
+	// replica would restore). Because every chunk is checked against its
+	// leaf in the list the π-certified checkpoint root commits to, honest
+	// receivers must detect the tampering, blame this server, and finish
+	// recovery from the remaining honest servers.
 	FaultByzSnapshot
 	// FaultByzStaleMeta makes Node a stale-snapshot-meta server: it
 	// remembers the OLDEST certified snapshot meta it ever served and

@@ -74,10 +74,10 @@ func TestRecoveredReplicaCatchesUpViaStateTransfer(t *testing.T) {
 // ROADMAP item 3 bug: a state transfer that spans multiple checkpoint
 // intervals — the serving snapshot is superseded while the fetch is in
 // flight, and a full-drop stall window lets the cluster advance ≥2 more
-// stable checkpoints mid-transfer — must retarget via delta supersession
-// and complete WITHOUT ever discarding fetched chunks. Before the
-// generation chain, every supersession restarted the transfer from
-// scratch; under sustained load a laggard could chase checkpoints
+// stable checkpoints mid-transfer — must retarget, carrying its held
+// chunks over, and complete WITHOUT ever discarding fetched chunks.
+// Before the generation chain, every supersession restarted the transfer
+// from scratch; under sustained load a laggard could chase checkpoints
 // forever.
 func TestMultiIntervalTransferCompletesWithoutRestart(t *testing.T) {
 	bigVal := bytes.Repeat([]byte{0x77, 0x5a, 0x33}, 32*1024/3)
@@ -157,12 +157,12 @@ func TestMultiIntervalTransferCompletesWithoutRestart(t *testing.T) {
 	}
 	// The heart of the fix: the transfer was superseded mid-flight (the
 	// target moved across intervals) yet NEVER restarted — progress was
-	// carried forward through delta retargeting.
+	// carried forward under equal leaves.
 	if m.SnapshotTransferRestarts != 0 {
 		t.Fatalf("transfer restarted %d times across the multi-interval window", m.SnapshotTransferRestarts)
 	}
 	if m.SnapshotDeltaTransfers == 0 {
-		t.Fatal("no delta supersession recorded: the transfer never spanned an interval boundary")
+		t.Fatal("no chunk reuse recorded: the transfer never spanned an interval boundary")
 	}
 	digestsAgree(t, cl)
 }

@@ -268,10 +268,45 @@ func (cs *CertifiedSnapshot) ProveHeader() (merkle.Proof, error) { return cs.tre
 // ProveChunk returns the membership proof of 1-based chunk index i.
 func (cs *CertifiedSnapshot) ProveChunk(i int) (merkle.Proof, error) { return cs.tree.Prove(i) }
 
-// LeafHashAt returns the commitment-tree leaf hash at position i (0 is
-// the header; data chunks are 1-based). The checkpoint layer diffs two
-// generations leaf-by-leaf with it to compute delta sets.
-func (cs *CertifiedSnapshot) LeafHashAt(i int) (merkle.Digest, error) { return cs.tree.LeafHashAt(i) }
+// Leaves returns the commitment tree's leaf hashes: the header's at 0,
+// then chunk i's at i. Read-only. A snapshot meta carries them, so a
+// fetcher verifies the whole list against the root once and then takes
+// every chunk it already holds under an equal leaf.
+func (cs *CertifiedSnapshot) Leaves() []merkle.Digest { return cs.tree.Leaves() }
+
+// verifySnapshotLeaves checks a snapshot meta: its leaf list has one leaf
+// per chunk of the header plus the header's own at 0, hashes to the root,
+// and π certifies that root at Seq. After this a chunk is authentic when
+// its leaf hash equals the list's entry at its index.
+func verifySnapshotLeaves(pi threshsig.Scheme, m SnapshotMetaMsg) error {
+	if !m.Header.valid() {
+		return fmt.Errorf("core: malformed snapshot header")
+	}
+	if len(m.Leaves) != 1+m.Header.NumChunks() {
+		return fmt.Errorf("core: %d snapshot leaves for %d chunks", len(m.Leaves), m.Header.NumChunks())
+	}
+	if m.Leaves[0] != merkle.LeafHash(headerLeaf(m.Header)) {
+		return fmt.Errorf("core: snapshot leaf 0 is not the header's")
+	}
+	if root := merkle.NewTreeFromHashes(m.Leaves).Root(); !bytes.Equal(root[:], m.Root) {
+		return fmt.Errorf("core: snapshot leaves do not hash to the root")
+	}
+	return pi.Verify(CheckpointSigDigest(m.Seq, m.Root), m.Pi)
+}
+
+// chunkFits checks that data has a length chunk i can have: a table
+// chunk's exactly, an app chunk's (whose exact content only its leaf
+// authenticates) at most the app total, which bounds the allocation.
+func (h SnapshotHeader) chunkFits(i int, data []byte) error {
+	if want := h.chunkLen(i); want < 0 {
+		if uint64(len(data)) > h.AppLen {
+			return fmt.Errorf("core: snapshot chunk %d has %d bytes, app total %d", i, len(data), h.AppLen)
+		}
+	} else if len(data) != want {
+		return fmt.Errorf("core: snapshot chunk %d has %d bytes, want %d", i, len(data), want)
+	}
+	return nil
+}
 
 // VerifySnapshotHeader checks a header against a certified root.
 func VerifySnapshotHeader(root []byte, h SnapshotHeader, p merkle.Proof) error {
@@ -298,14 +333,8 @@ func VerifySnapshotChunk(root []byte, h SnapshotHeader, i int, data []byte, p me
 	if i < 1 || i > h.NumChunks() {
 		return fmt.Errorf("core: snapshot chunk index %d of %d", i, h.NumChunks())
 	}
-	if want := h.chunkLen(i); want < 0 {
-		// Variable-length app chunk: the leaf hash authenticates the exact
-		// bytes; only bound the allocation.
-		if uint64(len(data)) > h.AppLen {
-			return fmt.Errorf("core: snapshot chunk %d has %d bytes, app total %d", i, len(data), h.AppLen)
-		}
-	} else if len(data) != want {
-		return fmt.Errorf("core: snapshot chunk %d has %d bytes, want %d", i, len(data), want)
+	if err := h.chunkFits(i, data); err != nil {
+		return err
 	}
 	if p.Index != i {
 		return fmt.Errorf("core: snapshot chunk proof at index %d, want %d", p.Index, i)

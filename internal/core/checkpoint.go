@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"slices"
-	"sort"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -199,18 +197,6 @@ func (r *Replica) RetainedSnapshotSeqs() []uint64 { return r.snaps.seqs() }
 // ---------------------------------------------------------------------------
 // The snapshot chain.
 
-// snapGeneration is one retained certified snapshot plus the delta that
-// produced it: the 1-based chunk indexes whose commitment leaves differ
-// from the chain predecessor's. deltaKnown is false when the predecessor
-// was unknown at adoption (first checkpoint, restart, state transfer) —
-// such a generation still serves chunks and acts as a delta BASE, but
-// cannot appear in the middle of a delta computation.
-type snapGeneration struct {
-	cs         *CertifiedSnapshot
-	delta      []int
-	deltaKnown bool
-}
-
 // snapChain owns a replica's certified snapshots, from capture to durable
 // persistence, and serves them to fetchers. It knows nothing of the
 // protocol: the checkpoint stage above says when a capture is taken and
@@ -225,11 +211,9 @@ type snapChain struct {
 	// snapshot generations, oldest first; the newest entry is the one
 	// advertised to fetchers. Older generations stay servable (in
 	// memory) so fetchers mid-transfer keep completing across
-	// checkpoint supersessions, and each generation records which chunk
-	// leaves changed from its chain predecessor so a laggard holding an
-	// older retained generation fetches one base plus deltas instead of
-	// the full state.
-	snapGens []*snapGeneration
+	// checkpoint supersessions, and this replica's own transfers take
+	// every chunk of them whose leaf the fetched snapshot repeats.
+	snapGens []*CertifiedSnapshot
 	// capCache carries chunk identities and leaf hashes between
 	// consecutive checkpoint captures, so a checkpoint costs
 	// O(chunks-changed) rather than O(state).
@@ -288,14 +272,14 @@ func (c *snapChain) cur() *CertifiedSnapshot {
 	if len(c.snapGens) == 0 {
 		return nil
 	}
-	return c.snapGens[len(c.snapGens)-1].cs
+	return c.snapGens[len(c.snapGens)-1]
 }
 
 // seqs lists the retained generations' sequences, oldest first.
 func (c *snapChain) seqs() []uint64 {
 	out := make([]uint64, len(c.snapGens))
-	for i, g := range c.snapGens {
-		out[i] = g.cs.Seq
+	for i, cs := range c.snapGens {
+		out[i] = cs.Seq
 	}
 	return out
 }
@@ -309,102 +293,38 @@ func (c *snapChain) seq() uint64 {
 }
 
 // genAt returns the retained generation at exactly seq, or nil.
-func (c *snapChain) genAt(seq uint64) *snapGeneration {
-	for _, g := range c.snapGens {
-		if g.cs.Seq == seq {
-			return g
+func (c *snapChain) genAt(seq uint64) *CertifiedSnapshot {
+	for _, cs := range c.snapGens {
+		if cs.Seq == seq {
+			return cs
 		}
 	}
 	return nil
 }
 
-// deltaSince returns the chunk indexes (1-based, in the CURRENT
-// snapshot's numbering, sorted) a fetcher holding the complete retained
-// generation at base must fetch to reach the current snapshot: the union
-// of every later generation's delta, clipped to the current chunk count
-// (indexes past it no longer exist). ok is false when base is not
-// retained or an intermediate delta is unknown — the fetcher then needs
-// a full transfer. Chunk indexes are stable across generations (leaf i
-// commits chunk i), so an index absent from every delta has an unchanged
-// leaf, and the base's copy of that chunk is bit-identical to the
-// current one.
-func (c *snapChain) deltaSince(base uint64) ([]int, bool) {
-	bi := slices.IndexFunc(c.snapGens, func(g *snapGeneration) bool { return g.cs.Seq == base })
-	if bi < 0 {
-		return nil, false
-	}
-	n := c.cur().Header.NumChunks()
-	set := make(map[int]bool)
-	for _, g := range c.snapGens[bi+1:] {
-		if !g.deltaKnown {
-			return nil, false
-		}
-		for _, idx := range g.delta {
-			if idx >= 1 && idx <= n {
-				set[idx] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for idx := range set {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out, true
-}
-
-// snapshotDelta lists the 1-based chunk indexes whose commitment leaves
-// differ between a snapshot and its successor: common indexes whose leaf
-// hashes changed, plus every index the successor grew past the
-// predecessor. O(chunks) hash comparisons; no chunk bytes are touched.
-func snapshotDelta(prev, cur *CertifiedSnapshot) []int {
-	np, nc := prev.Header.NumChunks(), cur.Header.NumChunks()
-	common := min(np, nc)
-	var delta []int
-	for i := 1; i <= common; i++ {
-		ph, perr := prev.LeafHashAt(i)
-		ch, cerr := cur.LeafHashAt(i)
-		if perr != nil || cerr != nil || ph != ch {
-			delta = append(delta, i)
-		}
-	}
-	for i := common + 1; i <= nc; i++ {
-		delta = append(delta, i)
-	}
-	return delta
-}
-
 // adopt appends a stable certified snapshot to the retention chain and
 // hands it off for durable persistence so a restarted replica can serve
 // state transfer immediately. In-memory serving arms at once (the capture
-// is already chunked and Merkle-committed); the delta against the
-// previous generation is computed here (leaf-hash diff) so laggards can
-// fetch increments. Persistence goes through the async SnapshotSink when
-// one is installed — encode+write of a large state would otherwise stall
-// the event loop every win/2 executions — and falls back to the
-// synchronous SnapshotStore path otherwise. The sink's completion
-// callback arms the restart-survivable serving point (durableSnap) once
-// the bytes are actually on disk, but only while the persisted generation
-// is still retained: a slow persist completing after retention evicted
-// its generation must not advertise a serving point whose chunks (and,
-// after a later prune, whose durable file) are gone.
+// is already chunked and Merkle-committed). Persistence goes through the
+// async SnapshotSink when one is installed — encode+write of a large
+// state would otherwise stall the event loop every win/2 executions — and
+// falls back to the synchronous SnapshotStore path otherwise. The sink's
+// completion callback arms the restart-survivable serving point
+// (durableSnap) once the bytes are actually on disk, but only while the
+// persisted generation is still retained: a slow persist completing after
+// retention evicted its generation must not advertise a serving point
+// whose chunks (and, after a later prune, whose durable file) are gone.
 func (c *snapChain) adopt(cs *CertifiedSnapshot) {
-	cur := c.cur()
-	if cur != nil && cur.Seq >= cs.Seq {
+	if cur := c.cur(); cur != nil && cur.Seq >= cs.Seq {
 		return
 	}
-	gen := &snapGeneration{cs: cs}
-	if cur != nil {
-		gen.delta = snapshotDelta(cur, cs)
-		gen.deltaKnown = true
-	}
-	c.snapGens = append(c.snapGens, gen)
+	c.snapGens = append(c.snapGens, cs)
 	if len(c.snapGens) > c.retain {
 		// Copy into a fresh slice so the shrinking window cannot pin
 		// evicted generations through the old backing array.
-		c.snapGens = append([]*snapGeneration(nil), c.snapGens[len(c.snapGens)-c.retain:]...)
+		c.snapGens = append([]*CertifiedSnapshot(nil), c.snapGens[len(c.snapGens)-c.retain:]...)
 	}
-	keepFrom := c.snapGens[0].cs.Seq
+	keepFrom := c.snapGens[0].Seq
 	if c.sink != nil {
 		seq := cs.Seq
 		c.sink.PersistSnapshot(cs, keepFrom, func(err error) {
@@ -430,11 +350,9 @@ func (c *snapChain) adopt(cs *CertifiedSnapshot) {
 }
 
 // rearm restarts the chain from a snapshot read back from durable storage:
-// a single generation, because cross-restart delta continuity is not
-// reconstructed (deltaKnown=false). The chain regrows — and deltas with
-// it — from the next stable checkpoint.
+// a single generation, regrowing from the next stable checkpoint.
 func (c *snapChain) rearm(cs *CertifiedSnapshot) {
-	c.snapGens = []*snapGeneration{{cs: cs}}
+	c.snapGens = []*CertifiedSnapshot{cs}
 	c.durableSnap = cs.Seq
 }
 
@@ -445,28 +363,7 @@ func (c *snapChain) onFetchState(m FetchStateMsg) {
 	if cs == nil || cs.Seq < m.Seq {
 		return
 	}
-	hp, err := cs.ProveHeader()
-	if err != nil {
-		return
-	}
-	meta := SnapshotMetaMsg{
-		Seq:         cs.Seq,
-		Root:        cs.Root(),
-		Pi:          cs.Pi,
-		Header:      cs.Header,
-		HeaderProof: hp,
-	}
-	// Delta advertisement: when the fetcher already holds a generation
-	// this server retains, list the chunks that changed since — the
-	// fetcher seeds the rest locally. Advisory only: the fetcher verifies
-	// the reassembled root and falls back to refetching on any mismatch.
-	if m.HaveSeq > 0 && m.HaveSeq < cs.Seq {
-		if delta, ok := c.deltaSince(m.HaveSeq); ok {
-			meta.DeltaBase = m.HaveSeq
-			meta.DeltaChunks = delta
-		}
-	}
-	c.env.Send(m.Replica, meta)
+	c.env.Send(m.Replica, SnapshotMetaMsg{Seq: cs.Seq, Root: cs.Root(), Pi: cs.Pi, Header: cs.Header, Leaves: cs.Leaves()})
 }
 
 func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
@@ -474,8 +371,8 @@ func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
 	if cur == nil {
 		return
 	}
-	g := c.genAt(m.Seq)
-	if g == nil {
+	cs := c.genAt(m.Seq)
+	if cs == nil {
 		// Superseded beyond retention (cur.Seq > m.Seq): the chunks are
 		// gone, but re-offering the current metadata lets the fetcher
 		// restart at the checkpoint this server can actually serve. (The
@@ -493,18 +390,8 @@ func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
 	}
 	// Any retained generation serves: in-flight transfers keep completing
 	// across checkpoint supersessions for the whole retention depth.
-	cs := g.cs
 	if m.Index < 1 || m.Index > len(cs.Chunks) {
 		return
 	}
-	proof, err := cs.ProveChunk(m.Index)
-	if err != nil {
-		return
-	}
-	c.env.Send(m.Replica, SnapshotChunkMsg{
-		Seq:   m.Seq,
-		Index: m.Index,
-		Data:  cs.Chunks[m.Index-1],
-		Proof: proof,
-	})
+	c.env.Send(m.Replica, SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: cs.Chunks[m.Index-1]})
 }

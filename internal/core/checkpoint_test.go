@@ -42,30 +42,6 @@ func TestSnapChainRetainsAndTrims(t *testing.T) {
 	if got := c.seqs(); len(got) != 2 || got[1] != 16 {
 		t.Fatalf("an older snapshot was adopted: %v", got)
 	}
-	if delta, ok := c.deltaSince(12); !ok || len(delta) != 1 || delta[0] != 2 {
-		t.Fatalf("deltaSince(12) = %v, %v; want [2]", delta, ok)
-	}
-}
-
-func TestSnapChainDeltaRefusedAcrossUnknownGeneration(t *testing.T) {
-	c, _ := newTestChain(t, 4)
-	c.adopt(plainSnapshot(4, 1))
-	c.adopt(plainSnapshot(8, 2))
-	c.adopt(plainSnapshot(12, 3))
-	// The generation at 8 arrived without its predecessor known — as after
-	// a state transfer: what changed between 4 and 8 is on no record.
-	g := c.genAt(8)
-	g.delta, g.deltaKnown = nil, false
-
-	if delta, ok := c.deltaSince(4); ok {
-		t.Fatalf("deltaSince(4) = %v across a generation with an unknown delta", delta)
-	}
-	if delta, ok := c.deltaSince(8); !ok || len(delta) != 1 || delta[0] != 2 {
-		t.Fatalf("deltaSince(8) = %v, %v; want [2]: 8 is a base, its own delta is not needed", delta, ok)
-	}
-	if _, ok := c.deltaSince(6); ok {
-		t.Fatal("deltaSince served for a sequence that is no generation")
-	}
 }
 
 func TestSnapChainLatePersistOfEvictedGenerationNotDurable(t *testing.T) {

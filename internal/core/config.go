@@ -58,11 +58,12 @@ type Config struct {
 	// Zero derives win/2.
 	CheckpointInterval uint64
 	// SnapshotRetain bounds the chain of certified snapshot generations a
-	// replica keeps for serving state transfer (plus the delta sets
-	// between consecutive generations). A deeper chain lets a transfer
-	// spanning several checkpoint intervals finish against its original
-	// generation instead of restarting, and lets laggards holding any
-	// retained generation fetch deltas only. Zero derives 4; 1 reproduces
+	// replica keeps for serving state transfer. A deeper chain lets a
+	// transfer spanning several checkpoint intervals finish against its
+	// original generation instead of restarting, and gives the replica's
+	// own transfers more chunks to reuse. Reuse needs no retention on the
+	// server: a fetcher takes every chunk it holds under an equal leaf of
+	// the certified leaf list. Zero derives 4; 1 reproduces
 	// single-generation retention.
 	SnapshotRetain int
 }

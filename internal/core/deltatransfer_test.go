@@ -9,50 +9,21 @@ import (
 	"sbft/internal/storage"
 )
 
-// Tests for incremental checkpoints and delta-based state transfer: the
-// bounded retention chain of snapshot generations, per-generation delta
-// sets, delta-advertising metadata, prefill from locally held bases, and
-// the satellite fixes that ride along (pendingSnap GC, laggard-server
-// demotion, durable-point retention gating).
+// Tests for incremental checkpoints and chunk reuse in state transfer: the
+// bounded retention chain of snapshot generations, reuse of every chunk
+// held under an equal leaf of the certified leaf list, and the fixes that
+// ride along (pendingSnap GC, laggard-server demotion, durable-point
+// retention gating).
 
 // chunkSnaps builds two same-shape app snapshots (3 full chunks) that
-// differ only inside the second chunk, so the certified delta between
-// them is exactly chunk index 2.
+// differ only inside the second chunk, so their leaf lists differ at
+// chunk index 2 alone.
 func chunkSnaps() (a, b [][]byte) {
 	a = splitChunks(bytes.Repeat([]byte{0xA1}, 3*SnapshotChunkSize), SnapshotChunkSize)
 	b = slices.Clone(a)
 	b[1] = bytes.Clone(b[1])
 	b[1][100] ^= 0xFF
 	return a, b
-}
-
-// deltaMetaOf is metaOf plus the advisory delta fields.
-func deltaMetaOf(t *testing.T, cs *CertifiedSnapshot, base uint64, delta []int) SnapshotMetaMsg {
-	t.Helper()
-	m := metaOf(t, cs)
-	m.DeltaBase = base
-	m.DeltaChunks = delta
-	return m
-}
-
-func TestSnapshotDeltaLeafDiff(t *testing.T) {
-	sa, sb := chunkSnaps()
-	csA := NewCertifiedSnapshotChunked(4, []byte{0}, sa, encodeReplyTable(nil), nil)
-	csB := NewCertifiedSnapshotChunked(8, []byte{0}, sb, encodeReplyTable(nil), nil)
-	got := snapshotDelta(csA, csB)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("snapshotDelta = %v, want [2]", got)
-	}
-	// Growth: a successor with more chunks includes every new index.
-	csC := certifiedSplit(12, []byte{0}, bytes.Repeat([]byte{0xA1}, 5*SnapshotChunkSize), encodeReplyTable(nil))
-	grown := snapshotDelta(csA, csC)
-	want := map[int]bool{5: true, 6: true} // two new app chunks (table chunk shifts index)
-	for _, idx := range grown {
-		delete(want, idx)
-	}
-	if len(want) != 0 {
-		t.Fatalf("snapshotDelta growth %v missed new indexes %v", grown, want)
-	}
 }
 
 func TestRetentionChainBounded(t *testing.T) {
@@ -70,80 +41,11 @@ func TestRetentionChainBounded(t *testing.T) {
 			t.Fatalf("retained %v, want %v", got, want)
 		}
 	}
-	// Every retained generation past the first carries a known delta.
-	for i, g := range rg.r.snaps.snapGens {
-		if i > 0 && !g.deltaKnown {
-			t.Fatalf("generation %d adopted in sequence lacks its delta", g.cs.Seq)
-		}
-	}
 }
 
-func TestDeltaSinceUnionAcrossGenerations(t *testing.T) {
-	rg := newRig(t, 1, nil)
-	sa, sb := chunkSnaps()
-	sc := slices.Clone(sb)
-	sc[0] = bytes.Clone(sc[0])
-	sc[0][100] ^= 0xFF // third generation additionally dirties chunk 1
-	rg.r.snaps.adopt(certifiedSized(t, rg, 4, sa, nil))
-	rg.r.snaps.adopt(certifiedSized(t, rg, 8, sb, nil))
-	rg.r.snaps.adopt(certifiedSized(t, rg, 12, sc, nil))
-
-	delta, ok := rg.r.snaps.deltaSince(4)
-	if !ok {
-		t.Fatal("deltaSince(4) not servable despite full retention")
-	}
-	if len(delta) != 2 || delta[0] != 1 || delta[1] != 2 {
-		t.Fatalf("deltaSince(4) = %v, want [1 2]", delta)
-	}
-	delta, ok = rg.r.snaps.deltaSince(8)
-	if !ok || len(delta) != 1 || delta[0] != 1 {
-		t.Fatalf("deltaSince(8) = %v (ok=%v), want [1]", delta, ok)
-	}
-	if _, ok := rg.r.snaps.deltaSince(2); ok {
-		t.Fatal("deltaSince served for a base never retained")
-	}
-}
-
-// TestServerAdvertisesDelta: a FetchState carrying HaveSeq for a retained
-// generation gets metadata with the delta fields populated; an unknown
-// base gets plain full-transfer metadata.
-func TestServerAdvertisesDelta(t *testing.T) {
-	rg := newRig(t, 1, nil)
-	sa, sb := chunkSnaps()
-	rg.r.snaps.adopt(certifiedSized(t, rg, 4, sa, nil))
-	rg.r.snaps.adopt(certifiedSized(t, rg, 8, sb, nil))
-
-	before := len(rg.env.sent)
-	rg.r.Deliver(2, FetchStateMsg{Replica: 2, Seq: 8, HaveSeq: 4})
-	var meta *SnapshotMetaMsg
-	for _, s := range rg.env.sent[before:] {
-		if m, ok := s.msg.(SnapshotMetaMsg); ok && s.to == 2 {
-			mm := m
-			meta = &mm
-		}
-	}
-	if meta == nil {
-		t.Fatal("no metadata served")
-	}
-	if meta.DeltaBase != 4 || len(meta.DeltaChunks) != 1 || meta.DeltaChunks[0] != 2 {
-		t.Fatalf("delta advertisement = base %d chunks %v, want base 4 chunks [2]", meta.DeltaBase, meta.DeltaChunks)
-	}
-
-	before = len(rg.env.sent)
-	rg.r.Deliver(2, FetchStateMsg{Replica: 2, Seq: 8, HaveSeq: 3})
-	for _, s := range rg.env.sent[before:] {
-		if m, ok := s.msg.(SnapshotMetaMsg); ok {
-			if m.DeltaBase != 0 || m.DeltaChunks != nil {
-				t.Fatalf("unknown base got delta advertisement: base %d chunks %v", m.DeltaBase, m.DeltaChunks)
-			}
-		}
-	}
-}
-
-// TestDeltaTransferPrefillsFromRetainedBase: the tentpole fetcher path. A
-// laggard holding generation 4 asks for 8; the meta's delta names one
-// changed chunk; every other chunk is seeded locally and only the delta
-// crosses the wire.
+// TestDeltaTransferPrefillsFromRetainedBase: a laggard holding generation
+// 4 asks for 8; the meta's leaf list differs from 4's at one chunk; every
+// other chunk is seeded locally and only the changed one crosses the wire.
 func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	sa, sb := chunkSnaps()
@@ -153,18 +55,7 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 	rg.r.lastExecuted = 4
 
 	rg.r.fetcher.want(8)
-	// The metadata poll advertises the held base.
-	advertised := false
-	for _, s := range rg.env.sent {
-		if m, ok := s.msg.(FetchStateMsg); ok && m.HaveSeq == 4 {
-			advertised = true
-		}
-	}
-	if !advertised {
-		t.Fatal("FetchState did not advertise the held base generation")
-	}
-	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, snapshotDelta(cs4, cs8)))
-	rg.env.advance(snapshotMetaWait + time.Millisecond)
+	deliverMeta(t, rg, cs8, 2)
 
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != 8 {
@@ -195,10 +86,60 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 	}
 }
 
+// TestTransferReusesBaseServerNoLongerRetains: reuse needs nothing of the
+// server but the snapshot it serves. The fetcher holds generation 4; the
+// only server asked retains generation 8 alone, having evicted 4, and its
+// meta for 8 still lets the fetcher reuse every chunk the two share, so
+// only the changed chunk is requested.
+func TestTransferReusesBaseServerNoLongerRetains(t *testing.T) {
+	rg := newRig(t, 1, nil)
+	sa, sb := chunkSnaps()
+	cs4 := certifiedSized(t, rg, 4, sa, nil)
+	cs8 := certifiedSized(t, rg, 8, sb, nil)
+	rg.r.snaps.adopt(cs4)
+	rg.r.lastExecuted = 4
+
+	server := newRig(t, 2, func(c *Config) { c.SnapshotRetain = 1 })
+	server.r.snaps.adopt(cs4)
+	server.r.snaps.adopt(cs8)
+	if got := server.r.RetainedSnapshotSeqs(); len(got) != 1 || got[0] != 8 {
+		t.Fatalf("server retains %v, want [8]", got)
+	}
+
+	// The fetcher's metadata request reaches server 2, and its answer
+	// comes back; the other servers stay silent.
+	rg.r.fetcher.want(8)
+	for _, s := range rg.env.sent {
+		if m, ok := s.msg.(FetchStateMsg); ok && s.to == 2 {
+			server.r.Deliver(1, m)
+		}
+	}
+	for _, s := range server.env.sent {
+		if m, ok := s.msg.(SnapshotMetaMsg); ok && s.to == 1 {
+			rg.r.Deliver(2, m)
+		}
+	}
+	rg.env.advance(snapshotMetaWait + time.Millisecond)
+
+	if f := rg.r.fetcher.fetch; f == nil || f.seq != 8 {
+		t.Fatal("transfer not adopted at 8")
+	}
+	if got := chunkReqCount(rg, 8); got != 1 {
+		t.Fatalf("requested %d of %d chunks, want only the changed one", got, len(cs8.Chunks))
+	}
+	rg.r.Deliver(2, chunkOf(t, cs8, 2))
+	if rg.r.LastExecuted() != 8 {
+		t.Fatalf("transfer did not complete (le=%d, want 8)", rg.r.LastExecuted())
+	}
+	if want := uint64(len(cs8.Chunks) - 1); rg.r.Metrics.SnapshotChunksReused != want {
+		t.Fatalf("SnapshotChunksReused = %d, want %d", rg.r.Metrics.SnapshotChunksReused, want)
+	}
+}
+
 // TestMidTransferSupersessionKeepsProgressViaDelta: a checkpoint
-// superseding the snapshot mid-transfer, with a delta against the
-// in-flight base, carries every verified chunk forward — the transfer
-// spans the interval boundary without restarting.
+// superseding the snapshot mid-transfer, whose leaf list repeats a chunk
+// already verified, carries that chunk forward — the transfer spans the
+// interval boundary without restarting.
 func TestMidTransferSupersessionKeepsProgressViaDelta(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	sa, sb := chunkSnaps()
@@ -211,18 +152,18 @@ func TestMidTransferSupersessionKeepsProgressViaDelta(t *testing.T) {
 	if rg.r.fetcher.fetch.fetched != 1 {
 		t.Fatalf("fetched = %d, want 1", rg.r.fetcher.fetch.fetched)
 	}
-	// Supersession with a delta against the in-flight base: adopted
+	// Supersession by a snapshot that repeats chunk 1's leaf: adopted
 	// immediately — no stall needed — and the verified chunk carries over.
-	rg.r.Deliver(3, deltaMetaOf(t, cs8, 4, snapshotDelta(cs4, cs8)))
+	rg.r.Deliver(3, metaOf(t, cs8))
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != 8 {
-		t.Fatal("delta supersession not adopted")
+		t.Fatal("supersession carrying a verified chunk not adopted")
 	}
 	if f.chunks[0] == nil {
-		t.Fatal("verified chunk discarded across delta supersession")
+		t.Fatal("verified chunk discarded across the supersession")
 	}
 	if rg.r.Metrics.SnapshotTransferRestarts != 0 {
-		t.Fatalf("delta supersession counted as restart")
+		t.Fatalf("progress-preserving supersession counted as restart")
 	}
 	// Remaining chunks (the changed one, and clean ones never fetched
 	// against the old base) complete against the new snapshot.
@@ -236,63 +177,24 @@ func TestMidTransferSupersessionKeepsProgressViaDelta(t *testing.T) {
 }
 
 // TestDiscardingSupersessionCountsRestart: a STALLED transfer superseded
-// WITHOUT a usable delta throws its fetched chunks away — that, and only
-// that, is a transfer restart.
+// by a snapshot that repeats none of its fetched chunks throws them away —
+// that, and only that, is a transfer restart.
 func TestDiscardingSupersessionCountsRestart(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	old := certifiedAt(t, rg, 4, nil)
-	newer := certifiedAt(t, rg, 8, nil)
+	newer := certifiedSized(t, rg, 8, [][]byte{bytes.Repeat([]byte("next"), 64)}, nil)
 
 	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	rg.r.Deliver(3, chunkOf(t, old, 1)) // progress that will be lost
 	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
-	rg.r.Deliver(3, metaOf(t, newer)) // no delta: full restart
+	rg.r.Deliver(3, metaOf(t, newer)) // chunk 1 changed: nothing carries over
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != newer.Seq {
 		t.Fatal("stalled transfer did not restart at the newer snapshot")
 	}
 	if rg.r.Metrics.SnapshotTransferRestarts != 1 {
 		t.Fatalf("SnapshotTransferRestarts = %d, want 1", rg.r.Metrics.SnapshotTransferRestarts)
-	}
-}
-
-// TestLyingDeltaListBlamedAndRefetched: the delta fields ride outside the
-// π-certified root, so a Byzantine server can claim changed chunks clean.
-// The reassembled root exposes the lie; the fetcher blames the meta
-// sender, drops only the seeded chunks, and refetches them — verified
-// progress survives and the transfer still completes.
-func TestLyingDeltaListBlamedAndRefetched(t *testing.T) {
-	rg := newRig(t, 1, nil)
-	sa, sb := chunkSnaps()
-	cs4 := certifiedSized(t, rg, 4, sa, nil)
-	cs8 := certifiedSized(t, rg, 8, sb, nil)
-	rg.r.snaps.adopt(cs4)
-	rg.r.lastExecuted = 4
-
-	rg.r.fetcher.want(8)
-	// Server 2 lies: "nothing changed since 4" — so every chunk seeds
-	// from the base, including the one that actually differs.
-	rg.r.Deliver(2, deltaMetaOf(t, cs8, 4, nil))
-	rg.env.advance(snapshotMetaWait + time.Millisecond)
-
-	if rg.r.Metrics.SnapshotBlames != 1 || rg.r.SnapshotBlameCounts()[2] != 1 {
-		t.Fatalf("lying meta sender not blamed: %d blames, counts %v",
-			rg.r.Metrics.SnapshotBlames, rg.r.SnapshotBlameCounts())
-	}
-	f := rg.r.fetcher.fetch
-	if f == nil {
-		t.Fatal("transfer aborted instead of refetching the seeded chunks")
-	}
-	if f.missing != len(cs8.Chunks) {
-		t.Fatalf("refetch covers %d chunks, want all %d (prefill untrusted wholesale)", f.missing, len(cs8.Chunks))
-	}
-	deliverAllChunks(t, rg, cs8, 3)
-	if rg.r.LastExecuted() != 8 {
-		t.Fatalf("transfer did not recover from a lying delta (le=%d)", rg.r.LastExecuted())
-	}
-	if rg.r.Metrics.SnapshotTransferRestarts != 0 {
-		t.Fatalf("lying-delta recovery counted %d restarts", rg.r.Metrics.SnapshotTransferRestarts)
 	}
 }
 
@@ -425,9 +327,8 @@ func TestDurableNotArmedForEvictedGeneration(t *testing.T) {
 
 // TestRestartRearmsRetainedSnapshot: the durable store holds the pruned
 // retention window; a restarted replica re-arms serving from the newest
-// durable snapshot as a single-generation chain (cross-restart delta
-// continuity is not reconstructed) and re-offers current metadata for
-// anything older.
+// durable snapshot as a single-generation chain and re-offers current
+// metadata for anything older.
 func TestRestartRearmsRetainedSnapshot(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	led, err := storage.Open(t.TempDir(), storage.Options{})

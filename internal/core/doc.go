@@ -51,8 +51,8 @@
 //	              filter, the E-collectors' π(d), execute-acks and their
 //	              fallback (§V-D); install, the host side of state transfer
 //	checkpoint.go stable-checkpoint certificate and collection (§V-F);
-//	              snapChain: capture, retained generations and their
-//	              deltas, persistence hand-off, serving fetchers
+//	              snapChain: capture, retained generations, persistence
+//	              hand-off, serving fetchers
 //	statefetch.go fetcher: the client side of state transfer (§VIII),
 //	              behind the two-method fetchHost
 //	read.go       certified reads served from the snapshot chain, and

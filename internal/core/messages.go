@@ -323,46 +323,33 @@ func (m CommitInfoMsg) WireSize() int { return msgHeader + reqsSize(m.Reqs) + 3*
 type FetchStateMsg struct {
 	Replica int
 	Seq     uint64
-	// HaveSeq names the newest certified snapshot generation the fetcher
-	// already fully holds (0 = none): a server retaining that generation
-	// answers with a delta chunk list against it, so the fetcher transfers
-	// only chunks that changed since.
-	HaveSeq uint64
 }
 
 // WireSize implements Message.
-func (m FetchStateMsg) WireSize() int { return msgHeader + 8 }
+func (m FetchStateMsg) WireSize() int { return msgHeader }
 
 // SnapshotMetaMsg answers FetchStateMsg: the certified snapshot's root,
-// its π stable-checkpoint certificate, and the header (leaf 0) with its
-// membership proof. A receiver verifies π over
-// CheckpointSigDigest(Seq, Root) and then the header proof before
-// requesting chunks — everything after that is authenticated leaf by
-// leaf. Fetchers poll every eligible server and briefly collect the
-// competing (verified) metas, adopting the HIGHEST certified sequence:
-// a Byzantine server racing a stale-but-valid meta cannot win the
-// choice by answering first.
+// its π stable-checkpoint certificate, the header, and the commitment
+// tree's leaf hashes (the header's at 0, chunk i's at i; 32 bytes per
+// chunk). A receiver checks that the leaves hash to Root and π certifies
+// Root before requesting chunks; after that each chunk is authenticated
+// by its own leaf, and every chunk the receiver already holds under an
+// equal leaf — from an older snapshot or a superseded transfer — need not
+// be fetched at all. Fetchers poll every eligible server and briefly
+// collect the competing (verified) metas, adopting the HIGHEST certified
+// sequence: a Byzantine server racing a stale-but-valid meta cannot win
+// the choice by answering first.
 type SnapshotMetaMsg struct {
-	Seq         uint64
-	Root        []byte
-	Pi          threshsig.Signature
-	Header      SnapshotHeader
-	HeaderProof merkle.Proof
-	// DeltaBase (when non-zero) names a generation the fetcher claimed to
-	// hold, and DeltaChunks lists the 1-based chunk indexes whose content
-	// changed between that base and Seq — the fetcher may reuse its local
-	// chunks for every other index. The delta fields are ADVISORY, not
-	// certified: the fetcher re-derives the assembled root and falls back
-	// to refetching reused chunks (blaming the meta sender) on mismatch,
-	// so a lying delta list can waste bandwidth but never corrupt state.
-	DeltaBase   uint64
-	DeltaChunks []int
+	Seq    uint64
+	Root   []byte
+	Pi     threshsig.Signature
+	Header SnapshotHeader
+	Leaves []merkle.Digest
 }
 
 // WireSize implements Message.
 func (m SnapshotMetaMsg) WireSize() int {
-	return msgHeader + 2*hashSize + sigSize + len(m.HeaderProof.Steps)*hashSize +
-		8 + 4*len(m.DeltaChunks)
+	return msgHeader + 2*hashSize + sigSize + len(m.Leaves)*hashSize
 }
 
 // FetchSnapshotChunkMsg requests one chunk (1-based Merkle leaf index)
@@ -380,20 +367,17 @@ type FetchSnapshotChunkMsg struct {
 // WireSize implements Message.
 func (m FetchSnapshotChunkMsg) WireSize() int { return msgHeader }
 
-// SnapshotChunkMsg carries one snapshot chunk with its membership proof
-// against the certified root. Tampering with Data (or Proof) is detected
-// by the receiver's leaf verification and blamed on the sender.
+// SnapshotChunkMsg carries one snapshot chunk. The receiver holds the
+// verified leaf list, so tampering with Data is detected by hashing it
+// against the leaf at Index, and blamed on the sender.
 type SnapshotChunkMsg struct {
 	Seq   uint64
 	Index int
 	Data  []byte
-	Proof merkle.Proof
 }
 
 // WireSize implements Message.
-func (m SnapshotChunkMsg) WireSize() int {
-	return msgHeader + len(m.Data) + len(m.Proof.Steps)*hashSize
-}
+func (m SnapshotChunkMsg) WireSize() int { return msgHeader + len(m.Data) }
 
 // SlotInfo is one sequence slot of a view-change message (§V-G): the pair
 // x_j = (lm_j, fm_j). Each component carries the request block its

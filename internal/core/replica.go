@@ -92,18 +92,19 @@ type Metrics struct {
 	// arrival from a signer blamed before, or in a checkpoint quorum's check.
 	BadShares uint64
 	// SnapshotTransferRestarts counts mid-transfer supersessions that
-	// DISCARDED verified chunk progress. A supersession whose delta
-	// prefill carried the already-fetched chunks forward is not a
-	// restart (it counts under SnapshotDeltaTransfers), and neither is
-	// a completed transfer followed by a fresh fetch for the remaining
-	// gap.
+	// carried over no held chunk after something was fetched: verified
+	// progress discarded. A supersession that carried a held chunk
+	// forward under an equal leaf is not a restart (it counts under
+	// SnapshotDeltaTransfers), and neither is a completed transfer
+	// followed by a fresh fetch for the remaining gap.
 	SnapshotTransferRestarts uint64
 	// SnapshotDeltaTransfers counts transfers (including mid-transfer
-	// supersessions) that seeded chunks from a base this replica
-	// already held instead of fetching the full state.
+	// supersessions) that reused chunks this replica already held
+	// instead of fetching the full state.
 	SnapshotDeltaTransfers uint64
-	// SnapshotChunksReused counts chunks satisfied from a local base
-	// during delta transfers — bytes that never crossed the wire.
+	// SnapshotChunksReused counts chunks taken from a retained generation
+	// or a superseded transfer under an equal leaf — bytes that never
+	// crossed the wire.
 	SnapshotChunksReused uint64
 	// CheckpointDirtyChunks accumulates, across incremental checkpoint
 	// captures, how many app chunk leaves had to be re-hashed because

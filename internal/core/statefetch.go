@@ -1,19 +1,18 @@
 package core
 
 import (
-	"bytes"
-	"slices"
 	"sort"
 	"time"
 
 	"sbft/internal/crypto/threshsig"
+	"sbft/internal/merkle"
 )
 
 // This file is the client side of state transfer (§VIII): a lagging
 // replica fetches the newest certified snapshot in chunks through a
-// bounded window, verifies each against the threshold-signed root, and
-// hands the result to its host to install. The serving side is
-// snapChain's (checkpoint.go).
+// bounded window, verifies each against the leaf list the threshold-signed
+// root commits to, and hands the result to its host to install. The
+// serving side is snapChain's (checkpoint.go).
 
 // fetchHost is what the fetcher sees of the replica it fetches for.
 type fetchHost interface {
@@ -35,7 +34,7 @@ type fetcher struct {
 	env     Env
 	pi      threshsig.Scheme // verifies a snapshot's certificate
 	host    fetchHost
-	snaps   *snapChain // local generations: delta bases
+	snaps   *snapChain // local generations: chunks a transfer may reuse
 	metrics *Metrics
 
 	// fetch is the in-progress chunked state transfer, if any.
@@ -95,28 +94,18 @@ type stateFetch struct {
 	// meta can no longer steer the transfer by answering first.
 	bestMeta  *SnapshotMetaMsg
 	metaTimer timer
-	// Filled once a meta is adopted:
+	// Filled once a meta is adopted. leaves is its verified leaf list:
+	// chunk i is authentic exactly when its leaf hash is leaves[i].
 	seq     uint64
-	root    []byte
 	pi      threshsig.Signature
 	header  SnapshotHeader
+	leaves  []merkle.Digest
 	chunks  [][]byte
 	missing int
 	next    int // refill scan cursor (1-based chunk index)
-	// Delta-transfer state. prefilled lists the chunk indexes seeded
-	// from a locally held base instead of fetched; deltaBase is that
-	// base's sequence (0 = full transfer). The delta fields of a meta
-	// ride OUTSIDE the π-certified root, so prefilled chunks are only
-	// trusted once the fully assembled snapshot reproduces the certified
-	// root (finish); metaFrom remembers who supplied the delta list so a
-	// mismatch blames the right server. fetched counts chunks verified
-	// over the wire this transfer — the progress a restart would discard.
-	prefilled []int
-	deltaBase uint64
-	metaFrom  int
-	fetched   int
-	// bestFrom is the sender of bestMeta (meta under collection).
-	bestFrom int
+	// fetched counts chunks verified over the wire this transfer — the
+	// progress a restart would discard.
+	fetched int
 	// inflight is the bounded request window: chunk index → outstanding
 	// request. Wiped whole when a newer meta restarts the transfer, so
 	// stale accounting can never leak into the new window.
@@ -219,19 +208,11 @@ func (ft *fetcher) want(target uint64) {
 
 // sendFetchState asks every eligible peer for snapshot metadata. The
 // request is tiny and the answers compete: the fetcher adopts the highest
-// certified sequence it collects (see onSnapshotMeta). HaveSeq advertises
-// the newest base this fetcher could apply a delta against: mid-transfer
-// that is the snapshot being fetched (a delta against it carries the
-// verified chunks forward through a supersession), otherwise the newest
-// retained generation.
+// certified sequence it collects (see onSnapshotMeta).
 func (ft *fetcher) sendFetchState() {
 	f := ft.fetch
-	have := f.seq
-	if have == 0 {
-		have = ft.snaps.seq()
-	}
 	for _, peer := range ft.peers(f) {
-		ft.env.Send(peer, FetchStateMsg{Replica: ft.id, Seq: f.target, HaveSeq: have})
+		ft.env.Send(peer, FetchStateMsg{Replica: ft.id, Seq: f.target})
 	}
 }
 
@@ -308,47 +289,24 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	if f.seq != 0 && m.Seq == f.seq {
 		return
 	}
-	// π over the certified root, then the header's membership proof: after
-	// this every chunk is independently verifiable, from any server.
-	if ft.pi.Verify(CheckpointSigDigest(m.Seq, m.Root), m.Pi) != nil {
-		ft.blameServer(f, from) // the certificate is invalid
-		return
-	}
-	if VerifySnapshotHeader(m.Root, m.Header, m.HeaderProof) != nil {
+	// The leaf list against the root, then π over the root: after this
+	// every chunk is independently verifiable, from any server.
+	if verifySnapshotLeaves(ft.pi, m) != nil {
 		ft.blameServer(f, from)
 		return
 	}
-	// Sanitize the ADVISORY delta fields before they can influence the
-	// transfer: indexes must name real chunks of THIS meta's snapshot and
-	// the base must be one this fetcher can actually seed from. A lying
-	// list that survives this (wrongly claiming chunks clean) is caught
-	// by the whole-snapshot root check in finish.
-	if m.DeltaBase != 0 {
-		n := m.Header.NumChunks()
-		outside := func(idx int) bool { return idx < 1 || idx > n }
-		if (m.DeltaBase != f.seq && ft.snaps.genAt(m.DeltaBase) == nil) ||
-			len(m.DeltaChunks) > n || slices.ContainsFunc(m.DeltaChunks, outside) {
-			m.DeltaBase, m.DeltaChunks = 0, nil
-		}
-	}
 	if f.seq != 0 {
-		// Mid-transfer supersession. A delta against the in-flight base
-		// carries every verified chunk forward, so adopting the newer
-		// meta costs nothing and skips re-fetching state the transfer
-		// already proved — take it immediately. Without that delta,
-		// restarting throws away every chunk fetched so far, so an
-		// advancing transfer ignores the newer meta and completes
-		// (servers retain superseded generations precisely to let it);
-		// only a STALLED transfer — its snapshot garbage-collected
-		// everywhere, nothing arriving — restarts at the newer state.
-		if m.DeltaBase == f.seq {
-			ft.adoptMeta(from, m)
-			return
+		// Mid-transfer supersession. When a chunk the transfer holds
+		// carries over under an equal leaf, adopting the newer meta keeps
+		// that progress — take it immediately. Otherwise restarting
+		// throws away every chunk fetched so far, so an advancing transfer
+		// ignores the newer meta and completes (servers retain superseded
+		// generations precisely to let it); only a STALLED transfer — its
+		// snapshot garbage-collected everywhere, nothing arriving —
+		// restarts at the newer state.
+		if reuse(nil, m.Leaves, f.leaves, f.chunks) > 0 || ft.stalled(f) {
+			ft.adoptMeta(m)
 		}
-		if !ft.stalled(f) {
-			return
-		}
-		ft.adoptMeta(from, m)
 		return
 	}
 	// Initial choice: collect competing metas briefly and adopt the
@@ -357,9 +315,7 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	// certified snapshot and win — pinning recovery to a checkpoint whose
 	// chunks the honest servers may already have garbage-collected.
 	if f.bestMeta == nil || m.Seq > f.bestMeta.Seq {
-		mm := m
-		f.bestMeta = &mm
-		f.bestFrom = from
+		f.bestMeta = &m
 	}
 	if !f.metaTimer.armed() {
 		f.metaTimer.arm(ft.env, snapshotMetaWait, func() {
@@ -427,25 +383,25 @@ func (ft *fetcher) adoptBestMeta() {
 	if f == nil || f.seq != 0 || f.bestMeta == nil {
 		return
 	}
-	m := *f.bestMeta
-	from := f.bestFrom
-	f.bestMeta = nil
-	ft.adoptMeta(from, m)
+	ft.adoptMeta(*f.bestMeta)
 }
 
-// deltaBaseChunks resolves the chunk source for a delta prefill: a
-// complete retained generation at base, or — when the delta is against
-// the very snapshot this transfer was fetching (mid-transfer
-// supersession) — the superseded window's verified chunks, so fetched
-// progress carries over instead of being discarded.
-func (ft *fetcher) deltaBaseChunks(base, prevSeq uint64, prevChunks [][]byte) [][]byte {
-	if g := ft.snaps.genAt(base); g != nil {
-		return g.cs.Chunks
+// reuse copies into dst each chunk of chunks, committed under the leaf
+// list have, whose leaf want repeats at the same index and which dst
+// lacks, and returns how many; a nil dst only counts. A leaf hashes its
+// index with the chunk's bytes, so an equal leaf is the same chunk.
+func reuse(dst [][]byte, want, have []merkle.Digest, chunks [][]byte) int {
+	n := 0
+	for i := 1; i < min(len(want), len(have)) && i <= len(chunks); i++ {
+		if chunks[i-1] == nil || want[i] != have[i] || (dst != nil && dst[i-1] != nil) {
+			continue
+		}
+		if dst != nil {
+			dst[i-1] = chunks[i-1]
+		}
+		n++
 	}
-	if base != 0 && base == prevSeq {
-		return prevChunks
-	}
-	return nil
+	return n
 }
 
 // adoptMeta (re)starts the transfer at a verified meta. All in-flight
@@ -453,58 +409,42 @@ func (ft *fetcher) deltaBaseChunks(base, prevSeq uint64, prevChunks [][]byte) []
 // new one: late chunks for the old sequence are dropped by the seq check
 // in onSnapshotChunk, and per-server outstanding counters reset so the
 // new window fills completely (a restart that inherited phantom
-// outstanding requests would under-fill its window forever). When the
-// meta carries a usable delta, the chunks it marks clean are seeded from
-// the base this replica already holds — a laggard several checkpoint
-// intervals behind then moves base + deltas over the wire instead of
-// base × intervals, and a transfer superseded mid-flight keeps its
-// verified chunks rather than restarting.
-func (ft *fetcher) adoptMeta(from int, m SnapshotMetaMsg) {
+// outstanding requests would under-fill its window forever). Every chunk
+// this replica already holds under an equal leaf — verified by the
+// superseded transfer, or in a retained generation of its own — is taken
+// as it is: a laggard several checkpoint intervals behind then moves only
+// the chunks that changed over the wire, and a transfer superseded
+// mid-flight keeps its verified chunks rather than restarting.
+func (ft *fetcher) adoptMeta(m SnapshotMetaMsg) {
 	f := ft.fetch
 	f.metaTimer.stop()
 	f.bestMeta = nil
-	prevSeq, prevChunks, prevFetched := f.seq, f.chunks, f.fetched
+	prevLeaves, prevChunks, prevFetched := f.leaves, f.chunks, f.fetched
 	f.seq = m.Seq
-	f.root = append([]byte(nil), m.Root...)
 	f.pi = m.Pi
 	f.header = m.Header
+	f.leaves = m.Leaves
 	f.chunks = make([][]byte, m.Header.NumChunks())
-	f.missing = len(f.chunks)
 	f.next = 1
 	f.inflight = make(map[int]chunkReq)
-	f.prefilled = nil
-	f.deltaBase = 0
-	f.metaFrom = 0
 	f.fetched = 0
 	for _, st := range f.servers {
 		st.outstanding = 0
 	}
 	f.lastProgress = ft.env.Now()
-	if m.DeltaBase != 0 {
-		if base := ft.deltaBaseChunks(m.DeltaBase, prevSeq, prevChunks); base != nil {
-			inDelta := make(map[int]bool, len(m.DeltaChunks))
-			for _, idx := range m.DeltaChunks {
-				inDelta[idx] = true
-			}
-			for i := 1; i <= len(f.chunks) && i <= len(base); i++ {
-				if inDelta[i] || base[i-1] == nil {
-					continue
-				}
-				f.chunks[i-1] = base[i-1]
-				f.missing--
-				f.prefilled = append(f.prefilled, i)
-			}
-			if len(f.prefilled) > 0 {
-				f.deltaBase = m.DeltaBase
-				f.metaFrom = from
-				ft.metrics.SnapshotDeltaTransfers++
-				ft.metrics.SnapshotChunksReused += uint64(len(f.prefilled))
-			}
-		}
+	carried := reuse(f.chunks, f.leaves, prevLeaves, prevChunks)
+	reused := carried
+	for _, cs := range ft.snaps.snapGens {
+		reused += reuse(f.chunks, f.leaves, cs.Leaves(), cs.Chunks)
 	}
-	if prevSeq != 0 && prevFetched > 0 && !(f.deltaBase == prevSeq && f.deltaBase != 0) {
+	f.missing = len(f.chunks) - reused
+	if reused > 0 {
+		ft.metrics.SnapshotDeltaTransfers++
+		ft.metrics.SnapshotChunksReused += uint64(reused)
+	}
+	if prevFetched > 0 && carried == 0 {
 		// This supersession discarded chunks already verified over the
-		// wire — the restart the retention chain and delta path exist to
+		// wire — the restart the retention chain and chunk reuse exist to
 		// avoid. (Supersessions that carried progress forward, or hit
 		// before anything was fetched, do not count.)
 		ft.metrics.SnapshotTransferRestarts++
@@ -653,7 +593,7 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 		return
 	}
 	req, wasInflight := f.inflight[m.Index]
-	if VerifySnapshotChunk(f.root, f.header, m.Index, m.Data, m.Proof) != nil {
+	if f.header.chunkFits(m.Index, m.Data) != nil || chunkLeafHash(m.Index, m.Data) != f.leaves[m.Index] {
 		// Tampered or corrupt: blame the sender, exclude it, and route the
 		// chunk back through the scheduler. (The pre-windowed code
 		// re-derived the retry peer from the PRE-blame rotation — after
@@ -690,8 +630,9 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 	ft.fillWindow()
 }
 
-// finish hands a fully transferred snapshot to the host to install, once
-// the chunks together reproduce the certified root. The transfer clears
+// finish hands a fully transferred snapshot to the host to install. Every
+// chunk matched its leaf, so the commitment tree is built from the
+// verified leaf list without hashing the state again. The transfer clears
 // itself first — timers stopped, nothing in flight — because install
 // re-enters the fetcher (the stable point it records and the blocks it
 // then executes may each want the next transfer); a snapshot the host
@@ -706,37 +647,8 @@ func (ft *fetcher) finish() {
 		ft.restart()
 		return
 	}
-	// Rebuild the commitment over the assembled chunks and require the
-	// certified root before installing anything. Chunks fetched over the
-	// wire were leaf-verified individually, but chunks seeded from a
-	// local base were vouched for only by the meta's ADVISORY delta list
-	// — this whole-snapshot check is what makes that list safe to act on.
 	cs := &CertifiedSnapshot{Seq: f.seq, Header: f.header, Chunks: f.chunks, Pi: f.pi}
-	cs.build(nil)
-	if !bytes.Equal(cs.Root(), f.root) {
-		if len(f.prefilled) > 0 {
-			// A lying delta list claimed changed chunks clean. Blame its
-			// sender, drop ONLY the seeded chunks, and fetch them over
-			// the wire — every individually verified chunk is kept, so
-			// the lie costs the liar its service, not this transfer its
-			// progress.
-			ft.blameServer(f, f.metaFrom) // its delta prefill mismatched the certified root
-			for _, idx := range f.prefilled {
-				f.chunks[idx-1] = nil
-				f.missing++
-			}
-			f.prefilled = nil
-			f.deltaBase = 0
-			f.lastProgress = ft.env.Now()
-			ft.fillWindow()
-			ft.armPacer()
-			return
-		}
-		// Unreachable with leaf-verified chunks and no prefill.
-		ft.metrics.CaptureFailures++
-		ft.restart()
-		return
-	}
+	cs.build(f.leaves[1:])
 	ft.clear()
 	if ft.host.install(cs) != nil {
 		ft.metrics.CaptureFailures++

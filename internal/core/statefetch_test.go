@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"sbft/internal/merkle"
 )
 
 // The fetcher on its own: a fake host and the fake Env, no Replica.
@@ -132,42 +135,64 @@ func TestFetcherTamperedChunkBlamedAndRequestedElsewhere(t *testing.T) {
 	}
 }
 
-func TestFetcherLyingDeltaCostsOnlyThePrefill(t *testing.T) {
-	fr := newFetchRig(t, nil)
-	sa, sb := chunkSnaps() // they differ in chunk 2 only
-	cs4 := certifiedSized(t, fr.rig, 4, sa, nil)
-	cs8 := certifiedSized(t, fr.rig, 8, sb, nil)
-	fr.ft.snaps.adopt(cs4)
-	fr.host.le = 4
+// TestForgedLeafListRefused: a meta whose leaf list does not hash to its
+// certified root, has the wrong shape, or does not commit to its header is
+// refused and blames its sender, which then gets no chunk request; so is
+// a consistent snapshot whose root π does not certify. An honest meta
+// completes the transfer. The snapshot has 7 chunks, so 8 leaves: the last
+// four can be replaced by the subtree node above them and the list still
+// hashes to the root.
+func TestForgedLeafListRefused(t *testing.T) {
+	subtree := func(l []merkle.Digest) merkle.Digest {
+		return merkle.InteriorHash(merkle.InteriorHash(l[0], l[1]), merkle.InteriorHash(l[2], l[3]))
+	}
+	uncertified := NewCertifiedSnapshotChunked(8, []byte{0}, tinyChunks(7), encodeReplyTable(nil), nil)
+	for _, tc := range []struct {
+		name  string
+		forge func(m *SnapshotMetaMsg)
+	}{
+		{"flipped leaf", func(m *SnapshotMetaMsg) { m.Leaves[2][0] ^= 1 }},
+		{"one leaf short", func(m *SnapshotMetaMsg) { m.Leaves = m.Leaves[:len(m.Leaves)-1] }},
+		{"one leaf extra", func(m *SnapshotMetaMsg) { m.Leaves = append(m.Leaves, m.Leaves[len(m.Leaves)-1]) }},
+		{"header leaf moved", func(m *SnapshotMetaMsg) { m.Leaves[0], m.Leaves[1] = m.Leaves[1], m.Leaves[0] }},
+		{"subtree for its leaves", func(m *SnapshotMetaMsg) { m.Leaves = append(m.Leaves[:4], subtree(m.Leaves[4:])) }},
+		{"header not its leaf", func(m *SnapshotMetaMsg) { m.Header.AppDigest = []byte("forged") }},
+		{"root not certified", func(m *SnapshotMetaMsg) {
+			m.Root, m.Header, m.Leaves = uncertified.Root(), uncertified.Header, uncertified.Leaves()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := newFetchRig(t, nil)
+			cs := certifiedSized(t, fr.rig, 8, tinyChunks(6), nil)
+			if len(cs.Leaves()) != 8 {
+				t.Fatalf("snapshot has %d leaves, the forgeries assume 8", len(cs.Leaves()))
+			}
+			fr.ft.want(8)
 
-	fr.ft.want(8)
-	// Server 2 lies: "only chunk 1 changed since 4". Chunk 1 is fetched;
-	// the rest, the changed chunk 2 among them, is seeded from the base.
-	fr.adoptMeta(deltaMetaOf(t, cs8, 4, []int{1}), 2)
-	f := fr.ft.fetch
-	if f.missing != 1 || len(f.prefilled) != len(cs8.Chunks)-1 {
-		t.Fatalf("missing %d, prefilled %v: want 1 to fetch and the rest seeded", f.missing, f.prefilled)
-	}
-	fr.ft.onSnapshotChunk(3, chunkOf(t, cs8, 1))
+			forged := metaOf(t, cs)
+			forged.Leaves = slices.Clone(forged.Leaves)
+			tc.forge(&forged)
+			fr.adoptMeta(forged, 2)
+			if f := fr.ft.fetch; f.seq != 0 {
+				t.Fatalf("forged leaf list adopted at %d", f.seq)
+			}
+			if fr.ft.blames[2] != 1 || !fr.ft.fetch.blamed[2] {
+				t.Fatalf("forger not blamed: blames %v", fr.ft.blames)
+			}
 
-	if fr.ft.fetch != f || len(fr.host.installed) != 0 {
-		t.Fatal("a snapshot that does not reproduce the certified root was handed to the host")
-	}
-	if fr.ft.blames[2] != 1 {
-		t.Fatalf("the delta's sender was not blamed: %v", fr.ft.blames)
-	}
-	if f.chunks[0] == nil || f.missing != len(cs8.Chunks)-1 {
-		t.Fatalf("missing %d of %d (chunk 1 kept: %v): the lie must cost the seeded chunks and no verified one",
-			f.missing, len(cs8.Chunks), f.chunks[0] != nil)
-	}
-	for i := 2; i <= len(cs8.Chunks); i++ {
-		fr.ft.onSnapshotChunk(3, chunkOf(t, cs8, i))
-	}
-	if len(fr.host.installed) != 1 || fr.host.installed[0] != 8 {
-		t.Fatalf("installed %v, want [8]", fr.host.installed)
-	}
-	if fr.ft.metrics.SnapshotTransferRestarts != 0 {
-		t.Fatalf("recovering from the lie counted %d restarts", fr.ft.metrics.SnapshotTransferRestarts)
+			fr.adoptMeta(metaOf(t, cs), 3)
+			for _, s := range fr.env.sent {
+				if _, ok := s.msg.(FetchSnapshotChunkMsg); ok && s.to == 2 {
+					t.Fatal("chunk requested from the forger")
+				}
+			}
+			for i := 1; i <= len(cs.Chunks); i++ {
+				fr.ft.onSnapshotChunk(3, chunkOf(t, cs, i))
+			}
+			if len(fr.host.installed) != 1 || fr.host.installed[0] != 8 {
+				t.Fatalf("installed %v, want [8]", fr.host.installed)
+			}
+		})
 	}
 }
 

@@ -37,8 +37,8 @@ func RecoveryValue(client, i int) []byte {
 // victim replica (4) crashes twice: the first episode seeds the durable
 // history (and teaches a stale-meta adversary an old certified meta),
 // the second forces a deep catch-up over impaired links. Variants cycle
-// with the seed: honest servers, a FaultByzSnapshot chunk-and-delta
-// tamperer, a FaultByzStaleMeta racer serving old-but-valid metas, or a
+// with the seed: honest servers, a FaultByzSnapshot chunk tamperer, a
+// FaultByzStaleMeta racer serving old-but-valid metas, or a
 // multi-interval stall — the victim's inbound fully drops mid-transfer
 // while the cluster advances ≥2 stable checkpoints, and the Check pins
 // that the superseded transfer completed with ZERO restarts (the carried
@@ -110,7 +110,7 @@ func RecoveryGen(seed int64) Scenario {
 		// checkpoint intervals while the fetch hangs mid-flight. The
 		// FaultLinkClear above lifts the stall together with the ambient
 		// impairment; the superseded transfer must finish by retargeting
-		// through deltas, never by restarting.
+		// with its held chunks carried over, never by restarting.
 		stall := rec2 + 300*time.Millisecond
 		sched = append(sched,
 			cluster.Fault{At: stall, Kind: cluster.FaultLink, From: 0, To: victim,
@@ -164,7 +164,7 @@ func RecoveryGen(seed int64) Scenario {
 						lag.Metrics.SnapshotTransferRestarts)
 				}
 				if lag.Metrics.SnapshotDeltaTransfers == 0 {
-					return "no delta supersession recorded: the stalled transfer never spanned an interval boundary"
+					return "no chunk reuse recorded: the stalled transfer never spanned an interval boundary"
 				}
 			}
 			return ""

@@ -106,16 +106,11 @@ func NewTreeFromHashes(hashes []Digest) *Tree {
 // Len reports the number of leaves.
 func (t *Tree) Len() int { return len(t.levels[0]) }
 
-// LeafHashAt returns the stored hash of leaf i. The checkpoint layer uses
-// it to diff two snapshot commitments leaf-by-leaf (delta sets between
-// retained generations) and to carry leaf hashes across incremental
-// captures without re-hashing clean chunks.
-func (t *Tree) LeafHashAt(i int) (Digest, error) {
-	if i < 0 || i >= t.Len() {
-		return Digest{}, fmt.Errorf("%w: %d of %d", ErrIndexRange, i, t.Len())
-	}
-	return t.levels[0][i], nil
-}
+// Leaves returns the stored leaf hashes, in leaf order. The slice is the
+// tree's own: callers must not modify it. State transfer ships a
+// snapshot's leaf list with its root, so a fetcher checks the list once
+// and then matches chunks it already holds leaf by leaf.
+func (t *Tree) Leaves() []Digest { return t.levels[0] }
 
 // Root returns the root digest. The root of an empty tree is LeafHash(nil)
 // of the empty list sentinel.

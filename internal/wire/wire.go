@@ -44,7 +44,7 @@ import (
 
 // Version is the first byte of a hello. A peer that speaks another
 // version is refused at the handshake.
-const Version = 1
+const Version = 2
 
 // MaxFrame caps a frame body. The largest legitimate messages are a
 // SnapshotChunkMsg (one bucket of application state: state size over the
@@ -260,17 +260,14 @@ func appendBody(b []byte, sender int, m core.Message) ([]byte, error) {
 	case core.FetchStateMsg:
 		b = sc.AppendInt(head(b, tagFetchState, sender), m.Replica)
 		b = sc.AppendUint(b, m.Seq)
-		b = sc.AppendUint(b, m.HaveSeq)
 	case core.SnapshotMetaMsg:
 		b = sc.AppendUint(head(b, tagSnapshotMeta, sender), m.Seq)
 		b = sc.AppendBytes(b, m.Root)
 		b = sc.AppendBytes(b, m.Pi.Data)
 		b = core.AppendSnapshotHeader(b, m.Header)
-		b = merkle.AppendProof(b, m.HeaderProof)
-		b = sc.AppendUint(b, m.DeltaBase)
-		b = sc.AppendUint(b, uint64(len(m.DeltaChunks)))
-		for _, c := range m.DeltaChunks {
-			b = sc.AppendInt(b, c)
+		b = sc.AppendUint(b, uint64(len(m.Leaves)))
+		for _, d := range m.Leaves {
+			b = append(b, d[:]...)
 		}
 	case core.FetchSnapshotChunkMsg:
 		b = sc.AppendInt(head(b, tagFetchSnapshotChunk, sender), m.Replica)
@@ -280,7 +277,6 @@ func appendBody(b []byte, sender int, m core.Message) ([]byte, error) {
 		b = sc.AppendUint(head(b, tagSnapshotChunk, sender), m.Seq)
 		b = sc.AppendInt(b, m.Index)
 		b = sc.AppendBytes(b, m.Data)
-		b = merkle.AppendProof(b, m.Proof)
 	case core.ReadMsg:
 		b = sc.AppendInt(head(b, tagRead, sender), m.Client)
 		b = sc.AppendUint(b, m.Nonce)
@@ -388,21 +384,20 @@ func readMessage(r *sc.Reader, tag byte) core.Message {
 		return core.CommitInfoMsg{Seq: r.Uint(), View: r.Uint(), Reqs: core.ReadRequests(r),
 			HasFast: r.Bool(), Sigma: readSig(r), Tau: readSig(r), TauTau: readSig(r)}
 	case tagFetchState:
-		return core.FetchStateMsg{Replica: r.Int(), Seq: r.Uint(), HaveSeq: r.Uint()}
+		return core.FetchStateMsg{Replica: r.Int(), Seq: r.Uint()}
 	case tagSnapshotMeta:
-		m := core.SnapshotMetaMsg{Seq: r.Uint(), Root: r.Bytes(), Pi: readSig(r),
-			Header: core.ReadSnapshotHeader(r), HeaderProof: merkle.ReadProof(r), DeltaBase: r.Uint()}
-		if n := r.Count(1); n > 0 {
-			m.DeltaChunks = make([]int, n)
-			for i := range m.DeltaChunks {
-				m.DeltaChunks[i] = r.Int()
+		m := core.SnapshotMetaMsg{Seq: r.Uint(), Root: r.Bytes(), Pi: readSig(r), Header: core.ReadSnapshotHeader(r)}
+		if n := r.Count(merkle.DigestSize); n > 0 {
+			m.Leaves = make([]merkle.Digest, n)
+			for i := range m.Leaves {
+				copy(m.Leaves[i][:], r.Fixed(merkle.DigestSize))
 			}
 		}
 		return m
 	case tagFetchSnapshotChunk:
 		return core.FetchSnapshotChunkMsg{Replica: r.Int(), Seq: r.Uint(), Index: r.Int()}
 	case tagSnapshotChunk:
-		return core.SnapshotChunkMsg{Seq: r.Uint(), Index: r.Int(), Data: r.Bytes(), Proof: merkle.ReadProof(r)}
+		return core.SnapshotChunkMsg{Seq: r.Uint(), Index: r.Int(), Data: r.Bytes()}
 	case tagRead:
 		return core.ReadMsg{Client: r.Int(), Nonce: r.Uint(), Op: r.Bytes(), MinSeq: r.Uint()}
 	case tagReadReply:

@@ -64,6 +64,15 @@ func proof(index, steps int) merkle.Proof {
 	return p
 }
 
+// leaves returns n distinct digests: a snapshot meta's leaf list.
+func leaves(n int) []merkle.Digest {
+	out := make([]merkle.Digest, n)
+	for i := range out {
+		out[i] = digest(byte(i))
+	}
+	return out
+}
+
 func share(signer int) threshsig.Share  { return threshsig.Share{Signer: signer, Data: fill(33, 7)} }
 func sig(seed byte) threshsig.Signature { return threshsig.Signature{Data: fill(33, seed)} }
 
@@ -138,15 +147,15 @@ func samples() []sample {
 		{name: "CommitInfo/fast", in: core.CommitInfoMsg{Seq: 9, View: 1, Reqs: reqs(3, 30), HasFast: true, Sigma: sig(1)}},
 		{name: "CommitInfo/slow", in: core.CommitInfoMsg{Seq: 9, View: 1, Reqs: reqs(1, 1), Tau: sig(2), TauTau: sig(3)}},
 		{name: "FetchState/zero", in: core.FetchStateMsg{}},
-		{name: "FetchState/full", in: core.FetchStateMsg{Replica: 4, Seq: 256, HaveSeq: 128}},
+		{name: "FetchState/full", in: core.FetchStateMsg{Replica: 4, Seq: 256}},
 		{name: "SnapshotMeta/zero", in: core.SnapshotMetaMsg{}},
-		{name: "SnapshotMeta/full", in: core.SnapshotMetaMsg{Seq: 256, Root: fill(32, 1), Pi: sig(2), Header: header, HeaderProof: proof(0, 7), DeltaBase: 128, DeltaChunks: []int{1, 5, 64, 65}}},
-		{name: "SnapshotMeta/empty", in: core.SnapshotMetaMsg{Seq: 1, DeltaChunks: []int{}, HeaderProof: merkle.Proof{Steps: []merkle.ProofStep{}}}, want: core.SnapshotMetaMsg{Seq: 1}},
+		{name: "SnapshotMeta/full", in: core.SnapshotMetaMsg{Seq: 256, Root: fill(32, 1), Pi: sig(2), Header: header, Leaves: leaves(1 + 65 + 1)}},
+		{name: "SnapshotMeta/empty", in: core.SnapshotMetaMsg{Seq: 1, Leaves: []merkle.Digest{}}, want: core.SnapshotMetaMsg{Seq: 1}},
 		{name: "FetchSnapshotChunk/zero", in: core.FetchSnapshotChunkMsg{}},
 		{name: "FetchSnapshotChunk/full", in: core.FetchSnapshotChunkMsg{Replica: 2, Seq: 256, Index: 65}},
 		{name: "SnapshotChunk/zero", in: core.SnapshotChunkMsg{}},
-		{name: "SnapshotChunk/full", in: core.SnapshotChunkMsg{Seq: 256, Index: 3, Data: fill(8192, 0), Proof: proof(3, 7)}},
-		{name: "SnapshotChunk/large", in: core.SnapshotChunkMsg{Seq: 256, Index: 64, Data: fill(1<<20, 5), Proof: proof(64, 20)}},
+		{name: "SnapshotChunk/full", in: core.SnapshotChunkMsg{Seq: 256, Index: 3, Data: fill(8192, 0)}},
+		{name: "SnapshotChunk/large", in: core.SnapshotChunkMsg{Seq: 256, Index: 64, Data: fill(1<<20, 5)}},
 		{name: "Read/zero", in: core.ReadMsg{}},
 		{name: "Read/full", in: core.ReadMsg{Client: 1001, Nonce: 1 << 40, Op: fill(24, 1), MinSeq: 99}},
 		{name: "ReadReply/zero", in: core.ReadReplyMsg{}},
@@ -282,8 +291,11 @@ func TestEveryMessageHasATag(t *testing.T) {
 	}
 }
 
+// trim drops b's last n bytes, with no room left to append over them.
+func trim(b []byte, n int) []byte { return b[: len(b)-n : len(b)-n] }
+
 func TestDecodeRejects(t *testing.T) {
-	ok := body(t, 2, core.FetchStateMsg{Replica: 2, Seq: 300, HaveSeq: 1})
+	ok := body(t, 2, core.FetchStateMsg{Replica: 2, Seq: 300})
 	if _, _, err := Decode(ok); err != nil {
 		t.Fatal(err)
 	}
@@ -291,17 +303,17 @@ func TestDecodeRejects(t *testing.T) {
 		"empty":         nil,
 		"unknown tag":   {200, 1},
 		"tag zero":      {0, 1},
-		"padded sender": {tagFetchState, 0x82, 0x00, 2, 1, 1},
-		"padded seq":    {tagFetchState, 2, 2, 0x80, 0x00, 1},
+		"padded sender": {tagFetchState, 0x82, 0x00, 2, 1},
+		"padded seq":    {tagFetchState, 2, 2, 0x80, 0x00},
 		"11-byte varint": append([]byte{tagFetchState, 2, 2},
-			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1),
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 		"flag 2": append(body(t, 1, core.RequestMsg{})[:4], 2),
 		// A count or length far beyond the bytes behind it: refused before
 		// any allocation (TestDecodeAllocations bounds that).
 		"request count":  {tagPrePrepare, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"bytes length":   {tagRead, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1},
-		"proof steps":    {tagSnapshotChunk, 1, 1, 1, 0, 0, 0xff, 0xff, 0xff, 0x7f},
-		"delta chunks":   append(body(t, 1, core.SnapshotMetaMsg{})[:12], 0xff, 0xff, 0x7f),
+		"proof steps":    append(trim(body(t, 1, core.ReadReplyMsg{}), 1), 0xff, 0xff, 0xff, 0x7f),
+		"meta leaves":    trim(body(t, 1, core.SnapshotMetaMsg{Seq: 1, Leaves: leaves(2)}), 32), // one digest behind a count of two
 		"slot count":     {tagViewChange, 1, 1, 1, 1, 0, 0, 0xff, 0xff, 0x7f},
 		"viewchange cnt": {tagNewView, 1, 1, 0xff, 0xff, 0x7f},
 	} {

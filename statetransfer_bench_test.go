@@ -2,8 +2,8 @@
 // BenchmarkStateTransfer measures (in simulated time) how long a replica
 // that missed several checkpoint intervals takes to catch up through
 // verified chunked state transfer over a lossy link — the windowed,
-// flow-controlled fetch with per-chunk retries, from nothing and as a
-// delta against a generation the victim still holds. Together with
+// flow-controlled fetch with per-chunk retries, from nothing and reusing
+// the chunks of a generation the victim still holds. Together with
 // BenchmarkCheckpointCapture (internal/core) it emits the repo's
 // BENCH_*.json trajectory points: set SBFT_BENCH_JSON to a directory to
 // write BENCH_state_transfer.json there.
@@ -120,13 +120,11 @@ func recoveryLatency(b *testing.B, valSize, ops int) float64 {
 // deltaRecoveryLatency measures catch-up of a replica that crashes
 // AFTER adopting a stable snapshot: while it is down the live replicas
 // overwrite dirtyFrac of the key space across several checkpoint
-// intervals, and on recovery the victim fetches the new snapshot as a
-// delta against the base generation it still holds. retain tunes
-// Config.SnapshotRetain — 1 disables the generation chain, forcing a
-// full transfer of the same workload (the no-delta baseline). Returns
-// the simulated recovery time plus the victim's reuse/restart counters
-// at the moment it caught up.
-func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64, retain int) (float64, core.Metrics) {
+// intervals, and on recovery the victim fetches the new snapshot reusing
+// every chunk of the base generation it still holds that the new leaf
+// list repeats. Returns the simulated recovery time plus the victim's
+// reuse/restart counters at the moment it caught up.
+func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64) (float64, core.Metrics) {
 	b.Helper()
 	netCfg := sim.ContinentProfile(7)
 	cl, err := cluster.New(cluster.Options{
@@ -138,7 +136,7 @@ func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64, retain i
 			c.Batch = 1
 			c.CheckpointInterval = 4
 			c.ViewChangeTimeout = 2 * time.Second
-			c.SnapshotRetain = retain
+			c.SnapshotRetain = 8
 		},
 	})
 	if err != nil {
@@ -183,10 +181,8 @@ func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64, retain i
 
 // BenchmarkStateTransfer reports recovery latency of the windowed fetch
 // at a small and a large (multi-MiB) application state; the delta/*
-// points then compare delta transfer against a base the victim already
-// holds (dirty fraction of the key space rewritten while it was down)
-// with the full transfer the same workload costs when the generation
-// chain is disabled (SnapshotRetain=1).
+// points then time transfers that reuse a base the victim already holds,
+// at three fractions of the key space rewritten while it was down.
 func BenchmarkStateTransfer(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -214,12 +210,10 @@ func BenchmarkStateTransfer(b *testing.B) {
 	deltaCases := []struct {
 		name      string
 		dirtyFrac float64
-		retain    int
 	}{
-		{"delta/dirty1", 0.01, 8},
-		{"delta/dirty10", 0.10, 8},
-		{"delta/dirty100", 1.00, 8},
-		{"delta/fullbase", 0.01, 1}, // chain disabled: full transfer baseline
+		{"delta/dirty1", 0.01},
+		{"delta/dirty10", 0.10},
+		{"delta/dirty100", 1.00},
 	}
 	reused := make(map[string]uint64)
 	for _, tc := range deltaCases {
@@ -228,22 +222,17 @@ func BenchmarkStateTransfer(b *testing.B) {
 			var total float64
 			var m core.Metrics
 			for i := 0; i < b.N; i++ {
-				ms, vm := deltaRecoveryLatency(b, 32*1024, tc.dirtyFrac, tc.retain)
+				ms, vm := deltaRecoveryLatency(b, 32*1024, tc.dirtyFrac)
 				total += ms
 				m = vm
 			}
 			// A transfer against a held base must reuse chunks and never
-			// restart; without the generation chain nothing can be
-			// reused (and the transfer is allowed to restart).
-			if tc.retain > 1 {
-				if m.SnapshotChunksReused == 0 {
-					b.Fatalf("delta transfer reused no chunks (fetched=%d)", m.SnapshotChunks)
-				}
-				if m.SnapshotTransferRestarts != 0 {
-					b.Fatalf("delta transfer restarted %d times", m.SnapshotTransferRestarts)
-				}
-			} else if m.SnapshotChunksReused != 0 {
-				b.Fatalf("baseline without a generation chain reused %d chunks", m.SnapshotChunksReused)
+			// restart.
+			if m.SnapshotChunksReused == 0 {
+				b.Fatalf("delta transfer reused no chunks (fetched=%d)", m.SnapshotChunks)
+			}
+			if m.SnapshotTransferRestarts != 0 {
+				b.Fatalf("delta transfer restarted %d times", m.SnapshotTransferRestarts)
 			}
 			reused[tc.name] = m.SnapshotChunksReused
 			ms := total / float64(b.N)
