@@ -158,6 +158,50 @@ func BenchmarkFp2MulGeneric(b *testing.B) {
 	}
 }
 
+func BenchmarkFp6Mul(b *testing.B) {
+	r := testRand()
+	x, y := fp12FromFQP(randFq12(r)).c0, fp12FromFQP(randFq12(r)).c1
+	var z fp6
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp6Mul(&z, &x, &y)
+	}
+}
+
+// BenchmarkFp6MulGeneric is the six-fp2Mul Karatsuba fp6Mul's lazily
+// reduced assembly replaces on ADX/BMI2 CPUs.
+func BenchmarkFp6MulGeneric(b *testing.B) {
+	r := testRand()
+	x, y := fp12FromFQP(randFq12(r)).c0, fp12FromFQP(randFq12(r)).c1
+	var z fp6
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp6MulGeneric(&z, &x, &y)
+	}
+}
+
+func BenchmarkCyclotomicSquare(b *testing.B) {
+	f := fp12FromFQP(randFq12(testRand()))
+	x := easyPart(&f)
+	var z fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp12CyclotomicSquare(&z, &x)
+	}
+}
+
+// BenchmarkCyclotomicSquareGeneric is the nine-fp2Square Granger–Scott
+// squaring the assembly replaces on ADX/BMI2 CPUs.
+func BenchmarkCyclotomicSquareGeneric(b *testing.B) {
+	f := fp12FromFQP(randFq12(testRand()))
+	x := easyPart(&f)
+	var z fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp12CyclotomicSquareGeneric(&z, &x)
+	}
+}
+
 func BenchmarkFpSquare(b *testing.B) {
 	x := fpFromBig(big.NewInt(0).SetBytes([]byte("benchmark fp element a.")))
 	var z fp

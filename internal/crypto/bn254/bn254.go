@@ -26,15 +26,16 @@
 // time — the modulus limbs, −Q⁻¹ mod 2⁶⁴, 2²⁵⁶ and 2⁵¹² mod Q — are
 // literals that TestFpConstants re-derives from Q.
 //
-// On amd64 CPUs with ADX and BMI2, montMul and fp2Mul run as MULX/ADCX/ADOX
-// assembly (montmul_amd64.s), chosen once by CPUID at init; everywhere
-// else they are the Go functions montMulGeneric and fp2MulGeneric. That is
-// still one arithmetic: one limb representation and one contract per
-// function (operands below 2Q for montMul, below Q for fp2Mul; results
-// fully reduced; z may alias x or y), with two implementations whose
-// outputs are bit-identical. TestMontMulMatchesGeneric,
-// TestFp2MulMatchesGeneric and FuzzMontMul hold the assembly to the Go,
-// and the Go stays the only path off amd64.
+// On amd64 CPUs with ADX and BMI2, montMul, fp2Mul, fp6Mul, fp12MulLine and
+// fp12CyclotomicSquare run as MULX/ADCX/ADOX assembly (montmul_amd64.s),
+// chosen once by CPUID at init; the three Fq⁶ kernels reduce once per
+// output coefficient instead of once per product. Everywhere else they are
+// the Go functions montMulGeneric, fp2MulGeneric and so on. That is still
+// one arithmetic: one limb representation and one contract per function
+// (operands below 2Q for montMul, below Q for the rest; results fully
+// reduced; z may alias x or y), with two implementations whose outputs are
+// bit-identical. The …MatchesGeneric tests and FuzzMontMul hold the
+// assembly to the Go, and the Go stays the only path off amd64.
 //
 // The auditable math/big reference is test-only (reference_test.go): the
 // field Fq and generic polynomial quotient rings FQP, where the tower

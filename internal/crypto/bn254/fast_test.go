@@ -268,12 +268,13 @@ func TestFpLazyOperands(t *testing.T) {
 			t.Fatalf("9·%v + Q", a)
 		}
 	}
-	// The quotient estimate, for every h = ⌊t/2²⁵⁰⌋ a t < 10Q can have:
-	// k·Q ≤ h·2²⁵⁰ (never overshoots) and (h+1)·2²⁵⁰ − k·Q ≤ 2Q.
-	tenQ := new(big.Int).Mul(Q, big.NewInt(10))
+	// The quotient estimate, for every h = ⌊t/2²⁵⁰⌋ a t < 177Q can have
+	// (fpNineXPlus's t < 10Q, and the assembly's FINISH): k·Q ≤ h·2²⁵⁰
+	// (never overshoots) and (h+1)·2²⁵⁰ − k·Q ≤ 2Q.
+	bound := new(big.Int).Mul(Q, big.NewInt(177))
 	for h := uint64(0); ; h++ {
 		lo := new(big.Int).Lsh(new(big.Int).SetUint64(h), 250)
-		if lo.Cmp(tenQ) >= 0 {
+		if lo.Cmp(bound) >= 0 {
 			break
 		}
 		kQ := new(big.Int).Mul(new(big.Int).SetUint64(nineXQuotient(h)), Q)

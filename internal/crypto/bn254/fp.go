@@ -392,9 +392,11 @@ func fpNineXPlus(z, x, w *fp) {
 	z[3] = r3 ^ (r3^t3)&keep
 }
 
-// nineXQuotient estimates ⌊t/Q⌋ for t < 10Q from h = ⌊t/2²⁵⁰⌋ ≤ 120:
-// 338/2¹² sits just under 2²⁵⁰/Q, so k = ⌊338h/2¹²⌋ never overshoots, and
-// it leaves t − kQ < 2Q (TestFpNineXPlus checks both for every h).
+// nineXQuotient estimates ⌊t/Q⌋ for t < 177Q from h = ⌊t/2²⁵⁰⌋: 338/2¹²
+// sits just under 2²⁵⁰/Q, so k = ⌊338h/2¹²⌋ never overshoots, and it
+// leaves t − kQ < 2Q (TestFpLazyOperands checks both for every h). Here
+// t < 10Q; the assembly's FINISH (montmul_amd64.s) computes the same k
+// for t < 177Q.
 func nineXQuotient(h uint64) uint64 { return h * 338 >> 12 }
 
 // fpHalve sets z = x/2: x when even, else x + Q (Q is odd), shifted down.

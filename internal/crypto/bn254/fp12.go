@@ -67,12 +67,15 @@ func fp12Inv(z, x *fp12) {
 	fp6Neg(&z.c1, &z.c1)
 }
 
-// fp12CyclotomicSquare squares an element of the cyclotomic subgroup
-// (x^(q⁶+1)(q²+1)... after the easy final-exponentiation part) using the
-// Granger–Scott compressed squaring: 6 fp2 squarings instead of a full
-// fp12 square. Only valid inside the cyclotomic subgroup (checked against
-// fp12Square in fast_test.go).
-func fp12CyclotomicSquare(z, x *fp12) {
+// fp12CyclotomicSquareGeneric squares an element of the cyclotomic
+// subgroup (x^(q⁶+1)(q²+1)... after the easy final-exponentiation part)
+// using the Granger–Scott squaring: three Fq⁴ squarings, 9 fp2 squarings
+// instead of a full fp12 square. Only valid inside the cyclotomic subgroup
+// (checked against fp12Square in fast_test.go). This is
+// fp12CyclotomicSquare off amd64 and on CPUs without ADX/BMI2; otherwise it
+// is the lazily reduced assembly, which
+// TestCyclotomicSquareMatchesGeneric holds to it on any input.
+func fp12CyclotomicSquareGeneric(z, x *fp12) {
 	var t [9]fp2
 	fp2Square(&t[0], &x.c1.b1)
 	fp2Square(&t[1], &x.c0.b0)

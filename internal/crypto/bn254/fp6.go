@@ -38,8 +38,12 @@ func fp6Double(z, x *fp6) {
 	fp2Double(&z.b2, &x.b2)
 }
 
-// fp6Mul sets z = x·y (Karatsuba-style, 6 fp2 multiplications).
-func fp6Mul(z, x, y *fp6) {
+// fp6MulGeneric sets z = x·y (Karatsuba-style, 6 fp2 multiplications) for
+// x and y with components below Q; z may alias x or y. This is fp6Mul off
+// amd64 and on CPUs without ADX/BMI2 (montmul_other.go); otherwise fp6Mul
+// is the lazily reduced assembly (montmul_amd64.s), which
+// TestFp6MulMatchesGeneric holds to it.
+func fp6MulGeneric(z, x, y *fp6) {
 	var t0, t1, t2, u, s, c0, c1, c2 fp2
 	fp2Mul(&t0, &x.b0, &y.b0)
 	fp2Mul(&t1, &x.b1, &y.b1)

@@ -10,3 +10,14 @@ func montMul(z, x, y *fp) { montMulGeneric(z, x, y) }
 
 // fp2Mul sets z = x·y; see fp2MulGeneric (fp2.go).
 func fp2Mul(z, x, y *fp2) { fp2MulGeneric(z, x, y) }
+
+// fp6Mul sets z = x·y; see fp6MulGeneric (fp6.go).
+func fp6Mul(z, x, y *fp6) { fp6MulGeneric(z, x, y) }
+
+// fp12CyclotomicSquare squares x in the cyclotomic subgroup; see
+// fp12CyclotomicSquareGeneric (fp12.go).
+func fp12CyclotomicSquare(z, x *fp12) { fp12CyclotomicSquareGeneric(z, x) }
+
+// fp12MulLine multiplies a prepared line into f; see fp12MulLineGeneric
+// (pairing.go).
+func fp12MulLine(f *fp12, d *[2]fp2) { fp12MulLineGeneric(f, d) }

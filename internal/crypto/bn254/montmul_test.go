@@ -8,12 +8,12 @@ import (
 
 // The assembly in montmul_amd64.s against the Go it replaces: montMul
 // against montMulGeneric on every operand montMul accepts, [0, 2Q), and
-// fp2Mul against fp2MulGeneric on reduced operands, each with z fresh and
-// aliased; the outputs must be bit-identical. Off amd64, or on a CPU
-// without ADX/BMI2, each is its generic function and there is nothing to
-// compare.
+// fp2Mul, fp6Mul, fp12MulLine and fp12CyclotomicSquare against their
+// generic Go on reduced operands, with z fresh and aliased where the
+// signature allows; the outputs must be bit-identical. Off amd64, or on a CPU without ADX/BMI2, each is its
+// generic function and there is nothing to compare.
 
-const noADX = "no ADX/BMI2 (or not amd64): montMul and fp2Mul are their generic Go here"
+const noADX = "no ADX/BMI2 (or not amd64): the kernels are their generic Go here"
 
 // twoQ is 2Q as limbs, the bound on montMul's operands.
 var twoQ = func() (z fp) { fpAddNoReduce(&z, &qLimbs, &qLimbs); return z }()
@@ -141,9 +141,181 @@ func TestFp2MulMatchesGeneric(t *testing.T) {
 	}
 }
 
+// fp6MulAgrees is montMulAgrees for fp6Mul.
+func fp6MulAgrees(t *testing.T, x, y fp6) {
+	t.Helper()
+	var want, got fp6
+	fp6MulGeneric(&want, &x, &y)
+	fp6Mul(&got, &x, &y)
+	if got != want {
+		t.Fatalf("fp6Mul(%x, %x) = %x, fp6MulGeneric %x", x, y, got, want)
+	}
+	a, b := x, y
+	fp6Mul(&a, &a, &b)
+	if a != want {
+		t.Fatalf("fp6Mul(%x, %x) = %x with z aliasing x, want %x", x, y, a, want)
+	}
+	a, b = x, y
+	fp6Mul(&b, &a, &b)
+	if b != want {
+		t.Fatalf("fp6Mul(%x, %x) = %x with z aliasing y, want %x", x, y, b, want)
+	}
+	fp6MulGeneric(&want, &x, &x)
+	a = x
+	fp6Mul(&a, &a, &a)
+	if a != want {
+		t.Fatalf("fp6Mul(%x, %x) = %x with x, y and z aliased, want %x", x, x, a, want)
+	}
+}
+
+// cyclotomicSquareAgrees checks fp12CyclotomicSquare against its generic
+// Go, with z fresh and aliasing x. Both evaluate the same polynomial, so
+// they must agree on any input, in the cyclotomic subgroup or not.
+func cyclotomicSquareAgrees(t *testing.T, x fp12) {
+	t.Helper()
+	var want, got fp12
+	fp12CyclotomicSquareGeneric(&want, &x)
+	fp12CyclotomicSquare(&got, &x)
+	if got != want {
+		t.Fatalf("fp12CyclotomicSquare(%x) = %x, generic %x", x, got, want)
+	}
+	got = x
+	fp12CyclotomicSquare(&got, &got)
+	if got != want {
+		t.Fatalf("fp12CyclotomicSquare(%x) = %x with z aliasing x, want %x", x, got, want)
+	}
+}
+
+// fp12MulLineAgrees checks fp12MulLine against its generic Go. The
+// kernel works in place, so there is no aliasing to vary.
+func fp12MulLineAgrees(t *testing.T, f fp12, d [2]fp2) {
+	t.Helper()
+	want, got := f, f
+	fp12MulLineGeneric(&want, &d)
+	fp12MulLine(&got, &d)
+	if got != want {
+		t.Fatalf("fp12MulLine(%x, %x) = %x, generic %x", f, d, got, want)
+	}
+}
+
+// fp6FromLimbs and fp12FromLimbs lay six or twelve Fq components out in
+// order.
+func fp6FromLimbs(c []fp) fp6 {
+	return fp6{fp2{c[0], c[1]}, fp2{c[2], c[3]}, fp2{c[4], c[5]}}
+}
+
+func fp12FromLimbs(c []fp) fp12 {
+	return fp12{fp6FromLimbs(c[:6]), fp6FromLimbs(c[6:12])}
+}
+
+// qMinus1 is Q − 1 as limbs, the largest reduced component.
+var qMinus1 = fp{q0 - 1, q1, q2, q3}
+
+// cornerLimbs spells pattern's low n bits as components 0 (bit clear) and
+// Q − 1 (bit set), the ends of each component's range.
+func cornerLimbs(pattern, n int) []fp {
+	c := make([]fp, n)
+	for i := range c {
+		if pattern>>i&1 == 1 {
+			c[i] = qMinus1
+		}
+	}
+	return c
+}
+
+// edgeLimbs fills c with components drawn from 0, 1, Q − 1 and Montgomery
+// one, and randomLimbs with components below Q.
+func edgeLimbs(r *rand.Rand, c []fp) {
+	edges := []fp{{}, {1}, qMinus1, fpMontOne}
+	for i := range c {
+		c[i] = edges[r.Intn(len(edges))]
+	}
+}
+
+func randomLimbs(r *rand.Rand, c []fp) {
+	for i := range c {
+		c[i] = foldQ(fp{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()})
+	}
+}
+
+// TestFp6MulMatchesGeneric: every pair of corners {0, Q − 1}⁶ for x's and
+// y's components, then components drawn at random from 0, 1, Q − 1 and
+// Montgomery one, then 2¹⁴ seeded random pairs below Q.
+func TestFp6MulMatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip(noADX)
+	}
+	// The low six bits of p pick x's corner and the high six y's: every
+	// pair of corners.
+	for p := 0; p < 1<<12; p++ {
+		c := cornerLimbs(p, 12)
+		fp6MulAgrees(t, fp6FromLimbs(c[:6]), fp6FromLimbs(c[6:]))
+	}
+	r := rand.New(rand.NewSource(0xf6))
+	c := make([]fp, 12)
+	for i := 0; i < 1<<12; i++ {
+		edgeLimbs(r, c)
+		fp6MulAgrees(t, fp6FromLimbs(c[:6]), fp6FromLimbs(c[6:]))
+	}
+	for i := 0; i < 1<<14; i++ {
+		randomLimbs(r, c)
+		fp6MulAgrees(t, fp6FromLimbs(c[:6]), fp6FromLimbs(c[6:]))
+	}
+}
+
+// TestCyclotomicSquareMatchesGeneric: all 2¹² corners {0, Q − 1}¹² of x's
+// components, then components drawn at random from 0, 1, Q − 1 and
+// Montgomery one, then 2¹⁴ seeded random inputs below Q.
+func TestCyclotomicSquareMatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip(noADX)
+	}
+	for p := 0; p < 1<<12; p++ {
+		cyclotomicSquareAgrees(t, fp12FromLimbs(cornerLimbs(p, 12)))
+	}
+	r := rand.New(rand.NewSource(0xc5))
+	c := make([]fp, 12)
+	for i := 0; i < 1<<12; i++ {
+		edgeLimbs(r, c)
+		cyclotomicSquareAgrees(t, fp12FromLimbs(c))
+	}
+	for i := 0; i < 1<<14; i++ {
+		randomLimbs(r, c)
+		cyclotomicSquareAgrees(t, fp12FromLimbs(c))
+	}
+}
+
+// TestFp12MulLineMatchesGeneric: every corner {0, Q − 1}¹² of f against
+// each corner {0, Q − 1}⁴ of the line, then components drawn at random
+// from 0, 1, Q − 1 and Montgomery one, then 2¹⁴ seeded random inputs
+// below Q.
+func TestFp12MulLineMatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip(noADX)
+	}
+	for p := 0; p < 1<<12; p++ {
+		f := fp12FromLimbs(cornerLimbs(p, 12))
+		for q := 0; q < 1<<4; q++ {
+			c := cornerLimbs(q, 4)
+			fp12MulLineAgrees(t, f, [2]fp2{{c[0], c[1]}, {c[2], c[3]}})
+		}
+	}
+	r := rand.New(rand.NewSource(0x11e))
+	c := make([]fp, 16)
+	for i := 0; i < 1<<12; i++ {
+		edgeLimbs(r, c)
+		fp12MulLineAgrees(t, fp12FromLimbs(c), [2]fp2{{c[12], c[13]}, {c[14], c[15]}})
+	}
+	for i := 0; i < 1<<14; i++ {
+		randomLimbs(r, c)
+		fp12MulLineAgrees(t, fp12FromLimbs(c), [2]fp2{{c[12], c[13]}, {c[14], c[15]}})
+	}
+}
+
 // FuzzMontMul: two 32-byte big-endian inputs (shorter ones are
 // left-padded) folded into [0, 2Q) for montMul, and into [0, Q) as the
-// components of fp2Mul's x = a + b·i and y = b + a·i.
+// components of fp2Mul's x = a + b·i and y = b + a·i, and of the Fq⁶
+// kernels' operands built from a, b and their negations.
 func FuzzMontMul(f *testing.F) {
 	if !hasADX {
 		f.Skip(noADX)
@@ -164,5 +336,13 @@ func FuzzMontMul(f *testing.F) {
 		montMulAgrees(t, fold2Q(a), fold2Q(b))
 		a, b = foldQ(a), foldQ(b)
 		fp2MulAgrees(t, fp2{a, b}, fp2{b, a})
+		var na, nb fp
+		fpNeg(&na, &a)
+		fpNeg(&nb, &b)
+		x := fp6FromLimbs([]fp{a, b, na, nb, b, a})
+		y := fp6FromLimbs([]fp{nb, a, b, na, a, nb})
+		fp6MulAgrees(t, x, y)
+		cyclotomicSquareAgrees(t, fp12{x, y})
+		fp12MulLineAgrees(t, fp12{x, y}, [2]fp2{{a, nb}, {b, na}})
 	})
 }

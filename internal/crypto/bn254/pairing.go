@@ -268,6 +268,21 @@ func prepareLines(q *G2Point) []normLine {
 	return lines
 }
 
+// fp12MulLineGeneric sets f = f·(1 + L·w) for a prepared line evaluated
+// at P, L = d[0] + d[1]·v, with components below Q: for f = A + B·w the
+// product is (A + v·B·L) + (B + A·L)·w, two sparse fp6Mul01 and 10 fp2
+// products. This is fp12MulLine off amd64 and on CPUs without ADX/BMI2;
+// otherwise fp12MulLine is the lazily reduced assembly, which
+// TestFp12MulLineMatchesGeneric holds to it.
+func fp12MulLineGeneric(f *fp12, d *[2]fp2) {
+	var al, bl fp6
+	fp6Mul01(&al, &f.c0, &d[0], &d[1])
+	fp6Mul01(&bl, &f.c1, &d[0], &d[1])
+	fp6MulByNonresidue(&bl, &bl)
+	fp6Add(&f.c0, &f.c0, &bl)
+	fp6Add(&f.c1, &f.c1, &al)
+}
+
 // fixedPairs is how many pairs a check holds in fixed arrays before its
 // buffers move to the heap: every check threshbls makes has two.
 const fixedPairs = 4
@@ -305,17 +320,10 @@ func millerLoopLines(lines [][]normLine, ps []G1Point) (fp12, bool) {
 	step := func() {
 		for j := range lines {
 			l, a := &lines[j][k], &args[j]
-			var d0, d1 fp2
-			var al, bl fp6
-			fp2MulByFp(&d0, &l.b, &a.xy)
-			fp2MulByFp(&d1, &l.c, &a.yInv)
-			// f·(1 + L·w) = (A + v·B·L) + (B + A·L)·w for f = A + B·w and
-			// L = d0 + d1·v: 10 fp2 products.
-			fp6Mul01(&al, &f.c0, &d0, &d1)
-			fp6Mul01(&bl, &f.c1, &d0, &d1)
-			fp6MulByNonresidue(&bl, &bl)
-			fp6Add(&f.c0, &f.c0, &bl)
-			fp6Add(&f.c1, &f.c1, &al)
+			var d [2]fp2
+			fp2MulByFp(&d[0], &l.b, &a.xy)
+			fp2MulByFp(&d[1], &l.c, &a.yInv)
+			fp12MulLine(&f, &d)
 		}
 		k++
 	}
