@@ -106,29 +106,29 @@
 // Its low half goes through four REDUCE rounds with a zero spill, which
 // leaves (T_low + M·Q)/2²⁵⁶ ≤ Q; adding the high half (< Q) gives
 // (T + M·Q)/2²⁵⁶ < 2Q, and STORE subtracts once. The high half waits in
-// the four words at st(SP) while R8–R11 are taken back for the spill and Q.
-#define REDC(off, st) \
-	MOVQ R8, st+0(SP);   \
-	MOVQ R9, st+8(SP);   \
-	MOVQ R10, st+16(SP); \
-	MOVQ R11, st+24(SP); \
-	XORQ R8, R8;         \
-	MOVQ Q0, R10;        \
-	MOVQ Q1, R11;        \
-	MOVQ Q2, R12;        \
-	MOVQ Q3, R15;        \
-	REDUCE;              \
-	REDUCE;              \
-	REDUCE;              \
-	REDUCE;              \
-	ADDQ st+0(SP), R14;  \
-	ADCQ st+8(SP), R13;  \
-	ADCQ st+16(SP), CX;  \
-	ADCQ st+24(SP), BX;  \
+// 192(SP) while R8–R11 are taken back for the spill and Q.
+#define REDC(off) \
+	MOVQ R8, 192(SP);  \
+	MOVQ R9, 200(SP);  \
+	MOVQ R10, 208(SP); \
+	MOVQ R11, 216(SP); \
+	XORQ R8, R8;       \
+	MOVQ Q0, R10;      \
+	MOVQ Q1, R11;      \
+	MOVQ Q2, R12;      \
+	MOVQ Q3, R15;      \
+	REDUCE;            \
+	REDUCE;            \
+	REDUCE;            \
+	REDUCE;            \
+	ADDQ 192(SP), R14; \
+	ADCQ 200(SP), R13; \
+	ADCQ 208(SP), CX;  \
+	ADCQ 216(SP), BX;  \
 	STORE(off)
 
-// fp6MulADX and fp12CyclotomicSquareADX reduce once per output
-// coefficient. Until then every intermediate is an exact integer
+// fp6MulADX, fp12MulLineADX and fp12CyclotomicSquareADX reduce once per
+// output coefficient. Until then every intermediate is an exact integer
 // combination of 512-bit products: a "wide" value, nine words of the
 // frame holding a signed two's-complement V that stands for the residue
 // V·2⁻²⁵⁶ mod Q. Adding any multiple of Q to V leaves that residue alone.
@@ -516,7 +516,7 @@ TEXT ·fp2MulADX(SB), NOSPLIT, $224-24
 	SUB8(0)
 	SUB8(64)
 	MOVQ z+0(FP), DI
-	REDC(32, 192)
+	REDC(32)
 
 	// c0 = a0b0 − a1b1, with Q added to the high half under the borrow's
 	// mask (R12).
@@ -535,7 +535,7 @@ TEXT ·fp2MulADX(SB), NOSPLIT, $224-24
 	ADCQ DX, R9
 	ADCQ SI, R10
 	ADCQ R15, R11
-	REDC(0, 192)
+	REDC(0)
 	RET
 
 // func fp6Mul(z, x, y *fp6)
