@@ -161,7 +161,7 @@ func TestMultiIntervalTransferCompletesWithoutRestart(t *testing.T) {
 	if m.SnapshotTransferRestarts != 0 {
 		t.Fatalf("transfer restarted %d times across the multi-interval window", m.SnapshotTransferRestarts)
 	}
-	if m.SnapshotDeltaTransfers == 0 {
+	if m.SnapshotReuseTransfers == 0 {
 		t.Fatal("no chunk reuse recorded: the transfer never spanned an interval boundary")
 	}
 	digestsAgree(t, cl)

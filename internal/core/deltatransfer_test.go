@@ -69,8 +69,8 @@ func TestDeltaTransferPrefillsFromRetainedBase(t *testing.T) {
 		t.Fatalf("delta transfer did not complete (le=%d, want 8)", rg.r.LastExecuted())
 	}
 	m := rg.r.Metrics
-	if m.SnapshotDeltaTransfers != 1 {
-		t.Fatalf("SnapshotDeltaTransfers = %d, want 1", m.SnapshotDeltaTransfers)
+	if m.SnapshotReuseTransfers != 1 {
+		t.Fatalf("SnapshotReuseTransfers = %d, want 1", m.SnapshotReuseTransfers)
 	}
 	if want := uint64(len(cs8.Chunks) - 1); m.SnapshotChunksReused != want {
 		t.Fatalf("SnapshotChunksReused = %d, want %d", m.SnapshotChunksReused, want)

@@ -95,13 +95,13 @@ type Metrics struct {
 	// carried over no held chunk after something was fetched: verified
 	// progress discarded. A supersession that carried a held chunk
 	// forward under an equal leaf is not a restart (it counts under
-	// SnapshotDeltaTransfers), and neither is a completed transfer
+	// SnapshotReuseTransfers), and neither is a completed transfer
 	// followed by a fresh fetch for the remaining gap.
 	SnapshotTransferRestarts uint64
-	// SnapshotDeltaTransfers counts transfers (including mid-transfer
+	// SnapshotReuseTransfers counts transfers (including mid-transfer
 	// supersessions) that reused chunks this replica already held
 	// instead of fetching the full state.
-	SnapshotDeltaTransfers uint64
+	SnapshotReuseTransfers uint64
 	// SnapshotChunksReused counts chunks taken from a retained generation
 	// or a superseded transfer under an equal leaf — bytes that never
 	// crossed the wire.

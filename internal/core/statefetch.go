@@ -439,7 +439,7 @@ func (ft *fetcher) adoptMeta(m SnapshotMetaMsg) {
 	}
 	f.missing = len(f.chunks) - reused
 	if reused > 0 {
-		ft.metrics.SnapshotDeltaTransfers++
+		ft.metrics.SnapshotReuseTransfers++
 		ft.metrics.SnapshotChunksReused += uint64(reused)
 	}
 	if prevFetched > 0 && carried == 0 {

@@ -262,3 +262,37 @@ func BenchmarkFp12Mul(b *testing.B) {
 		fp12Mul(&z, &x, &y)
 	}
 }
+
+// BenchmarkFp12MulGeneric is the three-fp6Mul Karatsuba fp12Mul's lazily
+// reduced assembly replaces on ADX/BMI2 CPUs.
+func BenchmarkFp12MulGeneric(b *testing.B) {
+	r := testRand()
+	x := fp12FromFQP(randFq12(r))
+	y := fp12FromFQP(randFq12(r))
+	var z fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp12MulGeneric(&z, &x, &y)
+	}
+}
+
+// BenchmarkFp12Square is the Miller loop's squaring of f.
+func BenchmarkFp12Square(b *testing.B) {
+	x := fp12FromFQP(randFq12(testRand()))
+	var z fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp12Square(&z, &x)
+	}
+}
+
+// BenchmarkFp12SquareGeneric is the two-fp6Mul squaring the assembly
+// replaces on ADX/BMI2 CPUs.
+func BenchmarkFp12SquareGeneric(b *testing.B) {
+	x := fp12FromFQP(randFq12(testRand()))
+	var z fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp12SquareGeneric(&z, &x)
+	}
+}

@@ -52,8 +52,8 @@
 // math/big construction it grew from was. Signing multiplies a hashed
 // point by the secret share: that loop branched on the share's bits when
 // it was double-and-add and branches on its NAF digits (and indexes a
-// table by them) now; fpInv's Euclid and fpExp take data-dependent paths
-// too. The mask-selected field additions, and the CMOV-selected final
+// table by them) now; fpInv's Euclid and fpLegendre's binary Jacobi take
+// data-dependent paths too. The mask-selected field additions, and the CMOV-selected final
 // subtraction of the assembly montMul, are optimisations, not a
 // hardening. This fits the paper's setting — a permissioned deployment
 // whose threat model is Byzantine replicas, not an attacker timing a

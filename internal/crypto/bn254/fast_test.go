@@ -8,6 +8,8 @@ package bn254
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -71,8 +73,16 @@ func TestFpDifferential(t *testing.T) {
 			}
 		}
 		// Sqrt agrees with big.Int ModSqrt on existence, and the root
-		// squares back.
+		// squares back; its chain is x^((Q+1)/4), and fpLegendre is
+		// big.Jacobi.
 		var s fp
+		fpExpChain(&s, &fa, &fpSqrtChain)
+		if want := new(big.Int).Exp(ra.Big(), new(big.Int).Rsh(new(big.Int).Add(Q, big.NewInt(1)), 2), Q); s.toBig().Cmp(want) != 0 {
+			t.Fatalf("x^((Q+1)/4) mismatch: %v", a)
+		}
+		if got, want := fpLegendre(&fa), big.Jacobi(ra.Big(), Q); got != want {
+			t.Fatalf("fpLegendre(%v) = %d, want %d", a, got, want)
+		}
 		ok := fpSqrt(&s, &fa)
 		refRoot := new(big.Int).ModSqrt(ra.Big(), Q)
 		if ok != (refRoot != nil) {
@@ -710,16 +720,42 @@ func TestG1MultiScalarMul(t *testing.T) {
 	}
 }
 
+// TestHashToG1MatchesReference: four strings and 10⁴ SHA-256 digests
+// hashed by both, and every candidate x³ + 3 on the way — the rejected
+// ones too — through fpLegendre against big.Jacobi.
 func TestHashToG1MatchesReference(t *testing.T) {
-	for _, msg := range []string{"", "a", "sbft digest", "try-and-increment exercises retries"} {
-		fast := HashToG1([]byte(msg))
-		ref := hashToG1Reference([]byte(msg))
-		if !fast.Equal(ref) {
-			t.Fatalf("HashToG1 mismatch for %q", msg)
+	msgs := [][]byte{{}, []byte("a"), []byte("sbft digest"), []byte("try-and-increment exercises retries")}
+	for i := 0; i < 10000; i++ {
+		d := sha256.Sum256(binary.BigEndian.AppendUint32(nil, uint32(i)))
+		msgs = append(msgs, d[:])
+	}
+	rejected := 0
+	for _, msg := range msgs {
+		fast := HashToG1(msg)
+		if ref := hashToG1Reference(msg); !fast.Equal(ref) {
+			t.Fatalf("HashToG1 mismatch for %x", msg)
 		}
 		if !fast.IsOnCurve() {
-			t.Fatalf("hashed point off curve for %q", msg)
+			t.Fatalf("hashed point off curve for %x", msg)
 		}
+		for ctr := uint32(0); ; ctr++ {
+			x := fpFromWide(hashCandidateX(msg, ctr))
+			var rhs fp
+			fpSquare(&rhs, &x)
+			montMul(&rhs, &rhs, &x)
+			fpAdd(&rhs, &rhs, &fpThree)
+			want := big.Jacobi(rhs.toBig(), Q)
+			if got := fpLegendre(&rhs); got != want {
+				t.Fatalf("fpLegendre of candidate %d for %x = %d, big.Jacobi %d", ctr, msg, got, want)
+			}
+			if want >= 0 {
+				break
+			}
+			rejected++
+		}
+	}
+	if rejected < len(msgs)/3 {
+		t.Fatalf("%d rejected candidates over %d digests: the test no longer reaches them", rejected, len(msgs))
 	}
 }
 

@@ -43,9 +43,11 @@ var (
 	fpMontOne = fp{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
 	// fpRSquare is 2⁵¹² mod Q, used to convert into Montgomery form.
 	fpRSquare = fp{0xf32cfc5b538afa89, 0xb5e71911d44501fb, 0x47ab1eff0a417ff6, 0x06d89f71cab8351f}
-	// fpSqrtExp is (Q+1)/4; Q ≡ 3 (mod 4), so x^((Q+1)/4) is a square
-	// root of any quadratic residue x.
-	fpSqrtExp = new(big.Int).Rsh(new(big.Int).Add(Q, big.NewInt(1)), 2)
+	// fpSqrtChain raises to (Q+1)/4; Q ≡ 3 (mod 4), so x^((Q+1)/4) is a
+	// square root of any quadratic residue x. In windows of four bits: 252
+	// squarings and 54 multiplications, where bit by bit takes 108 (and
+	// windows of five, 53).
+	fpSqrtChain = newExpChain(new(big.Int).Rsh(new(big.Int).Add(Q, big.NewInt(1)), 2))
 )
 
 func fpFromUint64(v uint64) fp {
@@ -415,16 +417,62 @@ func fpHalve(z, x *fp) {
 // fpSquare sets z = x².
 func fpSquare(z, x *fp) { montMul(z, x, x) }
 
-// fpExp sets z = x^e (e ≥ 0, not a secret exponent: variable time).
-func fpExp(z, x *fp, e *big.Int) {
-	var r fp
-	r.setOne()
-	b := *x
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		fpSquare(&r, &r)
-		if e.Bit(i) == 1 {
-			montMul(&r, &r, &b)
+// expChain is a fixed exponent e > 0 as a left-to-right sliding-window
+// chain: e's bits cut into odd windows of at most four bits, the zeros
+// between them skipped. x^e is x^(2k+1) for the first step's k; each
+// later step squares sq times and multiplies by x^(2k+1); tail squarings
+// end it.
+type expChain struct {
+	steps []expStep
+	tail  int
+}
+
+type expStep struct{ sq, k int }
+
+func newExpChain(e *big.Int) expChain {
+	var c expChain
+	zeros := 0
+	for i := e.BitLen() - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			zeros++
+			i--
+			continue
 		}
+		j := max(i-3, 0)
+		for e.Bit(j) == 0 {
+			j++
+		}
+		v := 0
+		for b := i; b >= j; b-- {
+			v = v<<1 | int(e.Bit(b))
+		}
+		c.steps = append(c.steps, expStep{sq: zeros + i - j + 1, k: v / 2})
+		zeros = 0
+		i = j - 1
+	}
+	c.tail = zeros
+	return c
+}
+
+// fpExpChain sets z = x^e for the exponent c spells (variable time, for
+// public exponents).
+func fpExpChain(z, x *fp, c *expChain) {
+	var tab [8]fp // x, x³, …, x¹⁵
+	var x2 fp
+	tab[0] = *x
+	fpSquare(&x2, x)
+	for k := 1; k < len(tab); k++ {
+		montMul(&tab[k], &tab[k-1], &x2)
+	}
+	r := tab[c.steps[0].k]
+	for _, s := range c.steps[1:] {
+		for i := 0; i < s.sq; i++ {
+			fpSquare(&r, &r)
+		}
+		montMul(&r, &r, &tab[s.k])
+	}
+	for i := 0; i < c.tail; i++ {
+		fpSquare(&r, &r)
 	}
 	*z = r
 }
@@ -493,11 +541,65 @@ func (z *fp) subNoReduce(x *fp) {
 // fpSqrt sets z to a square root of x and reports whether one exists.
 func fpSqrt(z, x *fp) bool {
 	var r, check fp
-	fpExp(&r, x, fpSqrtExp)
+	fpExpChain(&r, x, &fpSqrtChain)
 	fpSquare(&check, &r)
 	if !check.equal(x) {
 		return false
 	}
 	*z = r
 	return true
+}
+
+// fpLegendre returns the Legendre symbol of x mod Q: 1 for a nonzero
+// square, −1 for a non-square, 0 for zero. It reads the Montgomery limbs
+// as they are: x·2²⁵⁶ has x's symbol, since (2/Q)²⁵⁶ = 1. The binary
+// Jacobi algorithm: with n odd, strip the twos of a, each flipping the
+// sign when n ≡ ±3 (mod 8); when a < n, swap them by reciprocity, which
+// flips it when both are 3 mod 4; then a −= n. About a fifth of fpSqrt.
+func fpLegendre(x *fp) int {
+	a, n := *x, qLimbs
+	var flip uint64
+	for a[0]|a[1]|a[2]|a[3] != 0 {
+		if a[1]|a[2]|a[3]|n[1]|n[2]|n[3] == 0 {
+			return jacobi64(a[0], n[0], flip)
+		}
+		for a[0] == 0 { // 64 twos: an even count, no flip
+			a[0], a[1], a[2], a[3] = a[1], a[2], a[3], 0
+		}
+		if tz := uint(bits.TrailingZeros64(a[0])); tz != 0 {
+			a[0] = a[0]>>tz | a[1]<<(64-tz)
+			a[1] = a[1]>>tz | a[2]<<(64-tz)
+			a[2] = a[2]>>tz | a[3]<<(64-tz)
+			a[3] >>= tz
+			flip ^= uint64(tz) & (n[0]>>1 ^ n[0]>>2)
+		}
+		if a.less(&n) {
+			a, n = n, a
+			flip ^= (a[0] >> 1) & (n[0] >> 1)
+		}
+		a.subNoReduce(&n)
+	}
+	if n != (fp{1}) {
+		return 0
+	}
+	return 1 - 2*int(flip&1)
+}
+
+// jacobi64 finishes fpLegendre once a and n fit in a word; flip's low bit
+// carries the sign so far.
+func jacobi64(a, n, flip uint64) int {
+	for a != 0 {
+		tz := uint(bits.TrailingZeros64(a))
+		a >>= tz
+		flip ^= uint64(tz) & (n>>1 ^ n>>2)
+		if a < n {
+			a, n = n, a
+			flip ^= (a >> 1) & (n >> 1)
+		}
+		a -= n
+	}
+	if n != 1 {
+		return 0
+	}
+	return 1 - 2*int(flip&1)
 }

@@ -18,8 +18,11 @@ func (z *fp12) isOne() bool {
 
 func (z *fp12) equal(x *fp12) bool { return z.c0.equal(&x.c0) && z.c1.equal(&x.c1) }
 
-// fp12Mul sets z = x·y (Karatsuba, 3 fp6 multiplications).
-func fp12Mul(z, x, y *fp12) {
+// fp12MulGeneric sets z = x·y (Karatsuba, 3 fp6 multiplications) for x
+// and y with components below Q; z may alias x or y. This is fp12Mul off
+// amd64 and on CPUs without ADX/BMI2; otherwise fp12Mul is the lazily
+// reduced assembly, which TestFp12MulMatchesGeneric holds to it.
+func fp12MulGeneric(z, x, y *fp12) {
 	var t0, t1, u, s fp6
 	fp6Mul(&t0, &x.c0, &y.c0)
 	fp6Mul(&t1, &x.c1, &y.c1)
@@ -33,9 +36,11 @@ func fp12Mul(z, x, y *fp12) {
 	z.c1 = u
 }
 
-// fp12Square sets z = x²: c0 = (a0+a1)(a0+v·a1) − t − v·t, c1 = 2t with
-// t = a0·a1.
-func fp12Square(z, x *fp12) {
+// fp12SquareGeneric sets z = x²: c0 = (a0+a1)(a0+v·a1) − t − v·t,
+// c1 = 2t with t = a0·a1; z may alias x. This is fp12Square off amd64
+// and on CPUs without ADX/BMI2; otherwise fp12Square is the lazily
+// reduced assembly, which TestFp12SquareMatchesGeneric holds to it.
+func fp12SquareGeneric(z, x *fp12) {
 	var t, u, s fp6
 	fp6Mul(&t, &x.c0, &x.c1)
 	fp6Add(&u, &x.c0, &x.c1)

@@ -62,6 +62,9 @@ func FuzzFpArith(f *testing.F) {
 			fpInv(&z, &fa)
 			check("inv", &z, ra.Inv())
 		}
+		if got, want := fpLegendre(&fa), big.Jacobi(ra.Big(), Q); got != want {
+			t.Fatalf("legendre(%v) = %d, want %d", a, got, want)
+		}
 	})
 }
 

@@ -120,7 +120,8 @@ func UnmarshalG1(data []byte) (G1Point, bool) {
 // values derived from the digest until x³+3 is a quadratic residue, and of
 // the two roots the one whose canonical value is smaller. The method is
 // deterministic and constant-free; BLS signatures only need a
-// random-oracle-ish map (§III).
+// random-oracle-ish map (§III). Half the candidates fail, and the Legendre
+// symbol turns each away at a fifth of a square root's cost.
 func HashToG1(msg []byte) G1Point {
 	for ctr := uint32(0); ; ctr++ {
 		// E(Fq) has order R exactly for BN curves (cofactor 1), so any
@@ -130,7 +131,7 @@ func HashToG1(msg []byte) G1Point {
 		fpSquare(&rhs, &p.x)
 		montMul(&rhs, &rhs, &p.x)
 		fpAdd(&rhs, &rhs, &fpThree)
-		if !fpSqrt(&p.y, &rhs) {
+		if fpLegendre(&rhs) < 0 || !fpSqrt(&p.y, &rhs) {
 			continue
 		}
 		var yn fp

@@ -1,8 +1,8 @@
 package bn254
 
 // hasADX reports BMI2 (MULX) and ADX (ADCX, ADOX), which the assembly of
-// montMul, fp2Mul, fp6Mul, fp12MulLine and fp12CyclotomicSquare needs;
-// without them each jumps to its generic Go. Package-level initialisers
+// montMul, fp2Mul, fp6Mul and the Fq¹² kernels needs; without them each
+// jumps to its generic Go. Package-level initialisers
 // that run before this one (fp2Xi) read false and take the generic path,
 // which gives the same bits.
 var hasADX = supportsADX()
@@ -51,6 +51,24 @@ func fp6Mul(z, x, y *fp6)
 //go:noescape
 func fp6MulADX(z, x, y *fp6)
 
+// fp12Mul sets z = x·y with fp12MulGeneric's contract (fp12.go):
+// components below Q, z may alias x or y. With ADX/BMI2 it is fp12MulADX.
+//
+//go:noescape
+func fp12Mul(z, x, y *fp12)
+
+//go:noescape
+func fp12MulADX(z, x, y *fp12)
+
+// fp12Square sets z = x² with fp12SquareGeneric's contract (fp12.go).
+// With ADX/BMI2 it is fp12SquareADX.
+//
+//go:noescape
+func fp12Square(z, x *fp12)
+
+//go:noescape
+func fp12SquareADX(z, x *fp12)
+
 // fp12CyclotomicSquare sets z = x² for x in the cyclotomic subgroup, with
 // fp12CyclotomicSquareGeneric's contract (fp12.go). With ADX/BMI2 it is
 // fp12CyclotomicSquareADX.
@@ -61,14 +79,22 @@ func fp12CyclotomicSquare(z, x *fp12)
 //go:noescape
 func fp12CyclotomicSquareADX(z, x *fp12)
 
-// fp12MulLine sets f = f·(1 + (d[0] + d[1]·v)·w) with
+// fp12MulLine multiplies f by the line l evaluated at a, with
 // fp12MulLineGeneric's contract (pairing.go). With ADX/BMI2 it is
 // fp12MulLineADX.
 //
 //go:noescape
-func fp12MulLine(f *fp12, d *[2]fp2)
+func fp12MulLine(f *fp12, l *normLine, a *evalArg)
 
 //go:noescape
-func fp12MulLineADX(f *fp12, d *[2]fp2)
+func fp12MulLineADX(f *fp12, l *normLine, a *evalArg)
+
+// fp2WideADX, fp2SqWideADX, fp6CombineADX and wideFinishADX are
+// subroutines of the kernels above, which pass them their operands in
+// registers (montmul_amd64.s); Go never calls them.
+func fp2WideADX()
+func fp2SqWideADX()
+func fp6CombineADX()
+func wideFinishADX()
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)

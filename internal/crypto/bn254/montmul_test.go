@@ -8,10 +8,10 @@ import (
 
 // The assembly in montmul_amd64.s against the Go it replaces: montMul
 // against montMulGeneric on every operand montMul accepts, [0, 2Q), and
-// fp2Mul, fp6Mul, fp12MulLine and fp12CyclotomicSquare against their
-// generic Go on reduced operands, with z fresh and aliased where the
-// signature allows; the outputs must be bit-identical. Off amd64, or on a CPU without ADX/BMI2, each is its
-// generic function and there is nothing to compare.
+// fp2Mul, fp6Mul and the Fq¹² kernels against their generic Go on
+// reduced operands, with z fresh and aliased where the signature allows;
+// the outputs must be bit-identical. Off amd64, or on a CPU without
+// ADX/BMI2, each is its generic function and there is nothing to compare.
 
 const noADX = "no ADX/BMI2 (or not amd64): the kernels are their generic Go here"
 
@@ -188,13 +188,51 @@ func cyclotomicSquareAgrees(t *testing.T, x fp12) {
 
 // fp12MulLineAgrees checks fp12MulLine against its generic Go. The
 // kernel works in place, so there is no aliasing to vary.
-func fp12MulLineAgrees(t *testing.T, f fp12, d [2]fp2) {
+func fp12MulLineAgrees(t *testing.T, f fp12, l normLine, a evalArg) {
 	t.Helper()
 	want, got := f, f
-	fp12MulLineGeneric(&want, &d)
-	fp12MulLine(&got, &d)
+	fp12MulLineGeneric(&want, &l, &a)
+	fp12MulLine(&got, &l, &a)
 	if got != want {
-		t.Fatalf("fp12MulLine(%x, %x) = %x, generic %x", f, d, got, want)
+		t.Fatalf("fp12MulLine(%x, %x, %x) = %x, generic %x", f, l, a, got, want)
+	}
+}
+
+// fp12MulAgrees is montMulAgrees for fp12Mul.
+func fp12MulAgrees(t *testing.T, x, y fp12) {
+	t.Helper()
+	var want, got fp12
+	fp12MulGeneric(&want, &x, &y)
+	fp12Mul(&got, &x, &y)
+	if got != want {
+		t.Fatalf("fp12Mul(%x, %x) = %x, fp12MulGeneric %x", x, y, got, want)
+	}
+	a, b := x, y
+	fp12Mul(&a, &a, &b)
+	if a != want {
+		t.Fatalf("fp12Mul(%x, %x) = %x with z aliasing x, want %x", x, y, a, want)
+	}
+	a, b = x, y
+	fp12Mul(&b, &a, &b)
+	if b != want {
+		t.Fatalf("fp12Mul(%x, %x) = %x with z aliasing y, want %x", x, y, b, want)
+	}
+}
+
+// fp12SquareAgrees checks fp12Square against its generic Go, with z fresh
+// and aliasing x.
+func fp12SquareAgrees(t *testing.T, x fp12) {
+	t.Helper()
+	var want, got fp12
+	fp12SquareGeneric(&want, &x)
+	fp12Square(&got, &x)
+	if got != want {
+		t.Fatalf("fp12Square(%x) = %x, generic %x", x, got, want)
+	}
+	got = x
+	fp12Square(&got, &got)
+	if got != want {
+		t.Fatalf("fp12Square(%x) = %x with z aliasing x, want %x", x, got, want)
 	}
 }
 
@@ -286,36 +324,99 @@ func TestCyclotomicSquareMatchesGeneric(t *testing.T) {
 }
 
 // TestFp12MulLineMatchesGeneric: every corner {0, Q − 1}¹² of f against
-// each corner {0, Q − 1}⁴ of the line, then components drawn at random
-// from 0, 1, Q − 1 and Montgomery one, then 2¹⁴ seeded random inputs
-// below Q.
+// each corner {0, Q − 1}⁴ of the line, evaluated at (1, 1) so that L is
+// that corner and at each corner {0, Q − 1}² of the evaluation pair; then
+// components drawn at random from 0, 1, Q − 1 and Montgomery one, then
+// 2¹⁴ seeded random inputs below Q.
 func TestFp12MulLineMatchesGeneric(t *testing.T) {
 	if !hasADX {
 		t.Skip(noADX)
+	}
+	args := []evalArg{{fpMontOne, fpMontOne}}
+	for q := 0; q < 1<<2; q++ {
+		c := cornerLimbs(q, 2)
+		args = append(args, evalArg{c[0], c[1]})
 	}
 	for p := 0; p < 1<<12; p++ {
 		f := fp12FromLimbs(cornerLimbs(p, 12))
 		for q := 0; q < 1<<4; q++ {
 			c := cornerLimbs(q, 4)
-			fp12MulLineAgrees(t, f, [2]fp2{{c[0], c[1]}, {c[2], c[3]}})
+			for _, a := range args {
+				fp12MulLineAgrees(t, f, normLine{fp2{c[0], c[1]}, fp2{c[2], c[3]}}, a)
+			}
 		}
 	}
 	r := rand.New(rand.NewSource(0x11e))
-	c := make([]fp, 16)
+	c := make([]fp, 18)
 	for i := 0; i < 1<<12; i++ {
 		edgeLimbs(r, c)
-		fp12MulLineAgrees(t, fp12FromLimbs(c), [2]fp2{{c[12], c[13]}, {c[14], c[15]}})
+		fp12MulLineAgrees(t, fp12FromLimbs(c), normLine{fp2{c[12], c[13]}, fp2{c[14], c[15]}}, evalArg{c[16], c[17]})
 	}
 	for i := 0; i < 1<<14; i++ {
 		randomLimbs(r, c)
-		fp12MulLineAgrees(t, fp12FromLimbs(c), [2]fp2{{c[12], c[13]}, {c[14], c[15]}})
+		fp12MulLineAgrees(t, fp12FromLimbs(c), normLine{fp2{c[12], c[13]}, fp2{c[14], c[15]}}, evalArg{c[16], c[17]})
+	}
+}
+
+// TestFp12SquareMatchesGeneric: all 2¹² corners {0, Q − 1}¹² of x's
+// components, then components drawn at random from 0, 1, Q − 1 and
+// Montgomery one, then 2¹⁴ seeded random inputs below Q.
+func TestFp12SquareMatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip(noADX)
+	}
+	for p := 0; p < 1<<12; p++ {
+		fp12SquareAgrees(t, fp12FromLimbs(cornerLimbs(p, 12)))
+	}
+	r := rand.New(rand.NewSource(0x5a))
+	c := make([]fp, 12)
+	for i := 0; i < 1<<12; i++ {
+		edgeLimbs(r, c)
+		fp12SquareAgrees(t, fp12FromLimbs(c))
+	}
+	for i := 0; i < 1<<14; i++ {
+		randomLimbs(r, c)
+		fp12SquareAgrees(t, fp12FromLimbs(c))
+	}
+}
+
+// TestFp12MulMatchesGeneric: every corner {0, Q − 1}¹² of x against y
+// equal to it, its complement, all zero, all Q − 1 and eight seeded
+// random corners, in both orders (the 2²⁴ pairs of corners would take
+// minutes); then components drawn at random from 0, 1, Q − 1 and
+// Montgomery one, then 2¹³ seeded random pairs below Q.
+func TestFp12MulMatchesGeneric(t *testing.T) {
+	if !hasADX {
+		t.Skip(noADX)
+	}
+	r := rand.New(rand.NewSource(0x12))
+	for p := 0; p < 1<<12; p++ {
+		x := fp12FromLimbs(cornerLimbs(p, 12))
+		ys := []int{p, p ^ (1<<12 - 1), 0, 1<<12 - 1}
+		for i := 0; i < 8; i++ {
+			ys = append(ys, r.Intn(1<<12))
+		}
+		for _, q := range ys {
+			y := fp12FromLimbs(cornerLimbs(q, 12))
+			fp12MulAgrees(t, x, y)
+			fp12MulAgrees(t, y, x)
+		}
+	}
+	c := make([]fp, 24)
+	for i := 0; i < 1<<12; i++ {
+		edgeLimbs(r, c)
+		fp12MulAgrees(t, fp12FromLimbs(c[:12]), fp12FromLimbs(c[12:]))
+	}
+	for i := 0; i < 1<<13; i++ {
+		randomLimbs(r, c)
+		fp12MulAgrees(t, fp12FromLimbs(c[:12]), fp12FromLimbs(c[12:]))
 	}
 }
 
 // FuzzMontMul: two 32-byte big-endian inputs (shorter ones are
 // left-padded) folded into [0, 2Q) for montMul, and into [0, Q) as the
-// components of fp2Mul's x = a + b·i and y = b + a·i, and of the Fq⁶
-// kernels' operands built from a, b and their negations.
+// components of fp2Mul's x = a + b·i and y = b + a·i, and of the Fq⁶ and
+// Fq¹² kernels' operands built from a, b and their negations.
 func FuzzMontMul(f *testing.F) {
 	if !hasADX {
 		f.Skip(noADX)
@@ -343,6 +444,9 @@ func FuzzMontMul(f *testing.F) {
 		y := fp6FromLimbs([]fp{nb, a, b, na, a, nb})
 		fp6MulAgrees(t, x, y)
 		cyclotomicSquareAgrees(t, fp12{x, y})
-		fp12MulLineAgrees(t, fp12{x, y}, [2]fp2{{a, nb}, {b, na}})
+		fp12MulLineAgrees(t, fp12{x, y}, normLine{fp2{a, nb}, fp2{b, na}}, evalArg{b, na})
+		fp12MulLineAgrees(t, fp12{x, y}, normLine{fp2{a, nb}, fp2{b, na}}, evalArg{fpMontOne, fpMontOne})
+		fp12MulAgrees(t, fp12{x, y}, fp12{y, x})
+		fp12SquareAgrees(t, fp12{x, y})
 	})
 }

@@ -268,16 +268,24 @@ func prepareLines(q *G2Point) []normLine {
 	return lines
 }
 
-// fp12MulLineGeneric sets f = f·(1 + L·w) for a prepared line evaluated
-// at P, L = d[0] + d[1]·v, with components below Q: for f = A + B·w the
-// product is (A + v·B·L) + (B + A·L)·w, two sparse fp6Mul01 and 10 fp2
-// products. This is fp12MulLine off amd64 and on CPUs without ADX/BMI2;
-// otherwise fp12MulLine is the lazily reduced assembly, which
+// evalArg is a G1 argument P as the prepared lines read it: xP/yP and
+// 1/yP.
+type evalArg struct{ xy, yInv fp }
+
+// fp12MulLineGeneric sets f = f·(1 + L·w) for the prepared line l
+// evaluated at P, L = b′·xP/yP + c′/yP·v = d0 + d1·v, with components
+// below Q: for f = A + B·w the product is (A + v·B·L) + (B + A·L)·w, two
+// sparse fp6Mul01 and 10 fp2 products after the four base products of
+// the evaluation. This is fp12MulLine off amd64 and on CPUs without
+// ADX/BMI2; otherwise fp12MulLine is the lazily reduced assembly, which
 // TestFp12MulLineMatchesGeneric holds to it.
-func fp12MulLineGeneric(f *fp12, d *[2]fp2) {
+func fp12MulLineGeneric(f *fp12, l *normLine, a *evalArg) {
+	var d0, d1 fp2
+	fp2MulByFp(&d0, &l.b, &a.xy)
+	fp2MulByFp(&d1, &l.c, &a.yInv)
 	var al, bl fp6
-	fp6Mul01(&al, &f.c0, &d[0], &d[1])
-	fp6Mul01(&bl, &f.c1, &d[0], &d[1])
+	fp6Mul01(&al, &f.c0, &d0, &d1)
+	fp6Mul01(&bl, &f.c1, &d0, &d1)
 	fp6MulByNonresidue(&bl, &bl)
 	fp6Add(&f.c0, &f.c0, &bl)
 	fp6Add(&f.c1, &f.c1, &al)
@@ -294,9 +302,8 @@ const fixedPairs = 4
 // P_j has y = 0 — no curve point does, the G1Point zero value does.
 func millerLoopLines(lines [][]normLine, ps []G1Point) (fp12, bool) {
 	var f fp12
-	// Every P_j as the lines read it, xP/yP and 1/yP, with all the yP
-	// inverted by one fpInv: yInv holds yP₀⋯yPⱼ₋₁ until the backward pass.
-	type evalArg struct{ xy, yInv fp }
+	// Every P_j as the lines read it, with all the yP inverted by one
+	// fpInv: yInv holds yP₀⋯yPⱼ₋₁ until the backward pass.
 	var buf [fixedPairs]evalArg
 	args := buf[:0]
 	acc := fpMontOne
@@ -319,11 +326,7 @@ func millerLoopLines(lines [][]normLine, ps []G1Point) (fp12, bool) {
 	k := 0
 	step := func() {
 		for j := range lines {
-			l, a := &lines[j][k], &args[j]
-			var d [2]fp2
-			fp2MulByFp(&d[0], &l.b, &a.xy)
-			fp2MulByFp(&d[1], &l.c, &a.yInv)
-			fp12MulLine(&f, &d)
+			fp12MulLine(&f, &lines[j][k], &args[j])
 		}
 		k++
 	}

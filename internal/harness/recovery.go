@@ -163,7 +163,7 @@ func RecoveryGen(seed int64) Scenario {
 					return fmt.Sprintf("transfer restarted %d times across the multi-interval stall",
 						lag.Metrics.SnapshotTransferRestarts)
 				}
-				if lag.Metrics.SnapshotDeltaTransfers == 0 {
+				if lag.Metrics.SnapshotReuseTransfers == 0 {
 					return "no chunk reuse recorded: the stalled transfer never spanned an interval boundary"
 				}
 			}

@@ -117,14 +117,14 @@ func recoveryLatency(b *testing.B, valSize, ops int) float64 {
 	return latency
 }
 
-// deltaRecoveryLatency measures catch-up of a replica that crashes
+// reuseRecoveryLatency measures catch-up of a replica that crashes
 // AFTER adopting a stable snapshot: while it is down the live replicas
 // overwrite dirtyFrac of the key space across several checkpoint
 // intervals, and on recovery the victim fetches the new snapshot reusing
 // every chunk of the base generation it still holds that the new leaf
 // list repeats. Returns the simulated recovery time plus the victim's
 // reuse/restart counters at the moment it caught up.
-func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64) (float64, core.Metrics) {
+func reuseRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64) (float64, core.Metrics) {
 	b.Helper()
 	netCfg := sim.ContinentProfile(7)
 	cl, err := cluster.New(cluster.Options{
@@ -180,7 +180,7 @@ func deltaRecoveryLatency(b *testing.B, valSize int, dirtyFrac float64) (float64
 }
 
 // BenchmarkStateTransfer reports recovery latency of the windowed fetch
-// at a small and a large (multi-MiB) application state; the delta/*
+// at a small and a large (multi-MiB) application state; the reuse/*
 // points then time transfers that reuse a base the victim already holds,
 // at three fractions of the key space rewritten while it was down.
 func BenchmarkStateTransfer(b *testing.B) {
@@ -207,32 +207,32 @@ func BenchmarkStateTransfer(b *testing.B) {
 		})
 	}
 
-	deltaCases := []struct {
+	reuseCases := []struct {
 		name      string
 		dirtyFrac float64
 	}{
-		{"delta/dirty1", 0.01},
-		{"delta/dirty10", 0.10},
-		{"delta/dirty100", 1.00},
+		{"reuse/dirty1", 0.01},
+		{"reuse/dirty10", 0.10},
+		{"reuse/dirty100", 1.00},
 	}
 	reused := make(map[string]uint64)
-	for _, tc := range deltaCases {
+	for _, tc := range reuseCases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var total float64
 			var m core.Metrics
 			for i := 0; i < b.N; i++ {
-				ms, vm := deltaRecoveryLatency(b, 32*1024, tc.dirtyFrac)
+				ms, vm := reuseRecoveryLatency(b, 32*1024, tc.dirtyFrac)
 				total += ms
 				m = vm
 			}
 			// A transfer against a held base must reuse chunks and never
 			// restart.
 			if m.SnapshotChunksReused == 0 {
-				b.Fatalf("delta transfer reused no chunks (fetched=%d)", m.SnapshotChunks)
+				b.Fatalf("transfer against a held base reused no chunks (fetched=%d)", m.SnapshotChunks)
 			}
 			if m.SnapshotTransferRestarts != 0 {
-				b.Fatalf("delta transfer restarted %d times", m.SnapshotTransferRestarts)
+				b.Fatalf("transfer against a held base restarted %d times", m.SnapshotTransferRestarts)
 			}
 			reused[tc.name] = m.SnapshotChunksReused
 			ms := total / float64(b.N)
@@ -245,9 +245,9 @@ func BenchmarkStateTransfer(b *testing.B) {
 	}
 	// The dirty fraction must reach the chunks: rewriting everything has
 	// to leave fewer clean chunks to reuse than rewriting one key.
-	lo, okLo := reused["delta/dirty1"]
-	hi, okHi := reused["delta/dirty100"]
+	lo, okLo := reused["reuse/dirty1"]
+	hi, okHi := reused["reuse/dirty100"]
 	if okLo && okHi && hi >= lo {
-		b.Fatalf("delta/dirty100 reused %d chunks, delta/dirty1 %d: the down window dirtied nothing", hi, lo)
+		b.Fatalf("reuse/dirty100 reused %d chunks, reuse/dirty1 %d: the down window dirtied nothing", hi, lo)
 	}
 }
