@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"sbft/internal/crypto/threshsig"
@@ -176,28 +177,23 @@ func (c Config) collectorSet(seq, view uint64, kind string, count int) []int {
 	if count > n-1 {
 		count = n - 1
 	}
-	out := make([]int, 0, count)
-	taken := make(map[int]bool, count+1)
-	taken[primary] = true
-	var ctr uint64
-	for len(out) < count {
-		h := sha256.New()
-		h.Write([]byte("sbft:collector:"))
-		h.Write([]byte(kind))
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], seq)
-		h.Write(b[:])
-		binary.BigEndian.PutUint64(b[:], view)
-		h.Write(b[:])
-		binary.BigEndian.PutUint64(b[:], ctr)
-		h.Write(b[:])
-		ctr++
-		id := int(binary.BigEndian.Uint64(h.Sum(nil)[:8])%uint64(n)) + 1
-		if taken[id] {
-			continue
+	// Room for CCollectors' fallback primary. De-duplication scans out:
+	// count is c+1, a handful.
+	out := make([]int, 0, count+1)
+	var buf [64]byte
+	msg := append(buf[:0], "sbft:collector:"...)
+	msg = append(msg, kind...)
+	msg = binary.BigEndian.AppendUint64(msg, seq)
+	msg = binary.BigEndian.AppendUint64(msg, view)
+	msg = binary.BigEndian.AppendUint64(msg, 0)
+	ctr := msg[len(msg)-8:]
+	for i := uint64(0); len(out) < count; i++ {
+		binary.BigEndian.PutUint64(ctr, i)
+		h := sha256.Sum256(msg)
+		id := int(binary.BigEndian.Uint64(h[:8])%uint64(n)) + 1
+		if id != primary && !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		taken[id] = true
-		out = append(out, id)
 	}
 	return out
 }

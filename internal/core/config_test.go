@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,6 +127,61 @@ func TestCollectorSelectionDeterministic(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatal("collector selection nondeterministic")
+			}
+		}
+	}
+}
+
+// referenceCollectorSet is the selection as first written: a fresh
+// sha256.New per draw and a map of taken ids. collectorSet must return
+// the same ids in the same order.
+func referenceCollectorSet(c Config, seq, view uint64, kind string, count int) []int {
+	n := c.N()
+	primary := c.Primary(view)
+	if count > n-1 {
+		count = n - 1
+	}
+	out := make([]int, 0, count)
+	taken := make(map[int]bool, count+1)
+	taken[primary] = true
+	var ctr uint64
+	for len(out) < count {
+		h := sha256.New()
+		h.Write([]byte("sbft:collector:"))
+		h.Write([]byte(kind))
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], seq)
+		h.Write(b[:])
+		binary.BigEndian.PutUint64(b[:], view)
+		h.Write(b[:])
+		binary.BigEndian.PutUint64(b[:], ctr)
+		h.Write(b[:])
+		ctr++
+		id := int(binary.BigEndian.Uint64(h.Sum(nil)[:8])%uint64(n)) + 1
+		if taken[id] {
+			continue
+		}
+		taken[id] = true
+		out = append(out, id)
+	}
+	return out
+}
+
+func TestCollectorSetMatchesReference(t *testing.T) {
+	for _, fc := range [][2]int{{1, 0}, {2, 0}, {2, 1}, {3, 0}, {64, 8}} {
+		cfg := DefaultConfig(fc[0], fc[1])
+		for seq := uint64(0); seq < 1000; seq++ {
+			for view := uint64(0); view < 3; view++ {
+				for _, kind := range []string{"commit", "exec"} {
+					// The reference draws in a fixed order, so its answer
+					// for a smaller count is a prefix of this one.
+					want := referenceCollectorSet(cfg, seq, view, kind, cfg.F+1)
+					for c := 0; c <= cfg.F; c++ {
+						if got := cfg.collectorSet(seq, view, kind, c+1); !slices.Equal(got, want[:c+1]) {
+							t.Fatalf("n=%d seq=%d view=%d %s count=%d: %v, want %v", cfg.N(), seq, view, kind, c+1, got, want[:c+1])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -23,10 +23,13 @@ package threshsig
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
+	"sync"
 )
 
 // Common errors returned by Scheme implementations.
@@ -153,13 +156,14 @@ func CheckShares(k, n int, shares []Share) ([]Share, error) {
 // acceptable in-process, matching the simulation substitution in DESIGN.md.
 type InsecureScheme struct {
 	k, n   int
-	master []byte
+	master macKey
+	shares []macKey // shares[i-1] keys signer i's MAC
 }
 
 // InsecureSigner is the per-participant side of InsecureScheme.
 type InsecureSigner struct {
-	id     int
-	secret []byte
+	id  int
+	key macKey
 }
 
 // InsecureDealer deals InsecureScheme instances keyed by a seed so that
@@ -170,30 +174,102 @@ type InsecureDealer struct {
 
 var _ Dealer = InsecureDealer{}
 
-// Deal implements Dealer.
+// Deal implements Dealer. Every key's schedule is computed here, once.
 func (d InsecureDealer) Deal(k, n int) (Scheme, []Signer, error) {
 	if k < 1 || n < 1 || k > n {
 		return nil, nil, fmt.Errorf("threshsig: invalid threshold k=%d n=%d", k, n)
 	}
-	master := hmacSum(d.Seed, []byte(fmt.Sprintf("master/%d/%d", k, n)))
-	scheme := &InsecureScheme{k: k, n: n, master: master}
+	master := newMACKey(d.Seed).sum([]byte(fmt.Sprintf("master/%d/%d", k, n)))
+	scheme := &InsecureScheme{k: k, n: n, master: newMACKey(master), shares: make([]macKey, n)}
 	signers := make([]Signer, n)
 	for i := 1; i <= n; i++ {
-		signers[i-1] = &InsecureSigner{id: i, secret: scheme.signerSecret(i)}
+		var id [8]byte
+		binary.BigEndian.PutUint64(id[:], uint64(i))
+		scheme.shares[i-1] = newMACKey(scheme.master.sum(id[:]))
+		signers[i-1] = &InsecureSigner{id: i, key: scheme.shares[i-1]}
 	}
 	return scheme, signers, nil
 }
 
-func (s *InsecureScheme) signerSecret(id int) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(id))
-	return hmacSum(s.master, buf[:])
+// macKey is an HMAC-SHA256 key with its schedule precomputed: the
+// marshalled SHA-256 states after the ipad and after the opad block. A MAC
+// resumes from them — two compressions for a short message instead of
+// four, and no re-keying.
+type macKey struct {
+	inner, outer []byte
 }
 
-func hmacSum(key, msg []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(msg)
-	return m.Sum(nil)
+func newMACKey(key []byte) macKey {
+	if len(key) > sha256.BlockSize {
+		k := sha256.Sum256(key)
+		key = k[:]
+	}
+	var ipad, opad [sha256.BlockSize]byte
+	copy(ipad[:], key)
+	copy(opad[:], key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	return macKey{inner: stateAfter(ipad[:]), outer: stateAfter(opad[:])}
+}
+
+// stateAfter marshals the SHA-256 state after one block.
+func stateAfter(block []byte) []byte {
+	h := sha256.New()
+	h.Write(block)
+	b, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals
+	}
+	return b
+}
+
+// macState is a SHA-256 state and room for its result, reused through
+// macStates so that a MAC allocates nothing of its own.
+type macState struct {
+	h   hash.Hash
+	u   encoding.BinaryUnmarshaler
+	out [sha256.Size]byte
+}
+
+var macStates = sync.Pool{New: func() any {
+	h := sha256.New()
+	return &macState{h: h, u: h.(encoding.BinaryUnmarshaler)}
+}}
+
+// mac computes HMAC(key, msg...) into st.out.
+func (k macKey) mac(st *macState, msg ...[]byte) {
+	if err := st.u.UnmarshalBinary(k.inner); err != nil {
+		panic(err)
+	}
+	for _, m := range msg {
+		st.h.Write(m)
+	}
+	inner := st.h.Sum(st.out[:0])
+	if err := st.u.UnmarshalBinary(k.outer); err != nil {
+		panic(err)
+	}
+	st.h.Write(inner)
+	st.h.Sum(st.out[:0])
+}
+
+// sum returns HMAC(key, msg...).
+func (k macKey) sum(msg ...[]byte) []byte {
+	st := macStates.Get().(*macState)
+	k.mac(st, msg...)
+	out := append([]byte(nil), st.out[:]...)
+	macStates.Put(st)
+	return out
+}
+
+// equal reports, in constant time, whether mac is HMAC(key, msg...).
+func (k macKey) equal(mac []byte, msg ...[]byte) bool {
+	st := macStates.Get().(*macState)
+	k.mac(st, msg...)
+	ok := hmac.Equal(st.out[:], mac)
+	macStates.Put(st)
+	return ok
 }
 
 // ID implements Signer.
@@ -201,7 +277,7 @@ func (s *InsecureSigner) ID() int { return s.id }
 
 // Sign implements Signer.
 func (s *InsecureSigner) Sign(digest []byte) (Share, error) {
-	return Share{Signer: s.id, Data: hmacSum(s.secret, digest)}, nil
+	return Share{Signer: s.id, Data: s.key.sum(digest)}, nil
 }
 
 var _ Scheme = (*InsecureScheme)(nil)
@@ -217,8 +293,7 @@ func (s *InsecureScheme) VerifyShare(digest []byte, share Share) error {
 	if share.Signer < 1 || share.Signer > s.n {
 		return fmt.Errorf("%w: signer %d, n=%d", ErrBadSignerID, share.Signer, s.n)
 	}
-	want := hmacSum(s.signerSecret(share.Signer), digest)
-	if !hmac.Equal(want, share.Data) {
+	if !s.shares[share.Signer-1].equal(share.Data, digest) {
 		return fmt.Errorf("%w: signer %d", ErrInvalidShare, share.Signer)
 	}
 	return nil
@@ -253,12 +328,14 @@ func (s *InsecureScheme) CombineVerified(digest []byte, shares []Share) (Signatu
 // not depend on which k shares were supplied, mirroring the uniqueness of
 // BLS threshold signatures (any k shares interpolate to the same value).
 func (s *InsecureScheme) combined(digest []byte) []byte {
-	return hmacSum(s.master, append([]byte("combined/"), digest...))
+	return s.master.sum(combinedTag, digest)
 }
+
+var combinedTag = []byte("combined/")
 
 // Verify implements Scheme.
 func (s *InsecureScheme) Verify(digest []byte, sig Signature) error {
-	if !hmac.Equal(s.combined(digest), sig.Data) {
+	if !s.master.equal(sig.Data, combinedTag, digest) {
 		return ErrInvalidSignature
 	}
 	return nil

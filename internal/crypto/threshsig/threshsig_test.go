@@ -2,7 +2,9 @@ package threshsig
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -217,5 +219,79 @@ func TestQuickThresholdProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsecureMACMatchesHMAC: the precomputed key schedule is HMAC-SHA256,
+// byte for byte, on either side of the block size (a key longer than a
+// block is hashed first), and the dealt keys are the ones the scheme has
+// always derived: master = HMAC(seed, "master/k/n"), signer i's secret =
+// HMAC(master, i as 8 big-endian bytes).
+func TestInsecureMACMatchesHMAC(t *testing.T) {
+	ref := func(key []byte, msg ...[]byte) []byte {
+		m := hmac.New(sha256.New, key)
+		for _, b := range msg {
+			m.Write(b)
+		}
+		return m.Sum(nil)
+	}
+	msg := make([]byte, 201)
+	for i := range msg {
+		msg[i] = byte(i*7 + 3)
+	}
+	for _, kl := range []int{0, 1, 32, 64, 65, 100} {
+		key := make([]byte, kl)
+		for i := range key {
+			key[i] = byte(i*13 + kl)
+		}
+		mk := newMACKey(key)
+		for ml := 0; ml <= 200; ml++ {
+			want := ref(key, msg[:ml])
+			if got := mk.sum(msg[:ml]); !bytes.Equal(got, want) {
+				t.Fatalf("key %d bytes, message %d bytes: %x, want %x", kl, ml, got, want)
+			}
+			if !mk.equal(want, msg[:ml/2], msg[ml/2:ml]) {
+				t.Fatalf("key %d bytes, message %d bytes in two pieces: MAC does not verify", kl, ml)
+			}
+		}
+	}
+
+	seed := []byte("test-seed")
+	scheme, signers := deal(t, 3, 5)
+	master := ref(seed, []byte("master/3/5"))
+	d := digestOf("reference")
+	if err := scheme.Verify(d, Signature{Data: ref(master, []byte("combined/"), d)}); err != nil {
+		t.Fatalf("combined signature differs from HMAC(master, \"combined/\"‖digest): %v", err)
+	}
+	for _, sg := range signers {
+		var id [8]byte
+		binary.BigEndian.PutUint64(id[:], uint64(sg.ID()))
+		sh, _ := sg.Sign(d)
+		if want := ref(ref(master, id[:]), d); !bytes.Equal(sh.Data, want) {
+			t.Fatalf("signer %d: share %x, want %x", sg.ID(), sh.Data, want)
+		}
+	}
+}
+
+// TestInsecureSchemeAllocs pins the steady-state allocations of a MAC:
+// the SHA-256 state is pooled, so only a share's 32 bytes are allocated.
+// Race builds allocate more; CI's race job skips this test.
+func TestInsecureSchemeAllocs(t *testing.T) {
+	scheme, signers := deal(t, 3, 4)
+	d := digestOf("allocs")
+	sh, _ := signers[1].Sign(d)
+	sig, _ := scheme.CombineVerified(d, []Share{{Signer: 1}, {Signer: 2}, {Signer: 3}})
+	for _, c := range []struct {
+		name string
+		fn   func()
+		want float64
+	}{
+		{"Sign", func() { _, _ = signers[1].Sign(d) }, 1},
+		{"VerifyShare", func() { _ = scheme.VerifyShare(d, sh) }, 0},
+		{"Verify", func() { _ = scheme.Verify(d, sig) }, 0},
+	} {
+		if got := testing.AllocsPerRun(200, c.fn); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sbft/internal/core"
@@ -56,6 +57,20 @@ type Node interface {
 	Deliver(from int, msg any)
 }
 
+// event is one item for the event loop, three words so that the 4096-slot
+// queue stays small: a message from peer from (ids are positive), or, with
+// a negative tag for from, a Do closure or a fired timer. A delivered frame
+// is queued as a value; only Do allocates a closure.
+type event struct {
+	from int
+	msg  any
+}
+
+const (
+	doEvent    = -1 // msg is a func() from Do
+	timerEvent = -2 // msg is the *timer that fired
+)
+
 // Shell hosts one node over TCP. All node callbacks run on the shell's
 // event loop goroutine, preserving the sans-io single-threaded contract.
 type Shell struct {
@@ -71,9 +86,9 @@ type Shell struct {
 	// cancelled. Close stops them: a pending runtime timer keeps its
 	// callback, and through it the node and all its state, reachable
 	// until it fires.
-	timers map[*time.Timer]struct{}
+	timers map[*timer]struct{}
 
-	events chan func()
+	events chan event
 	done   chan struct{}
 	wg     sync.WaitGroup
 	ln     net.Listener
@@ -94,8 +109,8 @@ func NewShell(id int, listenAddr string, peers map[int]string) (*Shell, error) {
 		learned: make(map[int]string),
 		conns:   make(map[int]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
-		timers:  make(map[*time.Timer]struct{}),
-		events:  make(chan func(), 4096),
+		timers:  make(map[*timer]struct{}),
+		events:  make(chan event, 4096),
 		done:    make(chan struct{}),
 		ln:      ln,
 	}
@@ -179,7 +194,7 @@ func (s *Shell) readLoop(conn net.Conn) {
 			return // channel authenticity: sender id is fixed per conn
 		}
 		select {
-		case s.events <- func() { s.node.Deliver(from, msg) }:
+		case s.events <- event{from: from, msg: msg}:
 		case <-s.done:
 			return
 		}
@@ -190,8 +205,17 @@ func (s *Shell) eventLoop() {
 	defer s.wg.Done()
 	for {
 		select {
-		case fn := <-s.events:
-			fn()
+		case ev := <-s.events:
+			switch ev.from {
+			case doEvent:
+				ev.msg.(func())()
+			case timerEvent:
+				if tm := ev.msg.(*timer); !tm.cancelled.Load() {
+					tm.fn()
+				}
+			default:
+				s.node.Deliver(ev.from, ev.msg)
+			}
 		case <-s.done:
 			return
 		}
@@ -375,53 +399,76 @@ func (s *Shell) Now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
+// timer is one After: the callback, the runtime timer that queues it, and
+// the cancellation flag the event loop reads before running it.
+type timer struct {
+	s         *Shell
+	fn        func()
+	t         *time.Timer
+	cancelled atomic.Bool
+}
+
 // After implements core.Env: the callback runs on the event loop.
 func (s *Shell) After(d time.Duration, fn func()) func() {
-	var once sync.Once
-	cancelled := make(chan struct{})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return func() {}
 	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		s.mu.Lock() // also orders reading t after its assignment below
-		delete(s.timers, t)
-		s.mu.Unlock()
-		select {
-		case <-cancelled:
-			return
-		case <-s.done:
-			return
-		case s.events <- func() {
-			select {
-			case <-cancelled:
-			default:
-				fn()
-			}
-		}:
-		}
-	})
-	s.timers[t] = struct{}{}
-	return func() {
-		once.Do(func() {
-			close(cancelled)
-			t.Stop()
-			s.mu.Lock()
-			delete(s.timers, t)
-			s.mu.Unlock()
-		})
+	tm := &timer{s: s, fn: fn}
+	tm.t = time.AfterFunc(d, tm.fire)
+	s.timers[tm] = struct{}{}
+	return tm.cancel
+}
+
+// fire runs on the runtime's timer goroutine and queues the timer.
+func (tm *timer) fire() {
+	s := tm.s
+	s.mu.Lock()
+	delete(s.timers, tm)
+	s.mu.Unlock()
+	if tm.cancelled.Load() {
+		return
+	}
+	select {
+	case s.events <- event{from: timerEvent, msg: tm}:
+	case <-s.done:
 	}
 }
 
+// cancel is idempotent; a timer already queued is skipped by the loop.
+func (tm *timer) cancel() {
+	if tm.cancelled.Swap(true) {
+		return
+	}
+	tm.t.Stop()
+	s := tm.s
+	s.mu.Lock()
+	delete(s.timers, tm)
+	s.mu.Unlock()
+}
+
 // Do runs fn on the event loop and waits for it (external access to node
-// state).
+// state). If the shell closes first it returns without running fn; if
+// the loop has already taken fn, it waits for fn to finish.
 func (s *Shell) Do(fn func()) {
+	var claimed atomic.Bool
 	doneCh := make(chan struct{})
+	run := func() {
+		if claimed.CompareAndSwap(false, true) {
+			fn()
+			close(doneCh)
+		}
+	}
 	select {
-	case s.events <- func() { fn(); close(doneCh) }:
-		<-doneCh
+	case s.events <- event{from: doEvent, msg: run}:
+		select {
+		case <-doneCh:
+		case <-s.done:
+			if !claimed.CompareAndSwap(false, true) {
+				<-doneCh
+			}
+		}
 	case <-s.done:
 	}
 }
@@ -440,8 +487,8 @@ func (s *Shell) Close() error {
 	for c := range s.inbound {
 		c.Close()
 	}
-	for t := range s.timers {
-		t.Stop()
+	for tm := range s.timers {
+		tm.t.Stop()
 	}
 	s.timers = nil
 	s.mu.Unlock()

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"sbft/internal/core"
+	"sbft/internal/crypto/threshsig"
+	"sbft/internal/wire"
 )
 
 func TestShellAfterCancel(t *testing.T) {
@@ -62,6 +65,97 @@ func TestCloseReleasesPendingTimers(t *testing.T) {
 		}
 	}
 	t.Fatal("state captured by a pending timer is still reachable after Close")
+}
+
+// TestDoReturnsAcrossClose: a Do whose closure is queued when Close lands
+// returns — having run fn, or without running it — instead of waiting for
+// an event loop that is gone.
+func TestDoReturnsAcrossClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.Start(nopNode{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					ran := false
+					sh.Do(func() { ran = true })
+					_ = ran // read after Do: fn has finished or never runs
+				}
+			}()
+		}
+		sh.Close()
+		returned := make(chan struct{})
+		go func() { wg.Wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: Do calls still blocked 2s after Close", round)
+		}
+	}
+}
+
+// TestShellAfterAllocs pins what arming and cancelling a timer allocates:
+// the shell's timer, the runtime's, and the two method values handed to
+// them. Race builds allocate more; CI's race job skips this test.
+func TestShellAfterAllocs(t *testing.T) {
+	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	sh.Start(nopNode{})
+	fn := func() {}
+	if got := testing.AllocsPerRun(200, func() { sh.After(time.Hour, fn)() }); got != 4 {
+		t.Errorf("After then cancel: %v allocations, want 4", got)
+	}
+}
+
+// signalNode reports each delivery on a channel.
+type signalNode chan struct{}
+
+func (n signalNode) Deliver(int, any) { n <- struct{}{} }
+
+// TestFrameDeliverAllocs pins what one frame costs from the socket to
+// Node.Deliver: the frame body and the decoded message boxed in an
+// interface, nothing for queueing it on the event loop. Race builds
+// allocate more; CI's race job skips this test.
+func TestFrameDeliverAllocs(t *testing.T) {
+	got := make(signalNode, 1)
+	sh, err := NewShell(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	sh.Start(got)
+	conn, err := net.Dial("tcp", sh.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(wire.AppendHello(nil, 2, "")); err != nil {
+		t.Fatal(err)
+	}
+	share := threshsig.Share{Signer: 2, Data: make([]byte, 32)}
+	frame, err := wire.AppendFrame(nil, 2, core.SignShareMsg{Seq: 7, View: 1, Replica: 2, SigmaSig: share, TauSig: share})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func() {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	deliver() // warm up: the first delivery may grow the goroutines' stacks
+	if n := testing.AllocsPerRun(500, deliver); n != 2 {
+		t.Errorf("one frame delivered: %v allocations, want 2", n)
+	}
 }
 
 type nopNode struct{}
