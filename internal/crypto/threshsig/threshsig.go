@@ -23,7 +23,6 @@ package threshsig
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,7 +173,7 @@ type InsecureDealer struct {
 
 var _ Dealer = InsecureDealer{}
 
-// Deal implements Dealer. Every key's schedule is computed here, once.
+// Deal implements Dealer. Every signer's secret is derived here, once.
 func (d InsecureDealer) Deal(k, n int) (Scheme, []Signer, error) {
 	if k < 1 || n < 1 || k > n {
 		return nil, nil, fmt.Errorf("threshsig: invalid threshold k=%d n=%d", k, n)
@@ -191,84 +190,52 @@ func (d InsecureDealer) Deal(k, n int) (Scheme, []Signer, error) {
 	return scheme, signers, nil
 }
 
-// macKey is an HMAC-SHA256 key with its schedule precomputed: the
-// marshalled SHA-256 states after the ipad and after the opad block. A MAC
-// resumes from them — two compressions for a short message instead of
-// four, and no re-keying.
+// macKey is an HMAC-SHA256 key with a pool of HMACs keyed by it. After
+// its first Reset, crypto/hmac keeps the SHA-256 states after the ipad and
+// opad blocks and resumes from them: a MAC costs two compressions for a
+// short message instead of four, with no re-keying and no allocation.
 type macKey struct {
-	inner, outer []byte
+	pool *sync.Pool
 }
 
-func newMACKey(key []byte) macKey {
-	if len(key) > sha256.BlockSize {
-		k := sha256.Sum256(key)
-		key = k[:]
-	}
-	var ipad, opad [sha256.BlockSize]byte
-	copy(ipad[:], key)
-	copy(opad[:], key)
-	for i := range ipad {
-		ipad[i] ^= 0x36
-		opad[i] ^= 0x5c
-	}
-	return macKey{inner: stateAfter(ipad[:]), outer: stateAfter(opad[:])}
-}
-
-// stateAfter marshals the SHA-256 state after one block.
-func stateAfter(block []byte) []byte {
-	h := sha256.New()
-	h.Write(block)
-	b, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(err) // crypto/sha256 always marshals
-	}
-	return b
-}
-
-// macState is a SHA-256 state and room for its result, reused through
-// macStates so that a MAC allocates nothing of its own.
+// macState is one pooled HMAC and room for its result.
 type macState struct {
 	h   hash.Hash
-	u   encoding.BinaryUnmarshaler
 	out [sha256.Size]byte
 }
 
-var macStates = sync.Pool{New: func() any {
-	h := sha256.New()
-	return &macState{h: h, u: h.(encoding.BinaryUnmarshaler)}
-}}
+func newMACKey(key []byte) macKey {
+	key = append([]byte(nil), key...)
+	return macKey{&sync.Pool{New: func() any {
+		return &macState{h: hmac.New(sha256.New, key)}
+	}}}
+}
 
-// mac computes HMAC(key, msg...) into st.out.
-func (k macKey) mac(st *macState, msg ...[]byte) {
-	if err := st.u.UnmarshalBinary(k.inner); err != nil {
-		panic(err)
-	}
+// mac computes HMAC(key, msg...) into the out of a pooled state, which the
+// caller puts back.
+func (k macKey) mac(msg ...[]byte) *macState {
+	st := k.pool.Get().(*macState)
+	st.h.Reset()
 	for _, m := range msg {
 		st.h.Write(m)
 	}
-	inner := st.h.Sum(st.out[:0])
-	if err := st.u.UnmarshalBinary(k.outer); err != nil {
-		panic(err)
-	}
-	st.h.Write(inner)
 	st.h.Sum(st.out[:0])
+	return st
 }
 
 // sum returns HMAC(key, msg...).
 func (k macKey) sum(msg ...[]byte) []byte {
-	st := macStates.Get().(*macState)
-	k.mac(st, msg...)
+	st := k.mac(msg...)
 	out := append([]byte(nil), st.out[:]...)
-	macStates.Put(st)
+	k.pool.Put(st)
 	return out
 }
 
 // equal reports, in constant time, whether mac is HMAC(key, msg...).
 func (k macKey) equal(mac []byte, msg ...[]byte) bool {
-	st := macStates.Get().(*macState)
-	k.mac(st, msg...)
+	st := k.mac(msg...)
 	ok := hmac.Equal(st.out[:], mac)
-	macStates.Put(st)
+	k.pool.Put(st)
 	return ok
 }
 

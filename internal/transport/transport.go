@@ -58,18 +58,14 @@ type Node interface {
 }
 
 // event is one item for the event loop, three words so that the 4096-slot
-// queue stays small: a message from peer from (ids are positive), or, with
-// a negative tag for from, a Do closure or a fired timer. A delivered frame
-// is queued as a value; only Do allocates a closure.
+// queue stays small: a decoded message from peer from, a Do closure
+// (func()) or a fired *timer. The loop tells them apart by msg's type,
+// which no decoded message shares. A delivered frame is queued as a value;
+// only Do allocates a closure.
 type event struct {
 	from int
 	msg  any
 }
-
-const (
-	doEvent    = -1 // msg is a func() from Do
-	timerEvent = -2 // msg is the *timer that fired
-)
 
 // Shell hosts one node over TCP. All node callbacks run on the shell's
 // event loop goroutine, preserving the sans-io single-threaded contract.
@@ -163,8 +159,8 @@ func (s *Shell) readLoop(conn net.Conn) {
 		return
 	}
 	from, addr, err := wire.DecodeHello(body)
-	if err != nil {
-		return
+	if err != nil || from < 1 {
+		return // node ids are positive
 	}
 	if addr != "" {
 		// Learn a dial-back route for peers absent from the static book
@@ -206,12 +202,12 @@ func (s *Shell) eventLoop() {
 	for {
 		select {
 		case ev := <-s.events:
-			switch ev.from {
-			case doEvent:
-				ev.msg.(func())()
-			case timerEvent:
-				if tm := ev.msg.(*timer); !tm.cancelled.Load() {
-					tm.fn()
+			switch m := ev.msg.(type) {
+			case func():
+				m()
+			case *timer:
+				if !m.cancelled.Load() {
+					m.fn()
 				}
 			default:
 				s.node.Deliver(ev.from, ev.msg)
@@ -431,7 +427,7 @@ func (tm *timer) fire() {
 		return
 	}
 	select {
-	case s.events <- event{from: timerEvent, msg: tm}:
+	case s.events <- event{msg: tm}:
 	case <-s.done:
 	}
 }
@@ -461,7 +457,7 @@ func (s *Shell) Do(fn func()) {
 		}
 	}
 	select {
-	case s.events <- event{from: doEvent, msg: run}:
+	case s.events <- event{msg: run}:
 		select {
 		case <-doneCh:
 		case <-s.done:

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -155,6 +157,62 @@ func TestFrameDeliverAllocs(t *testing.T) {
 	deliver() // warm up: the first delivery may grow the goroutines' stacks
 	if n := testing.AllocsPerRun(500, deliver); n != 2 {
 		t.Errorf("one frame delivered: %v allocations, want 2", n)
+	}
+}
+
+// fromNode reports the sender of each delivery on a channel.
+type fromNode chan int
+
+func (n fromNode) Deliver(from int, _ any) { n <- from }
+
+// TestNonPositiveHelloIsRefused: node ids are positive, so a connection
+// whose hello announces 0 or a negative id is closed before any of its
+// frames reaches the event loop, and the shell goes on serving.
+func TestNonPositiveHelloIsRefused(t *testing.T) {
+	got := make(fromNode, 4)
+	sh, err := NewShell(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	sh.Start(got)
+	send := func(from int) net.Conn {
+		conn, err := net.Dial("tcp", sh.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.AppendFrame(wire.AppendHello(nil, from, ""), from, core.SignShareMsg{Seq: 7, View: 1, Replica: from})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	for _, from := range []int{-2, -1, 0} {
+		conn := send(from)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var b [1]byte
+		if _, err := conn.Read(b[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("hello from %d: connection still open (%v)", from, err)
+		}
+		conn.Close()
+	}
+	conn := send(2)
+	defer conn.Close()
+	select {
+	case from := <-got:
+		if from != 2 {
+			t.Fatalf("delivered a frame from %d", from)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shell stopped delivering after the refused hellos")
+	}
+	ran := false
+	sh.Do(func() { ran = true })
+	if !ran {
+		t.Fatal("Do did not run on the event loop")
 	}
 }
 
