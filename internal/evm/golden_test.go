@@ -91,13 +91,13 @@ func TestRevertMidBlockYieldsSameRootAsNeverWritten(t *testing.T) {
 	}
 
 	clean := merkle.NewMap()
-	cs := NewMapState(clean)
+	cs := NewMapState(bareMap{clean})
 	kept(cs)
 	clean.Digest()
 	blockStart(cs)
 
 	m := merkle.NewMap()
-	s := NewMapState(m)
+	s := NewMapState(bareMap{m})
 	kept(s)
 	m.Digest()
 	blockStart(s)

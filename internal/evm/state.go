@@ -70,9 +70,9 @@ type State interface {
 }
 
 // MapState implements State over an authenticated key-value map (the
-// ledger's kvstore.AuthState; a bare merkle.Map in VM tests) with an undo
-// journal for snapshots. Key layout (all printable prefixes for
-// debuggability):
+// ledger's kvstore.AuthState; a bare merkle.Map behind an adapter in VM
+// tests) with an undo journal for snapshots. Key layout (all printable
+// prefixes for debuggability):
 //
 //	b/<addr-hex>           balance (big-endian bytes)
 //	n/<addr-hex>           nonce (8 bytes)

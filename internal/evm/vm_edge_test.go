@@ -144,7 +144,7 @@ func TestMulmodLargeOperands(t *testing.T) {
 }
 
 func TestStateJournalRevertNested(t *testing.T) {
-	st := NewMapState(merkle.NewMap())
+	st := NewMapState(bareMap{merkle.NewMap()})
 	a1 := addr(0x01)
 	st.SetBalance(a1, big.NewInt(100))
 	outer := st.Snapshot()

@@ -10,8 +10,14 @@ import (
 	"sbft/internal/merkle"
 )
 
+// bareMap is a bare merkle.Map as a kvMap: VM tests need no snapshot
+// tracker mirroring the map, so nothing keeps the copy Set returns.
+type bareMap struct{ *merkle.Map }
+
+func (b bareMap) Set(key string, val []byte) { b.Map.Set(key, val) }
+
 func newTestVM() (*VM, *MapState) {
-	st := NewMapState(merkle.NewMap())
+	st := NewMapState(bareMap{merkle.NewMap()})
 	return NewVM(st, Context{BlockNum: 1, Timestamp: 1000}), st
 }
 

@@ -80,10 +80,11 @@ func execLeaf(l int, op, val []byte) []byte {
 // Get reads a key (local queries; not authenticated).
 func (a *AuthState) Get(key string) ([]byte, bool) { return a.m.Get(key) }
 
-// Set writes a key.
+// Set writes a copy of val under key. The tracker mirrors the map's own
+// copy, so the state keeps one copy of each value and the caller may reuse
+// val at once.
 func (a *AuthState) Set(key string, val []byte) {
-	a.m.Set(key, val)
-	a.tracker.Set(key, val)
+	a.tracker.Set(key, a.m.Set(key, val))
 }
 
 // Delete removes a key.

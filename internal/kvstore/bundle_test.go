@@ -12,11 +12,12 @@ func TestBundleExecutesSubOps(t *testing.T) {
 	b := Bundle(
 		Put("a", []byte("1")),
 		Put("b", []byte("2")),
+		Get("b"), // counted, like every well-formed sub-operation
 		Delete("a"),
 	)
 	res := s.ExecuteBlock(1, [][]byte{b})
-	if string(res[0]) != "OK:3" {
-		t.Fatalf("bundle result = %q, want OK:3", res[0])
+	if string(res[0]) != "OK:4" {
+		t.Fatalf("bundle result = %q, want OK:4", res[0])
 	}
 	if _, ok := s.Value("a"); ok {
 		t.Fatal("deleted key a still present")

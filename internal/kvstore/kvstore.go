@@ -41,7 +41,8 @@ var (
 	ErrBadProof     = errors.New("kvstore: invalid execution proof")
 )
 
-// Op is a decoded key-value operation.
+// Op is a decoded key-value operation. DecodeOp's Value aliases the
+// encoded operation, capped at its end: appending to it copies.
 type Op struct {
 	Kind  OpKind
 	Key   string
@@ -81,7 +82,7 @@ func DecodeOp(data []byte) (Op, error) {
 	if uint32(len(data)) != vlen {
 		return Op{}, fmt.Errorf("%w: value length %d, have %d", ErrBadOp, vlen, len(data))
 	}
-	return Op{Kind: kind, Key: key, Value: append([]byte(nil), data...)}, nil
+	return Op{Kind: kind, Key: key, Value: data[:vlen:vlen]}, nil
 }
 
 // Put returns an encoded put operation.
@@ -208,7 +209,14 @@ func (s *Store) apply(op Op) []byte {
 			if err != nil || sub.Kind == OpBundle {
 				continue // skip malformed/nested deterministically
 			}
-			s.apply(sub)
+			// Only the summary is returned, so a get has nothing to do
+			// and no sub-operation builds a result.
+			switch sub.Kind {
+			case OpPut:
+				s.Set(sub.Key, sub.Value)
+			case OpDelete:
+				s.Delete(sub.Key)
+			}
 			applied++
 		}
 		return strconv.AppendInt([]byte("OK:"), int64(applied), 10)

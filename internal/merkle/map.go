@@ -16,10 +16,11 @@ import (
 // Hashing is mark-then-settle. Set and Delete only restructure the treap
 // and mark the nodes on the path they walked dirty; Digest and ProveKey
 // first settle the tree, re-hashing every dirty node once, children before
-// parents. A block of k writes therefore hashes the levels its writes
-// share once, not k times, and the digest is still a pure function of the
-// contents — the property that keeps per-block state digests cheap for
-// SBFT's execution phase (§IV, §V-D).
+// parents, and a node's payload only if it was written. A block of k
+// writes therefore hashes the levels its writes share once, not k times,
+// and the digest is still a pure function of the contents — the property
+// that keeps per-block state digests cheap for SBFT's execution phase
+// (§IV, §V-D).
 //
 // Because Digest and ProveKey write to the tree, a Map has no concurrent
 // readers either: one goroutine owns it (the replica event loop).
@@ -28,8 +29,8 @@ type Map struct {
 	count int
 }
 
-// mapNode is 96 bytes, exactly an allocator size class: a dirty flag or a
-// cached payload digest would push it into the 112- or 128-byte one.
+// mapNode is 128 bytes, exactly an allocator size class: a dirty flag
+// beside the two digests would push it into the 144-byte one.
 type mapNode struct {
 	key   string
 	val   []byte
@@ -40,6 +41,10 @@ type mapNode struct {
 	// (no SHA-256 output is all zero in practice). Every ancestor of a
 	// dirty node is dirty: mutations mark the whole path they walk.
 	hash Digest
+	// kv caches kvDigest(key, val), or is the zero Digest while stale.
+	// Only an overwrite of this node's value makes it stale: a rotation
+	// moves the node, not its payload.
+	kv Digest
 }
 
 // NewMap returns an empty authenticated map.
@@ -90,13 +95,17 @@ func childHash(n *mapNode) Digest {
 }
 
 // settle re-hashes the dirty nodes under n, children before parents, and
-// returns n's hash. It never descends into a clean subtree.
+// returns n's hash. It never descends into a clean subtree, and hashes a
+// payload only if it was written since the last settle.
 func settle(n *mapNode) Digest {
 	if n == nil {
 		return emptyRoot
 	}
 	if n.dirty() {
-		n.hash = nodeHash(kvDigest(n.key, n.val), settle(n.left), settle(n.right))
+		if n.kv == (Digest{}) {
+			n.kv = kvDigest(n.key, n.val)
+		}
+		n.hash = nodeHash(n.kv, settle(n.left), settle(n.right))
 	}
 	return n.hash
 }
@@ -121,25 +130,31 @@ func rotateLeft(n *mapNode) *mapNode {
 	return r
 }
 
-// insert stores a copy of val under key and marks the path dirty.
-func insert(n *mapNode, key string, val []byte, created *bool) *mapNode {
+// insert stores a copy of val under key, marks the path dirty and points
+// *stored at the copy.
+func insert(n *mapNode, key string, val []byte, stored *[]byte, created *bool) *mapNode {
 	if n == nil {
 		*created = true
-		return &mapNode{key: key, val: append([]byte(nil), val...), prio: nodePrio(key)}
+		n = &mapNode{key: key, val: append([]byte(nil), val...), prio: nodePrio(key)}
+		*stored = n.val
+		return n
 	}
 	n.markDirty()
 	switch {
 	case key == n.key:
-		// Nothing outside the map aliases n.val (Get, Snapshot and ProveKey
-		// copy), so an overwrite reuses its storage.
+		// The one alias of n.val outside the map is the copy Set returned
+		// for it, which its holder replaces with this write's: an
+		// overwrite reuses the storage.
 		n.val = append(n.val[:0], val...)
+		n.kv = Digest{}
+		*stored = n.val
 	case key < n.key:
-		n.left = insert(n.left, key, val, created)
+		n.left = insert(n.left, key, val, stored, created)
 		if n.left.prio > n.prio {
 			return rotateRight(n)
 		}
 	default:
-		n.right = insert(n.right, key, val, created)
+		n.right = insert(n.right, key, val, stored, created)
 		if n.right.prio > n.prio {
 			return rotateLeft(n)
 		}
@@ -179,13 +194,17 @@ func remove(n *mapNode, key string, removed *bool) *mapNode {
 	return n
 }
 
-// Set stores a copy of value under key.
-func (m *Map) Set(key string, value []byte) {
+// Set stores a copy of value under key and returns that copy, so a
+// caller that mirrors the map keeps no second one. The copy is read-only;
+// the key's next Set overwrites it in place.
+func (m *Map) Set(key string, value []byte) []byte {
+	var stored []byte
 	var created bool
-	m.root = insert(m.root, key, value, &created)
+	m.root = insert(m.root, key, value, &stored, &created)
 	if created {
 		m.count++
 	}
+	return stored
 }
 
 // Delete removes key if present.
@@ -311,7 +330,7 @@ func (m *Map) ProveKey(key string) (KeyProof, error) {
 	steps := make([]KeyProofStep, depth)
 	a := m.root
 	for i := depth - 1; i >= 0; i-- {
-		st := KeyProofStep{KV: kvDigest(a.key, a.val), ProvenIsLeft: key < a.key}
+		st := KeyProofStep{KV: a.kv, ProvenIsLeft: key < a.key}
 		if st.ProvenIsLeft {
 			st.Other, a = childHash(a.right), a.left
 		} else {

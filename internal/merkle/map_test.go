@@ -157,11 +157,87 @@ func TestProveKeyOnUnsettledMap(t *testing.T) {
 	}
 }
 
-// TestMapNodeSize: marking a node dirty with the zero hash, not a flag,
-// keeps it in the 96-byte allocator size class it had with eager hashing.
+// TestMapNodeSize: marking a node dirty and its payload digest stale with
+// zero digests, not flags, keeps it exactly in the 128-byte allocator size
+// class.
 func TestMapNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(mapNode{}); got != 96 {
-		t.Fatalf("mapNode is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(mapNode{}); got != 128 {
+		t.Fatalf("mapNode is %d bytes, want 128", got)
+	}
+}
+
+// TestPayloadDigestCacheSound: a node's cached payload digest is never
+// wrong. Before a settle it is either stale (zero) or kvDigest(key, val);
+// after one it is kvDigest(key, val) at every node, across creates,
+// overwrites with the same value, the same length, a shorter, a longer
+// and an empty value, deletes that rotate interior nodes down, and
+// Restore. Set's returned copy holds the value written, whatever the
+// caller does to its own slice afterwards.
+func TestPayloadDigestCacheSound(t *testing.T) {
+	check := func(t *testing.T, m *Map, settled bool, where string) {
+		t.Helper()
+		var walk func(n *mapNode)
+		walk = func(n *mapNode) {
+			if n == nil {
+				return
+			}
+			want := kvDigest(n.key, n.val)
+			if n.kv != want && (settled || n.kv != (Digest{})) {
+				t.Fatalf("%s: node %q caches %v, kvDigest is %v (settled %v)", where, n.key, n.kv, want, settled)
+			}
+			walk(n.left)
+			walk(n.right)
+		}
+		walk(m.root)
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMap()
+		ref := map[string][]byte{}
+		for i := 0; i < 800; i++ {
+			k := fmt.Sprintf("k%02d", rng.Intn(40))
+			old, live := ref[k]
+			var v []byte
+			switch op := rng.Intn(10); {
+			case op == 0:
+				m.Delete(k)
+				delete(ref, k)
+			case op == 1:
+				m.Restore(m.Snapshot())
+			case !live || op == 2:
+				v = make([]byte, rng.Intn(24))
+				rng.Read(v)
+			case op == 3:
+				v = bytes.Clone(old) // the same value
+			case op == 4:
+				v = append([]byte{^byte(len(old))}, old...)[:len(old)] // the same length
+			case op == 5:
+				v = bytes.Clone(old[:len(old)/2]) // shorter
+			case op == 6:
+				v = append(bytes.Clone(old), byte(i), byte(i>>8)) // longer
+			default:
+				v = []byte{} // empty
+			}
+			if v != nil {
+				want := bytes.Clone(v)
+				stored := m.Set(k, v)
+				ref[k] = want
+				for j := range v {
+					v[j] ^= 0xFF // the caller reuses its buffer
+				}
+				if !bytes.Equal(stored, want) {
+					t.Fatalf("seed %d op %d: Set returned %x, wrote %x", seed, i, stored, want)
+				}
+			}
+			where := fmt.Sprintf("seed %d op %d", seed, i)
+			check(t, m, false, where)
+			if rng.Intn(4) == 0 {
+				if got, want := m.Digest(), refDigest(ref); got != want {
+					t.Fatalf("%s: Digest %v, reference %v", where, got, want)
+				}
+				check(t, m, true, where)
+			}
+		}
 	}
 }
 

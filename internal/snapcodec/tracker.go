@@ -76,9 +76,10 @@ func NewTracker(n int) *Tracker {
 // Buckets reports the bucket count.
 func (t *Tracker) Buckets() int { return len(t.content) }
 
-// Set records a key write. The value slice is referenced, not copied —
-// callers must not mutate it afterwards (the same contract the
-// authenticated state map imposes).
+// Set records a key write. The value slice is referenced, not copied:
+// the caller must not mutate it until it records the key's next write,
+// so kvstore.AuthState hands over the authenticated map's own copy, which
+// only that next write overwrites in place.
 func (t *Tracker) Set(key string, val []byte) {
 	b := &t.content[BucketOf(key, len(t.content))]
 	if i, found := slices.BinarySearch(b.keys, key); found {
