@@ -50,11 +50,11 @@ func run() error {
 	flag.Parse()
 	n, reads := *nFlag, *rFlag
 
-	peers, err := node.LoadPeers(*peerFile)
+	cfg := core.DefaultConfig(*f, *c)
+	peers, err := node.LoadPeers(*peerFile, cfg.N())
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig(*f, *c)
 	suite, _, err := core.InsecureSuite(cfg, *seed)
 	if err != nil {
 		return err

@@ -18,7 +18,8 @@
 //	sbft-node -id 4 -peers peers.txt -f 1 &
 //	sbft-client -peers peers.txt -f 1 -n 100
 //
-// The peers file lists replicas only. Clients are not in it: a client
+// The peers file lists each of replicas 1..n exactly once: a repeated,
+// missing or out-of-range id is refused. Clients are not in it: a client
 // announces its own listen address in the transport handshake and
 // replicas learn the dial-back route from that (see transport.Shell).
 package main
@@ -49,21 +50,17 @@ func main() {
 	)
 	flag.Parse()
 
-	peers, err := node.LoadPeers(*peerFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbft-node: loading peers: %v\n", err)
-		os.Exit(1)
-	}
 	cfg := core.DefaultConfig(*f, *c)
 	if *id < 1 || *id > cfg.N() {
 		fmt.Fprintf(os.Stderr, "sbft-node: id %d out of range [1,%d]\n", *id, cfg.N())
 		os.Exit(1)
 	}
-	addr, ok := peers[*id]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sbft-node: id %d not in peers file\n", *id)
+	peers, err := node.LoadPeers(*peerFile, cfg.N())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sbft-node: loading peers: %v\n", err)
 		os.Exit(1)
 	}
+	addr := peers[*id]
 
 	suite, keys, err := core.InsecureSuite(cfg, *seed)
 	if err != nil {

@@ -94,7 +94,7 @@ func (a *roleAttacker) observe() (view, frontier uint64) {
 	anySettled := false
 	for id := 1; id <= a.cl.N; id++ {
 		r := a.cl.Replicas[id]
-		if r == nil || a.cl.IsByzantine(id) || a.cl.Net.Crashed(sim.NodeID(id)) {
+		if a.cl.IsByzantine(id) || a.cl.Net.Crashed(sim.NodeID(id)) {
 			continue
 		}
 		if le := r.LastExecuted(); le > frontier {
@@ -112,7 +112,7 @@ func (a *roleAttacker) observe() (view, frontier uint64) {
 		// Everyone is mid-view-change: target the highest escalation.
 		for id := 1; id <= a.cl.N; id++ {
 			r := a.cl.Replicas[id]
-			if r == nil || a.cl.IsByzantine(id) || a.cl.Net.Crashed(sim.NodeID(id)) {
+			if a.cl.IsByzantine(id) || a.cl.Net.Crashed(sim.NodeID(id)) {
 				continue
 			}
 			if v := r.View(); v > view {

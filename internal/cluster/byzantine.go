@@ -31,9 +31,6 @@ func (cl *Cluster) InstallByzantine(node int, kind FaultKind) error {
 		cl.Net.SetObserver(sim.NodeID(node), nil)
 		return nil
 	}
-	if _, replaced := cl.Opts.Byzantine[node]; replaced {
-		return fmt.Errorf("cluster: replica %d is already a replaced Byzantine node", node)
-	}
 	rng := rand.New(rand.NewSource(cl.Opts.Seed*0x5deece66d + int64(node)*0x9e3779b9))
 	var c sim.Corrupter
 	switch kind {

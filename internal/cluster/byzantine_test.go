@@ -5,61 +5,12 @@ import (
 	"time"
 
 	"sbft/internal/core"
-	"sbft/internal/sim"
 )
 
-// equivocatingPrimary is a Byzantine view-0 primary: it sends conflicting
-// pre-prepares for the same sequence number to different halves of the
-// cluster (the footnote-3 test scenario: "Primaries sending partial,
-// equivocating and/or stale information").
-type equivocatingPrimary struct {
-	env  core.Env
-	cfg  core.Config
-	id   int
-	seq  uint64
-	seen map[string]bool
-}
-
-func (b *equivocatingPrimary) Deliver(from int, msg any) {
-	m, ok := msg.(core.RequestMsg)
-	if !ok {
-		return // ignore all protocol duties: never helps commit
-	}
-	key := string(rune(m.Req.Client)) + "/" + string(rune(int(m.Req.Timestamp)))
-	if b.seen[key] {
-		return
-	}
-	b.seen[key] = true
-	b.seq++
-	reqA := []core.Request{m.Req}
-	evil := m.Req
-	evil.Op = append([]byte("EVIL:"), m.Req.Op...)
-	reqB := []core.Request{evil}
-	ppA := core.PrePrepareMsg{Seq: b.seq, View: 0, Reqs: reqA}
-	ppB := core.PrePrepareMsg{Seq: b.seq, View: 0, Reqs: reqB}
-	for i := 2; i <= b.cfg.N(); i++ {
-		if i%2 == 0 {
-			b.env.Send(i, ppA)
-		} else {
-			b.env.Send(i, ppB)
-		}
-	}
-}
-
-// silentPrimary accepts requests and does nothing: a crash-like Byzantine
-// primary that still looks alive at the transport level.
-type silentPrimary struct{}
-
-func (silentPrimary) Deliver(int, any) {}
-
-// staleNewViewPrimary ignores requests until a view change reaches it and
-// then does nothing with the view-change messages either (a primary
-// sending no new-view), forcing escalation past its view.
-type staleNewViewPrimary struct{}
-
-func (staleNewViewPrimary) Deliver(int, any) {}
-
-func byzOpts(seed int64, mk func(env core.Env, honest *core.Replica) Node) Options {
+// silentPrimaryOpts is an f=1 cluster whose view-0 primary, replica 1,
+// goes silent at time 0: its engine stays honest and receives
+// everything, but every send it makes is suppressed.
+func silentPrimaryOpts(seed int64) Options {
 	return Options{
 		Protocol: ProtoSBFT, F: 1, C: 0,
 		Clients: 2, Seed: seed,
@@ -68,37 +19,12 @@ func byzOpts(seed int64, mk func(env core.Env, honest *core.Replica) Node) Optio
 			c.FastPathTimeout = 100 * time.Millisecond
 		},
 		ClientTimeout: time.Second,
-		Byzantine:     map[int]func(core.Env, *core.Replica) Node{1: mk},
 	}
 }
-
-func TestEquivocatingPrimaryTriggersViewChangeSafely(t *testing.T) {
-	var opts Options
-	opts = byzOpts(20, func(env core.Env, honest *core.Replica) Node {
-		return &equivocatingPrimary{env: env, cfg: honest4Cfg(), id: 1, seen: map[string]bool{}}
-	})
-	cl := newKV(t, opts)
-	res := cl.RunClosedLoop(10, kvGen, 5*time.Minute)
-	if res.Completed != 20 {
-		t.Fatalf("completed %d of 20 under equivocating primary", res.Completed)
-	}
-	m := cl.Metrics()
-	if m.ViewChanges == 0 {
-		t.Error("no view change despite equivocating primary")
-	}
-	digestsAgree(t, cl)
-	// Safety: no honest replica may have executed an EVIL operation.
-	for id := 2; id <= cl.N; id++ {
-		app := cl.Apps[id]
-		_ = app
-	}
-}
-
-func honest4Cfg() core.Config { return core.DefaultConfig(1, 0) }
 
 func TestSilentPrimaryRecovers(t *testing.T) {
-	opts := byzOpts(21, func(core.Env, *core.Replica) Node { return silentPrimary{} })
-	cl := newKV(t, opts)
+	cl := newKV(t, silentPrimaryOpts(21))
+	cl.Apply(Schedule{{At: 0, Kind: FaultByzSilent, Node: 1}})
 	res := cl.RunClosedLoop(10, kvGen, 5*time.Minute)
 	if res.Completed != 20 {
 		t.Fatalf("completed %d of 20 under silent primary", res.Completed)
@@ -114,10 +40,13 @@ func TestBackToBackFaultyPrimaries(t *testing.T) {
 	// Primary of view 0 (replica 1) silent AND primary of view 1
 	// (replica 2) crashed: two faults, so run with f=2 (n=7). The
 	// exponential back-off must escalate through two view changes (§VII).
-	opts := byzOpts(22, func(core.Env, *core.Replica) Node { return silentPrimary{} })
+	opts := silentPrimaryOpts(22)
 	opts.F = 2
 	cl := newKV(t, opts)
-	cl.Net.Crash(sim.NodeID(2))
+	cl.Apply(Schedule{
+		{At: 0, Kind: FaultByzSilent, Node: 1},
+		{At: 0, Kind: FaultCrash, Node: 2},
+	})
 	res := cl.RunClosedLoop(10, kvGen, 10*time.Minute)
 	if res.Completed != 20 {
 		t.Fatalf("completed %d of 20 with two faulty primaries", res.Completed)

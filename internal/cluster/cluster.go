@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"time"
 
@@ -72,9 +73,6 @@ type Options struct {
 	ClientTimeout time.Duration
 	// Costs overrides the per-message CPU model (nil = DefaultCosts).
 	Costs *CostModel
-	// FreeCPU disables the CPU model entirely (unit tests that need
-	// exact latencies).
-	FreeCPU bool
 	// Tune mutates the SBFT config after defaults are applied.
 	Tune func(*core.Config)
 	// TunePBFT mutates the PBFT config after defaults are applied.
@@ -83,10 +81,6 @@ type Options struct {
 	// before the protocol starts (e.g. minting balances, deploying the
 	// token contract deterministically).
 	GenesisEVM func(app *apps.EVMApp)
-	// Byzantine replaces replicas by id with adversarial nodes (tests).
-	// The factory receives the replica's env and the honest replica it
-	// displaces, which it may wrap or ignore.
-	Byzantine map[int]func(env core.Env, honest *core.Replica) Node
 	// Persist gives every SBFT-variant replica a durable storage.Ledger
 	// block store, enabling RestartReplica (restart-from-storage). The
 	// data lives in a temporary directory removed by Close. A persisted
@@ -143,14 +137,12 @@ type Cluster struct {
 	dataDir string // cluster-owned temp dir when Opts.Persist is set
 	keys    []core.ReplicaKeys
 	envs    []*env
-	// costs is the effective CPU model (zero-valued under FreeCPU); the
-	// crypto-pool sinks price their work from it.
+	// costs is the effective CPU model; the crypto-pool sinks price
+	// their work from it.
 	costs CostModel
-	// byzantine marks replicas whose behavior has been adversarial at any
-	// point (replaced nodes via Options.Byzantine, or corrupter-equipped
-	// nodes via the Byzantine fault kinds). The mark is sticky: the safety
-	// audit must not hold Byzantine replicas to honest-replica invariants
-	// even after a FaultByzRestore.
+	// byzantine marks replicas a Byzantine fault kind has armed at any
+	// point. The mark is sticky: the safety audit must not hold Byzantine
+	// replicas to honest-replica invariants even after a FaultByzRestore.
 	byzantine map[int]bool
 	// attacker is the active adaptive role-targeting attacker, if any
 	// (StartAdaptiveAttack / StopAdaptiveAttack).
@@ -227,9 +219,6 @@ func New(opts Options) (*Cluster, error) {
 	}
 	cl := &Cluster{Opts: opts, byzantine: make(map[int]bool)}
 	cl.Sched = sim.NewScheduler(opts.Seed)
-	for id := range opts.Byzantine {
-		cl.byzantine[id] = true
-	}
 
 	netCfg := sim.ContinentProfile(opts.Seed)
 	if opts.NetCfg != nil {
@@ -271,19 +260,17 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	// Install the per-message CPU model now that n is known.
-	if !opts.FreeCPU {
-		cm := DefaultCosts()
-		if opts.Costs != nil {
-			cm = *opts.Costs
-		}
-		cm.n = cl.N
-		cm.collectors = opts.C + 2
-		cm.offload = opts.CryptoPool > 0 && opts.Protocol != ProtoPBFT
-		cm.workers = opts.CryptoPool
-		netCfg.SendCost = cm.SendCost
-		netCfg.RecvCost = cm.RecvCost
-		cl.costs = cm
+	cm := DefaultCosts()
+	if opts.Costs != nil {
+		cm = *opts.Costs
 	}
+	cm.n = cl.N
+	cm.collectors = opts.C + 2
+	cm.offload = opts.CryptoPool > 0 && opts.Protocol != ProtoPBFT
+	cm.workers = opts.CryptoPool
+	netCfg.SendCost = cm.SendCost
+	netCfg.RecvCost = cm.RecvCost
+	cl.costs = cm
 	var err error
 	cl.Net, err = sim.NewNetwork(cl.Sched, netCfg)
 	if err != nil {
@@ -330,10 +317,6 @@ func New(opts Options) (*Cluster, error) {
 		node, err := cl.startReplica(id)
 		if err != nil {
 			return nil, err
-		}
-		if mk, ok := opts.Byzantine[id]; ok && cl.Replicas != nil {
-			node = mk(cl.envs[id], cl.Replicas[id])
-			cl.Replicas[id] = nil // excluded from honest-state checks
 		}
 		if err := cl.Net.Register(sim.NodeID(id), (id-1)%netCfg.Regions, handler{node}); err != nil {
 			return nil, err
@@ -489,37 +472,21 @@ func (cl *Cluster) SetStragglers(k int, extra time.Duration) []int {
 	return slowed
 }
 
-// Metrics aggregates replica metrics across the cluster.
+// Metrics sums every replica's counters field by field. core.Metrics is
+// all uint64 counters, so a counter added there is summed without a
+// change here.
 func (cl *Cluster) Metrics() core.Metrics {
 	var m core.Metrics
+	sum := reflect.ValueOf(&m).Elem()
 	for _, r := range cl.Replicas {
 		if r == nil {
 			continue
 		}
-		rm := r.Metrics
-		m.FastCommits += rm.FastCommits
-		m.SlowCommits += rm.SlowCommits
-		m.Executions += rm.Executions
-		m.ViewChanges += rm.ViewChanges
-		m.Checkpoints += rm.Checkpoints
-		m.StateFetches += rm.StateFetches
-		m.NullBlocks += rm.NullBlocks
-		m.CollectorTimeouts += rm.CollectorTimeouts
-		m.FastPathDowngrades += rm.FastPathDowngrades
-		m.ExecFallbacks += rm.ExecFallbacks
-		m.ViewRejoins += rm.ViewRejoins
-		m.AdmissionRejects += rm.AdmissionRejects
-		m.Proposals += rm.Proposals
-		m.ProposedOps += rm.ProposedOps
-		m.Holds += rm.Holds
-		m.TimerProposals += rm.TimerProposals
-		m.BadShares += rm.BadShares
-		m.ReadsServed += rm.ReadsServed
-		m.ReadsBehind += rm.ReadsBehind
-		m.ReadsUnavailable += rm.ReadsUnavailable
-		m.ReadBatches += rm.ReadBatches
-		m.StoreErrors += rm.StoreErrors
-		m.CaptureFailures += rm.CaptureFailures
+		rm := reflect.ValueOf(r.Metrics)
+		for i := range sum.NumField() {
+			f := sum.Field(i)
+			f.SetUint(f.Uint() + rm.Field(i).Uint())
+		}
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,6 +23,29 @@ func newKV(t *testing.T, opts Options) *Cluster {
 		t.Fatalf("New: %v", err)
 	}
 	return cl
+}
+
+// TestMetricsSumsEveryCounter gives every counter of every replica its
+// own value and checks that the cluster sum carries each one: a counter
+// the sum left out would read 0.
+func TestMetricsSumsEveryCounter(t *testing.T) {
+	cl := newKV(t, Options{Protocol: ProtoSBFT, F: 1, Seed: 1})
+	var want core.Metrics
+	w := reflect.ValueOf(&want).Elem()
+	for id := 1; id <= cl.N; id++ {
+		rm := reflect.ValueOf(&cl.Replicas[id].Metrics).Elem()
+		for i := range rm.NumField() {
+			v := uint64(1000*id + i + 1)
+			rm.Field(i).SetUint(v)
+			w.Field(i).SetUint(w.Field(i).Uint() + v)
+		}
+	}
+	got := reflect.ValueOf(cl.Metrics())
+	for i := range w.NumField() {
+		if g := got.Field(i).Uint(); g != w.Field(i).Uint() {
+			t.Errorf("Metrics().%s = %d, want %d", w.Type().Field(i).Name, g, w.Field(i).Uint())
+		}
+	}
 }
 
 // digestsAgree checks that all live replicas that executed to the same

@@ -103,9 +103,6 @@ func (cl *Cluster) InstallColluders(kind FaultKind, members []int) error {
 		if id < 1 || id > cl.N {
 			return fmt.Errorf("cluster: replica id %d out of range [1,%d]", id, cl.N)
 		}
-		if _, replaced := cl.Opts.Byzantine[id]; replaced {
-			return fmt.Errorf("cluster: replica %d is already a replaced Byzantine node", id)
-		}
 		if !seen[id] {
 			seen[id] = true
 			set = append(set, id)

@@ -24,7 +24,7 @@ import (
 type poolSink struct {
 	env   *env
 	suite core.CryptoSuite
-	costs CostModel // zero-valued under FreeCPU: the pool is then free too
+	costs CostModel
 	// horizon[i] is the virtual time worker i becomes free.
 	horizon []time.Duration
 }

@@ -273,14 +273,12 @@ func linkEnd(id int) sim.NodeID {
 }
 
 // Apply schedules every fault step against the cluster's simulator. Steps
-// fire at their absolute virtual times during subsequent Run or
-// RunClosedLoop calls. Errors from steps (e.g. a failed restart) collect
-// in cl.FaultErrors.
+// fire at their absolute virtual times (at once if that time has passed)
+// during subsequent Run or RunClosedLoop calls. Errors from steps (e.g. a
+// failed restart) collect in cl.FaultErrors.
 func (cl *Cluster) Apply(s Schedule) {
-	adv := sim.NewAdversary(cl.Net)
 	for _, f := range s {
-		f := f
-		adv.Do(f.At, func() { cl.applyFault(f) })
+		cl.Sched.Schedule(max(0, f.At-cl.Sched.Now()), func() { cl.applyFault(f) })
 	}
 }
 
@@ -338,9 +336,6 @@ func (cl *Cluster) RestartReplica(id int) error {
 	}
 	if id < 1 || id > cl.N {
 		return fmt.Errorf("cluster: replica id %d out of range [1,%d]", id, cl.N)
-	}
-	if _, byz := cl.Opts.Byzantine[id]; byz {
-		return fmt.Errorf("cluster: replica %d is Byzantine; restart models honest crash-recovery", id)
 	}
 	// Drop the process: kill the old env so the abandoned replica's timer
 	// callbacks and sends are suppressed, exactly as a process death would.

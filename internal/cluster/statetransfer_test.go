@@ -201,7 +201,6 @@ func TestLaggardCatchesUpDuringViewChange(t *testing.T) {
 
 func TestDropRateResilience(t *testing.T) {
 	netCfg := sim.UniformProfile(5 * time.Millisecond)
-	netCfg.DropRate = 0.02
 	netCfg.Seed = 32
 	cl := newKV(t, Options{
 		Protocol: ProtoSBFT, F: 1, C: 0,
@@ -211,6 +210,7 @@ func TestDropRateResilience(t *testing.T) {
 		},
 		ClientTimeout: 500 * time.Millisecond,
 	})
+	cl.Net.SetLinkFault(sim.AnyNode, sim.AnyNode, sim.LinkFault{Drop: 0.02})
 	res := cl.RunClosedLoop(20, kvGen, 10*time.Minute)
 	if res.Completed != 40 {
 		t.Fatalf("completed %d of 40 with 2%% message loss (retries=%d)", res.Completed, res.Retries)

@@ -36,9 +36,6 @@
 // product over a random linear combination of the shares) remain for
 // callers that hold verified shares or want shares checked without
 // combining them.
-//
-// The group signature mode the paper mentions (n-of-n, §VIII) falls out
-// of the same algebra: Aggregate simply adds shares.
 package threshbls
 
 import (
@@ -370,26 +367,4 @@ func (s *Scheme) Verify(digest []byte, sig threshsig.Signature) error {
 		return threshsig.ErrInvalidSignature
 	}
 	return nil
-}
-
-// Aggregate adds n-of-n shares without interpolation: the paper's faster
-// group-signature mode used on the fast path when no failure is detected
-// (§VIII). It requires shares from all n signers.
-func (s *Scheme) Aggregate(digest []byte, shares []threshsig.Share) (threshsig.Signature, error) {
-	if len(shares) != s.n {
-		return threshsig.Signature{}, fmt.Errorf("threshbls: group mode needs all %d shares, have %d", s.n, len(shares))
-	}
-	// n-of-n aggregation is interpolation over the full set.
-	sorted, err := threshsig.CheckShares(s.n, s.n, shares)
-	if err != nil {
-		return threshsig.Signature{}, err
-	}
-	ids, points, err := parsePoints(sorted)
-	if err != nil {
-		return threshsig.Signature{}, err
-	}
-	if err := s.batchVerifyParsed(digest, sorted, ids, points); err != nil {
-		return threshsig.Signature{}, err
-	}
-	return interpolate(ids, points), nil
 }

@@ -259,27 +259,6 @@ func TestBatchVerifyShares(t *testing.T) {
 	}
 }
 
-func TestAggregateGroupMode(t *testing.T) {
-	sch, sgs := instance(t)
-	blsScheme := sch.(*Scheme)
-	d := digestOf("group mode")
-	var shares []threshsig.Share
-	for _, sg := range sgs {
-		sh, _ := sg.Sign(d)
-		shares = append(shares, sh)
-	}
-	sig, err := blsScheme.Aggregate(d, shares)
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if err := sch.Verify(d, sig); err != nil {
-		t.Fatalf("Verify aggregated: %v", err)
-	}
-	if _, err := blsScheme.Aggregate(d, shares[:2]); err == nil {
-		t.Fatal("group mode accepted missing shares")
-	}
-}
-
 func TestCombineRobust(t *testing.T) {
 	sch, signers, err := Dealer{}.Deal(3, 5)
 	if err != nil {

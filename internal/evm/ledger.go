@@ -188,9 +188,6 @@ func (l *Ledger) GenesisCreate(from Address, initCode []byte, gas uint64) (Addre
 	return addr, nil
 }
 
-// Balance reads an account balance.
-func (l *Ledger) Balance(a Address) *big.Int { return l.state.GetBalance(a) }
-
 // Storage reads a contract storage word.
 func (l *Ledger) Storage(a Address, k Word) Word { return l.state.GetStorage(a, k) }
 

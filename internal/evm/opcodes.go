@@ -95,38 +95,3 @@ const (
 	RETURN Opcode = 0xf3
 	REVERT Opcode = 0xfd
 )
-
-// opNames maps opcodes to mnemonics for tracing and error messages.
-var opNames = map[Opcode]string{
-	STOP: "STOP", ADD: "ADD", MUL: "MUL", SUB: "SUB", DIV: "DIV", SDIV: "SDIV",
-	MOD: "MOD", SMOD: "SMOD", ADDMOD: "ADDMOD", MULMOD: "MULMOD", EXP: "EXP",
-	SIGNEXTEND: "SIGNEXTEND", LT: "LT", GT: "GT", SLT: "SLT", SGT: "SGT",
-	EQ: "EQ", ISZERO: "ISZERO", AND: "AND", OR: "OR", XOR: "XOR", NOT: "NOT",
-	BYTE: "BYTE", SHL: "SHL", SHR: "SHR", SHA3: "SHA3", ADDRESS: "ADDRESS",
-	BALANCE: "BALANCE", CALLER: "CALLER", CALLVALUE: "CALLVALUE",
-	CALLDATALOAD: "CALLDATALOAD", CALLDATASIZE: "CALLDATASIZE",
-	CALLDATACOPY: "CALLDATACOPY", CODESIZE: "CODESIZE", CODECOPY: "CODECOPY",
-	BLOCKNUM: "NUMBER", TIMESTAMP: "TIMESTAMP", POP: "POP", MLOAD: "MLOAD",
-	MSTORE: "MSTORE", MSTORE8: "MSTORE8", SLOAD: "SLOAD", SSTORE: "SSTORE",
-	JUMP: "JUMP", JUMPI: "JUMPI", PC: "PC", MSIZE: "MSIZE", GAS: "GAS",
-	JUMPDEST: "JUMPDEST", LOG0: "LOG0", LOG1: "LOG1", LOG2: "LOG2",
-	LOG3: "LOG3", LOG4: "LOG4", CREATE: "CREATE", CALL: "CALL",
-	RETURN: "RETURN", REVERT: "REVERT",
-}
-
-// Name returns the mnemonic of op, or a hex form for unknown bytes.
-func (op Opcode) Name() string {
-	if n, ok := opNames[op]; ok {
-		return n
-	}
-	if op >= PUSH1 && op <= PUSH32 {
-		return "PUSH"
-	}
-	if op >= DUP1 && op <= DUP16 {
-		return "DUP"
-	}
-	if op >= SWAP1 && op <= SWAP16 {
-		return "SWAP"
-	}
-	return "INVALID"
-}

@@ -56,9 +56,8 @@ func (a *Audit) addf(format string, args ...any) {
 //  5. Scheduled fault steps all applied (cl.FaultErrors empty).
 //
 // Crashed replicas are still audited — a crashed node's retained state
-// must not contradict the survivors' — but Byzantine replicas (replaced
-// nodes and corrupter-equipped ones, per cl.IsByzantine) are expected to
-// diverge and are skipped.
+// must not contradict the survivors' — but Byzantine replicas (per
+// cl.IsByzantine) are expected to diverge and are skipped.
 func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack) *Audit {
 	a := &Audit{}
 
@@ -73,9 +72,9 @@ func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack) 
 			a.ByzantineExcluded++
 			continue
 		}
-		if cl.Replicas != nil && cl.Replicas[id] != nil {
+		if cl.Replicas != nil {
 			frontier[id] = cl.Replicas[id].LastExecuted()
-		} else if cl.PBFTReplicas != nil && cl.PBFTReplicas[id] != nil {
+		} else {
 			frontier[id] = cl.PBFTReplicas[id].LastExecuted()
 		}
 	}
@@ -135,9 +134,6 @@ func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack) 
 	if cl.Replicas != nil {
 		execByFrontier := make(map[uint64]root)
 		for _, id := range ids {
-			if cl.Replicas[id] == nil {
-				continue
-			}
 			le := frontier[id]
 			d := cl.Replicas[id].ExecutionStateDigest()
 			if prev, ok := execByFrontier[le]; ok {
@@ -233,7 +229,7 @@ func AuditReads(cl *cluster.Cluster, reads []ReadAck) []string {
 	}
 	var frontier uint64
 	for id := 1; id <= cl.N; id++ {
-		if cl.IsByzantine(id) || cl.Replicas[id] == nil {
+		if cl.IsByzantine(id) {
 			continue
 		}
 		if le := cl.Replicas[id].LastExecuted(); le > frontier {

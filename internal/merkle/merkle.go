@@ -22,7 +22,6 @@
 package merkle
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -220,10 +219,6 @@ func VerifyLeafAt(root Digest, data []byte, p Proof, leafCount int) error {
 	}
 	return VerifyLeafHash(root, LeafHash(data), p)
 }
-
-// Equal reports whether two byte slices match (constant-time not required;
-// digests are public).
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // proofStepSize is one encoded ProofStep: the sibling hash and its side.
 const proofStepSize = DigestSize + 1

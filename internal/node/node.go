@@ -23,8 +23,9 @@ import (
 )
 
 // LoadPeers reads a peers file: one "id host:port" line per replica, blank
-// lines and #-comments ignored.
-func LoadPeers(path string) (map[int]string, error) {
+// lines and #-comments ignored. The file must list each of replicas 1..n
+// exactly once.
+func LoadPeers(path string, n int) (map[int]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -45,9 +46,21 @@ func LoadPeers(path string) (map[int]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad id in %q: %w", line, err)
 		}
+		if id < 1 || id > n {
+			return nil, fmt.Errorf("id in %q out of range [1,%d]", line, n)
+		}
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("replica %d listed twice", id)
+		}
 		peers[id] = fields[1]
 	}
-	return peers, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(peers) != n {
+		return nil, fmt.Errorf("peers file lists %d of replicas 1..%d", len(peers), n)
+	}
+	return peers, nil
 }
 
 // snapshotQueueDepth bounds the certified snapshots waiting for the disk.

@@ -20,18 +20,26 @@ func TestLoadPeers(t *testing.T) {
 	if err := os.WriteFile(path, []byte("# replicas\n1 127.0.0.1:7001\n\n  2\t127.0.0.1:7002  \n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	peers, err := LoadPeers(path)
+	peers, err := LoadPeers(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peers) != 2 || peers[1] != "127.0.0.1:7001" || peers[2] != "127.0.0.1:7002" {
 		t.Fatalf("peers = %v", peers)
 	}
-	for _, bad := range []string{"1 a:1 extra\n", "one a:1\n"} {
+	for _, bad := range []string{
+		"1 a:1 extra\n2 b:2\n",   // three fields
+		"one a:1\n2 b:2\n",       // id not a number
+		"1 a:1\n2 b:2\n1 c:3\n",  // repeated id
+		"0 a:1\n1 b:2\n2 c:3\n",  // non-positive id
+		"-1 a:1\n1 b:2\n2 c:3\n", // non-positive id
+		"1 a:1\n",                // replica 2 missing
+		"1 a:1\n2 b:2\n3 c:3\n",  // replica 3 beyond n
+	} {
 		if err := os.WriteFile(path, []byte(bad), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadPeers(path); err == nil {
+		if _, err := LoadPeers(path, 2); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}

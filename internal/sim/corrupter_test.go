@@ -95,24 +95,3 @@ func TestCorrupterClearedRestoresHonestTraffic(t *testing.T) {
 		t.Fatalf("got %v, want exactly honest-again", recs[1].got)
 	}
 }
-
-// TestAdversaryCorrupterWindow schedules install/clear at virtual times.
-func TestAdversaryCorrupterWindow(t *testing.T) {
-	net, recs := newUniformNet(t, time.Millisecond, 2)
-	adv := NewAdversary(net)
-	adv.CorrupterWindow(10*time.Millisecond, 20*time.Millisecond, 0,
-		CorruptFunc(func(NodeID, any, int) []Injection { return nil }))
-
-	sched := net.Scheduler()
-	sched.Schedule(5*time.Millisecond, func() { net.Send(0, 1, "before", 1) })
-	sched.Schedule(15*time.Millisecond, func() { net.Send(0, 1, "during", 1) })
-	sched.Schedule(25*time.Millisecond, func() { net.Send(0, 1, "after", 1) })
-	sched.Run(0, 0)
-
-	if len(recs[1].got) != 2 {
-		t.Fatalf("got %d deliveries, want 2 (window send suppressed): %v", len(recs[1].got), recs[1].got)
-	}
-	if recs[1].got[0].msg != "before" || recs[1].got[1].msg != "after" {
-		t.Fatalf("wrong survivors: %v", recs[1].got)
-	}
-}

@@ -17,8 +17,6 @@
 //     process/wire boundary — the Byzantine adversary hook. The engine
 //     object stays honest; its traffic can be equivocated, mutated,
 //     replayed, redirected or suppressed, deterministically.
-//   - Adversary: a timed script driver (Do, CorrupterWindow) for
-//     arming/clearing all of the above at virtual times.
 //
 // Figures 2 and 3 of the paper depend on message counts, quorum waiting
 // and latency distributions, which this model reproduces; absolute

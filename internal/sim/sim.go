@@ -61,9 +61,6 @@ func NewScheduler(seed int64) *Scheduler {
 // Now reports current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Rand exposes the deterministic random source.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
-
 // Events reports how many events have run.
 func (s *Scheduler) Events() uint64 { return s.nrun }
 
@@ -135,8 +132,6 @@ type Config struct {
 	// BandwidthBps is per-link bandwidth in bytes/second; 0 disables
 	// serialization delay.
 	BandwidthBps float64
-	// DropRate is the probability a message is silently dropped.
-	DropRate float64
 	// SendCost models per-message CPU time at the sender (serialization,
 	// signing): a node's sends are serialized on its CPU, so an n-wide
 	// broadcast occupies the sender for n×SendCost. Nil = free.
@@ -432,10 +427,6 @@ func (n *Network) sendRaw(from, to NodeID, msg any, size int, extra time.Duratio
 		return
 	}
 	if gf, gt := n.partOf[from], n.partOf[to]; gf != 0 && gt != 0 && gf != gt {
-		n.MsgsDropped++
-		return
-	}
-	if n.cfg.DropRate > 0 && n.sched.rng.Float64() < n.cfg.DropRate {
 		n.MsgsDropped++
 		return
 	}

@@ -224,12 +224,11 @@ func TestNetworkBandwidth(t *testing.T) {
 
 func TestNetworkDrops(t *testing.T) {
 	sched := NewScheduler(42)
-	cfg := UniformProfile(time.Millisecond)
-	cfg.DropRate = 0.5
-	net, err := NewNetwork(sched, cfg)
+	net, err := NewNetwork(sched, UniformProfile(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetLinkFault(AnyNode, AnyNode, LinkFault{Drop: 0.5})
 	r := &recorder{}
 	net.Register(0, 0, &recorder{})
 	net.Register(1, 0, r)
@@ -250,12 +249,11 @@ func TestNetworkDrops(t *testing.T) {
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() (uint64, time.Duration) {
 		sched := NewScheduler(7)
-		cfg := ContinentProfile(7)
-		cfg.DropRate = 0.1
-		net, err := NewNetwork(sched, cfg)
+		net, err := NewNetwork(sched, ContinentProfile(7))
 		if err != nil {
 			t.Fatal(err)
 		}
+		net.SetLinkFault(AnyNode, AnyNode, LinkFault{Drop: 0.1})
 		r := &recorder{}
 		for i := 0; i < 10; i++ {
 			h := Handler(&recorder{})
