@@ -243,13 +243,12 @@ type silencer struct{}
 // Corrupt implements sim.Corrupter.
 func (silencer) Corrupt(sim.NodeID, any, int) []sim.Injection { return nil }
 
-// TamperSnapshotChunk is the byte-level tampering a Byzantine snapshot
-// server applies to state-transfer chunks: deterministic bit flips across
-// the chunk (hitting serialized application state and, in the tail chunks,
+// tamperChunk is the byte-level tampering a Byzantine snapshot server
+// applies to state-transfer chunks: deterministic bit flips across the
+// chunk (hitting serialized application state and, in the tail chunks,
 // the last-reply table — the dedup state the old uncertified envelope let
-// an adversary perturb silently). Exported so the pre-fix exploit test can
-// apply the identical corruption to the legacy envelope encoding.
-func TamperSnapshotChunk(data []byte) []byte {
+// an adversary perturb silently).
+func tamperChunk(data []byte) []byte {
 	out := append([]byte(nil), data...)
 	for i := 0; i < len(out); i += 64 {
 		out[i] ^= 0x80
@@ -272,14 +271,15 @@ type snapshotTamperer struct{}
 // Corrupt implements sim.Corrupter.
 func (snapshotTamperer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
 	if m, ok := msg.(core.SnapshotChunkMsg); ok {
-		em := core.SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: TamperSnapshotChunk(m.Data)}
+		em := core.SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: tamperChunk(m.Data)}
 		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
 	}
 	return sim.PassThrough(to, msg, size)
 }
 
 // staleMetaServer caches the OLDEST snapshot meta its replica ever served
-// and replays it in place of every later meta answer. The cached meta is
+// and replays it in place of every later meta answer (colluding members
+// share one, so the meta is the oldest any of them served). The cached meta is
 // authentic — π-certified by the honest quorum at the time — just stale:
 // the exact adversary of the first-accepted-meta race. All other traffic,
 // snapshot chunks included, passes through untouched (the stale
@@ -335,7 +335,7 @@ func (f *forgedProofServer) Corrupt(to sim.NodeID, msg any, size int) []sim.Inje
 	em.ChunkProof.Steps = append([]merkle.ProofStep(nil), m.ChunkProof.Steps...)
 	switch f.rng.Intn(4) {
 	case 0: // tamper the value bytes under the honest proof
-		em.Chunk = TamperSnapshotChunk(em.Chunk)
+		em.Chunk = tamperChunk(em.Chunk)
 	case 1: // corrupt one inclusion-proof step
 		if len(em.ChunkProof.Steps) > 0 {
 			i := f.rng.Intn(len(em.ChunkProof.Steps))

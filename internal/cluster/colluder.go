@@ -53,9 +53,12 @@ type Colluder struct {
 	// FaultByzColludeCkpt: one agreed garbage digest per (domain, seq) —
 	// mutually consistent across members, conflicting with the honest one.
 
-	// FaultByzColludeSnapshot: the oldest certified snapshot meta ANY
-	// member ever served; all members answer with it.
-	staleMeta *core.SnapshotMetaMsg
+	// FaultByzColludeSnapshot: one staleMetaServer behind every member,
+	// so each answers with the oldest certified meta ANY member ever
+	// served. A fetcher polling several members gets the same lying
+	// answer from each — the mutual consistency that makes collusion
+	// dangerous to first-accepted meta selection.
+	staleMeta staleMetaServer
 }
 
 // colludedSeq is the collusion state for one equivocated sequence number.
@@ -153,7 +156,7 @@ func (c *Colluder) corrupter(member int) sim.Corrupter {
 		case FaultByzColludeCkpt:
 			return c.corruptCkpt(member, to, msg, size)
 		case FaultByzColludeSnapshot:
-			return c.corruptSnapshot(to, msg, size)
+			return c.staleMeta.Corrupt(to, msg, size)
 		}
 		return sim.PassThrough(to, msg, size)
 	})
@@ -462,26 +465,6 @@ func (c *Colluder) corruptCkpt(member int, to sim.NodeID, msg any, size int) []s
 			out = append(out, sim.Injection{To: to, Msg: em, Size: em.WireSize()})
 		}
 		return out
-	}
-	return sim.PassThrough(to, msg, size)
-}
-
-// ---------------------------------------------------------------------------
-// FaultByzColludeSnapshot: mutually consistent stale snapshot metas.
-
-// corruptSnapshot serves the coordinated stale meta: the oldest certified
-// meta ANY member ever answered with. Unlike the lone staleMetaServer, a
-// fetcher polling several members gets the same lying answer from each —
-// the mutual consistency that makes collusion dangerous to first-accepted
-// meta selection.
-func (c *Colluder) corruptSnapshot(to sim.NodeID, msg any, size int) []sim.Injection {
-	if m, ok := msg.(core.SnapshotMetaMsg); ok {
-		if c.staleMeta == nil || m.Seq < c.staleMeta.Seq {
-			mm := m
-			c.staleMeta = &mm
-		}
-		em := *c.staleMeta
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
 	}
 	return sim.PassThrough(to, msg, size)
 }
