@@ -60,14 +60,6 @@ func (cl *Cluster) InstallByzantine(node int, kind FaultKind) error {
 	return nil
 }
 
-// wireSize sizes an injected message for the bandwidth model.
-func wireSize(msg any, fallback int) int {
-	if m, ok := msg.(core.Message); ok {
-		return m.WireSize()
-	}
-	return fallback
-}
-
 // equivocateReqs builds a conflicting-but-authentic variant of a request
 // block. Clients sign their operations (§V-A), so a Byzantine primary
 // cannot fabricate payloads — the chaos sweep caught an earlier version
@@ -96,20 +88,20 @@ type equivocator struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (e *equivocator) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (e *equivocator) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	switch m := msg.(type) {
 	case core.PrePrepareMsg:
 		if int(to)%2 == 1 {
 			em := core.PrePrepareMsg{Seq: m.Seq, View: m.View, Reqs: equivocateReqs(m.Reqs)}
-			return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+			return []sim.Injection{{To: to, Msg: em}}
 		}
 	case pbft.PrePrepareMsg:
 		if int(to)%2 == 1 {
 			em := pbft.PrePrepareMsg{Seq: m.Seq, View: m.View, Reqs: equivocateReqs(m.Reqs)}
-			return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+			return []sim.Injection{{To: to, Msg: em}}
 		}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }
 
 // outboundView extracts the view a protocol message speaks for, tracking
@@ -152,11 +144,11 @@ type staleViewSpammer struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (s *staleViewSpammer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (s *staleViewSpammer) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	if v, ok := outboundView(msg); ok && v > s.view {
 		s.view = v
 	}
-	out := sim.PassThrough(to, msg, size)
+	out := sim.PassThrough(to, msg)
 	if s.rng.Float64() >= 0.3 {
 		return out
 	}
@@ -187,7 +179,7 @@ func (s *staleViewSpammer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injec
 			}},
 		}
 	}
-	return append(out, sim.Injection{To: to, Msg: spam, Size: wireSize(spam, 128)})
+	return append(out, sim.Injection{To: to, Msg: spam})
 }
 
 // conflictCkpt rewrites outbound checkpoint and execution-state digests
@@ -211,7 +203,7 @@ func (c *conflictCkpt) garbage(seq uint64, to sim.NodeID) []byte {
 }
 
 // Corrupt implements sim.Corrupter.
-func (c *conflictCkpt) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (c *conflictCkpt) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	switch m := msg.(type) {
 	case core.CheckpointShareMsg:
 		evil := c.garbage(m.Seq, to)
@@ -220,7 +212,7 @@ func (c *conflictCkpt) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection
 			return nil
 		}
 		em := core.CheckpointShareMsg{Seq: m.Seq, Replica: m.Replica, Digest: evil, PiSig: share}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	case core.SignStateMsg:
 		evil := c.garbage(m.Seq, to)
 		share, err := c.keys.Pi.Sign(core.StateSigDigest(m.Seq, evil))
@@ -228,12 +220,12 @@ func (c *conflictCkpt) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection
 			return nil
 		}
 		em := core.SignStateMsg{Seq: m.Seq, Replica: m.Replica, Digest: evil, PiSig: share}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	case pbft.CheckpointMsg:
 		em := pbft.CheckpointMsg{Seq: m.Seq, Digest: c.garbage(m.Seq, to), Replica: m.Replica}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }
 
 // silencer suppresses every outbound message: a silent-but-alive replica
@@ -241,7 +233,7 @@ func (c *conflictCkpt) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection
 type silencer struct{}
 
 // Corrupt implements sim.Corrupter.
-func (silencer) Corrupt(sim.NodeID, any, int) []sim.Injection { return nil }
+func (silencer) Corrupt(sim.NodeID, any) []sim.Injection { return nil }
 
 // tamperChunk is the byte-level tampering a Byzantine snapshot server
 // applies to state-transfer chunks: deterministic bit flips across the
@@ -269,12 +261,12 @@ func tamperChunk(data []byte) []byte {
 type snapshotTamperer struct{}
 
 // Corrupt implements sim.Corrupter.
-func (snapshotTamperer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (snapshotTamperer) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	if m, ok := msg.(core.SnapshotChunkMsg); ok {
 		em := core.SnapshotChunkMsg{Seq: m.Seq, Index: m.Index, Data: tamperChunk(m.Data)}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }
 
 // staleMetaServer caches the OLDEST snapshot meta its replica ever served
@@ -292,16 +284,16 @@ type staleMetaServer struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (s *staleMetaServer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (s *staleMetaServer) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	if m, ok := msg.(core.SnapshotMetaMsg); ok {
 		if s.meta == nil || m.Seq < s.meta.Seq {
 			mm := m
 			s.meta = &mm
 		}
 		em := *s.meta
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }
 
 // forgedProofServer attacks the certified read path: every outbound
@@ -321,10 +313,10 @@ type forgedProofServer struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (f *forgedProofServer) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (f *forgedProofServer) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	m, ok := msg.(core.ReadReplyMsg)
 	if !ok || m.Status != core.ReadOK {
-		return sim.PassThrough(to, msg, size)
+		return sim.PassThrough(to, msg)
 	}
 	if f.cached == nil || m.Seq < f.cached.Seq {
 		mm := m
@@ -349,7 +341,7 @@ func (f *forgedProofServer) Corrupt(to sim.NodeID, msg any, size int) []sim.Inje
 		em = *f.cached
 		em.Client, em.Nonce = m.Client, m.Nonce
 	}
-	return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+	return []sim.Injection{{To: to, Msg: em}}
 }
 
 // ---------------------------------------------------------------------------
@@ -398,10 +390,10 @@ type colludingPrimary struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (p *colludingPrimary) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (p *colludingPrimary) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	m, ok := msg.(pbft.PrePrepareMsg)
 	if !ok {
-		return sim.PassThrough(to, msg, size)
+		return sim.PassThrough(to, msg)
 	}
 	reqs := m.Reqs
 	if int(to) != p.accomplice && int(to)%2 == 0 {
@@ -416,9 +408,9 @@ func (p *colludingPrimary) Corrupt(to sim.NodeID, msg any, size int) []sim.Injec
 	prep := pbft.PrepareMsg{Seq: m.Seq, View: m.View, Hash: h, Replica: p.node}
 	com := pbft.CommitMsg{Seq: m.Seq, View: m.View, Hash: h, Replica: p.node}
 	return []sim.Injection{
-		{To: to, Msg: pp, Size: pp.WireSize()},
-		{To: to, Msg: prep, Size: prep.WireSize()},
-		{To: to, Msg: com, Size: com.WireSize()},
+		{To: to, Msg: pp},
+		{To: to, Msg: prep},
+		{To: to, Msg: com},
 	}
 }
 
@@ -429,18 +421,18 @@ type colludingVoter struct {
 }
 
 // Corrupt implements sim.Corrupter.
-func (v *colludingVoter) Corrupt(to sim.NodeID, msg any, size int) []sim.Injection {
+func (v *colludingVoter) Corrupt(to sim.NodeID, msg any) []sim.Injection {
 	switch m := msg.(type) {
 	case pbft.PrepareMsg:
 		if h, ok := v.shared.variants[m.Seq][to]; ok {
 			em := pbft.PrepareMsg{Seq: m.Seq, View: m.View, Hash: h, Replica: m.Replica}
-			return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+			return []sim.Injection{{To: to, Msg: em}}
 		}
 	case pbft.CommitMsg:
 		if h, ok := v.shared.variants[m.Seq][to]; ok {
 			em := pbft.CommitMsg{Seq: m.Seq, View: m.View, Hash: h, Replica: m.Replica}
-			return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+			return []sim.Injection{{To: to, Msg: em}}
 		}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }

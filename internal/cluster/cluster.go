@@ -166,7 +166,7 @@ func (e *env) Send(to int, msg core.Message) {
 	if e.dead {
 		return
 	}
-	e.net.Send(sim.NodeID(e.id), sim.NodeID(to), msg, msg.WireSize())
+	e.net.Send(sim.NodeID(e.id), sim.NodeID(to), msg)
 }
 
 func (e *env) Now() time.Duration { return e.sched.Now() }
@@ -270,6 +270,7 @@ func New(opts Options) (*Cluster, error) {
 	cm.workers = opts.CryptoPool
 	netCfg.SendCost = cm.SendCost
 	netCfg.RecvCost = cm.RecvCost
+	netCfg.Size = func(_ sim.NodeID, msg any) int { return msg.(core.Message).WireSize() }
 	cl.costs = cm
 	var err error
 	cl.Net, err = sim.NewNetwork(cl.Sched, netCfg)

@@ -149,16 +149,16 @@ func (c *Colluder) keysOf(member int) core.ReplicaKeys {
 
 // corrupter builds the outbound interceptor for one member.
 func (c *Colluder) corrupter(member int) sim.Corrupter {
-	return sim.CorruptFunc(func(to sim.NodeID, msg any, size int) []sim.Injection {
+	return sim.CorruptFunc(func(to sim.NodeID, msg any) []sim.Injection {
 		switch c.kind {
 		case FaultByzColludeEquivocate:
-			return c.corruptEquivocate(member, to, msg, size)
+			return c.corruptEquivocate(member, to, msg)
 		case FaultByzColludeCkpt:
-			return c.corruptCkpt(member, to, msg, size)
+			return c.corruptCkpt(member, to, msg)
 		case FaultByzColludeSnapshot:
-			return c.staleMeta.Corrupt(to, msg, size)
+			return c.staleMeta.Corrupt(to, msg)
 		}
-		return sim.PassThrough(to, msg, size)
+		return sim.PassThrough(to, msg)
 	})
 }
 
@@ -220,7 +220,7 @@ func (c *Colluder) dealFor(m core.PrePrepareMsg) *colludedSeq {
 // corruptEquivocate rewrites a member's outbound protocol traffic so each
 // recipient consistently sees its dealt variant, signed with the member's
 // real keys.
-func (c *Colluder) corruptEquivocate(member int, to sim.NodeID, msg any, size int) []sim.Injection {
+func (c *Colluder) corruptEquivocate(member int, to sim.NodeID, msg any) []sim.Injection {
 	switch m := msg.(type) {
 	case core.PrePrepareMsg:
 		// Only a member acting as primary proposes; deal and rewrite.
@@ -230,7 +230,7 @@ func (c *Colluder) corruptEquivocate(member int, to sim.NodeID, msg any, size in
 		}
 		v := d.variants[d.dealt[to]]
 		em := core.PrePrepareMsg{Seq: m.Seq, View: m.View, Reqs: v.reqs}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	case core.SignShareMsg:
 		d := c.deals[m.Seq]
 		if d == nil || d.view != m.View {
@@ -249,7 +249,7 @@ func (c *Colluder) corruptEquivocate(member int, to sim.NodeID, msg any, size in
 			}
 			em.SigmaSig = sigma
 		}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	case core.CommitMsg:
 		d := c.deals[m.Seq]
 		if d == nil || d.view != m.View {
@@ -269,9 +269,9 @@ func (c *Colluder) corruptEquivocate(member int, to sim.NodeID, msg any, size in
 			return nil
 		}
 		em := core.CommitMsg{Seq: m.Seq, View: m.View, Replica: member, TauTau: sh}
-		return []sim.Injection{{To: to, Msg: em, Size: em.WireSize()}}
+		return []sim.Injection{{To: to, Msg: em}}
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }
 
 // observe is the inbound wiretap shared by all members: honest shares and
@@ -323,7 +323,7 @@ func (c *Colluder) tryPrepare(seq uint64, d *colludedSeq, v *colludedVariant) {
 	cert := c.addCert(v, sig)
 	msg := core.PrepareMsg{Seq: seq, View: d.view, Tau: sig}
 	for _, to := range v.recipients {
-		c.cl.Net.Inject(sim.NodeID(c.members[0]), to, msg, msg.WireSize())
+		c.cl.Net.Inject(sim.NodeID(c.members[0]), to, msg)
 	}
 	c.trySlow(seq, d, v, cert)
 }
@@ -398,7 +398,7 @@ func (c *Colluder) trySlow(seq uint64, d *colludedSeq, v *colludedVariant, cert 
 	cert.slowSent = true
 	msg := core.FullCommitProofSlowMsg{Seq: seq, View: d.view, Tau: cert.tau, TauTau: outer}
 	for _, to := range v.recipients {
-		c.cl.Net.Inject(sim.NodeID(c.members[0]), to, msg, msg.WireSize())
+		c.cl.Net.Inject(sim.NodeID(c.members[0]), to, msg)
 	}
 }
 
@@ -439,7 +439,7 @@ func (c *Colluder) colludeDigest(domain string, seq uint64) []byte {
 // recipient sees m consistent, correctly-signed shares for a state that
 // never existed, exactly one short of the f+1 π quorum while the set stays
 // within budget.
-func (c *Colluder) corruptCkpt(member int, to sim.NodeID, msg any, size int) []sim.Injection {
+func (c *Colluder) corruptCkpt(member int, to sim.NodeID, msg any) []sim.Injection {
 	switch m := msg.(type) {
 	case core.CheckpointShareMsg:
 		evil := c.colludeDigest("ckpt", m.Seq)
@@ -450,7 +450,7 @@ func (c *Colluder) corruptCkpt(member int, to sim.NodeID, msg any, size int) []s
 				continue
 			}
 			em := core.CheckpointShareMsg{Seq: m.Seq, Replica: mem, Digest: evil, PiSig: share}
-			out = append(out, sim.Injection{To: to, Msg: em, Size: em.WireSize()})
+			out = append(out, sim.Injection{To: to, Msg: em})
 		}
 		return out
 	case core.SignStateMsg:
@@ -462,9 +462,9 @@ func (c *Colluder) corruptCkpt(member int, to sim.NodeID, msg any, size int) []s
 				continue
 			}
 			em := core.SignStateMsg{Seq: m.Seq, Replica: mem, Digest: evil, PiSig: share}
-			out = append(out, sim.Injection{To: to, Msg: em, Size: em.WireSize()})
+			out = append(out, sim.Injection{To: to, Msg: em})
 		}
 		return out
 	}
-	return sim.PassThrough(to, msg, size)
+	return sim.PassThrough(to, msg)
 }

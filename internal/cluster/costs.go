@@ -76,7 +76,7 @@ func (cm CostModel) ShareVerifyCost(k int) time.Duration {
 }
 
 // RecvCost implements sim.Config.RecvCost for both engines' messages.
-func (cm CostModel) RecvCost(msg any, size int) time.Duration {
+func (cm CostModel) RecvCost(msg any) time.Duration {
 	d := cm.Base
 	switch m := msg.(type) {
 	// --- SBFT engine ---
@@ -127,7 +127,7 @@ func (cm CostModel) RecvCost(msg any, size int) time.Duration {
 	case core.SnapshotMetaMsg:
 		d += cm.Verify // π certificate + hashing the leaf list to the root
 	case core.SnapshotChunkMsg:
-		d += time.Duration(1+size/4096) * cm.PerOp // the chunk's leaf hash
+		d += time.Duration(1+len(m.Data)/4096) * cm.PerOp // the chunk's leaf hash
 	case core.ReadMsg:
 		// Queueing only; proof generation is charged on the reply send.
 	case core.ReadReplyMsg:
@@ -164,7 +164,7 @@ func amortized(cost time.Duration, k int) time.Duration {
 // amortized over the message's fan-out (sign once, send k copies);
 // per-destination work (distinct reply signatures, Merkle proofs) is
 // charged in full on every send.
-func (cm CostModel) SendCost(msg any, size int) time.Duration {
+func (cm CostModel) SendCost(msg any) time.Duration {
 	d := cm.Send
 	n, coll := cm.n, cm.collectors
 	switch msg.(type) {
@@ -204,6 +204,5 @@ func (cm CostModel) SendCost(msg any, size int) time.Duration {
 		pbft.CheckpointMsg, pbft.ViewChangeMsg:
 		d += amortized(cm.Sign, n)
 	}
-	_ = size
 	return d
 }

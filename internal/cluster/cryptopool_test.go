@@ -77,27 +77,27 @@ func TestCombineThenVerifyCosts(t *testing.T) {
 
 	for _, msg := range shareMsgs() {
 		for _, cm := range []CostModel{inline, pooled} {
-			if got := cm.RecvCost(msg, 100); got != cm.Base {
+			if got := cm.RecvCost(msg); got != cm.Base {
 				t.Fatalf("RecvCost(%T) = %v, want handling floor %v (offload=%v)", msg, got, cm.Base, cm.offload)
 			}
 		}
 	}
 	ckpt := core.CheckpointShareMsg{}
-	if got, want := inline.RecvCost(ckpt, 100), inline.Base+(2*inline.Verify+inline.CombineVerified)/4; got != want {
+	if got, want := inline.RecvCost(ckpt), inline.Base+(2*inline.Verify+inline.CombineVerified)/4; got != want {
 		t.Fatalf("inline RecvCost(CheckpointShareMsg) = %v, want %v", got, want)
 	}
-	if got := pooled.RecvCost(ckpt, 100); got != pooled.Base {
+	if got := pooled.RecvCost(ckpt); got != pooled.Base {
 		t.Fatalf("pooled RecvCost(CheckpointShareMsg) = %v, want handling floor %v", got, pooled.Base)
 	}
-	if got := inline.RecvCost(core.FullExecuteProofMsg{}, 100); got != inline.Base {
+	if got := inline.RecvCost(core.FullExecuteProofMsg{}); got != inline.Base {
 		t.Fatalf("RecvCost(FullExecuteProofMsg) = %v, want %v: π(d) is not verified on receipt", got, inline.Base)
 	}
 	cert := core.FullCommitProofMsg{}
 	want := inline.Send + (inline.CombineVerified+inline.Verify)/4
-	if got := inline.SendCost(cert, 100); got != want {
+	if got := inline.SendCost(cert); got != want {
 		t.Fatalf("inline SendCost(cert) = %v, want %v", got, want)
 	}
-	if got := pooled.SendCost(cert, 100); got != pooled.Send {
+	if got := pooled.SendCost(cert); got != pooled.Send {
 		t.Fatalf("pooled SendCost(cert) = %v, want %v: the worker pays the combine", got, pooled.Send)
 	}
 	if got := inline.ShareVerifyCost(3); got != 3*inline.Verify {
@@ -118,7 +118,7 @@ func TestGarbageSharesFromOneReplicaStayLive(t *testing.T) {
 	for _, pool := range []int{0, 2} {
 		cl := newKV(t, Options{Protocol: ProtoSBFT, F: 1, Clients: 4, Seed: 11, CryptoPool: pool})
 		cl.MarkByzantine(2)
-		cl.Net.SetCorrupter(sim.NodeID(2), sim.CorruptFunc(func(to sim.NodeID, msg any, size int) []sim.Injection {
+		cl.Net.SetCorrupter(sim.NodeID(2), sim.CorruptFunc(func(to sim.NodeID, msg any) []sim.Injection {
 			switch m := msg.(type) {
 			case core.SignShareMsg:
 				m.SigmaSig, m.TauSig = garbage, garbage
@@ -133,7 +133,7 @@ func TestGarbageSharesFromOneReplicaStayLive(t *testing.T) {
 				m.PiSig = garbage
 				msg = m
 			}
-			return sim.PassThrough(to, msg, size)
+			return sim.PassThrough(to, msg)
 		}))
 		res := cl.RunClosedLoop(40, kvGen, 5*time.Minute)
 		if res.Completed != 4*40 {

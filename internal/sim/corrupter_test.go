@@ -9,10 +9,10 @@ import (
 // send is swallowed, while inbound delivery still works.
 func TestCorrupterSuppresses(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
-	net.SetCorrupter(0, CorruptFunc(func(NodeID, any, int) []Injection { return nil }))
+	net.SetCorrupter(0, CorruptFunc(func(NodeID, any) []Injection { return nil }))
 
-	net.Send(0, 1, "gone", 10)
-	net.Send(2, 0, "heard", 10)
+	net.Send(0, 1, "gone")
+	net.Send(2, 0, "heard")
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 0 {
@@ -30,15 +30,15 @@ func TestCorrupterSuppresses(t *testing.T) {
 // sees the original, node 2 a conflicting variant.
 func TestCorrupterEquivocates(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
-	net.SetCorrupter(0, CorruptFunc(func(to NodeID, msg any, size int) []Injection {
+	net.SetCorrupter(0, CorruptFunc(func(to NodeID, msg any) []Injection {
 		if to == 2 {
-			return []Injection{{To: to, Msg: "evil", Size: size}}
+			return []Injection{{To: to, Msg: "evil"}}
 		}
-		return PassThrough(to, msg, size)
+		return PassThrough(to, msg)
 	}))
 
-	net.Send(0, 1, "honest", 10)
-	net.Send(0, 2, "honest", 10)
+	net.Send(0, 1, "honest")
+	net.Send(0, 2, "honest")
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 1 || recs[1].got[0].msg != "honest" {
@@ -53,15 +53,15 @@ func TestCorrupterEquivocates(t *testing.T) {
 // including a delayed replay and a redirect to a third node.
 func TestCorrupterReplaysAndRedirects(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
-	net.SetCorrupter(0, CorruptFunc(func(to NodeID, msg any, size int) []Injection {
+	net.SetCorrupter(0, CorruptFunc(func(to NodeID, msg any) []Injection {
 		return []Injection{
-			{To: to, Msg: msg, Size: size},
-			{To: to, Msg: msg, Size: size, Delay: 5 * time.Millisecond},
-			{To: 2, Msg: "leak", Size: size},
+			{To: to, Msg: msg},
+			{To: to, Msg: msg, Delay: 5 * time.Millisecond},
+			{To: 2, Msg: "leak"},
 		}
 	}))
 
-	net.Send(0, 1, "m", 10)
+	net.Send(0, 1, "m")
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 2 {
@@ -76,19 +76,19 @@ func TestCorrupterReplaysAndRedirects(t *testing.T) {
 // crashed corrupted node sends nothing at all.
 func TestCorrupterClearedRestoresHonestTraffic(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 2)
-	net.SetCorrupter(0, CorruptFunc(func(NodeID, any, int) []Injection { return nil }))
+	net.SetCorrupter(0, CorruptFunc(func(NodeID, any) []Injection { return nil }))
 	if !net.Corrupted(0) {
 		t.Fatal("Corrupted(0) = false after install")
 	}
 
 	net.Crash(0)
-	net.Send(0, 1, "while-crashed", 10)
+	net.Send(0, 1, "while-crashed")
 	net.Recover(0)
 	net.SetCorrupter(0, nil)
 	if net.Corrupted(0) {
 		t.Fatal("Corrupted(0) = true after clear")
 	}
-	net.Send(0, 1, "honest-again", 10)
+	net.Send(0, 1, "honest-again")
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 1 || recs[1].got[0].msg != "honest-again" {

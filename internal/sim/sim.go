@@ -132,15 +132,18 @@ type Config struct {
 	// BandwidthBps is per-link bandwidth in bytes/second; 0 disables
 	// serialization delay.
 	BandwidthBps float64
+	// Size is the length in bytes of one delivery from a sender, charged
+	// to the link's bandwidth and counted in BytesSent. Nil = 0 bytes.
+	Size func(from NodeID, msg any) int
 	// SendCost models per-message CPU time at the sender (serialization,
 	// signing): a node's sends are serialized on its CPU, so an n-wide
 	// broadcast occupies the sender for n×SendCost. Nil = free.
-	SendCost func(msg any, size int) time.Duration
+	SendCost func(msg any) time.Duration
 	// RecvCost models per-message CPU time at the receiver (signature
 	// verification, handling). A node processes arrivals serially; this
 	// is what makes quadratic protocols saturate replicas at scale — the
 	// effect behind the paper's Figure 2 (see DESIGN.md). Nil = free.
-	RecvCost func(msg any, size int) time.Duration
+	RecvCost func(msg any) time.Duration
 }
 
 // AnyNode is a wildcard endpoint for link-fault rules: a rule keyed with
@@ -176,7 +179,6 @@ func (f LinkFault) zero() bool {
 type Injection struct {
 	To    NodeID
 	Msg   any
-	Size  int
 	Delay time.Duration
 }
 
@@ -189,21 +191,21 @@ type Injection struct {
 // equivocate. Corrupt runs on the simulator's single logical thread, at
 // the virtual time of the send.
 type Corrupter interface {
-	Corrupt(to NodeID, msg any, size int) []Injection
+	Corrupt(to NodeID, msg any) []Injection
 }
 
 // CorruptFunc adapts a function to the Corrupter interface.
-type CorruptFunc func(to NodeID, msg any, size int) []Injection
+type CorruptFunc func(to NodeID, msg any) []Injection
 
 // Corrupt implements Corrupter.
-func (f CorruptFunc) Corrupt(to NodeID, msg any, size int) []Injection {
-	return f(to, msg, size)
+func (f CorruptFunc) Corrupt(to NodeID, msg any) []Injection {
+	return f(to, msg)
 }
 
 // PassThrough is the identity injection list for an intercepted send:
 // deliver the original message to the original recipient unchanged.
-func PassThrough(to NodeID, msg any, size int) []Injection {
-	return []Injection{{To: to, Msg: msg, Size: size}}
+func PassThrough(to NodeID, msg any) []Injection {
+	return []Injection{{To: to, Msg: msg}}
 }
 
 // Network delivers messages between registered nodes over the modeled WAN.
@@ -399,29 +401,28 @@ func (n *Network) SetObserver(id NodeID, o Observer) {
 // injection is still subject to crash, partition, link-fault, CPU-cost and
 // latency modeling, so forged traffic competes with honest traffic on
 // equal footing.
-func (n *Network) Inject(from, to NodeID, msg any, size int) {
-	n.sendRaw(from, to, msg, size, 0)
+func (n *Network) Inject(from, to NodeID, msg any) {
+	n.sendRaw(from, to, msg, 0)
 }
 
-// Send schedules delivery of msg from → to. size is the wire size estimate
-// used for bandwidth modeling and statistics. If the sender has a
-// Corrupter installed, the corrupter's injections are sent instead (each
-// subject to the same crash/partition/link-fault model; injections do not
-// re-enter the corrupter).
-func (n *Network) Send(from, to NodeID, msg any, size int) {
+// Send schedules delivery of msg from → to. If the sender has a Corrupter
+// installed, the corrupter's injections are sent instead (each subject to
+// the same crash/partition/link-fault model; injections do not re-enter
+// the corrupter).
+func (n *Network) Send(from, to NodeID, msg any) {
 	if c := n.corrupt[from]; c != nil && !n.crashed[from] {
 		n.MsgsCorrupted++
-		for _, inj := range c.Corrupt(to, msg, size) {
-			n.sendRaw(from, inj.To, inj.Msg, inj.Size, inj.Delay)
+		for _, inj := range c.Corrupt(to, msg) {
+			n.sendRaw(from, inj.To, inj.Msg, inj.Delay)
 		}
 		return
 	}
-	n.sendRaw(from, to, msg, size, 0)
+	n.sendRaw(from, to, msg, 0)
 }
 
 // sendRaw is the physical send path: the network model applied to one
-// delivery, bypassing any corrupter on the sender.
-func (n *Network) sendRaw(from, to NodeID, msg any, size int, extra time.Duration) {
+// delivery, bypassing any corrupter on the sender. Config.Size sizes it.
+func (n *Network) sendRaw(from, to NodeID, msg any, extra time.Duration) {
 	if n.crashed[from] || n.crashed[to] {
 		n.MsgsDropped++
 		return
@@ -435,6 +436,10 @@ func (n *Network) sendRaw(from, to NodeID, msg any, size int, extra time.Duratio
 		n.MsgsDropped++
 		return
 	}
+	size := 0
+	if n.cfg.Size != nil {
+		size = n.cfg.Size(from, msg)
+	}
 	n.MsgsSent++
 	n.BytesSent += uint64(size)
 
@@ -446,7 +451,7 @@ func (n *Network) sendRaw(from, to NodeID, msg any, size int, extra time.Duratio
 		if n.busy[from] > departure {
 			departure = n.busy[from]
 		}
-		departure += n.cfg.SendCost(msg, size)
+		departure += n.cfg.SendCost(msg)
 		n.busy[from] = departure
 	}
 
@@ -454,12 +459,12 @@ func (n *Network) sendRaw(from, to NodeID, msg any, size int, extra time.Duratio
 	if faulty {
 		base += fault.ExtraDelay
 	}
-	n.scheduleDelivery(from, to, msg, size, n.perturb(base, fault, faulty))
+	n.scheduleDelivery(from, to, msg, n.perturb(base, fault, faulty))
 	if faulty && fault.Duplicate > 0 && n.sched.rng.Float64() < fault.Duplicate {
 		// The copy takes an independent jittered delay: duplicated AND
 		// possibly reordered relative to the original.
 		n.MsgsDuped++
-		n.scheduleDelivery(from, to, msg, size, n.perturb(base, fault, faulty))
+		n.scheduleDelivery(from, to, msg, n.perturb(base, fault, faulty))
 	}
 }
 
@@ -477,7 +482,7 @@ func (n *Network) perturb(d time.Duration, fault LinkFault, faulty bool) time.Du
 
 // scheduleDelivery schedules one delivery attempt after delay d, applying
 // receiver crash state and CPU cost at delivery time.
-func (n *Network) scheduleDelivery(from, to NodeID, msg any, size int, d time.Duration) {
+func (n *Network) scheduleDelivery(from, to NodeID, msg any, d time.Duration) {
 	n.sched.Schedule(d, func() {
 		if n.crashed[to] {
 			return
@@ -498,7 +503,7 @@ func (n *Network) scheduleDelivery(from, to NodeID, msg any, size int, d time.Du
 		if n.busy[to] > start {
 			start = n.busy[to]
 		}
-		fin := start + n.cfg.RecvCost(msg, size)
+		fin := start + n.cfg.RecvCost(msg)
 		n.busy[to] = fin
 		n.sched.Schedule(fin-n.sched.Now(), func() {
 			if n.crashed[to] {

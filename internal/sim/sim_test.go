@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -117,7 +118,7 @@ func TestSchedulerMaxEvents(t *testing.T) {
 
 func TestNetworkDelivery(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
-	net.Send(0, 1, "hello", 100)
+	net.Send(0, 1, "hello")
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(recs[1].got))
@@ -133,8 +134,8 @@ func TestNetworkDelivery(t *testing.T) {
 func TestNetworkCrash(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
 	net.Crash(1)
-	net.Send(0, 1, "to-crashed", 10)
-	net.Send(1, 2, "from-crashed", 10)
+	net.Send(0, 1, "to-crashed")
+	net.Send(1, 2, "from-crashed")
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 0 || len(recs[2].got) != 0 {
 		t.Fatal("crashed node participated in delivery")
@@ -143,7 +144,7 @@ func TestNetworkCrash(t *testing.T) {
 		t.Fatalf("MsgsDropped = %d, want 2", net.MsgsDropped)
 	}
 	net.Recover(1)
-	net.Send(0, 1, "after-recover", 10)
+	net.Send(0, 1, "after-recover")
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatal("recovered node did not receive")
@@ -152,7 +153,7 @@ func TestNetworkCrash(t *testing.T) {
 
 func TestNetworkCrashMidFlight(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
-	net.Send(0, 1, "in-flight", 10)
+	net.Send(0, 1, "in-flight")
 	// Crash the receiver before delivery time.
 	net.Scheduler().Schedule(5*time.Millisecond, func() { net.Crash(1) })
 	net.Scheduler().Run(0, 0)
@@ -164,7 +165,7 @@ func TestNetworkCrashMidFlight(t *testing.T) {
 func TestNetworkStraggler(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
 	net.SetStraggler(1, 50*time.Millisecond)
-	net.Send(0, 1, "slow", 10)
+	net.Send(0, 1, "slow")
 	net.Scheduler().Run(0, 0)
 	if got := recs[1].got; len(got) != 1 {
 		t.Fatal("straggler lost message")
@@ -173,7 +174,7 @@ func TestNetworkStraggler(t *testing.T) {
 		t.Fatalf("straggler delivery at %v, want 60ms", net.Scheduler().Now())
 	}
 	net.SetStraggler(1, 0) // clear
-	net.Send(0, 1, "fast", 10)
+	net.Send(0, 1, "fast")
 	start := net.Scheduler().Now()
 	net.Scheduler().Run(0, 0)
 	if net.Scheduler().Now()-start != 10*time.Millisecond {
@@ -186,9 +187,9 @@ func TestNetworkPartition(t *testing.T) {
 	net.SetPartition(0, 1)
 	net.SetPartition(1, 2)
 	// 0 and 1 are in different groups: blocked. 2 is group 0: talks to all.
-	net.Send(0, 1, "blocked", 10)
-	net.Send(0, 2, "ok", 10)
-	net.Send(2, 1, "ok", 10)
+	net.Send(0, 1, "blocked")
+	net.Send(0, 2, "ok")
+	net.Send(2, 1, "ok")
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatalf("node1 deliveries = %d, want 1 (from node2 only)", len(recs[1].got))
@@ -197,7 +198,7 @@ func TestNetworkPartition(t *testing.T) {
 		t.Fatalf("node2 deliveries = %d, want 1", len(recs[2].got))
 	}
 	net.SetPartition(0, 0)
-	net.Send(0, 1, "healed", 10)
+	net.Send(0, 1, "healed")
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 2 {
 		t.Fatal("healed partition still blocks")
@@ -208,6 +209,7 @@ func TestNetworkBandwidth(t *testing.T) {
 	sched := NewScheduler(1)
 	cfg := UniformProfile(0)
 	cfg.BandwidthBps = 1000 // 1000 B/s
+	cfg.Size = func(_ NodeID, msg any) int { return len(msg.(string)) }
 	net, err := NewNetwork(sched, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +217,13 @@ func TestNetworkBandwidth(t *testing.T) {
 	r := &recorder{}
 	net.Register(0, 0, &recorder{})
 	net.Register(1, 0, r)
-	net.Send(0, 1, "big", 500) // 500 B at 1000 B/s = 500ms
+	net.Send(0, 1, strings.Repeat("x", 500)) // 500 B at 1000 B/s = 500ms
 	sched.Run(0, 0)
 	if sched.Now() != 500*time.Millisecond {
 		t.Fatalf("serialization delay: delivered at %v, want 500ms", sched.Now())
+	}
+	if net.BytesSent != 500 {
+		t.Fatalf("BytesSent = %d, want 500", net.BytesSent)
 	}
 }
 
@@ -234,7 +239,7 @@ func TestNetworkDrops(t *testing.T) {
 	net.Register(1, 0, r)
 	const total = 1000
 	for i := 0; i < total; i++ {
-		net.Send(0, 1, i, 10)
+		net.Send(0, 1, i)
 	}
 	sched.Run(0, 0)
 	got := len(r.got)
@@ -249,7 +254,9 @@ func TestNetworkDrops(t *testing.T) {
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() (uint64, time.Duration) {
 		sched := NewScheduler(7)
-		net, err := NewNetwork(sched, ContinentProfile(7))
+		cfg := ContinentProfile(7)
+		cfg.Size = func(_ NodeID, msg any) int { return 64 + msg.(int) }
+		net, err := NewNetwork(sched, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +270,7 @@ func TestNetworkDeterminism(t *testing.T) {
 			net.Register(NodeID(i), i%ContinentRegions, h)
 		}
 		for i := 0; i < 200; i++ {
-			net.Send(NodeID(i%9), 9, i, 64+i)
+			net.Send(NodeID(i%9), 9, i)
 		}
 		sched.Run(0, 0)
 		return uint64(len(r.got)), sched.Now()
