@@ -218,7 +218,7 @@ func (h handler) Deliver(from sim.NodeID, msg any) { h.n.Deliver(int(from), msg)
 func frameSizer() func(from sim.NodeID, msg any) int {
 	var buf []byte
 	return func(from sim.NodeID, msg any) int {
-		b, err := wire.AppendFrame(buf[:0], int(from), msg.(core.Message))
+		b, err := wire.AppendFrame(buf[:0], int(from), msg)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: sizing %T: %v", msg, err))
 		}
@@ -277,7 +277,8 @@ func New(opts Options) (*Cluster, error) {
 		cl.N = cfg.N()
 	}
 
-	// Install the per-message CPU model now that n is known.
+	// Install the per-message CPU model now that n is known, and the
+	// frame sizer.
 	cm := DefaultCosts()
 	if opts.Costs != nil {
 		cm = *opts.Costs

@@ -8,8 +8,12 @@ import (
 	"time"
 
 	"sbft/internal/core"
+	"sbft/internal/crypto/threshsig"
 	"sbft/internal/kvstore"
+	"sbft/internal/merkle"
+	"sbft/internal/pbft"
 	"sbft/internal/sim"
+	"sbft/internal/wire"
 )
 
 func kvGen(client, i int) []byte {
@@ -295,4 +299,69 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 		}
 	}
 	digestsAgree(t, cl)
+}
+
+// TestSimulatedSizeIsFrameSize sends one message of every kind through a
+// cluster's network and checks that the bytes it counts are the bytes of
+// the frame internal/wire builds for that sender and message: the
+// simulator charges what a deployment writes to its socket.
+func TestSimulatedSizeIsFrameSize(t *testing.T) {
+	cl := newKV(t, Options{Protocol: ProtoSBFT, F: 1, Seed: 1})
+	sig := threshsig.Signature{Data: bytes.Repeat([]byte{7}, 33)}
+	share := threshsig.Share{Signer: 2, Data: sig.Data}
+	reqs := []core.Request{{Client: core.ClientBase, Timestamp: 3, Op: []byte("put k v")}, {Client: core.ClientBase + 1, Timestamp: 9}}
+	digest := bytes.Repeat([]byte{1}, 32)
+	slot := core.SlotInfo{Seq: 5, HasPrepare: true, PrepareTau: sig, PrepareView: 1, PrepareReqs: reqs, HasPrePrepare: true, SigmaShare: share}
+	vc := core.ViewChangeMsg{NewView: 2, Replica: 2, LastStable: 4, StableDigest: digest, StablePi: sig, Slots: []core.SlotInfo{slot, {Seq: 6}}}
+	proof := merkle.Proof{Index: 3, Steps: []merkle.ProofStep{{Right: true}, {}}}
+	header := core.SnapshotHeader{AppDigest: digest, AppLen: 4096, ChunkSize: 1024, AppChunks: 4}
+	pbftVC := pbft.ViewChangeMsg{NewView: 2, LastStable: 4, Replica: 2, Prepared: []pbft.PreparedProof{{Seq: 5, View: 1, Reqs: reqs}}}
+	msgs := []any{
+		core.RequestMsg{Req: reqs[0]},
+		core.PrePrepareMsg{Seq: 5, View: 1, Reqs: reqs},
+		core.SignShareMsg{Seq: 5, View: 1, Replica: 2, SigmaSig: share, TauSig: share},
+		core.FullCommitProofMsg{Seq: 5, View: 1, Sigma: sig},
+		core.PrepareMsg{Seq: 5, View: 1, Tau: sig},
+		core.CommitMsg{Seq: 5, View: 1, Replica: 2, TauTau: share},
+		core.FullCommitProofSlowMsg{Seq: 5, View: 1, Tau: sig, TauTau: sig},
+		core.SignStateMsg{Seq: 5, Replica: 2, Digest: digest, PiSig: share},
+		core.FullExecuteProofMsg{Seq: 5, Digest: digest, Pi: sig},
+		core.ExecuteAckMsg{Seq: 5, L: 1, Val: []byte("v"), Client: core.ClientBase, Timestamp: 3, View: 1, Digest: digest, Pi: sig, Proof: make([]byte, 146)},
+		core.ReplyMsg{Seq: 5, L: 1, Replica: 2, Client: core.ClientBase, Timestamp: 3, View: 1, Val: []byte("v")},
+		core.BusyMsg{Client: core.ClientBase, Timestamp: 3, RetryAfter: time.Second},
+		core.CheckpointShareMsg{Seq: 8, Replica: 2, Digest: digest, PiSig: share},
+		core.CheckpointCertMsg{Seq: 8, Digest: digest, Pi: sig},
+		core.FetchCommitMsg{Replica: 2, Seq: 5},
+		core.CommitInfoMsg{Seq: 5, View: 1, Reqs: reqs, HasFast: true, Sigma: sig},
+		core.FetchStateMsg{Replica: 2, Seq: 8},
+		core.SnapshotMetaMsg{Seq: 8, Root: digest, Pi: sig, Header: header, Leaves: make([]merkle.Digest, 6)},
+		core.FetchSnapshotChunkMsg{Replica: 2, Seq: 8, Index: 3},
+		core.SnapshotChunkMsg{Seq: 8, Index: 3, Data: make([]byte, 5000)},
+		core.ReadMsg{Client: core.ClientBase, Nonce: 1, Op: []byte("get k"), MinSeq: 4},
+		core.ReadReplyMsg{Client: core.ClientBase, Nonce: 1, Replica: 2, Status: core.ReadOK, Seq: 8, Root: digest, Pi: sig,
+			Header: header, HeaderProof: proof, ChunkIndex: 3, Chunk: make([]byte, 700), ChunkProof: proof},
+		vc,
+		core.NewViewMsg{View: 2, ViewChanges: []core.ViewChangeMsg{vc, vc, vc}},
+		pbft.PrePrepareMsg{Seq: 5, View: 1, Reqs: reqs},
+		pbft.PrepareMsg{Seq: 5, View: 1, Replica: 2},
+		pbft.CommitMsg{Seq: 5, View: 1, Replica: 2},
+		pbft.CheckpointMsg{Seq: 8, Digest: digest, Replica: 2},
+		pbft.FetchCommitMsg{Replica: 2, Seq: 5},
+		pbft.CommitInfoMsg{Seq: 5, Replica: 2, Reqs: reqs},
+		pbftVC,
+		pbft.NewViewMsg{View: 2, ViewChanges: []pbft.ViewChangeMsg{pbftVC, pbftVC}, PrePrepares: []pbft.PrePrepareMsg{{Seq: 5, View: 2, Reqs: reqs}}},
+	}
+	for _, from := range []int{2, core.ClientBase} {
+		for _, m := range msgs {
+			frame, err := wire.AppendFrame(nil, from, m)
+			if err != nil {
+				t.Fatalf("%T: %v", m, err)
+			}
+			before := cl.Net.BytesSent
+			cl.Net.Send(sim.NodeID(from), 1, m)
+			if got := cl.Net.BytesSent - before; got != uint64(len(frame)) {
+				t.Errorf("%T from %d: network counted %d bytes, frame is %d", m, from, got, len(frame))
+			}
+		}
+	}
 }

@@ -264,38 +264,3 @@ func TestDealSuite(t *testing.T) {
 		}
 	}
 }
-
-func TestMessageWireSizes(t *testing.T) {
-	msgs := []Message{
-		RequestMsg{Req: Request{Op: make([]byte, 100)}},
-		PrePrepareMsg{Reqs: []Request{{Op: make([]byte, 100)}}},
-		SignShareMsg{},
-		FullCommitProofMsg{},
-		PrepareMsg{},
-		CommitMsg{},
-		FullCommitProofSlowMsg{},
-		SignStateMsg{},
-		FullExecuteProofMsg{},
-		ExecuteAckMsg{Val: []byte("v"), Proof: make([]byte, 50)},
-		ReplyMsg{Val: []byte("v")},
-		CheckpointShareMsg{},
-		CheckpointCertMsg{},
-		FetchStateMsg{},
-		SnapshotMetaMsg{Root: make([]byte, 32)},
-		FetchSnapshotChunkMsg{},
-		SnapshotChunkMsg{Data: make([]byte, 1000)},
-		ViewChangeMsg{Slots: []SlotInfo{{}}},
-		NewViewMsg{ViewChanges: []ViewChangeMsg{{}}},
-	}
-	for _, m := range msgs {
-		if m.WireSize() <= 0 {
-			t.Errorf("%T WireSize = %d", m, m.WireSize())
-		}
-	}
-	// Linearity sanity: collector certificates are constant-size,
-	// independent of n (ingredient 1).
-	small := FullCommitProofMsg{}.WireSize()
-	if small > 200 {
-		t.Errorf("commit proof is %dB; should be constant ~ one signature", small)
-	}
-}

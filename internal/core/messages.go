@@ -83,26 +83,10 @@ func ReadRequests(r *snapcodec.Reader) []Request {
 	return reqs
 }
 
-// Message is implemented by all protocol messages. WireSize estimates the
-// serialized size in bytes for the simulator's bandwidth model.
-type Message interface {
-	WireSize() int
-}
-
-const (
-	msgHeader = 24 // type + seq + view framing estimate
-	sigSize   = 33 // BLS signature size the paper reports (§III)
-	shareSize = 33
-	hashSize  = 32
-)
-
-func reqsSize(reqs []Request) int {
-	n := 0
-	for _, r := range reqs {
-		n += 24 + len(r.Op)
-	}
-	return n
-}
+// Message is a protocol message: a value of a type internal/wire has a
+// tag for. Every message travels as a value, and its size on the wire —
+// in a deployment and in the simulator alike — is its frame's.
+type Message = any
 
 // RequestMsg carries a client request to the primary (or, on retry, to all
 // replicas).
@@ -110,18 +94,12 @@ type RequestMsg struct {
 	Req Request
 }
 
-// WireSize implements Message.
-func (m RequestMsg) WireSize() int { return msgHeader + 24 + len(m.Req.Op) }
-
 // PrePrepareMsg is ⟨"pre-prepare", s, v, r⟩ from the primary (§V-C).
 type PrePrepareMsg struct {
 	Seq  uint64
 	View uint64
 	Reqs []Request
 }
-
-// WireSize implements Message.
-func (m PrePrepareMsg) WireSize() int { return msgHeader + reqsSize(m.Reqs) }
 
 // SignShareMsg is ⟨"sign-share", s, v, σ_i(h), τ_i(h)⟩ sent by replicas to
 // the C-collectors. Per §V-E it carries both the fast-path σ share and the
@@ -134,9 +112,6 @@ type SignShareMsg struct {
 	TauSig   threshsig.Share
 }
 
-// WireSize implements Message.
-func (m SignShareMsg) WireSize() int { return msgHeader + 2*shareSize }
-
 // FullCommitProofMsg is ⟨"full-commit-proof", s, v, σ(h)⟩ from a
 // C-collector: the fast-path commit certificate (§V-C).
 type FullCommitProofMsg struct {
@@ -144,9 +119,6 @@ type FullCommitProofMsg struct {
 	View  uint64
 	Sigma threshsig.Signature
 }
-
-// WireSize implements Message.
-func (m FullCommitProofMsg) WireSize() int { return msgHeader + sigSize }
 
 // PrepareMsg is ⟨"prepare", s, v, τ(h)⟩: the linear-PBFT intermediate
 // certificate broadcast when the fast path times out (§V-E).
@@ -156,9 +128,6 @@ type PrepareMsg struct {
 	Tau  threshsig.Signature
 }
 
-// WireSize implements Message.
-func (m PrepareMsg) WireSize() int { return msgHeader + sigSize }
-
 // CommitMsg is ⟨"commit", s, v, τ_i(τ(h))⟩ from a replica to the
 // collectors in the slow path (§V-E).
 type CommitMsg struct {
@@ -167,9 +136,6 @@ type CommitMsg struct {
 	Replica int
 	TauTau  threshsig.Share
 }
-
-// WireSize implements Message.
-func (m CommitMsg) WireSize() int { return msgHeader + shareSize }
 
 // FullCommitProofSlowMsg is ⟨"full-commit-proof-slow", s, v, τ(τ(h))⟩: the
 // slow-path commit certificate (§V-E). Tau is the inner prepare
@@ -181,9 +147,6 @@ type FullCommitProofSlowMsg struct {
 	TauTau threshsig.Signature
 }
 
-// WireSize implements Message.
-func (m FullCommitProofSlowMsg) WireSize() int { return msgHeader + 2*sigSize }
-
 // SignStateMsg is ⟨"sign-state", s, π_i(d)⟩ from a replica to the
 // E-collectors after executing through s (§V-D).
 type SignStateMsg struct {
@@ -193,9 +156,6 @@ type SignStateMsg struct {
 	PiSig   threshsig.Share
 }
 
-// WireSize implements Message.
-func (m SignStateMsg) WireSize() int { return msgHeader + hashSize + shareSize }
-
 // FullExecuteProofMsg is ⟨"full-execute-proof", s, π(d)⟩ from an
 // E-collector to all replicas (§V-D).
 type FullExecuteProofMsg struct {
@@ -203,9 +163,6 @@ type FullExecuteProofMsg struct {
 	Digest []byte
 	Pi     threshsig.Signature
 }
-
-// WireSize implements Message.
-func (m FullExecuteProofMsg) WireSize() int { return msgHeader + hashSize + sigSize }
 
 // ExecuteAckMsg is the single-message client acknowledgement
 // ⟨"execute-ack", s, l, val, o, π(d), proof⟩ (§V-A, §V-D). View is the
@@ -227,11 +184,6 @@ type ExecuteAckMsg struct {
 	Proof     []byte // application-encoded proof(o, l, s, D, val)
 }
 
-// WireSize implements Message.
-func (m ExecuteAckMsg) WireSize() int {
-	return msgHeader + len(m.Val) + hashSize + sigSize + len(m.Proof)
-}
-
 // ReplyMsg is the PBFT-style direct reply used when execution collectors
 // are disabled or a client requested the f+1 fallback path. View carries
 // the same routing hint as ExecuteAckMsg.View.
@@ -244,9 +196,6 @@ type ReplyMsg struct {
 	View      uint64
 	Val       []byte
 }
-
-// WireSize implements Message.
-func (m ReplyMsg) WireSize() int { return msgHeader + len(m.Val) + sigSize }
 
 // BusyMsg is the §V-C backpressure reject: the primary's admission
 // queue is full (len(pending) ≥ MaxPending), so the request was dropped
@@ -262,9 +211,6 @@ type BusyMsg struct {
 	RetryAfter time.Duration
 }
 
-// WireSize implements Message.
-func (m BusyMsg) WireSize() int { return msgHeader + 16 }
-
 // CheckpointShareMsg carries a replica's π share over the certified
 // execution-state root at a checkpoint sequence (every win/2 executions,
 // §V-F). Digest is the Merkle root committing to the application snapshot
@@ -277,9 +223,6 @@ type CheckpointShareMsg struct {
 	PiSig   threshsig.Share
 }
 
-// WireSize implements Message.
-func (m CheckpointShareMsg) WireSize() int { return msgHeader + hashSize + shareSize }
-
 // CheckpointCertMsg is the combined stable-checkpoint certificate
 // broadcast by an E-collector.
 type CheckpointCertMsg struct {
@@ -288,9 +231,6 @@ type CheckpointCertMsg struct {
 	Pi     threshsig.Signature
 }
 
-// WireSize implements Message.
-func (m CheckpointCertMsg) WireSize() int { return msgHeader + hashSize + sigSize }
-
 // FetchCommitMsg asks a peer to retransmit the decision for a sequence
 // number (the re-transmit layer assumed by the system model, §II: a
 // replica with an execution gap repairs it without a view change).
@@ -298,9 +238,6 @@ type FetchCommitMsg struct {
 	Replica int
 	Seq     uint64
 }
-
-// WireSize implements Message.
-func (m FetchCommitMsg) WireSize() int { return msgHeader }
 
 // CommitInfoMsg retransmits a committed decision block with its commit
 // certificate (fast σ(h) or slow τ(τ(h))), self-contained so the receiver
@@ -315,18 +252,12 @@ type CommitInfoMsg struct {
 	TauTau  threshsig.Signature
 }
 
-// WireSize implements Message.
-func (m CommitInfoMsg) WireSize() int { return msgHeader + reqsSize(m.Reqs) + 3*sigSize }
-
 // FetchStateMsg asks a peer for the metadata of a certified checkpoint
 // snapshot at or above Seq (state transfer, §VIII).
 type FetchStateMsg struct {
 	Replica int
 	Seq     uint64
 }
-
-// WireSize implements Message.
-func (m FetchStateMsg) WireSize() int { return msgHeader }
 
 // SnapshotMetaMsg answers FetchStateMsg: the certified snapshot's root,
 // its π stable-checkpoint certificate, the header, and the commitment
@@ -347,11 +278,6 @@ type SnapshotMetaMsg struct {
 	Leaves []merkle.Digest
 }
 
-// WireSize implements Message.
-func (m SnapshotMetaMsg) WireSize() int {
-	return msgHeader + 2*hashSize + sigSize + len(m.Leaves)*hashSize
-}
-
 // FetchSnapshotChunkMsg requests one chunk (1-based Merkle leaf index)
 // of the certified snapshot at Seq. A recovering replica keeps a bounded
 // window of these in flight (fetchWindow), routes each through a
@@ -364,9 +290,6 @@ type FetchSnapshotChunkMsg struct {
 	Index   int
 }
 
-// WireSize implements Message.
-func (m FetchSnapshotChunkMsg) WireSize() int { return msgHeader }
-
 // SnapshotChunkMsg carries one snapshot chunk. The receiver holds the
 // verified leaf list, so tampering with Data is detected by hashing it
 // against the leaf at Index, and blamed on the sender.
@@ -375,9 +298,6 @@ type SnapshotChunkMsg struct {
 	Index int
 	Data  []byte
 }
-
-// WireSize implements Message.
-func (m SnapshotChunkMsg) WireSize() int { return msgHeader + len(m.Data) }
 
 // SlotInfo is one sequence slot of a view-change message (§V-G): the pair
 // x_j = (lm_j, fm_j). Each component carries the request block its
@@ -426,32 +346,12 @@ type ViewChangeMsg struct {
 	Slots        []SlotInfo
 }
 
-// WireSize implements Message.
-func (m ViewChangeMsg) WireSize() int {
-	n := msgHeader + hashSize + sigSize
-	for _, s := range m.Slots {
-		n += 16 + 4*sigSize + shareSize +
-			reqsSize(s.SlowReqs) + reqsSize(s.PrepareReqs) +
-			reqsSize(s.FastReqs) + reqsSize(s.PrePrepareReqs)
-	}
-	return n
-}
-
 // NewViewMsg carries the set of 2f+2c+1 view-change messages the new
 // primary based its decisions on; replicas repeat the same deterministic
 // computation (§VII "forwards both the decision and the signed messages").
 type NewViewMsg struct {
 	View        uint64
 	ViewChanges []ViewChangeMsg
-}
-
-// WireSize implements Message.
-func (m NewViewMsg) WireSize() int {
-	n := msgHeader
-	for _, vc := range m.ViewChanges {
-		n += vc.WireSize()
-	}
-	return n
 }
 
 // ReadMsg asks one replica for a consensus-free certified read (ROADMAP
@@ -468,9 +368,6 @@ type ReadMsg struct {
 	Op     []byte
 	MinSeq uint64
 }
-
-// WireSize implements Message.
-func (m ReadMsg) WireSize() int { return msgHeader + 16 + len(m.Op) }
 
 // Read reply statuses.
 const (
@@ -513,12 +410,6 @@ type ReadReplyMsg struct {
 	ChunkIndex  int
 	Chunk       []byte
 	ChunkProof  merkle.Proof
-}
-
-// WireSize implements Message.
-func (m ReadReplyMsg) WireSize() int {
-	return msgHeader + 16 + hashSize + sigSize + len(m.Chunk) +
-		(len(m.HeaderProof.Steps)+len(m.ChunkProof.Steps))*hashSize
 }
 
 // TauTauDigest exposes the outer slow-path signing digest for a prepare

@@ -81,15 +81,6 @@ type PrePrepareMsg struct {
 	Reqs []core.Request
 }
 
-// WireSize implements core.Message.
-func (m PrePrepareMsg) WireSize() int {
-	n := 24
-	for _, r := range m.Reqs {
-		n += 24 + len(r.Op)
-	}
-	return n + 64 // per-message public-key signature (§IX: signed messages)
-}
-
 // PrepareMsg is ⟨PREPARE, v, n, d, i⟩, broadcast all-to-all.
 type PrepareMsg struct {
 	Seq     uint64
@@ -97,9 +88,6 @@ type PrepareMsg struct {
 	Hash    core.Digest
 	Replica int
 }
-
-// WireSize implements core.Message.
-func (m PrepareMsg) WireSize() int { return 24 + 32 + 64 }
 
 // CommitMsg is ⟨COMMIT, v, n, d, i⟩, broadcast all-to-all.
 type CommitMsg struct {
@@ -109,18 +97,12 @@ type CommitMsg struct {
 	Replica int
 }
 
-// WireSize implements core.Message.
-func (m CommitMsg) WireSize() int { return 24 + 32 + 64 }
-
 // CheckpointMsg is ⟨CHECKPOINT, n, d, i⟩.
 type CheckpointMsg struct {
 	Seq     uint64
 	Digest  []byte
 	Replica int
 }
-
-// WireSize implements core.Message.
-func (m CheckpointMsg) WireSize() int { return 24 + len(m.Digest) + 64 }
 
 // PreparedProof summarizes a prepared certificate in a view change
 // (sender authenticity comes from the channel; the deployment model signs
@@ -141,35 +123,11 @@ type ViewChangeMsg struct {
 	Replica    int
 }
 
-// WireSize implements core.Message.
-func (m ViewChangeMsg) WireSize() int {
-	n := 24 + 64
-	for _, p := range m.Prepared {
-		n += 48
-		for _, r := range p.Reqs {
-			n += 24 + len(r.Op)
-		}
-	}
-	return n
-}
-
 // NewViewMsg is ⟨NEW-VIEW, v+1, V, O⟩.
 type NewViewMsg struct {
 	View        uint64
 	ViewChanges []ViewChangeMsg
 	PrePrepares []PrePrepareMsg
-}
-
-// WireSize implements core.Message.
-func (m NewViewMsg) WireSize() int {
-	n := 24 + 64
-	for _, vc := range m.ViewChanges {
-		n += vc.WireSize()
-	}
-	for _, pp := range m.PrePrepares {
-		n += pp.WireSize()
-	}
-	return n
 }
 
 // FetchCommitMsg asks peers to retransmit the decision at a sequence
@@ -180,9 +138,6 @@ type FetchCommitMsg struct {
 	Seq     uint64
 }
 
-// WireSize implements core.Message.
-func (m FetchCommitMsg) WireSize() int { return 24 }
-
 // CommitInfoMsg retransmits a committed decision block. PBFT's baseline
 // certificates are per-sender channel-authenticated rather than
 // self-contained, so a catching-up replica adopts a block only once f+1
@@ -191,15 +146,6 @@ type CommitInfoMsg struct {
 	Seq     uint64
 	Replica int
 	Reqs    []core.Request
-}
-
-// WireSize implements core.Message.
-func (m CommitInfoMsg) WireSize() int {
-	n := 24 + 64
-	for _, r := range m.Reqs {
-		n += 24 + len(r.Op)
-	}
-	return n
 }
 
 type slot struct {

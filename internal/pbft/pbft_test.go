@@ -61,27 +61,6 @@ func TestNewReplicaValidation(t *testing.T) {
 	}
 }
 
-func TestMessageWireSizes(t *testing.T) {
-	msgs := []core.Message{
-		PrePrepareMsg{Reqs: []core.Request{{Op: make([]byte, 10)}}},
-		PrepareMsg{},
-		CommitMsg{},
-		CheckpointMsg{Digest: make([]byte, 32)},
-		ViewChangeMsg{Prepared: []PreparedProof{{}}},
-		NewViewMsg{ViewChanges: []ViewChangeMsg{{}}, PrePrepares: []PrePrepareMsg{{}}},
-	}
-	for _, m := range msgs {
-		if m.WireSize() <= 0 {
-			t.Errorf("%T WireSize = %d", m, m.WireSize())
-		}
-	}
-	// All-to-all phases carry per-message signatures: the quadratic cost
-	// ingredient 1 removes.
-	if (PrepareMsg{}).WireSize() < 64 {
-		t.Error("prepare should include a signature-sized payload")
-	}
-}
-
 func TestCheckpointEvery(t *testing.T) {
 	cfg := DefaultConfig(1)
 	if got := cfg.checkpointEvery(); got != cfg.Win/2 {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sbft/internal/core"
+	"sbft/internal/crypto/threshbls"
 	"sbft/internal/crypto/threshsig"
 	"sbft/internal/merkle"
 	"sbft/internal/pbft"
@@ -252,10 +253,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEveryMessageHasATag fails when a type that implements core.Message
-// (a WireSize method in core/messages.go or pbft/pbft.go) is missing from
-// the table above or cannot be encoded: adding a message without giving
-// it a tag and a sample is caught here, not on a live socket.
+// TestEveryMessageHasATag fails when a message type (a struct type named
+// *Msg in core/messages.go or pbft/pbft.go) is missing from the table
+// above or cannot be encoded: adding a message without giving it a tag
+// and a sample is caught here, not on a live socket.
 func TestEveryMessageHasATag(t *testing.T) {
 	sampled := make(map[string]bool)
 	for _, s := range samples() {
@@ -267,20 +268,20 @@ func TestEveryMessageHasATag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "WireSize" || fn.Recv == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !strings.HasSuffix(ts.Name.Name, "Msg") {
+				return true
 			}
-			recv, ok := fn.Recv.List[0].Type.(*ast.Ident)
-			if !ok {
-				t.Fatalf("%s: WireSize on a pointer receiver: messages travel as values", file)
+			if _, ok := ts.Type.(*ast.StructType); !ok {
+				return true
 			}
 			found++
-			if name := pkg + "." + recv.Name; !sampled[name] {
-				t.Errorf("%s implements core.Message but has no row in samples() — give it a tag in wire.go and a sample here", name)
+			if name := pkg + "." + ts.Name.Name; !sampled[name] {
+				t.Errorf("%s is a message but has no row in samples() — give it a tag in wire.go and a sample here", name)
 			}
-		}
+			return false
+		})
 	}
 	if found != 32 || len(sampled) != found {
 		t.Errorf("%d message types in the sources, %d sampled; the package doc says 24 + 8", found, len(sampled))
@@ -288,6 +289,49 @@ func TestEveryMessageHasATag(t *testing.T) {
 	type untagged struct{ core.RequestMsg }
 	if _, err := AppendFrame(nil, 1, untagged{}); err == nil {
 		t.Error("a type without a tag was encoded")
+	}
+}
+
+// TestCertificateFramesAreConstantSize is ingredient 1's invariant on the
+// wire: a collector's certificate carries one combined threshold signature
+// whatever the quorum, so under threshold BLS its frame is as long at
+// n = 9 as at n = 4.
+func TestCertificateFramesAreConstantSize(t *testing.T) {
+	d := digest(5)
+	frames := func(f, c int) []int {
+		suite, keys, err := core.DealSuite(core.DefaultConfig(f, c), threshbls.Dealer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		combine := func(s threshsig.Scheme, signer func(core.ReplicaKeys) threshsig.Signer) threshsig.Signature {
+			var shares []threshsig.Share
+			for _, k := range keys[:s.Threshold()] {
+				sh, err := signer(k).Sign(d[:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				shares = append(shares, sh)
+			}
+			sig, err := s.Combine(d[:], shares)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sig
+		}
+		sigma := combine(suite.Sigma, func(k core.ReplicaKeys) threshsig.Signer { return k.Sigma })
+		pi := combine(suite.Pi, func(k core.ReplicaKeys) threshsig.Signer { return k.Pi })
+		var lens []int
+		for _, m := range []core.Message{
+			core.FullCommitProofMsg{Seq: 9, View: 2, Sigma: sigma},
+			core.FullExecuteProofMsg{Seq: 9, Digest: d[:], Pi: pi},
+			core.CheckpointCertMsg{Seq: 9, Digest: d[:], Pi: pi},
+		} {
+			lens = append(lens, len(body(t, 1, m)))
+		}
+		return lens
+	}
+	if n4, n9 := frames(1, 0), frames(2, 1); !reflect.DeepEqual(n4, n9) {
+		t.Errorf("FullCommitProof, FullExecuteProof, CheckpointCert bodies: %v bytes at n = 4, %v at n = 9", n4, n9)
 	}
 }
 
