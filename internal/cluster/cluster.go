@@ -277,8 +277,8 @@ func New(opts Options) (*Cluster, error) {
 		cl.N = cfg.N()
 	}
 
-	// Install the per-message CPU model now that n is known, and the
-	// frame sizer.
+	// Install the frame sizer and, now that n is known, the per-message
+	// CPU model.
 	cm := DefaultCosts()
 	if opts.Costs != nil {
 		cm = *opts.Costs

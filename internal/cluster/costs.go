@@ -14,6 +14,10 @@ import (
 // model 2018-era crypto on the paper's 32-vCPU machines: one signature or
 // share verification ≈ 120µs effective (BLS with batch verification), one
 // signature ≈ 100µs, one interpolation of a quorum in the exponent ≈ 50µs.
+// Costs depend on the message alone: the bytes a delivery puts on a link
+// are its wire frame's, charged by the network (frameSizer). The PBFT
+// baseline's frames carry no signature, but its signing and checking are
+// charged here, as the paper's deployment signs every message (§IX).
 type CostModel struct {
 	Base   time.Duration // per-message handling floor
 	Send   time.Duration // per-message serialization at the sender

@@ -37,7 +37,7 @@
 //
 //	config.go     Config (n = 3f+2c+1, quorums, collector sets), Env,
 //	              Application, CryptoSuite/ReplicaKeys dealing
-//	messages.go   every wire message + WireSize estimates
+//	messages.go   every wire message (internal/wire frames them)
 //	replica.go    the Replica struct, NewReplica (the one constructor: it
 //	              replays a store that has history), Deliver (the single
 //	              entry) and Metrics

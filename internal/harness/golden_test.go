@@ -36,12 +36,12 @@ import (
 // Held through the wire codec (PR 22: the simulator never serialises), then
 // default, byzantine, recovery and evm re-captured with that PR's proof
 // codec: an execute-ack proof is 146 bytes where gob's was 430,
-// ExecuteAckMsg.WireSize() counts it and the simulator charges bandwidth
+// ExecuteAckMsg.WireSize() counted it and the simulator charged bandwidth
 // per byte, so the SBFT lines (the variant with execute-acks) end a
 // microsecond earlier. Only dur and now moved, on 35 lines; one of them,
 // recovery seed 6, also sends 189 fewer messages (its transfer races
 // differently); every ops, seqs, view and digest field is unchanged and
-// reads did not move (DESIGN.md "Wire and disk formats" lists the lines).
+// reads did not move.
 //
 // recovery and reads re-captured with state transfer against the certified
 // leaf list: a meta carries 32 bytes per chunk, chunks carry no proof, and

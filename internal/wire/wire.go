@@ -23,9 +23,9 @@
 // own slices; the frame is allocated per message and never reused, so a
 // retained message pins exactly the bytes that carried it.
 //
-// Message.WireSize() is not derived from this codec: it is the
-// simulator's size model, and every golden fingerprint is a function of it
-// (DESIGN.md "Wire and disk formats").
+// The simulator charges each delivery the length of the frame AppendFrame
+// builds for it, so every golden fingerprint is a function of this format
+// (DESIGN.md "One size per message").
 package wire
 
 import (
