@@ -13,30 +13,37 @@ import (
 // links and autolinks are out of scope; the repo's docs use inline links.
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
-// TestDocLinks is the docs gate's link checker: every relative link in
-// every tracked *.md file must resolve to an existing file or directory.
-// External links (http/https/mailto) are not fetched — CI must not
-// depend on the network — but their scheme must be well-formed.
-func TestDocLinks(t *testing.T) {
-	var mdFiles []string
+// repoFiles lists the files under the repository root, .git excepted,
+// that keep accepts.
+func repoFiles(t *testing.T, keep func(path string) bool) []string {
+	t.Helper()
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
 		}
-		if strings.HasSuffix(strings.ToLower(d.Name()), ".md") {
-			mdFiles = append(mdFiles, path)
+		if !d.IsDir() && keep(path) {
+			files = append(files, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// TestDocLinks is the docs gate's link checker: every relative link in
+// every tracked *.md file must resolve to an existing file or directory.
+// External links (http/https/mailto) are not fetched — CI must not
+// depend on the network — but their scheme must be well-formed.
+func TestDocLinks(t *testing.T) {
+	mdFiles := repoFiles(t, func(path string) bool {
+		return strings.HasSuffix(strings.ToLower(path), ".md")
+	})
 	if len(mdFiles) == 0 {
 		t.Fatal("no markdown files found — checker is miswired")
 	}
@@ -69,5 +76,81 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s: broken link %q (resolved %s): %v", md, m[1], resolved, err)
 			}
 		}
+	}
+}
+
+// designRef matches DESIGN.md followed by one quoted section name, or by
+// several joined with commas, "and" or "or": DESIGN.md "Live runtime",
+// DESIGN.md "Stages" and "Live runtime".
+var designRef = regexp.MustCompile(`DESIGN\.md\s+("[^"\n]+"(?:\s*(?:,|,?\s*and|,?\s*or)\s*"[^"\n]+")*)`)
+
+var quoted = regexp.MustCompile(`"([^"\n]+)"`)
+
+// commentWrap joins a line to the next across the comment marker that
+// opens it, so a name wrapped over two comment lines reads as one.
+var commentWrap = map[string]*regexp.Regexp{
+	".go":  regexp.MustCompile(`\s*\n\s*(//\s*)?`),
+	".yml": regexp.MustCompile(`\s*\n\s*(#\s*)?`),
+	".sh":  regexp.MustCompile(`\s*\n\s*(#\s*)?`),
+	".md":  regexp.MustCompile(`\s*\n\s*`),
+}
+
+// designRefs returns every section name text quotes after DESIGN.md, ext
+// being the extension of the file it came from.
+func designRefs(text, ext string) []string {
+	text = commentWrap[ext].ReplaceAllString(text, " ")
+	var names []string
+	for _, m := range designRef.FindAllStringSubmatch(text, -1) {
+		for _, q := range quoted.FindAllStringSubmatch(m[1], -1) {
+			names = append(names, strings.TrimRight(q[1], "….,"))
+		}
+	}
+	return names
+}
+
+// TestDesignReferences checks what TestDocLinks cannot: every section
+// name quoted after DESIGN.md in a .go, .md, .yml or .sh file is the start
+// of one of DESIGN.md's headings. CHANGES.md is a historical record and
+// keeps the names sections had when it was written.
+func TestDesignReferences(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	for _, line := range strings.Split(string(design), "\n") {
+		if h := strings.TrimLeft(line, "#"); h != line && strings.HasPrefix(h, " ") {
+			headings = append(headings, strings.TrimSpace(h))
+		}
+	}
+	resolves := func(name string) bool {
+		for _, h := range headings {
+			if strings.HasPrefix(h, name) {
+				return true
+			}
+		}
+		return false
+	}
+	if got := designRefs("x // DESIGN.md \"Live\n\t// runtime\" and \"Stages\"", ".go"); strings.Join(got, "|") != "Live runtime|Stages" {
+		t.Fatalf("a reference wrapped across comment lines reads %q — extractor is miswired", got)
+	}
+
+	found := 0
+	for _, path := range repoFiles(t, func(path string) bool {
+		return commentWrap[filepath.Ext(path)] != nil && path != "CHANGES.md"
+	}) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range designRefs(string(data), filepath.Ext(path)) {
+			found++
+			if !resolves(name) {
+				t.Errorf("%s: DESIGN.md %q names no section of DESIGN.md", path, name)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no DESIGN.md section references found — checker is miswired")
 	}
 }

@@ -177,7 +177,8 @@ func (r *Replica) buildSnapshot(seq uint64, appDigest []byte) (*CertifiedSnapsho
 	return r.snaps.capture(r.app, seq, appDigest, encodeReplyTable(r.replyCache))
 }
 
-// SetSnapshotSink installs the asynchronous snapshot persistence hook.
+// SetSnapshotSink installs the snapshot persistence hook; without one,
+// snapshots are not persisted.
 // Call before the replica starts processing messages.
 func (r *Replica) SetSnapshotSink(s SnapshotSink) { r.snaps.sink = s }
 
@@ -204,7 +205,6 @@ func (r *Replica) RetainedSnapshotSeqs() []uint64 { return r.snaps.seqs() }
 type snapChain struct {
 	retain  int // Config.SnapshotRetain, derived
 	env     Env
-	store   SnapshotStore // synchronous persistence when no sink is set; may be nil
 	metrics *Metrics
 
 	// snapGens is the bounded chain of retained stable certified
@@ -224,18 +224,17 @@ type snapChain struct {
 	// pipelined past the checkpoint; capturing then would mislabel newer
 	// state (and a newer reply table) with the older certified digest.
 	pendingSnap map[uint64]*CertifiedSnapshot
-	// sink, when set, receives adopted snapshots for asynchronous
-	// persistence (see SnapshotSink); nil falls back to store.
+	// sink, when set, receives adopted snapshots for persistence (see
+	// SnapshotSink); nil keeps them in memory only.
 	sink SnapshotSink
 	// durableSnap is the highest snapshot sequence known persisted (the
 	// restart-survivable serving point, armed by the sink's completion).
 	durableSnap uint64
 }
 
-func newSnapChain(retain int, env Env, store BlockStore, metrics *Metrics) snapChain {
-	ss, _ := store.(SnapshotStore)
+func newSnapChain(retain int, env Env, metrics *Metrics) snapChain {
 	return snapChain{
-		retain: retain, env: env, store: ss, metrics: metrics,
+		retain: retain, env: env, metrics: metrics,
 		pendingSnap: make(map[uint64]*CertifiedSnapshot),
 	}
 }
@@ -306,9 +305,7 @@ func (c *snapChain) genAt(seq uint64) *CertifiedSnapshot {
 // hands it off for durable persistence so a restarted replica can serve
 // state transfer immediately. In-memory serving arms at once (the capture
 // is already chunked and Merkle-committed). Persistence goes through the
-// async SnapshotSink when one is installed — encode+write of a large
-// state would otherwise stall the event loop every win/2 executions — and
-// falls back to the synchronous SnapshotStore path otherwise. The sink's
+// SnapshotSink, and without one nothing is written. The sink's
 // completion callback arms the restart-survivable serving point
 // (durableSnap) once the bytes are actually on disk, but only while the
 // persisted generation is still retained: a slow persist completing after
@@ -324,29 +321,20 @@ func (c *snapChain) adopt(cs *CertifiedSnapshot) {
 		// evicted generations through the old backing array.
 		c.snapGens = append([]*CertifiedSnapshot(nil), c.snapGens[len(c.snapGens)-c.retain:]...)
 	}
-	keepFrom := c.snapGens[0].Seq
-	if c.sink != nil {
-		seq := cs.Seq
-		c.sink.PersistSnapshot(cs, keepFrom, func(err error) {
-			if err != nil {
-				c.metrics.StoreErrors++
-				return
-			}
-			if seq > c.durableSnap && c.genAt(seq) != nil {
-				c.durableSnap = seq
-				c.metrics.SnapshotPersists++
-			}
-		})
+	if c.sink == nil {
 		return
 	}
-	if c.store != nil {
-		if err := PersistCertified(c.store, cs, keepFrom); err != nil {
+	seq := cs.Seq
+	c.sink.PersistSnapshot(cs, c.snapGens[0].Seq, func(err error) {
+		if err != nil {
 			c.metrics.StoreErrors++
-		} else if cs.Seq > c.durableSnap {
-			c.durableSnap = cs.Seq
+			return
+		}
+		if seq > c.durableSnap && c.genAt(seq) != nil {
+			c.durableSnap = seq
 			c.metrics.SnapshotPersists++
 		}
-	}
+	})
 }
 
 // rearm restarts the chain from a snapshot read back from durable storage:

@@ -10,7 +10,7 @@ import (
 func newTestChain(t *testing.T, retain int) (*snapChain, *Metrics) {
 	t.Helper()
 	metrics := &Metrics{}
-	c := newSnapChain(retain, nil, nil, metrics)
+	c := newSnapChain(retain, nil, metrics)
 	return &c, metrics
 }
 

@@ -80,8 +80,18 @@ func counterRig(t *testing.T, id int, app Application, store BlockStore, breakKe
 	return &rig{t: t, cfg: cfg, suite: suite, keys: keys, env: env, r: r}
 }
 
+// syncSnapshotSink persists on the caller's goroutine and reports before
+// returning, which the SnapshotSink contract allows.
+type syncSnapshotSink struct{ ss SnapshotStore }
+
+func (s syncSnapshotSink) PersistSnapshot(cs *CertifiedSnapshot, keepFrom uint64, done func(error)) {
+	done(PersistCertified(s.ss, cs, keepFrom))
+}
+
 func TestStoreErrorsCountRefusedWrites(t *testing.T) {
-	rg := counterRig(t, 2, &fakeApp{}, refusingStore{newMemStore()}, nil)
+	store := refusingStore{newMemStore()}
+	rg := counterRig(t, 2, &fakeApp{}, store, nil)
+	rg.r.SetSnapshotSink(syncSnapshotSink{store})
 	reqs := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("op")}}
 
 	// The block executes and is answered; its append is refused.

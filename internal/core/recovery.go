@@ -69,8 +69,8 @@ func DecodeBlockPayload(payload []byte) (BlockRecord, error) {
 // SnapshotStore is an optional BlockStore extension for durable certified
 // snapshots (the encoded CertifiedSnapshot, chunks and π certificate
 // included). storage.Ledger satisfies it. A replica whose store supports
-// it persists each stable checkpoint's snapshot and can serve verified
-// state transfer immediately after a restart.
+// it reads its newest snapshot back on restart and serves verified state
+// transfer at once; the writes go through a SnapshotSink.
 type SnapshotStore interface {
 	SaveSnapshot(seq uint64, data []byte) error
 	LoadSnapshot(seq uint64) ([]byte, error)
@@ -78,36 +78,36 @@ type SnapshotStore interface {
 	PruneSnapshots(keepFrom uint64) error
 }
 
-// SnapshotSink is an optional asynchronous persistence hook for stable
-// certified snapshots. When installed (SetSnapshotSink), the replica
-// hands each adopted snapshot to PersistSnapshot instead of encoding and
-// writing it synchronously on the event loop — at large application
-// state the encode+write dominates the win/2-interval checkpoint cost
-// and would stall execution.
+// SnapshotSink persists stable certified snapshots. The replica hands
+// each adopted snapshot to PersistSnapshot; with no sink installed
+// (SetSnapshotSink) nothing is written and snapshots are served from
+// memory only. Encoding and writing a large state on the event loop would
+// stall execution every win/2 executions, so the two sinks that run —
+// the simulator's and the deployment's — do the write elsewhere.
 //
 // Contract: PersistSnapshot must not block (hand the work to a worker
 // goroutine, or schedule it); the snapshot is immutable and safe to read
 // off-loop. done(err) reports the outcome and MUST be invoked on the
 // replica's event-loop thread (the transport shell routes it through
 // Shell.Do; the simulated cluster schedules it on the deterministic
-// event loop). In-memory serving arms immediately on adoption; the done
-// callback arms the restart-survivable serving point (DurableSnapshotSeq)
-// once the bytes are actually on disk. keepFrom is the oldest snapshot
-// sequence the replica's retention chain still holds at hand-off: the
-// sink prunes durable snapshots BELOW it after a successful write, so
-// the on-disk set mirrors the servable in-memory generations instead of
-// collapsing to a single newest snapshot.
+// event loop; a test sink may call it before returning). In-memory
+// serving arms immediately on adoption; the done callback arms the
+// restart-survivable serving point (DurableSnapshotSeq) once the bytes
+// are actually on disk. keepFrom is the oldest snapshot sequence the
+// replica's retention chain still holds at hand-off: the sink prunes
+// durable snapshots BELOW it after a successful write, so the on-disk set
+// mirrors the servable in-memory generations instead of collapsing to a
+// single newest snapshot.
 type SnapshotSink interface {
 	PersistSnapshot(cs *CertifiedSnapshot, keepFrom uint64, done func(error))
 }
 
 // PersistCertified durably saves a stable certified snapshot into a
 // SnapshotStore, pruning generations below keepFrom only after a
-// successful write. The single implementation every persistence path
-// shares — snapChain's synchronous fallback, the simulator's
-// virtual-disk sink, and the deployment's worker sink — so the
-// save→prune ordering (and the retention policy) cannot silently diverge
-// between them.
+// successful write. The single implementation both persistence paths
+// share — the simulator's virtual-disk sink and the deployment's worker
+// sink — so the save→prune ordering (and the retention policy) cannot
+// silently diverge between them.
 func PersistCertified(ss SnapshotStore, cs *CertifiedSnapshot, keepFrom uint64) error {
 	if err := ss.SaveSnapshot(cs.Seq, cs.Encode()); err != nil {
 		return err

@@ -57,8 +57,8 @@ type Metrics struct {
 	// for repeated unanswered chunk requests (slow-trickling; distinct
 	// from SnapshotBlames, which counts provable tampering).
 	SnapshotTimeoutExclusions uint64
-	// SnapshotPersists counts certified snapshots durably persisted,
-	// synchronously or through the async SnapshotSink.
+	// SnapshotPersists counts certified snapshots the SnapshotSink
+	// reported durably persisted.
 	SnapshotPersists uint64
 	// CollectorTimeouts counts fast-path collector timer expirations: a
 	// C-collector waited out its adaptive fast timer on a slot that had a
@@ -272,7 +272,7 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		suspects:   make(map[int]uint64),
 		csink:      syncSink{suite},
 	}
-	r.snaps = newSnapChain(cfg.snapshotRetain(), env, store, &r.Metrics)
+	r.snaps = newSnapChain(cfg.snapshotRetain(), env, &r.Metrics)
 	r.fetcher = fetcher{
 		id: id, cfg: cfg, env: env, pi: suite.Pi, host: r, snaps: &r.snaps,
 		metrics: &r.Metrics, blames: make(map[int]int),

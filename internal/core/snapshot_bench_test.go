@@ -15,11 +15,10 @@ import (
 // BenchmarkCheckpointCapture measures the EVENT-LOOP STALL of one
 // checkpoint's snapshot handling — capture (app chunks + Merkle
 // commitment, inherently on-loop: the root is what π signs) plus
-// persistence, comparing the synchronous SnapshotStore path (encode +
-// disk write on the loop) against the asynchronous SnapshotSink hand-off
-// (worker goroutine). At large application state the synchronous write
-// dominates the win/2-interval checkpoint cost; the async sink removes it
-// from the critical path.
+// persistence, comparing a synchronous SnapshotSink (encode + disk write
+// on the loop) against an asynchronous one (worker goroutine). At large
+// application state the synchronous write dominates the win/2-interval
+// checkpoint cost; the async sink removes it from the critical path.
 //
 // The kv* points measure capture on a real kvstore: a bucketed tracker
 // state, a fixed fraction of keys rewritten between checkpoints (with the
@@ -119,6 +118,8 @@ func benchCapture(b *testing.B, size int, async bool) {
 	if async {
 		sink = newWorkerSink(led)
 		r.SetSnapshotSink(sink)
+	} else {
+		r.SetSnapshotSink(syncSnapshotSink{led})
 	}
 	b.SetBytes(int64(size))
 	b.ResetTimer()

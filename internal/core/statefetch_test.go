@@ -54,7 +54,7 @@ func newFetchRig(t *testing.T, tune func(*Config)) *fetchRig {
 	rg := &rig{t: t, cfg: cfg, suite: suite, keys: keys, env: &fakeEnv{}, app: &fakeApp{}}
 	host := &fakeHost{}
 	metrics := &Metrics{}
-	snaps := newSnapChain(cfg.snapshotRetain(), rg.env, nil, metrics)
+	snaps := newSnapChain(cfg.snapshotRetain(), rg.env, metrics)
 	return &fetchRig{rig: rg, host: host, ft: &fetcher{
 		id: 1, cfg: cfg, env: rg.env, pi: suite.Pi, host: host, snaps: &snaps,
 		metrics: metrics, blames: make(map[int]int),

@@ -269,9 +269,10 @@ func TestCombineRobust(t *testing.T) {
 
 // TestAllocsPerOp pins the heap allocations of each collector-path kernel
 // on a (3, 4) instance, the benchmarks' shape. The bounds are the counts
-// measured when bn254's points moved onto the limb field (DESIGN.md's
-// kernel table has them beside the math/big-era ones), less the two
-// slices a pairing check built before it held ≤ 4 pairs in fixed arrays;
+// measured when bn254's points moved onto the limb field, less the two
+// slices a pairing check built before it held ≤ 4 pairs in fixed arrays
+// (the kernel table of DESIGN.md "BN254 kernels and threshold BLS" has
+// today's counts);
 // Verify's one allocation left is the H(m) memo's string key. A kernel
 // that allocates more has grown a conversion or a temporary back. Two
 // counts depend on data: hashing a digest onto G1 costs 3 allocations per

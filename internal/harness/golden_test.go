@@ -19,19 +19,18 @@ import (
 // mismatch the test logs every seed's line, so diffing the log of this
 // commit against its parent's names the first seed that moved.
 //
-// Re-captured with the commit-clocked proposal rule (DESIGN.md "Proposal
-// rule" quotes the lines that moved): byzantine and reads, the generators
-// with three or more clients, by the rule itself; recovery by the
-// execute-ack fix that came with it — with a checkpoint every 4 blocks,
-// 6% of the operations of a failure-free run of its configuration sat out
-// a retry for a lost ack. default and evm have two clients, whom the rule
+// Re-captured with the commit-clocked proposal rule: byzantine and reads,
+// the generators with three or more clients, by the rule itself; recovery
+// by the execute-ack fix that came with it — with a checkpoint every 4
+// blocks, 6% of the operations of a failure-free run of its configuration
+// sat out a retry for a lost ack. default and evm have two clients, whom the rule
 // never holds, and no checkpoint: bit-identical.
 //
 // Held through the replica.go carve (PR 19, every commit but its last), then
 // re-captured once more, all five, with that PR's one behaviour change: an
 // E-collector's own π(d) certifies its slot, so the execution fallback no
 // longer answers clients nobody is failing. A run loses the redundant
-// ReplyMsgs (SBFT lines only; DESIGN.md "Stages" quotes the lines).
+// ReplyMsgs (SBFT lines only).
 //
 // Held through the wire codec (PR 22: the simulator never serialises), then
 // default, byzantine, recovery and evm re-captured with that PR's proof
@@ -46,8 +45,7 @@ import (
 // recovery and reads re-captured with state transfer against the certified
 // leaf list: a meta carries 32 bytes per chunk, chunks carry no proof, and
 // a fetcher reuses every chunk it holds under an equal leaf. Only runs with
-// a state transfer moved: 14 recovery lines and reads seed 14 (DESIGN.md
-// "State transfer against the leaf list" lists them).
+// a state transfer moved: 14 recovery lines and reads seed 14.
 //
 // All five re-captured when the simulator began charging each delivery the
 // length of its wire.AppendFrame frame instead of a hand-set WireSize()
