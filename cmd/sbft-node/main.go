@@ -46,7 +46,7 @@ func main() {
 		c             = flag.Int("c", 0, "redundant servers c")
 		seed          = flag.String("seed", "sbft-demo", "shared key seed (demo PKI)")
 		dataDir       = flag.String("data", "", "block store directory (empty = no persistence)")
-		cryptoWorkers = flag.Int("crypto-workers", runtime.NumCPU(), "threshold-crypto verification pool width (0 = verify inline on the event loop)")
+		cryptoWorkers = flag.Int("crypto-workers", runtime.NumCPU(), "threshold-crypto verification pool width (0 = verify inline)")
 	)
 	flag.Parse()
 
@@ -87,6 +87,6 @@ func main() {
 	var le, ls, view uint64
 	var m core.Metrics
 	rep.Do(func(r *core.Replica) { le, ls, view, m = r.LastExecuted(), r.LastStable(), r.View(), r.Metrics })
-	fmt.Printf("sbft-node: shutting down (view=%d executed=%d stable=%d StoreErrors=%d CaptureFailures=%d)\n",
-		view, le, ls, m.StoreErrors, m.CaptureFailures)
+	fmt.Printf("sbft-node: shutting down (view=%d executed=%d stable=%d StoreErrors=%d CaptureFailures=%d SendDrops=%d)\n",
+		view, le, ls, m.StoreErrors, m.CaptureFailures, shell.SendDrops())
 }

@@ -36,7 +36,7 @@ func StartClient(id int, shell *transport.Shell, cfg core.Config, suite core.Cry
 	return &Client{shell: shell, core: cc}, nil
 }
 
-// Do runs fn on the client's event loop and waits for it. After Close it
+// Do runs fn under the client's node lock, on the caller. After Close it
 // returns without running fn.
 func (c *Client) Do(fn func(*core.Client)) {
 	c.shell.Do(func() { fn(c.core) })
@@ -61,10 +61,10 @@ func (c *Client) RunReads(ctx context.Context, ops [][]byte) ([]core.ReadResult,
 
 // closedLoop is the one closed-loop driver: a core.Client allows one
 // outstanding request, so each operation is submitted when the result of
-// the one before has come back from the event loop.
+// the one before has come back from the node.
 func closedLoop[R any](ctx context.Context, c *Client, ops [][]byte, setCallback func(*core.Client, func(R)), submit func(*core.Client, []byte) error) ([]R, error) {
-	// One slot: with one request outstanding the event loop never blocks
-	// here, not even on the result that arrives after ctx has ended.
+	// One slot: with one request outstanding the delivering callback never
+	// blocks here, not even on the result that arrives after ctx has ended.
 	got := make(chan R, 1)
 	c.Do(func(cc *core.Client) { setCallback(cc, func(res R) { got <- res }) })
 	results := make([]R, 0, len(ops))

@@ -72,13 +72,13 @@ var errSnapshotSkipped = errors.New("snapshot worker saturated or closed")
 
 // snapshotWorker is the deployment's core.SnapshotSink: certified
 // snapshots are encoded and fsynced by one worker goroutine so the
-// replica's event loop never stalls on checkpoint persistence (the paper's
+// replica's callbacks never stall on checkpoint persistence (the paper's
 // "off the critical path" replica role, applied to the win/2-interval
 // store write). It is a second instance of the crypto pool's queue, with
 // its own goroutine — an fsync never occupies a crypto worker — and its
 // own policy when the queue refuses: skip, because the next checkpoint's
-// snapshot supersedes this one. Completions are routed back onto the event
-// loop through do, per the SnapshotSink contract.
+// snapshot supersedes this one. Completions are routed back under the
+// shell's node lock through do, per the SnapshotSink contract.
 type snapshotWorker struct {
 	led   *storage.Ledger
 	do    func(func())
@@ -86,8 +86,8 @@ type snapshotWorker struct {
 }
 
 // PersistSnapshot implements core.SnapshotSink. It only enqueues (it is
-// called on the event loop). The refusal also covers the shutdown window:
-// the worker closes before the shell, whose event loop is still delivering
+// called under the node lock). The refusal also covers the shutdown
+// window: the worker closes before the shell, which is still delivering
 // commits.
 func (w *snapshotWorker) PersistSnapshot(cs *core.CertifiedSnapshot, keepFrom uint64, done func(error)) {
 	if !w.queue.Submit(func() {
@@ -114,8 +114,8 @@ type Replica struct {
 // assembly order: ledger (under dataDir, fsync per append; "" = no
 // persistence) → core.NewReplica, which replays whatever the ledger holds →
 // snapshot worker → crypto pool (cryptoWorkers goroutines; 0 = verify
-// inline on the event loop) → Shell.Start. The replica owns shell from here
-// on: Close closes it, and so does a failed StartReplica.
+// inline in the delivering callback) → Shell.Start. The replica owns shell
+// from here on: Close closes it, and so does a failed StartReplica.
 func StartReplica(id int, shell *transport.Shell, cfg core.Config, suite core.CryptoSuite, keys core.ReplicaKeys, app core.Application, dataDir string, cryptoWorkers int) (*Replica, error) {
 	r, err := assemble(id, shell, cfg, suite, keys, app, dataDir, cryptoWorkers)
 	if err != nil {
@@ -160,7 +160,7 @@ func assemble(id int, shell *transport.Shell, cfg core.Config, suite core.Crypto
 	return r, nil
 }
 
-// Do runs fn on the replica's event loop and waits for it: the one way to
+// Do runs fn under the replica's node lock, on the caller: the one way to
 // read the replica's state from outside. After Close it returns without
 // running fn.
 func (r *Replica) Do(fn func(*core.Replica)) {
@@ -168,12 +168,12 @@ func (r *Replica) Do(fn func(*core.Replica)) {
 }
 
 // Close takes the replica apart in the one order: crypto pool and
-// snapshot worker first — their completions run on the event loop, so it
-// must still be turning while they drain, and a graceful shutdown keeps
+// snapshot worker first — their completions run through Shell.Do, so the
+// shell must still be open while they drain, and a graceful shutdown keeps
 // the latest stable snapshot (only a hard crash loses the in-flight write,
 // which restart recovery tolerates by re-arming from the previous one) —
-// then the shell, then the ledger, which nothing appends to once the event
-// loop has stopped. Commits delivered between the first step and the third
+// then the shell, then the ledger, which nothing appends to once the shell
+// has stopped running callbacks. Commits delivered between the first step and the third
 // verify inline and skip their snapshot.
 func (r *Replica) Close() error {
 	if r.pool != nil {

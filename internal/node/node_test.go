@@ -93,7 +93,7 @@ func (d *durable) listen(t *testing.T, id int, addr string) *transport.Shell {
 	return sh
 }
 
-// waitFor polls cond on replica id's event loop until it holds.
+// waitFor polls cond under replica id's node lock until it holds.
 func (d *durable) waitFor(t *testing.T, id int, what string, cond func(*core.Replica) bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -163,7 +163,7 @@ func TestSnapshotWorkerPersistsOffLoop(t *testing.T) {
 }
 
 // TestCloseDuringPersist is the shutdown window: the snapshot worker and
-// the pool are closed while the shell's event loop still delivers commits.
+// the pool are closed while the shell still delivers commits.
 // Checkpoints adopted in that window are refused, not sent on a closed
 // channel, and a replica closed under load takes every goroutine with it.
 func TestCloseDuringPersist(t *testing.T) {

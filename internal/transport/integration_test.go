@@ -33,7 +33,7 @@ type deployment struct {
 // boot starts the deployment. With durable set every replica runs as
 // `sbft-node -data -crypto-workers 2` does — a block store under its own
 // directory, the snapshot worker, real pool goroutines verifying shares
-// off the event loop; without, as a bare `sbft-node -crypto-workers 0`.
+// outside the node lock; without, as a bare `sbft-node -crypto-workers 0`.
 func boot(t *testing.T, durable bool) *deployment {
 	t.Helper()
 	cfg := core.DefaultConfig(1, 0)

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,7 +33,7 @@ func TestShellAfterCancel(t *testing.T) {
 		t.Fatal("cancelled timer fired")
 	case <-time.After(100 * time.Millisecond):
 	}
-	// A non-cancelled timer fires on the event loop.
+	// A non-cancelled timer fires.
 	sh.After(10*time.Millisecond, func() { fired <- struct{}{} })
 	select {
 	case <-fired:
@@ -69,9 +72,8 @@ func TestCloseReleasesPendingTimers(t *testing.T) {
 	t.Fatal("state captured by a pending timer is still reachable after Close")
 }
 
-// TestDoReturnsAcrossClose: a Do whose closure is queued when Close lands
-// returns — having run fn, or without running it — instead of waiting for
-// an event loop that is gone.
+// TestDoReturnsAcrossClose: a Do that races Close returns, having run fn
+// or without running it.
 func TestDoReturnsAcrossClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
@@ -125,7 +127,7 @@ func (n signalNode) Deliver(int, any) { n <- struct{}{} }
 
 // TestFrameDeliverAllocs pins what one frame costs from the socket to
 // Node.Deliver: the frame body and the decoded message boxed in an
-// interface, nothing for queueing it on the event loop. Race builds
+// interface, nothing for handing it to the node lock. Race builds
 // allocate more; CI's race job skips this test.
 func TestFrameDeliverAllocs(t *testing.T) {
 	got := make(signalNode, 1)
@@ -167,7 +169,7 @@ func (n fromNode) Deliver(from int, _ any) { n <- from }
 
 // TestNonPositiveHelloIsRefused: node ids are positive, so a connection
 // whose hello announces 0 or a negative id is closed before any of its
-// frames reaches the event loop, and the shell goes on serving.
+// frames reaches the node, and the shell goes on serving.
 func TestNonPositiveHelloIsRefused(t *testing.T) {
 	got := make(fromNode, 4)
 	sh, err := NewShell(1, "127.0.0.1:0", nil)
@@ -212,7 +214,7 @@ func TestNonPositiveHelloIsRefused(t *testing.T) {
 	ran := false
 	sh.Do(func() { ran = true })
 	if !ran {
-		t.Fatal("Do did not run on the event loop")
+		t.Fatal("Do did not run")
 	}
 }
 
@@ -345,5 +347,213 @@ func TestRestartedPeerIsRedialed(t *testing.T) {
 	case <-second.wake:
 	case <-time.After(2 * time.Second):
 		t.Fatal("the first message sent to the restarted process was lost")
+	}
+}
+
+// blackhole returns the address of a listener whose accept queue (backlog
+// 0) is full, so that the kernel drops every further SYN and a dial to it
+// waits out its whole timeout. Closing the listener is left to the test.
+func blackhole(t *testing.T) string {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+	// Take the queue's slot(s) until a dial no longer completes.
+	for i := 0; ; i++ {
+		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
+		if err != nil {
+			return addr
+		}
+		t.Cleanup(func() { conn.Close() })
+		if i == 8 {
+			t.Skip("the kernel completes connections past a full accept queue")
+		}
+	}
+}
+
+// TestUnreachablePeerDoesNotBlockSend: a peer whose SYNs are dropped costs
+// a sender nothing. The dial runs on the peer's own goroutine, so 100
+// sends to it return at once (dialing on the sender took up to 3 s per
+// send, under the lock every other send needed), and frames to a live
+// peer keep arriving while that dial waits.
+func TestUnreachablePeerDoesNotBlockSend(t *testing.T) {
+	live := newRecordingNode()
+	peer, err := NewShell(3, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.Start(live)
+	sh, err := NewShell(1, "127.0.0.1:0", map[int]string{2: blackhole(t), 3: peer.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	sh.Start(nopNode{})
+
+	var blocked time.Duration
+	for i := 1; i <= 100; i++ {
+		start := time.Now()
+		sh.Send(2, core.ReplyMsg{Client: core.ClientBase, Timestamp: uint64(i)})
+		blocked += time.Since(start)
+		sh.Send(3, core.ReplyMsg{Client: core.ClientBase, Timestamp: uint64(i)})
+	}
+	if blocked > 10*time.Millisecond {
+		t.Fatalf("100 sends to an unreachable peer took %v", blocked)
+	}
+	deadline := time.After(2 * time.Second)
+	for {
+		live.mu.Lock()
+		n := len(live.got)
+		live.mu.Unlock()
+		if n == 100 {
+			break
+		}
+		select {
+		case <-live.wake:
+		case <-deadline:
+			t.Fatalf("the live peer got %d of 100 frames while the other dial waited", n)
+		}
+	}
+}
+
+// TestSendKeepsOrderPastTheSocketBuffer: a peer that starts reading late
+// gets every frame, in order, while no send waits for it — what the
+// socket does not take queues behind it. Past maxBacklog frames are
+// refused and counted, and the shell keeps serving.
+func TestSendKeepsOrderPastTheSocketBuffer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sh, err := NewShell(1, "127.0.0.1:0", map[int]string{2: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	sh.Start(nopNode{})
+
+	const frames = 200000
+	stopReading := make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			read <- err
+			return
+		}
+		defer conn.Close()
+		time.Sleep(300 * time.Millisecond)
+		br := bufio.NewReader(conn)
+		if _, err := wire.ReadFrame(br); err != nil { // the hello
+			read <- err
+			return
+		}
+		for want := uint64(1); want <= frames; want++ {
+			body, err := wire.ReadFrame(br)
+			if err != nil {
+				read <- err
+				return
+			}
+			_, msg, err := wire.Decode(body)
+			if err != nil {
+				read <- err
+				return
+			}
+			if got := msg.(core.SignShareMsg).Seq; got != want {
+				read <- fmt.Errorf("frame %d arrived as number %d", got, want)
+				return
+			}
+		}
+		read <- nil
+		<-stopReading // hold the connection open, reading nothing
+	}()
+	defer close(stopReading)
+
+	var slowest time.Duration
+	send := func(msg core.Message) {
+		start := time.Now()
+		sh.Send(2, msg)
+		slowest = max(slowest, time.Since(start))
+	}
+	for seq := uint64(1); seq <= frames; seq++ {
+		send(core.SignShareMsg{Seq: seq, View: 1, Replica: 1})
+	}
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the late reader did not get every frame")
+	}
+	if d := sh.SendDrops(); d != 0 {
+		t.Fatalf("%d frames refused below the bound", d)
+	}
+
+	// The reader has stopped: fill the socket and the backlog.
+	big := core.ReplyMsg{Client: core.ClientBase, Val: make([]byte, 256<<10)}
+	for i := 0; i < 4*maxBacklog/len(big.Val) && sh.SendDrops() == 0; i++ {
+		send(big)
+	}
+	if sh.SendDrops() == 0 {
+		t.Fatal("no frame refused past the backlog bound")
+	}
+	// A send that waited for the reader took its whole 300 ms delay.
+	bound := 50 * time.Millisecond
+	if raceBuild {
+		bound *= 3
+	}
+	if slowest > bound {
+		t.Fatalf("a send took %v", slowest)
+	}
+	fired := make(chan struct{})
+	sh.After(time.Millisecond, func() { close(fired) })
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shell stopped serving timers past the bound")
+	}
+	ran := false
+	sh.Do(func() { ran = true })
+	if !ran {
+		t.Fatal("Do did not run past the bound")
+	}
+}
+
+// TestNowIsMonotonicFromTheWallClock: Now starts at the wall clock, so a
+// restarted client's request timestamps outrank its predecessor's, and
+// then reads the monotonic clock, so a step of the system clock moves no
+// interval the node measures.
+func TestNowIsMonotonicFromTheWallClock(t *testing.T) {
+	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	if d := time.Duration(time.Now().UnixNano()) - sh.Now(); d.Abs() > time.Second {
+		t.Fatalf("Now is %v off the wall clock at creation", d)
+	}
+	prev := sh.Now()
+	for i := 0; i < 100000; i++ {
+		now := sh.Now()
+		if now < prev {
+			t.Fatalf("Now went back from %v to %v", prev, now)
+		}
+		prev = now
 	}
 }
