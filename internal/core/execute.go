@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"time"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -244,10 +245,8 @@ func (r *Replica) executeReady() {
 			// serve clients directly after a timeout so the single
 			// correct-collector liveness assumption degrades gracefully.
 			if r.cfg.ExecFallbackTimeout > 0 && len(s.execReqs) > 0 {
-				seq := next
-				r.env.After(r.cfg.ExecFallbackTimeout, func() {
-					r.execFallback(seq)
-				})
+				r.fallbacks = append(r.fallbacks, fallbackDue{seq: next, at: r.env.Now() + r.cfg.ExecFallbackTimeout})
+				r.armFallback()
 			}
 		}
 
@@ -383,6 +382,30 @@ func (r *Replica) proveBlock(s *slot) [][]byte {
 		proofs[i] = proof
 	}
 	return proofs
+}
+
+// fallbackDue is one executed block awaiting its execution certificate:
+// at is when execFallback runs for it.
+type fallbackDue struct {
+	seq uint64
+	at  time.Duration
+}
+
+// armFallback runs one timer for the head of r.fallbacks. Blocks join the
+// queue as they execute, all with the same timeout, so it is in deadline
+// order and each block's fallback runs when its own timer would have.
+func (r *Replica) armFallback() {
+	if r.fallbackTimer.armed() || len(r.fallbacks) == 0 {
+		return
+	}
+	r.fallbackTimer.arm(r.env, max(0, r.fallbacks[0].at-r.env.Now()), func() {
+		for len(r.fallbacks) > 0 && r.fallbacks[0].at <= r.env.Now() {
+			seq := r.fallbacks[0].seq
+			r.fallbacks = r.fallbacks[1:]
+			r.execFallback(seq)
+		}
+		r.armFallback()
+	})
 }
 
 // execFallback sends direct replies to the clients of block seq when no

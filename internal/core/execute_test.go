@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestOwnExecCertificateIsNoFallback: an E-collector that combined π(d)
 // for a block itself, and acknowledged its clients, has nothing to fall
@@ -40,5 +43,44 @@ func TestOwnExecCertificateIsNoFallback(t *testing.T) {
 	}
 	if n := rg.sentOfType(func(m Message) bool { _, ok := m.(ReplyMsg); return ok }); n != 0 {
 		t.Fatalf("%d direct replies sent to a client that holds its execute-ack", n)
+	}
+}
+
+// TestExecFallbacksShareOneTimer: blocks executed at different times wait
+// out their fallback timeouts on one timer, armed for the oldest block, and
+// each block still falls back at its own deadline.
+func TestExecFallbacksShareOneTimer(t *testing.T) {
+	rg := &syncRig{newRig(t, 2, nil)}
+	const step = 100 * time.Millisecond
+	for seq := uint64(1); seq <= 3; seq++ {
+		reqs := []Request{{Client: ClientBase + int(seq), Timestamp: 1, Op: []byte("x")}}
+		rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs})
+		rg.r.Deliver(1, rg.fastProof(t, seq, 0, reqs))
+		if seq < 3 {
+			rg.env.advance(step)
+		}
+	}
+	if rg.r.LastExecuted() != 3 {
+		t.Fatalf("le = %d, want 3", rg.r.LastExecuted())
+	}
+	timeout := rg.cfg.ExecFallbackTimeout
+	armed := 0
+	for _, tm := range rg.env.timers {
+		if tm.fn != nil && !tm.cancelled && tm.at >= timeout && tm.at <= timeout+2*step {
+			armed++
+		}
+	}
+	if armed != 1 {
+		t.Fatalf("%d fallback timers armed for 3 executed blocks, want 1", armed)
+	}
+	for want := uint64(1); want <= 3; want++ {
+		rg.env.advance(timeout + time.Duration(want-1)*step - rg.env.now - 1)
+		if got := rg.r.Metrics.ExecFallbacks; got != want-1 {
+			t.Fatalf("ExecFallbacks = %d just before block %d's deadline, want %d", got, want, want-1)
+		}
+		rg.env.advance(1)
+		if got := rg.r.Metrics.ExecFallbacks; got != want {
+			t.Fatalf("ExecFallbacks = %d at block %d's deadline, want %d", got, want, want)
+		}
 	}
 }

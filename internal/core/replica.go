@@ -224,6 +224,10 @@ type Replica struct {
 	vcTimer       timer
 	gapTimer      timer
 	gapAttempt    int
+	// fallbacks queues executed blocks for execFallback; fallbackTimer is
+	// armed for its head (execute.go).
+	fallbacks     []fallbackDue
+	fallbackTimer timer
 
 	// Certified-read batching (read.go): queued reads and the flush timer
 	// that bounds their wait.
