@@ -320,6 +320,8 @@ func TestSimulatedSizeIsFrameSize(t *testing.T) {
 		core.RequestMsg{Req: reqs[0]},
 		core.PrePrepareMsg{Seq: 5, View: 1, Reqs: reqs},
 		core.SignShareMsg{Seq: 5, View: 1, Replica: 2, SigmaSig: share, TauSig: share},
+		core.SignShareMsg{Seq: 5, View: 1, Replica: 2, SigmaSig: share},
+		core.FetchTauMsg{Seq: 5, View: 1},
 		core.FullCommitProofMsg{Seq: 5, View: 1, Sigma: sig},
 		core.PrepareMsg{Seq: 5, View: 1, Tau: sig},
 		core.CommitMsg{Seq: 5, View: 1, Replica: 2, TauTau: share},

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sbft/internal/core"
+	"sbft/internal/crypto/threshsig"
 	"sbft/internal/pbft"
 )
 
@@ -171,10 +172,19 @@ func amortized(cost time.Duration, k int) time.Duration {
 func (cm CostModel) SendCost(msg any) time.Duration {
 	d := cm.Send
 	n, coll := cm.n, cm.collectors
-	switch msg.(type) {
+	switch m := msg.(type) {
 	// --- SBFT engine ---
 	case core.SignShareMsg:
-		d += amortized(2*cm.Sign, coll) // σ_i(h), τ_i(h), sent to c+2 collectors
+		// The shares it carries, each signed once for the c+2 collectors:
+		// σ_i(h) alone on a fault-free fast path, τ_i(h) beside it or alone
+		// once the slow path needs it.
+		signs := 0
+		for _, sh := range []threshsig.Share{m.SigmaSig, m.TauSig} {
+			if len(sh.Data) > 0 {
+				signs++
+			}
+		}
+		d += amortized(time.Duration(signs)*cm.Sign, coll)
 	case core.CommitMsg:
 		d += amortized(cm.Sign, coll) // τ_i(τ(h))
 	case core.SignStateMsg:

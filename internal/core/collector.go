@@ -41,11 +41,12 @@ type collectorState struct {
 	sigmaShares  map[int]threshsig.Share
 	tauShares    map[int]threshsig.Share
 	tautauShares map[int]threshsig.Share
-	// tauQuorumAt records when the τ quorum was first reached; the gap to
-	// the σ quorum feeds the adaptive fast-path timer (§V-E: "an adaptive
-	// protocol based on past network profiling to control this timer").
-	tauQuorumAt   time.Duration
-	tauQuorumSeen bool
+	// quorumAt records when sign-shares from 2f+c+1 replicas were first
+	// held; the gap to the σ quorum feeds the adaptive fast-path timer
+	// (§V-E: "an adaptive protocol based on past network profiling to
+	// control this timer").
+	quorumAt   time.Duration
+	quorumSeen bool
 	// pendingShares buffers sign-shares that arrived before this
 	// collector's own pre-prepare (they cannot be verified yet); replayed
 	// by acceptPrePrepare. Without this, WAN reordering starves the fast
@@ -55,8 +56,10 @@ type collectorState struct {
 	sentFastProof bool
 	sentPrepare   bool
 	sentSlowProof bool
-	fastTimer     timer
-	staggerTimer  timer
+	// fastExpired: the fast timer ran out, so a τ quorum prepares at once.
+	fastExpired  bool
+	fastTimer    timer
+	staggerTimer timer
 	// collectorEpoch is bumped whenever the collector state resets, so
 	// sink completions of a dead collector round are dropped, not applied
 	// to the fresh tables.
@@ -71,19 +74,20 @@ func (s *collectorState) resetCollector(view uint64) {
 	s.sentFastProof = false
 	s.sentPrepare = false
 	s.sentSlowProof = false
+	s.fastExpired = false
 	s.fastTimer.stop()
 	s.staggerTimer.stop()
 	s.collectorEpoch++
 }
 
-// toCollectors sends msg to each collector in cs, which lists none twice;
+// multicast sends msg to each replica in ids, which lists none twice;
 // this replica's own copy goes straight to Deliver.
-func (r *Replica) toCollectors(cs []int, msg Message) {
-	for _, c := range cs {
-		if c == r.id {
-			r.Deliver(c, msg)
+func (r *Replica) multicast(ids []int, msg Message) {
+	for _, id := range ids {
+		if id == r.id {
+			r.Deliver(id, msg)
 		} else {
-			r.env.Send(c, msg)
+			r.env.Send(id, msg)
 		}
 	}
 }
@@ -115,9 +119,10 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 		return
 	}
 	// Shares arriving before our pre-prepare have no block hash to sign:
-	// buffer and replay (bounded by one share per replica).
+	// buffer and replay (bounded by two sign-shares per replica: one with
+	// σ, one τ-only answering a FetchTauMsg).
 	if !s.hasPrePrepare || s.prePrepareView != m.View {
-		if len(s.pendingShares) < r.cfg.N() {
+		if len(s.pendingShares) < 2*r.cfg.N() {
 			s.pendingShares = append(s.pendingShares, m)
 		}
 		return
@@ -132,10 +137,30 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 			r.collectorTryProgress(s, m.View, idx)
 		}
 	}
-	r.admitShare(m.Replica, ShareTau, s.hash[:], m.TauSig, file(s.tauShares, m.TauSig))
+	if len(m.TauSig.Data) > 0 {
+		r.admitShare(m.Replica, ShareTau, s.hash[:], m.TauSig, file(s.tauShares, m.TauSig))
+	}
 	if len(m.SigmaSig.Data) > 0 {
 		r.admitShare(m.Replica, ShareSigma, s.hash[:], m.SigmaSig, file(s.sigmaShares, m.SigmaSig))
 	}
+}
+
+// signers counts the replicas whose sign-share s holds, σ or τ.
+func (s *slot) signers() int {
+	n := len(s.tauShares)
+	for id := range s.sigmaShares {
+		if _, ok := s.tauShares[id]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// owesTau reports whether s holds signer's σ_i(h) but not its τ_i(h).
+func (s *slot) owesTau(signer int) bool {
+	_, sigma := s.sigmaShares[signer]
+	_, tau := s.tauShares[signer]
+	return sigma && !tau
 }
 
 // collecting reports whether a collector round of s started at epoch in
@@ -172,12 +197,13 @@ func (r *Replica) fastTimerDuration() time.Duration {
 }
 
 func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
-	if !s.tauQuorumSeen && len(s.tauShares) >= r.cfg.QuorumSlow() {
-		s.tauQuorumSeen = true
-		s.tauQuorumAt = r.env.Now()
+	signers := s.signers()
+	if !s.quorumSeen && signers >= r.cfg.QuorumSlow() {
+		s.quorumSeen = true
+		s.quorumAt = r.env.Now()
 	}
-	if s.tauQuorumSeen && len(s.sigmaShares) >= r.cfg.QuorumFast() {
-		r.fastSpread.observe(r.env.Now() - s.tauQuorumAt)
+	if s.quorumSeen && len(s.sigmaShares) >= r.cfg.QuorumFast() {
+		r.fastSpread.observe(r.env.Now() - s.quorumAt)
 	}
 	// Fast path: combine σ(h) once 3f+c+1 shares arrive. The flag is set
 	// before the (staggered, possibly asynchronous) combination so
@@ -198,56 +224,95 @@ func (r *Replica) collectorTryProgress(s *slot, view uint64, idx int) {
 		})
 		return
 	}
-	// Slow-path trigger: τ quorum but no σ quorum → wait for the fast
-	// timer (skipped when the fast path is disabled), then send prepare,
-	// staggered so redundant collectors only act if earlier ones stall
-	// (§V-E; the primary activates last).
-	if !s.sentPrepare && len(s.tauShares) >= r.cfg.QuorumSlow() {
-		var fire func()
-		fire = func() {
-			// A prepare already seen from another collector makes ours
-			// redundant — but only a CURRENT-view prepare counts: stale
-			// prepare evidence from an earlier view must not stop the slot
-			// from re-preparing after a view change, or it deadlocks (the
-			// chaos harness found exactly this under lossy links).
-			if s.sentPrepare || s.sentFastProof || s.committed {
-				return
-			}
-			if s.hasPrepare && s.prepareView >= view {
-				return
-			}
-			s.sentPrepare = true // rolled back when the combine blames a share
-			r.collectorCombine(s, view, s.hash[:], s.tauShares, ShareTau, func() {
-				s.sentPrepare = false
-				if len(s.tauShares) >= r.cfg.QuorumSlow() {
-					fire() // the timer has run out already: retry at once
-				}
-			}, func(sig threshsig.Signature) {
-				if r.cfg.FastPath {
-					r.Metrics.FastPathDowngrades++
-				}
-				msg := PrepareMsg{Seq: s.seq, View: view, Tau: sig}
-				r.broadcast(msg)
-				r.acceptPrepare(s, msg)
-			})
+	// Slow-path trigger: sign-shares from 2f+c+1 replicas but no σ quorum
+	// → wait for the fast timer (skipped when the fast path is disabled),
+	// then prepare, staggered so redundant collectors only act if earlier
+	// ones stall (§V-E; the primary activates last).
+	if s.sentPrepare || signers < r.cfg.QuorumSlow() {
+		return
+	}
+	if s.fastExpired {
+		r.slowPrepare(s, view)
+		return
+	}
+	if s.fastTimer.armed() || s.sentFastProof {
+		return
+	}
+	expire := func() {
+		s.fastExpired = true
+		r.slowPrepare(s, view)
+	}
+	delay := time.Duration(idx) * r.cfg.CollectorStagger
+	if r.cfg.FastPath {
+		delay += r.fastTimerDuration()
+	}
+	if delay == 0 {
+		expire()
+		return
+	}
+	s.fastTimer.arm(r.env, delay, func() {
+		if r.cfg.FastPath && !s.committed && !s.sentFastProof {
+			r.Metrics.CollectorTimeouts++
 		}
-		delay := time.Duration(idx) * r.cfg.CollectorStagger
+		expire()
+	})
+}
+
+// slowPrepare combines τ(h) and broadcasts the prepare once the fast
+// timer has run out, asking for the τ shares it lacks first (fetchTau).
+func (r *Replica) slowPrepare(s *slot, view uint64) {
+	// A prepare already seen from another collector makes ours redundant —
+	// but only a CURRENT-view prepare counts: stale prepare evidence from
+	// an earlier view must not stop the slot from re-preparing after a
+	// view change, or it deadlocks (the chaos harness found exactly this
+	// under lossy links).
+	if s.sentPrepare || s.sentFastProof || s.committed || s.hasPrepare && s.prepareView >= view {
+		return
+	}
+	if len(s.tauShares) < r.cfg.QuorumSlow() {
+		r.fetchTau(s, view)
+		return
+	}
+	s.sentPrepare = true // rolled back when the combine blames a share
+	r.collectorCombine(s, view, s.hash[:], s.tauShares, ShareTau, func() {
+		s.sentPrepare = false
+		r.slowPrepare(s, view) // the timer has run out already: retry at once
+	}, func(sig threshsig.Signature) {
 		if r.cfg.FastPath {
-			delay += r.fastTimerDuration()
+			r.Metrics.FastPathDowngrades++
 		}
-		if !s.fastTimer.armed() && !s.sentFastProof {
-			if delay == 0 {
-				fire()
-				return
-			}
-			s.fastTimer.arm(r.env, delay, func() {
-				if r.cfg.FastPath && !s.committed && !s.sentFastProof {
-					r.Metrics.CollectorTimeouts++
-				}
-				fire()
-			})
+		msg := PrepareMsg{Seq: s.seq, View: view, Tau: sig}
+		r.broadcast(msg)
+		r.acceptPrepare(s, msg)
+	})
+}
+
+// fetchTau asks each replica whose sign-share came with σ_i(h) alone for
+// its τ_i(h), and asks again each fast-timer period while the τ quorum is
+// short: a replica whose σ came late, or that was down when asked, is
+// asked in the next round.
+func (r *Replica) fetchTau(s *slot, view uint64) {
+	if s.fastTimer.armed() {
+		return // a request is out
+	}
+	var ids []int
+	for id := 1; id <= r.cfg.N(); id++ {
+		if s.owesTau(id) {
+			ids = append(ids, id)
 		}
 	}
+	if len(ids) == 0 {
+		return
+	}
+	r.Metrics.TauFetches++
+	// Armed first: this replica's own answer re-enters here.
+	epoch := s.collectorEpoch
+	s.fastTimer.arm(r.env, r.fastTimerDuration(), func() {
+		if r.collecting(s, epoch, view) {
+			r.slowPrepare(s, view)
+		}
+	})
+	r.multicast(ids, FetchTauMsg{Seq: s.seq, View: view})
 }
 
 // staggered runs act immediately for the first collector and after

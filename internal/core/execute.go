@@ -234,7 +234,7 @@ func (r *Replica) executeReady() {
 			}
 			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
 			if err == nil {
-				r.toCollectors(r.cfg.ECollectors(next, 0), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
+				r.multicast(r.cfg.ECollectors(next, 0), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
 			} else {
 				r.Metrics.CaptureFailures++
 			}

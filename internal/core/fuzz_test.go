@@ -122,6 +122,9 @@ func nextFuzzMessage(data []byte) (msg any, from int, rest []byte) {
 		msg = PrePrepareMsg{Seq: seq, View: view, Reqs: reqs}
 	case 2:
 		msg = SignShareMsg{Seq: seq, View: view, Replica: from, SigmaSig: share, TauSig: share}
+		if seqB%3 == 1 {
+			msg = SignShareMsg{Seq: seq, View: view, Replica: from, SigmaSig: share}
+		}
 	case 3:
 		msg = FullCommitProofMsg{Seq: seq, View: view, Sigma: sig}
 	case 4:
@@ -140,6 +143,9 @@ func nextFuzzMessage(data []byte) (msg any, from int, rest []byte) {
 		msg = CheckpointCertMsg{Seq: seq, Digest: payload, Pi: sig}
 	case 11:
 		msg = FetchCommitMsg{Replica: from, Seq: seq}
+		if seqB%2 == 1 {
+			msg = FetchTauMsg{Seq: seq, View: view}
+		}
 	case 12:
 		msg = CommitInfoMsg{Seq: seq, View: view, Reqs: reqs, HasFast: seqB%2 == 0, Sigma: sig, Tau: sig, TauTau: sig}
 	case 13:

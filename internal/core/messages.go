@@ -102,14 +102,27 @@ type PrePrepareMsg struct {
 }
 
 // SignShareMsg is ⟨"sign-share", s, v, σ_i(h), τ_i(h)⟩ sent by replicas to
-// the C-collectors. Per §V-E it carries both the fast-path σ share and the
-// slow-path τ share.
+// the C-collectors (§V-C, §V-E). σ_i(h) is absent outside the fast-path
+// gate (§V-F). τ_i(h) only insures the slow path, so it is absent on the
+// fast path's fault-free run: a replica sends it here when it sends no σ,
+// or until the fast path has carried its last activeWindow commits in
+// the view, and otherwise in a τ-only sign-share answering a collector's
+// FetchTauMsg.
 type SignShareMsg struct {
 	Seq      uint64
 	View     uint64
 	Replica  int
 	SigmaSig threshsig.Share
 	TauSig   threshsig.Share
+}
+
+// FetchTauMsg asks a replica for its τ_i(h) of (Seq, View). A C-collector
+// sends it when its fast timer expires short of 2f+c+1 τ shares; the
+// replica answers at most once per (Seq, View), with a τ-only SignShareMsg
+// to every C-collector of the slot.
+type FetchTauMsg struct {
+	Seq  uint64
+	View uint64
 }
 
 // FullCommitProofMsg is ⟨"full-commit-proof", s, v, σ(h)⟩ from a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -39,6 +40,7 @@ type slot struct {
 	committedReqs []Request
 
 	sentSignShare   bool
+	sentTau         bool // τ_i(h) signed, with the sign-share or on request
 	sentCommitShare bool
 
 	// pendingFast and pendingSlow buffer commit certificates that raced
@@ -191,15 +193,11 @@ func (r *Replica) sendSignShare(s *slot) {
 		return
 	}
 	s.sentSignShare = true
-	tauShare, err := r.keys.Tau.Sign(s.hash[:])
-	if err != nil {
-		r.Metrics.CaptureFailures++
-		return
-	}
-	msg := SignShareMsg{Seq: s.seq, View: s.prePrepareView, Replica: r.id, TauSig: tauShare}
+	msg := SignShareMsg{Seq: s.seq, View: s.prePrepareView, Replica: r.id}
 	// §V-F fast-path gate: only join the fast path near the execution
 	// frontier so fast commits can advance ls without a checkpoint quorum.
-	if r.cfg.FastPath && s.seq <= r.lastExecuted+r.cfg.fastGateWindow() {
+	fast := r.cfg.FastPath && s.seq <= r.lastExecuted+r.cfg.fastGateWindow()
+	if fast {
 		sigmaShare, err := r.keys.Sigma.Sign(s.hash[:])
 		if err != nil {
 			r.Metrics.CaptureFailures++
@@ -207,7 +205,44 @@ func (r *Replica) sendSignShare(s *slot) {
 		}
 		msg.SigmaSig = sigmaShare
 	}
-	r.toCollectors(r.cfg.CCollectors(s.seq, s.prePrepareView), msg)
+	// τ_i(h) only insures the slow path. Once the fast path has carried
+	// this replica's last activeWindow commits in the view (eagerTau), a
+	// collector that needs it asks (onFetchTau): the optimistic path pays
+	// nothing for the fallback until it has failed.
+	if (!fast || r.eagerTau > 0) && !r.signTau(s, &msg) {
+		return
+	}
+	r.multicast(r.cfg.CCollectors(s.seq, s.prePrepareView), msg)
+}
+
+// signTau puts this replica's τ_i(h) for s into msg, once per slot and
+// view; false if the key failed to sign.
+func (r *Replica) signTau(s *slot, msg *SignShareMsg) bool {
+	s.sentTau = true
+	share, err := r.keys.Tau.Sign(s.hash[:])
+	if err != nil {
+		r.Metrics.CaptureFailures++
+		return false
+	}
+	msg.TauSig = share
+	return true
+}
+
+// onFetchTau answers a C-collector that asks for the τ_i(h) this replica
+// held back: once per (seq, view), τ-only, to every C-collector of the
+// slot, so a redundant collector finds the share when its turn comes.
+func (r *Replica) onFetchTau(from int, m FetchTauMsg) {
+	if m.View != r.view || r.inViewChange || !slices.Contains(r.cfg.CCollectors(m.Seq, m.View), from) {
+		return
+	}
+	s, ok := r.slots[m.Seq]
+	if !ok || !s.sentSignShare || s.prePrepareView != m.View || s.sentTau || s.committed {
+		return
+	}
+	msg := SignShareMsg{Seq: m.Seq, View: m.View, Replica: r.id}
+	if r.signTau(s, &msg) {
+		r.multicast(r.cfg.CCollectors(m.Seq, m.View), msg)
+	}
 }
 
 func (r *Replica) onFullCommitProof(_ int, m FullCommitProofMsg) {
@@ -278,7 +313,7 @@ func (r *Replica) acceptPrepare(s *slot, m PrepareMsg) {
 	if err != nil {
 		return
 	}
-	r.toCollectors(r.cfg.CCollectors(m.Seq, m.View), CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share})
+	r.multicast(r.cfg.CCollectors(m.Seq, m.View), CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share})
 }
 
 // holdPrepare keeps τ(h) of view as the slot's prepare certificate, with
@@ -337,6 +372,12 @@ func (r *Replica) commit(s *slot, reqs []Request) {
 	}
 	s.committed = true
 	s.committedReqs = reqs
+	switch {
+	case s.commitSlow != nil:
+		r.eagerTau = r.activeWindow()
+	case s.commitProof != nil && r.eagerTau > 0:
+		r.eagerTau--
+	}
 	s.fastTimer.stop()
 	s.staggerTimer.stop()
 	r.executeReady()

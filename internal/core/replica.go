@@ -69,6 +69,10 @@ type Metrics struct {
 	// the collector abandoned the σ fast path and broadcast a prepare,
 	// sending the slot through the two-phase linear path (§V-E).
 	FastPathDowngrades uint64
+	// TauFetches counts the rounds of FetchTauMsg collectors sent: a fast
+	// timer ran out short of 2f+c+1 τ shares (then once a period while
+	// they stay short), for a replica on a fast-path run sends σ alone.
+	TauFetches uint64
 	// ExecFallbacks counts execution-fallback activations: no full execute
 	// certificate arrived within ExecFallbackTimeout (crashed or targeted
 	// E-collectors), so this replica answered its clients directly with
@@ -234,10 +238,14 @@ type Replica struct {
 	readQueue []readRequest
 	readTimer timer
 
-	// fastSpread averages the observed τ-quorum → σ-quorum share arrival
-	// gap: collectors learn how long the σ quorum trails the τ quorum on
+	// fastSpread averages the gap from 2f+c+1 sign-shares to the σ quorum:
+	// collectors learn how long the σ quorum trails the slow quorum on
 	// their slots, and the adaptive fast-path timer covers it (§V-E).
 	fastSpread ewma
+	// eagerTau counts the fast-path commits still to come before this
+	// replica holds τ_i(h) back (sendSignShare): activeWindow at the start
+	// of each view and after each slow-path commit.
+	eagerTau uint64
 
 	Metrics Metrics
 }
@@ -276,6 +284,7 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		suspects:   make(map[int]uint64),
 		csink:      syncSink{suite},
 	}
+	r.eagerTau = r.activeWindow()
 	r.snaps = newSnapChain(cfg.snapshotRetain(), env, &r.Metrics)
 	r.fetcher = fetcher{
 		id: id, cfg: cfg, env: env, pi: suite.Pi, host: r, snaps: &r.snaps,
@@ -340,6 +349,8 @@ func (r *Replica) Deliver(from int, msg any) {
 		r.onPrePrepare(from, m)
 	case SignShareMsg:
 		r.onSignShare(from, m)
+	case FetchTauMsg:
+		r.onFetchTau(from, m)
 	case FullCommitProofMsg:
 		r.onFullCommitProof(from, m)
 	case PrepareMsg:

@@ -428,6 +428,7 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	r.view = m.View
 	r.inViewChange = false
 	r.vcBackoff = 0
+	r.eagerTau = r.activeWindow()
 	r.vcTimer.stop()
 	dropThrough(r.vcMsgs, m.View)
 	dropThrough(r.vcSent, m.View)
@@ -462,6 +463,7 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 			r.requeue(req)
 		}
 		s.sentSignShare = false
+		s.sentTau = false
 		s.sentCommitShare = false
 		s.hasPrePrepare = false
 		s.resetCollector(m.View)

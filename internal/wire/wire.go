@@ -1,5 +1,5 @@
 // Package wire is the module's one socket codec: a hand-written binary
-// form for every message internal/transport carries — the 24 of
+// form for every message internal/transport carries — the 25 of
 // internal/core and the 8 of internal/pbft — in place of encoding/gob.
 //
 // A connection is a sequence of frames:
@@ -44,7 +44,7 @@ import (
 
 // Version is the first byte of a hello. A peer that speaks another
 // version is refused at the handshake.
-const Version = 2
+const Version = 3
 
 // MaxFrame caps a frame body. The largest legitimate messages are a
 // SnapshotChunkMsg (one bucket of application state: state size over the
@@ -81,6 +81,7 @@ const (
 	tagReadReply
 	tagViewChange
 	tagNewView
+	tagFetchTau
 )
 
 // The frozen PBFT baseline's messages start at 64, leaving core room.
@@ -188,6 +189,9 @@ func appendBody(b []byte, sender int, m core.Message) ([]byte, error) {
 		b = sc.AppendInt(b, m.Replica)
 		b = appendShare(b, m.SigmaSig)
 		b = appendShare(b, m.TauSig)
+	case core.FetchTauMsg:
+		b = sc.AppendUint(head(b, tagFetchTau, sender), m.Seq)
+		b = sc.AppendUint(b, m.View)
 	case core.FullCommitProofMsg:
 		b = sc.AppendUint(head(b, tagFullCommitProof, sender), m.Seq)
 		b = sc.AppendUint(b, m.View)
@@ -354,6 +358,8 @@ func readMessage(r *sc.Reader, tag byte) core.Message {
 	case tagSignShare:
 		return core.SignShareMsg{Seq: r.Uint(), View: r.Uint(), Replica: r.Int(),
 			SigmaSig: readShare(r), TauSig: readShare(r)}
+	case tagFetchTau:
+		return core.FetchTauMsg{Seq: r.Uint(), View: r.Uint()}
 	case tagFullCommitProof:
 		return core.FullCommitProofMsg{Seq: r.Uint(), View: r.Uint(), Sigma: readSig(r)}
 	case tagPrepare:

@@ -117,6 +117,10 @@ func samples() []sample {
 		{name: "PrePrepare/large", in: core.PrePrepareMsg{Seq: 1 << 50, View: 1 << 20, Reqs: reqs(64, 4096)}},
 		{name: "SignShare/zero", in: core.SignShareMsg{}},
 		{name: "SignShare/full", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, SigmaSig: share(3), TauSig: share(3)}},
+		{name: "SignShare/sigma", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, SigmaSig: share(3)}},
+		{name: "SignShare/tau", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, TauSig: share(3)}},
+		{name: "FetchTau/zero", in: core.FetchTauMsg{}},
+		{name: "FetchTau/full", in: core.FetchTauMsg{Seq: 1 << 40, View: 7}},
 		{name: "SignShare/empty", in: core.SignShareMsg{SigmaSig: threshsig.Share{Signer: 1, Data: e}}, want: core.SignShareMsg{SigmaSig: threshsig.Share{Signer: 1}}},
 		{name: "FullCommitProof/zero", in: core.FullCommitProofMsg{}},
 		{name: "FullCommitProof/full", in: core.FullCommitProofMsg{Seq: 9, View: 2, Sigma: sig(1)}},
@@ -283,8 +287,8 @@ func TestEveryMessageHasATag(t *testing.T) {
 			return false
 		})
 	}
-	if found != 32 || len(sampled) != found {
-		t.Errorf("%d message types in the sources, %d sampled; the package doc says 24 + 8", found, len(sampled))
+	if found != 33 || len(sampled) != found {
+		t.Errorf("%d message types in the sources, %d sampled; the package doc says 25 + 8", found, len(sampled))
 	}
 	type untagged struct{ core.RequestMsg }
 	if _, err := AppendFrame(nil, 1, untagged{}); err == nil {
