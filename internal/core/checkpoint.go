@@ -44,7 +44,7 @@ func (r *Replica) initiateCheckpoint(seq uint64, appDigest []byte) {
 }
 
 func (r *Replica) onCheckpointShare(from int, m CheckpointShareMsg) {
-	if m.Seq <= r.lastStable || from != m.Replica || !r.signedBy(from, m.PiSig) {
+	if m.Seq <= r.lastStable || from != m.Replica || m.PiSig.Signer != from {
 		return
 	}
 	if r.ckptShares[m.Seq] == nil {

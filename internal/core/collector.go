@@ -392,20 +392,15 @@ func (r *Replica) trySlowProof(s *slot, view uint64) {
 	r.afterStagger(slices.Index(r.cfg.CCollectors(s.seq, view), r.id), fire)
 }
 
-// signedBy reports whether share names the replica that sent it as its
-// signer; filed unverified under another name it would take that signer's
-// place in a table.
-func (r *Replica) signedBy(sender int, share threshsig.Share) bool {
-	return share.Signer == sender && sender >= 1 && sender <= r.cfg.N()
-}
-
 // admitShare runs count for an arriving share that may go into a
 // collector's table: at once for a signer in good standing (the combine
 // will check the share together with the rest of its quorum), after an
 // individual check through the sink for a signer blamed before. count may
-// run after a sink round-trip and must re-check whatever it relies on.
+// run after a sink round-trip and must re-check whatever it relies on. A
+// share must name its sender as signer: filed unverified under another
+// name it would take that signer's place in a table.
 func (r *Replica) admitShare(signer int, kind ShareKind, digest []byte, share threshsig.Share, count func()) {
-	if !r.signedBy(signer, share) {
+	if share.Signer != signer {
 		return
 	}
 	if !r.suspect(signer) {

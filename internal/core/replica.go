@@ -219,10 +219,11 @@ type Replica struct {
 	// replayed on view installation.
 	ppBuffer map[uint64][]PrePrepareMsg
 
-	// View change state.
-	vcMsgs        map[uint64]map[int]*ViewChangeMsg // target view → sender → msg
-	vcSent        map[uint64]bool
-	vcResent      map[uint64]bool // view-change re-unicast to a late primary
+	// View change state: vcs[i] is replica i's highest view-change message
+	// (entry 0 unused; NewView 0: none yet), and vcResent records the one
+	// re-unicast of ours to a late primary in the current view change.
+	vcs           []ViewChangeMsg
+	vcResent      bool
 	vcBackoff     uint64
 	progressTimer timer
 	vcTimer       timer
@@ -277,9 +278,7 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		directReq:  make(map[uint64]map[int]bool),
 		watch:      make(map[int]watchEntry),
 		ckptShares: make(map[uint64]map[string]map[int]threshsig.Share),
-		vcMsgs:     make(map[uint64]map[int]*ViewChangeMsg),
-		vcSent:     make(map[uint64]bool),
-		vcResent:   make(map[uint64]bool),
+		vcs:        make([]ViewChangeMsg, cfg.N()+1),
 		ppBuffer:   make(map[uint64][]PrePrepareMsg),
 		suspects:   make(map[int]uint64),
 		csink:      syncSink{suite},
@@ -340,11 +339,22 @@ func (r *Replica) broadcast(msg Message) {
 }
 
 // Deliver dispatches an incoming message. It is the single entry point of
-// the event machine.
+// the event machine, and the one place that decides who may say what:
+// requests and reads come from anyone, every other message only from a
+// replica (ids 1..n), so no handler below sees a client or an unknown id.
 func (r *Replica) Deliver(from int, msg any) {
 	switch m := msg.(type) {
 	case RequestMsg:
 		r.onRequest(from, m)
+		return
+	case ReadMsg:
+		r.onRead(from, m)
+		return
+	}
+	if from < 1 || from > r.cfg.N() {
+		return
+	}
+	switch m := msg.(type) {
 	case PrePrepareMsg:
 		r.onPrePrepare(from, m)
 	case SignShareMsg:
@@ -368,23 +378,27 @@ func (r *Replica) Deliver(from int, msg any) {
 	case CheckpointCertMsg:
 		r.onCheckpointCert(from, m)
 	case FetchCommitMsg:
-		r.onFetchCommit(from, m)
+		if m.Replica == from { // a fetch is answered to whoever asked
+			r.onFetchCommit(from, m)
+		}
 	case CommitInfoMsg:
 		r.onCommitInfo(from, m)
 	case FetchStateMsg:
-		r.snaps.onFetchState(m)
+		if m.Replica == from {
+			r.snaps.onFetchState(m)
+		}
 	case SnapshotMetaMsg:
 		r.fetcher.onSnapshotMeta(from, m)
 	case FetchSnapshotChunkMsg:
-		r.snaps.onFetchSnapshotChunk(m)
+		if m.Replica == from {
+			r.snaps.onFetchSnapshotChunk(m)
+		}
 	case SnapshotChunkMsg:
 		r.fetcher.onSnapshotChunk(from, m)
 	case ViewChangeMsg:
 		r.onViewChange(from, m)
 	case NewViewMsg:
 		r.onNewView(from, m)
-	case ReadMsg:
-		r.onRead(from, m)
 	}
 }
 

@@ -267,7 +267,7 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	if f == nil {
 		return
 	}
-	if from < 1 || from > ft.cfg.N() || from == ft.id {
+	if from == ft.id {
 		return
 	}
 	if m.Seq <= ft.host.LastExecuted() || m.Seq < f.target || (f.seq != 0 && m.Seq < f.seq) {
@@ -586,7 +586,7 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 	if f == nil || f.seq == 0 || m.Seq != f.seq {
 		return
 	}
-	if from < 1 || from > ft.cfg.N() || from == ft.id {
+	if from == ft.id {
 		return
 	}
 	if m.Index < 1 || m.Index > len(f.chunks) || f.chunks[m.Index-1] != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"sort"
 	"time"
 
@@ -83,15 +82,15 @@ func (r *Replica) startViewChange(target uint64) {
 	}
 	r.inViewChange = true
 	r.view = target
+	r.vcResent = false
 	r.Metrics.ViewChanges++
 	r.progressTimer.stop()
 	r.batchTimer.stop()
-	if !r.vcSent[target] {
-		r.vcSent[target] = true
-		vc := r.buildViewChange(target)
-		r.broadcast(vc)
-		r.onViewChange(r.id, vc)
-	}
+	vc := r.buildViewChange(target)
+	r.broadcast(vc)
+	// A rejoin below may have left a higher view change of ours standing.
+	r.vcs[r.id] = ViewChangeMsg{}
+	r.onViewChange(r.id, vc)
 	// If the new primary fails to install the view, escalate.
 	r.vcTimer.stop()
 	r.vcBackoff++
@@ -181,47 +180,39 @@ func (r *Replica) onViewChange(from int, m ViewChangeMsg) {
 	if m.NewView <= r.view && !(m.NewView == r.view && r.inViewChange) {
 		return
 	}
-	if !r.validateViewChange(&m) {
+	// Each replica's highest view change stands for it (PBFT's rule): a
+	// repeat or a reordered older one changes nothing.
+	if m.NewView <= r.vcs[from].NewView || !r.validateViewChange(&m) {
 		return
 	}
-	if r.vcMsgs[m.NewView] == nil {
-		r.vcMsgs[m.NewView] = make(map[int]*ViewChangeMsg)
-	}
-	if _, dup := r.vcMsgs[m.NewView][m.Replica]; dup {
-		return
-	}
-	r.vcMsgs[m.NewView][m.Replica] = &m
+	r.vcs[from] = m
 
 	// A primary that was down while the cohort broadcast its view-change
 	// messages rejoins by escalating on its own: it announces the target
-	// view holding only its own message, and nobody rebroadcasts (vcSent
-	// gates the original broadcast). Seeing the primary of v itself demand
-	// v is the cue to re-unicast our view-change, so the new-view quorum
+	// view holding only its own message, and nobody rebroadcasts (a view
+	// change is sent once). Seeing the primary of our view itself demand
+	// it is the cue to re-unicast our view-change, so the new-view quorum
 	// can assemble at the one replica able to install it. One resend per
-	// target view bounds the overhead at a single extra message.
+	// view change bounds the overhead at a single extra message.
 	if m.Replica == r.cfg.Primary(m.NewView) && m.Replica != r.id &&
-		r.vcSent[m.NewView] && !r.vcResent[m.NewView] {
-		r.vcResent[m.NewView] = true
+		m.NewView == r.view && !r.vcResent {
+		r.vcResent = true
 		r.env.Send(m.Replica, r.buildViewChange(m.NewView))
 	}
 
-	// f+1 join rule (§VII): if f+1 distinct replicas demand views above
-	// ours, join the smallest such view.
+	// f+1 join rule (§VII): if the highest view changes of f+1 replicas
+	// demand views above ours, join the smallest of those views.
 	if !r.inViewChange || m.NewView > r.view {
-		distinct := make(map[int]bool)
-		minAbove := uint64(0)
-		for tv, senders := range r.vcMsgs {
-			if tv <= r.view {
-				continue
-			}
-			for id := range senders {
-				distinct[id] = true
-			}
-			if minAbove == 0 || tv < minAbove {
-				minAbove = tv
+		above, minAbove := 0, uint64(0)
+		for i := range r.vcs {
+			if tv := r.vcs[i].NewView; tv > r.view {
+				above++
+				if minAbove == 0 || tv < minAbove {
+					minAbove = tv
+				}
 			}
 		}
-		if len(distinct) > r.cfg.F && minAbove > r.view {
+		if above > r.cfg.F {
 			r.startViewChange(minAbove)
 		}
 	}
@@ -237,19 +228,16 @@ func (r *Replica) tryInstallView(target uint64) {
 	if target < r.view || (target == r.view && !r.inViewChange) {
 		return
 	}
-	msgs := r.vcMsgs[target]
-	if len(msgs) < r.cfg.QuorumViewChange() {
-		return
-	}
-	ids := make([]int, 0, len(msgs))
-	for id := range msgs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	ids = ids[:r.cfg.QuorumViewChange()]
+	// The quorum is the lowest ids whose entry demands target.
+	q := r.cfg.QuorumViewChange()
 	nv := NewViewMsg{View: target}
-	for _, id := range ids {
-		nv.ViewChanges = append(nv.ViewChanges, *msgs[id])
+	for i := range r.vcs {
+		if r.vcs[i].NewView == target && len(nv.ViewChanges) < q {
+			nv.ViewChanges = append(nv.ViewChanges, r.vcs[i])
+		}
+	}
+	if len(nv.ViewChanges) < q {
+		return
 	}
 	r.broadcast(nv)
 	r.onNewView(r.id, nv)
@@ -408,15 +396,16 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	if m.View < r.view || (m.View == r.view && !r.inViewChange) {
 		return
 	}
-	// Validate the certificate set: quorum size, distinct senders, right
-	// target view, valid stable proofs.
+	// Validate the certificate set: quorum size, distinct replica senders,
+	// right target view, valid stable proofs.
 	if len(m.ViewChanges) < r.cfg.QuorumViewChange() {
 		return
 	}
 	senders := make(map[int]bool)
 	for i := range m.ViewChanges {
 		vc := &m.ViewChanges[i]
-		if vc.NewView != m.View || senders[vc.Replica] || !r.validateViewChange(vc) {
+		if vc.NewView != m.View || vc.Replica < 1 || vc.Replica > r.cfg.N() ||
+			senders[vc.Replica] || !r.validateViewChange(vc) {
 			return
 		}
 		senders[vc.Replica] = true
@@ -430,9 +419,6 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 	r.vcBackoff = 0
 	r.eagerTau = r.activeWindow()
 	r.vcTimer.stop()
-	dropThrough(r.vcMsgs, m.View)
-	dropThrough(r.vcSent, m.View)
-	dropThrough(r.vcResent, m.View)
 
 	// Advance the stable point if the quorum proved a higher one.
 	if ls > r.lastStable {
@@ -552,11 +538,6 @@ func (r *Replica) rejoinView(view uint64) {
 	r.inViewChange = false
 	r.vcBackoff = 0
 	r.vcTimer.stop()
-	// Allow a genuine future escalation to rebroadcast its view-change
-	// message: the suspicion that produced the abandoned targets is void.
-	above := func(tv uint64, _ bool) bool { return tv > view }
-	maps.DeleteFunc(r.vcSent, above)
-	maps.DeleteFunc(r.vcResent, above)
 	r.resetProgressTimer()
 }
 

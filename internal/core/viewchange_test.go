@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -322,5 +324,105 @@ func TestSafeValueStableBoundsSlots(t *testing.T) {
 	}
 	if len(d) != 0 {
 		t.Fatalf("decisions below stable point: %+v", d)
+	}
+}
+
+// The view-change table holds one entry per replica, its highest
+// view-change message: the f+1 join rule and the new-view quorum scan n
+// entries however many views a sender names.
+
+func isNewView(m Message) bool { _, ok := m.(NewViewMsg); return ok }
+
+// newViewsSent lists the new-view messages the rig's replica broadcast,
+// one per view (a broadcast is n-1 sends).
+func newViewsSent(rg *rig) []NewViewMsg {
+	var out []NewViewMsg
+	for _, s := range rg.env.sent {
+		if nv, ok := s.msg.(NewViewMsg); ok && (len(out) == 0 || out[len(out)-1].View != nv.View) {
+			out = append(out, nv)
+		}
+	}
+	return out
+}
+
+func vcSenders(nv NewViewMsg) []int {
+	var ids []int
+	for _, vc := range nv.ViewChanges {
+		ids = append(ids, vc.Replica)
+	}
+	return ids
+}
+
+func TestViewChangeFloodIsLinear(t *testing.T) {
+	rg := newRig(t, 1, nil)
+	const k = 16000
+	start := time.Now()
+	for v := uint64(1); v <= k; v++ {
+		rg.r.Deliver(3, ViewChangeMsg{NewView: v, Replica: 3})
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("%d of %d view-changes from one replica took %v", v, k, el)
+		}
+	}
+	if rg.r.View() != 0 || rg.r.InViewChange() {
+		t.Fatalf("one replica's view-changes moved the view to %d", rg.r.View())
+	}
+}
+
+func TestHonestEscalationInstallsAtNextPrimary(t *testing.T) {
+	rg := newRig(t, 3, func(c *Config) { c.ViewChangeTimeout = 100 * time.Millisecond }) // primary of view 2
+	// Replicas 1 and 4 give up on view 0: f+1 demands pull 3 into view 1,
+	// whose primary (2) never installs it.
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 1, Replica: 1})
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 1, Replica: 4})
+	if rg.r.View() != 1 || !rg.r.InViewChange() {
+		t.Fatalf("view %d after f+1 view-changes to 1, want a view change to 1", rg.r.View())
+	}
+	rg.env.advance(time.Second)
+	if rg.r.View() != 2 || !rg.r.InViewChange() {
+		t.Fatalf("view %d after the view-change timer, want a view change to 2", rg.r.View())
+	}
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 2, Replica: 1})
+	if rg.sentOfType(isNewView) != 0 {
+		t.Fatal("view 2 installed on two view-changes")
+	}
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 2, Replica: 4})
+	if rg.r.View() != 2 || rg.r.InViewChange() {
+		t.Fatalf("view %d (in view change: %v), want view 2 installed", rg.r.View(), rg.r.InViewChange())
+	}
+	nvs := newViewsSent(rg)
+	if len(nvs) != 1 || nvs[0].View != 2 || !slices.Equal(vcSenders(nvs[0]), []int{1, 3, 4}) {
+		t.Fatalf("new-view messages %+v, want one for view 2 over replicas 1, 3, 4", nvs)
+	}
+}
+
+func TestOlderViewChangeDoesNotReplaceNewer(t *testing.T) {
+	rg := newRig(t, 3, nil) // primary of view 2
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 2, Replica: 1})
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 1, Replica: 1}) // reordered: sent before the one above
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 1, Replica: 4})
+	if rg.r.View() != 1 || !rg.r.InViewChange() {
+		t.Fatalf("view %d after f+1 view-changes to 1, want a view change to 1", rg.r.View())
+	}
+	// Replica 1's view-change to 2 still stands, so 4's makes f+1 above
+	// view 1: replica 3 joins view 2 and, its primary, installs it.
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 2, Replica: 4})
+	if rg.r.View() != 2 || rg.r.InViewChange() {
+		t.Fatalf("view %d (in view change: %v), want view 2 installed", rg.r.View(), rg.r.InViewChange())
+	}
+	nvs := newViewsSent(rg)
+	if len(nvs) != 1 || nvs[0].View != 2 || !slices.Equal(vcSenders(nvs[0]), []int{1, 3, 4}) {
+		t.Fatalf("new-view messages %+v, want one for view 2 over replicas 1, 3, 4", nvs)
+	}
+}
+
+func TestNewViewCountsOnlyReplicas(t *testing.T) {
+	rg := newRig(t, 3, nil)
+	nv := NewViewMsg{View: 1}
+	for _, id := range []int{1, ClientBase, ClientBase + 1} {
+		nv.ViewChanges = append(nv.ViewChanges, ViewChangeMsg{NewView: 1, Replica: id})
+	}
+	rg.r.Deliver(2, nv) // from the primary of view 1
+	if rg.r.View() != 0 {
+		t.Fatalf("installed view %d on view-changes named by clients", rg.r.View())
 	}
 }

@@ -163,3 +163,26 @@ func TestViewSynchronizerLeavesGenuineViewChangeAlone(t *testing.T) {
 			rg.r.view, rg.r.inViewChange)
 	}
 }
+
+// TestRejoinedPrimaryCountsItsOwnViewChange: a rejoin leaves the replica's
+// own view-change entry above the view it rejoined, so a later escalation
+// to a lower target must replace it, or the primary of that target could
+// not count itself toward the new-view quorum.
+func TestRejoinedPrimaryCountsItsOwnViewChange(t *testing.T) {
+	rg := newSyncRig(t, 2) // the primary of view 1
+	reqs := syncReqs("C")
+
+	rg.r.Deliver(1, PrePrepareMsg{Seq: 1, View: 0, Reqs: reqs})
+	rg.r.startViewChange(1)
+	rg.r.startViewChange(2)
+	rg.r.Deliver(3, rg.fastProof(t, 1, 0, reqs))
+	if rg.r.inViewChange || rg.r.view != 0 {
+		t.Fatalf("no rejoin: view=%d inVC=%v", rg.r.view, rg.r.inViewChange)
+	}
+
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 1, Replica: 1})
+	rg.r.Deliver(3, ViewChangeMsg{NewView: 1, Replica: 3})
+	if rg.r.inViewChange || rg.r.view != 1 {
+		t.Fatalf("view 1 not installed at its primary: view=%d inVC=%v", rg.r.view, rg.r.inViewChange)
+	}
+}
