@@ -219,10 +219,11 @@ type Replica struct {
 	// replayed on view installation.
 	ppBuffer map[uint64][]PrePrepareMsg
 
-	// View change state: vcs[i] is replica i's highest view-change message
-	// (entry 0 unused; NewView 0: none yet), and vcResent records the one
-	// re-unicast of ours to a late primary in the current view change.
-	vcs           []ViewChangeMsg
+	// View change state: vcs[i] holds replica i's view-change messages for
+	// its vcKept lowest live views, sorted by view (entry 0 unused), and
+	// vcResent records the one re-unicast of ours to a late primary in the
+	// current view change.
+	vcs           [][]ViewChangeMsg
 	vcResent      bool
 	vcBackoff     uint64
 	progressTimer timer
@@ -278,7 +279,7 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		directReq:  make(map[uint64]map[int]bool),
 		watch:      make(map[int]watchEntry),
 		ckptShares: make(map[uint64]map[string]map[int]threshsig.Share),
-		vcs:        make([]ViewChangeMsg, cfg.N()+1),
+		vcs:        make([][]ViewChangeMsg, cfg.N()+1),
 		ppBuffer:   make(map[uint64][]PrePrepareMsg),
 		suspects:   make(map[int]uint64),
 		csink:      syncSink{suite},

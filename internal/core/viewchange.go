@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
-
-	"sbft/internal/crypto/threshsig"
 )
 
 // This file implements SBFT's dual-mode view change (§V-G): the protocol
@@ -14,6 +13,10 @@ import (
 
 // maxBackoffShift caps the exponential view-change back-off.
 const maxBackoffShift = 6
+
+// vcKept bounds the view changes kept per replica: its lowest live ones,
+// which the join rule picks from.
+const vcKept = 4
 
 func (r *Replica) vcTimeout() time.Duration {
 	shift := r.vcBackoff
@@ -88,8 +91,9 @@ func (r *Replica) startViewChange(target uint64) {
 	r.batchTimer.stop()
 	vc := r.buildViewChange(target)
 	r.broadcast(vc)
-	// A rejoin below may have left a higher view change of ours standing.
-	r.vcs[r.id] = ViewChangeMsg{}
+	// A rejoin below may have left a view change of ours standing at or
+	// above target; the new one supersedes it.
+	r.vcs[r.id] = r.vcs[r.id][:0]
 	r.onViewChange(r.id, vc)
 	// If the new primary fails to install the view, escalate.
 	r.vcTimer.stop()
@@ -117,7 +121,7 @@ func (r *Replica) buildViewChange(target uint64) ViewChangeMsg {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		s := r.slots[seq]
 		si := SlotInfo{Seq: seq}
@@ -173,19 +177,30 @@ func (r *Replica) validateViewChange(vc *ViewChangeMsg) bool {
 	return r.suite.Pi.Verify(CheckpointSigDigest(vc.LastStable, vc.StableDigest), vc.StablePi) == nil
 }
 
+// vcLive reports whether a view change for view v can still matter: v is
+// above ours, or is ours while its view change runs.
+func (r *Replica) vcLive(v uint64) bool { return v > r.view || v == r.view && r.inViewChange }
+
+// fileViewChange keeps m among its sender's view changes, sorted by view:
+// the first per view, for at most vcKept of the lowest live views.
+func (r *Replica) fileViewChange(m ViewChangeMsg) bool {
+	kept := slices.DeleteFunc(r.vcs[m.Replica], func(vc ViewChangeMsg) bool { return !r.vcLive(vc.NewView) })
+	r.vcs[m.Replica] = kept
+	i, dup := slices.BinarySearchFunc(kept, m, func(a, b ViewChangeMsg) int { return cmp.Compare(a.NewView, b.NewView) })
+	if dup || i == vcKept || !r.validateViewChange(&m) {
+		return false
+	}
+	r.vcs[m.Replica] = slices.Insert(kept, i, m)[:min(len(kept)+1, vcKept)]
+	return true
+}
+
 func (r *Replica) onViewChange(from int, m ViewChangeMsg) {
 	if from != m.Replica {
 		return // authenticated channels bind sender identity (§V-B)
 	}
-	if m.NewView <= r.view && !(m.NewView == r.view && r.inViewChange) {
+	if !r.vcLive(m.NewView) || !r.fileViewChange(m) {
 		return
 	}
-	// Each replica's highest view change stands for it (PBFT's rule): a
-	// repeat or a reordered older one changes nothing.
-	if m.NewView <= r.vcs[from].NewView || !r.validateViewChange(&m) {
-		return
-	}
-	r.vcs[from] = m
 
 	// A primary that was down while the cohort broadcast its view-change
 	// messages rejoins by escalating on its own: it announces the target
@@ -200,15 +215,15 @@ func (r *Replica) onViewChange(from int, m ViewChangeMsg) {
 		r.env.Send(m.Replica, r.buildViewChange(m.NewView))
 	}
 
-	// f+1 join rule (§VII): if the highest view changes of f+1 replicas
-	// demand views above ours, join the smallest of those views.
+	// f+1 join rule (§VII): if f+1 replicas demand views above ours, join
+	// the smallest view demanded.
 	if !r.inViewChange || m.NewView > r.view {
 		above, minAbove := 0, uint64(0)
-		for i := range r.vcs {
-			if tv := r.vcs[i].NewView; tv > r.view {
+		for _, kept := range r.vcs {
+			if i := slices.IndexFunc(kept, func(vc ViewChangeMsg) bool { return vc.NewView > r.view }); i >= 0 {
 				above++
-				if minAbove == 0 || tv < minAbove {
-					minAbove = tv
+				if minAbove == 0 || kept[i].NewView < minAbove {
+					minAbove = kept[i].NewView
 				}
 			}
 		}
@@ -228,12 +243,14 @@ func (r *Replica) tryInstallView(target uint64) {
 	if target < r.view || (target == r.view && !r.inViewChange) {
 		return
 	}
-	// The quorum is the lowest ids whose entry demands target.
+	// The quorum is the lowest ids with a view change for target.
 	q := r.cfg.QuorumViewChange()
 	nv := NewViewMsg{View: target}
-	for i := range r.vcs {
-		if r.vcs[i].NewView == target && len(nv.ViewChanges) < q {
-			nv.ViewChanges = append(nv.ViewChanges, r.vcs[i])
+	for _, kept := range r.vcs {
+		for _, vc := range kept {
+			if vc.NewView == target && len(nv.ViewChanges) < q {
+				nv.ViewChanges = append(nv.ViewChanges, vc)
+			}
 		}
 	}
 	if len(nv.ViewChanges) < q {
@@ -356,7 +373,7 @@ func computeSlotDecision(cfg Config, suite CryptoSuite, j uint64, vcs []ViewChan
 		for i, fs := range group {
 			views[i] = fs.view
 		}
-		sort.Slice(views, func(a, b int) bool { return views[a] > views[b] })
+		slices.SortFunc(views, func(a, b uint64) int { return cmp.Compare(b, a) })
 		vMax := int64(views[need-1]) // best v with f+c+1 shares of view ≥ v
 		switch {
 		case vMax > vHat:
@@ -422,16 +439,8 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 
 	// Advance the stable point if the quorum proved a higher one.
 	if ls > r.lastStable {
-		var dig []byte
-		var pi threshsig.Signature
-		for i := range m.ViewChanges {
-			if m.ViewChanges[i].LastStable == ls {
-				dig = m.ViewChanges[i].StableDigest
-				pi = m.ViewChanges[i].StablePi
-				break
-			}
-		}
-		r.recordStable(ls, dig, pi)
+		i := slices.IndexFunc(m.ViewChanges, func(vc ViewChangeMsg) bool { return vc.LastStable == ls })
+		r.recordStable(ls, m.ViewChanges[i].StableDigest, m.ViewChanges[i].StablePi)
 	}
 
 	// Reset volatile per-slot state for the new view, keeping evidence
@@ -550,18 +559,12 @@ func (r *Replica) tryRejoinView(seq, view uint64) {
 	if !r.inViewChange || view >= r.view || seq <= r.lastExecuted {
 		return
 	}
-	var pp *PrePrepareMsg
-	for i := range r.ppBuffer[view] {
-		if r.ppBuffer[view][i].Seq == seq {
-			pp = &r.ppBuffer[view][i]
-			break
-		}
-	}
-	if pp == nil {
+	i := slices.IndexFunc(r.ppBuffer[view], func(pp PrePrepareMsg) bool { return pp.Seq == seq })
+	if i < 0 {
 		return
 	}
 	s := r.getSlot(seq)
-	h := BlockHash(seq, view, pp.Reqs)
+	h := BlockHash(seq, view, r.ppBuffer[view][i].Reqs)
 	pf, ps := s.pendingFast, s.pendingSlow
 	certified := pf != nil && pf.View == view && r.suite.fastCommitted(h, pf.Sigma) ||
 		ps != nil && ps.View == view && r.suite.slowCommitted(h, ps.Tau, ps.TauTau, false)

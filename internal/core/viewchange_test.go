@@ -327,9 +327,9 @@ func TestSafeValueStableBoundsSlots(t *testing.T) {
 	}
 }
 
-// The view-change table holds one entry per replica, its highest
-// view-change message: the f+1 join rule and the new-view quorum scan n
-// entries however many views a sender names.
+// The view-change table keeps each replica's view changes for its vcKept
+// lowest live views: the f+1 join rule and the new-view quorum scan at most
+// n·vcKept entries however many views a sender names.
 
 func isNewView(m Message) bool { _, ok := m.(NewViewMsg); return ok }
 
@@ -365,6 +365,9 @@ func TestViewChangeFloodIsLinear(t *testing.T) {
 	}
 	if rg.r.View() != 0 || rg.r.InViewChange() {
 		t.Fatalf("one replica's view-changes moved the view to %d", rg.r.View())
+	}
+	if kept := rg.r.vcs[3]; len(kept) != vcKept || kept[0].NewView != 1 {
+		t.Fatalf("kept %d view-changes of replica 3, want its %d lowest", len(kept), vcKept)
 	}
 }
 
@@ -412,6 +415,40 @@ func TestOlderViewChangeDoesNotReplaceNewer(t *testing.T) {
 	nvs := newViewsSent(rg)
 	if len(nvs) != 1 || nvs[0].View != 2 || !slices.Equal(vcSenders(nvs[0]), []int{1, 3, 4}) {
 		t.Fatalf("new-view messages %+v, want one for view 2 over replicas 1, 3, 4", nvs)
+	}
+}
+
+// A replica that escalated alone to 1 and then 2, and rejoined view 0,
+// still counts toward view 1 once the cluster wants it: its view change to
+// 2 must not hide the one to 1.
+func TestRejoinedReplicaCountsTowardALowerView(t *testing.T) {
+	rg := newRig(t, 2, nil) // primary of view 1
+	rg.r.Deliver(3, ViewChangeMsg{NewView: 1, Replica: 3})
+	rg.r.Deliver(3, ViewChangeMsg{NewView: 2, Replica: 3})
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 1, Replica: 4})
+	if rg.r.View() != 1 || rg.r.InViewChange() {
+		t.Fatalf("view %d (in view change: %v), want view 1 installed", rg.r.View(), rg.r.InViewChange())
+	}
+	nvs := newViewsSent(rg)
+	if len(nvs) != 1 || nvs[0].View != 1 || !slices.Equal(vcSenders(nvs[0]), []int{2, 3, 4}) {
+		t.Fatalf("new-view messages %+v, want one for view 1 over replicas 2, 3, 4", nvs)
+	}
+}
+
+// Once a view installs, the view changes for it and below no longer count
+// against a replica's vcKept, so its later ones are kept.
+func TestKeptViewChangesMoveWithTheView(t *testing.T) {
+	rg := newRig(t, 2, nil) // primary of view 1
+	for v := uint64(1); v <= vcKept; v++ {
+		rg.r.Deliver(3, ViewChangeMsg{NewView: v, Replica: 3})
+	}
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 1, Replica: 4})
+	if rg.r.View() != 1 || rg.r.InViewChange() {
+		t.Fatalf("view %d (in view change: %v), want view 1 installed", rg.r.View(), rg.r.InViewChange())
+	}
+	rg.r.Deliver(3, ViewChangeMsg{NewView: vcKept + 1, Replica: 3})
+	if kept := rg.r.vcs[3]; len(kept) != vcKept || kept[vcKept-1].NewView != vcKept+1 {
+		t.Fatalf("replica 3's view change to %d not kept beside %+v", vcKept+1, kept)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sbft/internal/crypto/threshsig"
@@ -184,5 +185,32 @@ func TestRejoinedPrimaryCountsItsOwnViewChange(t *testing.T) {
 	rg.r.Deliver(3, ViewChangeMsg{NewView: 1, Replica: 3})
 	if rg.r.inViewChange || rg.r.view != 1 {
 		t.Fatalf("view 1 not installed at its primary: view=%d inVC=%v", rg.r.view, rg.r.inViewChange)
+	}
+}
+
+// TestRejoinedPrimarySendsAFreshViewChange: after a rejoin, a new view
+// change to the view the replica had escalated to replaces its old one, so
+// the new-view quorum carries the slot it committed since.
+func TestRejoinedPrimarySendsAFreshViewChange(t *testing.T) {
+	rg := newSyncRig(t, 3) // the primary of view 2
+	reqs := syncReqs("D")
+
+	rg.r.startViewChange(1)
+	rg.r.startViewChange(2)
+	rg.r.Deliver(2, PrePrepareMsg{Seq: 1, View: 1, Reqs: reqs})
+	rg.r.Deliver(1, rg.fastProof(t, 1, 1, reqs))
+	if rg.r.inViewChange || rg.r.view != 1 || rg.r.lastExecuted != 1 {
+		t.Fatalf("no rejoin: view=%d inVC=%v executed=%d", rg.r.view, rg.r.inViewChange, rg.r.lastExecuted)
+	}
+
+	rg.r.startViewChange(2)
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 2, Replica: 1})
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 2, Replica: 4})
+	nvs := newViewsSent(rg.rig)
+	if len(nvs) != 1 || nvs[0].View != 2 || !slices.Equal(vcSenders(nvs[0]), []int{1, 3, 4}) {
+		t.Fatalf("new-view messages %+v, want one for view 2 over replicas 1, 3, 4", nvs)
+	}
+	if own := nvs[0].ViewChanges[1]; len(own.Slots) != 1 || !own.Slots[0].HasCommitProof {
+		t.Fatalf("own view change carries slots %+v, want slot 1's commit proof", own.Slots)
 	}
 }
