@@ -16,7 +16,6 @@ import (
 	"sbft/internal/pbft"
 	"sbft/internal/sim"
 	"sbft/internal/storage"
-	"sbft/internal/wire"
 )
 
 // Protocol selects the replication engine variant.
@@ -210,23 +209,6 @@ type handler struct{ n Node }
 
 func (h handler) Deliver(from sim.NodeID, msg any) { h.n.Deliver(int(from), msg) }
 
-// frameSizer returns a cluster's sim.Config.Size: a delivery weighs the
-// frame internal/wire builds for its sender and message, the bytes a
-// deployment writes to its socket. One buffer serves every call (the
-// simulator is single-threaded). A message without a wire tag panics: on
-// the live path AppendFrame refuses it too.
-func frameSizer() func(from sim.NodeID, msg any) int {
-	var buf []byte
-	return func(from sim.NodeID, msg any) int {
-		b, err := wire.AppendFrame(buf[:0], int(from), msg)
-		if err != nil {
-			panic(fmt.Sprintf("cluster: sizing %T: %v", msg, err))
-		}
-		buf = b
-		return len(b)
-	}
-}
-
 // New builds a cluster.
 func New(opts Options) (*Cluster, error) {
 	if opts.F < 1 {
@@ -277,8 +259,7 @@ func New(opts Options) (*Cluster, error) {
 		cl.N = cfg.N()
 	}
 
-	// Install the frame sizer and, now that n is known, the per-message
-	// CPU model.
+	// Now that n is known, install the per-message CPU model.
 	cm := DefaultCosts()
 	if opts.Costs != nil {
 		cm = *opts.Costs
@@ -289,7 +270,6 @@ func New(opts Options) (*Cluster, error) {
 	cm.workers = opts.CryptoPool
 	netCfg.SendCost = cm.SendCost
 	netCfg.RecvCost = cm.RecvCost
-	netCfg.Size = frameSizer()
 	cl.costs = cm
 	var err error
 	cl.Net, err = sim.NewNetwork(cl.Sched, netCfg)

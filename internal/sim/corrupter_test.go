@@ -11,14 +11,14 @@ func TestCorrupterSuppresses(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
 	net.SetCorrupter(0, CorruptFunc(func(NodeID, any) []Injection { return nil }))
 
-	net.Send(0, 1, "gone")
-	net.Send(2, 0, "heard")
+	net.Send(0, 1, text("gone"))
+	net.Send(2, 0, text("heard"))
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 0 {
 		t.Fatalf("suppressed send delivered: %v", recs[1].got)
 	}
-	if len(recs[0].got) != 1 || recs[0].got[0].msg != "heard" {
+	if len(recs[0].got) != 1 || textOf(recs[0].got[0].msg) != "heard" {
 		t.Fatalf("inbound delivery to corrupted node broken: %v", recs[0].got)
 	}
 	if net.MsgsCorrupted != 1 {
@@ -32,19 +32,19 @@ func TestCorrupterEquivocates(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
 	net.SetCorrupter(0, CorruptFunc(func(to NodeID, msg any) []Injection {
 		if to == 2 {
-			return []Injection{{To: to, Msg: "evil"}}
+			return []Injection{{To: to, Msg: text("evil")}}
 		}
 		return PassThrough(to, msg)
 	}))
 
-	net.Send(0, 1, "honest")
-	net.Send(0, 2, "honest")
+	net.Send(0, 1, text("honest"))
+	net.Send(0, 2, text("honest"))
 	net.Scheduler().Run(0, 0)
 
-	if len(recs[1].got) != 1 || recs[1].got[0].msg != "honest" {
+	if len(recs[1].got) != 1 || textOf(recs[1].got[0].msg) != "honest" {
 		t.Fatalf("node 1 got %v, want honest", recs[1].got)
 	}
-	if len(recs[2].got) != 1 || recs[2].got[0].msg != "evil" {
+	if len(recs[2].got) != 1 || textOf(recs[2].got[0].msg) != "evil" {
 		t.Fatalf("node 2 got %v, want evil", recs[2].got)
 	}
 }
@@ -57,17 +57,17 @@ func TestCorrupterReplaysAndRedirects(t *testing.T) {
 		return []Injection{
 			{To: to, Msg: msg},
 			{To: to, Msg: msg, Delay: 5 * time.Millisecond},
-			{To: 2, Msg: "leak"},
+			{To: 2, Msg: text("leak")},
 		}
 	}))
 
-	net.Send(0, 1, "m")
+	net.Send(0, 1, text("m"))
 	net.Scheduler().Run(0, 0)
 
 	if len(recs[1].got) != 2 {
 		t.Fatalf("node 1 got %d deliveries, want original + replay", len(recs[1].got))
 	}
-	if len(recs[2].got) != 1 || recs[2].got[0].msg != "leak" {
+	if len(recs[2].got) != 1 || textOf(recs[2].got[0].msg) != "leak" {
 		t.Fatalf("redirect missing: %v", recs[2].got)
 	}
 }
@@ -82,16 +82,16 @@ func TestCorrupterClearedRestoresHonestTraffic(t *testing.T) {
 	}
 
 	net.Crash(0)
-	net.Send(0, 1, "while-crashed")
+	net.Send(0, 1, text("while-crashed"))
 	net.Recover(0)
 	net.SetCorrupter(0, nil)
 	if net.Corrupted(0) {
 		t.Fatal("Corrupted(0) = true after clear")
 	}
-	net.Send(0, 1, "honest-again")
+	net.Send(0, 1, text("honest-again"))
 	net.Scheduler().Run(0, 0)
 
-	if len(recs[1].got) != 1 || recs[1].got[0].msg != "honest-again" {
+	if len(recs[1].got) != 1 || textOf(recs[1].got[0].msg) != "honest-again" {
 		t.Fatalf("got %v, want exactly honest-again", recs[1].got)
 	}
 }

@@ -3,9 +3,9 @@
 // substitution is documented in DESIGN.md). Protocol nodes are sans-io
 // event machines; the simulator owns virtual time and, reproducibly from
 // a seed, delivers messages with region-to-region latency, jitter,
-// serialization delay proportional to the bytes Config.Size gives each
-// delivery and per-message CPU service time, fires timers, and injects
-// faults.
+// serialization delay proportional to the wire frame each delivery
+// travels as (decoded on arrival, as off a socket) and per-message CPU
+// service time, fires timers, and injects faults.
 //
 // # Fault surface
 //

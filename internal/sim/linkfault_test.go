@@ -32,9 +32,9 @@ func TestLinkFaultDropAll(t *testing.T) {
 	net.Register(2, 0, timeHandler{sched, &got})
 	net.SetLinkFault(1, 2, LinkFault{Drop: 1})
 	for i := 0; i < 10; i++ {
-		net.Send(1, 2, i)
+		net.Send(1, 2, text("m"))
 	}
-	net.Send(2, 1, "back") // reverse direction unaffected
+	net.Send(2, 1, text("back")) // reverse direction unaffected
 	sched.Run(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages, want only the reverse-direction one", len(got))
@@ -51,7 +51,7 @@ func TestLinkFaultDuplicate(t *testing.T) {
 	net.Register(2, 0, timeHandler{sched, &got})
 	net.SetLinkFault(1, 2, LinkFault{Duplicate: 1, ReorderJitter: time.Millisecond})
 	for i := 0; i < 5; i++ {
-		net.Send(1, 2, i)
+		net.Send(1, 2, text("m"))
 	}
 	sched.Run(0, 0)
 	if len(got) != 10 {
@@ -70,9 +70,9 @@ func TestLinkFaultWildcard(t *testing.T) {
 	}
 	// Isolate node 1's outbound entirely via the wildcard.
 	net.SetLinkFault(1, AnyNode, LinkFault{Drop: 1})
-	net.Send(1, 2, "a")
-	net.Send(1, 3, "b")
-	net.Send(2, 1, "c")
+	net.Send(1, 2, text("a"))
+	net.Send(1, 3, text("b"))
+	net.Send(2, 1, text("c"))
 	sched.Run(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("delivered %d, want 1 (only 2→1)", len(got))
@@ -80,7 +80,7 @@ func TestLinkFaultWildcard(t *testing.T) {
 	// A specific rule overrides the wildcard.
 	net.SetLinkFault(1, 2, LinkFault{ExtraDelay: time.Microsecond})
 	got = got[:0]
-	net.Send(1, 2, "d")
+	net.Send(1, 2, text("d"))
 	sched.Run(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("specific rule did not override wildcard drop")
@@ -88,7 +88,7 @@ func TestLinkFaultWildcard(t *testing.T) {
 	// Clearing restores normal delivery.
 	net.ClearLinkFaults()
 	got = got[:0]
-	net.Send(1, 3, "e")
+	net.Send(1, 3, text("e"))
 	sched.Run(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("link fault survived ClearLinkFaults")
@@ -96,8 +96,8 @@ func TestLinkFaultWildcard(t *testing.T) {
 	// The all-links wildcard (AnyNode → AnyNode) applies to every link.
 	net.SetLinkFault(AnyNode, AnyNode, LinkFault{Duplicate: 1})
 	got = got[:0]
-	net.Send(2, 3, "f")
-	net.Send(3, 1, "g")
+	net.Send(2, 3, text("f"))
+	net.Send(3, 1, text("g"))
 	sched.Run(0, 0)
 	if len(got) != 4 {
 		t.Fatalf("all-links duplicate delivered %d, want 4", len(got))

@@ -4,7 +4,10 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
+
+	"sbft/internal/wire"
 )
 
 // NodeID identifies a simulated node (replica or client).
@@ -129,12 +132,9 @@ type Config struct {
 	BaseLatency [][]time.Duration
 	// Jitter is the maximum uniform extra delay added per message.
 	Jitter time.Duration
-	// BandwidthBps is per-link bandwidth in bytes/second; 0 disables
-	// serialization delay.
+	// BandwidthBps is per-link bandwidth in bytes/second, charged for
+	// each delivery's frame; 0 disables serialization delay.
 	BandwidthBps float64
-	// Size is the length in bytes of one delivery from a sender, charged
-	// to the link's bandwidth and counted in BytesSent. Nil = 0 bytes.
-	Size func(from NodeID, msg any) int
 	// SendCost models per-message CPU time at the sender (serialization,
 	// signing): a node's sends are serialized on its CPU, so an n-wide
 	// broadcast occupies the sender for n×SendCost. Nil = free.
@@ -221,6 +221,7 @@ type Network struct {
 	faults   map[[2]NodeID]LinkFault  // directed link → injected fault
 	corrupt  map[NodeID]Corrupter     // Byzantine outbound interception
 	observe  map[NodeID]Observer      // compromised-process inbound taps
+	buf      []byte                   // encoding scratch, cloned per frame
 
 	// Stats.
 	MsgsSent      uint64
@@ -421,7 +422,8 @@ func (n *Network) Send(from, to NodeID, msg any) {
 }
 
 // sendRaw is the physical send path: the network model applied to one
-// delivery, bypassing any corrupter on the sender. Config.Size sizes it.
+// delivery, bypassing any corrupter on the sender. It travels as the frame
+// a deployment would write to its socket, and is charged that length.
 func (n *Network) sendRaw(from, to NodeID, msg any, extra time.Duration) {
 	if n.crashed[from] || n.crashed[to] {
 		n.MsgsDropped++
@@ -436,12 +438,14 @@ func (n *Network) sendRaw(from, to NodeID, msg any, extra time.Duration) {
 		n.MsgsDropped++
 		return
 	}
-	size := 0
-	if n.cfg.Size != nil {
-		size = n.cfg.Size(from, msg)
+	b, err := wire.AppendFrame(n.buf[:0], int(from), msg)
+	if err != nil {
+		panic(fmt.Sprintf("sim: encoding %T: %v", msg, err))
 	}
+	n.buf = b
+	frame := slices.Clone(b) // a decoded message aliases its frame
 	n.MsgsSent++
-	n.BytesSent += uint64(size)
+	n.BytesSent += uint64(len(frame))
 
 	// Sender CPU: sends serialize on the sender, so a broadcast's k-th
 	// message departs after k send costs.
@@ -455,16 +459,17 @@ func (n *Network) sendRaw(from, to NodeID, msg any, extra time.Duration) {
 		n.busy[from] = departure
 	}
 
-	base := departure - now + n.Latency(from, to, size) + extra
+	base := departure - now + n.Latency(from, to, len(frame)) + extra
 	if faulty {
 		base += fault.ExtraDelay
 	}
-	n.scheduleDelivery(from, to, msg, n.perturb(base, fault, faulty))
+	n.scheduleDelivery(from, to, msg, frame, n.perturb(base, fault, faulty))
 	if faulty && fault.Duplicate > 0 && n.sched.rng.Float64() < fault.Duplicate {
 		// The copy takes an independent jittered delay: duplicated AND
-		// possibly reordered relative to the original.
+		// possibly reordered relative to the original. It is a frame of
+		// its own, as a second copy read off a socket would be.
 		n.MsgsDuped++
-		n.scheduleDelivery(from, to, msg, n.perturb(base, fault, faulty))
+		n.scheduleDelivery(from, to, msg, slices.Clone(frame), n.perturb(base, fault, faulty))
 	}
 }
 
@@ -480,9 +485,10 @@ func (n *Network) perturb(d time.Duration, fault LinkFault, faulty bool) time.Du
 	return d
 }
 
-// scheduleDelivery schedules one delivery attempt after delay d, applying
-// receiver crash state and CPU cost at delivery time.
-func (n *Network) scheduleDelivery(from, to NodeID, msg any, d time.Duration) {
+// scheduleDelivery schedules one delivery attempt of a frame after delay
+// d, decoding it and applying receiver crash state and CPU cost at
+// delivery time. sent names the type if decoding fails.
+func (n *Network) scheduleDelivery(from, to NodeID, sent any, frame []byte, d time.Duration) {
 	n.sched.Schedule(d, func() {
 		if n.crashed[to] {
 			return
@@ -490,6 +496,10 @@ func (n *Network) scheduleDelivery(from, to NodeID, msg any, d time.Duration) {
 		h, ok := n.handlers[to]
 		if !ok {
 			return
+		}
+		_, msg, err := wire.Decode(frame[4:])
+		if err != nil {
+			panic(fmt.Sprintf("sim: decoding %T from %d: %v", sent, from, err))
 		}
 		if o := n.observe[to]; o != nil {
 			o(from, msg)

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sbft/internal/core"
+	"sbft/internal/wire"
 )
 
 type recorder struct {
@@ -19,6 +22,18 @@ type delivery struct {
 func (r *recorder) Deliver(from NodeID, msg any) {
 	r.got = append(r.got, delivery{from: from, msg: msg})
 }
+
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(from NodeID, msg any)
+
+func (f handlerFunc) Deliver(from NodeID, msg any) { f(from, msg) }
+
+// text is a real message carrying s: the network only carries what the
+// wire codec can frame.
+func text(s string) core.Message { return core.RequestMsg{Req: core.Request{Op: []byte(s)}} }
+
+// textOf reads back what text carried, after the frame's round trip.
+func textOf(m any) string { return string(m.(core.RequestMsg).Req.Op) }
 
 func newUniformNet(t *testing.T, delay time.Duration, nodes int) (*Network, []*recorder) {
 	t.Helper()
@@ -118,12 +133,12 @@ func TestSchedulerMaxEvents(t *testing.T) {
 
 func TestNetworkDelivery(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
-	net.Send(0, 1, "hello")
+	net.Send(0, 1, text("hello"))
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(recs[1].got))
 	}
-	if recs[1].got[0].msg != "hello" || recs[1].got[0].from != 0 {
+	if textOf(recs[1].got[0].msg) != "hello" || recs[1].got[0].from != 0 {
 		t.Fatalf("delivery = %+v", recs[1].got[0])
 	}
 	if net.Scheduler().Now() != 10*time.Millisecond {
@@ -134,8 +149,8 @@ func TestNetworkDelivery(t *testing.T) {
 func TestNetworkCrash(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
 	net.Crash(1)
-	net.Send(0, 1, "to-crashed")
-	net.Send(1, 2, "from-crashed")
+	net.Send(0, 1, text("to-crashed"))
+	net.Send(1, 2, text("from-crashed"))
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 0 || len(recs[2].got) != 0 {
 		t.Fatal("crashed node participated in delivery")
@@ -144,7 +159,7 @@ func TestNetworkCrash(t *testing.T) {
 		t.Fatalf("MsgsDropped = %d, want 2", net.MsgsDropped)
 	}
 	net.Recover(1)
-	net.Send(0, 1, "after-recover")
+	net.Send(0, 1, text("after-recover"))
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatal("recovered node did not receive")
@@ -153,7 +168,7 @@ func TestNetworkCrash(t *testing.T) {
 
 func TestNetworkCrashMidFlight(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
-	net.Send(0, 1, "in-flight")
+	net.Send(0, 1, text("in-flight"))
 	// Crash the receiver before delivery time.
 	net.Scheduler().Schedule(5*time.Millisecond, func() { net.Crash(1) })
 	net.Scheduler().Run(0, 0)
@@ -165,7 +180,7 @@ func TestNetworkCrashMidFlight(t *testing.T) {
 func TestNetworkStraggler(t *testing.T) {
 	net, recs := newUniformNet(t, 10*time.Millisecond, 2)
 	net.SetStraggler(1, 50*time.Millisecond)
-	net.Send(0, 1, "slow")
+	net.Send(0, 1, text("slow"))
 	net.Scheduler().Run(0, 0)
 	if got := recs[1].got; len(got) != 1 {
 		t.Fatal("straggler lost message")
@@ -174,7 +189,7 @@ func TestNetworkStraggler(t *testing.T) {
 		t.Fatalf("straggler delivery at %v, want 60ms", net.Scheduler().Now())
 	}
 	net.SetStraggler(1, 0) // clear
-	net.Send(0, 1, "fast")
+	net.Send(0, 1, text("fast"))
 	start := net.Scheduler().Now()
 	net.Scheduler().Run(0, 0)
 	if net.Scheduler().Now()-start != 10*time.Millisecond {
@@ -187,9 +202,9 @@ func TestNetworkPartition(t *testing.T) {
 	net.SetPartition(0, 1)
 	net.SetPartition(1, 2)
 	// 0 and 1 are in different groups: blocked. 2 is group 0: talks to all.
-	net.Send(0, 1, "blocked")
-	net.Send(0, 2, "ok")
-	net.Send(2, 1, "ok")
+	net.Send(0, 1, text("blocked"))
+	net.Send(0, 2, text("ok"))
+	net.Send(2, 1, text("ok"))
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 1 {
 		t.Fatalf("node1 deliveries = %d, want 1 (from node2 only)", len(recs[1].got))
@@ -198,7 +213,7 @@ func TestNetworkPartition(t *testing.T) {
 		t.Fatalf("node2 deliveries = %d, want 1", len(recs[2].got))
 	}
 	net.SetPartition(0, 0)
-	net.Send(0, 1, "healed")
+	net.Send(0, 1, text("healed"))
 	net.Scheduler().Run(0, 0)
 	if len(recs[1].got) != 2 {
 		t.Fatal("healed partition still blocks")
@@ -206,10 +221,14 @@ func TestNetworkPartition(t *testing.T) {
 }
 
 func TestNetworkBandwidth(t *testing.T) {
+	msg := text(strings.Repeat("x", 500))
+	frame, err := wire.AppendFrame(nil, 0, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched := NewScheduler(1)
 	cfg := UniformProfile(0)
-	cfg.BandwidthBps = 1000 // 1000 B/s
-	cfg.Size = func(_ NodeID, msg any) int { return len(msg.(string)) }
+	cfg.BandwidthBps = float64(2 * len(frame)) // the frame takes 500ms
 	net, err := NewNetwork(sched, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,13 +236,37 @@ func TestNetworkBandwidth(t *testing.T) {
 	r := &recorder{}
 	net.Register(0, 0, &recorder{})
 	net.Register(1, 0, r)
-	net.Send(0, 1, strings.Repeat("x", 500)) // 500 B at 1000 B/s = 500ms
+	net.Send(0, 1, msg)
 	sched.Run(0, 0)
 	if sched.Now() != 500*time.Millisecond {
 		t.Fatalf("serialization delay: delivered at %v, want 500ms", sched.Now())
 	}
-	if net.BytesSent != 500 {
-		t.Fatalf("BytesSent = %d, want 500", net.BytesSent)
+	if net.BytesSent != uint64(len(frame)) {
+		t.Fatalf("BytesSent = %d, want the frame's %d", net.BytesSent, len(frame))
+	}
+}
+
+// TestReceiversDoNotShareMessages: each receiver decodes a frame of its
+// own, so one that writes into a message's bytes changes neither another
+// receiver's copy nor the sender's value.
+func TestReceiversDoNotShareMessages(t *testing.T) {
+	net, recs := newUniformNet(t, time.Millisecond, 3)
+	flip := handlerFunc(func(_ NodeID, msg any) { msg.(core.CheckpointShareMsg).Digest[0] ^= 0xff })
+	if err := net.Reattach(1, flip); err != nil {
+		t.Fatal(err)
+	}
+	sent := core.CheckpointShareMsg{Seq: 4, Replica: 0, Digest: []byte{1, 2, 3}}
+	net.Send(0, 1, sent)
+	net.Send(0, 2, sent)
+	net.Scheduler().Run(0, 0)
+	if len(recs[2].got) != 1 {
+		t.Fatalf("receiver 2 got %d deliveries, want 1", len(recs[2].got))
+	}
+	if got := recs[2].got[0].msg.(core.CheckpointShareMsg).Digest[0]; got != 1 {
+		t.Fatalf("receiver 2 sees digest byte %d after receiver 1 flipped its own, want 1", got)
+	}
+	if sent.Digest[0] != 1 {
+		t.Fatalf("the sender's digest byte is %d after a receiver flipped its own, want 1", sent.Digest[0])
 	}
 }
 
@@ -239,7 +282,7 @@ func TestNetworkDrops(t *testing.T) {
 	net.Register(1, 0, r)
 	const total = 1000
 	for i := 0; i < total; i++ {
-		net.Send(0, 1, i)
+		net.Send(0, 1, text("m"))
 	}
 	sched.Run(0, 0)
 	got := len(r.got)
@@ -255,7 +298,6 @@ func TestNetworkDeterminism(t *testing.T) {
 	run := func() (uint64, time.Duration) {
 		sched := NewScheduler(7)
 		cfg := ContinentProfile(7)
-		cfg.Size = func(_ NodeID, msg any) int { return 64 + msg.(int) }
 		net, err := NewNetwork(sched, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +312,7 @@ func TestNetworkDeterminism(t *testing.T) {
 			net.Register(NodeID(i), i%ContinentRegions, h)
 		}
 		for i := 0; i < 200; i++ {
-			net.Send(NodeID(i%9), 9, i)
+			net.Send(NodeID(i%9), 9, text(strings.Repeat("x", i)))
 		}
 		sched.Run(0, 0)
 		return uint64(len(r.got)), sched.Now()

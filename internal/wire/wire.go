@@ -23,9 +23,9 @@
 // own slices; the frame is allocated per message and never reused, so a
 // retained message pins exactly the bytes that carried it.
 //
-// The simulator charges each delivery the length of the frame AppendFrame
-// builds for it, so every golden fingerprint is a function of this format
-// (DESIGN.md "One size per message").
+// The simulator carries each delivery as the frame AppendFrame builds for
+// it and decodes it on arrival, so every golden fingerprint is a function
+// of this format (DESIGN.md "One size per message").
 package wire
 
 import (
