@@ -44,11 +44,6 @@ type Config struct {
 	// replies; it keeps clients served when all c+1 E-collectors of a
 	// sequence are crashed (liveness needs one correct collector, §V).
 	ExecFallbackTimeout time.Duration
-	// GapRepairTimeout is how long a replica waits on an execution gap
-	// (a committed block above an uncommitted one) before asking a peer
-	// to retransmit the missing decision — the re-transmit layer the
-	// system model assumes (§II).
-	GapRepairTimeout time.Duration
 	// ViewChangeTimeout is the base commit-progress timeout; it doubles
 	// on every consecutive view change (exponential back-off, §VII).
 	ViewChangeTimeout time.Duration
@@ -81,7 +76,6 @@ func DefaultConfig(f, c int) Config {
 		FastPathTimeout:     150 * time.Millisecond,
 		ExecCollectors:      true,
 		ExecFallbackTimeout: 500 * time.Millisecond,
-		GapRepairTimeout:    250 * time.Millisecond,
 		ViewChangeTimeout:   2 * time.Second,
 		CollectorStagger:    50 * time.Millisecond,
 	}
@@ -144,16 +138,16 @@ func (c Config) fastGateWindow() uint64 { return c.Win / 4 }
 // land.
 const fetchWindow = 32
 
+// gapRepairTimeout is how long a replica waits on an execution gap (a
+// committed block above an uncommitted one) before asking a peer to
+// retransmit the missing decision — the re-transmit layer the system
+// model assumes (§II).
+const gapRepairTimeout = 250 * time.Millisecond
+
 // chunkRetryTimeout is how long one outstanding snapshot-chunk request may
 // stay unanswered before it is re-issued to another server (and the
-// unresponsive server loses scheduler share): 2×GapRepairTimeout, 500ms
-// when that is unset.
-func (c Config) chunkRetryTimeout() time.Duration {
-	if c.GapRepairTimeout > 0 {
-		return 2 * c.GapRepairTimeout
-	}
-	return 500 * time.Millisecond
-}
+// unresponsive server loses scheduler share).
+const chunkRetryTimeout = 2 * gapRepairTimeout
 
 // snapshotRetain is the effective generation-retention depth (≥ 1).
 func (c Config) snapshotRetain() int {

@@ -187,7 +187,7 @@ func TestDiscardingSupersessionCountsRestart(t *testing.T) {
 	rg.r.fetcher.want(4)
 	deliverMeta(t, rg, old, 2)
 	rg.r.Deliver(3, chunkOf(t, old, 1)) // progress that will be lost
-	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
+	rg.env.advance(2*chunkRetryTimeout + 100*time.Millisecond)
 	rg.r.Deliver(3, metaOf(t, newer)) // chunk 1 changed: nothing carries over
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != newer.Seq {

@@ -49,10 +49,10 @@ type execState struct {
 // checkGap detects an execution gap — a committed block above an
 // uncommitted one — and arms the repair timer (§II re-transmit layer).
 func (r *Replica) checkGap() {
-	if r.gapTimer.armed() || r.cfg.GapRepairTimeout <= 0 || !r.hasGap() {
+	if r.gapTimer.armed() || !r.hasGap() {
 		return
 	}
-	r.gapTimer.arm(r.env, r.cfg.GapRepairTimeout, func() {
+	r.gapTimer.arm(r.env, gapRepairTimeout, func() {
 		if !r.hasGap() {
 			r.gapAttempt = 0
 			return

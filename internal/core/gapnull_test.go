@@ -11,7 +11,6 @@ import (
 // the certified CommitInfo answer — counted as a GapRepair.
 func TestGapRepairFetchesMissedDecision(t *testing.T) {
 	rg := newSyncRig(t, 2) // replica 2; view-0 primary is replica 1
-	rg.r.cfg.GapRepairTimeout = 50 * time.Millisecond
 
 	reqs1 := syncReqs("missed")
 	reqs2 := []Request{{Client: ClientBase + 1, Timestamp: 1, Op: []byte("seen")}}
@@ -24,7 +23,7 @@ func TestGapRepairFetchesMissedDecision(t *testing.T) {
 	}
 
 	// The repair timer fires and asks a peer for the missing decision.
-	rg.env.advance(60 * time.Millisecond)
+	rg.env.advance(gapRepairTimeout + 10*time.Millisecond)
 	fetches := rg.sentOfType(func(m Message) bool {
 		fm, ok := m.(FetchCommitMsg)
 		return ok && fm.Seq == 1

@@ -326,16 +326,16 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	}
 }
 
-// expiryLimit is the adaptive per-request retry deadline: the configured
-// age stretched to cover the observed service latency (the server's own
-// EWMA, falling back to the transfer-wide one before it is seeded),
-// bounded so a dead server still expires.
-func expiryLimit(f *stateFetch, st *fetchStats, age time.Duration) time.Duration {
+// expiryLimit is the adaptive per-request retry deadline: chunkRetryTimeout
+// stretched to cover the observed service latency (the server's own EWMA,
+// falling back to the transfer-wide one before it is seeded), bounded so
+// a dead server still expires.
+func expiryLimit(f *stateFetch, st *fetchStats) time.Duration {
 	svc := f.svc.v
 	if st != nil {
 		svc = max(svc, st.latency.v)
 	}
-	return min(max(age, 4*svc), 8*age)
+	return min(max(chunkRetryTimeout, 4*svc), 8*chunkRetryTimeout)
 }
 
 // stalled reports whether the in-flight transfer has stopped
@@ -344,7 +344,7 @@ func expiryLimit(f *stateFetch, st *fetchStats, age time.Duration) time.Duration
 // retries is NOT stalled. Used to gate mid-transfer restarts and the
 // progress-timeout suppression.
 func (ft *fetcher) stalled(f *stateFetch) bool {
-	return ft.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil, ft.cfg.chunkRetryTimeout())
+	return ft.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil)
 }
 
 // demoteLaggard reacts to snapshot metadata OLDER than the
@@ -516,11 +516,11 @@ func (ft *fetcher) fillWindow() {
 // more than double the transferred bytes) — but stays bounded so an
 // actually dead server still expires. Indexes are processed in sorted
 // order so simulated runs stay deterministic.
-func (ft *fetcher) expireInflight(f *stateFetch, age time.Duration) {
+func (ft *fetcher) expireInflight(f *stateFetch) {
 	now := ft.env.Now()
 	var expired []int
 	for idx, req := range f.inflight {
-		if now-req.sentAt >= expiryLimit(f, f.stats(req.server), age) {
+		if now-req.sentAt >= expiryLimit(f, f.stats(req.server)) {
 			expired = append(expired, idx)
 		}
 	}
@@ -561,19 +561,14 @@ func (ft *fetcher) strike(f *stateFetch, server int) {
 // now costs one retry interval instead of a whole-transfer restart.
 func (ft *fetcher) armPacer() {
 	f := ft.fetch
-	timeout := ft.cfg.chunkRetryTimeout()
 	if f.pacer.armed() {
 		return
 	}
-	tick := timeout / 2
-	if tick <= 0 {
-		tick = timeout
-	}
-	f.pacer.arm(ft.env, tick, func() {
+	f.pacer.arm(ft.env, chunkRetryTimeout/2, func() {
 		if ft.fetch != f || f.seq == 0 {
 			return
 		}
-		ft.expireInflight(f, timeout)
+		ft.expireInflight(f)
 		ft.fillWindow()
 		if f.missing > 0 {
 			ft.armPacer()

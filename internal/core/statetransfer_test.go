@@ -251,7 +251,7 @@ func TestChunkRetryRecoversDroppedRequest(t *testing.T) {
 	}
 	// Drop everything: no replies arrive. The pacer must re-issue.
 	for i := 0; i < 6; i++ {
-		rg.env.advance(rg.cfg.chunkRetryTimeout() * 6 / 10)
+		rg.env.advance(chunkRetryTimeout * 6 / 10)
 	}
 	if rg.r.Metrics.SnapshotChunkRetries == 0 {
 		t.Fatal("no per-chunk retries after the timeout")
@@ -314,7 +314,7 @@ func TestRestartMidWindowResetsAccounting(t *testing.T) {
 	}
 	// The transfer stalls (no chunks arrive for twice the retry deadline),
 	// and a strictly newer meta then restarts it mid-window.
-	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
+	rg.env.advance(2*chunkRetryTimeout + 100*time.Millisecond)
 	rg.r.Deliver(3, metaOf(t, newer))
 	f := rg.r.fetcher.fetch
 	if f == nil || f.seq != newer.Seq {
@@ -432,7 +432,7 @@ func TestStateTransferRestartsOnNewerSnapshot(t *testing.T) {
 	deliverMeta(t, rg, old, 2)
 	// The transfer stalls, then a strictly newer meta arrives: servers
 	// advanced past (and garbage-collected) the snapshot being fetched.
-	rg.env.advance(2*rg.cfg.chunkRetryTimeout() + 100*time.Millisecond)
+	rg.env.advance(2*chunkRetryTimeout + 100*time.Millisecond)
 	rg.r.Deliver(3, metaOf(t, newer))
 	// Chunks of the superseded snapshot are ignored...
 	deliverAllChunks(t, rg, old, 3)
