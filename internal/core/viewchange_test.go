@@ -371,6 +371,41 @@ func TestViewChangeFloodIsLinear(t *testing.T) {
 	}
 }
 
+// TestFuturePrePrepareFloodIsBounded: every replica, as the primary of
+// views far ahead, floods pre-prepares at sequences far past the window,
+// each twice in a row. ppBuffer keeps views up to view + n only, one entry
+// per (view, seq) and at most Win entries per view.
+func TestFuturePrePrepareFloodIsBounded(t *testing.T) {
+	rg := newRig(t, 2, nil)
+	n, win := uint64(rg.cfg.N()), rg.cfg.Win
+	for from := 1; from <= int(n); from++ {
+		for v := uint64(1); v <= 4*n; v++ {
+			for seq := uint64(1); seq <= 2*win; seq++ {
+				rg.r.Deliver(from, PrePrepareMsg{Seq: seq, View: v})
+				rg.r.Deliver(from, PrePrepareMsg{Seq: seq, View: v})
+			}
+		}
+	}
+	if len(rg.r.ppBuffer) == 0 {
+		t.Fatal("the flood buffered nothing")
+	}
+	for v, buf := range rg.r.ppBuffer {
+		if v > rg.r.View()+n {
+			t.Fatalf("buffered view %d at view %d, beyond view + n", v, rg.r.View())
+		}
+		if uint64(len(buf)) > win {
+			t.Fatalf("view %d buffers %d pre-prepares, want at most Win = %d", v, len(buf), win)
+		}
+		seqs := make(map[uint64]bool, len(buf))
+		for _, pp := range buf {
+			if seqs[pp.Seq] {
+				t.Fatalf("view %d buffers seq %d twice", v, pp.Seq)
+			}
+			seqs[pp.Seq] = true
+		}
+	}
+}
+
 func TestHonestEscalationInstallsAtNextPrimary(t *testing.T) {
 	rg := newRig(t, 3, func(c *Config) { c.ViewChangeTimeout = 100 * time.Millisecond }) // primary of view 2
 	// Replicas 1 and 4 give up on view 0: f+1 demands pull 3 into view 1,
