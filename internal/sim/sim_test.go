@@ -246,19 +246,29 @@ func TestNetworkBandwidth(t *testing.T) {
 	}
 }
 
-// TestReceiversDoNotShareMessages: each receiver decodes a frame of its
-// own, so one that writes into a message's bytes changes neither another
-// receiver's copy nor the sender's value.
+// TestReceiversDoNotShareMessages: each delivery, a duplicate's too, is
+// decoded from a frame of its own, so a receiver that writes into a
+// message's bytes changes neither another delivery's copy nor the
+// sender's value.
 func TestReceiversDoNotShareMessages(t *testing.T) {
 	net, recs := newUniformNet(t, time.Millisecond, 3)
-	flip := handlerFunc(func(_ NodeID, msg any) { msg.(core.CheckpointShareMsg).Digest[0] ^= 0xff })
+	var seen []byte // receiver 1's digest byte before it flips it
+	flip := handlerFunc(func(_ NodeID, msg any) {
+		d := msg.(core.CheckpointShareMsg).Digest
+		seen = append(seen, d[0])
+		d[0] ^= 0xff
+	})
 	if err := net.Reattach(1, flip); err != nil {
 		t.Fatal(err)
 	}
+	net.SetLinkFault(0, 1, LinkFault{Duplicate: 1})
 	sent := core.CheckpointShareMsg{Seq: 4, Replica: 0, Digest: []byte{1, 2, 3}}
 	net.Send(0, 1, sent)
 	net.Send(0, 2, sent)
 	net.Scheduler().Run(0, 0)
+	if string(seen) != "\x01\x01" {
+		t.Fatalf("receiver 1 saw digest bytes %v in its delivery and duplicate, want [1 1]", seen)
+	}
 	if len(recs[2].got) != 1 {
 		t.Fatalf("receiver 2 got %d deliveries, want 1", len(recs[2].got))
 	}
