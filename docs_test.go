@@ -1,8 +1,8 @@
 package sbft
 
 import (
-	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -13,25 +13,20 @@ import (
 // links and autolinks are out of scope; the repo's docs use inline links.
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
-// repoFiles lists the files under the repository root, .git excepted,
-// that keep accepts.
+// repoFiles lists the files git tracks in the repository that keep
+// accepts, so an untracked scratch or per-change file cannot fail a docs
+// test.
 func repoFiles(t *testing.T, keep func(path string) bool) []string {
 	t.Helper()
-	var files []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && d.Name() == ".git" {
-			return filepath.SkipDir
-		}
-		if !d.IsDir() && keep(path) {
-			files = append(files, path)
-		}
-		return nil
-	})
+	out, err := exec.Command("git", "ls-files", "-z").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("listing the tracked files: %v", err)
+	}
+	var files []string
+	for _, path := range strings.Split(string(out), "\x00") {
+		if path != "" && keep(path) {
+			files = append(files, filepath.FromSlash(path))
+		}
 	}
 	return files
 }

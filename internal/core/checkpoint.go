@@ -162,7 +162,6 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 		}
 	}
 	dropThrough(r.ckptShares, seq)
-	dropThrough(r.directReq, gcTo)
 	if r.lastExecuted < seq {
 		// The network proved a stable state we have not reached: catch up
 		// via state transfer (§VIII).
@@ -368,11 +367,8 @@ func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
 		// thrashing on this; only a dead one restarts.) Otherwise the
 		// fetcher wants a NEWER snapshot than this server holds — this
 		// server is the laggard (say, freshly restarted while the fetcher
-		// adopted a later certified checkpoint). Dropping the request
-		// silently would leave the fetcher burning a retry timeout per
-		// request routed here; answering with current metadata (below the
-		// requested sequence) lets the fetcher's scheduler demote this
-		// server immediately instead.
+		// adopted a later certified checkpoint), and the fetcher ignores
+		// the older metadata; its request expires at the retry deadline.
 		c.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: min(m.Seq, cur.Seq)})
 		return
 	}

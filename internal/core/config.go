@@ -145,8 +145,8 @@ const fetchWindow = 32
 const gapRepairTimeout = 250 * time.Millisecond
 
 // chunkRetryTimeout is how long one outstanding snapshot-chunk request may
-// stay unanswered before it is re-issued to another server (and the
-// unresponsive server loses scheduler share).
+// stay unanswered before it is re-issued (and the unresponsive server
+// takes a strike toward exclusion from the transfer).
 const chunkRetryTimeout = 2 * gapRepairTimeout
 
 // snapshotRetain is the effective generation-retention depth (≥ 1).

@@ -12,8 +12,8 @@ import (
 // Tests for incremental checkpoints and chunk reuse in state transfer: the
 // bounded retention chain of snapshot generations, reuse of every chunk
 // held under an equal leaf of the certified leaf list, and the fixes that
-// ride along (pendingSnap GC, laggard-server demotion, durable-point
-// retention gating).
+// ride along (pendingSnap GC, answers to requests for a newer snapshot,
+// durable-point retention gating).
 
 // chunkSnaps builds two same-shape app snapshots (3 full chunks) that
 // differ only inside the second chunk, so their leaf lists differ at
@@ -198,60 +198,100 @@ func TestDiscardingSupersessionCountsRestart(t *testing.T) {
 	}
 }
 
-// TestLaggardServerDemotedOnStaleMeta (fetcher side of the silent-drop
-// fix): a server answering with metadata OLDER than the in-flight
-// transfer has its outstanding requests expired immediately and takes
-// timeout strikes toward soft exclusion — instead of each request routed
-// to it burning a full retry timeout.
-func TestLaggardServerDemotedOnStaleMeta(t *testing.T) {
-	rg := newRig(t, 1, nil)
-	old := certifiedAt(t, rg, 4, nil)
-	cur := certifiedSized(t, rg, 8, splitChunks(bytes.Repeat([]byte("y"), 64*1024), SnapshotChunkSize), nil)
-
-	rg.r.fetcher.want(8)
-	deliverMeta(t, rg, cur, 3)
+// TestChunkRequestExpiresAtTheConstantDeadline: however slowly a server
+// answered before, a request it leaves unanswered for chunkRetryTimeout is
+// re-issued at the next pacer tick, and fetchTimeoutStrikes such rounds
+// exclude it. Server 2 answers its first request after 900 ms, past the
+// deadline, then falls silent; servers 3 and 4 answer every request within
+// a tick, after 300 ms at first.
+func TestChunkRequestExpiresAtTheConstantDeadline(t *testing.T) {
+	const tick = chunkRetryTimeout / 2 // the pacer's period
+	rg := newRig(t, 1, func(c *Config) {
+		c.ViewChangeTimeout = time.Minute // whole-transfer retry far away
+	})
+	cs := certifiedSized(t, rg, 4, tinyChunks(8*fetchWindow), nil)
+	rg.r.fetcher.want(4)
+	deliverMeta(t, rg, cs, 2)
 	f := rg.r.fetcher.fetch
-	outstanding := 0
-	for _, req := range f.inflight {
-		if req.server == 2 {
-			outstanding++
-		}
-	}
-	if outstanding == 0 {
-		t.Fatal("no requests routed to server 2; rebalance the rig")
-	}
-	before := chunkReqCount(rg, 8)
-	for i := 0; i < fetchTimeoutStrikes; i++ {
-		rg.r.Deliver(2, metaOf(t, old))
-	}
+	first := -1
 	for idx, req := range f.inflight {
-		if req.server == 2 {
-			t.Fatalf("chunk %d still in flight to the demoted laggard", idx)
+		if req.server == 2 && (first < 0 || idx < first) {
+			first = idx
 		}
 	}
-	if f.stats(2).timeouts < fetchTimeoutStrikes || !f.blamed[2] {
-		t.Fatalf("laggard not excluded after %d stale metas (timeouts=%d, excluded=%v)",
-			fetchTimeoutStrikes, f.stats(2).timeouts, f.blamed[2])
+	if first < 0 {
+		t.Fatal("no request routed to server 2; rebalance the rig")
 	}
-	if rg.r.Metrics.SnapshotBlames != 0 {
-		t.Fatal("stale metadata blamed as tampering")
+	answer := func() { // servers 3 and 4 answer what they were asked
+		var idxs []int
+		for idx, req := range f.inflight {
+			if req.server != 2 {
+				idxs = append(idxs, idx)
+			}
+		}
+		slices.Sort(idxs)
+		for _, idx := range idxs {
+			if req, ok := f.inflight[idx]; ok && req.server != 2 {
+				rg.r.Deliver(req.server, chunkOf(t, cs, idx))
+			}
+		}
 	}
-	if rg.r.Metrics.SnapshotTimeoutExclusions != 1 {
-		t.Fatalf("exclusion counter = %d, want 1", rg.r.Metrics.SnapshotTimeoutExclusions)
+	rg.env.advance(300 * time.Millisecond)
+	answer()
+	rg.env.advance(600 * time.Millisecond)
+	rg.r.Deliver(2, chunkOf(t, cs, first))
+	answered := rg.env.now
+
+	rounds := 0 // pacer ticks that expired a request to server 2
+	for !f.blamed[2] {
+		if rg.env.now-answered > fetchTimeoutStrikes*(chunkRetryTimeout+tick) {
+			t.Fatalf("server 2 not excluded %v after falling silent", rg.env.now-answered)
+		}
+		answer()
+		asked := make(map[int]chunkReq)
+		for idx, req := range f.inflight {
+			if req.server == 2 {
+				asked[idx] = req
+			}
+		}
+		rg.env.advance(tick)
+		if rg.r.fetcher.fetch != f {
+			t.Fatal("transfer ended before server 2 was excluded; enlarge the snapshot")
+		}
+		for idx, req := range asked {
+			if f.inflight[idx] != req {
+				rounds++
+				break
+			}
+		}
+		for idx, req := range f.inflight {
+			if age := rg.env.now - req.sentAt; req.server == 2 && age >= chunkRetryTimeout+tick {
+				t.Fatalf("chunk %d unanswered at server 2 for %v and not re-issued", idx, age)
+			}
+		}
 	}
-	if after := chunkReqCount(rg, 8); after <= before {
-		t.Fatal("expired requests not re-routed to other servers")
+	if rounds != fetchTimeoutStrikes {
+		t.Fatalf("server 2 excluded after %d unanswered rounds, want %d", rounds, fetchTimeoutStrikes)
 	}
-	deliverAllChunks(t, rg, cur, 3)
-	if rg.r.LastExecuted() != 8 {
-		t.Fatalf("transfer did not complete after demotion (le=%d)", rg.r.LastExecuted())
+	if rg.r.Metrics.SnapshotTimeoutExclusions != 1 || rg.r.Metrics.SnapshotBlames != 0 {
+		t.Fatalf("exclusions = %d, blames = %d; want 1 and 0",
+			rg.r.Metrics.SnapshotTimeoutExclusions, rg.r.Metrics.SnapshotBlames)
+	}
+	sent := len(rg.env.sent)
+	deliverAllChunks(t, rg, cs, 3)
+	if rg.r.LastExecuted() != 4 {
+		t.Fatalf("transfer did not complete without server 2 (le=%d)", rg.r.LastExecuted())
+	}
+	for _, s := range rg.env.sent[sent:] {
+		if _, ok := s.msg.(FetchSnapshotChunkMsg); ok && s.to == 2 {
+			t.Fatal("chunk requested from the excluded server")
+		}
 	}
 }
 
-// TestServerAnswersRequestForNewerSnapshot (server side of the
-// silent-drop fix): a chunk request for a sequence NEWER than anything
-// this server retains is answered with current metadata, so the fetcher
-// learns immediately that this server is a laggard.
+// TestServerAnswersRequestForNewerSnapshot: a chunk request for a
+// sequence NEWER than anything this server retains is answered with its
+// current metadata, never with a chunk it does not hold.
 func TestServerAnswersRequestForNewerSnapshot(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	cs4 := certifiedAt(t, rg, 4, nil)

@@ -524,7 +524,6 @@ func (r *Replica) install(cs *CertifiedSnapshot) error {
 	// the transfer — and stopped its GC at the OLD execution frontier, so
 	// it will not run again below.
 	dropThrough(r.slots, cs.Seq)
-	dropThrough(r.directReq, cs.Seq)
 	r.snaps.adopt(cs)
 	r.recordStable(cs.Seq, cs.Root(), cs.Pi)
 	r.executeReady()

@@ -152,13 +152,7 @@ func (r *Replica) acceptPrePrepare(_ int, m PrePrepareMsg) {
 	s.prePrepareView = m.View
 	s.reqs = m.Reqs
 	s.hash = BlockHash(m.Seq, m.View, m.Reqs)
-	for i, req := range m.Reqs {
-		if req.Direct {
-			if r.directReq[m.Seq] == nil {
-				r.directReq[m.Seq] = make(map[int]bool)
-			}
-			r.directReq[m.Seq][i] = true
-		}
+	for _, req := range m.Reqs {
 		if ts := r.seen[req.Client]; ts < req.Timestamp {
 			r.seen[req.Client] = req.Timestamp
 		}

@@ -202,7 +202,6 @@ type Replica struct {
 
 	// Client bookkeeping.
 	replyCache map[int]replyCacheEntry
-	directReq  map[uint64]map[int]bool // seq → set of request indexes wanting direct replies
 	// watch tracks client requests this replica knows about but has not
 	// yet executed; non-empty watch arms the liveness timer (§VII).
 	watch map[int]watchEntry
@@ -276,7 +275,6 @@ func NewReplica(id int, cfg Config, suite CryptoSuite, keys ReplicaKeys, app App
 		seen:       make(map[int]uint64),
 		nextSeq:    1,
 		replyCache: make(map[int]replyCacheEntry),
-		directReq:  make(map[uint64]map[int]bool),
 		watch:      make(map[int]watchEntry),
 		ckptShares: make(map[uint64]map[string]map[int]threshsig.Share),
 		vcs:        make([][]ViewChangeMsg, cfg.N()+1),

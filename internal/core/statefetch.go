@@ -44,9 +44,9 @@ type fetcher struct {
 	blames map[int]int
 }
 
-// fetchTimeoutStrikes is how many consecutive unanswered chunk requests
-// exclude a server from the rest of the transfer (soft exclusion — no
-// tamper blame is recorded, but a slow-trickling server stops consuming
+// fetchTimeoutStrikes is how many consecutive unanswered rounds of chunk
+// requests exclude a server from the rest of the transfer (soft exclusion
+// — no tamper blame is recorded, but a silent server stops consuming
 // window slots the way a tampering one stops serving chunks at all).
 const fetchTimeoutStrikes = 3
 
@@ -55,29 +55,6 @@ const fetchTimeoutStrikes = 3
 // Byzantine server racing a stale-but-valid certified snapshot cannot win
 // by answering first.
 const snapshotMetaWait = 40 * time.Millisecond
-
-// fetchStats accumulates one server's observed state-transfer service
-// quality for the window scheduler: outstanding load, consecutive
-// timeouts, and an EWMA of request→verified-chunk latency. Faster
-// servers absorb more of the window; unresponsive ones lose share and
-// are eventually excluded.
-type fetchStats struct {
-	outstanding int
-	timeouts    int  // consecutive unanswered requests
-	latency     ewma // request→verified chunk
-}
-
-// score ranks observed service quality (lower is better). Unknown
-// servers score zero so every peer gets probed; each consecutive timeout
-// doubles the effective latency, steering the window away from
-// slow-trickling servers well before the exclusion threshold.
-func (st *fetchStats) score() time.Duration {
-	s := st.latency.v
-	for i := 0; i < min(st.timeouts, 8); i++ {
-		s = 2*s + 10*time.Millisecond
-	}
-	return s
-}
 
 // chunkReq is one in-flight chunk request of the bounded window.
 type chunkReq struct {
@@ -107,11 +84,12 @@ type stateFetch struct {
 	// progress a restart would discard.
 	fetched int
 	// inflight is the bounded request window: chunk index → outstanding
-	// request. Wiped whole when a newer meta restarts the transfer, so
-	// stale accounting can never leak into the new window.
+	// request. It is the only record of a server's load, and a newer meta
+	// replaces it whole.
 	inflight map[int]chunkReq
-	// servers is the per-server accounting the scheduler steers by.
-	servers map[int]*fetchStats
+	// strikes counts, per server, consecutive rounds of its requests that
+	// expired unanswered; a verified chunk from it clears the count.
+	strikes map[int]int
 	// blamed servers are excluded from further requests this transfer.
 	blamed  map[int]bool
 	attempt int
@@ -119,23 +97,8 @@ type stateFetch struct {
 	// accepted, or a chunk verified): the signal separating a healthy
 	// long transfer from a stalled one.
 	lastProgress time.Duration
-	// svc is the transfer-wide request→verified-chunk latency EWMA: the
-	// retry deadline's fallback before a specific server's own EWMA is
-	// seeded (early in a transfer the queue tail behind a full window
-	// easily exceeds any fixed timeout; expiring it would churn).
-	svc   ewma
-	retry timer // whole-transfer retry
-	pacer timer // per-chunk retry scan
-}
-
-// stats returns the accounting entry for a server, creating it lazily.
-func (f *stateFetch) stats(id int) *fetchStats {
-	st, ok := f.servers[id]
-	if !ok {
-		st = &fetchStats{}
-		f.servers[id] = st
-	}
-	return st
+	retry        timer // whole-transfer retry
+	pacer        timer // per-chunk retry scan
 }
 
 // clear ends the transfer in flight: its timers stop and it is forgotten.
@@ -167,9 +130,7 @@ func (ft *fetcher) peers(f *stateFetch) []int {
 		return peers
 	}
 	f.blamed = make(map[int]bool)
-	for _, st := range f.servers {
-		st.timeouts = 0
-	}
+	f.strikes = make(map[int]int)
 	return ft.peers(f)
 }
 
@@ -198,7 +159,7 @@ func (ft *fetcher) want(target uint64) {
 	ft.fetch = &stateFetch{
 		target:       target,
 		blamed:       make(map[int]bool),
-		servers:      make(map[int]*fetchStats),
+		strikes:      make(map[int]int),
 		lastProgress: ft.env.Now(),
 	}
 	ft.metrics.StateFetches++
@@ -270,23 +231,11 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	if from == ft.id {
 		return
 	}
-	if m.Seq <= ft.host.LastExecuted() || m.Seq < f.target || (f.seq != 0 && m.Seq < f.seq) {
-		// Metadata BELOW what the transfer needs. The sender is a laggard
-		// — an honest server behind the adopted checkpoint (say, freshly
-		// restarted) answering chunk requests with the only snapshot it
-		// has. It cannot serve this transfer's chunks, so demote it:
-		// expire its in-flight requests and let the scheduler shift its
-		// window share elsewhere immediately, instead of burning a full
-		// retry timeout per request routed to it. Staleness is not
-		// tampering — no blame — and a server can only demote itself, so
-		// acting before certificate verification is safe.
-		ft.demoteLaggard(f, from, m.Seq)
-		return
-	}
-	// Mid-transfer, only a strictly newer certified snapshot is
-	// interesting: it means servers advanced past the one being fetched.
-	// Metadata for the sequence already in flight is ignored.
-	if f.seq != 0 && m.Seq == f.seq {
+	// Metadata below what the transfer needs is of no use to it: a
+	// laggard server's requests simply expire. Mid-transfer, only a
+	// strictly newer certified snapshot is interesting: it means servers
+	// advanced past the one being fetched.
+	if m.Seq <= ft.host.LastExecuted() || m.Seq < f.target || (f.seq != 0 && m.Seq <= f.seq) {
 		return
 	}
 	// The leaf list against the root, then π over the root: after this
@@ -326,54 +275,13 @@ func (ft *fetcher) onSnapshotMeta(from int, m SnapshotMetaMsg) {
 	}
 }
 
-// expiryLimit is the adaptive per-request retry deadline: chunkRetryTimeout
-// stretched to cover the observed service latency (the server's own EWMA,
-// falling back to the transfer-wide one before it is seeded), bounded so
-// a dead server still expires.
-func expiryLimit(f *stateFetch, st *fetchStats) time.Duration {
-	svc := f.svc.v
-	if st != nil {
-		svc = max(svc, st.latency.v)
-	}
-	return min(max(chunkRetryTimeout, 4*svc), 8*chunkRetryTimeout)
-}
-
 // stalled reports whether the in-flight transfer has stopped
-// advancing: no verified chunk (or accepted meta) within twice the
-// (adaptive) retry deadline — a transfer merely waiting out slow-server
-// retries is NOT stalled. Used to gate mid-transfer restarts and the
+// advancing: no verified chunk (or accepted meta) within twice the chunk
+// retry deadline — a transfer merely waiting out one round of retries is
+// NOT stalled. Used to gate mid-transfer restarts and the
 // progress-timeout suppression.
 func (ft *fetcher) stalled(f *stateFetch) bool {
-	return ft.env.Now()-f.lastProgress >= 2*expiryLimit(f, nil)
-}
-
-// demoteLaggard reacts to snapshot metadata OLDER than the
-// transfer in flight: the sender cannot serve the in-flight chunks (it
-// does not have them), so its outstanding requests are expired at once
-// and it takes a timeout strike, shifting its window share to servers
-// with current material. Repeated stale answers accumulate strikes into
-// a soft exclusion, exactly like unresponsiveness — and like
-// unresponsiveness it is forgiven if the peer set resets.
-func (ft *fetcher) demoteLaggard(f *stateFetch, from int, seq uint64) {
-	if f.seq == 0 || seq >= f.seq {
-		return
-	}
-	st := f.stats(from)
-	var expired []int
-	for idx, req := range f.inflight {
-		if req.server == from {
-			expired = append(expired, idx)
-		}
-	}
-	sort.Ints(expired)
-	for _, idx := range expired {
-		delete(f.inflight, idx)
-		st.outstanding--
-	}
-	ft.strike(f, from)
-	if len(expired) > 0 {
-		ft.fillWindow()
-	}
+	return ft.env.Now()-f.lastProgress >= 2*chunkRetryTimeout
 }
 
 // adoptBestMeta commits the transfer to the highest certified meta
@@ -404,16 +312,13 @@ func reuse(dst [][]byte, want, have []merkle.Digest, chunks [][]byte) int {
 	return n
 }
 
-// adoptMeta (re)starts the transfer at a verified meta. All in-flight
-// accounting from a superseded window is wiped so it cannot leak into the
-// new one: late chunks for the old sequence are dropped by the seq check
-// in onSnapshotChunk, and per-server outstanding counters reset so the
-// new window fills completely (a restart that inherited phantom
-// outstanding requests would under-fill its window forever). Every chunk
-// this replica already holds under an equal leaf — verified by the
-// superseded transfer, or in a retained generation of its own — is taken
-// as it is: a laggard several checkpoint intervals behind then moves only
-// the chunks that changed over the wire, and a transfer superseded
+// adoptMeta (re)starts the transfer at a verified meta. The superseded
+// window is replaced whole, so the new one fills completely; late chunks
+// for the old sequence are dropped by the seq check in onSnapshotChunk.
+// Every chunk this replica already holds under an equal leaf — verified
+// by the superseded transfer, or in a retained generation of its own — is
+// taken as it is: a laggard several checkpoint intervals behind then moves
+// only the chunks that changed over the wire, and a transfer superseded
 // mid-flight keeps its verified chunks rather than restarting.
 func (ft *fetcher) adoptMeta(m SnapshotMetaMsg) {
 	f := ft.fetch
@@ -428,9 +333,6 @@ func (ft *fetcher) adoptMeta(m SnapshotMetaMsg) {
 	f.next = 1
 	f.inflight = make(map[int]chunkReq)
 	f.fetched = 0
-	for _, st := range f.servers {
-		st.outstanding = 0
-	}
 	f.lastProgress = ft.env.Now()
 	carried := reuse(f.chunks, f.leaves, prevLeaves, prevChunks)
 	reused := carried
@@ -458,19 +360,19 @@ func (ft *fetcher) adoptMeta(m SnapshotMetaMsg) {
 }
 
 // pickServer selects the server for the next chunk request: the
-// non-excluded server with the fewest outstanding requests, ties broken
-// by the better observed service score, then by id (determinism). Fast
-// servers therefore absorb more of the window and slow or unresponsive
-// ones naturally lose share (§VIII needs only one honest server; the
-// scheduler just prefers the good ones).
+// non-excluded server with the fewest requests in flight, ties broken by
+// fewer strikes, then by the lower id (determinism). §VIII needs only one
+// honest server; the window spreads over all of them.
 func (ft *fetcher) pickServer(f *stateFetch) int {
+	load := make(map[int]int)
+	for _, req := range f.inflight {
+		load[req.server]++
+	}
 	best := -1
-	var bestSt *fetchStats
 	for _, id := range ft.peers(f) {
-		st := f.stats(id)
-		if best < 0 || st.outstanding < bestSt.outstanding ||
-			(st.outstanding == bestSt.outstanding && st.score() < bestSt.score()) {
-			best, bestSt = id, st
+		if best < 0 || load[id] < load[best] ||
+			(load[id] == load[best] && f.strikes[id] < f.strikes[best]) {
+			best = id
 		}
 	}
 	return best
@@ -502,25 +404,19 @@ func (ft *fetcher) fillWindow() {
 			return
 		}
 		f.inflight[idx] = chunkReq{server: server, sentAt: ft.env.Now()}
-		f.stats(server).outstanding++
 		ft.env.Send(server, FetchSnapshotChunkMsg{Replica: ft.id, Seq: f.seq, Index: idx})
 	}
 }
 
-// expireInflight removes in-flight requests older than their deadline,
-// penalizing the assigned servers: consecutive timeouts shrink a
-// server's scheduler share and eventually exclude it from the transfer.
-// The deadline adapts to the assigned server's observed service latency
-// — a loaded-but-honest server answering in 800ms must not be treated
-// like a dead one by a fixed 500ms timer (the spurious retries would
-// more than double the transferred bytes) — but stays bounded so an
-// actually dead server still expires. Indexes are processed in sorted
-// order so simulated runs stay deterministic.
+// expireInflight removes in-flight requests unanswered for
+// chunkRetryTimeout, striking the assigned servers: consecutive rounds
+// of timeouts exclude a server from the transfer. Indexes are processed
+// in sorted order so simulated runs stay deterministic.
 func (ft *fetcher) expireInflight(f *stateFetch) {
 	now := ft.env.Now()
 	var expired []int
 	for idx, req := range f.inflight {
-		if now-req.sentAt >= expiryLimit(f, f.stats(req.server)) {
+		if now-req.sentAt >= chunkRetryTimeout {
 			expired = append(expired, idx)
 		}
 	}
@@ -529,8 +425,6 @@ func (ft *fetcher) expireInflight(f *stateFetch) {
 	for _, idx := range expired {
 		req := f.inflight[idx]
 		delete(f.inflight, idx)
-		st := f.stats(req.server)
-		st.outstanding--
 		ft.metrics.SnapshotChunkRetries++
 		// One strike per server per scan: a single tick expiring several
 		// of one server's dropped replies is one observation of
@@ -542,14 +436,12 @@ func (ft *fetcher) expireInflight(f *stateFetch) {
 	}
 }
 
-// strike counts one more unanswered round — requests that expired, or an
-// answer with a snapshot older than the one being fetched — against a
-// server, and at fetchTimeoutStrikes in a row excludes it from the rest of
-// the transfer. No blame: neither is provable tampering.
+// strike counts one more round of expired requests against a server, and
+// at fetchTimeoutStrikes in a row excludes it from the rest of the
+// transfer. No blame: silence is not provable tampering.
 func (ft *fetcher) strike(f *stateFetch, server int) {
-	st := f.stats(server)
-	st.timeouts++
-	if st.timeouts >= fetchTimeoutStrikes && !f.blamed[server] {
+	f.strikes[server]++
+	if f.strikes[server] >= fetchTimeoutStrikes && !f.blamed[server] {
 		f.blamed[server] = true
 		ft.metrics.SnapshotTimeoutExclusions++
 	}
@@ -557,7 +449,7 @@ func (ft *fetcher) strike(f *stateFetch, server int) {
 
 // armPacer runs the per-chunk retry scan: an outstanding request
 // unanswered for chunkRetryTimeout is treated as lost and its chunk
-// re-enters the window toward a better server. A dropped SnapshotChunkMsg
+// re-enters the window, routed afresh. A dropped SnapshotChunkMsg
 // now costs one retry interval instead of a whole-transfer restart.
 func (ft *fetcher) armPacer() {
 	f := ft.fetch
@@ -587,7 +479,6 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 	if m.Index < 1 || m.Index > len(f.chunks) || f.chunks[m.Index-1] != nil {
 		return
 	}
-	req, wasInflight := f.inflight[m.Index]
 	if f.header.chunkFits(m.Index, m.Data) != nil || chunkLeafHash(m.Index, m.Data) != f.leaves[m.Index] {
 		// Tampered or corrupt: blame the sender, exclude it, and route the
 		// chunk back through the scheduler. (The pre-windowed code
@@ -595,24 +486,14 @@ func (ft *fetcher) onSnapshotChunk(from int, m SnapshotChunkMsg) {
 		// peers shrank, `(index+attempt) % len(peers)` could land on
 		// the very server just excluded, or on the same server again.)
 		ft.blameServer(f, from)
-		if wasInflight && req.server == from {
+		if f.inflight[m.Index].server == from {
 			delete(f.inflight, m.Index)
-			f.stats(from).outstanding--
 		}
 		ft.fillWindow()
 		return
 	}
-	if wasInflight {
-		delete(f.inflight, m.Index)
-		f.stats(req.server).outstanding--
-	}
-	st := f.stats(from)
-	st.timeouts = 0
-	if wasInflight && req.server == from {
-		d := ft.env.Now() - req.sentAt
-		st.latency.observe(d)
-		f.svc.observe(d)
-	}
+	delete(f.inflight, m.Index)
+	delete(f.strikes, from)
 	f.lastProgress = ft.env.Now()
 	f.chunks[m.Index-1] = m.Data
 	f.missing--

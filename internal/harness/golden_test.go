@@ -65,6 +65,15 @@ import (
 // ±1.1 s, seed 13 ending in view 0 where it ended in view 1) and every
 // reads line, whose operation counts are time-bounded (80–384). Every
 // line still completes all its operations with replicas agreeing.
+//
+// recovery re-captured when the state fetcher's chunk requests began to
+// expire at the constant 500 ms deadline, with servers picked by requests
+// in flight, then strikes, then id (no latency model, no demotion of a
+// server answering with an older snapshot). 19 of 20 lines moved, seed 11
+// did not: dur by −1.96 to +2.19 s (mean 12.15 → 12.31 s), msgs by −64 to
+// +103. Every line still runs 96/96 operations in view 0 with replicas
+// agreeing; seeds 2, 9, 14, 17 and 18 end at the other of the two final
+// digests the generator reaches.
 var goldenRuns = []struct {
 	name string
 	gen  ScenarioGen
@@ -72,7 +81,7 @@ var goldenRuns = []struct {
 }{
 	{"default", DefaultGen, "d039d6121cd76e47aa164e955acd6ff68bc6d93e70596972de9bdf2210b53b7b"},
 	{"byzantine", ByzantineGen, "ca70f171ef4f4d96cd14408225e36b4ed49dd3ea78da84e4f3b2e69dcedf9be3"},
-	{"recovery", RecoveryGen, "f7abe9c83de3a3300baf5c6f500dcab2de241e84703dc43582792c802ab79bab"},
+	{"recovery", RecoveryGen, "5d33a7b38a6865219ea36a0b34d73e0d10cae376d95e73691fba0b1cd6263931"},
 	{"reads", ReadGen, "cd2e816324594d46ec0301fd02092092c624a68fd39ce96564caccc9b916d4e9"},
 	{"evm", EVMGen, "af8d5ba2b1397aaaa62158b62721f1c85e649b030b319a145183281f9fff9d83"},
 }
