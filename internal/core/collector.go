@@ -80,6 +80,32 @@ func (s *collectorState) resetCollector(view uint64) {
 	s.collectorEpoch++
 }
 
+// cCollectors returns Config.CCollectors(seq, view), hashed once per slot
+// and view while seq has a slot. Callers must not modify it.
+func (r *Replica) cCollectors(seq, view uint64) []int {
+	s, ok := r.slots[seq]
+	if !ok {
+		return r.cfg.CCollectors(seq, view)
+	}
+	if s.cc == nil || s.ccView != view {
+		s.cc, s.ccView = r.cfg.CCollectors(seq, view), view
+	}
+	return s.cc
+}
+
+// eCollectors returns Config.ECollectors(seq, 0), hashed once per slot
+// while seq has a slot. Callers must not modify it.
+func (r *Replica) eCollectors(seq uint64) []int {
+	s, ok := r.slots[seq]
+	if !ok {
+		return r.cfg.ECollectors(seq, 0)
+	}
+	if s.ec == nil {
+		s.ec = r.cfg.ECollectors(seq, 0)
+	}
+	return s.ec
+}
+
 // multicast sends msg to each replica in ids, which lists none twice;
 // this replica's own copy goes straight to Deliver.
 func (r *Replica) multicast(ids []int, msg Message) {
@@ -107,7 +133,7 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	idx := slices.Index(r.cfg.CCollectors(m.Seq, m.View), r.id)
+	idx := slices.Index(r.cCollectors(m.Seq, m.View), r.id)
 	if idx < 0 {
 		return
 	}
@@ -345,7 +371,7 @@ func (r *Replica) onCommit(from int, m CommitMsg) {
 	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	if !slices.Contains(r.cfg.CCollectors(m.Seq, m.View), r.id) {
+	if !slices.Contains(r.cCollectors(m.Seq, m.View), r.id) {
 		return
 	}
 	s := r.getSlot(m.Seq)
@@ -389,7 +415,7 @@ func (r *Replica) trySlowProof(s *slot, view uint64) {
 			r.acceptSlowProof(s, msg)
 		})
 	}
-	r.afterStagger(slices.Index(r.cfg.CCollectors(s.seq, view), r.id), fire)
+	r.afterStagger(slices.Index(r.cCollectors(s.seq, view), r.id), fire)
 }
 
 // admitShare runs count for an arriving share that may go into a

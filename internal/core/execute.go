@@ -229,12 +229,12 @@ func (r *Replica) executeReady() {
 		// Sign-state phase (§V-D) — only useful when exec collectors are
 		// enabled.
 		if r.cfg.ExecCollectors {
-			if r.cfg.ECollectors(next, 0)[0] == r.id {
+			if r.eCollectors(next)[0] == r.id {
 				s.ackProofs = r.proveBlock(s)
 			}
 			share, err := r.keys.Pi.Sign(stateSigDigest(next, digest))
 			if err == nil {
-				r.multicast(r.cfg.ECollectors(next, 0), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
+				r.multicast(r.eCollectors(next), SignStateMsg{Seq: next, Replica: r.id, Digest: digest, PiSig: share})
 			} else {
 				r.Metrics.CaptureFailures++
 			}
@@ -259,7 +259,7 @@ func (r *Replica) executeReady() {
 }
 
 func (r *Replica) onSignState(from int, m SignStateMsg) {
-	if from != m.Replica || !slices.Contains(r.cfg.ECollectors(m.Seq, 0), r.id) {
+	if from != m.Replica || !slices.Contains(r.eCollectors(m.Seq), r.id) {
 		return
 	}
 	s := r.getSlot(m.Seq)
@@ -331,7 +331,7 @@ func (r *Replica) tryExecCert(s *slot, digest []byte) {
 			r.sendExecuteAcks(s)
 		})
 	}
-	r.afterStagger(slices.Index(r.cfg.ECollectors(s.seq, 0), r.id), fire)
+	r.afterStagger(slices.Index(r.eCollectors(s.seq), r.id), fire)
 }
 
 // sendExecuteAcks sends each client of block s its single execute-ack
@@ -364,7 +364,7 @@ func (r *Replica) sendExecuteAcks(s *slot) {
 // E-collectors and has yet to acknowledge its clients: recordStable keeps
 // such a slot, for the π shares still to come must find it.
 func (r *Replica) owesAcks(s *slot) bool {
-	return s.executed && !s.execAcked && r.cfg.ExecCollectors && slices.Contains(r.cfg.ECollectors(s.seq, 0), r.id)
+	return s.executed && !s.execAcked && r.cfg.ExecCollectors && slices.Contains(r.eCollectors(s.seq), r.id)
 }
 
 // proveBlock returns the Merkle proof of each client operation in the
@@ -435,7 +435,7 @@ func (r *Replica) onFullExecuteProof(from int, m FullExecuteProofMsg) {
 	if !ok || s.execCertSeen {
 		return
 	}
-	ecs := r.cfg.ECollectors(m.Seq, 0)
+	ecs := r.eCollectors(m.Seq)
 	if i := slices.Index(ecs, from); i >= 0 {
 		if s.execProofs == nil {
 			s.execProofs = make([]FullExecuteProofMsg, len(ecs))

@@ -50,6 +50,11 @@ type slot struct {
 
 	collectorState // C-collector role (collector.go)
 	execState      // execution and the E-collector role (execute.go)
+
+	// The slot's collector groups, hashed once (cCollectors, eCollectors).
+	cc     []int // CCollectors(seq, ccView), nil until asked
+	ccView uint64
+	ec     []int // ECollectors(seq, 0), nil until asked
 }
 
 // getSlot returns the slot of seq, creating it above the collection point.
@@ -206,7 +211,7 @@ func (r *Replica) sendSignShare(s *slot) {
 	if (!fast || r.eagerTau > 0) && !r.signTau(s, &msg) {
 		return
 	}
-	r.multicast(r.cfg.CCollectors(s.seq, s.prePrepareView), msg)
+	r.multicast(r.cCollectors(s.seq, s.prePrepareView), msg)
 }
 
 // signTau puts this replica's τ_i(h) for s into msg, once per slot and
@@ -226,7 +231,7 @@ func (r *Replica) signTau(s *slot, msg *SignShareMsg) bool {
 // held back: once per (seq, view), τ-only, to every C-collector of the
 // slot, so a redundant collector finds the share when its turn comes.
 func (r *Replica) onFetchTau(from int, m FetchTauMsg) {
-	if m.View != r.view || r.inViewChange || !slices.Contains(r.cfg.CCollectors(m.Seq, m.View), from) {
+	if m.View != r.view || r.inViewChange || !slices.Contains(r.cCollectors(m.Seq, m.View), from) {
 		return
 	}
 	s, ok := r.slots[m.Seq]
@@ -235,7 +240,7 @@ func (r *Replica) onFetchTau(from int, m FetchTauMsg) {
 	}
 	msg := SignShareMsg{Seq: m.Seq, View: m.View, Replica: r.id}
 	if r.signTau(s, &msg) {
-		r.multicast(r.cfg.CCollectors(m.Seq, m.View), msg)
+		r.multicast(r.cCollectors(m.Seq, m.View), msg)
 	}
 }
 
@@ -307,7 +312,7 @@ func (r *Replica) acceptPrepare(s *slot, m PrepareMsg) {
 	if err != nil {
 		return
 	}
-	r.multicast(r.cfg.CCollectors(m.Seq, m.View), CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share})
+	r.multicast(r.cCollectors(m.Seq, m.View), CommitMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauTau: share})
 }
 
 // holdPrepare keeps τ(h) of view as the slot's prepare certificate, with
