@@ -157,6 +157,7 @@ func (r *Replica) acceptPrePrepare(_ int, m PrePrepareMsg) {
 	s.prePrepareView = m.View
 	s.reqs = m.Reqs
 	s.hash = BlockHash(m.Seq, m.View, m.Reqs)
+	r.highPP = max(r.highPP, m.Seq)
 	for _, req := range m.Reqs {
 		if ts := r.seen[req.Client]; ts < req.Timestamp {
 			r.seen[req.Client] = req.Timestamp

@@ -174,6 +174,9 @@ type Replica struct {
 	stableDigest []byte
 	stablePi     threshsig.Signature
 	slots        map[uint64]*slot
+	// highPP is the highest sequence whose pre-prepare this replica has
+	// accepted: no slot above it can be awaiting a commit.
+	highPP uint64
 	// snaps is the chain of certified snapshot generations (checkpoint.go);
 	// fetcher is the client side of state transfer (statefetch.go).
 	snaps   snapChain

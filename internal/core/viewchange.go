@@ -27,13 +27,27 @@ func (r *Replica) vcTimeout() time.Duration {
 }
 
 // hasOutstandingWork reports whether the replica is waiting on progress:
-// watched client requests or accepted-but-uncommitted blocks.
+// watched client requests or accepted-but-uncommitted blocks. Only
+// (lastExecuted, highPP] can hold such a block: every slot at or below
+// lastExecuted was executed, so committed, or dropped by an install.
 func (r *Replica) hasOutstandingWork() bool {
 	if len(r.watch) > 0 {
 		return true
 	}
-	for _, s := range r.slots {
-		if s.hasPrePrepare && !s.committed {
+	if r.highPP <= r.lastExecuted {
+		return false
+	}
+	if r.highPP-r.lastExecuted > uint64(len(r.slots)) {
+		// A laggard's range can be wider than the slots it holds.
+		for seq, s := range r.slots {
+			if seq > r.lastExecuted && s.hasPrePrepare && !s.committed {
+				return true
+			}
+		}
+		return false
+	}
+	for seq := r.lastExecuted + 1; seq <= r.highPP; seq++ {
+		if s, ok := r.slots[seq]; ok && s.hasPrePrepare && !s.committed {
 			return true
 		}
 	}

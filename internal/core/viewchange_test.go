@@ -498,3 +498,61 @@ func TestNewViewCountsOnlyReplicas(t *testing.T) {
 		t.Fatalf("installed view %d on view-changes named by clients", rg.r.View())
 	}
 }
+
+// TestOutstandingWorkMatchesFullScan: hasOutstandingWork, which looks only
+// at (lastExecuted, highPP], answers as a scan of every retained slot does
+// through commits, a state-transfer install over accepted slots and a
+// view change that resets them.
+func TestOutstandingWorkMatchesFullScan(t *testing.T) {
+	rg := &syncRig{newRig(t, 2, nil)} // primary of view 1
+	var answers []bool
+	check := func(step string) {
+		t.Helper()
+		full := len(rg.r.watch) > 0
+		for _, s := range rg.r.slots {
+			full = full || s.hasPrePrepare && !s.committed
+		}
+		if got := rg.r.hasOutstandingWork(); got != full {
+			t.Fatalf("%s: hasOutstandingWork %v, a scan of every slot %v", step, got, full)
+		}
+		answers = append(answers, full)
+	}
+	reqs := func(seq uint64) []Request {
+		return []Request{{Client: ClientBase + int(seq), Timestamp: 1, Op: []byte("x")}}
+	}
+	accept := func(from, to uint64) {
+		for seq := from; seq <= to; seq++ {
+			rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs(seq)})
+		}
+	}
+	check("fresh")
+	accept(1, 3)
+	check("three accepted")
+	rg.r.Deliver(1, rg.fastProof(t, 2, 0, reqs(2)))
+	check("the middle one committed")
+	rg.r.Deliver(1, rg.fastProof(t, 1, 0, reqs(1)))
+	check("only the highest uncommitted")
+
+	cs := certifiedAt(t, rg.rig, 4, nil)
+	rg.r.fetcher.want(4)
+	deliverMeta(t, rg.rig, cs, 3)
+	deliverAllChunks(t, rg.rig, cs, 3)
+	if rg.r.LastExecuted() != 4 {
+		t.Fatalf("LastExecuted %d after the install, want 4", rg.r.LastExecuted())
+	}
+	check("installed over accepted slots")
+	accept(5, 6)
+	check("accepted above the install")
+	rg.r.Deliver(1, rg.fastProof(t, 5, 0, reqs(5)))
+	check("only the highest uncommitted above the install")
+
+	rg.r.Deliver(1, ViewChangeMsg{NewView: 1, Replica: 1})
+	rg.r.Deliver(4, ViewChangeMsg{NewView: 1, Replica: 4})
+	if rg.r.View() != 1 || rg.r.InViewChange() {
+		t.Fatalf("view %d (in view change: %v), want view 1 installed", rg.r.View(), rg.r.InViewChange())
+	}
+	check("view 1 installed")
+	if !slices.Contains(answers, true) || !slices.Contains(answers, false) {
+		t.Fatalf("answers %v: the run never saw both outcomes", answers)
+	}
+}
