@@ -364,12 +364,11 @@ func (c *snapChain) onFetchSnapshotChunk(m FetchSnapshotChunkMsg) {
 		// gone, but re-offering the current metadata lets the fetcher
 		// restart at the checkpoint this server can actually serve. (The
 		// fetcher-side stall gate keeps an advancing transfer from
-		// thrashing on this; only a dead one restarts.) Otherwise the
-		// fetcher wants a NEWER snapshot than this server holds — this
-		// server is the laggard (say, freshly restarted while the fetcher
-		// adopted a later certified checkpoint), and the fetcher ignores
-		// the older metadata; its request expires at the retry deadline.
-		c.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: min(m.Seq, cur.Seq)})
+		// thrashing on this; only a dead one restarts.) A request for a
+		// NEWER snapshot than this server holds gets nothing: the fetcher
+		// drops a meta below its transfer unread, and its request expires
+		// at the retry deadline.
+		c.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
 		return
 	}
 	// Any retained generation serves: in-flight transfers keep completing

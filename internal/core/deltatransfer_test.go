@@ -290,26 +290,33 @@ func TestChunkRequestExpiresAtTheConstantDeadline(t *testing.T) {
 }
 
 // TestServerAnswersRequestForNewerSnapshot: a chunk request for a
-// sequence NEWER than anything this server retains is answered with its
-// current metadata, never with a chunk it does not hold.
+// sequence NEWER than anything this server retains gets no answer — not
+// its older metadata, which the fetcher drops unread, and never a chunk it
+// does not hold. A request for a generation superseded beyond retention
+// is still answered with the current metadata.
 func TestServerAnswersRequestForNewerSnapshot(t *testing.T) {
-	rg := newRig(t, 1, nil)
-	cs4 := certifiedAt(t, rg, 4, nil)
-	rg.r.snaps.adopt(cs4)
+	rg := newRig(t, 1, func(c *Config) { c.SnapshotRetain = 1 })
+	rg.r.snaps.adopt(certifiedAt(t, rg, 4, nil))
 
 	before := len(rg.env.sent)
 	rg.r.Deliver(2, FetchSnapshotChunkMsg{Replica: 2, Seq: 8, Index: 1})
-	answered := false
+	if sent := rg.env.sent[before:]; len(sent) != 0 {
+		t.Fatalf("request for a newer snapshot answered with %+v, want silence", sent[0].msg)
+	}
+
+	rg.r.snaps.adopt(certifiedAt(t, rg, 8, nil))
+	rg.r.Deliver(2, FetchSnapshotChunkMsg{Replica: 2, Seq: 4, Index: 1})
+	reoffered := false
 	for _, s := range rg.env.sent[before:] {
-		if m, ok := s.msg.(SnapshotMetaMsg); ok && s.to == 2 && m.Seq == 4 {
-			answered = true
+		if m, ok := s.msg.(SnapshotMetaMsg); ok && s.to == 2 && m.Seq == 8 {
+			reoffered = true
 		}
 		if _, ok := s.msg.(SnapshotChunkMsg); ok {
-			t.Fatal("server fabricated a chunk for a snapshot it does not hold")
+			t.Fatal("server sent a chunk of a generation it no longer retains")
 		}
 	}
-	if !answered {
-		t.Fatal("request for a newer snapshot dropped silently")
+	if !reoffered {
+		t.Fatal("request for a superseded generation not answered with the current metadata")
 	}
 }
 
