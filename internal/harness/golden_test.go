@@ -74,6 +74,12 @@ import (
 // +103. Every line still runs 96/96 operations in view 0 with replicas
 // agreeing; seeds 2, 9, 14, 17 and 18 end at the other of the two final
 // digests the generator reaches.
+//
+// recovery re-captured when a server stopped answering a chunk request for
+// a snapshot newer than its own with its older metadata. 5 lines moved
+// (seeds 1, 8, 10, 16, 18): dur by −3.42 to +0.50 s, msgs by −122 to +27;
+// seed 18 ends at the other final digest. Every line still runs 96/96
+// operations in view 0 with replicas agreeing.
 var goldenRuns = []struct {
 	name string
 	gen  ScenarioGen
@@ -81,7 +87,7 @@ var goldenRuns = []struct {
 }{
 	{"default", DefaultGen, "d039d6121cd76e47aa164e955acd6ff68bc6d93e70596972de9bdf2210b53b7b"},
 	{"byzantine", ByzantineGen, "ca70f171ef4f4d96cd14408225e36b4ed49dd3ea78da84e4f3b2e69dcedf9be3"},
-	{"recovery", RecoveryGen, "5d33a7b38a6865219ea36a0b34d73e0d10cae376d95e73691fba0b1cd6263931"},
+	{"recovery", RecoveryGen, "a91420494b6ea8f9a098665bc7f073fa888cee0a512d7bb37fb03186f39d6fe5"},
 	{"reads", ReadGen, "cd2e816324594d46ec0301fd02092092c624a68fd39ce96564caccc9b916d4e9"},
 	{"evm", EVMGen, "af8d5ba2b1397aaaa62158b62721f1c85e649b030b319a145183281f9fff9d83"},
 }
