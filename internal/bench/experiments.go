@@ -402,7 +402,9 @@ func RunViewChange(g GridConfig) error {
 
 // RunSeamlessSwitch demonstrates the dual-mode property (§I ingredient 2):
 // with c stragglers the fast path persists; with c+1 stragglers SBFT
-// degrades per-slot to the linear-PBFT path without any view change.
+// degrades per-slot to the linear-PBFT path without any view change, and
+// so it does at c = 0 when the first C-collector of every slot crashes
+// and the primary collects in its place.
 func RunSeamlessSwitch(g GridConfig, out io.Writer) error {
 	fmt.Fprintf(out, "\n== Seamless fast↔slow switching (SBFT c=1, f=%d) ==\n", g.F)
 	for _, stragglers := range []int{0, 1, 2} {
@@ -428,5 +430,26 @@ func RunSeamlessSwitch(g GridConfig, out io.Writer) error {
 		fmt.Fprintf(out, "stragglers=%d: tput=%.1f op/s mean=%.0fms fast-commits=%.0f%% viewchanges=%d\n",
 			stragglers, res.Throughput, ms(res.MeanLatency), fastPct, m.ViewChanges)
 	}
+	// At c = 0 the primary is the one fallback C-collector: once the fast
+	// path has run, it asks for the shares of each slot whose first
+	// C-collector has crashed, and the slot commits without a view change.
+	netCfg := sim.ContinentProfile(g.Seed)
+	cl, err := cluster.New(cluster.Options{
+		Protocol: cluster.ProtoSBFT, F: g.F, C: 0,
+		App: cluster.AppKV, Clients: 16, NetCfg: &netCfg, Seed: g.Seed,
+		Tune: func(c *core.Config) {
+			c.FastPathTimeout = 80 * time.Millisecond
+		},
+	})
+	if err != nil {
+		return err
+	}
+	gen := KVGen(g.Seed)
+	cl.RunClosedLoop(1, gen, g.Horizon)
+	cl.ImpairFirstCollectors(true)
+	res := cl.RunClosedLoop(g.OpsPerClient, gen, g.Horizon)
+	m := cl.Metrics()
+	fmt.Fprintf(out, "c=0 first C-collector crashed: tput=%.1f op/s mean=%.0fms primary-fetches=%d slow-commits=%d viewchanges=%d\n",
+		res.Throughput, ms(res.MeanLatency), m.FallbackFetches, m.SlowCommits, m.ViewChanges)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sbft/internal/core"
 	"sbft/internal/sim"
 )
 
@@ -273,4 +274,43 @@ func (a *roleAttacker) retargetLinks(want [][2]sim.NodeID) {
 		keep = append(keep, l)
 	}
 	a.links = keep
+}
+
+// ImpairFirstCollectors makes the first C-collector of every slot fail in
+// that role, through a corrupter on each replica's outbound boundary (no
+// replica is marked Byzantine: every engine stays honest). With crashed it
+// sends nothing about the slot's ordering, as if it had crashed for that
+// slot alone; otherwise it withholds only the certificates it assembles,
+// full-commit proofs and prepares, and its shares still go out. At c = 0
+// the primary, the last C-collector, is left to take over.
+func (cl *Cluster) ImpairFirstCollectors(crashed bool) {
+	for id := 1; id <= cl.N; id++ {
+		cl.Net.SetCorrupter(sim.NodeID(id), sim.CorruptFunc(func(to sim.NodeID, msg any) []sim.Injection {
+			seq, view, cert, ok := orderingSlot(msg)
+			if ok && (crashed || cert) && cl.Cfg.CCollectors(seq, view)[0] == id {
+				return nil
+			}
+			return []sim.Injection{{To: to, Msg: msg}}
+		}))
+	}
+}
+
+// orderingSlot names the slot an ordering message is about, and whether it
+// is a certificate a C-collector assembles.
+func orderingSlot(msg any) (seq, view uint64, cert, ok bool) {
+	switch m := msg.(type) {
+	case core.SignShareMsg:
+		return m.Seq, m.View, false, true
+	case core.FetchSharesMsg:
+		return m.Seq, m.View, false, true
+	case core.CommitMsg:
+		return m.Seq, m.View, false, true
+	case core.FullCommitProofMsg:
+		return m.Seq, m.View, true, true
+	case core.PrepareMsg:
+		return m.Seq, m.View, true, true
+	case core.FullCommitProofSlowMsg:
+		return m.Seq, m.View, true, true
+	}
+	return 0, 0, false, false
 }

@@ -32,3 +32,41 @@ func TestCrashMidRunFallsBackWithoutViewChange(t *testing.T) {
 		t.Fatalf("%d τ requests for one slow episode, want 1..activeWindow (3)", m.TauFetches)
 	}
 }
+
+// TestPrimaryFallbackFetchesShares: once the fast path has run, backups
+// send their σ-only sign-shares to the hashed C-collectors alone, so at
+// c = 0 a slot whose one hashed collector has crashed, or withholds its
+// proof, is committed by the primary: its stagger and a fast timer run
+// out, it asks every replica for σ and τ, and collects. The impaired
+// collector does not answer (crashed, or holding the slot committed by the
+// σ(h) it kept), so the slot commits through the slow path, after which
+// replicas sign τ and send the primary their shares again. Every slot
+// commits, and no view change happens.
+func TestPrimaryFallbackFetchesShares(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashed bool
+	}{{"crashed", true}, {"withholding", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newKV(t, Options{Protocol: ProtoSBFT, F: 1, Clients: 2, Seed: 5})
+			if res := cl.RunClosedLoop(5, kvGen, time.Minute); res.Completed != 10 {
+				t.Fatalf("fault-free phase completed %d of 10", res.Completed)
+			}
+			if m := cl.Metrics(); m.SlowCommits != 0 || m.FallbackFetches != 0 {
+				t.Fatalf("fault-free phase: %d slow commits, %d fallback fetches; want none", m.SlowCommits, m.FallbackFetches)
+			}
+			cl.ImpairFirstCollectors(tc.crashed)
+			if res := cl.RunClosedLoop(15, kvGen, time.Minute); res.Completed != 30 {
+				t.Fatalf("completed %d of 30 (retries %d)", res.Completed, res.Retries)
+			}
+			m := cl.Metrics()
+			if m.ViewChanges != 0 {
+				t.Fatalf("%d view changes; the primary's fallback needs none", m.ViewChanges)
+			}
+			if m.FallbackFetches == 0 || m.SlowCommits == 0 {
+				t.Fatalf("%d fallback fetches, %d slow commits; want the primary to fetch and commit slow", m.FallbackFetches, m.SlowCommits)
+			}
+			digestsAgree(t, cl)
+		})
+	}
+}

@@ -57,8 +57,14 @@ type collectorState struct {
 	sentPrepare   bool
 	sentSlowProof bool
 	// fastExpired: the fast timer ran out, so a τ quorum prepares at once.
-	fastExpired  bool
-	fastTimer    timer
+	fastExpired bool
+	// fallback: this replica is the primary and has asked every replica
+	// for its shares (fallbackFetch); it now collects as the first
+	// collector.
+	fallback  bool
+	fastTimer timer
+	// staggerTimer holds a redundant collector's combine back (staggered),
+	// and at the primary, its fallbackFetch.
 	staggerTimer timer
 	// collectorEpoch is bumped whenever the collector state resets, so
 	// sink completions of a dead collector round are dropped, not applied
@@ -75,6 +81,7 @@ func (s *collectorState) resetCollector(view uint64) {
 	s.sentPrepare = false
 	s.sentSlowProof = false
 	s.fastExpired = false
+	s.fallback = false
 	s.fastTimer.stop()
 	s.staggerTimer.stop()
 	s.collectorEpoch++
@@ -129,11 +136,21 @@ func (r *Replica) afterStagger(idx int, fire func()) {
 	r.env.After(time.Duration(idx)*r.cfg.CollectorStagger, fire)
 }
 
+// collectorIdx is this replica's place among the staggered C-collectors
+// of (seq, view), -1 if it is none of them. The primary, the last, takes
+// the first place once it has asked for the shares (fallbackFetch).
+func (r *Replica) collectorIdx(seq, view uint64) int {
+	if s, ok := r.slots[seq]; ok && s.fallback && s.collectorView == view {
+		return 0
+	}
+	return slices.Index(r.cCollectors(seq, view), r.id)
+}
+
 func (r *Replica) onSignShare(from int, m SignShareMsg) {
 	if m.View != r.view || r.inViewChange || from != m.Replica {
 		return
 	}
-	idx := slices.Index(r.cCollectors(m.Seq, m.View), r.id)
+	idx := r.collectorIdx(m.Seq, m.View)
 	if idx < 0 {
 		return
 	}
@@ -145,8 +162,8 @@ func (r *Replica) onSignShare(from int, m SignShareMsg) {
 		return
 	}
 	// Shares arriving before our pre-prepare have no block hash to sign:
-	// buffer and replay (bounded by two sign-shares per replica: one with
-	// σ, one τ-only answering a FetchTauMsg).
+	// buffer and replay (bounded by two sign-shares per replica: one
+	// unasked, one answering a FetchSharesMsg).
 	if !s.hasPrePrepare || s.prePrepareView != m.View {
 		if len(s.pendingShares) < 2*r.cfg.N() {
 			s.pendingShares = append(s.pendingShares, m)
@@ -338,7 +355,7 @@ func (r *Replica) fetchTau(s *slot, view uint64) {
 			r.slowPrepare(s, view)
 		}
 	})
-	r.multicast(ids, FetchTauMsg{Seq: s.seq, View: view})
+	r.multicast(ids, FetchSharesMsg{Seq: s.seq, View: view})
 }
 
 // staggered runs act immediately for the first collector and after
@@ -415,7 +432,7 @@ func (r *Replica) trySlowProof(s *slot, view uint64) {
 			r.acceptSlowProof(s, msg)
 		})
 	}
-	r.afterStagger(slices.Index(r.cCollectors(s.seq, view), r.id), fire)
+	r.afterStagger(r.collectorIdx(s.seq, view), fire)
 }
 
 // admitShare runs count for an arriving share that may go into a

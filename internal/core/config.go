@@ -192,9 +192,10 @@ func (c Config) collectorSet(seq, view uint64, kind string, count int) []int {
 	return out
 }
 
-// CCollectors returns the c+1 commit collectors for (seq, view). The
-// primary is appended as the final staggered fallback collector (§V-E:
-// "the c+1st collector to activate is always the primary").
+// CCollectors returns the commit collectors for (seq, view): the c+1
+// hashed collectors, then the primary as the final staggered fallback
+// collector (§V-E: "the c+1st collector to activate is always the
+// primary"), c+2 replicas in all.
 func (c Config) CCollectors(seq, view uint64) []int {
 	set := c.collectorSet(seq, view, "commit", c.C+1)
 	return append(set, c.Primary(view))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -19,16 +21,15 @@ func (c countingSigner) Sign(digest []byte) (threshsig.Share, error) {
 	return c.Signer.Sign(digest)
 }
 
-// signShareTo returns the sign-share rg's replica last sent for seq.
-func (rg *rig) signShareTo(seq uint64) SignShareMsg {
+// signed returns the sign-share rg's replica signed for seq, with any τ
+// it added on request: what it sent, whichever collectors it went to.
+func (rg *rig) signed(seq uint64) SignShareMsg {
 	rg.t.Helper()
-	for i := len(rg.env.sent) - 1; i >= 0; i-- {
-		if ss, ok := rg.env.sent[i].msg.(SignShareMsg); ok && ss.Seq == seq {
-			return ss
-		}
+	s, ok := rg.r.slots[seq]
+	if !ok || !s.sentSignShare {
+		rg.t.Fatalf("no sign-share signed for %d", seq)
 	}
-	rg.t.Fatalf("no sign-share sent for %d", seq)
-	return SignShareMsg{}
+	return s.mine
 }
 
 func carries(ss SignShareMsg) (sigma, tau bool) {
@@ -45,18 +46,18 @@ func TestSignShareTauFollowsThePath(t *testing.T) {
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs(seq)})
-		if sigma, tau := carries(rg.signShareTo(seq)); !sigma || !tau {
+		if sigma, tau := carries(rg.signed(seq)); !sigma || !tau {
 			t.Fatalf("block %d, a view's first activeWindow: σ %v τ %v, want both", seq, sigma, tau)
 		}
 		rg.r.Deliver(1, rg.fastProof(t, seq, 0, reqs(seq)))
 	}
 	rg.r.Deliver(1, PrePrepareMsg{Seq: 4, View: 0, Reqs: reqs(4)})
-	if sigma, tau := carries(rg.signShareTo(4)); !sigma || tau {
+	if sigma, tau := carries(rg.signed(4)); !sigma || tau {
 		t.Fatalf("block 4, after 3 fast commits: σ %v τ %v, want σ alone", sigma, tau)
 	}
 	rg.r.Deliver(1, rg.slowProof(t, 4, 0, reqs(4)))
 	rg.r.Deliver(1, PrePrepareMsg{Seq: 5, View: 0, Reqs: reqs(5)})
-	if sigma, tau := carries(rg.signShareTo(5)); !sigma || !tau {
+	if sigma, tau := carries(rg.signed(5)); !sigma || !tau {
 		t.Fatalf("block 5, after a slow commit: σ %v τ %v, want both", sigma, tau)
 	}
 }
@@ -64,7 +65,9 @@ func TestSignShareTauFollowsThePath(t *testing.T) {
 // TestFetchTauAnsweredOnce: a collector flooding requests for one slot
 // gets one τ(h) signature from the replica, sent τ-only to every
 // C-collector; requests from a non-collector, for another view or for a
-// slot without a pre-prepare get nothing.
+// slot without a pre-prepare get nothing. A flood of fallback fetches from
+// the primary then gets σ and the τ already signed, once, to the primary
+// alone: still one τ signature.
 func TestFetchTauAnsweredOnce(t *testing.T) {
 	rg := newRig(t, 2, nil)
 	rg.r.eagerTau = 0 // past the view's first activeWindow fast commits
@@ -72,45 +75,62 @@ func TestFetchTauAnsweredOnce(t *testing.T) {
 	rg.r.keys.Tau = countingSigner{rg.r.keys.Tau, &tauSigns}
 	const seq = 1
 	rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: oneReq})
-	if _, tau := carries(rg.signShareTo(seq)); tau || tauSigns != 0 {
+	if _, tau := carries(rg.signed(seq)); tau || tauSigns != 0 {
 		t.Fatalf("τ signed %d times before anyone asked", tauSigns)
 	}
 	collectors := rg.cfg.CCollectors(seq, 0)
+	primary := rg.cfg.Primary(0)
+	hashed := collectors[:len(collectors)-1]
 	outsider := 0
 	for id := 1; id <= rg.cfg.N(); id++ {
 		if !slices.Contains(collectors, id) {
 			outsider = id
 		}
 	}
-	rg.r.Deliver(outsider, FetchTauMsg{Seq: seq, View: 0})
-	rg.r.Deliver(collectors[0], FetchTauMsg{Seq: seq, View: 1})
-	rg.r.Deliver(collectors[0], FetchTauMsg{Seq: seq + 1, View: 0})
+	rg.r.Deliver(outsider, FetchSharesMsg{Seq: seq, View: 0})
+	rg.r.Deliver(hashed[0], FetchSharesMsg{Seq: seq, View: 1})
+	rg.r.Deliver(hashed[0], FetchSharesMsg{Seq: seq + 1, View: 0})
 	if tauSigns != 0 {
 		t.Fatalf("τ signed %d times for requests that are not a collector's for this slot", tauSigns)
 	}
-	sent := len(rg.env.sent)
-	for i := 0; i < 10; i++ {
-		for _, c := range collectors {
-			rg.r.Deliver(c, FetchTauMsg{Seq: seq, View: 0})
+	answers := func(from int) (to []int, got []SignShareMsg) {
+		sent := len(rg.env.sent)
+		for i := 0; i < 10; i++ {
+			rg.r.Deliver(from, FetchSharesMsg{Seq: seq, View: 0})
+		}
+		for _, s := range rg.env.sent[sent:] {
+			if ss, ok := s.msg.(SignShareMsg); ok {
+				to, got = append(to, s.to), append(got, ss)
+			}
+		}
+		return to, got
+	}
+	var to []int
+	for _, c := range hashed {
+		cto, got := answers(c)
+		to = append(to, cto...)
+		for _, ss := range got {
+			if sigma, tau := carries(ss); sigma || !tau {
+				t.Fatalf("answer carries σ %v τ %v, want τ alone", sigma, tau)
+			}
 		}
 	}
 	if tauSigns != 1 {
 		t.Fatalf("τ signed %d times for a flood of requests, want once", tauSigns)
 	}
-	var to []int
-	for _, s := range rg.env.sent[sent:] {
-		ss, ok := s.msg.(SignShareMsg)
-		if !ok {
-			continue
-		}
-		if sigma, tau := carries(ss); sigma || !tau {
-			t.Fatalf("answer carries σ %v τ %v, want τ alone", sigma, tau)
-		}
-		to = append(to, s.to)
-	}
 	want := slices.DeleteFunc(slices.Clone(collectors), func(c int) bool { return c == rg.r.id })
 	if !slices.Equal(to, want) {
 		t.Fatalf("τ-only answers went to %v, want every other C-collector %v", to, want)
+	}
+	to, got := answers(primary)
+	if tauSigns != 1 {
+		t.Fatalf("τ signed %d times after a flood of fallback fetches, want once", tauSigns)
+	}
+	if !slices.Equal(to, []int{primary}) {
+		t.Fatalf("fallback answers went to %v, want one to the primary %d", to, primary)
+	}
+	if sigma, tau := carries(got[0]); !sigma || !tau {
+		t.Fatalf("fallback answer carries σ %v τ %v, want both", sigma, tau)
 	}
 }
 
@@ -131,7 +151,7 @@ func TestCollectorAsksForMissingTau(t *testing.T) {
 	}
 	asked := func() (to []int) {
 		for _, sm := range rg.env.sent {
-			if _, ok := sm.msg.(FetchTauMsg); ok {
+			if _, ok := sm.msg.(FetchSharesMsg); ok {
 				to = append(to, sm.to)
 			}
 		}
@@ -173,6 +193,8 @@ func TestCollectorAsksForMissingTau(t *testing.T) {
 type ring struct {
 	reps  []*Replica // 1-based
 	queue []ringMsg
+	// frames counts the messages sent replica to replica, by type.
+	frames map[string]int
 }
 
 type ringMsg struct {
@@ -185,9 +207,41 @@ type ringEnv struct {
 	id int
 }
 
-func (e ringEnv) Send(to int, m Message)                      { e.rg.queue = append(e.rg.queue, ringMsg{e.id, to, m}) }
+func (e ringEnv) Send(to int, m Message) {
+	if !IsClient(to) && e.rg.frames != nil {
+		e.rg.frames[fmt.Sprintf("%T", m)]++
+	}
+	e.rg.queue = append(e.rg.queue, ringMsg{e.id, to, m})
+}
 func (e ringEnv) Now() time.Duration                          { return 0 }
 func (e ringEnv) After(time.Duration, func()) (cancel func()) { return func() {} }
+
+// newRing starts n = 4 replicas (f = 1, c = 0) on a ring, each with the
+// keys keys makes of its own.
+func newRing(t *testing.T, keys func(ReplicaKeys) ReplicaKeys) *ring {
+	t.Helper()
+	cfg := DefaultConfig(1, 0)
+	cfg.BatchTimeout = 0
+	suite, dealt, err := InsecureSuite(cfg, "ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := &ring{reps: make([]*Replica, cfg.N()+1)}
+	for id := 1; id <= cfg.N(); id++ {
+		if rg.reps[id], err = NewReplica(id, cfg, suite, keys(dealt[id-1]), &fakeApp{}, ringEnv{rg, id}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rg
+}
+
+// block runs one single-request block to its execution everywhere: the
+// primary proposes at once when nothing is in flight.
+func (rg *ring) block(i int) {
+	c := ClientBase + i
+	rg.reps[1].Deliver(c, RequestMsg{Req: Request{Client: c, Timestamp: 1, Op: []byte("op")}})
+	rg.drain()
+}
 
 func (rg *ring) drain() {
 	for len(rg.queue) > 0 {
@@ -205,31 +259,15 @@ func (rg *ring) drain() {
 // fallback's share is asked for only when a collector's fast timer runs
 // out. Signing τ beside σ on every block cost 3n.
 func TestFaultFreeBlockSignsNoTau(t *testing.T) {
-	cfg := DefaultConfig(1, 0)
-	cfg.BatchTimeout = 0
-	suite, keys, err := InsecureSuite(cfg, "ring")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sigma, tau, pi int
-	rg := &ring{reps: make([]*Replica, cfg.N()+1)}
-	for id := 1; id <= cfg.N(); id++ {
-		k := ReplicaKeys{
-			Sigma: countingSigner{keys[id-1].Sigma, &sigma},
-			Tau:   countingSigner{keys[id-1].Tau, &tau},
-			Pi:    countingSigner{keys[id-1].Pi, &pi},
+	rg := newRing(t, func(k ReplicaKeys) ReplicaKeys {
+		return ReplicaKeys{
+			Sigma: countingSigner{k.Sigma, &sigma},
+			Tau:   countingSigner{k.Tau, &tau},
+			Pi:    countingSigner{k.Pi, &pi},
 		}
-		if rg.reps[id], err = NewReplica(id, cfg, suite, k, &fakeApp{}, ringEnv{rg, id}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One request per block: the primary proposes at once when nothing is
-	// in flight, and drain runs each block to its execution everywhere.
-	block := func(i int) {
-		c := ClientBase + i
-		rg.reps[1].Deliver(c, RequestMsg{Req: Request{Client: c, Timestamp: 1, Op: []byte("op")}})
-		rg.drain()
-	}
+	})
+	cfg, block := rg.reps[1].cfg, rg.block
 	aw := int(rg.reps[1].activeWindow())
 	for i := 0; i < aw; i++ {
 		block(i)
@@ -250,5 +288,36 @@ func TestFaultFreeBlockSignsNoTau(t *testing.T) {
 	n := cfg.N()
 	if sigma != n*blocks || tau != 0 || pi != n*blocks {
 		t.Fatalf("%d blocks signed σ %d, τ %d, π %d times; want %d, 0, %d (2n per block)", blocks, sigma, tau, pi, n*blocks, n*blocks)
+	}
+}
+
+// TestFaultFreeBlockFrames: a fault-free block at n = 4, c = 0 costs 15
+// replica-to-replica frames, three of each kind: the pre-prepare, a
+// sign-share from each replica but the C-collector to it, its
+// full-commit-proof, a sign-state from each replica but the E-collector
+// to it, and its full-execute-proof. The primary, the fallback
+// C-collector, is sent no sign-shares; it asks for them only when its
+// turn comes (fallbackFetch).
+func TestFaultFreeBlockFrames(t *testing.T) {
+	rg := newRing(t, func(k ReplicaKeys) ReplicaKeys { return k })
+	aw := int(rg.reps[1].activeWindow())
+	for i := 0; i < aw+2; i++ {
+		rg.block(i) // past a view's first activeWindow blocks, which sign τ too
+	}
+	rg.frames = make(map[string]int)
+	rg.block(aw + 2)
+	want := map[string]int{
+		"core.PrePrepareMsg":       3,
+		"core.SignShareMsg":        3,
+		"core.FullCommitProofMsg":  3,
+		"core.SignStateMsg":        3,
+		"core.FullExecuteProofMsg": 3,
+	}
+	total := 0
+	for _, n := range rg.frames {
+		total += n
+	}
+	if !maps.Equal(rg.frames, want) || total != 15 {
+		t.Fatalf("a fault-free block sent %d frames %v, want 15: %v", total, rg.frames, want)
 	}
 }

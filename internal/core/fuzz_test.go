@@ -144,7 +144,7 @@ func nextFuzzMessage(data []byte) (msg any, from int, rest []byte) {
 	case 11:
 		msg = FetchCommitMsg{Replica: from, Seq: seq}
 		if seqB%2 == 1 {
-			msg = FetchTauMsg{Seq: seq, View: view}
+			msg = FetchSharesMsg{Seq: seq, View: view}
 		}
 	case 12:
 		msg = CommitInfoMsg{Seq: seq, View: view, Reqs: reqs, HasFast: seqB%2 == 0, Sigma: sig, Tau: sig, TauTau: sig}

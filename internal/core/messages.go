@@ -106,8 +106,8 @@ type PrePrepareMsg struct {
 // gate (§V-F). τ_i(h) only insures the slow path, so it is absent on the
 // fast path's fault-free run: a replica sends it here when it sends no σ,
 // or until the fast path has carried its last activeWindow commits in
-// the view, and otherwise in a τ-only sign-share answering a collector's
-// FetchTauMsg.
+// the view, and otherwise in answer to a FetchSharesMsg. A backup sends
+// the primary, the last C-collector, only a sign-share with τ_i(h).
 type SignShareMsg struct {
 	Seq      uint64
 	View     uint64
@@ -116,11 +116,14 @@ type SignShareMsg struct {
 	TauSig   threshsig.Share
 }
 
-// FetchTauMsg asks a replica for its τ_i(h) of (Seq, View). A C-collector
-// sends it when its fast timer expires short of 2f+c+1 τ shares; the
-// replica answers at most once per (Seq, View), with a τ-only SignShareMsg
-// to every C-collector of the slot.
-type FetchTauMsg struct {
+// FetchSharesMsg asks a replica for its shares of (Seq, View). A hashed
+// C-collector sends it when its fast timer expires short of 2f+c+1 τ
+// shares, and the replica answers once, with a τ-only SignShareMsg to
+// every C-collector of the slot. The primary sends it to every replica,
+// with the pre-prepare again, when its stagger and a fast timer run out on
+// an uncommitted slot, and each replica answers once, with its σ_i(h) and
+// τ_i(h) to the primary alone.
+type FetchSharesMsg struct {
 	Seq  uint64
 	View uint64
 }

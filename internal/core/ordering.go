@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"time"
 
 	"sbft/internal/crypto/threshsig"
 )
@@ -39,8 +40,16 @@ type slot struct {
 	committed     bool
 	committedReqs []Request
 
-	sentSignShare   bool
-	sentTau         bool // τ_i(h) signed, with the sign-share or on request
+	sentSignShare bool
+	// mine is the sign-share this replica sent, with τ_i(h) added when it
+	// signs it on request: onFetchShares answers from it, never signing a
+	// share twice.
+	mine SignShareMsg
+	// primaryAsked: the primary's fallback fetch for this view arrived,
+	// perhaps before the pre-prepare it re-sent; answeredPrimary: mine
+	// went to it (answerPrimary).
+	primaryAsked    bool
+	answeredPrimary bool
 	sentCommitShare bool
 
 	// pendingFast and pendingSlow buffer commit certificates that raced
@@ -193,7 +202,7 @@ func (r *Replica) sendSignShare(s *slot) {
 		return
 	}
 	s.sentSignShare = true
-	msg := SignShareMsg{Seq: s.seq, View: s.prePrepareView, Replica: r.id}
+	s.mine = SignShareMsg{Seq: s.seq, View: s.prePrepareView, Replica: r.id}
 	// §V-F fast-path gate: only join the fast path near the execution
 	// frontier so fast commits can advance ls without a checkpoint quorum.
 	fast := r.cfg.FastPath && s.seq <= r.lastExecuted+r.cfg.fastGateWindow()
@@ -203,46 +212,115 @@ func (r *Replica) sendSignShare(s *slot) {
 			r.Metrics.CaptureFailures++
 			return
 		}
-		msg.SigmaSig = sigmaShare
+		s.mine.SigmaSig = sigmaShare
 	}
 	// τ_i(h) only insures the slow path. Once the fast path has carried
 	// this replica's last activeWindow commits in the view (eagerTau), a
-	// collector that needs it asks (onFetchTau): the optimistic path pays
-	// nothing for the fallback until it has failed.
-	if (!fast || r.eagerTau > 0) && !r.signTau(s, &msg) {
+	// collector that needs it asks (onFetchShares): the optimistic path
+	// pays nothing for the fallback until it has failed.
+	if (!fast || r.eagerTau > 0) && !r.signTau(s) {
 		return
 	}
-	r.multicast(r.cCollectors(s.seq, s.prePrepareView), msg)
+	// The primary, the last C-collector, is sent the share with τ: it
+	// insures the fallback as τ insures the slow path. Otherwise a backup
+	// sends to the c+1 hashed collectors alone, and the primary asks for
+	// the shares if its turn comes (fallbackFetch).
+	cc := r.cCollectors(s.seq, s.prePrepareView)
+	if r.id == r.cfg.Primary(s.prePrepareView) {
+		r.multicast(cc, s.mine)
+		r.fallbackFetch(s)
+		return
+	}
+	if len(s.mine.TauSig.Data) == 0 {
+		cc = cc[:len(cc)-1]
+	}
+	r.multicast(cc, s.mine)
+	r.answerPrimary(s)
 }
 
-// signTau puts this replica's τ_i(h) for s into msg, once per slot and
+// signTau signs this replica's τ_i(h) for s into s.mine, once per slot and
 // view; false if the key failed to sign.
-func (r *Replica) signTau(s *slot, msg *SignShareMsg) bool {
-	s.sentTau = true
+func (r *Replica) signTau(s *slot) bool {
+	if len(s.mine.TauSig.Data) > 0 {
+		return true
+	}
 	share, err := r.keys.Tau.Sign(s.hash[:])
 	if err != nil {
 		r.Metrics.CaptureFailures++
 		return false
 	}
-	msg.TauSig = share
+	s.mine.TauSig = share
 	return true
 }
 
-// onFetchTau answers a C-collector that asks for the τ_i(h) this replica
-// held back: once per (seq, view), τ-only, to every C-collector of the
-// slot, so a redundant collector finds the share when its turn comes.
-func (r *Replica) onFetchTau(from int, m FetchTauMsg) {
-	if m.View != r.view || r.inViewChange || !slices.Contains(r.cCollectors(m.Seq, m.View), from) {
+// onFetchShares answers a C-collector that asks for this replica's shares
+// of (seq, view), from s.mine. A hashed collector whose fast timer ran out
+// gets the τ_i(h) held back, once, τ-only, sent to every C-collector so a
+// redundant collector finds the share when its turn comes. The primary,
+// the fallback collector, gets σ_i(h) and τ_i(h) once, to it alone
+// (answerPrimary).
+func (r *Replica) onFetchShares(from int, m FetchSharesMsg) {
+	if m.View != r.view || r.inViewChange {
+		return
+	}
+	if from == r.cfg.Primary(m.View) {
+		if m.Seq > r.windowBase && m.Seq <= r.windowBase+r.cfg.Win {
+			s := r.getSlot(m.Seq)
+			s.primaryAsked = true
+			r.answerPrimary(s)
+		}
+		return
+	}
+	cc := r.cCollectors(m.Seq, m.View)
+	if !slices.Contains(cc, from) {
 		return
 	}
 	s, ok := r.slots[m.Seq]
-	if !ok || !s.sentSignShare || s.prePrepareView != m.View || s.sentTau || s.committed {
+	if !ok || !s.sentSignShare || s.prePrepareView != m.View || s.committed {
 		return
 	}
-	msg := SignShareMsg{Seq: m.Seq, View: m.View, Replica: r.id}
-	if r.signTau(s, &msg) {
-		r.multicast(r.cCollectors(m.Seq, m.View), msg)
+	if len(s.mine.TauSig.Data) == 0 && r.signTau(s) {
+		r.multicast(cc, SignShareMsg{Seq: m.Seq, View: m.View, Replica: r.id, TauSig: s.mine.TauSig})
 	}
+}
+
+// answerPrimary sends s.mine, τ_i(h) signed if it was held back, to the
+// primary once it has asked for the shares of s and this replica has
+// signed them: its fetch can overtake the pre-prepare it re-sent.
+func (r *Replica) answerPrimary(s *slot) {
+	if !s.primaryAsked || s.answeredPrimary || !s.sentSignShare || s.prePrepareView != r.view || s.committed {
+		return
+	}
+	if r.signTau(s) {
+		s.answeredPrimary = true
+		r.multicast([]int{r.cfg.Primary(r.view)}, s.mine)
+	}
+}
+
+// fallbackFetch arms the primary's turn as the last C-collector of s
+// (§V-E: "the c+1st collector to activate is always the primary"). A
+// backup whose sign-share carries σ alone does not send it the share, so
+// if the slot is still uncommitted once its stagger and a fast timer have
+// run out, short of 2f+c+1 signers and with no prepare from another
+// collector, it asks every replica for its σ_i(h) and τ_i(h) and collects
+// the answers as the first collector: no second stagger, and the fast
+// timer counts as run out. The pre-prepare goes out again with the
+// request, for a replica that was down when it was first sent.
+func (r *Replica) fallbackFetch(s *slot) {
+	view, epoch := s.prePrepareView, s.collectorEpoch
+	delay := time.Duration(r.cfg.C+1)*r.cfg.CollectorStagger + r.fastTimerDuration()
+	s.staggerTimer.arm(r.env, delay, func() {
+		if !r.collecting(s, epoch, view) || s.committed || s.signers() >= r.cfg.QuorumSlow() ||
+			s.hasPrepare && s.prepareView == view {
+			return
+		}
+		s.fallback = true
+		s.fastExpired = true
+		r.Metrics.FallbackFetches++
+		r.broadcast(PrePrepareMsg{Seq: s.seq, View: view, Reqs: s.reqs})
+		r.broadcast(FetchSharesMsg{Seq: s.seq, View: view})
+		r.Deliver(r.id, FetchSharesMsg{Seq: s.seq, View: view})
+	})
 }
 
 func (r *Replica) onFullCommitProof(_ int, m FullCommitProofMsg) {

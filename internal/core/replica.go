@@ -69,10 +69,15 @@ type Metrics struct {
 	// the collector abandoned the σ fast path and broadcast a prepare,
 	// sending the slot through the two-phase linear path (§V-E).
 	FastPathDowngrades uint64
-	// TauFetches counts the rounds of FetchTauMsg collectors sent: a fast
-	// timer ran out short of 2f+c+1 τ shares (then once a period while
-	// they stay short), for a replica on a fast-path run sends σ alone.
+	// TauFetches counts the rounds of τ requests (fetchTau) collectors
+	// sent: a fast timer ran out short of 2f+c+1 τ shares (then once a
+	// period while they stay short), for a replica on a fast-path run
+	// sends σ alone.
 	TauFetches uint64
+	// FallbackFetches counts the slots on which this replica, as primary,
+	// asked every replica for its shares: its stagger and a fast timer ran
+	// out with the slot uncommitted and no other collector's prepare held.
+	FallbackFetches uint64
 	// ExecFallbacks counts execution-fallback activations: no full execute
 	// certificate arrived within ExecFallbackTimeout (crashed or targeted
 	// E-collectors), so this replica answered its clients directly with
@@ -361,8 +366,8 @@ func (r *Replica) Deliver(from int, msg any) {
 		r.onPrePrepare(from, m)
 	case SignShareMsg:
 		r.onSignShare(from, m)
-	case FetchTauMsg:
-		r.onFetchTau(from, m)
+	case FetchSharesMsg:
+		r.onFetchShares(from, m)
 	case FullCommitProofMsg:
 		r.onFullCommitProof(from, m)
 	case PrepareMsg:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -112,37 +113,45 @@ func TestNewReplicaValidation(t *testing.T) {
 	}
 }
 
+// TestBackupSendsSignSharesToCollectors: a backup's sign-share goes to
+// each C-collector but itself, once. While it carries τ (a view's first
+// activeWindow blocks) the primary, the fallback collector, is among them;
+// once it carries σ alone the primary is not, and asks for it only if its
+// turn comes.
 func TestBackupSendsSignSharesToCollectors(t *testing.T) {
-	rg := newRig(t, 2, nil)
-	reqs := []Request{{Client: ClientBase, Timestamp: 1, Op: []byte("x")}}
-	rg.r.Deliver(1, PrePrepareMsg{Seq: 1, View: 0, Reqs: reqs})
-
-	collectors := rg.cfg.CCollectors(1, 0)
-	sent := rg.sentOfType(func(m Message) bool {
-		ss, ok := m.(SignShareMsg)
-		if !ok {
-			return false
+	rg := &syncRig{newRig(t, 2, nil)}
+	sentTo := func(seq uint64) (to []int) {
+		for _, sm := range rg.env.sent {
+			if ss, ok := sm.msg.(SignShareMsg); ok && ss.Seq == seq {
+				// The fast-path σ share must be present (within the gate).
+				if len(ss.SigmaSig.Data) == 0 {
+					t.Fatalf("σ share missing on the fast path: %+v", ss)
+				}
+				to = append(to, sm.to)
+			}
 		}
-		if ss.Seq != 1 || len(ss.TauSig.Data) == 0 {
-			t.Fatalf("bad sign-share %+v", ss)
-		}
-		// The fast-path σ share must be present (within the gate).
-		if len(ss.SigmaSig.Data) == 0 {
-			t.Fatal("σ share missing on the fast path")
-		}
-		return true
-	})
-	// One share per distinct collector that is not this replica.
-	want := 0
-	seen := map[int]bool{}
-	for _, c := range collectors {
-		if !seen[c] && c != 2 {
-			want++
-		}
-		seen[c] = true
+		return to
 	}
-	if sent != want {
-		t.Fatalf("sign-shares sent = %d, want %d (collectors %v)", sent, want, collectors)
+	others := func(seq uint64, primary bool) []int {
+		return slices.DeleteFunc(rg.cfg.CCollectors(seq, 0), func(c int) bool {
+			return c == 2 || !primary && c == rg.cfg.Primary(0)
+		})
+	}
+	reqs := func(seq uint64) []Request {
+		return []Request{{Client: ClientBase + int(seq), Timestamp: 1, Op: []byte("x")}}
+	}
+	aw := rg.r.activeWindow()
+	for seq := uint64(1); seq <= aw+1; seq++ {
+		rg.r.Deliver(1, PrePrepareMsg{Seq: seq, View: 0, Reqs: reqs(seq)})
+		eager := seq <= aw
+		if to, want := sentTo(seq), others(seq, eager); !slices.Equal(to, want) {
+			t.Fatalf("block %d (τ signed: %v): sign-shares went to %v, want %v (collectors %v)",
+				seq, eager, to, want, rg.cfg.CCollectors(seq, 0))
+		}
+		if _, tau := carries(rg.signed(seq)); tau != eager {
+			t.Fatalf("block %d: τ signed %v, want %v", seq, tau, eager)
+		}
+		rg.r.Deliver(1, rg.fastProof(t, seq, 0, reqs(seq)))
 	}
 }
 

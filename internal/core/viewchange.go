@@ -472,7 +472,9 @@ func (r *Replica) onNewView(from int, m NewViewMsg) {
 			r.requeue(req)
 		}
 		s.sentSignShare = false
-		s.sentTau = false
+		s.mine = SignShareMsg{}
+		s.primaryAsked = false
+		s.answeredPrimary = false
 		s.sentCommitShare = false
 		s.hasPrePrepare = false
 		s.resetCollector(m.View)

@@ -81,7 +81,7 @@ const (
 	tagReadReply
 	tagViewChange
 	tagNewView
-	tagFetchTau
+	tagFetchShares
 )
 
 // The frozen PBFT baseline's messages start at 64, leaving core room.
@@ -189,8 +189,8 @@ func appendBody(b []byte, sender int, m core.Message) ([]byte, error) {
 		b = sc.AppendInt(b, m.Replica)
 		b = appendShare(b, m.SigmaSig)
 		b = appendShare(b, m.TauSig)
-	case core.FetchTauMsg:
-		b = sc.AppendUint(head(b, tagFetchTau, sender), m.Seq)
+	case core.FetchSharesMsg:
+		b = sc.AppendUint(head(b, tagFetchShares, sender), m.Seq)
 		b = sc.AppendUint(b, m.View)
 	case core.FullCommitProofMsg:
 		b = sc.AppendUint(head(b, tagFullCommitProof, sender), m.Seq)
@@ -358,8 +358,8 @@ func readMessage(r *sc.Reader, tag byte) core.Message {
 	case tagSignShare:
 		return core.SignShareMsg{Seq: r.Uint(), View: r.Uint(), Replica: r.Int(),
 			SigmaSig: readShare(r), TauSig: readShare(r)}
-	case tagFetchTau:
-		return core.FetchTauMsg{Seq: r.Uint(), View: r.Uint()}
+	case tagFetchShares:
+		return core.FetchSharesMsg{Seq: r.Uint(), View: r.Uint()}
 	case tagFullCommitProof:
 		return core.FullCommitProofMsg{Seq: r.Uint(), View: r.Uint(), Sigma: readSig(r)}
 	case tagPrepare:

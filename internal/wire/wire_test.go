@@ -119,8 +119,8 @@ func samples() []sample {
 		{name: "SignShare/full", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, SigmaSig: share(3), TauSig: share(3)}},
 		{name: "SignShare/sigma", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, SigmaSig: share(3)}},
 		{name: "SignShare/tau", in: core.SignShareMsg{Seq: 9, View: 2, Replica: 3, TauSig: share(3)}},
-		{name: "FetchTau/zero", in: core.FetchTauMsg{}},
-		{name: "FetchTau/full", in: core.FetchTauMsg{Seq: 1 << 40, View: 7}},
+		{name: "FetchShares/zero", in: core.FetchSharesMsg{}},
+		{name: "FetchShares/full", in: core.FetchSharesMsg{Seq: 1 << 40, View: 7}},
 		{name: "SignShare/empty", in: core.SignShareMsg{SigmaSig: threshsig.Share{Signer: 1, Data: e}}, want: core.SignShareMsg{SigmaSig: threshsig.Share{Signer: 1}}},
 		{name: "FullCommitProof/zero", in: core.FullCommitProofMsg{}},
 		{name: "FullCommitProof/full", in: core.FullCommitProofMsg{Seq: 9, View: 2, Sigma: sig(1)}},
