@@ -111,8 +111,10 @@ func readBenchThroughput(b *testing.B, mode readBenchMode) float64 {
 	}
 	advanceUntil("frontier catch-up", frontierCovers)
 
-	// Closed-loop GET phase.
+	// Closed-loop GET phase, timed to its last completion: the simulator
+	// runs on past it (timers, checkpoints) before advanceUntil looks.
 	var completed, fallbacks uint64
+	var lastDone time.Duration
 	salt := uint64(0)
 	issue := func(ci int) {
 		c := cl.Clients[ci]
@@ -137,6 +139,7 @@ func readBenchThroughput(b *testing.B, mode readBenchMode) float64 {
 		c := cl.Clients[ci]
 		next := func() {
 			completed++
+			lastDone = cl.Sched.Now()
 			if issued[ci] < readBenchOps {
 				issued[ci]++
 				issue(ci)
@@ -161,7 +164,7 @@ func readBenchThroughput(b *testing.B, mode readBenchMode) float64 {
 	}
 	total := uint64(readBenchClients * readBenchOps)
 	advanceUntil("GET phase", func() bool { return completed >= total })
-	elapsed := cl.Sched.Now() - start
+	elapsed := lastDone - start
 	if elapsed <= 0 {
 		b.Fatal("GET phase consumed no simulated time")
 	}
