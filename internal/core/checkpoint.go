@@ -88,18 +88,16 @@ func (r *Replica) certifyCheckpoint(seq uint64, digest []byte, group map[int]thr
 }
 
 func (r *Replica) onCheckpointCert(_ int, m CheckpointCertMsg) {
-	if m.Seq <= r.lastStable {
-		return
+	if m.Seq > r.lastStable {
+		if r.suite.Pi.Verify(CheckpointSigDigest(m.Seq, m.Digest), m.Pi) != nil {
+			return
+		}
+		r.recordStable(m.Seq, m.Digest, m.Pi)
 	}
-	if r.suite.Pi.Verify(CheckpointSigDigest(m.Seq, m.Digest), m.Pi) != nil {
-		return
-	}
-	r.recordStable(m.Seq, m.Digest, m.Pi)
-	if r.lastExecuted < m.Seq {
-		// We are behind a stable checkpoint: fetch state if the gap is
-		// not recoverable through the normal pipeline.
-		r.fetcher.want(m.Seq)
-	}
+	// Behind the stable checkpoint, whether this certificate taught it or
+	// a transfer toward it ended short: fetch state (a no-op while one is
+	// in flight).
+	r.fetcher.want(r.lastStable)
 }
 
 func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature) {

@@ -35,6 +35,7 @@ func TestFetchAnswersGoToTheAsker(t *testing.T) {
 	rg := newRig(t, 1, nil)
 	cs := certifiedAt(t, rg, 2, nil)
 	rg.r.snaps.adopt(cs)
+	rg.r.recordStable(cs.Seq, cs.Root(), cs.Pi) // FetchCommit below it is answered with the certificate
 	fetches := []func(asker int) Message{
 		func(asker int) Message { return FetchStateMsg{Replica: asker, Seq: cs.Seq} },
 		func(asker int) Message { return FetchSnapshotChunkMsg{Replica: asker, Seq: cs.Seq, Index: 1} },

@@ -46,25 +46,45 @@ type execState struct {
 	execCertSeen bool
 }
 
-// checkGap detects an execution gap — a committed block above an
-// uncommitted one — and arms the repair timer (§II re-transmit layer).
+// checkGap keeps the repair timer (§II re-transmit layer) armed: an
+// execution gap (a committed block above an uncommitted one) is repaired
+// every gapRepairTimeout. Execution that is simply not moving, which is
+// all a replica that missed the tail of the history can see, is probed
+// at back-off intervals up to 64 times that, seven probes per stall (≈ 32
+// s), so that an idle cluster falls silent; a gap cuts a back-off short,
+// and progress starts a new stall. Each firing without progress asks a
+// rotating peer for the decision after lastExecuted; a peer that
+// collected it below its stable checkpoint answers with the checkpoint's
+// certificate (onFetchCommit).
 func (r *Replica) checkGap() {
-	if r.gapTimer.armed() || !r.hasGap() {
+	now := r.env.Now()
+	if r.gapTimer.armed() && (r.gapDue <= now+gapRepairTimeout || !r.hasGap()) {
 		return
 	}
-	r.gapTimer.arm(r.env, gapRepairTimeout, func() {
-		if !r.hasGap() {
-			r.gapAttempt = 0
-			return
+	if r.lastExecuted != r.gapLE {
+		r.gapLE, r.gapAttempt = r.lastExecuted, 0
+	}
+	gap := r.hasGap()
+	if !gap && r.gapAttempt > maxBackoffShift {
+		return
+	}
+	r.gapTimer.stop()
+	d := gapRepairTimeout
+	if !gap {
+		d <<= r.gapAttempt
+	}
+	r.gapDue = now + d
+	r.gapTimer.arm(r.env, d, func() {
+		if r.lastExecuted == r.gapLE {
+			missing := r.lastExecuted + 1
+			// Rotate through peers across attempts.
+			peer := (int(missing)+r.gapAttempt)%r.cfg.N() + 1
+			if peer == r.id {
+				peer = peer%r.cfg.N() + 1
+			}
+			r.gapAttempt++
+			r.env.Send(peer, FetchCommitMsg{Replica: r.id, Seq: missing})
 		}
-		missing := r.lastExecuted + 1
-		// Rotate through peers across attempts.
-		peer := (int(missing)+r.gapAttempt)%r.cfg.N() + 1
-		if peer == r.id {
-			peer = peer%r.cfg.N() + 1
-		}
-		r.gapAttempt++
-		r.env.Send(peer, FetchCommitMsg{Replica: r.id, Seq: missing})
 		r.checkGap()
 	})
 }
@@ -86,9 +106,12 @@ func (r *Replica) hasGap() bool {
 func (r *Replica) onFetchCommit(_ int, m FetchCommitMsg) {
 	s, ok := r.slots[m.Seq]
 	if !ok || !s.committed {
-		// Possibly garbage-collected: offer the snapshot instead, if one
-		// covers the sequence.
-		r.snaps.onFetchState(FetchStateMsg{Replica: m.Replica, Seq: m.Seq})
+		// Collected below the stable checkpoint: its certificate sends the
+		// requester, which is behind it, to state transfer. (A snapshot
+		// meta would be dropped by a fetcher with no transfer in flight.)
+		if m.Seq <= r.lastStable && r.stableDigest != nil {
+			r.env.Send(m.Replica, CheckpointCertMsg{Seq: r.lastStable, Digest: r.stableDigest, Pi: r.stablePi})
+		}
 		return
 	}
 	info := CommitInfoMsg{Seq: m.Seq, Reqs: s.committedReqs}

@@ -236,7 +236,9 @@ type Replica struct {
 	progressTimer timer
 	vcTimer       timer
 	gapTimer      timer
-	gapAttempt    int
+	gapDue        time.Duration // when gapTimer fires
+	gapLE         uint64        // lastExecuted when the current stall began
+	gapAttempt    int           // probes sent in the current stall
 	// fallbacks queues executed blocks for execFallback; fallbackTimer is
 	// armed for its head (execute.go).
 	fallbacks     []fallbackDue
