@@ -368,6 +368,7 @@ func (r *Replica) staggered(s *slot, idx int, act func()) {
 		act()
 		return
 	}
+	s.staggerTimer.stop() // the primary's fallbackFetch: it holds the shares
 	s.staggerTimer.arm(r.env, time.Duration(idx)*r.cfg.CollectorStagger, func() {
 		if !s.committed {
 			act()
