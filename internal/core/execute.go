@@ -50,9 +50,9 @@ type execState struct {
 // execution gap (a committed block above an uncommitted one) is repaired
 // every gapRepairTimeout. Execution that is simply not moving, which is
 // all a replica that missed the tail of the history can see, is probed
-// at back-off intervals up to 64 times that, seven probes per stall (≈ 32
-// s), so that an idle cluster falls silent; a gap cuts a back-off short,
-// and progress starts a new stall. Each firing without progress asks a
+// at back-off intervals up to 64 times that, seven probes per stall
+// (≈ 32 s), so that an idle cluster falls silent; a gap cuts a back-off
+// short, and progress starts a new stall. Each firing without progress asks a
 // rotating peer for the decision after lastExecuted; a peer that
 // collected it below its stable checkpoint answers with the checkpoint's
 // certificate (onFetchCommit).
