@@ -71,8 +71,9 @@ func VerifyEVM(digest []byte, op, val []byte, seq uint64, l int, proof []byte) e
 }
 
 // encodeProof writes an operation proof for the execute-ack with the
-// snapcodec primitives: Seq, L, Op, Val, the 32 bytes of KVRoot, then the
-// execution-tree path as merkle.AppendProof writes it.
+// snapcodec primitives: Seq, L, Op, Val, the 32 bytes of Prev (the state
+// digest before block Seq), then the execution-tree path as
+// merkle.AppendProof writes it.
 func encodeProof(p kvstore.Proof, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
@@ -82,7 +83,7 @@ func encodeProof(p kvstore.Proof, err error) ([]byte, error) {
 	b = snapcodec.AppendInt(b, p.L)
 	b = snapcodec.AppendBytes(b, p.Op)
 	b = snapcodec.AppendBytes(b, p.Val)
-	b = append(b, p.KVRoot[:]...)
+	b = append(b, p.Prev[:]...)
 	return merkle.AppendProof(b, p.Path), nil
 }
 
@@ -90,7 +91,7 @@ func encodeProof(p kvstore.Proof, err error) ([]byte, error) {
 func decodeProof(proof []byte) (kvstore.Proof, error) {
 	r := snapcodec.NewReader(proof)
 	p := kvstore.Proof{Seq: r.Uint(), L: r.Int(), Op: r.Bytes(), Val: r.Bytes()}
-	copy(p.KVRoot[:], r.Fixed(len(p.KVRoot)))
+	copy(p.Prev[:], r.Fixed(len(p.Prev)))
 	p.Path = merkle.ReadProof(&r)
 	if err := r.Done(); err != nil {
 		return kvstore.Proof{}, fmt.Errorf("apps: decoding proof: %w", err)

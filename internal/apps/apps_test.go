@@ -114,9 +114,9 @@ func proofSamples() []kvstore.Proof {
 	}
 	return []kvstore.Proof{
 		{},
-		{Seq: 1 << 40, L: 3, Op: kvstore.Put("key", []byte("value")), Val: []byte("ok"), KVRoot: merkle.LeafHash([]byte("root")), Path: path(3, 2)},
+		{Seq: 1 << 40, L: 3, Op: kvstore.Put("key", []byte("value")), Val: []byte("ok"), Prev: merkle.LeafHash([]byte("root")), Path: path(3, 2)},
 		{Seq: 7, L: 63, Op: bytes.Repeat([]byte{0xAB}, 1<<16), Val: bytes.Repeat([]byte{0xCD}, 1<<12), Path: path(63, 6)},
-		{Seq: 1, L: -1, KVRoot: merkle.LeafHash(nil)},
+		{Seq: 1, L: -1, Prev: merkle.LeafHash(nil)},
 	}
 }
 

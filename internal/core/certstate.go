@@ -472,11 +472,13 @@ func CheckpointSigDigest(seq uint64, root []byte) []byte {
 	return h.Sum(nil)
 }
 
-// ExecutionStateDigest is a cheap commitment to a replica's replayable
-// execution state — H(app digest ‖ canonical reply table) — used by the
-// chaos auditor to cross-check that replicas at the same frontier agree on
-// dedup state, not just application state. (The full certified root also
-// covers the serialized snapshot; this avoids the serialization cost.)
+// ExecutionStateDigest is a cheap commitment to a replica's dedup state —
+// H(app digest ‖ canonical reply table) — used by the chaos auditor to
+// cross-check that replicas at the same frontier agree on the last-reply
+// table. The app digest of kvstore and evm chains the executed blocks and
+// does not cover their state, which the auditor compares separately (their
+// StateRoot); the certified root covers both through the serialized
+// snapshot, at the cost of serializing it.
 func (r *Replica) ExecutionStateDigest() []byte {
 	h := sha256.New()
 	h.Write([]byte("sbft:execstate"))

@@ -52,8 +52,8 @@ func WordFromUint64(v uint64) Word {
 var u256Mask = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
 
 // State is the world-state interface the VM executes against. The ledger
-// implementation stores everything in its authenticated state so the
-// post-execution digest commits to the entire contract state (§IV).
+// implementation stores everything in its authenticated state, so the
+// certified checkpoint covers the entire contract state (§IV).
 type State interface {
 	GetBalance(Address) *big.Int
 	SetBalance(Address, *big.Int)
@@ -69,9 +69,9 @@ type State interface {
 	RevertTo(int)
 }
 
-// MapState implements State over an authenticated key-value map (the
-// ledger's kvstore.AuthState; a bare merkle.Map behind an adapter in VM
-// tests) with an undo journal for snapshots. Key layout (all printable
+// MapState implements State over a key-value map (the ledger's
+// kvstore.AuthState; a bare map behind an adapter in VM tests) with an
+// undo journal for snapshots. The journal keeps the copies Get returns. Key layout (all printable
 // prefixes for debuggability):
 //
 //	b/<addr-hex>           balance (big-endian bytes)
@@ -96,7 +96,7 @@ type kvMap interface {
 	Delete(key string)
 }
 
-// NewMapState wraps an authenticated map as EVM world state.
+// NewMapState wraps a key-value map as EVM world state.
 func NewMapState(m kvMap) *MapState { return &MapState{m: m} }
 
 var _ State = (*MapState)(nil)

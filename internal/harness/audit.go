@@ -41,12 +41,21 @@ func (a *Audit) addf(format string, args ...any) {
 	a.Divergences = append(a.Divergences, fmt.Sprintf(format, args...))
 }
 
+// stateRoot commits to an application's state alone
+// (kvstore.AuthState.StateRoot, which both services and Recorder have).
+// Its Digest chains the executed blocks and covers the state only at
+// genesis, so a replica that silently lost a write would still match its
+// peers' digests.
+func stateRoot(app core.Application) []byte {
+	return app.(interface{ StateRoot() []byte }).StateRoot()
+}
+
 // AuditCluster cross-checks a finished scenario:
 //
 //  1. Committed-log agreement: any two replicas that executed the same
 //     sequence executed identical operations with identical results.
 //  2. State-root agreement: replicas at the same execution frontier have
-//     identical application digests.
+//     identical application states (stateRoot).
 //  3. No lost acks: every operation a client completed appears in the
 //     executed log of every replica that executed its sequence locally,
 //     and in at least one replica overall.
@@ -115,10 +124,10 @@ func AuditCluster(cl *cluster.Cluster, recorders map[int]*Recorder, acks []Ack) 
 	byFrontier := make(map[uint64]root)
 	for _, id := range ids {
 		le := frontier[id]
-		d := cl.Apps[id].Digest()
+		d := stateRoot(cl.Apps[id])
 		if prev, ok := byFrontier[le]; ok {
 			if !bytes.Equal(prev.digest, d) {
-				a.addf("state divergence at frontier %d: replica %d and replica %d digests differ", le, prev.replica, id)
+				a.addf("state divergence at frontier %d: replica %d and replica %d state roots differ", le, prev.replica, id)
 			}
 		} else {
 			byFrontier[le] = root{replica: id, digest: d}

@@ -145,9 +145,9 @@ func measureOne(f, c int, seed int64, opsPerClient int, kind cluster.FaultKind) 
 	return p, nil
 }
 
-// degradationSafety is the test-independent form of the digest agreement
+// degradationSafety is the test-independent form of the state agreement
 // check: every live replica that executed to the same frontier must hold
-// the same app digest.
+// the same application state.
 func degradationSafety(cl *cluster.Cluster) bool {
 	byFrontier := make(map[uint64][]byte)
 	for id := 1; id <= cl.N; id++ {
@@ -155,7 +155,7 @@ func degradationSafety(cl *cluster.Cluster) bool {
 			continue
 		}
 		le := cl.Replicas[id].LastExecuted()
-		d := cl.Apps[id].Digest()
+		d := stateRoot(cl.Apps[id])
 		if prev, ok := byFrontier[le]; ok && !bytes.Equal(prev, d) {
 			return false
 		}

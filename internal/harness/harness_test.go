@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"sbft/internal/apps"
 	"sbft/internal/cluster"
 	"sbft/internal/core"
+	"sbft/internal/kvstore"
 )
 
 // TestScriptedCrashFRestartMidBatch is the ISSUE's scripted acceptance
@@ -136,5 +139,58 @@ func TestAuditorDetectsLogDivergence(t *testing.T) {
 	bogus := []Ack{{Client: core.ClientBase, Timestamp: 99, Seq: 1, Op: []byte("never-executed")}}
 	if a := AuditCluster(cl, recorders, bogus); a.OK() {
 		t.Fatal("auditor missed a lost ack")
+	}
+}
+
+// dropPut is a replica whose store silently loses the first put it
+// executes: the block runs, so its results and digest are its peers', and
+// then the key goes back to what it held before.
+type dropPut struct {
+	*apps.KVApp
+	dropped bool
+}
+
+func (d *dropPut) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
+	results := d.KVApp.ExecuteBlock(seq, ops)
+	for _, raw := range ops {
+		if op, err := kvstore.DecodeOp(raw); err == nil && op.Kind == kvstore.OpPut && !d.dropped {
+			d.Delete(op.Key) // UniqueKVGen never writes a key twice
+			d.dropped = true
+		}
+	}
+	return results
+}
+
+// TestAuditorDetectsSilentlyDroppedPut: a replica that lost one write
+// with an unchanged result must fail the state check of the auditor and
+// of the degradation benchmark, whatever its state digest covers.
+func TestAuditorDetectsSilentlyDroppedPut(t *testing.T) {
+	recorders := make(map[int]*Recorder)
+	opts := cluster.Options{
+		Protocol: cluster.ProtoSBFT, F: 1, C: 0, Clients: 2, Seed: 56,
+		WrapApp: func(id int, app core.Application) core.Application {
+			if id == 2 {
+				app = &dropPut{KVApp: app.(*apps.KVApp)}
+			}
+			rec := NewRecorder(app)
+			recorders[id] = rec
+			return rec
+		},
+	}
+	cl, err := cluster.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res := cl.RunClosedLoop(5, UniqueKVGen, time.Minute)
+	if res.Completed != 10 {
+		t.Fatalf("completed %d of 10", res.Completed)
+	}
+	a := AuditCluster(cl, recorders, nil)
+	if !strings.Contains(strings.Join(a.Divergences, "\n"), "state divergence") {
+		t.Fatalf("auditor missed the dropped put: %v", a.Divergences)
+	}
+	if degradationSafety(cl) {
+		t.Fatal("degradation safety check missed the dropped put")
 	}
 }

@@ -66,6 +66,9 @@ func (r *Recorder) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
 // Digest implements core.Application.
 func (r *Recorder) Digest() []byte { return r.inner.Digest() }
 
+// StateRoot delegates to the wrapped application, for the auditor.
+func (r *Recorder) StateRoot() []byte { return stateRoot(r.inner) }
+
 // ProveOperation implements core.Application.
 func (r *Recorder) ProveOperation(seq uint64, l int) ([]byte, error) {
 	return r.inner.ProveOperation(seq, l)

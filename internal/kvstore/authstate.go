@@ -12,20 +12,22 @@ import (
 
 // AuthState is §IV's authenticated execution state, the layer both
 // replicated services stand on (Store adds the operation codec,
-// evm.Ledger the VM): an authenticated key-value
-// map, the bucketed snapshot tracker that mirrors it, and per executed
-// block a Merkle tree over its (operation, result) pairs. The state digest
+// evm.Ledger the VM): the key-value state, kept as the bucketed snapshot
+// tracker's sorted buckets, and per executed block a Merkle tree over its
+// (operation, result) pairs. The state digest is a hash chain over the
+// executed blocks,
 //
-//	d = H(tag ‖ seq ‖ map root ‖ execution-tree root)
+//	d_s = H(tag ‖ s ‖ d_{s−1} ‖ execution-tree root of block s)
 //
-// commits to both, so one Proof checked against an f+1-signed digest lets
-// a client accept an execute-ack from a single replica. tag separates the
-// digests of different services. Every write goes through Set/Delete, which
-// keep map and tracker in step; nothing else may touch either. Not safe for
-// concurrent use: the replica event loop owns it.
+// from a genesis digest d_0 that commits to StateRoot, so one Proof checked
+// against an f+1-signed digest lets a client accept an execute-ack from a
+// single replica. The full state is committed where it is verified: every
+// checkpoint's π-certified root covers the bucket chunks, whose prelude
+// carries d_s (PBFT, too, digests state only at checkpoints). tag
+// separates the digests of different services. Every write goes through
+// Set/Delete. Not safe for concurrent use: the replica event loop owns it.
 type AuthState struct {
 	tag      string
-	m        *merkle.Map
 	tracker  *snapcodec.Tracker
 	lastSeq  uint64
 	digest   []byte
@@ -35,7 +37,7 @@ type AuthState struct {
 // execRecord retains the execution tree of one block for proof generation.
 type execRecord struct {
 	tree    *merkle.Tree
-	kvRoot  merkle.Digest
+	prev    merkle.Digest
 	ops     [][]byte
 	results [][]byte
 }
@@ -47,7 +49,6 @@ type execRecord struct {
 func NewAuthState(tag string, buckets int) *AuthState {
 	a := &AuthState{
 		tag:      tag,
-		m:        merkle.NewMap(),
 		tracker:  snapcodec.NewTracker(buckets),
 		executed: make(map[uint64]*execRecord),
 	}
@@ -55,14 +56,14 @@ func NewAuthState(tag string, buckets int) *AuthState {
 	return a
 }
 
-// stateDigest commits to the sequence number, the map root and the
-// execution tree root of the block that produced this state (paper §IV:
-// d = digest(D_s)).
-func stateDigest(tag string, seq uint64, kvRoot, execRoot merkle.Digest) []byte {
+// stateDigest links block seq into the chain: it commits to the sequence
+// number, the digest before the block (the state root at genesis) and the
+// block's execution-tree root (paper §IV: d = digest(D_s)).
+func stateDigest(tag string, seq uint64, prev, execRoot merkle.Digest) []byte {
 	var buf [32 + 8 + 2*merkle.DigestSize]byte // tags are short: no allocation
 	b := append(buf[:0], tag...)
 	b = binary.BigEndian.AppendUint64(b, seq)
-	b = append(b, kvRoot[:]...)
+	b = append(b, prev[:]...)
 	b = append(b, execRoot[:]...)
 	d := sha256.Sum256(b)
 	return d[:]
@@ -77,47 +78,54 @@ func execLeaf(l int, op, val []byte) []byte {
 	return buf
 }
 
-// Get reads a key (local queries; not authenticated).
-func (a *AuthState) Get(key string) ([]byte, bool) { return a.m.Get(key) }
-
-// Set writes a copy of val under key. The tracker mirrors the map's own
-// copy, so the state keeps one copy of each value and the caller may reuse
-// val at once.
-func (a *AuthState) Set(key string, val []byte) {
-	a.tracker.Set(key, a.m.Set(key, val))
+// Get returns a copy of key's value (local queries; not authenticated).
+func (a *AuthState) Get(key string) ([]byte, bool) {
+	v, ok := a.tracker.Get(key)
+	return append([]byte(nil), v...), ok
 }
+
+// Set writes a copy of val under key; the caller may reuse val at once.
+func (a *AuthState) Set(key string, val []byte) { a.tracker.Set(key, val) }
 
 // Delete removes a key.
-func (a *AuthState) Delete(key string) {
-	a.m.Delete(key)
-	a.tracker.Delete(key)
-}
+func (a *AuthState) Delete(key string) { a.tracker.Delete(key) }
 
 // Keys returns the sorted key list.
-func (a *AuthState) Keys() []string { return a.m.Keys() }
+func (a *AuthState) Keys() []string { return a.tracker.Keys() }
+
+// StateRoot commits to the current contents alone: the Merkle root over
+// the canonical bucket encodings, which depend only on the key-value pairs
+// (and the deployment's bucket count), not on the history that wrote them.
+// It encodes the buckets written since the last capture, as a checkpoint
+// would, and hashes every bucket.
+func (a *AuthState) StateRoot() []byte {
+	chunks, _ := a.tracker.EncodeChunks(a.lastSeq, nil)
+	root := merkle.NewTree(chunks[1:]).Root()
+	return root[:]
+}
 
 // Seal closes block seq after its operations were applied: it builds the
 // execution tree over the (operation, result) pairs, retains it for
-// ProveOperation and advances the digest. Blocks must be sealed in
+// ProveOperation and advances the digest chain. Blocks must be sealed in
 // sequence order (the paper's "execute trigger" precondition, §V-D).
 func (a *AuthState) Seal(seq uint64, ops, results [][]byte) {
-	kvRoot := a.m.Digest()
+	prev := merkle.Digest(a.digest)
 	leaves := make([][]byte, len(ops))
 	for i := range ops {
 		leaves[i] = execLeaf(i, ops[i], results[i])
 	}
 	tree := merkle.NewTree(leaves)
-	a.executed[seq] = &execRecord{tree: tree, kvRoot: kvRoot, ops: ops, results: results}
+	a.executed[seq] = &execRecord{tree: tree, prev: prev, ops: ops, results: results}
 	a.lastSeq = seq
-	a.digest = stateDigest(a.tag, seq, kvRoot, tree.Root())
+	a.digest = stateDigest(a.tag, seq, prev, tree.Root())
 }
 
-// ResealGenesis recomputes the pre-block-1 digest after writes made
-// outside consensus, so replicas with identical genesis share digests
-// from the start. It does nothing once a block has executed.
+// ResealGenesis recomputes the pre-block-1 digest from StateRoot after
+// writes made outside consensus, so replicas with identical genesis share
+// digests from the start. It does nothing once a block has executed.
 func (a *AuthState) ResealGenesis() {
 	if a.lastSeq == 0 {
-		a.digest = stateDigest(a.tag, 0, a.m.Digest(), merkle.NewTree(nil).Root())
+		a.digest = stateDigest(a.tag, 0, merkle.Digest(a.StateRoot()), merkle.NewTree(nil).Root())
 	}
 }
 
@@ -129,15 +137,15 @@ func (a *AuthState) LastExecuted() uint64 { return a.lastSeq }
 
 // Proof is the paper's P = proof(o, l, s, D, val): it authenticates that
 // operation Op was executed at position L of block Seq, produced Val, and
-// that the resulting state digest is reconstructible from KVRoot and the
-// execution-tree path.
+// that the resulting state digest is reconstructible from Prev, the digest
+// before block Seq, and the execution-tree path.
 type Proof struct {
-	Seq    uint64
-	L      int
-	Op     []byte
-	Val    []byte
-	KVRoot merkle.Digest
-	Path   merkle.Proof
+	Seq  uint64
+	L    int
+	Op   []byte
+	Val  []byte
+	Prev merkle.Digest
+	Path merkle.Proof
 }
 
 // ProveOperation builds the proof for operation l of block seq.
@@ -154,12 +162,12 @@ func (a *AuthState) ProveOperation(seq uint64, l int) (Proof, error) {
 		return Proof{}, err
 	}
 	return Proof{
-		Seq:    seq,
-		L:      l,
-		Op:     rec.ops[l],
-		Val:    rec.results[l],
-		KVRoot: rec.kvRoot,
-		Path:   path,
+		Seq:  seq,
+		L:    l,
+		Op:   rec.ops[l],
+		Val:  rec.results[l],
+		Prev: rec.prev,
+		Path: path,
 	}, nil
 }
 
@@ -194,7 +202,7 @@ func VerifyProof(tag string, digest []byte, op, val []byte, seq uint64, l int, p
 			root = merkle.InteriorHash(st.Hash, root)
 		}
 	}
-	if !bytes.Equal(stateDigest(tag, seq, p.KVRoot, root), digest) {
+	if !bytes.Equal(stateDigest(tag, seq, p.Prev, root), digest) {
 		return fmt.Errorf("%w: digest mismatch", ErrBadProof)
 	}
 	// Path index must match l to prevent position spoofing.
@@ -229,26 +237,19 @@ func (a *AuthState) SnapshotChunks() ([][]byte, bool, error) {
 
 // Restore replaces the contents from the concatenation of a capture's
 // chunks, and seeds the tracker's encoding cache from them, so the first
-// capture after a transfer is already incremental.
+// capture after a transfer is already incremental. The digest chain
+// resumes from the capture's digest.
 func (a *AuthState) Restore(data []byte) error {
 	snap, chunks, err := snapcodec.DecodeBucketed(data)
 	if err != nil {
 		return fmt.Errorf("kvstore: decoding snapshot: %w", err)
 	}
-	a.m.Restore(snap.ToMap())
+	if len(snap.Digest) != merkle.DigestSize {
+		return fmt.Errorf("kvstore: snapshot digest of %d bytes", len(snap.Digest))
+	}
 	a.tracker.Restore(snap, len(chunks)-1, chunks)
 	a.lastSeq = snap.LastSeq
 	a.digest = snap.Digest
 	a.executed = make(map[uint64]*execRecord)
 	return nil
-}
-
-// ProveKey returns a Merkle proof of a key's current value together with
-// the current map root, for read-only queries (§IV get-proofs).
-func (a *AuthState) ProveKey(key string) (merkle.KeyProof, merkle.Digest, error) {
-	kp, err := a.m.ProveKey(key)
-	if err != nil {
-		return merkle.KeyProof{}, merkle.Digest{}, err
-	}
-	return kp, a.m.Digest(), nil
 }

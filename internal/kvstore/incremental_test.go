@@ -8,10 +8,10 @@ import (
 	"sbft/internal/snapcodec"
 )
 
-// The capture (SnapshotChunks) must describe exactly the authenticated
-// map's contents: π roots certify the chunks, and Restore rebuilds the
-// map from them, so a tracker that missed a write would certify — and
-// transfer — a state no replica executed.
+// The capture (SnapshotChunks) is the state as π roots certify it and as
+// Restore rebuilds it, so it must describe exactly what Get reads: a
+// capture that missed a write would certify — and transfer — a state no
+// replica executed.
 
 func concatChunks(chunks [][]byte) []byte {
 	var buf bytes.Buffer
@@ -62,13 +62,13 @@ func TestSnapshotChunksMatchFlatSnapshot(t *testing.T) {
 		t.Fatalf("metadata diverged: capture (%d,%x) store (%d,%x)",
 			bucketed.LastSeq, bucketed.Digest, s.LastExecuted(), s.Digest())
 	}
-	bm, want := bucketed.ToMap(), s.m.Snapshot()
-	if len(bm) != len(want) {
-		t.Fatalf("entry count diverged: capture %d, map %d", len(bm), len(want))
+	bm, keys := bucketed.ToMap(), s.Keys()
+	if len(bm) != len(keys) {
+		t.Fatalf("entry count diverged: capture %d, store %d", len(bm), len(keys))
 	}
-	for k, v := range want {
-		if !bytes.Equal(bm[k], v) {
-			t.Fatalf("key %q diverged between capture and map", k)
+	for _, k := range keys {
+		if v, _ := s.Get(k); !bytes.Equal(bm[k], v) {
+			t.Fatalf("key %q diverged between capture and store", k)
 		}
 	}
 }

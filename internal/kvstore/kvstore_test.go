@@ -330,22 +330,6 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestProveKey(t *testing.T) {
-	s := New()
-	s.ExecuteBlock(1, [][]byte{Put("alpha", []byte("42"))})
-	kp, root, err := s.ProveKey("alpha")
-	if err != nil {
-		t.Fatalf("ProveKey: %v", err)
-	}
-	if string(kp.Value) != "42" {
-		t.Fatalf("proved value = %q, want 42", kp.Value)
-	}
-	_ = root
-	if _, _, err := s.ProveKey("missing"); err == nil {
-		t.Fatal("ProveKey of missing key succeeded")
-	}
-}
-
 func TestQuickExecutionProofSoundness(t *testing.T) {
 	// Property: for random blocks, every op's proof verifies and a proof
 	// never verifies for a different result value.

@@ -18,12 +18,17 @@ import (
 // first settle the tree, re-hashing every dirty node once, children before
 // parents, and a node's payload only if it was written. A block of k
 // writes therefore hashes the levels its writes share once, not k times,
-// and the digest is still a pure function of the contents — the property
-// that keeps per-block state digests cheap for SBFT's execution phase
-// (§IV, §V-D).
+// and the digest is still a pure function of the contents.
 //
 // Because Digest and ProveKey write to the tree, a Map has no concurrent
-// readers either: one goroutine owns it (the replica event loop).
+// readers either: one goroutine owns it.
+//
+// No replicated service stands on Map: kvstore's state digest became a
+// hash chain over the executed blocks, and the state itself is committed
+// by the certified checkpoint root over its bucket chunks. Map and its
+// tests stay because the wall-clock benchmark's per-layer table still times
+// it (merkle.map_set_us, merkle.prove_key_us); only a change to the
+// benchmark may drop those rows, and Map with them.
 type Map struct {
 	root  *mapNode
 	count int

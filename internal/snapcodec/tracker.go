@@ -43,19 +43,19 @@ func BucketOf(key string, n int) int {
 	return int(h % uint64(n))
 }
 
-// Tracker maintains the bucketed encoding of one application's state
-// incrementally: the application reports every mutation (Set/Delete),
-// and EncodeChunks re-encodes only the buckets touched since the last
-// call, returning clean buckets as the identical cached byte slices.
-// Returned slices are never mutated afterwards, so snapshot generations
-// retained by the checkpoint layer can alias them safely.
+// Tracker holds one application's state in the bucketed layout and
+// maintains its encoding incrementally: the application writes through
+// Set/Delete, and EncodeChunks re-encodes only the buckets touched since
+// the last call, returning clean buckets as the identical cached byte
+// slices. Returned slices are never mutated afterwards, so snapshot
+// generations retained by the checkpoint layer can alias them safely.
 type Tracker struct {
 	content []bucket
 }
 
-// bucket mirrors one hash bucket as parallel slices in key order — the
+// bucket holds one hash bucket as parallel slices in key order — the
 // order the encoding needs, so encode is one pass with no sort and no
-// lookup. Overwriting a key is a binary search and a store; a new key or
+// lookup. Overwriting a key is a binary search and a copy; a new key or
 // a delete also shifts the entries above it (40 bytes each).
 type bucket struct {
 	keys []string
@@ -76,29 +76,54 @@ func NewTracker(n int) *Tracker {
 // Buckets reports the bucket count.
 func (t *Tracker) Buckets() int { return len(t.content) }
 
-// Set records a key write. The value slice is referenced, not copied:
-// the caller must not mutate it until it records the key's next write,
-// so kvstore.AuthState hands over the authenticated map's own copy, which
-// only that next write overwrites in place.
-func (t *Tracker) Set(key string, val []byte) {
-	b := &t.content[BucketOf(key, len(t.content))]
+func (t *Tracker) bucket(key string) *bucket {
+	return &t.content[BucketOf(key, len(t.content))]
+}
+
+// Get returns key's value and whether it is present. The slice is the
+// tracker's own: read it before the key's next write and never modify it.
+func (t *Tracker) Get(key string) ([]byte, bool) {
+	b := t.bucket(key)
 	if i, found := slices.BinarySearch(b.keys, key); found {
-		b.vals[i] = val
+		return b.vals[i], true
+	}
+	return nil, false
+}
+
+// Set writes a copy of val under key, so the tracker holds the state's
+// one copy of each value and the caller may reuse val at once. An
+// overwrite copies into the previous value's storage when it fits: no one
+// else holds that storage, since Get's callers may not keep it past this
+// write, encodings are copies and Restore hands over values it owns.
+func (t *Tracker) Set(key string, val []byte) {
+	b := t.bucket(key)
+	if i, found := slices.BinarySearch(b.keys, key); found {
+		b.vals[i] = append(b.vals[i][:0], val...)
 	} else {
 		b.keys = slices.Insert(b.keys, i, key)
-		b.vals = slices.Insert(b.vals, i, val)
+		b.vals = slices.Insert(b.vals, i, bytes.Clone(val))
 	}
 	b.enc = nil
 }
 
-// Delete records a key deletion.
+// Delete removes key if present.
 func (t *Tracker) Delete(key string) {
-	b := &t.content[BucketOf(key, len(t.content))]
+	b := t.bucket(key)
 	if i, found := slices.BinarySearch(b.keys, key); found {
 		b.keys = slices.Delete(b.keys, i, i+1)
 		b.vals = slices.Delete(b.vals, i, i+1)
 	}
 	b.enc = nil
+}
+
+// Keys returns every key, sorted.
+func (t *Tracker) Keys() []string {
+	var keys []string
+	for i := range t.content {
+		keys = append(keys, t.content[i].keys...)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // encode builds the canonical encoding of the bucket. A bucket that grew
@@ -151,12 +176,13 @@ func (t *Tracker) EncodeChunks(lastSeq uint64, digest []byte) ([][]byte, int) {
 	return chunks, reencoded
 }
 
-// Restore rebuilds the tracker from a decoded bucketed snapshot: the
-// mirror adopts the blob's bucket count and entries (each bucket sized
-// exactly; a certified blob lists them in order, so every Set appends),
-// and the cached encodings are seeded from the blob's own chunks — so the
-// first capture after a state transfer is already incremental instead of
-// a full re-encode.
+// Restore rebuilds the tracker from a decoded bucketed snapshot: it
+// adopts the blob's bucket count and takes over its entries' values
+// without copying them (DecodeBucketed's are copies of the blob, not
+// views of it), each bucket sized exactly; a certified blob lists the
+// entries in order, so every insert appends. The cached encodings are
+// seeded from the blob's own chunks, so the first capture after a state
+// transfer is already incremental instead of a full re-encode.
 func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
 	sizes := make([]int, buckets)
 	for _, e := range st.Entries {
@@ -167,7 +193,14 @@ func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
 		t.content[b] = bucket{keys: make([]string, 0, n), vals: make([][]byte, 0, n)}
 	}
 	for _, e := range st.Entries {
-		t.Set(e.Key, e.Val)
+		b := t.bucket(e.Key)
+		i, found := slices.BinarySearch(b.keys, e.Key)
+		if found {
+			b.vals[i] = e.Val
+			continue
+		}
+		b.keys = slices.Insert(b.keys, i, e.Key)
+		b.vals = slices.Insert(b.vals, i, e.Val)
 	}
 	for b := 0; b < buckets && 1+b < len(chunks); b++ {
 		t.content[b].enc = chunks[1+b]
