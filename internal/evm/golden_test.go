@@ -7,17 +7,19 @@ import (
 	"testing"
 )
 
-// Captured on the commit before merkle.Map went mark-then-settle (PR 16):
-// the ledger digest after every block of goldenLedgerScript and the hash of
-// the checkpoint capture taken before its last block.
+// The ledger digest after every block of goldenLedgerScript and the hash
+// of the checkpoint capture taken before its last block. Re-captured when
+// the digest became a hash chain over a genesis digest of StateRoot: every
+// digest moved, and the capture only through the digest its prelude
+// carries.
 const (
 	goldenLedgerDigests = "" +
-		"470e9b660390f5874570403fe275e472fbf3b6723cf02e62b781219840a4750b" + // genesis
-		"d8cb1caba6af740571529d0f6817b6b2c4433f63f58801abd665c30f09c01d7e" + // deploys
-		"48e4bba2feacce0edd098df8c8226790df88a6f018782ec9dc3cfcab015033ed" + // mints, a failed call, churn
-		"d15e04b23462b1f45e2c4c42a69713d1e5b3bd3e1e6ddeb28213fa45afcb7eba" + // transfers that zero a slot
-		"8ac772796626a1ca3ee2f26325dcdfc3a3a79ac7e14bba5567596b38e748fd5c" // after the capture
-	goldenLedgerChunksHash = "abe8234e3cec2694c18fa74de3faea57a4b893d18209266b9e64abd5d242e4e2"
+		"ca079a51b0d64a6ea3865ed147a1b037071149cd1df5e3bb90b7accb660de2b7" + // genesis
+		"f58cbe7ea78ebb5bff52dae1aec3acc2f2c95c3a2375285e291360145b663be4" + // deploys
+		"03393aa1d9c216e17933a3b7f3f2e5685ba93c033cb3060bfaa65c7ac009d3ce" + // mints, a failed call, churn
+		"69aaf17ae1770c3fe4dd4419e63df83b3c740a42ab6d4053270bab6be4d450ba" + // transfers that zero a slot
+		"8022f1478b670d89ea89c731acd8583e36775dbcde3c744de435be4a73cbb6f0" // after the capture
+	goldenLedgerChunksHash = "ef708cf114fffd9f0ffc6185f048a075fc40da18cb5c02e74bb41e258a67c5c6"
 )
 
 func goldenLedgerScript(l *Ledger) (digests, chunksHash string) {

@@ -7,19 +7,20 @@ import (
 	"testing"
 )
 
-// The state digest is a pure function of the executed history: how the
-// authenticated map schedules its hashing must never show in it. These
-// constants were captured on the commit before merkle.Map went
-// mark-then-settle (PR 16) and pin the digest, the checkpoint chunks and
-// one key proof bit for bit.
+// The state digest is a pure function of the executed history. These
+// constants pin the digest after every block of goldenScript and the
+// checkpoint chunks bit for bit. Re-captured when the digest became a hash
+// chain, d_s = H(tag ‖ s ‖ d_{s−1} ‖ execution-tree root), over a genesis
+// digest of StateRoot: every digest moved, and the chunks only through the
+// digest their prelude carries (the bucket chunks are byte-identical).
 const (
 	goldenDigests = "" +
-		"ef1f9bb6f70ab62d8b52aa5a773fb974ce1a7d50fed34ec45e3b5e1b06f2f361" + // 200 puts
-		"b25a566173c59df9bf75d3abc9f42e3870cef159e757311fa4484708fc38e5b8" + // overwrites
-		"51555f42025fad9c6fbbe3a43274456f17ee9754730f3c81f8c5cf6e9d588776" + // deletes
-		"d91d520481985306927faa7635d59682dd1bbcd668df9e9cf87a17158eb76cbb" + // 64-put bundle
-		"dcf630ce29329183768ccfdf74823dab4292b87e0df8b1c5ea88e4648e90d4d3" // after the capture
-	goldenChunksHash = "e18bb9cb42f582fe83616c8e360bd58c13dcc0215d444cd2440c690ad361789f"
+		"b547e810791c1cea8dc08b8acd90cb10fb2f6fac85432bf169347c0450ff8e1c" + // 200 puts
+		"f13966ad0d20a28ab8bb36a456f0a6528d908e1133163c96d696d522464247e8" + // overwrites
+		"5db1942d857523c5743166cfa3bc8ebaf17741ab9917ce6cb1e0baf6272e734d" + // deletes
+		"e87e11768c47aa7b97d1061d1e9397916366f87080a7c77bdcb078a5a91a83e5" + // 64-put bundle
+		"9c976fcbb49fc809774cddfe94000d35bf0d1143e94a04095423a21dbb588358" // after the capture
+	goldenChunksHash = "0a20dbd40e2ce71fde7510eaa06d6994e378bd00d049e37935b5534da8ac2e89"
 )
 
 // goldenScript drives puts, overwrites, deletes (leaves and interior nodes
