@@ -94,7 +94,7 @@ func (t *Tracker) Get(key string) ([]byte, bool) {
 // one copy of each value and the caller may reuse val at once. An
 // overwrite copies into the previous value's storage when it fits: no one
 // else holds that storage, since Get's callers may not keep it past this
-// write, encodings are copies and Restore hands over values it owns.
+// write and encodings are copies.
 func (t *Tracker) Set(key string, val []byte) {
 	b := t.bucket(key)
 	if i, found := slices.BinarySearch(b.keys, key); found {
@@ -177,12 +177,11 @@ func (t *Tracker) EncodeChunks(lastSeq uint64, digest []byte) ([][]byte, int) {
 }
 
 // Restore rebuilds the tracker from a decoded bucketed snapshot: it
-// adopts the blob's bucket count and takes over its entries' values
-// without copying them (DecodeBucketed's are copies of the blob, not
-// views of it), each bucket sized exactly; a certified blob lists the
-// entries in order, so every insert appends. The cached encodings are
-// seeded from the blob's own chunks, so the first capture after a state
-// transfer is already incremental instead of a full re-encode.
+// adopts the blob's bucket count and copies its entries in, each bucket
+// sized exactly (a certified blob lists them in order, so every Set
+// appends), and the cached encodings are seeded from the blob's own
+// chunks — so the first capture after a state transfer is already
+// incremental instead of a full re-encode.
 func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
 	sizes := make([]int, buckets)
 	for _, e := range st.Entries {
@@ -193,14 +192,7 @@ func (t *Tracker) Restore(st State, buckets int, chunks [][]byte) {
 		t.content[b] = bucket{keys: make([]string, 0, n), vals: make([][]byte, 0, n)}
 	}
 	for _, e := range st.Entries {
-		b := t.bucket(e.Key)
-		i, found := slices.BinarySearch(b.keys, e.Key)
-		if found {
-			b.vals[i] = e.Val
-			continue
-		}
-		b.keys = slices.Insert(b.keys, i, e.Key)
-		b.vals = slices.Insert(b.vals, i, e.Val)
+		t.Set(e.Key, e.Val)
 	}
 	for b := 0; b < buckets && 1+b < len(chunks); b++ {
 		t.content[b].enc = chunks[1+b]
@@ -231,8 +223,8 @@ func BucketLookup(chunk []byte, key string) ([]byte, bool, error) {
 }
 
 // DecodeBucketed parses an assembled bucketed snapshot, returning the
-// state and the re-split chunk list (prelude + one slice per bucket,
-// aliasing data) for seeding a Tracker.
+// state and the re-split chunk list (prelude + one slice per bucket) for
+// seeding a Tracker. The chunks and the entries' values alias data.
 func DecodeBucketed(data []byte) (State, [][]byte, error) {
 	if !bytes.HasPrefix(data, []byte(bucketMagic)) {
 		return State{}, nil, fmt.Errorf("snapcodec: bad bucket magic")
@@ -248,7 +240,7 @@ func DecodeBucketed(data []byte) (State, [][]byte, error) {
 	chunks[0] = data[:end]
 	for b := 0; b < buckets; b++ {
 		for i, count := 0, r.Count64(16); i < count; i++ {
-			st.Entries = append(st.Entries, Entry{Key: string(r.Bytes64()), Val: bytes.Clone(r.Bytes64())})
+			st.Entries = append(st.Entries, Entry{Key: string(r.Bytes64()), Val: r.Bytes64()})
 		}
 		chunks[1+b], end = data[end:len(data)-r.Len()], len(data)-r.Len()
 	}
