@@ -1,15 +1,16 @@
 // Package merkle implements the Merkle tree interface the SBFT paper uses
-// for data authentication (§IV, [58]): a digest over the service state and
-// membership proofs that let a client accept a result from a single replica
-// once the state digest carries an f+1 threshold signature.
+// for data authentication (§IV, [58]): roots over executed blocks and
+// state chunks, and membership proofs that let a client accept a result
+// from a single replica once the state digest carries an f+1 threshold
+// signature.
 //
 // Two structures are provided:
 //
 //   - Tree: a static binary Merkle tree over an ordered list of leaves,
 //     used to prove that an operation was executed at position l of the
 //     decision block with sequence number s (proof(o, l, s, D, val)).
-//   - Map: an incrementally-updatable sorted-key Merkle map used as the
-//     authenticator of the key-value store state (digest(D) and get-proofs).
+//   - Map: an incrementally-updatable sorted-key Merkle map with key
+//     proofs. No replicated service uses it (see its doc comment).
 //     Writes only mark the nodes they touch; Digest and ProveKey hash what
 //     is marked, once per node, so a block of writes costs one pass over
 //     the union of their root paths. Reading a hash therefore writes to

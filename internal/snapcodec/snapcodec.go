@@ -17,7 +17,7 @@
 // There is one snapshot format, bucketed fixed big-endian framing with no
 // type metadata. Keys are distributed over a fixed number of hash buckets
 // and each bucket encodes independently, keys sorted; a Tracker
-// (tracker.go) mirrors the application state so that a capture
+// (tracker.go) holds the application state so that a capture
 // re-encodes only the buckets written since the previous one. The
 // format is the concatenation of the chunk list:
 //

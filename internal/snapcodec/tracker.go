@@ -128,7 +128,7 @@ func (t *Tracker) Keys() []string {
 
 // encode builds the canonical encoding of the bucket. A bucket that grew
 // since its last encoding also sheds append's slack here, once that
-// passes a quarter of its length: the mirror lives as long as the state.
+// passes a quarter of its length: the bucket lives as long as the state.
 func (b *bucket) encode() []byte {
 	if cap(b.keys)-len(b.keys) > len(b.keys)/4 {
 		b.keys, b.vals = slices.Clone(b.keys), slices.Clone(b.vals)
