@@ -32,6 +32,15 @@ type AuthState struct {
 	lastSeq  uint64
 	digest   []byte
 	executed map[uint64]*execRecord
+	// leaves caches StateRoot's leaf hash per bucket chunk: the tracker
+	// returns a clean bucket as the identical slice, so a genesis of n
+	// writes, each resealed, hashes only the buckets each write dirtied.
+	leaves []chunkLeaf
+}
+
+type chunkLeaf struct {
+	chunk []byte
+	hash  merkle.Digest
 }
 
 // execRecord retains the execution tree of one block for proof generation.
@@ -96,11 +105,22 @@ func (a *AuthState) Keys() []string { return a.tracker.Keys() }
 // StateRoot commits to the current contents alone: the Merkle root over
 // the canonical bucket encodings, which depend only on the key-value pairs
 // (and the deployment's bucket count), not on the history that wrote them.
-// It encodes the buckets written since the last capture, as a checkpoint
-// would, and hashes every bucket.
+// It encodes and hashes the buckets written since the last call, as a
+// checkpoint capture would.
 func (a *AuthState) StateRoot() []byte {
 	chunks, _ := a.tracker.EncodeChunks(a.lastSeq, nil)
-	root := merkle.NewTree(chunks[1:]).Root()
+	buckets := chunks[1:]
+	if len(a.leaves) != len(buckets) {
+		a.leaves = make([]chunkLeaf, len(buckets))
+	}
+	hashes := make([]merkle.Digest, len(buckets))
+	for i, c := range buckets {
+		if l := &a.leaves[i]; len(l.chunk) != len(c) || &l.chunk[0] != &c[0] {
+			*l = chunkLeaf{chunk: c, hash: merkle.LeafHash(c)}
+		}
+		hashes[i] = a.leaves[i].hash
+	}
+	root := merkle.NewTreeFromHashes(hashes).Root()
 	return root[:]
 }
 
