@@ -15,6 +15,24 @@ func concatChunks(chunks [][]byte) []byte {
 	return buf.Bytes()
 }
 
+// contents parses a capture's bucket chunks into a map, apart from the
+// tracker that encoded them.
+func contents(t *testing.T, chunks [][]byte) map[string][]byte {
+	t.Helper()
+	m := map[string][]byte{}
+	for _, c := range chunks[1:] {
+		r := snapcodec.NewReader(c)
+		for i, n := 0, r.Count64(16); i < n; i++ {
+			k := r.Bytes64()
+			m[string(k)] = r.Bytes64()
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("bucket chunk: %v", err)
+		}
+	}
+	return m
+}
+
 // captureMaps decodes the ledger's capture and reads the authenticated
 // map it must describe, and returns both for comparison.
 func captureMaps(t *testing.T, l *Ledger) (bucketed, state map[string][]byte) {
@@ -35,7 +53,7 @@ func captureMaps(t *testing.T, l *Ledger) (bucketed, state map[string][]byte) {
 	for _, k := range l.Keys() {
 		state[k], _ = l.Get(k)
 	}
-	return bst.ToMap(), state
+	return contents(t, chunks), state
 }
 
 func requireSameState(t *testing.T, bucketed, state map[string][]byte, when string) {

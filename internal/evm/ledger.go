@@ -285,14 +285,11 @@ func errClass(err error) string {
 // ExecuteBlock applies a block of encoded transactions in order and
 // returns encoded receipts, one per transaction.
 func (l *Ledger) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
-	results := make([][]byte, len(ops))
-	for i, raw := range ops {
+	return l.Execute(seq, ops, func(raw []byte) []byte {
 		rcpt := l.applyTx(seq, raw)
 		l.state.DiscardJournal()
-		results[i] = rcpt.Encode()
-	}
-	l.Seal(seq, ops, results)
-	return results
+		return rcpt.Encode()
+	})
 }
 
 // Verify is kvstore.VerifyProof for smart-contract clients.

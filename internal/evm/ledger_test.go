@@ -2,7 +2,9 @@ package evm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/big"
 	"testing"
 
 	"sbft/internal/kvstore"
@@ -260,5 +262,47 @@ func TestLedgerSnapshotCanonical(t *testing.T) {
 	}
 	if again := capture(a); !bytes.Equal(sa, again) {
 		t.Fatal("repeated snapshot of the same ledger differs")
+	}
+}
+
+// TestGenesisComputesTheStateRootOnce: a genesis of n accounts costs O(n).
+// Mint and GenesisCreate only mark the genesis digest stale; it is computed
+// from StateRoot once, when first read or before block 1's first write.
+// Recomputing it after every Mint re-encoded and hashed the bucket each
+// write dirtied, O(n²/buckets) in all, so a Mint deep into a 4 000-account
+// genesis must allocate no more than its balance write does.
+func TestGenesisComputesTheStateRootOnce(t *testing.T) {
+	account := func(i int) Address { return AddressFromBytes(binary.BigEndian.AppendUint32(nil, uint32(i))) }
+	l := NewLedger()
+	for i := 0; i < 4000; i++ {
+		l.Mint(account(i), 1)
+	}
+	a := account(0)
+	write := testing.AllocsPerRun(100, func() {
+		l.state.SetBalance(a, new(big.Int).Add(l.state.GetBalance(a), new(big.Int).SetUint64(1)))
+		l.state.DiscardJournal()
+	})
+	if mint := testing.AllocsPerRun(100, func() { l.Mint(a, 1) }); mint > write {
+		t.Fatalf("a Mint allocates %v objects, its balance write %v: the genesis digest is recomputed per write", mint, write)
+	}
+
+	// The digest is the same whenever it is computed: read after every
+	// Mint, only at the end, or first by block 1's execution.
+	eager, lazy, unread := NewLedger(), NewLedger(), NewLedger()
+	for i := 0; i < 300; i++ {
+		for _, l := range []*Ledger{eager, lazy, unread} {
+			l.Mint(account(i), uint64(i))
+		}
+		eager.Digest()
+	}
+	if !bytes.Equal(eager.Digest(), lazy.Digest()) {
+		t.Fatal("genesis digest read after every Mint differs from one read at the end")
+	}
+	block := [][]byte{Tx{Kind: TxCall, From: account(7), To: account(8), Value: 3, GasLimit: 100_000}.Encode()}
+	for _, l := range []*Ledger{eager, lazy, unread} {
+		l.ExecuteBlock(1, block)
+	}
+	if !bytes.Equal(unread.Digest(), eager.Digest()) || !bytes.Equal(lazy.Digest(), eager.Digest()) {
+		t.Fatal("block 1's digest depends on when the genesis digest was computed")
 	}
 }

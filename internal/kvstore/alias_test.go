@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// A written value is kept once, in the snapshot tracker, which copies it
-// and copies an overwrite into the old value's storage when it fits. So
-// nothing else may hold that storage: DecodeOp's Value aliases the encoded
-// operation, which the execution record keeps, Get's callers keep what it
-// returns, and a restored store's retained chunks are the blob itself.
+// A written value is kept once, in the snapshot tracker's bucket chunk,
+// which it copies into and edits in place. So nothing else may hold that
+// storage: an operation's key and value alias the encoded operation, which
+// the execution record keeps, Get's callers keep what it returns, and a
+// captured or restored chunk (the blob itself, after a restore) is copied
+// before its bucket's next write.
 
 func scribble(b []byte) {
 	for i := range b {
@@ -106,7 +107,7 @@ func TestWrittenValuesAliasNothingTheCallerOwns(t *testing.T) {
 
 // TestOverwriteOfRestoredKeyKeepsRetainedChunks restores a store from a
 // capture and overwrites every restored key with a value of the same
-// length, which the tracker copies into the old value's storage. The
+// length, which the tracker copies over the old value in the chunk. The
 // checkpoint layer keeps the capture's chunks, and the restored store's
 // first capture aliases the blob: none of those bytes may move.
 func TestOverwriteOfRestoredKeyKeepsRetainedChunks(t *testing.T) {
@@ -196,10 +197,11 @@ func TestGetReturnsACopy(t *testing.T) {
 }
 
 // TestOverwriteBundleBlockAllocs pins the allocations of the hmac4_bundle
-// block shape, two 64-put bundles overwriting live keys: each put
-// allocates only its key string (the value is copied into the map node's
-// own storage, and a bundle builds no per-put result); the rest is the
-// block's results, its two sub-operation lists and the seal.
+// block shape, two 64-put bundles overwriting live keys: a put allocates
+// nothing (its key is looked up by the operation's bytes, its value copied
+// into the bucket chunk, and a bundle builds no per-put result), so what
+// is left is the block's results, its two sub-operation lists and the
+// seal.
 func TestOverwriteBundleBlockAllocs(t *testing.T) {
 	const keys, puts = 1024, 64
 	s := New()
@@ -222,7 +224,7 @@ func TestOverwriteBundleBlockAllocs(t *testing.T) {
 		s.ExecuteBlock(seq, block)
 		s.GarbageCollect(seq) // keeps the execution records at one block
 	})
-	if want := float64(2*puts + 18); got > want {
+	if want := 18.0; got > want {
 		t.Fatalf("%v allocations per 2 × %d-put bundle block, want ≤ %v", got, puts, want)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // AuthState is §IV's authenticated execution state, the layer both
 // replicated services stand on (Store adds the operation codec,
 // evm.Ledger the VM): the key-value state, kept as the bucketed snapshot
-// tracker's sorted buckets, and per executed block a Merkle tree over its
+// tracker's bucket chunks, and per executed block a Merkle tree over its
 // (operation, result) pairs. The state digest is a hash chain over the
 // executed blocks,
 //
@@ -33,8 +33,8 @@ type AuthState struct {
 	digest   []byte
 	executed map[uint64]*execRecord
 	// leaves caches StateRoot's leaf hash per bucket chunk: the tracker
-	// returns a clean bucket as the identical slice, so a genesis of n
-	// writes, each resealed, hashes only the buckets each write dirtied.
+	// returns a clean bucket as the identical slice, so a StateRoot hashes
+	// only the buckets written since the previous one.
 	leaves []chunkLeaf
 }
 
@@ -124,11 +124,17 @@ func (a *AuthState) StateRoot() []byte {
 	return root[:]
 }
 
-// Seal closes block seq after its operations were applied: it builds the
-// execution tree over the (operation, result) pairs, retains it for
-// ProveOperation and advances the digest chain. Blocks must be sealed in
-// sequence order (the paper's "execute trigger" precondition, §V-D).
-func (a *AuthState) Seal(seq uint64, ops, results [][]byte) {
+// Execute runs block seq: it applies each operation in order through
+// apply, which returns the operation's result, then builds the execution
+// tree over the (operation, result) pairs, retains it for ProveOperation
+// and advances the digest chain. Blocks must execute in sequence order
+// (the paper's "execute trigger" precondition, §V-D).
+func (a *AuthState) Execute(seq uint64, ops [][]byte, apply func(op []byte) []byte) [][]byte {
+	a.genesis() // before the block's first write
+	results := make([][]byte, len(ops))
+	for i, op := range ops {
+		results[i] = apply(op)
+	}
 	prev := merkle.Digest(a.digest)
 	leaves := make([][]byte, len(ops))
 	for i := range ops {
@@ -138,19 +144,33 @@ func (a *AuthState) Seal(seq uint64, ops, results [][]byte) {
 	a.executed[seq] = &execRecord{tree: tree, prev: prev, ops: ops, results: results}
 	a.lastSeq = seq
 	a.digest = stateDigest(a.tag, seq, prev, tree.Root())
+	return results
 }
 
-// ResealGenesis recomputes the pre-block-1 digest from StateRoot after
-// writes made outside consensus, so replicas with identical genesis share
-// digests from the start. It does nothing once a block has executed.
+// ResealGenesis marks the pre-block-1 digest for recomputation from
+// StateRoot after writes made outside consensus, so replicas with
+// identical genesis share digests from the start. The digest is computed
+// once, when first asked for or before block 1's first write, so a
+// genesis of n writes costs O(n). It does nothing once a block has
+// executed.
 func (a *AuthState) ResealGenesis() {
 	if a.lastSeq == 0 {
+		a.digest = nil
+	}
+}
+
+// genesis computes the genesis digest if ResealGenesis left it stale.
+func (a *AuthState) genesis() {
+	if a.digest == nil {
 		a.digest = stateDigest(a.tag, 0, merkle.Digest(a.StateRoot()), merkle.NewTree(nil).Root())
 	}
 }
 
 // Digest returns digest(D) after the last executed block.
-func (a *AuthState) Digest() []byte { return append([]byte(nil), a.digest...) }
+func (a *AuthState) Digest() []byte {
+	a.genesis()
+	return append([]byte(nil), a.digest...)
+}
 
 // LastExecuted reports the sequence number of the last executed block.
 func (a *AuthState) LastExecuted() uint64 { return a.lastSeq }
@@ -243,31 +263,34 @@ func (a *AuthState) GarbageCollect(keepFrom uint64) {
 }
 
 // SnapshotChunks captures the state for checkpoints and state transfer
-// (§VIII): the bucketed canonical snapshot as a chunk list, re-encoding
-// only buckets written since the previous capture (clean chunks are the
-// identical byte slices of the previous call, so the checkpoint layer
-// reuses their leaf hashes). Replicas with identical state produce
+// (§VIII): the bucketed canonical snapshot as a chunk list, the tracker's
+// bucket chunks as they are (clean chunks are the identical byte slices
+// of the previous call, so the checkpoint layer reuses their leaf
+// hashes). Replicas with identical state produce
 // identical chunks in every process. Execution records are not part of
 // the snapshot; a restored replica can prove only blocks it executes
 // after restoration, which matches PBFT-style state transfer semantics.
 func (a *AuthState) SnapshotChunks() ([][]byte, bool, error) {
+	a.genesis()
 	chunks, _ := a.tracker.EncodeChunks(a.lastSeq, a.digest)
 	return chunks, true, nil
 }
 
 // Restore replaces the contents from the concatenation of a capture's
-// chunks, and seeds the tracker's encoding cache from them, so the first
-// capture after a transfer is already incremental. The digest chain
-// resumes from the capture's digest.
+// chunks: the tracker adopts the bucket chunks, which alias data, so the
+// first capture after a transfer returns them as they are. The digest
+// chain resumes from the capture's digest.
 func (a *AuthState) Restore(data []byte) error {
 	snap, chunks, err := snapcodec.DecodeBucketed(data)
+	if err == nil && len(snap.Digest) != merkle.DigestSize {
+		err = fmt.Errorf("snapshot digest of %d bytes", len(snap.Digest))
+	}
+	if err == nil {
+		err = a.tracker.Restore(chunks)
+	}
 	if err != nil {
 		return fmt.Errorf("kvstore: decoding snapshot: %w", err)
 	}
-	if len(snap.Digest) != merkle.DigestSize {
-		return fmt.Errorf("kvstore: snapshot digest of %d bytes", len(snap.Digest))
-	}
-	a.tracker.Restore(snap, len(chunks)-1, chunks)
 	a.lastSeq = snap.LastSeq
 	a.digest = snap.Digest
 	a.executed = make(map[uint64]*execRecord)

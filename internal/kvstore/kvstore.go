@@ -62,27 +62,34 @@ func (o Op) Encode() []byte {
 
 // DecodeOp parses an encoded operation.
 func DecodeOp(data []byte) (Op, error) {
+	kind, key, value, err := parseOp(data)
+	return Op{Kind: kind, Key: string(key), Value: value}, err
+}
+
+// parseOp is DecodeOp with the key left in the encoding: execution looks
+// keys up by their bytes, so a put allocates nothing for its key.
+func parseOp(data []byte) (kind OpKind, key, value []byte, err error) {
 	if len(data) < 9 {
-		return Op{}, fmt.Errorf("%w: %d bytes", ErrBadOp, len(data))
+		return 0, nil, nil, fmt.Errorf("%w: %d bytes", ErrBadOp, len(data))
 	}
-	kind := OpKind(data[0])
+	kind = OpKind(data[0])
 	if kind < OpPut || kind > OpBundle {
-		return Op{}, fmt.Errorf("%w: kind %d", ErrBadOp, kind)
+		return 0, nil, nil, fmt.Errorf("%w: kind %d", ErrBadOp, kind)
 	}
 	data = data[1:]
 	klen := binary.BigEndian.Uint32(data[:4])
 	data = data[4:]
 	if uint32(len(data)) < klen+4 {
-		return Op{}, fmt.Errorf("%w: truncated key", ErrBadOp)
+		return 0, nil, nil, fmt.Errorf("%w: truncated key", ErrBadOp)
 	}
-	key := string(data[:klen])
+	key = data[:klen:klen]
 	data = data[klen:]
 	vlen := binary.BigEndian.Uint32(data[:4])
 	data = data[4:]
 	if uint32(len(data)) != vlen {
-		return Op{}, fmt.Errorf("%w: value length %d, have %d", ErrBadOp, vlen, len(data))
+		return 0, nil, nil, fmt.Errorf("%w: value length %d, have %d", ErrBadOp, vlen, len(data))
 	}
-	return Op{Kind: kind, Key: key, Value: data[:vlen:vlen]}, nil
+	return kind, key, data[:vlen:vlen], nil
 }
 
 // Put returns an encoded put operation.
@@ -178,69 +185,61 @@ func New() *Store {
 // the given bucket count. All replicas of a deployment must agree on it:
 // the bucket layout is part of the certified chunk commitment. Large-state
 // deployments raise it so the dirty fraction of a checkpoint interval
-// resolves into proportionally few re-encoded chunks.
+// resolves into proportionally few rewritten chunks.
 func NewWithBuckets(buckets int) *Store {
 	return &Store{AuthState: NewAuthState(stateTag, buckets)}
 }
 
-// apply executes a single decoded operation against the map.
-func (s *Store) apply(op Op) []byte {
-	switch op.Kind {
+// apply executes one encoded operation: a malformed one executes as an
+// error, deterministically, rather than aborting the block.
+func (s *Store) apply(raw []byte) []byte {
+	kind, key, value, err := parseOp(raw)
+	if err != nil {
+		return []byte("ERR:malformed")
+	}
+	switch kind {
 	case OpPut:
-		s.Set(op.Key, op.Value)
+		s.tracker.SetBytes(key, value)
 		return []byte("OK")
 	case OpGet:
-		v, ok := s.Get(op.Key)
+		v, ok := s.Get(string(key))
 		if !ok {
 			return nil
 		}
 		return v
 	case OpDelete:
-		s.Delete(op.Key)
+		s.tracker.DeleteBytes(key)
 		return []byte("OK")
-	case OpBundle:
-		subs, err := BundleOps(op.Value)
+	default: // OpBundle
+		subs, err := BundleOps(value)
 		if err != nil {
 			return []byte("ERR:bad-bundle")
 		}
 		applied := 0
 		for _, raw := range subs {
-			sub, err := DecodeOp(raw)
-			if err != nil || sub.Kind == OpBundle {
+			kind, key, value, err := parseOp(raw)
+			if err != nil || kind == OpBundle {
 				continue // skip malformed/nested deterministically
 			}
 			// Only the summary is returned, so a get has nothing to do
 			// and no sub-operation builds a result.
-			switch sub.Kind {
+			switch kind {
 			case OpPut:
-				s.Set(sub.Key, sub.Value)
+				s.tracker.SetBytes(key, value)
 			case OpDelete:
-				s.Delete(sub.Key)
+				s.tracker.DeleteBytes(key)
 			}
 			applied++
 		}
 		return strconv.AppendInt([]byte("OK:"), int64(applied), 10)
-	default:
-		return []byte("ERR")
 	}
 }
 
 // ExecuteBlock applies the operations of block seq in order and returns one
 // result per operation. Blocks must execute in sequence order; this is the
-// paper's "execute trigger" precondition (§V-D). Malformed operations
-// execute as errors (deterministically) rather than aborting the block.
+// paper's "execute trigger" precondition (§V-D).
 func (s *Store) ExecuteBlock(seq uint64, ops [][]byte) [][]byte {
-	results := make([][]byte, len(ops))
-	for i, raw := range ops {
-		op, err := DecodeOp(raw)
-		if err != nil {
-			results[i] = []byte("ERR:malformed")
-			continue
-		}
-		results[i] = s.apply(op)
-	}
-	s.Seal(seq, ops, results)
-	return results
+	return s.Execute(seq, ops, s.apply)
 }
 
 // Verify is VerifyProof for key-value clients.

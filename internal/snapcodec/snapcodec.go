@@ -17,9 +17,10 @@
 // There is one snapshot format, bucketed fixed big-endian framing with no
 // type metadata. Keys are distributed over a fixed number of hash buckets
 // and each bucket encodes independently, keys sorted; a Tracker
-// (tracker.go) holds the application state so that a capture
-// re-encodes only the buckets written since the previous one. The
-// format is the concatenation of the chunk list:
+// (tracker.go) holds the application state as these bucket chunks, so a
+// capture hands them out as they are and only a bucket written since the
+// previous capture has a new one. The format is the concatenation of the
+// chunk list:
 //
 //	chunk 0 (prelude):  magic "sbftbkt1", lastSeq u64, dlen u64, digest,
 //	                    buckets u32
@@ -32,26 +33,10 @@
 // disk records.
 package snapcodec
 
-// Entry is one key-value pair of a decoded snapshot.
-type Entry struct {
-	Key string
-	Val []byte
-}
-
-// State is an application's replayable checkpoint state as DecodeBucketed
-// returns it: the last executed sequence, the application digest at that
-// sequence, and the state entries.
+// State is what a bucketed snapshot's prelude carries, as DecodeBucketed
+// returns it: the last executed sequence and the application digest at
+// that sequence.
 type State struct {
 	LastSeq uint64
 	Digest  []byte
-	Entries []Entry
-}
-
-// ToMap flattens decoded entries back into a map.
-func (st State) ToMap() map[string][]byte {
-	m := make(map[string][]byte, len(st.Entries))
-	for _, e := range st.Entries {
-		m[e.Key] = e.Val
-	}
-	return m
 }

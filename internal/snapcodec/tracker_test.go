@@ -21,6 +21,24 @@ func concat(chunks [][]byte) []byte {
 	return buf.Bytes()
 }
 
+// contents parses the bucket chunks of a chunk list into a map, apart
+// from the tracker.
+func contents(t testing.TB, chunks [][]byte) map[string][]byte {
+	t.Helper()
+	m := map[string][]byte{}
+	for _, c := range chunks[1:] {
+		r := NewReader(c)
+		for i, n := 0, r.Count64(16); i < n; i++ {
+			k := r.Bytes64()
+			m[string(k)] = r.Bytes64()
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("bucket chunk: %v", err)
+		}
+	}
+	return m
+}
+
 func TestTrackerEncodeDecodeRoundTrip(t *testing.T) {
 	tr := NewTracker(8)
 	want := map[string][]byte{}
@@ -50,7 +68,7 @@ func TestTrackerEncodeDecodeRoundTrip(t *testing.T) {
 	if st.LastSeq != 42 || !bytes.Equal(st.Digest, digest) {
 		t.Fatalf("prelude mismatch: seq=%d digest=%x", st.LastSeq, st.Digest)
 	}
-	got := st.ToMap()
+	got := contents(t, split)
 	if len(got) != len(want) {
 		t.Fatalf("entry count = %d, want %d", len(got), len(want))
 	}
@@ -128,19 +146,21 @@ func TestTrackerRestoreSeedsEncodingCache(t *testing.T) {
 		src.Set(fmt.Sprintf("key-%d", i), []byte{byte(i), byte(i)})
 	}
 	chunks, _ := src.EncodeChunks(9, []byte{1})
-	st, split, err := DecodeBucketed(concat(chunks))
+	_, split, err := DecodeBucketed(concat(chunks))
 	if err != nil {
 		t.Fatalf("DecodeBucketed: %v", err)
 	}
 
 	dst := NewTracker(DefaultBuckets) // bucket count adopted from blob
-	dst.Restore(st, len(split)-1, split)
+	if err := dst.Restore(split); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
 	if dst.Buckets() != 4 {
 		t.Fatalf("restored bucket count = %d, want 4", dst.Buckets())
 	}
 	reChunks, reenc := dst.EncodeChunks(9, []byte{1})
 	if reenc != 0 {
-		t.Fatalf("first post-restore capture re-encoded %d buckets, want 0 (cache seeded)", reenc)
+		t.Fatalf("first post-restore capture re-encoded %d buckets, want 0 (chunks adopted)", reenc)
 	}
 	for b := 1; b < len(reChunks); b++ {
 		if !sameSlice(reChunks[b], split[b]) {
@@ -157,26 +177,56 @@ func TestDecodeBucketedRejectsMalformed(t *testing.T) {
 	tr.Set("a", []byte("b"))
 	chunks, _ := tr.EncodeChunks(1, []byte{7})
 	valid := concat(chunks)
+	// Two keys of bucket 0, x < y, and one of bucket 1; a list of bucket
+	// chunks that frame soundly but are not what any state encodes to.
+	var in [2][]string
+	for i := 0; len(in[0]) < 2 || len(in[1]) < 1; i++ {
+		k := fmt.Sprintf("k%d", i)
+		in[BucketOf(k, 2)] = append(in[BucketOf(k, 2)], k)
+	}
+	x, y, other := min(in[0][0], in[0][1]), max(in[0][0], in[0][1]), in[1][0]
+	noncanonical := func(keys ...string) [][]byte {
+		chunk := binary.BigEndian.AppendUint64(nil, uint64(len(keys)))
+		for _, k := range keys {
+			chunk = binary.BigEndian.AppendUint64(chunk, uint64(len(k)))
+			chunk = binary.BigEndian.AppendUint64(append(chunk, k...), 1)
+			chunk = append(chunk, 'v')
+		}
+		return [][]byte{chunks[0], chunk, binary.BigEndian.AppendUint64(nil, 0)}
+	}
 
 	tests := []struct {
-		name string
-		data []byte
+		name   string
+		data   []byte
+		chunks [][]byte // the data as a chunk list, which Restore must refuse too
 	}{
-		{"empty", nil},
-		{"bad magic", []byte("notbucketed-----rest")},
-		{"truncated prelude", valid[:10]},
-		{"truncated bucket", valid[:len(valid)-1]},
+		{"empty", nil, nil},
+		{"bad magic", []byte("notbucketed-----rest"), nil},
+		{"truncated prelude", valid[:10], nil},
+		{"truncated bucket", valid[:len(valid)-1], nil},
 		{"zero buckets", func() []byte {
 			d := append([]byte(nil), valid...)
 			// bucket count u32 sits after magic+seq+dlen+digest
 			off := len(bucketMagic) + 8 + 8 + 1
 			d[off], d[off+1], d[off+2], d[off+3] = 0, 0, 0, 0
 			return d[:off+4]
-		}()},
-		{"trailing garbage", append(append([]byte(nil), valid...), 0xFF)},
+		}(), nil},
+		{"trailing garbage", append(append([]byte(nil), valid...), 0xFF), nil},
+		{"keys out of order", nil, noncanonical(y, x)},
+		{"repeated key", nil, noncanonical(x, x)},
+		{"key of another bucket", nil, noncanonical(x, other)},
+	}
+	if err := NewTracker(0).Restore(noncanonical(x, y)); err != nil {
+		t.Fatalf("Restore refused a canonical chunk list: %v", err)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			if tt.chunks != nil {
+				tt.data = concat(tt.chunks)
+				if err := NewTracker(0).Restore(tt.chunks); err == nil {
+					t.Fatalf("Restore adopted a non-canonical chunk list")
+				}
+			}
 			if _, _, err := DecodeBucketed(tt.data); err == nil {
 				t.Fatalf("DecodeBucketed accepted malformed input")
 			}
@@ -240,14 +290,12 @@ func (r *refTracker) EncodeChunks(lastSeq uint64, digest []byte) ([][]byte, int)
 	return chunks, reencoded
 }
 
-func (r *refTracker) Restore(st State, buckets int, chunks [][]byte) {
-	*r = *newRefTracker(buckets)
-	for _, e := range st.Entries {
-		r.content[BucketOf(e.Key, buckets)][e.Key] = e.Val
+func (r *refTracker) Restore(t testing.TB, chunks [][]byte) {
+	*r = *newRefTracker(len(chunks) - 1)
+	for k, v := range contents(t, chunks) {
+		r.content[BucketOf(k, len(r.content))][k] = v
 	}
-	for b := 0; b < buckets && 1+b < len(chunks); b++ {
-		r.enc[b] = chunks[1+b]
-	}
+	copy(r.enc, chunks[1:])
 }
 
 // scriptKey maps a byte to one of 256 keys: the first 16 prefix one
@@ -262,11 +310,33 @@ func scriptKey(k byte) string {
 // runTrackerScript drives a Tracker and the reference through the same
 // steps — three bytes each: operation, key, value — and compares every
 // capture: equal chunks, equal re-encode counts, and a bucket keeps its
-// slice exactly when the reference's does.
+// slice exactly when the reference's does. It also keeps every chunk
+// handed out, the tracker's and those it restored from, none of which may
+// change afterwards: after each step it re-checks the chunks of the last
+// capture or restore, the ones the tracker's buckets hold until a write
+// copies them, and at the end every chunk the script handed out.
 func runTrackerScript(t *testing.T, script []byte) {
 	t.Helper()
 	tr, ref := NewTracker(4), newRefTracker(4)
 	var prev, prevRef [][]byte
+	handed := map[*byte][2][]byte{} // first byte of each chunk handed out → the chunk, its bytes then
+	var last map[*byte][2][]byte    // the chunks of the last capture or restore
+	keep := func(chunks [][]byte) {
+		last = map[*byte][2][]byte{}
+		for _, c := range chunks[1:] {
+			if _, ok := handed[&c[0]]; !ok {
+				handed[&c[0]] = [2][]byte{c, bytes.Clone(c)}
+			}
+			last[&c[0]] = handed[&c[0]]
+		}
+	}
+	unchanged := func(chunks map[*byte][2][]byte, after string) {
+		for _, c := range chunks {
+			if !bytes.Equal(c[0], c[1]) {
+				t.Fatalf("%s wrote into a chunk handed out earlier: %x, was %x", after, c[0], c[1])
+			}
+		}
+	}
 	seq := uint64(0)
 	capture := func() ([][]byte, [][]byte) {
 		seq++
@@ -286,10 +356,11 @@ func runTrackerScript(t *testing.T, script []byte) {
 				t.Fatalf("capture %d: chunk %d kept its slice: %v, the reference's: %v", seq, i, kept, !kept)
 			}
 		}
+		keep(got)
 		prev, prevRef = got, want
 		return got, want
 	}
-	for ; len(script) >= 3; script = script[3:] {
+	for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
 		key, val := scriptKey(script[1]), []byte{script[2], script[2]}[:1+script[2]%2]
 		switch script[0] % 12 {
 		case 0, 1, 2, 3:
@@ -311,20 +382,25 @@ func runTrackerScript(t *testing.T, script []byte) {
 			// as returned, or a transferred blob re-split, into a tracker
 			// of another bucket count.
 			got, want := capture()
-			st, split, err := DecodeBucketed(concat(got))
+			_, split, err := DecodeBucketed(concat(got))
 			if err != nil {
 				t.Fatalf("capture %d does not decode: %v", seq, err)
 			}
 			if script[1]%2 == 0 {
 				got, want = split, split
+				keep(split)
 			}
 			tr = NewTracker(1 + int(script[2]%7))
-			tr.Restore(st, 4, got)
-			ref.Restore(st, 4, want)
+			if err := tr.Restore(got); err != nil {
+				t.Fatalf("capture %d does not restore: %v", seq, err)
+			}
+			ref.Restore(t, want)
 			prev, prevRef = got, want
 		}
+		unchanged(last, fmt.Sprintf("step %d", step))
 	}
 	capture()
+	unchanged(handed, "the script")
 }
 
 func TestTrackerMatchesReference(t *testing.T) {
